@@ -2,7 +2,6 @@ package chord
 
 import (
 	"fmt"
-	"sort"
 
 	"flowercdn/internal/simnet"
 )
@@ -55,28 +54,46 @@ func (n *Node) SuccessorList() []*Node {
 // String implements fmt.Stringer for diagnostics.
 func (n *Node) String() string { return fmt.Sprintf("chord(%d@%d)", n.id, n.addr) }
 
+// VisitKnown calls fn for every live peer in the node's routing state —
+// successor list, finger table, predecessor, in that order — without
+// allocating. A peer named by several tables is visited once per mention:
+// this is for callers whose result depends on neither order nor
+// multiplicity (a min-search, say); the others want KnownPeers.
+func (n *Node) VisitKnown(fn func(*Node)) {
+	visit := func(p *Node) {
+		if p != nil && p != n && p.up {
+			fn(p)
+		}
+	}
+	for _, p := range n.succs {
+		visit(p)
+	}
+	for _, p := range n.fingers {
+		visit(p)
+	}
+	visit(n.pred)
+}
+
 // KnownPeers returns every live distinct peer this node can currently name:
 // successor list, finger table and predecessor. Order is deterministic
 // (ascending ID). The caller owns the slice.
 func (n *Node) KnownPeers() []*Node {
-	seen := map[ID]*Node{}
-	add := func(p *Node) {
-		if p != nil && p != n && p.up {
-			seen[p.id] = p
+	// Routing state is a few dozen pointers: one sorted insertion per
+	// mention gives distinctness and order without a map or sort.Slice.
+	out := make([]*Node, 0, len(n.succs)+len(n.fingers)+1)
+	n.VisitKnown(func(p *Node) {
+		i := len(out)
+		for i > 0 && out[i-1].id > p.id {
+			i--
 		}
-	}
-	for _, p := range n.succs {
-		add(p)
-	}
-	for _, p := range n.fingers {
-		add(p)
-	}
-	add(n.pred)
-	out := make([]*Node, 0, len(seen))
-	for _, p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+		if i > 0 && out[i-1].id == p.id {
+			out[i-1] = p // the later table's pointer wins, as in a map by ID
+			return
+		}
+		out = append(out, nil)
+		copy(out[i+1:], out[i:])
+		out[i] = p
+	})
 	return out
 }
 

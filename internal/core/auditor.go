@@ -21,7 +21,8 @@ import (
 //     actual stashes of live same-overlay content peers;
 //   - the await-token/timer plane (a latched dir-join must have its timer
 //     armed; dead hosts must leave nothing pending; a keepalive timeout
-//     can only be armed on a content peer).
+//     can only be armed on a content peer; and per cell, for queries:
+//     timer armed ⇔ continuation kind set ⇔ await-registry slot live).
 //
 // It runs at epoch barriers (sharded runs park their workers there, so
 // reading cell timer arenas is race-free) or anywhere on the classic path.
@@ -133,6 +134,30 @@ func (s *System) Audit() AuditReport {
 			if !tickerRunning(s.hs.gossipTicker[a]) || !tickerRunning(s.hs.kaTicker[a]) {
 				fail("timers: content peer %d is missing its gossip/keepalive ticker", addr)
 			}
+		}
+	}
+
+	// --- Query await registry ----------------------------------------------
+	// Every tenant must have its continuation set, its timer armed and its
+	// slot pointing back; every other slot must be on the free list. (Armed
+	// queries outside a registry cannot be enumerated: queries are not
+	// retained.) Not tallied in Checks, whose totals the equivalence fixture
+	// pins; violations are reported like any other.
+	for cell := range s.mpools {
+		p := &s.mpools[cell]
+		live := 0
+		for slot, q := range p.awaiting {
+			if q == nil {
+				continue
+			}
+			live++
+			if q.awaitKind == awaitNone || int(q.awaitSlot) != slot || !q.pending.Active() || s.cellIdx(q.Origin) != cell {
+				fail("await: cell %d slot %d holds query %d with kind=%d slot=%d armed=%v",
+					cell, slot, q.ID, q.awaitKind, q.awaitSlot, q.pending.Active())
+			}
+		}
+		if live+len(p.awaitFree) != len(p.awaiting) {
+			fail("await: cell %d registry has %d slots, %d live + %d free", cell, len(p.awaiting), live, len(p.awaitFree))
 		}
 	}
 	return r

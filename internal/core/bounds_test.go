@@ -18,8 +18,8 @@ func TestQueryFailureMemoryBounded(t *testing.T) {
 	for i := 0; i < 10*maxTriedDirs; i++ {
 		q.markTriedDir(chord.ID(i))
 	}
-	if len(q.triedDirs) != maxTriedDirs {
-		t.Fatalf("triedDirs grew to %d, cap is %d", len(q.triedDirs), maxTriedDirs)
+	if q.fails.nDirs != maxTriedDirs {
+		t.Fatalf("tried dirs grew to %d, cap is %d", q.fails.nDirs, maxTriedDirs)
 	}
 	if !q.triedDir(chord.ID(10*maxTriedDirs - 1)) {
 		t.Fatal("newest tried dir evicted; eviction must be FIFO")
@@ -31,8 +31,8 @@ func TestQueryFailureMemoryBounded(t *testing.T) {
 	for i := 0; i < 10*maxFailedHolders; i++ {
 		q.markFailedHolder(simnet.NodeID(i))
 	}
-	if len(q.failedHolders) != maxFailedHolders {
-		t.Fatalf("failedHolders grew to %d, cap is %d", len(q.failedHolders), maxFailedHolders)
+	if len(q.fails.holders) != maxFailedHolders {
+		t.Fatalf("failed holders grew to %d, cap is %d", len(q.fails.holders), maxFailedHolders)
 	}
 	if !q.triedHolder(simnet.NodeID(10*maxFailedHolders - 1)) {
 		t.Fatal("newest failed holder evicted; eviction must be FIFO")

@@ -159,8 +159,7 @@ func (s *System) attemptDirJoin(h *host, site model.SiteID, loc int) {
 		return
 	}
 	s.hs.set(h.addr, hfJoinInFlight)
-	s.net.Send(h.addr, entry, simnet.CatMaintenance, bytesJoinCtl,
-		routedMsg{Key: key, TTL: dring.RouteTTL(s.ks.Space), Inner: innerDirJoin{Candidate: h.addr}})
+	s.net.Send(h.addr, entry, simnet.CatMaintenance, bytesJoinCtl, s.newRoutedMsg(key, h.addr, nil, false))
 	// Clear the in-flight latch if the request is lost in a broken ring;
 	// an answer cancels the timer.
 	s.hs.joinTimer[h.addr].Cancel()
@@ -170,13 +169,13 @@ func (s *System) attemptDirJoin(h *host, site model.SiteID, loc int) {
 // handleDirJoinRequest runs at the D-ring node that received the routed
 // join: if the position is filled, point the candidate at the incumbent;
 // otherwise accept and offer ourselves as the bootstrap.
-func (s *System) handleDirJoinRequest(h *host, key chord.ID, m innerDirJoin) {
+func (s *System) handleDirJoinRequest(h *host, key chord.ID, candidate simnet.NodeID) {
 	if n := s.ring.Lookup(key); n != nil && n.Up() {
-		s.net.Send(h.addr, m.Candidate, simnet.CatMaintenance, bytesJoinCtl,
+		s.net.Send(h.addr, candidate, simnet.CatMaintenance, bytesJoinCtl,
 			dirJoinTakenMsg{Key: key, NewDir: n.Addr()})
 		return
 	}
-	s.net.Send(h.addr, m.Candidate, simnet.CatMaintenance, bytesJoinCtl,
+	s.net.Send(h.addr, candidate, simnet.CatMaintenance, bytesJoinCtl,
 		dirJoinAcceptMsg{Key: key, Bootstrap: h.addr})
 }
 
@@ -271,11 +270,13 @@ func (s *System) pushFullContent(h *host) {
 	if !d.Known || d.Addr == h.addr {
 		return
 	}
-	objs := h.cp.Objects()
-	if len(objs) == 0 {
+	if h.cp.ContentSize() == 0 {
 		return
 	}
-	m := pushMsg{Site: h.cp.Site(), M: overlayPush(h.addr, objs)}
+	// An additions-only push (full-content re-registration, §5.2).
+	m := s.newPushMsg(s.cellIdx(h.addr), h.cp.Site())
+	m.M.From = h.addr
+	m.M.Added = append(m.M.Added, h.cp.Objects()...)
 	s.net.Send(h.addr, d.Addr, simnet.CatPush, m.M.WireBytes(), m)
 	h.cp.RefreshDir()
 }

@@ -53,14 +53,14 @@ func (h *host) overlayLocality() int { return h.sys.hs.overlayLocality(h.addr) }
 func (h *host) HandleMessage(msg simnet.Message) {
 	s := h.sys
 	switch m := msg.Payload.(type) {
-	case routedMsg:
+	case *routedMsg:
 		s.handleRouted(h, m)
 	case redirectMsg:
-		s.handleRedirect(h, m)
+		s.handleRedirect(h, m.Q, msg.From)
 	case redirectAckMsg:
 		s.settle(m.Q)
 	case redirectFailMsg:
-		s.handleRedirectFail(h, m)
+		s.handleRedirectFail(h, m.Q, msg.From)
 	case peerQueryMsg:
 		s.handlePeerQuery(h, m)
 	case nackMsg:
@@ -70,16 +70,16 @@ func (h *host) HandleMessage(msg simnet.Message) {
 	case dirQueryMsg:
 		s.handleDirQuery(h, m)
 	case forwardedQueryMsg:
-		s.handleForwardedQuery(h, m)
+		s.dirProcess(h, m.Q, true) // Algorithm 3's restricted form at the neighbour
 	case forwardFailMsg:
-		s.handleForwardFail(h, m)
-	case serveMsg:
+		s.handleForwardFail(h, m.Q)
+	case *serveMsg:
 		s.handleServe(h, m)
 	case *gossipMsg:
 		s.handleGossip(h, m)
 	case gossipRejectMsg:
 		s.handleGossipReject(h, m)
-	case pushMsg:
+	case *pushMsg:
 		s.handlePush(h, m)
 	case keepaliveMsg:
 		s.handleKeepalive(h, m)
@@ -123,22 +123,86 @@ func (s *System) timeout(a, b simnet.NodeID) simkernel.Time {
 	return 2*s.net.Latency(a, b) + 50*simkernel.Millisecond
 }
 
-// await arms a cancellable timeout for q; any settle (on response) or a
-// newer await revokes it. At most one timeout per query is armed at a
-// time, so completion leaves no dead events behind. On the sharded path
-// the timer lives on the kernel of the executing context: the origin's
-// cell during parallel phases (handlers touching q always run there, per
-// payloadForeign), the coordination kernel in barrier context.
-func (s *System) await(q *Query, d simkernel.Time, onTimeout func()) {
+// awaitKind names what a query does when its armed timeout fires: the
+// typed continuation await stores in the Query in place of a closure.
+type awaitKind uint8
+
+const (
+	awaitNone           awaitKind = iota
+	awaitLookupHedge              // hedgeLookup(attempt b, remaining a)
+	awaitLookupRetry              // retryNewClientQuery(attempt b)
+	awaitOriginResend             // retryOrigin(attempt b, viaDir a)
+	awaitCandidate                // view contact a stayed silent
+	awaitEscalateResend           // resend the escalation to directory a, b ms of deadline left
+	awaitEscalateExpire           // the escalation's deadline passed: origin tier
+	awaitSibling                  // neighbour directory with ring ID a stayed silent
+	awaitRedirect                 // holder a stayed silent (b: the query was forwarded here)
+	awaitDelivery                 // the served object never landed
+)
+
+// await arms a cancellable timeout for q: after d, unless a settle (on
+// response) or a newer await revokes it first, the continuation (kind, a,
+// b) resumes at host. At most one timeout per query is armed at a time, so
+// completion leaves no dead events behind. Arming allocates nothing: the
+// continuation lives in the Query and the timer rides AfterArg with the
+// cell's bound resumeAwait, its argument packing the query's registry slot
+// with a cell-monotonic token. On the sharded path the timer lives on the
+// kernel of the executing context: the origin's cell during parallel phases
+// (handlers touching q always run there, per payloadForeign), the
+// coordination kernel in barrier context.
+func (s *System) await(q *Query, d simkernel.Time, kind awaitKind, host simnet.NodeID, a uint64, b int32) {
 	s.settle(q)
-	tok := q.token
+	p := &s.mpools[s.cellIdx(q.Origin)]
+	if n := len(p.awaitFree); n > 0 {
+		q.awaitSlot = p.awaitFree[n-1]
+		p.awaitFree = p.awaitFree[:n-1]
+	} else {
+		p.awaiting = append(p.awaiting, nil)
+		q.awaitSlot = uint32(len(p.awaiting) - 1)
+	}
+	p.awaiting[q.awaitSlot] = q
+	p.awaitTok++
+	q.awaitTok = p.awaitTok
+	q.awaitKind, q.awaitHost, q.awaitA, q.awaitB = kind, host, a, b
 	k := s.k
 	if s.cells != nil && !s.net.InBarrier() {
 		k = s.cells[s.net.CellOf(q.Origin)]
 	}
-	q.pending = k.After(d, func() {
-		if q.token == tok && !q.finished {
-			onTimeout()
-		}
-	})
+	q.pending = k.AfterArg(d, p.awaitFn, uint64(q.awaitSlot)|uint64(q.awaitTok)<<32)
+}
+
+// resumeAwait fires a query timeout armed in the given cell's registry. A
+// timer that outlived its arm (abandoned by a cross-kernel settle) finds
+// its slot empty or re-let under a newer token and does nothing.
+func (s *System) resumeAwait(cell int, arg uint64) {
+	p := &s.mpools[cell]
+	q := p.awaiting[uint32(arg)]
+	if q == nil || q.awaitTok != uint32(arg>>32) {
+		return
+	}
+	kind, h, a, b := q.awaitKind, s.hosts[q.awaitHost], q.awaitA, int(q.awaitB)
+	s.releaseAwait(p, q)
+	if q.finished {
+		return
+	}
+	switch kind {
+	case awaitLookupHedge:
+		s.hedgeLookup(h, q, b, simkernel.Time(a))
+	case awaitLookupRetry:
+		s.retryNewClientQuery(h, q, b)
+	case awaitOriginResend:
+		s.retryOrigin(h, q, b, a != 0)
+	case awaitCandidate:
+		s.onCandidateTimeout(h, q, simnet.NodeID(a))
+	case awaitEscalateResend:
+		s.resendEscalation(h, q, simnet.NodeID(a), simkernel.Time(b))
+	case awaitEscalateExpire:
+		s.fallbackToOrigin(h, q)
+	case awaitSibling:
+		s.onSiblingTimeout(h, q, chord.ID(a))
+	case awaitRedirect:
+		s.onRedirectTimeout(h, q, simnet.NodeID(a), b != 0)
+	case awaitDelivery:
+		s.onDeliveryTimeout(h, q)
+	}
 }

@@ -1,0 +1,239 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"flowercdn/internal/metrics"
+	"flowercdn/internal/model"
+	"flowercdn/internal/simkernel"
+	"flowercdn/internal/simnet"
+	"flowercdn/internal/workload"
+)
+
+// lifecycleEnv builds a two-member overlay at (site 0, locality 0) whose
+// capacity is exhausted — pool member 2 stays a new client forever, served
+// but never admitted — lets views, summaries and the directory index
+// settle, then stops every ticker, so that whatever the kernel runs
+// afterwards is query lifecycle and nothing else (in particular no gossip
+// round rebuilds a content summary the queries dirtied).
+func lifecycleEnv(t *testing.T, hardened bool) *testEnv {
+	e := newTestEnv(t, 91, func(c *Config) {
+		c.MaxOverlaySize = 2
+		c.Hardened = hardened
+	})
+	e.submitAt(simkernel.Second, 0, 0, 0, 3)
+	e.submitAt(2*simkernel.Second, 0, 0, 1, 5)
+	e.submitAt(3*simkernel.Minute, 0, 0, 1, 3)
+	e.k.Run(20 * simkernel.Minute)
+	for _, bank := range [][]*simkernel.Ticker{
+		e.sys.hs.dirTicker, e.sys.hs.gossipTicker, e.sys.hs.kaTicker, e.sys.hs.stabTicker, e.sys.hs.replTicker,
+	} {
+		for _, tk := range bank {
+			if tk != nil {
+				tk.Stop()
+			}
+		}
+	}
+	return e
+}
+
+// submitNow injects a query at the current instant without building the
+// closure submitAt schedules.
+func (e *testEnv) submitNow(si, loc, member, obj int) {
+	site := e.cfg.Sites[si]
+	e.sys.Submit(workload.Query{
+		At: e.k.Now(), Site: site, SiteIdx: si, Locality: loc, Member: member,
+		Object: model.ObjectID{Site: site, Num: obj},
+	})
+	e.k.Run(e.k.Now() + 2*simkernel.Second)
+}
+
+// TestQueryLifecycleAllocs is the alloc gate for a query's whole life
+// through the real System, network and kernel: pump-side submit, slab
+// Query record, slab candidates, typed await continuations, pooled routed,
+// serve and push envelopes. After warm-up none of it allocates (the Query
+// slab's one chunk per 64 queries rounds to zero, as designed).
+func TestQueryLifecycleAllocs(t *testing.T) {
+	measure := func(t *testing.T, e *testEnv, op func()) {
+		t.Helper()
+		before := e.mets.Snapshot(e.k.Now())
+		for i := 0; i < 8; i++ {
+			op() // pools, slabs, registry and timer arena reach capacity
+		}
+		allocs := testing.AllocsPerRun(100, op)
+		after := e.mets.Snapshot(e.k.Now())
+		if got := after.BySource["peer"] - before.BySource["peer"]; got != 109 {
+			t.Fatalf("%d of 109 queries were served by an overlay peer; the measured path is not the intended one", got)
+		}
+		if allocs != 0 {
+			t.Fatalf("query lifecycle allocates %.1f allocs/op, want 0", allocs)
+		}
+		for _, q := range e.sys.mpools[0].awaiting {
+			if q != nil {
+				t.Fatalf("query %d still holds an await-registry slot after the run", q.ID)
+			}
+		}
+	}
+
+	t.Run("member-view-hit-and-push", func(t *testing.T) {
+		e := lifecycleEnv(t, false)
+		member := e.sys.host(e.sys.PoolNode(0, 0, 1))
+		ref := e.sys.in.RefFor(0, 3)
+		if member.cp == nil || !member.cp.Has(ref) {
+			t.Fatal("member did not join or lacks the probe object")
+		}
+		pushes := e.mets.Snapshot(e.k.Now()).Traffic
+		measure(t, e, func() {
+			// Forget the object (pushing the removal), then ask for it again:
+			// a view contact's summary matches, the contact serves, and
+			// storing the object pushes the addition.
+			member.cp.RemoveObject(ref)
+			e.sys.maybePush(member)
+			e.submitNow(0, 0, 1, 3)
+		})
+		if !member.cp.Has(ref) {
+			t.Fatal("member did not get the object back")
+		}
+		sent := func(ts []metrics.TrafficStat) int64 {
+			for _, s := range ts {
+				if s.Category == simnet.CatPush {
+					return s.Messages
+				}
+			}
+			return 0
+		}
+		if got := sent(e.mets.Snapshot(e.k.Now()).Traffic) - sent(pushes); got != 2*109 {
+			t.Fatalf("%d pushes for 109 remove+add rounds, want %d", got, 2*109)
+		}
+	})
+
+	for _, hardened := range []bool{false, true} {
+		name := "new-client-routed-redirect-serve"
+		if hardened {
+			name += "-hardened"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := lifecycleEnv(t, hardened)
+			client := e.sys.host(e.sys.PoolNode(0, 0, 2))
+			measure(t, e, func() { e.submitNow(0, 0, 2, 3) })
+			if client.cp != nil {
+				t.Fatal("the client was admitted to a full overlay")
+			}
+		})
+	}
+}
+
+// TestEnvelopePoolHygiene: a released envelope is zeroed (a pooled push
+// keeps only the capacity of its ∆list arrays), and both releasing it twice
+// and handling it again panic.
+func TestEnvelopePoolHygiene(t *testing.T) {
+	e := newTestEnv(t, 92, nil)
+	s := e.sys
+	h := s.host(s.PoolNode(0, 0, 0))
+	q := s.newQuery(0)
+	q.Origin = h.addr
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+
+	serve := s.newServeMsg(q, true)
+	s.putServeMsg(serve)
+	if serve.live || serve.Q != nil || serve.FromContentPeer || serve.ViewSeed != nil {
+		t.Fatalf("released serve envelope not zeroed: %+v", *serve)
+	}
+	mustPanic("double serve release", func() { s.putServeMsg(serve) })
+	mustPanic("dispatching a released serve envelope", func() {
+		h.HandleMessage(simnet.Message{From: h.addr, To: h.addr, Payload: serve})
+	})
+
+	routed := s.newRoutedMsg(7, q.Origin, q, true)
+	s.putRoutedMsg(routed)
+	if *routed != (routedMsg{}) {
+		t.Fatalf("released routed envelope not zeroed: %+v", *routed)
+	}
+	mustPanic("double routed release", func() { s.putRoutedMsg(routed) })
+	mustPanic("dispatching a released routed envelope", func() {
+		h.HandleMessage(simnet.Message{From: h.addr, To: h.addr, Payload: routed})
+	})
+
+	push := s.newPushMsg(0, e.cfg.Sites[0])
+	push.M.From = h.addr
+	push.M.Added = append(push.M.Added, 1, 2, 3)
+	s.putPushMsg(0, push)
+	if push.live || push.Site != "" || push.M.From != 0 || len(push.M.Added) != 0 || len(push.M.Removed) != 0 {
+		t.Fatalf("released push envelope not zeroed: %+v", *push)
+	}
+	if cap(push.M.Added) < 3 {
+		t.Fatal("released push envelope lost its reusable ∆list backing")
+	}
+	mustPanic("double push release", func() { s.putPushMsg(0, push) })
+	mustPanic("dispatching a released push envelope", func() {
+		h.HandleMessage(simnet.Message{From: h.addr, To: h.addr, Payload: push})
+	})
+	if again := s.newPushMsg(0, e.cfg.Sites[1]); again != push || !again.live {
+		t.Fatal("the pool did not hand the released envelope out again, live")
+	}
+}
+
+// TestShedSlotReleasedAtOriginRetryCap: a query that took a takeover-
+// shedding slot and then runs out the hardened origin-retry chain (its
+// origin is cut off, so no serve ever lands to release the slot) must hand
+// the slot back when the chain gives up — or ShedBudget such queries later
+// the locality sheds every new client forever.
+func TestShedSlotReleasedAtOriginRetryCap(t *testing.T) {
+	e := newTestEnv(t, 93, func(c *Config) {
+		c.Hardened = true
+		c.ShedBudget = 1
+	})
+	s := e.sys
+	h := s.host(s.PoolNode(0, 0, 0))
+	q := &Query{ID: 1, Origin: h.addr, OriginLoc: 0, Site: e.cfg.Sites[0], Ref: s.in.RefFor(0, 3), NewClient: true}
+	s.shedInFlight[0]++
+	q.shedCounted = true
+	s.net.Fail(h.addr) // every fetch of the chain is lost at the sender
+	s.fallbackToOrigin(h, q)
+	e.k.Run(15 * simkernel.Minute) // 10+20+40+80+80+80 s of backoff, plus jitter
+	if q.finished {
+		t.Fatal("the cut-off query was served; the cap was never reached")
+	}
+	if q.shedCounted || s.shedInFlight[0] != 0 {
+		t.Fatalf("shed slot leaked at the origin-retry cap: counted=%v inFlight=%d", q.shedCounted, s.shedInFlight[0])
+	}
+	if r := s.Audit(); len(r.Violations) > 0 {
+		t.Fatalf("audit: %v", r.Violations)
+	}
+}
+
+// TestAuditAwaitRegistry: the auditor accepts a query in flight (timer
+// armed, continuation set, registry slot live) and reports a registry
+// tenant whose continuation was lost.
+func TestAuditAwaitRegistry(t *testing.T) {
+	e := newTestEnv(t, 94, nil)
+	e.submitAt(simkernel.Second, 0, 0, 0, 3)
+	e.k.Run(simkernel.Second) // submitted, lookup deadline armed, nothing delivered yet
+	var inFlight *Query
+	for _, q := range e.sys.mpools[0].awaiting {
+		if q != nil {
+			inFlight = q
+		}
+	}
+	if inFlight == nil || !inFlight.pending.Active() || inFlight.awaitKind != awaitLookupRetry {
+		t.Fatalf("no query awaiting its lookup deadline: %+v", inFlight)
+	}
+	if r := e.sys.Audit(); len(r.Violations) > 0 {
+		t.Fatalf("audit of a healthy in-flight query: %v", r.Violations)
+	}
+	inFlight.awaitKind = awaitNone
+	r := e.sys.Audit()
+	if len(r.Violations) != 1 || !strings.HasPrefix(r.Violations[0], "await:") {
+		t.Fatalf("audit missed the lost continuation: %v", r.Violations)
+	}
+}

@@ -24,49 +24,67 @@ const (
 // Query carries one client request through the system. It is shared by
 // pointer across the simulated messages of a single in-process run; on a
 // real wire it would be a compact identifier plus the interned object ref.
+// Records are bump-allocated from per-cell slabs (System.newQuery) and
+// never reused, so a stale pointer can at worst read a finished query.
 type Query struct {
-	ID        uint64
-	Origin    simnet.NodeID
-	OriginLoc int
-	SiteIdx   int
-	Site      model.SiteID
-	Object    model.ObjectID
-	Ref       model.ObjectRef // interned Object; every lookup keys on this
-	Start     simkernel.Time
-	NewClient bool
+	ID     uint64
+	Start  simkernel.Time
+	Site   model.SiteID
+	Origin simnet.NodeID
 
-	// Routing/progress state.
-	token    uint64                // await-cancellation token
-	pending  simkernel.TimerHandle // armed retry/failure timeout, if any
-	recorded bool                  // metrics emitted
-	finished bool
 	// sentAt stamps the latest outbound attempt (adaptive runs only): the
 	// answering handler turns now−sentAt into an RTT sample for the
 	// origin's deadline estimator.
 	sentAt simkernel.Time
 
-	dringHops int
+	// The armed retry/failure timeout, if any, and what to do when it
+	// fires: a typed continuation (see await) instead of a closure. At most
+	// one is armed per query; awaitKind == awaitNone means none.
+	pending   simkernel.TimerHandle
+	awaitA    uint64        // continuation argument: a node, a ring ID or a duration
+	awaitHost simnet.NodeID // the host the continuation resumes at
+	awaitTok  uint32        // the cell-monotonic token the timer was armed with
+	awaitSlot uint32        // the query's slot in its cell's await registry
+	awaitB    int32         // continuation argument: an attempt count, a flag or a duration
 
-	candidates []simnet.NodeID // content-peer path candidates
-	candIdx    int
+	Ref            model.ObjectRef // interned object; every lookup keys on this
+	OriginLoc      int
+	targetInstance int // §5.3: which directory instance the query targeted
+	awaitKind      awaitKind
 
-	targetInstance int           // §5.3: which directory instance the query targeted
-	handlerDir     simnet.NodeID // the directory that ran Algorithm 3 for us
-	handlerIsLocal bool          // handler covers the client's locality
-	admitted       bool          // optimistic index entry created; client joins on serve
-	dirSeed        []gossip.Entry
-	// Failed-destination dedup: queries touch a handful of directories and
-	// holders, so linear scans over small slices beat per-query maps (and
-	// allocate nothing until a failure actually occurs).
-	triedDirs        []chord.ID
-	failedHolders    []simnet.NodeID
-	remoteDir        simnet.NodeID // set while a neighbour directory handles the query
+	NewClient        bool
+	recorded         bool // metrics emitted
+	finished         bool
+	handlerIsLocal   bool // handler covers the client's locality
+	admitted         bool // optimistic index entry created; client joins on serve
 	atRemote         bool
-	viaDirectory     bool // content-peer path escalated to the directory (ablation policy)
 	needDirBootstrap bool // client should try to become d(ws,loc) after service (§5.2 edge)
 	shedCounted      bool // holds one slot of the locality's shed in-flight budget
 
 	refScratch [1]model.ObjectRef // backs oneRef
+
+	candidates []simnet.NodeID // untried content-peer path candidates (cell slab storage)
+	handlerDir simnet.NodeID   // the directory that ran Algorithm 3 for us
+	remoteDir  simnet.NodeID   // set while a neighbour directory handles the query
+	dirSeed    []gossip.Entry
+	fails      *queryFails // failed-destination memory; nil until something fails
+}
+
+// queryFails is a query's failed-destination dedup, allocated when the
+// first neighbour directory or holder is tried in vain — most queries never
+// get there, and do not carry the space. Queries touch a handful of
+// directories and holders, so linear scans over small arrays beat maps.
+type queryFails struct {
+	nDirs   int
+	dirs    [maxTriedDirs]chord.ID
+	holders []simnet.NodeID
+}
+
+func (q *Query) failState() *queryFails {
+	if q.fails == nil {
+		q.fails = new(queryFails)
+	}
+	return q.fails
 }
 
 // oneRef returns a one-element ref slice without allocating, backed by
@@ -90,78 +108,67 @@ const (
 )
 
 func (q *Query) triedDir(id chord.ID) bool {
-	for _, d := range q.triedDirs {
-		if d == id {
-			return true
+	if f := q.fails; f != nil {
+		for _, d := range f.dirs[:f.nDirs] {
+			if d == id {
+				return true
+			}
 		}
 	}
 	return false
 }
 
 func (q *Query) markTriedDir(id chord.ID) {
-	if len(q.triedDirs) >= maxTriedDirs {
-		copy(q.triedDirs, q.triedDirs[1:])
-		q.triedDirs[len(q.triedDirs)-1] = id
-		return
+	f := q.failState()
+	if f.nDirs == maxTriedDirs {
+		copy(f.dirs[:], f.dirs[1:])
+		f.nDirs--
 	}
-	q.triedDirs = append(q.triedDirs, id)
+	f.dirs[f.nDirs] = id
+	f.nDirs++
 }
 
 // --- D-ring routed envelope ----------------------------------------------
 
 // routedMsg is a message travelling through D-ring key-based routing
-// (Algorithm 2). Inner is one of innerQuery or innerDirJoin.
+// (Algorithm 2): the lookup of query Q from its origin Owner or, with Q
+// nil, the §5.2 replacement join of candidate Owner for the directory
+// position Key. It travels by pointer, is forwarded hop to hop in place and
+// returns to its owner's cell pool where the route ends (newRoutedMsg /
+// putRoutedMsg).
+//
+// Hedged marks the second (raced) lookup of an adaptive hedge: if it
+// reaches a directory first — before any handler claimed the query — the
+// hedge won.
 type routedMsg struct {
-	Key   chord.ID
-	TTL   int
-	Inner any
-}
-
-// innerQuery wraps a query inside a routedMsg. Hedged marks the second
-// (raced) lookup of an adaptive hedge: if it reaches a directory first —
-// before any handler claimed the query — the hedge won.
-type innerQuery struct {
-	Q      *Query
+	live   bool
 	Hedged bool
-}
-
-// innerDirJoin is the §5.2 replacement join: Candidate attempts to take
-// over the directory position Key.
-type innerDirJoin struct {
-	Candidate simnet.NodeID
+	TTL    int
+	Key    chord.ID
+	Q      *Query
+	Owner  simnet.NodeID
 }
 
 // --- Query-path messages --------------------------------------------------
 
+// Every query-path message below is a single-pointer struct: storing one
+// in Message.Payload (an `any`) is a direct-interface conversion, no heap
+// allocation per send. Keep them single-pointer; the sender's address
+// travels in the network envelope (Message.From), never in the payload.
+
 // redirectMsg: directory → holder (content peer or origin server): serve Q.
-type redirectMsg struct {
-	Q       *Query
-	FromDir simnet.NodeID
-}
+type redirectMsg struct{ Q *Query }
 
 // redirectAckMsg: holder → directory: redirect received (liveness).
-type redirectAckMsg struct {
-	Q    *Query
-	From simnet.NodeID
-}
+type redirectAckMsg struct{ Q *Query }
 
 // redirectFailMsg: holder → directory: I no longer hold the object.
-type redirectFailMsg struct {
-	Q    *Query
-	From simnet.NodeID
-}
+type redirectFailMsg struct{ Q *Query }
 
 // peerQueryMsg: content peer → view contact: do you have Q.Obj?
-//
-// Hot path: a single-pointer struct is pointer-shaped, so storing it in
-// Message.Payload (an `any`) is a direct-interface conversion — no heap
-// allocation per send. nackMsg below relies on the same property; keep
-// these structs single-pointer.
 type peerQueryMsg struct{ Q *Query }
 
-// nackMsg: contact → content peer: I do not have it. The sender's address
-// travels in the network envelope (Message.From), not the payload, which
-// keeps the struct pointer-shaped and its boxing allocation-free.
+// nackMsg: contact → content peer: I do not have it.
 type nackMsg struct{ Q *Query }
 
 // fetchMsg: requester → origin server.
@@ -172,27 +179,22 @@ type dirQueryMsg struct{ Q *Query }
 
 // forwardedQueryMsg: directory → same-website directory suggested by a
 // directory summary (Algorithm 3's second stage).
-type forwardedQueryMsg struct {
-	Q       *Query
-	FromDir simnet.NodeID
-}
+type forwardedQueryMsg struct{ Q *Query }
 
 // forwardFailMsg: neighbour directory → handler: my overlay cannot serve.
-type forwardFailMsg struct {
-	Q    *Query
-	From simnet.NodeID
-}
+type forwardFailMsg struct{ Q *Query }
 
 // serveMsg: provider → requester: the object itself, plus (for freshly
-// admitted clients) the initial view seed of §4.2.
+// admitted clients) the initial view seed of §4.2. The provider is the
+// network sender. Pooled like routedMsg (newServeMsg / putServeMsg).
 type serveMsg struct {
-	Q               *Query
-	Provider        simnet.NodeID
+	live            bool
 	FromContentPeer bool
+	Q               *Query
 	ViewSeed        []gossip.Entry
 }
 
-func (m serveMsg) wireBytes(objectBytes int) int {
+func (m *serveMsg) wireBytes(objectBytes int) int {
 	n := bytesServeHdr + objectBytes
 	for _, e := range m.ViewSeed {
 		n += e.WireBytes()
@@ -204,7 +206,7 @@ func (m serveMsg) wireBytes(objectBytes int) int {
 
 // gossipMsg wraps an overlay gossip exchange with the overlay identity so
 // a peer that changed locality (§5.4) can reject strays. It travels by
-// pointer and is recycled through System.gossipPool once handled, so
+// pointer and is recycled through its cell's System.mpools entry once handled, so
 // steady-state gossip rounds do not allocate an envelope per exchange;
 // allocate via System.newGossipMsg, release via System.putGossipMsg.
 type gossipMsg struct {
@@ -216,8 +218,11 @@ type gossipMsg struct {
 // gossipRejectMsg: receiver is not (any more) in the sender's overlay.
 type gossipRejectMsg struct{ From simnet.NodeID }
 
-// pushMsg wraps Algorithm 5's ∆list push.
+// pushMsg wraps Algorithm 5's ∆list push. Pooled like routedMsg; a
+// recycled envelope keeps the backing arrays of M.Added / M.Removed, which
+// the next push appends into (newPushMsg / putPushMsg).
 type pushMsg struct {
+	live bool
 	Site model.SiteID
 	M    overlay.PushMsg
 }
@@ -361,12 +366,10 @@ func queryOf(payload any) *Query {
 		return m.Q
 	case forwardFailMsg:
 		return m.Q
-	case serveMsg:
+	case *serveMsg:
 		return m.Q
-	case routedMsg:
-		if iq, ok := m.Inner.(innerQuery); ok {
-			return iq.Q
-		}
+	case *routedMsg:
+		return m.Q
 	}
 	return nil
 }
@@ -394,9 +397,8 @@ func payloadGlobal(payload any) bool {
 		return true
 	case standbyPromoteMsg:
 		return true
-	case routedMsg:
-		_, ok := m.Inner.(innerDirJoin)
-		return ok
+	case *routedMsg:
+		return m.Q == nil
 	}
 	return false
 }
@@ -432,7 +434,7 @@ func (s *System) payloadVenue(payload any, to simnet.NodeID) (int, bool) {
 		// handleFetch → serveQuery(fromContentPeer=false): origin metrics,
 		// origin settle, no view-seed draw.
 		return s.cellIdx(m.Q.Origin), true
-	case serveMsg:
+	case *serveMsg:
 		// handleServe touches only the origin — unless the serve admits the
 		// client into an overlay (joinOverlay/joinFounder gossip-ticker
 		// offsets draw prand(origin) in a fixed order the coordination
@@ -451,12 +453,11 @@ func (s *System) payloadVenue(payload any, to simnet.NodeID) (int, bool) {
 		if s.hs.has(to, hfServer) {
 			return s.cellIdx(m.Q.Origin), true
 		}
-	case routedMsg:
+	case *routedMsg:
 		// Forward hops of Algorithm 2 only read ring state, which is
 		// immutable on a static ring; the delivering hop runs dirProcess
 		// (directory-owned draws and index writes) and keeps the old venue.
-		iq, ok := m.Inner.(innerQuery)
-		if !ok || !s.cfg.StaticRing || m.TTL <= 0 {
+		if m.Q == nil || !s.cfg.StaticRing || m.TTL <= 0 {
 			return 0, false
 		}
 		h := s.hosts[to]
@@ -466,7 +467,7 @@ func (s *System) payloadVenue(payload any, to simnet.NodeID) (int, bool) {
 		if _, deliver := dring.NextHop(h.dirNode, m.Key, s.ks); deliver {
 			return 0, false
 		}
-		return s.cellIdx(iq.Q.Origin), true
+		return s.cellIdx(m.Q.Origin), true
 	}
 	return 0, false
 }

@@ -12,12 +12,6 @@ func newContentPeerFor(h *host, site model.SiteID, loc int, cfg overlay.Config, 
 	return overlay.New(h.addr, site, loc, cfg, now, h.sys.in)
 }
 
-// overlayPush builds an additions-only push (full-content re-registration
-// after a directory change, §5.2).
-func overlayPush(from simnet.NodeID, added []model.ObjectRef) overlay.PushMsg {
-	return overlay.PushMsg{From: from, Added: added}
-}
-
 // startContentPeerTickers launches the periodic behaviours of a content
 // peer: the active gossip loop (Algorithm 4) and the keepalive loop
 // (§5.1). Phases are randomised so overlays do not synchronise.
@@ -103,32 +97,30 @@ func (s *System) maybePush(h *host) {
 		return
 	}
 	d := h.cp.Dir()
-	if !d.Known {
+	if !d.Known || (d.Addr == h.addr && h.dir == nil) {
 		return
 	}
+	// The ∆list is extracted into a pooled envelope's reusable backing
+	// (NeedPush ⇒ there are changes to take).
+	cell := s.cellIdx(h.addr)
+	m := s.newPushMsg(cell, h.cp.Site())
+	m.M, _ = h.cp.TakePush(m.M.Added, m.M.Removed)
 	if d.Addr == h.addr {
 		// This peer IS the directory (§5.2 replacement): index locally.
-		if h.dir != nil {
-			if m, ok := h.cp.TakePush(); ok {
-				h.dir.ApplyPush(h.addr, m.Added, m.Removed)
-			}
-		}
+		h.dir.ApplyPush(h.addr, m.M.Added, m.M.Removed)
+		s.putPushMsg(cell, m)
 		return
 	}
-	m, ok := h.cp.TakePush()
-	if !ok {
-		return
-	}
-	s.net.Send(h.addr, d.Addr, simnet.CatPush, m.WireBytes(), pushMsg{Site: h.cp.Site(), M: m})
+	s.net.Send(h.addr, d.Addr, simnet.CatPush, m.M.WireBytes(), m)
 	h.cp.RefreshDir() // Algorithm 5: reset_age(d)
 }
 
 // handlePush is Algorithm 6's passive behaviour at the directory.
-func (s *System) handlePush(h *host, m pushMsg) {
-	if h.dir == nil || h.dir.Site() != m.Site {
-		return
+func (s *System) handlePush(h *host, m *pushMsg) {
+	if h.dir != nil && h.dir.Site() == m.Site {
+		h.dir.ApplyPush(m.M.From, m.M.Added, m.M.Removed)
 	}
-	h.dir.ApplyPush(m.M.From, m.M.Added, m.M.Removed)
+	s.putPushMsg(s.cellIdx(h.addr), m)
 }
 
 // keepaliveTick sends the §5.1 liveness probe to the directory and arms
@@ -200,6 +192,8 @@ func (s *System) dirTick(h *host) {
 	f := h.dir.BuildSummary()
 	sent := false
 	if h.dirNode != nil && h.dirNode.Up() {
+		// KnownPeers, not VisitKnown: the sends below consume kernel sequence
+		// numbers and fault-plane draws, so peer order is part of the run.
 		for _, p := range h.dirNode.KnownPeers() {
 			if !s.ks.SameWebsite(p.ID(), h.dir.Key()) || p.ID() == h.dir.Key() {
 				continue

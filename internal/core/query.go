@@ -3,9 +3,12 @@ package core
 import (
 	"math/rand"
 
+	"flowercdn/internal/chord"
 	"flowercdn/internal/dring"
 	"flowercdn/internal/gossip"
 	"flowercdn/internal/metrics"
+	"flowercdn/internal/model"
+	"flowercdn/internal/overlay"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/trace"
@@ -20,9 +23,7 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 	entry, ok := s.randomAliveDir(s.prand(q.Origin))
 	if !ok {
 		// No D-ring at all (catastrophic churn): go straight to the server.
-		s.metsAt(q.Origin).RecordOriginFallback()
-		s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
-		s.awaitOriginRetry(h, q, 0, false)
+		s.fallbackToOrigin(h, q)
 		return
 	}
 	// Under the §5.3 scale-up extension, each (website, locality) slot has
@@ -33,33 +34,26 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 	}
 	q.targetInstance = inst
 	key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, inst)
-	if s.shedInFlight != nil {
-		// Overload shedding during directory takeover: while the locality's
-		// own position is down, only ShedBudget new-client queries may sit in
-		// the lookup-retry chain at once; the excess short-circuits to the
-		// origin tier instead of queueing into a timeout storm.
-		if n := s.ring.Lookup(key); n == nil || !n.Up() {
-			if int(s.shedInFlight[q.OriginLoc]) >= s.cfg.ShedBudget {
-				s.metsAt(q.Origin).RecordShed()
-				s.metsAt(q.Origin).RecordOriginFallback()
-				s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
-				s.awaitOriginRetry(h, q, 0, false)
-				return
-			}
-			s.shedInFlight[q.OriginLoc]++
-			q.shedCounted = true
-		}
+	if !s.takeShedSlot(h, q, key) {
+		return
 	}
 	if s.cfg.Adaptive {
 		q.sentAt = s.nowAt(q.Origin)
 	}
-	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl,
-		routedMsg{Key: key, TTL: dring.RouteTTL(s.ks.Space), Inner: innerQuery{Q: q}})
+	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	// If the entry node (or the path) is dead the query would hang; retry
 	// through a different entry, then fall back to the server. Adaptive
 	// runs split the wait: when the estimator's tail quantile passes with
 	// no answer, a hedge lookup races through another entry first.
 	s.awaitLookup(h, q, 0)
+}
+
+// fallbackToOrigin degrades q to the last tier: fetch from the website's
+// origin server, guarded (hardened runs) by the capped-backoff retry.
+func (s *System) fallbackToOrigin(h *host, q *Query) {
+	s.metsAt(q.Origin).RecordOriginFallback()
+	s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+	s.awaitOriginRetry(h, q, 0, false)
 }
 
 // awaitLookup arms one lookup attempt's deadline. Adaptive runs split the
@@ -68,10 +62,10 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 func (s *System) awaitLookup(h *host, q *Query, attempt int) {
 	d := s.lookupRetryDelay(q, attempt)
 	if hd, ok := s.hedgeDelay(q, d); ok {
-		s.await(q, hd, func() { s.hedgeLookup(h, q, attempt, d-hd) })
+		s.await(q, hd, awaitLookupHedge, h.addr, uint64(d-hd), int32(attempt))
 		return
 	}
-	s.await(q, d, func() { s.retryNewClientQuery(h, q, attempt+1) })
+	s.await(q, d, awaitLookupRetry, h.addr, 0, int32(attempt+1))
 }
 
 // hedgeLookup fires when the adaptive tail deadline passed with no
@@ -84,11 +78,10 @@ func (s *System) hedgeLookup(h *host, q *Query, attempt int, remaining simkernel
 		if entry, ok := s.randomAliveDir(s.prand(q.Origin)); ok {
 			s.metsAt(q.Origin).RecordHedge()
 			key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
-			s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl,
-				routedMsg{Key: key, TTL: dring.RouteTTL(s.ks.Space), Inner: innerQuery{Q: q, Hedged: true}})
+			s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, true))
 		}
 	}
-	s.await(q, remaining, func() { s.retryNewClientQuery(h, q, attempt+1) })
+	s.await(q, remaining, awaitLookupRetry, h.addr, 0, int32(attempt+1))
 }
 
 // lookupAttemptLimit is how many D-ring lookup attempts a new-client query
@@ -110,24 +103,19 @@ func (s *System) retryNewClientQuery(h *host, q *Query, attempt int) {
 	s.statsAt(q.Origin).QueriesRetried++
 	s.metsAt(q.Origin).RecordRetry()
 	if attempt >= s.lookupAttemptLimit() {
-		s.metsAt(q.Origin).RecordOriginFallback()
-		s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
-		s.awaitOriginRetry(h, q, 0, false)
+		s.fallbackToOrigin(h, q)
 		return
 	}
 	entry, ok := s.randomAliveDir(s.prand(q.Origin))
 	if !ok {
-		s.metsAt(q.Origin).RecordOriginFallback()
-		s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
-		s.awaitOriginRetry(h, q, 0, false)
+		s.fallbackToOrigin(h, q)
 		return
 	}
 	key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
 	if s.cfg.Adaptive {
 		q.sentAt = s.nowAt(q.Origin)
 	}
-	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl,
-		routedMsg{Key: key, TTL: dring.RouteTTL(s.ks.Space), Inner: innerQuery{Q: q}})
+	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	s.awaitLookup(h, q, attempt)
 }
 
@@ -188,12 +176,54 @@ const maxOriginRetries = 6
 // heal the first retry lands. No-op on clean-network configs, where origin
 // sends cannot be lost.
 func (s *System) awaitOriginRetry(h *host, q *Query, attempt int, viaDir bool) {
-	if !s.cfg.Hardened || attempt >= maxOriginRetries {
+	if !s.cfg.Hardened {
+		return
+	}
+	if attempt >= maxOriginRetries {
+		// The query is abandoned here, so nothing later would hand back a
+		// takeover-shedding slot it holds.
+		s.releaseShedSlot(q)
 		return
 	}
 	d := backoffDelay(10*simkernel.Second, attempt, 80*simkernel.Second)
 	d += simkernel.Time(s.prand(q.Origin).Int63n(int64(2 * simkernel.Second)))
-	s.await(q, d, func() { s.retryOrigin(h, q, attempt+1, viaDir) })
+	var via uint64
+	if viaDir {
+		via = 1
+	}
+	s.await(q, d, awaitOriginResend, h.addr, via, int32(attempt+1))
+}
+
+// takeShedSlot is overload shedding during directory takeover: while the
+// locality's own directory position (key) is down, only ShedBudget queries
+// — new clients' lookups and members' escalations alike — may sit in the
+// retry/timeout chains behind it at once. The excess short-circuits to the
+// origin tier instead of queueing into a timeout storm: false means q was
+// shed and is on its way there.
+func (s *System) takeShedSlot(h *host, q *Query, key chord.ID) bool {
+	if s.shedInFlight == nil {
+		return true
+	}
+	if n := s.ring.Lookup(key); n == nil || !n.Up() {
+		if int(s.shedInFlight[q.OriginLoc]) >= s.cfg.ShedBudget {
+			s.metsAt(q.Origin).RecordShed()
+			s.fallbackToOrigin(h, q)
+			return false
+		}
+		s.shedInFlight[q.OriginLoc]++
+		q.shedCounted = true
+	}
+	return true
+}
+
+// releaseShedSlot returns the locality's shed-budget slot q holds, if any.
+// Runs in the origin's execution context (or at a barrier), i.e. on the
+// counting locality's own cell.
+func (s *System) releaseShedSlot(q *Query) {
+	if q.shedCounted {
+		q.shedCounted = false
+		s.shedInFlight[q.OriginLoc]--
+	}
 }
 
 func (s *System) retryOrigin(h *host, q *Query, attempt int, viaDir bool) {
@@ -206,7 +236,7 @@ func (s *System) retryOrigin(h *host, q *Query, attempt int, viaDir bool) {
 	}
 	s.metsAt(q.Origin).RecordRetry()
 	if viaDir && s.net.Alive(h.addr) {
-		s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q, FromDir: h.addr})
+		s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	} else {
 		s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
 	}
@@ -233,24 +263,44 @@ func (s *System) randomAliveDir(rng *rand.Rand) (simnet.NodeID, bool) {
 // the content summaries of the peer's partial view, then (per policy) the
 // directory, finally the origin server.
 func (s *System) startContentPeerQuery(h *host, q *Query) {
+	p := &s.mpools[s.cellIdx(h.addr)]
 	if h.cp.Has(q.Ref) {
 		s.metsAt(q.Origin).RecordQuery(s.nowAt(q.Origin), metrics.SourceLocal, 0, 0)
-		q.recorded, q.finished = true, true
+		// A local hit ends the query before anything else could reference
+		// its record: if that is the slab's newest (it is when submitQuery
+		// carved it), un-carve it.
+		if n := len(p.queries); n > 0 && q == &p.queries[n-1] {
+			*q = Query{}
+			p.queries = p.queries[:n-1]
+		}
 		return
 	}
-	cands := h.cp.CandidatesFor(q.Ref, s.prand(h.addr))
+	// Only the RetryLimit candidates the query may try stay carved out of
+	// the cell's slab.
+	cands := s.slabCandidates(p, h.cp, q.Ref)
 	if len(cands) > s.cfg.RetryLimit {
 		cands = cands[:s.cfg.RetryLimit]
 	}
-	q.candidates = cands
-	q.candIdx = 0
+	p.cands = p.cands[:len(p.cands)+len(cands)]
+	q.candidates = cands[:len(cands):len(cands)]
 	s.tryNextCandidate(h, q)
 }
 
+// slabCandidates shuffles cp's candidates for ref (see
+// overlay.AppendCandidates) into the unused tail of a cell's candidate
+// slab and returns them. The caller either commits the part it keeps by
+// extending p.cands over it, or consumes the result before the next call.
+func (s *System) slabCandidates(p *msgPool, cp *overlay.ContentPeer, ref model.ObjectRef) []simnet.NodeID {
+	if cap(p.cands)-len(p.cands) < cp.View().Len() {
+		p.cands = make([]simnet.NodeID, 0, queryChunk*s.cfg.Gossip.ViewSize)
+	}
+	return cp.AppendCandidates(p.cands[len(p.cands):], ref, s.prand(cp.Addr()))
+}
+
 func (s *System) tryNextCandidate(h *host, q *Query) {
-	for q.candIdx < len(q.candidates) {
-		cand := q.candidates[q.candIdx]
-		q.candIdx++
+	for len(q.candidates) > 0 {
+		cand := q.candidates[0]
+		q.candidates = q.candidates[1:]
 		if cand == q.Origin || s.holderTripped(q, cand) {
 			continue
 		}
@@ -259,106 +309,89 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 			q.sentAt = s.nowAt(q.Origin)
 		}
 		s.net.Send(q.Origin, cand, simnet.CatQuery, bytesQueryCtl, peerQueryMsg{Q: q})
-		s.await(q, s.exchangeTimeout(q.Origin, cand), func() {
-			// Dead contact (§5.1 style failure detection): forget it.
-			s.metsAt(q.Origin).RecordRetry()
-			if h.cp != nil {
-				h.cp.RemoveContact(cand)
-			}
-			s.noteHolderTimeout(q, cand)
-			s.tryNextCandidate(h, q)
-		})
+		s.await(q, s.exchangeTimeout(q.Origin, cand), awaitCandidate, h.addr, uint64(cand), 0)
 		return
 	}
 	// View exhausted.
 	if s.cfg.QueryPolicy == PolicyViewThenDirectory && h.cp != nil && h.cp.Dir().Known {
 		dir := h.cp.Dir().Addr
-		if s.shedInFlight != nil {
-			// Takeover shedding on the member escalation path: while the
-			// locality's own directory position is down, only ShedBudget
-			// escalations may sit in the 8s timeout chain at once; the rest
-			// short-circuit to the origin tier instead of piling up behind
-			// a dead directory.
-			key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, 0)
-			if n := s.ring.Lookup(key); n == nil || !n.Up() {
-				if int(s.shedInFlight[q.OriginLoc]) >= s.cfg.ShedBudget {
-					s.metsAt(q.Origin).RecordShed()
-					s.metsAt(q.Origin).RecordOriginFallback()
-					s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
-					s.awaitOriginRetry(h, q, 0, false)
-					return
-				}
-				s.shedInFlight[q.OriginLoc]++
-				q.shedCounted = true
-			}
+		if !s.takeShedSlot(h, q, s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, 0)) {
+			return
 		}
-		q.viaDirectory = true
 		s.metsAt(q.Origin).RecordDirFallback()
 		if s.cfg.Adaptive {
 			q.sentAt = s.nowAt(q.Origin)
 		}
 		s.net.Send(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
 		esc := s.escalationTimeout(q)
-		fallback := func() {
-			s.metsAt(q.Origin).RecordOriginFallback()
-			s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
-			s.awaitOriginRetry(h, q, 0, false)
-		}
 		if hd, ok := s.hedgeDelay(q, esc); ok {
 			// Retransmit-on-silence: if the directory started processing,
-			// its own awaits re-armed this query's token and this timer is
+			// its own awaits re-armed this query's timeout and this one is
 			// already dead — it fires only when the escalation (or every
 			// reaction to it) was lost, so the resend races nothing.
-			s.await(q, hd, func() {
-				s.metsAt(q.Origin).RecordRetry()
-				s.net.Send(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
-				s.await(q, esc-hd, fallback)
-			})
+			s.await(q, hd, awaitEscalateResend, h.addr, uint64(dir), int32(esc-hd))
 			return
 		}
-		s.await(q, esc, fallback)
+		s.await(q, esc, awaitEscalateExpire, h.addr, 0, 0)
 		return
 	}
 	s.trace(trace.ServerFetch, q.ID, q.Origin, s.servers[q.Site], "view exhausted")
-	s.metsAt(q.Origin).RecordOriginFallback()
-	s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
-	s.awaitOriginRetry(h, q, 0, false)
+	s.fallbackToOrigin(h, q)
+}
+
+// onCandidateTimeout: a view contact ignored the peer query. Dead contact
+// (§5.1 style failure detection): forget it and move on.
+func (s *System) onCandidateTimeout(h *host, q *Query, cand simnet.NodeID) {
+	s.metsAt(q.Origin).RecordRetry()
+	if h.cp != nil {
+		h.cp.RemoveContact(cand)
+	}
+	s.noteHolderTimeout(q, cand)
+	s.tryNextCandidate(h, q)
+}
+
+// resendEscalation retransmits a member's view-miss escalation after the
+// adaptive tail deadline and waits out the rest of the full one.
+func (s *System) resendEscalation(h *host, q *Query, dir simnet.NodeID, remaining simkernel.Time) {
+	s.metsAt(q.Origin).RecordRetry()
+	s.net.Send(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
+	s.await(q, remaining, awaitEscalateExpire, h.addr, 0, 0)
 }
 
 // --- D-ring routing -------------------------------------------------------
 
-func (s *System) handleRouted(h *host, m routedMsg) {
+func (s *System) handleRouted(h *host, m *routedMsg) {
 	if h.dirNode == nil || !h.dirNode.Up() {
+		s.putRoutedMsg(m)
 		return // stale route to a demoted node; sender-side timeouts recover
 	}
 	next, deliver := dring.NextHop(h.dirNode, m.Key, s.ks)
 	if !deliver {
 		if m.TTL <= 0 {
 			s.metsAt(h.addr).RecordRouteTTLExpiry()
-			deliver = true
 		} else {
-			if iq, ok := m.Inner.(innerQuery); ok {
-				iq.Q.dringHops++
+			if q := m.Q; q != nil {
 				// Owner-claimed forward hops execute on the origin's cell
 				// even though h is a foreign directory: charge the trace to
 				// the origin's context (see payloadVenue).
-				s.traceAt(iq.Q.Origin, trace.RouteHop, iq.Q.ID, h.addr, next.Addr(), "")
+				s.traceAt(q.Origin, trace.RouteHop, q.ID, h.addr, next.Addr(), "")
 			}
-			s.net.Send(h.addr, next.Addr(), simnet.CatQuery, bytesQueryCtl,
-				routedMsg{Key: m.Key, TTL: m.TTL - 1, Inner: m.Inner})
+			m.TTL-- // the envelope travels on, hop to hop, in place
+			s.net.Send(h.addr, next.Addr(), simnet.CatQuery, bytesQueryCtl, m)
 			return
 		}
 	}
-	switch inner := m.Inner.(type) {
-	case innerQuery:
-		if inner.Hedged && inner.Q.handlerDir == 0 && !inner.Q.finished {
-			// The hedge reached a directory before the primary lookup did.
-			s.metsAt(inner.Q.Origin).RecordHedgeWin()
-		}
-		s.dirProcess(h, inner.Q, false)
-	case innerDirJoin:
-		s.handleDirJoinRequest(h, m.Key, inner)
+	q, hedged, key, candidate := m.Q, m.Hedged, m.Key, m.Owner
+	s.putRoutedMsg(m)
+	if q == nil {
+		s.handleDirJoinRequest(h, key, candidate)
+		return
 	}
+	if hedged && q.handlerDir == 0 && !q.finished {
+		// The hedge reached a directory before the primary lookup did.
+		s.metsAt(q.Origin).RecordHedgeWin()
+	}
+	s.dirProcess(h, q, false)
 }
 
 // --- Algorithm 3: process(query) at a directory peer ----------------------
@@ -375,7 +408,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 	if h.dir == nil {
 		// Routing delivered to a non-directory (severe churn): server.
 		s.metsAt(q.Origin).RecordOriginFallback()
-		s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q, FromDir: h.addr})
+		s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 		s.awaitOriginRetry(h, q, 0, true)
 		return
 	}
@@ -423,7 +456,9 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 			s.serveQuery(h, q, forwarded, true)
 			return
 		}
-		for _, cand := range h.cp.CandidatesFor(q.Ref, s.prand(h.addr)) {
+		// Consumed on the spot, never committed to the (query-owning cell's)
+		// slab.
+		for _, cand := range s.slabCandidates(&s.mpools[s.cellIdx(q.Origin)], h.cp, q.Ref) {
 			if cand == q.Origin || q.triedHolder(cand) || s.holderTripped(q, cand) {
 				continue
 			}
@@ -433,7 +468,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 	}
 	if forwarded {
 		// This overlay cannot help; report back to the handler directory.
-		s.net.Send(h.addr, q.handlerDir, simnet.CatQuery, bytesQueryCtl, forwardFailMsg{Q: q, From: h.addr})
+		s.net.Send(h.addr, q.handlerDir, simnet.CatQuery, bytesQueryCtl, forwardFailMsg{Q: q})
 		return
 	}
 	// Stage C: directory summaries of same-website neighbours.
@@ -450,98 +485,103 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 		q.atRemote = true
 		q.remoteDir = target.Addr()
 		s.trace(trace.ForwardedToSibling, q.ID, h.addr, target.Addr(), "")
-		s.net.Send(h.addr, target.Addr(), simnet.CatQuery, bytesQueryCtl,
-			forwardedQueryMsg{Q: q, FromDir: h.addr})
-		s.await(q, s.timeout(h.addr, target.Addr())+2*simkernel.Second, func() {
-			q.atRemote = false
-			h.dir.RemoveNeighborSummary(dirID)
-			s.dirProcess(h, q, false)
-		})
+		s.net.Send(h.addr, target.Addr(), simnet.CatQuery, bytesQueryCtl, forwardedQueryMsg{Q: q})
+		s.await(q, s.timeout(h.addr, target.Addr())+2*simkernel.Second, awaitSibling, h.addr, uint64(dirID), 0)
 		return
 	}
 	// Stage D: the origin web server.
 	q.atRemote = false
 	s.trace(trace.ServerFetch, q.ID, h.addr, s.servers[q.Site], "directory fallback")
 	s.metsAt(q.Origin).RecordOriginFallback()
-	s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q, FromDir: h.addr})
+	s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, true)
 }
 
+// onSiblingTimeout: the summary-suggested neighbour directory stayed
+// silent; drop its summary and resume Algorithm 3 here.
+func (s *System) onSiblingTimeout(h *host, q *Query, dirID chord.ID) {
+	q.atRemote = false
+	h.dir.RemoveNeighborSummary(dirID)
+	s.dirProcess(h, q, false)
+}
+
 func (q *Query) triedHolder(n simnet.NodeID) bool {
-	for _, f := range q.failedHolders {
-		if f == n {
-			return true
+	if f := q.fails; f != nil {
+		for _, h := range f.holders {
+			if h == n {
+				return true
+			}
 		}
 	}
 	return false
 }
 
 func (q *Query) markFailedHolder(n simnet.NodeID) {
-	if len(q.failedHolders) >= maxFailedHolders {
-		copy(q.failedHolders, q.failedHolders[1:])
-		q.failedHolders[len(q.failedHolders)-1] = n
+	f := q.failState()
+	if len(f.holders) >= maxFailedHolders {
+		copy(f.holders, f.holders[1:])
+		f.holders[len(f.holders)-1] = n
 		return
 	}
-	q.failedHolders = append(q.failedHolders, n)
+	f.holders = append(f.holders, n)
 }
 
 // dirRedirect sends the query to a believed holder and arms the §5.1
 // redirection-failure timeout.
 func (s *System) dirRedirect(h *host, q *Query, holder simnet.NodeID, forwarded bool) {
 	s.trace(trace.Redirect, q.ID, h.addr, holder, "")
-	s.net.Send(h.addr, holder, simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q, FromDir: h.addr})
-	s.await(q, s.redirectTimeout(h.addr, holder), func() {
-		s.trace(trace.RedirectFailed, q.ID, h.addr, holder, "timeout")
-		s.metsAt(h.addr).RecordRedirectFailure()
-		h.dir.RemovePeer(holder)
-		if h.cp != nil {
-			h.cp.RemoveContact(holder)
-		}
-		s.noteHolderTimeout(q, holder)
-		q.markFailedHolder(holder)
-		s.dirProcess(h, q, forwarded)
-	})
+	s.net.Send(h.addr, holder, simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
+	var fwd int32
+	if forwarded {
+		fwd = 1
+	}
+	s.await(q, s.redirectTimeout(h.addr, holder), awaitRedirect, h.addr, uint64(holder), fwd)
 }
 
-// handleRedirect runs at the believed holder (content peer or server).
-func (s *System) handleRedirect(h *host, m redirectMsg) {
-	q := m.Q
+// onRedirectTimeout: the believed holder never acknowledged (§5.1).
+func (s *System) onRedirectTimeout(h *host, q *Query, holder simnet.NodeID, forwarded bool) {
+	s.trace(trace.RedirectFailed, q.ID, h.addr, holder, "timeout")
+	s.metsAt(h.addr).RecordRedirectFailure()
+	h.dir.RemovePeer(holder)
+	if h.cp != nil {
+		h.cp.RemoveContact(holder)
+	}
+	s.noteHolderTimeout(q, holder)
+	q.markFailedHolder(holder)
+	s.dirProcess(h, q, forwarded)
+}
+
+// handleRedirect runs at the believed holder (content peer or server);
+// dir is the redirecting directory, taken from the network envelope.
+func (s *System) handleRedirect(h *host, q *Query, dir simnet.NodeID) {
 	if h.isServer() {
 		s.serveQuery(h, q, q.atRemote, false)
 		return
 	}
 	// Acknowledge liveness to the redirecting directory.
 	s.noteHolderAlive(h.addr)
-	s.net.Send(h.addr, m.FromDir, simnet.CatQuery, bytesQueryCtl, redirectAckMsg{Q: q, From: h.addr})
+	s.net.Send(h.addr, dir, simnet.CatQuery, bytesQueryCtl, redirectAckMsg{Q: q})
 	if h.cp != nil && h.cp.Has(q.Ref) {
 		s.serveQuery(h, q, q.atRemote, true)
 		return
 	}
-	s.net.Send(h.addr, m.FromDir, simnet.CatQuery, bytesQueryCtl, redirectFailMsg{Q: q, From: h.addr})
+	s.net.Send(h.addr, dir, simnet.CatQuery, bytesQueryCtl, redirectFailMsg{Q: q})
 }
 
 // handleRedirectFail runs at the directory when a holder no longer has the
 // object: drop the stale listing and try the next destination (§5.1).
-func (s *System) handleRedirectFail(h *host, m redirectFailMsg) {
-	q := m.Q
+func (s *System) handleRedirectFail(h *host, q *Query, holder simnet.NodeID) {
 	s.settle(q)
 	if h.dir != nil {
-		h.dir.ApplyPush(m.From, nil, q.oneRef(q.Ref))
+		h.dir.ApplyPush(holder, nil, q.oneRef(q.Ref))
 	}
-	q.markFailedHolder(m.From)
+	q.markFailedHolder(holder)
 	s.dirProcess(h, q, q.atRemote && h.addr == q.remoteDir)
-}
-
-// handleForwardedQuery runs Algorithm 3's restricted form at a
-// summary-suggested neighbour directory.
-func (s *System) handleForwardedQuery(h *host, m forwardedQueryMsg) {
-	s.dirProcess(h, m.Q, true)
 }
 
 // handleForwardFail resumes processing at the handler directory after a
 // neighbour overlay missed.
-func (s *System) handleForwardFail(h *host, m forwardFailMsg) {
-	q := m.Q
+func (s *System) handleForwardFail(h *host, q *Query) {
 	s.settle(q)
 	q.atRemote = false
 	s.dirProcess(h, q, false)
@@ -618,7 +658,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 			s.noteDirCrashRecovery(q.OriginLoc, now)
 		}
 	}
-	msg := serveMsg{Q: q, Provider: h.addr, FromContentPeer: fromContentPeer}
+	msg := s.newServeMsg(q, fromContentPeer)
 	if q.NewClient && q.admitted && fromContentPeer && h.cp != nil &&
 		h.cp.Site() == q.Site && h.cp.Locality() == q.OriginLoc {
 		// §4.2: a client served by a content peer of its own overlay seeds
@@ -630,18 +670,23 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		// Delivery guard: the transfer itself can fall to loss or a
 		// partition. If the object never lands, re-fetch from the origin
 		// (bounded by the capped-backoff chain).
-		s.await(q, s.timeout(h.addr, q.Origin)+2*simkernel.Second, func() {
-			s.metsAt(q.Origin).RecordRetry()
-			s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
-			s.awaitOriginRetry(h, q, 0, false)
-		})
+		s.await(q, s.timeout(h.addr, q.Origin)+2*simkernel.Second, awaitDelivery, h.addr, 0, 0)
 	}
+}
+
+// onDeliveryTimeout: the served object never landed; re-fetch it from the
+// origin server.
+func (s *System) onDeliveryTimeout(h *host, q *Query) {
+	s.metsAt(q.Origin).RecordRetry()
+	s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+	s.awaitOriginRetry(h, q, 0, false)
 }
 
 // handleServe completes the query at the requester: store the object, join
 // the overlay if admitted, push the content delta.
-func (s *System) handleServe(h *host, m serveMsg) {
-	q := m.Q
+func (s *System) handleServe(h *host, m *serveMsg) {
+	q, viewSeed := m.Q, m.ViewSeed
+	s.putServeMsg(m)
 	s.settle(q)
 	if q.finished {
 		return // duplicate delivery after a retry race
@@ -653,17 +698,12 @@ func (s *System) handleServe(h *host, m serveMsg) {
 		s.observeRTT(q.Origin, s.nowAt(q.Origin)-q.sentAt)
 		q.sentAt = 0
 	}
-	if q.shedCounted {
-		// Release the locality's shed budget slot (runs at the origin, i.e.
-		// the counting locality's own cell).
-		q.shedCounted = false
-		s.shedInFlight[q.OriginLoc]--
-	}
+	s.releaseShedSlot(q)
 	if s.cfg.Hardened && q.admitted {
 		s.hs.clearAdmit(h.addr, q.Ref)
 	}
 	if h.cp == nil && q.NewClient && q.admitted && q.handlerIsLocal {
-		s.joinOverlay(h, q, m)
+		s.joinOverlay(h, q, viewSeed)
 	}
 	if h.cp == nil && q.needDirBootstrap {
 		// The client's locality has no directory (and therefore no overlay
@@ -716,13 +756,13 @@ func (s *System) joinFounder(h *host, q *Query) {
 
 // joinOverlay turns a served client into a content peer of its locality's
 // overlay (§4.1 construction).
-func (s *System) joinOverlay(h *host, q *Query, m serveMsg) {
+func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
 	now := s.nowAt(h.addr)
 	h.cp = newContentPeerFor(h, q.Site, q.OriginLoc, s.cfg.Gossip, now)
 	h.cp.SetDir(q.handlerDir)
 	s.hs.dirInstance[h.addr] = int32(q.targetInstance)
-	if len(m.ViewSeed) > 0 {
-		h.cp.SeedView(m.ViewSeed)
+	if len(viewSeed) > 0 {
+		h.cp.SeedView(viewSeed)
 	} else if len(q.dirSeed) > 0 {
 		// Served from elsewhere: the directory provides a subset of its
 		// index, without summaries (§4.2).

@@ -80,11 +80,11 @@ type System struct {
 	// cellsplit.go.
 	splitBase []int
 
-	// mpools recycles gossip envelopes and the view-subset slices
-	// travelling inside them, one pool per cell so parallel phases never
-	// share a free list (a single pool on the classic path). Envelopes
-	// lost to dead receivers simply never come back — a pool refills on
-	// the next allocation.
+	// mpools holds, per cell (a single entry on the classic path), the
+	// recycled message envelopes, the Query and candidate slabs and the
+	// await registry — per cell so parallel phases never share a free list.
+	// Envelopes lost to dead receivers simply never come back; a pool
+	// refills on the next allocation.
 	mpools []msgPool
 
 	// Long-lived bound callbacks for the AfterArg-scheduled
@@ -123,23 +123,109 @@ type System struct {
 	stats  []Stats // per cell; a single element on the classic path
 }
 
-// msgPool is one cell's recycled gossip machinery.
+// msgPool is one cell's recycled query- and gossip-path machinery, touched
+// only from that cell's execution context or from barrier context.
 type msgPool struct {
 	gossip []*gossipMsg
 	subset [][]gossip.Entry
+	serve  []*serveMsg
+	routed []*routedMsg
+	push   []*pushMsg
+
+	// Bump-allocated slabs: Query records and their candidate lists are
+	// carved from the current chunk and never reused, so a chunk becomes
+	// garbage as a whole once every query in it has.
+	queries []Query
+	cands   []simnet.NodeID
+
+	// Await registry: awaiting[i] is the query whose armed timeout carries
+	// slot i in its timer argument (nil = free). awaitTok numbers the cell's
+	// arms, so a timer that outlives its slot's tenant is told apart from
+	// the next tenant's. awaitFn is resumeAwait bound to this cell, once.
+	awaiting  []*Query
+	awaitFree []uint32
+	awaitTok  uint32
+	awaitFn   func(uint64)
+}
+
+// take pops a recycled envelope off a free list, or allocates one.
+func take[T any](free *[]*T) *T {
+	if n := len(*free); n > 0 {
+		e := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return e
+	}
+	return new(T)
+}
+
+// put zeroes a released envelope and returns it to a free list. live is
+// the envelope's own flag (zeroed with it): every handler of a pooled
+// envelope ends by releasing it, so one that is handed a released envelope
+// — or releases one twice — panics here instead of corrupting the pool.
+func put[T any](free *[]*T, e *T, live *bool) {
+	if !*live {
+		panic("core: pooled envelope used after release")
+	}
+	var zero T
+	*e = zero
+	*free = append(*free, e)
+}
+
+// queryChunk is the slab chunk size in Query records (~13 KB): a query
+// costs 1/64 of an allocation, and one long-lived query pins little.
+const queryChunk = 64
+
+// newQuery carves a zeroed Query record from a cell's slab.
+func (s *System) newQuery(cell int) *Query {
+	p := &s.mpools[cell]
+	if len(p.queries) == cap(p.queries) {
+		p.queries = make([]Query, 0, queryChunk)
+	}
+	p.queries = p.queries[:len(p.queries)+1]
+	return &p.queries[len(p.queries)-1]
+}
+
+// Pooled query-path envelopes: taken from the pool of the cell that owns
+// the query (or join candidate, or pushing peer) when sent, released by
+// the handler that ends their journey, which must not touch them after.
+
+func (s *System) newServeMsg(q *Query, fromContentPeer bool) *serveMsg {
+	m := take(&s.mpools[s.cellIdx(q.Origin)].serve)
+	m.live, m.Q, m.FromContentPeer = true, q, fromContentPeer
+	return m
+}
+
+func (s *System) putServeMsg(m *serveMsg) { put(&s.mpools[s.cellIdx(m.Q.Origin)].serve, m, &m.live) }
+
+// newRoutedMsg builds a routed envelope with a fresh TTL for owner: the
+// origin of the query looked up (q set), or the candidate of a
+// directory-join request (q nil).
+func (s *System) newRoutedMsg(key chord.ID, owner simnet.NodeID, q *Query, hedged bool) *routedMsg {
+	m := take(&s.mpools[s.cellIdx(owner)].routed)
+	*m = routedMsg{live: true, Hedged: hedged, TTL: dring.RouteTTL(s.ks.Space), Key: key, Q: q, Owner: owner}
+	return m
+}
+
+func (s *System) putRoutedMsg(m *routedMsg) { put(&s.mpools[s.cellIdx(m.Owner)].routed, m, &m.live) }
+
+// newPushMsg takes a push envelope whose M.Added / M.Removed are empty but
+// keep the capacity of their last use, for TakePush to fill.
+func (s *System) newPushMsg(cell int, site model.SiteID) *pushMsg {
+	m := take(&s.mpools[cell].push)
+	m.live, m.Site = true, site
+	return m
+}
+
+func (s *System) putPushMsg(cell int, m *pushMsg) {
+	added, removed := m.M.Added[:0], m.M.Removed[:0]
+	put(&s.mpools[cell].push, m, &m.live)
+	m.M.Added, m.M.Removed = added, removed
 }
 
 // newGossipMsg takes an envelope from a cell's pool (or allocates one)
 // and fills it.
 func (s *System) newGossipMsg(cell int, site model.SiteID, loc int, m overlay.GossipMsg) *gossipMsg {
-	p := &s.mpools[cell]
-	var g *gossipMsg
-	if n := len(p.gossip); n > 0 {
-		g = p.gossip[n-1]
-		p.gossip = p.gossip[:n-1]
-	} else {
-		g = new(gossipMsg)
-	}
+	g := take(&s.mpools[cell].gossip)
 	g.Site, g.Loc, g.M = site, loc, m
 	return g
 }
@@ -235,20 +321,30 @@ func (s *System) hostKernel(addr simnet.NodeID) *simkernel.Kernel {
 // formatting wrappers in tracefmt.go, which pay fmt.Sprintf when true).
 func (s *System) tracing() bool { return s.tracer != nil || s.cellTracers != nil }
 
-// settle invalidates a query's pending retry/redirect timeout. Cancelling
-// mutates the owning kernel's slot arena, so a parallel phase may only
-// cancel a timer owned by the executing cell's kernel; a timer armed
-// elsewhere (on the coordination kernel, by a barrier-context handler) is
-// abandoned instead — the token bump makes it fire as a no-op, which is
-// deterministic because the venue of every delivery is static.
+// settle revokes a query's armed timeout, if any, and frees its registry
+// slot. Cancelling mutates the owning kernel's slot arena, so a parallel
+// phase may only cancel a timer owned by the executing cell's kernel; a
+// timer armed elsewhere (on the coordination kernel, by a barrier-context
+// handler) is abandoned instead — its token no longer matches any registry
+// tenant, so it fires as a no-op, which is deterministic because the venue
+// of every delivery is static.
 func (s *System) settle(q *Query) {
-	q.token++
-	if s.cells != nil && !s.net.InBarrier() &&
-		!q.pending.OwnedBy(s.cells[s.net.CellOf(q.Origin)]) {
-		q.pending = simkernel.TimerHandle{}
+	if q.awaitKind == awaitNone {
 		return
 	}
-	q.pending.Cancel()
+	if s.cells == nil || s.net.InBarrier() ||
+		q.pending.OwnedBy(s.cells[s.net.CellOf(q.Origin)]) {
+		q.pending.Cancel()
+	}
+	s.releaseAwait(&s.mpools[s.cellIdx(q.Origin)], q)
+}
+
+// releaseAwait clears q's continuation and timer handle and returns its
+// registry slot.
+func (s *System) releaseAwait(p *msgPool, q *Query) {
+	p.awaiting[q.awaitSlot] = nil
+	p.awaitFree = append(p.awaitFree, q.awaitSlot)
+	q.awaitKind = awaitNone
 	q.pending = simkernel.TimerHandle{}
 }
 
@@ -380,6 +476,10 @@ func New(cfg Config, deps Deps) (*System, error) {
 		}
 	} else {
 		s.net.SetSink(deps.Metrics)
+	}
+	for i := range s.mpools {
+		cell := i
+		s.mpools[i].awaitFn = func(arg uint64) { s.resumeAwait(cell, arg) }
 	}
 	s.gossipTimeoutFn = s.onGossipTimeout
 	s.kaTimeoutFn = s.onKaTimeout
@@ -799,18 +899,14 @@ func (s *System) submitQuery(id uint64, origin simnet.NodeID, h *host, wq worklo
 	// active sites lead cfg.Sites), so interning is pure arithmetic; it is
 	// recomputed here rather than trusted from the stream so replayed or
 	// hand-built queries can never smuggle a stale ref.
-	ref := s.in.RefFor(wq.SiteIdx, wq.Object.Num)
-	q := &Query{
-		ID:        id,
-		Origin:    origin,
-		OriginLoc: h.overlayLocality(),
-		SiteIdx:   wq.SiteIdx,
-		Site:      wq.Site,
-		Object:    wq.Object,
-		Ref:       ref,
-		Start:     s.nowAt(origin),
-		NewClient: h.cp == nil,
-	}
+	q := s.newQuery(s.cellIdx(origin))
+	q.ID = id
+	q.Origin = origin
+	q.OriginLoc = h.overlayLocality()
+	q.Site = wq.Site
+	q.Ref = s.in.RefFor(wq.SiteIdx, wq.Object.Num)
+	q.Start = s.nowAt(origin)
+	q.NewClient = h.cp == nil
 	if h.cp != nil {
 		s.traceQuerySubmitted(q, true)
 		s.startContentPeerQuery(h, q)

@@ -42,10 +42,11 @@ func ConditionalLocalLookup(n *chord.Node, key chord.ID, ks KeySpec) *chord.Node
 			best, bestDist = p, d
 		}
 	}
+	// The winner is a minimum under a total order (distance, then ID), so
+	// neither visiting order nor repeated mentions matter: walk the routing
+	// tables in place instead of materialising a sorted peer list per hop.
 	consider(n)
-	for _, p := range n.KnownPeers() {
-		consider(p)
-	}
+	n.VisitKnown(consider)
 	return best
 }
 

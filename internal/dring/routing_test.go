@@ -268,3 +268,25 @@ func TestRouteTTLGenerous(t *testing.T) {
 		t.Fatalf("TTL %d suspiciously small", RouteTTL(ks.Space))
 	}
 }
+
+// A routed lookup, conditional local lookup included, walks the routing
+// tables in place: no per-hop peer list.
+func TestNextHopAllocFree(t *testing.T) {
+	sites := model.MakeSites(40)
+	ring, ks, _ := buildDRing(t, sites, 6)
+	all := ring.Nodes()
+	hops := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		for i, site := range sites {
+			_, h := routeDRing(t, all[(i*7)%len(all)], ks.Key(site, i%6), ks)
+			hops += h
+			ConditionalLocalLookup(all[i], ks.Key(site, 5-i%6), ks)
+		}
+	})
+	if hops == 0 {
+		t.Fatal("no lookup took a hop; setup broken")
+	}
+	if allocs != 0 {
+		t.Fatalf("routing allocates %.1f allocs/run, want 0", allocs)
+	}
+}

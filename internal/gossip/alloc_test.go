@@ -48,3 +48,33 @@ func TestMergeAllocFree(t *testing.T) {
 		t.Fatalf("Merge allocates %.1f/op in steady state, want 0", avg)
 	}
 }
+
+// DropOlderThan returns view-owned scratch: evicting every period (the
+// sparse-gossip regime, where contacts age out between rounds) must not
+// allocate once the buffer exists.
+func TestDropOlderAllocFree(t *testing.T) {
+	v := NewView(0, 24)
+	for i := 1; i <= 24; i++ {
+		v.Insert(Entry{Node: simnet.NodeID(i), Age: i % 9})
+	}
+	if n := len(v.DropOlderThan(4)); n == 0 { // warm the result buffer
+		t.Fatal("setup evicts nothing")
+	}
+	in := make([]Entry, 12)
+	for i := range in {
+		in[i] = Entry{Node: simnet.NodeID(100 + i), Age: 4 + i%3}
+	}
+	v.Merge(in) // warm Merge's scratch so only DropOlderThan is measured
+	v.DropOlderThan(4)
+	evicted := 0
+	avg := testing.AllocsPerRun(100, func() {
+		v.Merge(in)
+		evicted += len(v.DropOlderThan(4))
+	})
+	if evicted == 0 {
+		t.Fatal("measured rounds evicted nothing")
+	}
+	if avg != 0 {
+		t.Fatalf("DropOlderThan allocates %.1f/op in steady state, want 0", avg)
+	}
+}

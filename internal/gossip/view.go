@@ -55,6 +55,7 @@ type View struct {
 	scratch []Entry         // Merge's build buffer, swapped with entries each call
 	idx     []int32         // SelectSubset's reusable index buffer
 	match   []simnet.NodeID // MatchingSummaries' reusable result buffer
+	evicted []simnet.NodeID // DropOlderThan's reusable result buffer
 }
 
 // NewView creates an empty view with the given capacity (V_gossip).
@@ -280,9 +281,11 @@ func (v *View) Remove(node simnet.NodeID) {
 }
 
 // DropOlderThan evicts entries whose age reached the limit (T_dead); it
-// returns the evicted nodes.
+// returns the evicted nodes. The returned slice is the view's reusable
+// scratch buffer: it is valid until the next call and must not be retained
+// (copy it to keep it), like MatchingSummaries' result.
 func (v *View) DropOlderThan(ageLimit int) []simnet.NodeID {
-	var evicted []simnet.NodeID
+	evicted := v.evicted[:0]
 	out := v.entries[:0]
 	for _, e := range v.entries {
 		if e.Age >= ageLimit {
@@ -292,6 +295,7 @@ func (v *View) DropOlderThan(ageLimit int) []simnet.NodeID {
 		out = append(out, e)
 	}
 	v.entries = out
+	v.evicted = evicted
 	return evicted
 }
 

@@ -102,6 +102,18 @@ func (r Result) EventsPerSecond() float64 {
 	return float64(r.Events) / r.WallSeconds
 }
 
+// metricsConfig sizes the collectors of a run split over the given number
+// of collectors (1, or one per cell): time-series buckets across the
+// horizon, and sample series for each collector's share of the queries the
+// workload will issue.
+func (p Params) metricsConfig(collectors int) metrics.Config {
+	return metrics.Config{
+		BucketWidth:     p.BucketWidth,
+		Horizon:         p.Duration,
+		ExpectedQueries: int(p.QueryRate*p.Duration.Seconds()) / collectors,
+	}
+}
+
 // timedRun drives the kernel for the configured duration, returning the
 // processed-event count and wall-clock seconds.
 func timedRun(k *simkernel.Kernel, d simkernel.Time) (uint64, float64) {
@@ -257,7 +269,7 @@ func RunFlowerTraced(p Params, traceCapacity int) (Result, *trace.Buffer, error)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	mets := metrics.New(metrics.Config{BucketWidth: p.BucketWidth, Horizon: p.Duration})
+	mets := metrics.New(p.metricsConfig(1))
 	// One interner serves both the system and the workload generator, and
 	// is shared across campaign points: the dense object space (and its
 	// precomputed keys and Bloom hash streams) is a pure function of
@@ -318,7 +330,7 @@ func RunSquirrel(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	mets := metrics.New(metrics.Config{BucketWidth: p.BucketWidth, Horizon: p.Duration})
+	mets := metrics.New(p.metricsConfig(1))
 	sys, err := squirrel.New(p.SquirrelConfig(pools), kernel, topo, mets)
 	if err != nil {
 		return Result{}, err
@@ -373,21 +385,46 @@ func newGenerator(p Params, pools [][]int, in *model.Interner) (*workload.Genera
 	})
 }
 
-// pumpQueries lazily schedules the query stream: each fired query
-// schedules the next, so the event queue never holds the whole day.
-func pumpQueries(k *simkernel.Kernel, until simkernel.Time, src workload.Source, submit func(workload.Query)) {
-	var schedule func()
-	schedule = func() {
-		q, ok := src.Next()
-		if !ok || q.At > until {
+// queryPump lazily schedules a query stream: each fired query schedules
+// the next, so the event queue never holds the whole day. The pending
+// query waits in the struct and the pump re-arms itself through AtArg with
+// one bound callback, so a pump step allocates nothing.
+type queryPump struct {
+	k      *simkernel.Kernel
+	until  simkernel.Time
+	src    workload.Source
+	mine   func(workload.Query) bool          // the entries this pump submits (nil: all)
+	submit func(pos uint64, q workload.Query) // pos: 1-based position in the stream
+	pos    uint64
+	next   workload.Query
+	fireFn func(uint64)
+}
+
+func (p *queryPump) fire(uint64) {
+	p.submit(p.pos, p.next)
+	p.arm()
+}
+
+func (p *queryPump) arm() {
+	for {
+		q, ok := p.src.Next()
+		if !ok || q.At > p.until {
 			return
 		}
-		k.At(q.At, func() {
-			submit(q)
-			schedule()
-		})
+		p.pos++
+		if p.mine == nil || p.mine(q) {
+			p.next = q
+			p.k.AtArg(q.At, p.fireFn, 0)
+			return
+		}
 	}
-	schedule()
+}
+
+// pumpQueries starts a pump feeding every query of src to submit.
+func pumpQueries(k *simkernel.Kernel, until simkernel.Time, src workload.Source, submit func(workload.Query)) {
+	p := &queryPump{k: k, until: until, src: src, submit: func(_ uint64, q workload.Query) { submit(q) }}
+	p.fireFn = p.fire
+	p.arm()
 }
 
 // RunFlowerReplay runs Flower-CDN against a recorded query trace instead
@@ -427,7 +464,9 @@ func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	mets := metrics.New(metrics.Config{BucketWidth: p.BucketWidth, Horizon: p.Duration})
+	mcfg := p.metricsConfig(1)
+	mcfg.ExpectedQueries = len(queries) // the trace, not QueryRate, is the load
+	mets := metrics.New(mcfg)
 	sys, err := core.New(p.CoreConfig(pools), core.Deps{
 		Kernel: kernel, Topo: topo, Metrics: mets,
 		Interner: sharedInterner(p.Websites, p.ObjectsPerSite),

@@ -34,7 +34,6 @@ func runFlowerSharded(p Params, traceCapacity int) (Result, *trace.Buffer, error
 	if err != nil {
 		return Result{}, nil, err
 	}
-	mcfg := metrics.Config{BucketWidth: p.BucketWidth, Horizon: p.Duration}
 	ccfg := p.CoreConfig(pools)
 	// One kernel/collector/tracer per cell: a cell per locality, more when
 	// CellSplit spreads a hot locality over several.
@@ -42,7 +41,7 @@ func runFlowerSharded(p Params, traceCapacity int) (Result, *trace.Buffer, error
 	cellMets := make([]*metrics.Collector, len(cells))
 	for i := range cells {
 		cells[i] = simkernel.New(int64(simkernel.Mix64(uint64(p.Seed) + uint64(i) + 1)))
-		cellMets[i] = metrics.New(mcfg)
+		cellMets[i] = metrics.New(p.metricsConfig(len(cells)))
 	}
 	in := sharedInterner(p.Websites, p.ObjectsPerSite)
 	deps := core.Deps{
@@ -133,7 +132,7 @@ func runFlowerSharded(p Params, traceCapacity int) (Result, *trace.Buffer, error
 		BarriersRun:   eng.BarriersRun(),
 		WorkerStallNs: append([]int64(nil), eng.WorkerStallNs()...),
 	}
-	merged := metrics.New(mcfg)
+	merged := metrics.New(p.metricsConfig(1))
 	for _, cm := range cellMets {
 		merged.MergeFrom(cm, p.Duration)
 	}
@@ -153,31 +152,17 @@ func runFlowerSharded(p Params, traceCapacity int) (Result, *trace.Buffer, error
 	return res, buf, nil
 }
 
-// pumpCellQueries lazily schedules one cell's share of the query stream on
-// the cell's own kernel: each fired query schedules the next, and stream
-// entries belonging to other cells are skipped (their pumps submit them).
+// pumpCellQueries starts one cell's pump on the cell's own kernel: it walks
+// the whole stream but submits only the queries whose origin lives in the
+// cell (the other cells' pumps submit the rest), under the stream position
+// as the query ID.
 func pumpCellQueries(k *simkernel.Kernel, cell int, net *simnet.Network, sys *core.System, until simkernel.Time, src workload.Source) {
-	var id uint64
-	var schedule func()
-	schedule = func() {
-		for {
-			q, ok := src.Next()
-			if !ok || q.At > until {
-				return
-			}
-			id++
-			if net.CellOf(sys.PoolNode(q.SiteIdx, q.Locality, q.Member)) != cell {
-				continue
-			}
-			qid, wq := id, q
-			k.At(q.At, func() {
-				sys.SubmitWithID(qid, wq)
-				schedule()
-			})
-			return
-		}
-	}
-	schedule()
+	p := &queryPump{k: k, until: until, src: src, submit: sys.SubmitWithID,
+		mine: func(q workload.Query) bool {
+			return net.CellOf(sys.PoolNode(q.SiteIdx, q.Locality, q.Member)) == cell
+		}}
+	p.fireFn = p.fire
+	p.arm()
 }
 
 // bytesPerClientOf reports the post-run heap footprint per potential

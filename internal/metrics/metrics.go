@@ -60,6 +60,14 @@ type Config struct {
 	// on demand as before. 0 means "unknown" (grow on demand only).
 	Horizon simkernel.Time
 
+	// ExpectedQueries is how many queries the run is expected to record.
+	// When set, the raw sample series are sized for it once — on the first
+	// recorded query, so an idle collector stays small — instead of growing
+	// by doubling (which allocates twice the final size in total and leaves
+	// up to half the last array unused); a run that records more still
+	// works, the series then grow on demand. 0 means "unknown".
+	ExpectedQueries int
+
 	LatencyBinMs  float64 // histogram bin width for lookup latency (default 150, per Fig 7b)
 	LatencyBins   int     // number of finite bins; one overflow bin is added (default 7 → ">1050ms")
 	DistanceBinMs float64 // histogram bin width for transfer distance (default 100, per Fig 8b)
@@ -240,6 +248,10 @@ func (c *Collector) RecordMessage(at simkernel.Time, from, to simnet.NodeID, cat
 // RecordQuery records a resolved query. distMs < 0 means "no transfer
 // distance" (should not normally happen; local hits record 0).
 func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs float64) {
+	if c.lookupSamples == nil && c.cfg.ExpectedQueries > 0 {
+		c.lookupSamples = make([]float64, 0, c.cfg.ExpectedQueries)
+		c.distSamples = make([]float64, 0, c.cfg.ExpectedQueries)
+	}
 	c.totalQueries++
 	c.bySource[src]++
 	hit := src.IsHit()

@@ -271,13 +271,16 @@ func (c *ContentPeer) NeedPush() bool {
 }
 
 // TakePush extracts the ∆list and resets the change counter (Algorithm 5's
-// extract_changes). Returns ok=false when there is nothing to push. The
-// lists come out in ascending canonical order.
-func (c *ContentPeer) TakePush() (PushMsg, bool) {
+// extract_changes), appending the lists — in ascending canonical order —
+// to added and removed (nil for fresh slices): a caller that gets its
+// message back, like the core system with its pooled push envelopes,
+// extracts without allocating. ok=false means there was nothing to push;
+// the message still carries added and removed.
+func (c *ContentPeer) TakePush(added, removed []model.ObjectRef) (PushMsg, bool) {
+	msg := PushMsg{From: c.addr, Added: added, Removed: removed}
 	if c.pendingCount == 0 {
-		return PushMsg{}, false
+		return msg, false
 	}
-	msg := PushMsg{From: c.addr}
 	for i, delta := range c.pending {
 		if delta == 0 {
 			continue
@@ -407,20 +410,23 @@ func (c *ContentPeer) DropOldContacts(ageLimit int) []simnet.NodeID {
 
 // CandidatesFor returns contacts whose summaries test positive for ref, in
 // a load-spreading random order (§4.1: replicas of popular objects spread
-// the load across holders). The probes use the ref's precomputed hashes.
-// The returned slice is freshly allocated (it typically outlives the call,
-// travelling with the query); View.MatchingSummaries(h1, h2) is the
-// allocation-free variant when the result is consumed immediately.
+// the load across holders), as a freshly allocated slice.
 func (c *ContentPeer) CandidatesFor(ref model.ObjectRef, rng *rand.Rand) []simnet.NodeID {
+	return c.AppendCandidates(nil, ref, rng)
+}
+
+// AppendCandidates is CandidatesFor appending to dst (allocation-free
+// once dst has room for a view's worth of contacts): the core system keeps
+// candidate lists in storage that lives as long as their query. The probes
+// use the ref's precomputed hashes; the shuffle draws from rng exactly as
+// CandidatesFor does.
+func (c *ContentPeer) AppendCandidates(dst []simnet.NodeID, ref model.ObjectRef, rng *rand.Rand) []simnet.NodeID {
 	h1, h2 := c.in.Hashes(ref)
-	cands := c.view.MatchingSummaries(h1, h2)
+	base := len(dst)
+	dst = append(dst, c.view.MatchingSummaries(h1, h2)...)
+	cands := dst[base:]
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) == 0 {
-		return nil
-	}
-	out := make([]simnet.NodeID, len(cands))
-	copy(out, cands)
-	return out
+	return dst
 }
 
 // ViewSeedFor produces the view subset handed to a newly joined peer that

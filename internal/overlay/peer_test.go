@@ -78,7 +78,7 @@ func TestPushThreshold(t *testing.T) {
 	if !p.NeedPush() {
 		t.Fatal("first object must trigger a push")
 	}
-	msg, ok := p.TakePush()
+	msg, ok := p.TakePush(nil, nil)
 	if !ok || len(msg.Added) != 1 || msg.Added[0] != ref(0) || msg.From != 1 {
 		t.Fatalf("TakePush = %+v", msg)
 	}
@@ -89,7 +89,7 @@ func TestPushThreshold(t *testing.T) {
 	for i := 0; i < 19; i++ {
 		p.AddObject(ref(20 + i))
 	}
-	p.TakePush()
+	p.TakePush(nil, nil)
 	p.AddObject(ref(1))
 	if p.NeedPush() { // 1/20 = 5% < 10%
 		t.Fatal("below threshold should not push")
@@ -103,7 +103,7 @@ func TestPushThreshold(t *testing.T) {
 	if !p.NeedPush() { // 3/23 ≈ 13% ≥ 10%
 		t.Fatal("threshold crossing not detected")
 	}
-	msg, _ = p.TakePush()
+	msg, _ = p.TakePush(nil, nil)
 	if len(msg.Added) != 3 {
 		t.Fatalf("delta size = %d, want 3", len(msg.Added))
 	}
@@ -112,13 +112,13 @@ func TestPushThreshold(t *testing.T) {
 func TestPushIncludesRemovals(t *testing.T) {
 	p := newPeer(1)
 	p.AddObject(ref(0))
-	p.TakePush()
+	p.TakePush(nil, nil)
 	p.RemoveObject(ref(0))
-	msg, ok := p.TakePush()
+	msg, ok := p.TakePush(nil, nil)
 	if !ok || len(msg.Removed) != 1 || msg.Removed[0] != ref(0) {
 		t.Fatalf("removal delta wrong: %+v", msg)
 	}
-	if _, ok := p.TakePush(); ok {
+	if _, ok := p.TakePush(nil, nil); ok {
 		t.Fatal("empty TakePush should report not-ok")
 	}
 }
@@ -329,12 +329,12 @@ func TestQuickContentPushConsistency(t *testing.T) {
 				p.AddObject(obj)
 			}
 			if op%5 == 0 {
-				if msg, ok := p.TakePush(); ok {
+				if msg, ok := p.TakePush(nil, nil); ok {
 					apply(msg)
 				}
 			}
 		}
-		if msg, ok := p.TakePush(); ok {
+		if msg, ok := p.TakePush(nil, nil); ok {
 			apply(msg)
 		}
 		if len(replay) != p.ContentSize() {
