@@ -362,10 +362,11 @@ func BenchmarkCampaignParallel(b *testing.B)   { benchCampaign(b, 4) }
 
 // --- Population scale: events/sec vs peer population ------------------------
 // The shrunk 100k-preset shape (sparse views, sparse directory seeding) at
-// growing client populations; each iteration is a full simulation. The
-// events/sec metric lands in BENCH_<pr>.json via scripts/bench.sh, charting
-// simulator throughput against population; the full 100,000-client preset is
-// `flowersim -exp massive`.
+// growing client populations; each iteration is a full simulation, and the
+// events/sec metric charts simulator throughput against population. These
+// are working benchmarks for use while developing; performance claims go
+// through BENCHMARK.json (`bash bench/run.sh`, whose pop100k workload is the
+// full 100,000-client preset also reachable as `flowersim -exp massive`).
 
 func BenchmarkPopulationScale(b *testing.B) {
 	for _, pop := range []int{1000, 5000, 20000} {
@@ -392,13 +393,9 @@ func BenchmarkPopulationScale(b *testing.B) {
 }
 
 // BenchmarkPopulationScaleParallel is BenchmarkPopulationScale on the
-// locality-sharded kernel with one worker per available CPU. The
-// events/sec cells land in BENCH_<pr>.json next to the serial ones
-// (scripts/bench.sh tags every cell with shards and GOMAXPROCS, and
-// bench_compare.sh only compares like-for-like cells); on an 8-core
-// machine the 20k-population cell is expected to clear 4× the serial
-// throughput (a 1-core container can only show the single-core sharding
-// overhead). Each cell also reports coordination_share (barrier events
+// locality-sharded kernel with one worker per available CPU (compare only
+// cells of equal shards and GOMAXPROCS; a 1-core container can only show
+// the single-core sharding overhead). Each cell also reports coordination_share (barrier events
 // over total — the serial fraction that caps the parallel speedup) and
 // worker_stall_ns (wall-clock workers spent parked behind stragglers).
 // Results are byte-identical to a 1-worker sharded run —
@@ -440,11 +437,8 @@ func BenchmarkPopulationScaleParallel(b *testing.B) {
 
 // BenchmarkPopulationScaleFaulted is BenchmarkPopulationScale with a light
 // fault plane installed — 2% loss, occasional jitter — and the hardened
-// protocol it switches on (retry/backoff, fallback chain). The events/sec
-// cells land in BENCH_<pr>.json next to the clean ones and are gated by
-// bench_compare.sh, so a regression in the faulted hot path (fault
-// decisions per send, retry timer churn) is caught even when the clean
-// path stays fast.
+// protocol it switches on (retry/backoff, fallback chain): the faulted hot
+// path (fault decisions per send, retry timer churn) beside the clean one.
 func BenchmarkPopulationScaleFaulted(b *testing.B) {
 	for _, pop := range []int{1000, 5000, 20000} {
 		b.Run(fmt.Sprintf("pop=%d", pop), func(b *testing.B) {
@@ -471,9 +465,8 @@ func BenchmarkPopulationScaleFaulted(b *testing.B) {
 // BenchmarkPopulationScaleGray is BenchmarkPopulationScaleFaulted with the
 // gray-failure plane and the adaptive response both armed: per-send degrade/
 // asym-loss/flap gating on the fault side, estimator updates, hedge timers
-// and breaker checks on the protocol side. Gated by bench_compare.sh like
-// the other population cells, so the per-send gray checks and the adaptive
-// hot path can't silently tax the simulator.
+// and breaker checks on the protocol side (BENCHMARK.json's graychurn20k
+// workload is the gated form of this shape).
 func BenchmarkPopulationScaleGray(b *testing.B) {
 	for _, pop := range []int{1000, 5000, 20000} {
 		b.Run(fmt.Sprintf("pop=%d", pop), func(b *testing.B) {

@@ -555,10 +555,10 @@ func runPopulation(w *writer, p flowercdn.Params) error {
 		return err
 	}
 	w.printf("Scale chart — simulator throughput vs peer population (shrunk 100k-preset shape)")
-	w.printf("%-12s %-12s %-12s %-14s %-10s %-8s %-12s", "clients", "events", "wall(s)", "events/sec", "hit", "joins", "bytes/client")
+	w.printf("%-12s %-12s %-12s %-12s %-10s %-12s %-14s %-10s %-8s %-12s", "clients", "events", "periodic", "one-shot", "elided", "wall(s)", "events/sec", "hit", "joins", "bytes/client")
 	for _, pt := range points {
-		w.printf("%-12d %-12d %-12.2f %-14.0f %-10.3f %-8d %-12.0f",
-			pt.Clients, pt.Events, pt.WallSeconds, pt.EventsPerSec, pt.HitRatio, pt.Joins, pt.BytesPerClient)
+		w.printf("%-12d %-12d %-12d %-12d %-10d %-12.2f %-14.0f %-10.3f %-8d %-12.0f",
+			pt.Clients, pt.Events, pt.PeriodicEvents, pt.Events-pt.PeriodicEvents, pt.ElidedEvents, pt.WallSeconds, pt.EventsPerSec, pt.HitRatio, pt.Joins, pt.BytesPerClient)
 	}
 	return nil
 }
@@ -587,8 +587,7 @@ func runMassive(w *writer, p flowercdn.Params) error {
 	}
 	w.printf("100k-client preset (%s simulated, shards=%d)", mp.Duration, mp.Shards)
 	w.printf("clients joined: %d   queries: %d   hit ratio: %.3f", res.Stats.Joins, res.Report.TotalQueries, res.Report.HitRatio)
-	w.printf("kernel events: %d   wall: %.2fs   throughput: %.0f events/sec",
-		res.Events, res.WallSeconds, res.EventsPerSecond())
+	printThroughput(w, "", res)
 	w.printf("avg lookup: %.0f ms   background: %.1f bps/peer", res.Report.AvgLookupMs, res.Report.BackgroundBps)
 	w.printf("heap: %.0f bytes/client", res.BytesPerClient)
 	printMessageTotals(w, res)
@@ -607,8 +606,7 @@ func runMassive(w *writer, p flowercdn.Params) error {
 	w.printf("with churn: joined: %d   queries: %d   hit ratio: %.3f   redirect failures: %d   dir replacements: %d",
 		cres.Stats.Joins, cres.Report.TotalQueries, cres.Report.HitRatio,
 		cres.Report.RedirectFailures, cres.Stats.DirReplacements)
-	w.printf("with churn: kernel events: %d   wall: %.2fs   throughput: %.0f events/sec",
-		cres.Events, cres.WallSeconds, cres.EventsPerSecond())
+	printThroughput(w, "with churn: ", cres)
 	w.printf("events/sec stable vs churned: %.0f vs %.0f (%+.1f%%)",
 		res.EventsPerSecond(), cres.EventsPerSecond(),
 		100*(cres.EventsPerSecond()-res.EventsPerSecond())/res.EventsPerSecond())
@@ -670,9 +668,15 @@ func runDirStress(w *writer, p flowercdn.Params) error {
 	}
 	w.printf("dirTick-heavy preset (%s simulated, %s gossip period)", dp.Duration, dp.TGossip)
 	w.printf("clients joined: %d   queries: %d   hit ratio: %.3f", res.Stats.Joins, res.Report.TotalQueries, res.Report.HitRatio)
-	w.printf("kernel events: %d   wall: %.2fs   throughput: %.0f events/sec",
-		res.Events, res.WallSeconds, res.EventsPerSecond())
+	printThroughput(w, "", res)
 	return nil
+}
+
+// printThroughput is the kernel line of the scale experiments: events by
+// class (periodic firings / one-shots, and elided records) beside events/sec.
+func printThroughput(w *writer, prefix string, res flowercdn.Result) {
+	w.printf("%skernel events: %d (%d periodic / %d one-shot, %d elided)   wall: %.2fs   throughput: %.0f events/sec",
+		prefix, res.Events, res.PeriodicEvents, res.Events-res.PeriodicEvents, res.ElidedEvents, res.WallSeconds, res.EventsPerSecond())
 }
 
 func runFaults(w *writer, p flowercdn.Params) error {

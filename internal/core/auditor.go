@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flowercdn/internal/model"
-	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 )
 
@@ -115,8 +114,8 @@ func (s *System) Audit() AuditReport {
 				fail("timers: dead host %d has an armed failure-detection timer", addr)
 			}
 			r.Checks++
-			if tickerRunning(s.hs.gossipTicker[a]) || tickerRunning(s.hs.kaTicker[a]) ||
-				tickerRunning(s.hs.dirTicker[a]) || tickerRunning(s.hs.replTicker[a]) {
+			if !s.hs.gossipTicker[a].Stopped() || !s.hs.kaTicker[a].Stopped() ||
+				!s.hs.dirTicker[a].Stopped() || !s.hs.replTicker[a].Stopped() {
 				fail("timers: dead host %d has a running ticker", addr)
 			}
 			continue
@@ -131,7 +130,7 @@ func (s *System) Audit() AuditReport {
 		}
 		if h.cp != nil {
 			r.Checks++
-			if !tickerRunning(s.hs.gossipTicker[a]) || !tickerRunning(s.hs.kaTicker[a]) {
+			if s.hs.gossipTicker[a].Stopped() || s.hs.kaTicker[a].Stopped() {
 				fail("timers: content peer %d is missing its gossip/keepalive ticker", addr)
 			}
 		}
@@ -161,8 +160,4 @@ func (s *System) Audit() AuditReport {
 		}
 	}
 	return r
-}
-
-func tickerRunning(t *simkernel.Ticker) bool {
-	return t != nil && !t.Stopped()
 }

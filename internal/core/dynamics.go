@@ -63,7 +63,6 @@ func (s *System) RevivePeer(addr simnet.NodeID) bool {
 	s.hs.admitPending[addr] = nil
 	s.hs.clearFlag(addr, hfJoinInFlight)
 	s.hs.joinAttempts[addr] = 0
-	s.hs.gossipTicker[addr], s.hs.kaTicker[addr] = nil, nil
 	s.hs.gossipTimeout[addr] = simkernel.TimerHandle{}
 	s.hs.kaTimeout[addr] = simkernel.TimerHandle{}
 	s.hs.joinTimer[addr] = simkernel.TimerHandle{}
@@ -84,14 +83,8 @@ func (s *System) RevivePeer(addr simnet.NodeID) bool {
 // roles): the watchdog and maintenance loops must leave nothing in the
 // event queue, exactly like hostSoA.stopTimers for the core tickers.
 func (s *System) stopStandbyTimers(h *host) {
-	if h.standbyTicker != nil {
-		h.standbyTicker.Stop()
-		h.standbyTicker = nil
-	}
-	if h.probeTicker != nil {
-		h.probeTicker.Stop()
-		h.probeTicker = nil
-	}
+	h.standbyTicker.Stop()
+	h.probeTicker.Stop()
 	h.probeTimeout.Cancel()
 	h.probeToken++
 }
@@ -246,18 +239,17 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 		s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, s.cfg.DirSummaryThreshold, s.in)
 	s.dirByKey[key] = h.addr
 	s.dirAddrs = append(s.dirAddrs, h.addr)
-	offset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.TGossip)))
-	s.hs.dirTicker[h.addr] = s.hostKernel(h.addr).Every(offset, s.cfg.TGossip, func() { s.dirTick(h) })
+	s.hs.dirTicker[h.addr] = s.every(s.hostKernel(h.addr), h.addr, s.cfg.TGossip, s.dirTickFn)
 	s.startReplicationTicker(h)
 	if s.cfg.StandbyFailover {
 		// A host promoted into a directory stops being anyone's standby.
 		s.stopStandbyWatch(h)
 		s.startStandbyTicker(h)
 	}
-	if s.cfg.MaintenancePeriod > 0 && s.hs.stabTicker[h.addr] == nil {
-		// Stabilization mutates the shared ring: coordination kernel only.
-		mo := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.MaintenancePeriod)))
-		s.hs.stabTicker[h.addr] = s.k.Every(mo, s.cfg.MaintenancePeriod, func() { s.maintainNode(h) })
+	if s.cfg.MaintenancePeriod > 0 && s.hs.stabTicker[h.addr] == (simkernel.Ticker{}) {
+		// Stabilization mutates the shared ring: coordination kernel only
+		// (and, like replication, is armed at most once per host).
+		s.hs.stabTicker[h.addr] = s.every(s.k, h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
 	}
 }
 
@@ -357,14 +349,8 @@ func (s *System) ChangeLocality(addr simnet.NodeID, newLoc int) bool {
 	if h.cp != nil {
 		s.hs.stash[addr] = h.cp.Objects()
 		h.cp = nil
-		if t := s.hs.gossipTicker[addr]; t != nil {
-			t.Stop()
-			s.hs.gossipTicker[addr] = nil
-		}
-		if t := s.hs.kaTicker[addr]; t != nil {
-			t.Stop()
-			s.hs.kaTicker[addr] = nil
-		}
+		s.hs.gossipTicker[addr].Stop()
+		s.hs.kaTicker[addr].Stop()
 		s.hs.gossipTimeout[addr].Cancel()
 		s.hs.kaTimeout[addr].Cancel()
 		// Still an accounted participant; it rejoins on its next query.

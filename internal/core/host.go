@@ -32,15 +32,15 @@ type host struct {
 	// slots). A directory remembers its designated standby; a standby
 	// carries the replica index, the primary it watches and the probe
 	// watchdog machinery.
-	standby       simnet.NodeID     // directory side: designated standby (0 = none)
-	standbyTicker *simkernel.Ticker // directory side: designation + anti-entropy loop
-	deltaShards   []int32           // directory side: TakeDirtyShards scratch
-	replica       *dring.Directory  // standby side: warm copy of the primary's index
-	standbyFor    simnet.NodeID     // standby side: the watched primary (0 = not a standby)
-	standbyKey    chord.ID          // standby side: the D-ring position to take over
+	standby       simnet.NodeID    // directory side: designated standby (0 = none)
+	standbyTicker simkernel.Ticker // directory side: designation + anti-entropy loop
+	deltaShards   []int32          // directory side: TakeDirtyShards scratch
+	replica       *dring.Directory // standby side: warm copy of the primary's index
+	standbyFor    simnet.NodeID    // standby side: the watched primary (0 = not a standby)
+	standbyKey    chord.ID         // standby side: the D-ring position to take over
 	standbySite   model.SiteID
 	standbyLoc    int
-	probeTicker   *simkernel.Ticker
+	probeTicker   simkernel.Ticker
 	probeToken    uint32
 	probeTimeout  simkernel.TimerHandle
 }

@@ -56,11 +56,11 @@ type hostSoA struct {
 	joinAttempts []uint8
 
 	// Tickers (periodic behaviours), armed per role.
-	dirTicker    []*simkernel.Ticker
-	gossipTicker []*simkernel.Ticker
-	kaTicker     []*simkernel.Ticker
-	stabTicker   []*simkernel.Ticker
-	replTicker   []*simkernel.Ticker
+	dirTicker    []simkernel.Ticker
+	gossipTicker []simkernel.Ticker
+	kaTicker     []simkernel.Ticker
+	stabTicker   []simkernel.Ticker
+	replTicker   []simkernel.Ticker
 
 	// Pre-boxed keepalive payloads: boxing a keepaliveMsg value into the
 	// network's `any` payload heap-allocates, so each host boxes its two
@@ -110,11 +110,11 @@ func newHostSoA(n int) hostSoA {
 		kaTimeout:     make([]simkernel.TimerHandle, n),
 		joinTimer:     make([]simkernel.TimerHandle, n),
 		joinAttempts:  make([]uint8, n),
-		dirTicker:     make([]*simkernel.Ticker, n),
-		gossipTicker:  make([]*simkernel.Ticker, n),
-		kaTicker:      make([]*simkernel.Ticker, n),
-		stabTicker:    make([]*simkernel.Ticker, n),
-		replTicker:    make([]*simkernel.Ticker, n),
+		dirTicker:     make([]simkernel.Ticker, n),
+		gossipTicker:  make([]simkernel.Ticker, n),
+		kaTicker:      make([]simkernel.Ticker, n),
+		stabTicker:    make([]simkernel.Ticker, n),
+		replTicker:    make([]simkernel.Ticker, n),
 		kaPayload:     make([]any, n),
 		kaAckPayload:  make([]any, n),
 		stash:         make([][]model.ObjectRef, n),
@@ -180,12 +180,10 @@ func (hs *hostSoA) overlayLocality(a simnet.NodeID) int {
 // a host (on failure/leave), so a dead host leaves nothing in the event
 // queue.
 func (hs *hostSoA) stopTimers(a simnet.NodeID) {
-	for _, t := range [...]*simkernel.Ticker{
+	for _, t := range [...]simkernel.Ticker{
 		hs.dirTicker[a], hs.gossipTicker[a], hs.kaTicker[a], hs.stabTicker[a], hs.replTicker[a],
 	} {
-		if t != nil {
-			t.Stop()
-		}
+		t.Stop()
 	}
 	hs.gossipTimeout[a].Cancel()
 	hs.kaTimeout[a].Cancel()

@@ -26,13 +26,11 @@ func lifecycleEnv(t *testing.T, hardened bool) *testEnv {
 	e.submitAt(2*simkernel.Second, 0, 0, 1, 5)
 	e.submitAt(3*simkernel.Minute, 0, 0, 1, 3)
 	e.k.Run(20 * simkernel.Minute)
-	for _, bank := range [][]*simkernel.Ticker{
+	for _, bank := range [][]simkernel.Ticker{
 		e.sys.hs.dirTicker, e.sys.hs.gossipTicker, e.sys.hs.kaTicker, e.sys.hs.stabTicker, e.sys.hs.replTicker,
 	} {
 		for _, tk := range bank {
-			if tk != nil {
-				tk.Stop()
-			}
+			tk.Stop()
 		}
 	}
 	return e
@@ -121,6 +119,30 @@ func TestQueryLifecycleAllocs(t *testing.T) {
 				t.Fatal("the client was admitted to a full overlay")
 			}
 		})
+	}
+}
+
+// TestTickerArmAllocs: arming a joined peer's periodic behaviours builds no
+// Ticker object, no method value and no per-host closure — the handles are
+// values in the SoA arrays and the callbacks were bound at construction.
+func TestTickerArmAllocs(t *testing.T) {
+	e := lifecycleEnv(t, false)
+	s := e.sys
+	member := s.host(s.PoolNode(0, 0, 1))
+	if member.cp == nil {
+		t.Fatal("member did not join")
+	}
+	op := func() {
+		s.startContentPeerTickers(member)
+		if s.hs.gossipTicker[member.addr].Stopped() || s.hs.kaTicker[member.addr].Stopped() {
+			t.Fatal("tickers not armed")
+		}
+		s.hs.stopTimers(member.addr)
+		e.k.Run(e.k.Now() + s.cfg.TGossip + s.cfg.TKeepalive) // elide the two dead first firings
+	}
+	op() // timer arena and heap reach capacity
+	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+		t.Fatalf("arming a content peer's tickers allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

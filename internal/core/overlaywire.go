@@ -17,10 +17,8 @@ func newContentPeerFor(h *host, site model.SiteID, loc int, cfg overlay.Config, 
 // (§5.1). Phases are randomised so overlays do not synchronise.
 func (s *System) startContentPeerTickers(h *host) {
 	k := s.hostKernel(h.addr)
-	gOffset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.TGossip)))
-	s.hs.gossipTicker[h.addr] = k.Every(gOffset, s.cfg.TGossip, func() { s.gossipTick(h) })
-	kOffset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.TKeepalive)))
-	s.hs.kaTicker[h.addr] = k.Every(kOffset, s.cfg.TKeepalive, func() { s.keepaliveTick(h) })
+	s.hs.gossipTicker[h.addr] = s.every(k, h.addr, s.cfg.TGossip, s.gossipTickFn)
+	s.hs.kaTicker[h.addr] = s.every(k, h.addr, s.cfg.TKeepalive, s.kaTickFn)
 }
 
 // gossipTick is the active behaviour of Algorithm 4. In steady state it

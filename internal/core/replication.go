@@ -20,11 +20,10 @@ import (
 // startReplicationTicker arms the periodic offer behaviour on a directory
 // host (called from system construction and directory installation).
 func (s *System) startReplicationTicker(h *host) {
-	if s.cfg.ReplicationTopK <= 0 || s.hs.replTicker[h.addr] != nil {
-		return
+	if s.cfg.ReplicationTopK <= 0 || s.hs.replTicker[h.addr] != (simkernel.Ticker{}) {
+		return // armed at most once per host: a stopped handle is not re-armed
 	}
-	offset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.ReplicationPeriod)))
-	s.hs.replTicker[h.addr] = s.hostKernel(h.addr).Every(offset, s.cfg.ReplicationPeriod, func() { s.replicationTick(h) })
+	s.hs.replTicker[h.addr] = s.every(s.hostKernel(h.addr), h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
 }
 
 // replicationTick runs at a directory: offer the top-K requested objects

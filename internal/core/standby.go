@@ -27,11 +27,10 @@ import (
 // on a directory host. Offsets are randomised like every other periodic
 // behaviour so directories do not synchronise.
 func (s *System) startStandbyTicker(h *host) {
-	if !s.cfg.StandbyFailover || h.standbyTicker != nil {
+	if !s.cfg.StandbyFailover || !h.standbyTicker.Stopped() {
 		return
 	}
-	offset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.StandbySyncEvery)))
-	h.standbyTicker = s.hostKernel(h.addr).Every(offset, s.cfg.StandbySyncEvery, func() { s.standbyMaintTick(h) })
+	h.standbyTicker = s.every(s.hostKernel(h.addr), h.addr, s.cfg.StandbySyncEvery, s.standbyTickFn)
 }
 
 // standbyMaintTick is the directory-side loop: validate or (re)designate
@@ -144,10 +143,7 @@ func (s *System) handleStandbyRevoke(h *host, m standbyRevokeMsg) {
 // stopStandbyWatch clears all standby-side state: watchdog, replica and
 // designation memory.
 func (s *System) stopStandbyWatch(h *host) {
-	if h.probeTicker != nil {
-		h.probeTicker.Stop()
-		h.probeTicker = nil
-	}
+	h.probeTicker.Stop()
 	h.probeTimeout.Cancel()
 	h.probeTimeout = simkernel.TimerHandle{}
 	h.probeToken++
@@ -160,11 +156,10 @@ func (s *System) stopStandbyWatch(h *host) {
 
 // startStandbyProbes arms the standby→primary liveness watchdog.
 func (s *System) startStandbyProbes(h *host) {
-	if h.probeTicker != nil {
+	if !h.probeTicker.Stopped() {
 		return
 	}
-	offset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.StandbyProbe)))
-	h.probeTicker = s.hostKernel(h.addr).Every(offset, s.cfg.StandbyProbe, func() { s.standbyProbeTick(h) })
+	h.probeTicker = s.every(s.hostKernel(h.addr), h.addr, s.cfg.StandbyProbe, s.probeTickFn)
 }
 
 // standbyProbeTick sends one liveness probe and arms its deadline. A

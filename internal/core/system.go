@@ -95,6 +95,10 @@ type System struct {
 	joinLatchFn     func(uint64)
 	joinRetryFn     func(uint64)
 
+	// Tick callbacks of the periodic behaviours, bound once the same way:
+	// the kernel's periodic timer passes the host address as the argument.
+	gossipTickFn, kaTickFn, dirTickFn, stabTickFn, replTickFn, standbyTickFn, probeTickFn func(uint64)
+
 	// Partition-recovery accounting (nil unless InstallFaults saw partition
 	// windows): healAt[loc] is when locality loc's last partition window
 	// ends (-1 = never partitioned), recovery[loc] the smallest observed
@@ -317,6 +321,13 @@ func (s *System) hostKernel(addr simnet.NodeID) *simkernel.Kernel {
 	return s.cells[s.net.CellOf(addr)]
 }
 
+// every arms one periodic behaviour of host addr on kernel k, at a random
+// phase so hosts do not synchronise; tick is one of the bound callbacks.
+func (s *System) every(k *simkernel.Kernel, addr simnet.NodeID, period simkernel.Time, tick func(uint64)) simkernel.Ticker {
+	offset := simkernel.Time(s.prand(addr).Int63n(int64(period)))
+	return k.EveryArg(offset, period, tick, uint64(addr))
+}
+
 // tracing reports whether any tracer is installed (guard for the
 // formatting wrappers in tracefmt.go, which pay fmt.Sprintf when true).
 func (s *System) tracing() bool { return s.tracer != nil || s.cellTracers != nil }
@@ -485,6 +496,13 @@ func New(cfg Config, deps Deps) (*System, error) {
 	s.kaTimeoutFn = s.onKaTimeout
 	s.joinLatchFn = s.onJoinLatchExpired
 	s.joinRetryFn = s.onJoinRetry
+	s.gossipTickFn = func(a uint64) { s.gossipTick(s.hosts[a]) }
+	s.kaTickFn = func(a uint64) { s.keepaliveTick(s.hosts[a]) }
+	s.dirTickFn = func(a uint64) { s.dirTick(s.hosts[a]) }
+	s.stabTickFn = func(a uint64) { s.maintainNode(s.hosts[a]) }
+	s.replTickFn = func(a uint64) { s.replicationTick(s.hosts[a]) }
+	s.standbyTickFn = func(a uint64) { s.standbyMaintTick(s.hosts[a]) }
+	s.probeTickFn = func(a uint64) { s.standbyProbeTick(s.hosts[a]) }
 	if cfg.ShedBudget > 0 {
 		s.shedInFlight = make([]int32, cfg.Localities)
 	}
@@ -633,8 +651,7 @@ func (s *System) placeDirectoriesAndPools() error {
 func (s *System) startDirectoryTickers() {
 	for _, addr := range s.dirAddrs {
 		h := s.hosts[addr]
-		offset := simkernel.Time(s.prand(addr).Int63n(int64(s.cfg.TGossip)))
-		s.hs.dirTicker[addr] = s.hostKernel(addr).Every(offset, s.cfg.TGossip, func() { s.dirTick(h) })
+		s.hs.dirTicker[addr] = s.every(s.hostKernel(addr), addr, s.cfg.TGossip, s.dirTickFn)
 		s.startReplicationTicker(h)
 		s.startStandbyTicker(h)
 	}
@@ -646,9 +663,7 @@ func (s *System) startDirectoryTickers() {
 // kernel: sharded runs stabilize at epoch barriers.
 func (s *System) startMaintenance(period simkernel.Time) {
 	for _, addr := range s.dirAddrs {
-		h := s.hosts[addr]
-		offset := simkernel.Time(s.prand(addr).Int63n(int64(period)))
-		s.hs.stabTicker[addr] = s.k.Every(offset, period, func() { s.maintainNode(h) })
+		s.hs.stabTicker[addr] = s.every(s.k, addr, period, s.stabTickFn)
 	}
 }
 

@@ -32,8 +32,26 @@ func BenchmarkGossipRound(b *testing.B) {
 	}
 }
 
-// Merge on its own must allocate nothing once the scratch buffers exist.
+// Merge on its own must allocate nothing once the scratch buffers exist,
+// and getting there from an empty view must cost a bounded handful of
+// right-sized buffers, not an append-doubling crawl per array.
 func TestMergeAllocFree(t *testing.T) {
+	const viewSize, gossipLen = 24, 8
+	growth := testing.AllocsPerRun(20, func() {
+		g := NewView(0, viewSize) // 1: the View itself
+		sub := make([]Entry, gossipLen)
+		for round := 0; round < 8; round++ {
+			for i := range sub {
+				sub[i] = Entry{Node: simnet.NodeID(1 + round*gossipLen + i), Age: i % 3}
+			}
+			g.Merge(sub)
+		}
+	})
+	// View + subset + one sizing of each of the two swapped arrays.
+	if growth > 4 {
+		t.Fatalf("empty view to steady state costs %.0f allocations, want <= 4", growth)
+	}
+
 	v := NewView(0, 24)
 	for i := 1; i <= 24; i++ {
 		v.Insert(Entry{Node: simnet.NodeID(i), Age: i % 9})

@@ -222,6 +222,11 @@ func (v *View) Insert(e Entry) {
 // allocates nothing in steady state.
 func (v *View) Merge(received []Entry) {
 	s := v.scratch[:0]
+	if cap(s) < len(v.entries)+len(received) {
+		// One right-sized buffer (entries never exceed capacity) instead of
+		// append's doubling crawl: each of the two arrays is sized once.
+		s = make([]Entry, 0, v.capacity+len(received))
+	}
 	// The live entries are already deduped and owner-free (invariant).
 	s = append(s, v.entries...)
 	for _, e := range received {
@@ -277,6 +282,7 @@ func (v *View) Remove(node simnet.NodeID) {
 			out = append(out, e)
 		}
 	}
+	clear(v.entries[len(out):]) // the vacated tail must not pin summaries
 	v.entries = out
 }
 
@@ -294,6 +300,7 @@ func (v *View) DropOlderThan(ageLimit int) []simnet.NodeID {
 		}
 		out = append(out, e)
 	}
+	clear(v.entries[len(out):]) // the vacated tail must not pin summaries
 	v.entries = out
 	v.evicted = evicted
 	return evicted

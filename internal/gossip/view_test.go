@@ -176,6 +176,43 @@ func TestRemoveAndDropOlderThan(t *testing.T) {
 	}
 }
 
+// Remove and DropOlderThan compact in place: the slots they vacate sit past
+// Len() in the backing array and must be zeroed, or evicted peers' summaries
+// stay reachable for as long as the view lives.
+func TestCompactionClearsVacatedTail(t *testing.T) {
+	fill := func() *View {
+		v := NewView(0, 8)
+		for i := 1; i <= 6; i++ {
+			v.Insert(Entry{Node: simnet.NodeID(i), Age: i, Summary: bloom.New(64, 2)})
+		}
+		return v
+	}
+	check := func(t *testing.T, v *View, wantLen int) {
+		t.Helper()
+		if v.Len() != wantLen {
+			t.Fatalf("len = %d, want %d", v.Len(), wantLen)
+		}
+		for i, e := range v.entries[:cap(v.entries)][v.Len():] {
+			if e != (Entry{}) {
+				t.Fatalf("backing slot %d past Len() still holds %+v", v.Len()+i, e)
+			}
+		}
+	}
+	t.Run("Remove", func(t *testing.T) {
+		v := fill()
+		v.Remove(2)
+		v.Remove(5)
+		check(t, v, 4)
+	})
+	t.Run("DropOlderThan", func(t *testing.T) {
+		v := fill()
+		if n := len(v.DropOlderThan(4)); n != 3 {
+			t.Fatalf("evicted %d, want 3", n)
+		}
+		check(t, v, 3)
+	})
+}
+
 func TestRefresh(t *testing.T) {
 	v := NewView(0, 4)
 	v.Insert(entry(1, 7))

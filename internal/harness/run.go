@@ -41,6 +41,12 @@ type Result struct {
 	Events      uint64
 	WallSeconds float64
 
+	// PeriodicEvents is how many of Events were periodic-timer firings (the
+	// rest were one-shots), ElidedEvents the cancelled records skipped, which
+	// Events excludes. Deterministic per seed; summed over all kernels.
+	PeriodicEvents uint64
+	ElidedEvents   uint64
+
 	// Sharded-run extras (zero on the classic path). ShardEvents counts
 	// events per locality cell and BarrierEvents the single-threaded
 	// coordination work; both are deterministic per seed. WorkerStallNs is
@@ -303,12 +309,14 @@ func RunFlowerTraced(p Params, traceCapacity int) (Result, *trace.Buffer, error)
 	}
 	events, wall := timedRun(kernel, p.Duration)
 	res := Result{
-		Kind:        KindFlower,
-		Report:      mets.Snapshot(p.Duration),
-		Stats:       sys.Stats(),
-		Params:      p,
-		Events:      events,
-		WallSeconds: wall,
+		Kind:           KindFlower,
+		Report:         mets.Snapshot(p.Duration),
+		Stats:          sys.Stats(),
+		Params:         p,
+		Events:         events,
+		WallSeconds:    wall,
+		PeriodicEvents: kernel.PeriodicFired(),
+		ElidedEvents:   kernel.Elided(),
 	}
 	finishFaultPlane(&res, sys, acc)
 	if p.MeasureMemory {
@@ -347,11 +355,13 @@ func RunSquirrel(p Params) (Result, error) {
 	}
 	events, wall := timedRun(kernel, p.Duration)
 	return Result{
-		Kind:        KindSquirrel,
-		Report:      mets.Snapshot(p.Duration),
-		Params:      p,
-		Events:      events,
-		WallSeconds: wall,
+		Kind:           KindSquirrel,
+		Report:         mets.Snapshot(p.Duration),
+		Params:         p,
+		Events:         events,
+		WallSeconds:    wall,
+		PeriodicEvents: kernel.PeriodicFired(),
+		ElidedEvents:   kernel.Elided(),
 	}, nil
 }
 
@@ -477,12 +487,14 @@ func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
 	pumpQueries(kernel, p.Duration, replayer, sys.Submit)
 	events, wall := timedRun(kernel, p.Duration)
 	return Result{
-		Kind:        KindFlower,
-		Report:      mets.Snapshot(p.Duration),
-		Stats:       sys.Stats(),
-		Params:      p,
-		Events:      events,
-		WallSeconds: wall,
+		Kind:           KindFlower,
+		Report:         mets.Snapshot(p.Duration),
+		Stats:          sys.Stats(),
+		Params:         p,
+		Events:         events,
+		WallSeconds:    wall,
+		PeriodicEvents: kernel.PeriodicFired(),
+		ElidedEvents:   kernel.Elided(),
 	}, nil
 }
 

@@ -60,6 +60,8 @@ func DirStressParams(seed int64) Params {
 type PopulationPoint struct {
 	Clients        int // total potential clients across active sites
 	Events         uint64
+	PeriodicEvents uint64 // of Events: kernel-owned periodic timer firings
+	ElidedEvents   uint64 // cancelled records skipped, not in Events
 	WallSeconds    float64
 	EventsPerSec   float64
 	HitRatio       float64
@@ -105,6 +107,8 @@ func PopulationSweep(seed int64, populations []int) ([]PopulationPoint, error) {
 		out = append(out, PopulationPoint{
 			Clients:        pop,
 			Events:         res.Events,
+			PeriodicEvents: res.PeriodicEvents,
+			ElidedEvents:   res.ElidedEvents,
 			WallSeconds:    res.WallSeconds,
 			EventsPerSec:   res.EventsPerSecond(),
 			HitRatio:       res.Report.HitRatio,

@@ -132,6 +132,10 @@ func runFlowerSharded(p Params, traceCapacity int) (Result, *trace.Buffer, error
 		BarriersRun:   eng.BarriersRun(),
 		WorkerStallNs: append([]int64(nil), eng.WorkerStallNs()...),
 	}
+	for _, k := range append(cells, global) {
+		res.PeriodicEvents += k.PeriodicFired()
+		res.ElidedEvents += k.Elided()
+	}
 	merged := metrics.New(p.metricsConfig(1))
 	for _, cm := range cellMets {
 		merged.MergeFrom(cm, p.Duration)

@@ -46,6 +46,26 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatalf("schedule+cancel allocates %.1f/op, want 0", avg)
 		}
 	})
+
+	t.Run("periodic re-arm", func(t *testing.T) {
+		sink := uint64(0)
+		argFn := func(a uint64) { sink += a }
+		var tks [2 * maxLanes]Ticker // lanes and the heap fallback alike
+		for i := range tks {
+			tks[i] = k.EveryArg(1, Time(1+i), argFn, 1)
+		}
+		k.Run(k.Now() + 64) // lane rings reach capacity
+		fired := k.PeriodicFired()
+		if avg := testing.AllocsPerRun(200, func() { k.Run(k.Now() + 1) }); avg != 0 {
+			t.Fatalf("periodic fire+re-arm allocates %.1f/op, want 0", avg)
+		}
+		if k.PeriodicFired()-fired < 200 {
+			t.Fatal("the measured runs fired no periodic timers")
+		}
+		for _, tk := range tks {
+			tk.Stop()
+		}
+	})
 }
 
 // BenchmarkKernelSchedule measures the full schedule→fire round trip. The

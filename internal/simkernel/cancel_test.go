@@ -133,7 +133,7 @@ func TestTickerStopElidesPendingFiring(t *testing.T) {
 func TestTickerStopFromOwnCallbackThenRestartable(t *testing.T) {
 	k := New(1)
 	count := 0
-	var tk *Ticker
+	var tk Ticker
 	tk = k.Every(0, 10, func() {
 		count++
 		if count == 2 {

@@ -1,27 +1,34 @@
 // Package simkernel implements a deterministic discrete-event simulation
 // kernel, the substrate that replaces PeerSim in the paper's evaluation.
 //
-// The kernel maintains a virtual clock in milliseconds and a 4-ary min-heap
-// of pending events. Events scheduled for the same instant fire in
-// scheduling order (FIFO), which makes runs with the same seed bit-for-bit
-// reproducible. All protocol code in this repository executes inside kernel
-// events; nothing observes wall-clock time.
+// The kernel keeps a virtual clock in milliseconds and a queue of pending
+// (time, seq, slot, gen) records popped in (time, seq) order: events
+// scheduled for the same instant fire in scheduling order (FIFO), so runs
+// with the same seed are bit-for-bit reproducible. All protocol code in this
+// repository executes inside kernel events; nothing observes wall-clock time.
 //
-// Timers are slab-allocated: the heap holds small (time, seq, slot, gen)
-// records while the callbacks live in a reusable slot arena. Scheduling
-// returns a TimerHandle that can cancel the timer before it fires; a
-// cancelled entry is elided lazily when it reaches the top of the heap, so
-// cancellation is O(1) and the heap is never re-sifted. Generation counters
-// make handles ABA-safe across slot reuse.
+// The queue is a 4-ary min-heap plus up to maxLanes FIFO lanes. One-shot
+// timers go to the heap. A periodic timer (Every/EveryArg) is a slot that
+// carries its period: its first firing is a heap record, and after each
+// callback returns Run itself stamps the next one (now+period, next seq)
+// onto the lane of that period. The clock never runs backwards and seq only
+// grows, so a lane is sorted by construction, its push and pop are O(1), and
+// Run takes the earlier of the heap top and the earliest lane head — the
+// total order one big heap would yield, so lanes change no pop sequence. The
+// protocol has a handful of period constants and nearly every pending event
+// is a timer waiting out its period, so the heap is left with messages in
+// flight and armed deadlines. A period that finds every lane taken re-arms
+// through the heap, as would a record that broke its lane's order.
 //
-// The heap is hand-rolled rather than container/heap: the stdlib interface
-// boxes every pushed and popped record through `any`, which costs one heap
-// allocation per scheduled event. With the inlined sift-up/sift-down below,
-// scheduling and firing allocate nothing in steady state (the event slice,
-// slot arena and free list all reach a stable capacity), which
-// TestHotPathAllocs locks in. The 4-ary shape halves tree depth versus a
-// binary heap, trading slightly wider sibling scans (cache-friendly: four
-// 24-byte records share two cache lines) for fewer comparison levels.
+// Callbacks live in a reusable slot arena. Scheduling returns a TimerHandle
+// (a Ticker for periodic timers) that cancels in O(1): the dead record is
+// elided lazily when it surfaces at the heap top or a lane head, and
+// generation counters make handles ABA-safe across slot reuse.
+//
+// The heap is hand-rolled (container/heap boxes every record through `any`)
+// and 4-ary (half a binary heap's depth; four 24-byte records share two cache
+// lines); lanes are rings that only ever double. Scheduling, firing and
+// periodic re-arming allocate nothing in steady state (TestHotPathAllocs).
 package simkernel
 
 import (
@@ -72,18 +79,18 @@ type event struct {
 	gen  uint32
 }
 
-// eventHeap is a 4-ary min-heap ordered by (at, seq). seq is unique, so the
-// order is total and every correct heap yields the same pop sequence — the
-// golden-trace test holds across heap-shape changes.
-type eventHeap []event
-
-// less is the (at, seq) ordering shared by sift-up and sift-down.
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the (at, seq) order the heap and the lanes share. seq is unique,
+// so the order is total and every correct queue yields the same pop
+// sequence — the golden-trace test holds across queue-shape changes.
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
+
+// eventHeap is a 4-ary min-heap ordered by before.
+type eventHeap []event
 
 // push appends e and sifts it up. No boxing, no interface calls.
 func (h *eventHeap) push(e event) {
@@ -91,7 +98,7 @@ func (h *eventHeap) push(e event) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !q.less(i, p) {
+		if !q[i].before(q[p]) {
 			break
 		}
 		q[i], q[p] = q[p], q[i]
@@ -119,11 +126,11 @@ func (h *eventHeap) pop() event {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if q.less(j, best) {
+			if q[j].before(q[best]) {
 				best = j
 			}
 		}
-		if !q.less(best, i) {
+		if !q[best].before(q[i]) {
 			break
 		}
 		q[i], q[best] = q[best], q[i]
@@ -140,18 +147,48 @@ func (h eventHeap) peek() (event, bool) { // caller checks Len first
 	return h[0], true
 }
 
+// maxLanes caps the distinct periods that get a FIFO lane; a periodic timer
+// of any further period re-arms through the heap.
+const maxLanes = 8
+
+// lane is a ring buffer of the pending re-arm records of one period. Each is
+// stamped (now+period, next seq), so they arrive already sorted by (at, seq):
+// push and pop are O(1) and the head is the lane's minimum.
+type lane struct {
+	period Time
+	ring   []event // power-of-two length, doubled when full
+	head   int
+	n      int
+}
+
+func (l *lane) at(i int) *event { return &l.ring[(l.head+i)&(len(l.ring)-1)] }
+
+func (l *lane) push(e event) {
+	if l.n == len(l.ring) {
+		grown := make([]event, max(64, 2*l.n))
+		c := copy(grown, l.ring[l.head:])
+		copy(grown[c:], l.ring[:l.head])
+		l.ring, l.head = grown, 0
+	}
+	l.n++
+	*l.at(l.n - 1) = e
+}
+
 // timerSlot is one arena cell. gen increments every time the slot is
 // handed out, so stale heap records and stale handles can be recognised.
 // A slot carries either a plain callback (fn) or an argument-taking
 // callback (argFn + arg); the latter lets long-lived callers schedule with
 // a reusable function value instead of a fresh closure, so the whole
-// schedule→fire round trip performs zero heap allocations.
+// schedule→fire round trip performs zero heap allocations. period > 0
+// marks a periodic timer: the slot (and so the handle) survives its firings
+// and Run re-arms it after each callback until it is cancelled.
 type timerSlot struct {
-	gen   uint32
-	live  bool
-	fn    func()
-	argFn func(uint64)
-	arg   uint64
+	gen    uint32
+	live   bool
+	fn     func()
+	argFn  func(uint64)
+	arg    uint64
+	period Time
 }
 
 // TimerHandle identifies a scheduled timer. The zero value is inert:
@@ -178,6 +215,7 @@ func (h TimerHandle) Cancel() bool {
 	s.live = false
 	s.fn = nil
 	s.argFn = nil
+	s.period = 0
 	h.k.free = append(h.k.free, h.slot)
 	h.k.live--
 	h.k.cancelled++
@@ -203,8 +241,11 @@ func (h TimerHandle) Active() bool {
 // usable; construct with New.
 type Kernel struct {
 	now   Time
-	queue eventHeap
+	queue eventHeap // one-shots, first firings, lane overflow
 	seq   uint64
+
+	lanes   [maxLanes]lane // claimed in index order; period 0 = unclaimed
+	minLane *lane          // non-empty lane with the earliest head, or nil
 
 	slots []timerSlot
 	free  []uint32 // reusable slot indices
@@ -213,6 +254,7 @@ type Kernel struct {
 	seed      int64
 	rng       *rand.Rand
 	processed uint64
+	periodic  uint64
 	cancelled uint64
 	elided    uint64
 	stopped   bool
@@ -276,25 +318,74 @@ func (k *Kernel) DeriveRNGAt(label string, index int) *rand.Rand {
 // Processed reports how many events have fired so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
+// PeriodicFired reports how many of the Processed events were firings of
+// periodic timers (Every/EveryArg); the rest were one-shots.
+func (k *Kernel) PeriodicFired() uint64 { return k.periodic }
+
 // Cancelled reports how many timers were revoked before firing.
 func (k *Kernel) Cancelled() uint64 { return k.cancelled }
 
-// Elided reports how many dead heap records were skipped during Run —
-// the queue garbage that lazy deletion absorbed.
+// Elided reports how many dead records were skipped during Run — the
+// queue garbage that lazy deletion absorbed.
 func (k *Kernel) Elided() uint64 { return k.elided }
 
 // Pending reports how many live timers are waiting to fire. Cancelled
-// entries still occupying the heap are not counted.
+// entries still occupying the queue are not counted.
 func (k *Kernel) Pending() int { return k.live }
 
-// NextEvent returns the timestamp of the earliest heap record, if any.
+// NextEvent returns the timestamp of the earliest pending record, if any.
 // The record may be a lazily-cancelled timer that will be elided without
 // firing, so the returned time is a lower bound on the next real event —
 // exactly what the epoch engine needs to fast-forward over idle stretches
 // without ever skipping work.
 func (k *Kernel) NextEvent() (Time, bool) {
-	ev, ok := k.queue.peek()
+	ev, _, ok := k.peek()
 	return ev.at, ok
+}
+
+// peek returns the earliest pending record and the lane it heads (nil: the
+// heap top). Lanes cost a heap event one compare, against the cached minimum.
+func (k *Kernel) peek() (event, *lane, bool) {
+	ev, ok := k.queue.peek()
+	if l := k.minLane; l != nil && (!ok || l.at(0).before(ev)) {
+		return *l.at(0), l, true
+	}
+	return ev, nil, ok
+}
+
+// popLane drops the head of l (the current minLane) and re-elects minLane.
+func (k *Kernel) popLane(l *lane) {
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	k.minLane = nil
+	for i := range k.lanes {
+		if c := &k.lanes[i]; c.n > 0 && (k.minLane == nil || c.at(0).before(*k.minLane.at(0))) {
+			k.minLane = c
+		}
+	}
+}
+
+// rearm queues a periodic slot's next firing on the lane of its period (or a
+// free one), or on the heap if none is left or the lane's order would break.
+func (k *Kernel) rearm(slot, gen uint32, period Time) {
+	k.seq++
+	e := event{at: k.now + period, seq: k.seq, slot: slot, gen: gen}
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		if l.period != period && l.period != 0 {
+			continue
+		}
+		if l.n > 0 && l.at(l.n-1).at > e.at {
+			break
+		}
+		l.period = period
+		l.push(e)
+		if l.n == 1 && (k.minLane == nil || e.before(*k.minLane.at(0))) {
+			k.minLane = l
+		}
+		return
+	}
+	k.queue.push(e)
 }
 
 // alloc takes a slot from the free list (or grows the arena) and bumps its
@@ -369,50 +460,32 @@ func (k *Kernel) AfterArg(d Time, fn func(uint64), arg uint64) TimerHandle {
 	return k.AtArg(k.now+d, fn, arg)
 }
 
-// Ticker repeatedly schedules a function at a fixed period until stopped.
-type Ticker struct {
-	k       *Kernel
-	period  Time
-	fn      func()
-	fireFn  func() // t.fire bound once; rescheduling allocates no method value
-	next    TimerHandle
-	stopped bool
+// Ticker is the handle of a periodic timer. The zero value is inert and
+// reports Stopped.
+type Ticker TimerHandle
+
+// Every is EveryArg for a plain closure, for low-volume callers.
+func (k *Kernel) Every(start, period Time, fn func()) Ticker {
+	return k.EveryArg(start, period, func(uint64) { fn() }, 0)
 }
 
-// Every schedules fn to run every period, with the first firing after
-// start. It returns a Ticker whose Stop method cancels future firings.
-func (k *Kernel) Every(start, period Time, fn func()) *Ticker {
+// EveryArg schedules fn(arg) to run every period, first after start (an
+// ordinary heap record); Run re-arms it each time the callback returns.
+func (k *Kernel) EveryArg(start, period Time, fn func(uint64), arg uint64) Ticker {
 	if period <= 0 {
 		panic("simkernel: non-positive ticker period")
 	}
-	t := &Ticker{k: k, period: period, fn: fn}
-	t.fireFn = t.fire
-	t.next = k.After(start, t.fireFn)
-	return t
-}
-
-func (t *Ticker) fire() {
-	if t.stopped {
-		return
-	}
-	t.fn()
-	if !t.stopped { // fn may have stopped the ticker
-		t.next = t.k.After(t.period, t.fireFn)
-	}
+	h := k.AfterArg(start, fn, arg)
+	k.slots[h.slot].period = period
+	return Ticker(h)
 }
 
 // Stop cancels the ticker, revoking its pending firing. Safe to call
 // multiple times, including from inside the ticker's own callback.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.next.Cancel()
-}
+func (t Ticker) Stop() { TimerHandle(t).Cancel() }
 
-// Stopped reports whether Stop has been called.
-func (t *Ticker) Stopped() bool { return t.stopped }
+// Stopped reports whether the ticker no longer fires.
+func (t Ticker) Stopped() bool { return !TimerHandle(t).Active() }
 
 // Run executes events in timestamp order until the queue is empty, the
 // clock reaches until, or Stop is called. Events scheduled exactly at
@@ -422,26 +495,29 @@ func (t *Ticker) Stopped() bool { return t.stopped }
 func (k *Kernel) Run(until Time) uint64 {
 	k.stopped = false
 	var n uint64
-	for {
-		if k.stopped {
-			break
-		}
-		ev, ok := k.queue.peek()
+	for !k.stopped {
+		ev, l, ok := k.peek()
 		if !ok || ev.at > until {
 			break
 		}
-		k.queue.pop()
+		if l != nil {
+			k.popLane(l)
+		} else {
+			k.queue.pop()
+		}
 		s := &k.slots[ev.slot]
 		if s.gen != ev.gen || !s.live {
 			k.elided++
 			continue
 		}
-		fn, argFn, arg := s.fn, s.argFn, s.arg
-		s.live = false
-		s.fn = nil
-		s.argFn = nil
-		k.free = append(k.free, ev.slot)
-		k.live--
+		fn, argFn, arg, period := s.fn, s.argFn, s.arg, s.period
+		if period == 0 {
+			s.live = false
+			s.fn = nil
+			s.argFn = nil
+			k.free = append(k.free, ev.slot)
+			k.live--
+		}
 		k.now = ev.at
 		if argFn != nil {
 			argFn(arg)
@@ -450,6 +526,13 @@ func (k *Kernel) Run(until Time) uint64 {
 		}
 		n++
 		k.processed++
+		if period > 0 {
+			k.periodic++
+			// Unless the callback stopped it (the slot may already be re-let).
+			if s := &k.slots[ev.slot]; s.gen == ev.gen && s.live {
+				k.rearm(ev.slot, ev.gen, period)
+			}
+		}
 	}
 	if k.now < until && !k.stopped {
 		k.now = until // idle time passes even with an empty queue

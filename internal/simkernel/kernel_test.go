@@ -111,7 +111,7 @@ func TestTicker(t *testing.T) {
 func TestTickerStopInsideCallback(t *testing.T) {
 	k := New(1)
 	count := 0
-	var tk *Ticker
+	var tk Ticker
 	tk = k.Every(0, 10, func() {
 		count++
 		if count == 3 {
