@@ -7,8 +7,8 @@ package bitset
 
 import "math/bits"
 
-// Set is a fixed-capacity bit set. Construct with New; the zero value is
-// an empty set of capacity 0.
+// Set is a fixed-capacity bit set. Construct with New or Over; the zero
+// value is an empty set of capacity 0.
 type Set struct {
 	words []uint64
 	n     int // capacity in bits
@@ -20,7 +20,25 @@ func New(n int) Set {
 	if n < 0 {
 		n = 0
 	}
-	return Set{words: make([]uint64, (n+63)/64), n: n}
+	return Set{words: make([]uint64, Words(n)), n: n}
+}
+
+// Words returns the number of 64-bit words a set of capacity n occupies.
+func Words(n int) int { return (n + 63) / 64 }
+
+// Over creates a set of capacity n over caller-owned storage, so an owner
+// of several sets can carve them all from one array. words must be
+// Words(n) long and must not be shared with another set; bits already set
+// in it are members.
+func Over(words []uint64, n int) Set {
+	if n < 0 || len(words) != Words(n) {
+		panic("bitset: storage does not match capacity")
+	}
+	s := Set{words: words, n: n}
+	for _, w := range words {
+		s.count += bits.OnesCount64(w)
+	}
+	return s
 }
 
 // Cap returns the capacity in bits.

@@ -150,3 +150,34 @@ func TestAgainstMap(t *testing.T) {
 		t.Fatal("Clone shares storage with original")
 	}
 }
+
+// Sets carved from one caller-owned array with Over are independent, count
+// the bits their storage already holds, and reject storage of the wrong
+// length.
+func TestOverCarvedStorage(t *testing.T) {
+	const n = 130 // three words, the last one partial
+	nw := Words(n)
+	words := make([]uint64, 2*nw)
+	words[nw] = 0b101 // pre-set members 0 and 2 of the second set
+	a := Over(words[:nw:nw], n)
+	b := Over(words[nw:], n)
+	if a.Cap() != n || a.Count() != 0 || b.Count() != 2 || !b.Has(0) || !b.Has(2) {
+		t.Fatalf("carved sets start wrong: a=%d b=%d members", a.Count(), b.Count())
+	}
+	for _, i := range []int{0, 63, 64, 129} {
+		a.Set(i)
+	}
+	if a.Count() != 4 || b.Count() != 2 || b.Has(63) || b.Has(129) {
+		t.Fatal("setting bits of one carved set leaked into its neighbour")
+	}
+	b.Reset()
+	if a.Count() != 4 || !a.Has(129) || words[nw] != 0 {
+		t.Fatal("Reset of one carved set did not stay inside its words")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Over accepted storage that does not match the capacity")
+		}
+	}()
+	Over(words, n)
+}

@@ -44,10 +44,16 @@ func New(mBits int, k int) *Filter {
 // NewForCapacity creates a filter sized per Table 1 of the paper: 8 bits
 // per expected item, with the optimal hash count for that load.
 func NewForCapacity(n int) *Filter {
+	return New(8*BytesForCapacity(n), OptimalHashes(8))
+}
+
+// BytesForCapacity is the SizeBytes of every NewForCapacity(n) filter: one
+// byte per expected item.
+func BytesForCapacity(n int) int {
 	if n <= 0 {
 		n = 1
 	}
-	return New(8*n, OptimalHashes(8))
+	return n
 }
 
 // OptimalHashes returns the hash count minimising false positives for a

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"flowercdn/internal/bloom"
+	"flowercdn/internal/gossip"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
@@ -147,8 +149,9 @@ func TestTickerArmAllocs(t *testing.T) {
 }
 
 // TestEnvelopePoolHygiene: a released envelope is zeroed (a pooled push
-// keeps only the capacity of its ∆list arrays), and both releasing it twice
-// and handling it again panic.
+// keeps only the capacity of its ∆list arrays, a pooled serve that of its
+// view seed, cleared), and both releasing it twice and handling it again
+// panic.
 func TestEnvelopePoolHygiene(t *testing.T) {
 	e := newTestEnv(t, 92, nil)
 	s := e.sys
@@ -167,9 +170,13 @@ func TestEnvelopePoolHygiene(t *testing.T) {
 	}
 
 	serve := s.newServeMsg(q, true)
+	serve.ViewSeed = append(serve.ViewSeed, gossip.Entry{Node: 5, Age: 1, Summary: bloom.New(64, 2)})
 	s.putServeMsg(serve)
-	if serve.live || serve.Q != nil || serve.FromContentPeer || serve.ViewSeed != nil {
+	if serve.live || serve.Q != nil || serve.FromContentPeer || len(serve.ViewSeed) != 0 {
 		t.Fatalf("released serve envelope not zeroed: %+v", *serve)
+	}
+	if cap(serve.ViewSeed) < 1 || serve.ViewSeed[:1][0] != (gossip.Entry{}) {
+		t.Fatal("released serve envelope lost its view-seed backing, or still pins a summary through it")
 	}
 	mustPanic("double serve release", func() { s.putServeMsg(serve) })
 	mustPanic("dispatching a released serve envelope", func() {

@@ -186,20 +186,14 @@ type forwardFailMsg struct{ Q *Query }
 
 // serveMsg: provider → requester: the object itself, plus (for freshly
 // admitted clients) the initial view seed of §4.2. The provider is the
-// network sender. Pooled like routedMsg (newServeMsg / putServeMsg).
+// network sender. Pooled like routedMsg; a recycled envelope keeps the
+// backing array of ViewSeed, which the next seed appends into (newServeMsg
+// / putServeMsg).
 type serveMsg struct {
 	live            bool
 	FromContentPeer bool
 	Q               *Query
 	ViewSeed        []gossip.Entry
-}
-
-func (m *serveMsg) wireBytes(objectBytes int) int {
-	n := bytesServeHdr + objectBytes
-	for _, e := range m.ViewSeed {
-		n += e.WireBytes()
-	}
-	return n
 }
 
 // --- Overlay maintenance messages ----------------------------------------

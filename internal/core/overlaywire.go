@@ -40,7 +40,7 @@ func (s *System) gossipTick(h *host) {
 		return
 	}
 	wrapped := s.newGossipMsg(cell, h.cp.Site(), h.cp.Locality(), m)
-	s.net.Send(h.addr, target, simnet.CatGossip, bytesGossipHdr+m.WireBytes(), wrapped)
+	s.net.Send(h.addr, target, simnet.CatGossip, bytesGossipHdr+m.WireBytes(s.cfg.Gossip.SummaryBytes()), wrapped)
 	// Failure detection: no answer within the deadline ⇒ drop the contact.
 	// The reply (or a reject) cancels the armed timer.
 	s.hs.gossipToken[h.addr]++
@@ -78,7 +78,7 @@ func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 	reply := h.cp.AcceptGossip(m, s.prand(h.addr), s.takeSubsetBuf(cell))
 	rw := s.newGossipMsg(cell, wrapped.Site, wrapped.Loc, reply)
 	s.putGossipMsg(cell, wrapped)
-	s.net.Send(h.addr, m.From, simnet.CatGossip, bytesGossipHdr+reply.WireBytes(), rw)
+	s.net.Send(h.addr, m.From, simnet.CatGossip, bytesGossipHdr+reply.WireBytes(s.cfg.Gossip.SummaryBytes()), rw)
 }
 
 func (s *System) handleGossipReject(h *host, m gossipRejectMsg) {

@@ -418,7 +418,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 		if q.NewClient && q.handlerIsLocal {
 			q.admitted = h.dir.AddOptimistic(q.Origin, q.Ref)
 			if q.admitted {
-				q.dirSeed = s.dirViewSeed(h, q.Origin)
+				q.dirSeed = s.dirViewSeed(h, q)
 				if s.cfg.Hardened {
 					s.hs.noteAdmit(q.Origin, q.Ref)
 				}
@@ -663,9 +663,10 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		h.cp.Site() == q.Site && h.cp.Locality() == q.OriginLoc {
 		// §4.2: a client served by a content peer of its own overlay seeds
 		// its view from that peer's view.
-		msg.ViewSeed = h.cp.ViewSeedFor(s.prand(h.addr))
+		msg.ViewSeed = h.cp.ViewSeedFor(s.prand(h.addr), msg.ViewSeed)
 	}
-	s.net.Send(h.addr, q.Origin, simnet.CatTransfer, msg.wireBytes(s.cfg.ObjectBytes), msg)
+	s.net.Send(h.addr, q.Origin, simnet.CatTransfer,
+		bytesServeHdr+s.cfg.ObjectBytes+gossip.WireBytes(msg.ViewSeed, s.cfg.Gossip.SummaryBytes()), msg)
 	if s.cfg.Hardened {
 		// Delivery guard: the transfer itself can fall to loss or a
 		// partition. If the object never lands, re-fetch from the origin
@@ -685,10 +686,10 @@ func (s *System) onDeliveryTimeout(h *host, q *Query) {
 // handleServe completes the query at the requester: store the object, join
 // the overlay if admitted, push the content delta.
 func (s *System) handleServe(h *host, m *serveMsg) {
-	q, viewSeed := m.Q, m.ViewSeed
-	s.putServeMsg(m)
+	q := m.Q
 	s.settle(q)
 	if q.finished {
+		s.putServeMsg(m)
 		return // duplicate delivery after a retry race
 	}
 	q.finished = true
@@ -703,8 +704,9 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 		s.hs.clearAdmit(h.addr, q.Ref)
 	}
 	if h.cp == nil && q.NewClient && q.admitted && q.handlerIsLocal {
-		s.joinOverlay(h, q, viewSeed)
+		s.joinOverlay(h, q, m.ViewSeed) // copied into the new view
 	}
+	s.putServeMsg(m)
 	if h.cp == nil && q.needDirBootstrap {
 		// The client's locality has no directory (and therefore no overlay
 		// to admit it). It founds the overlay itself: become its first
@@ -784,42 +786,48 @@ func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
 }
 
 // dirViewSeed builds the view seed a directory hands to a client it admits
-// but cannot have served locally: random index members, ages included,
-// summaries absent (§4.2).
-func (s *System) dirViewSeed(h *host, exclude simnet.NodeID) []gossip.Entry {
+// but cannot have served locally: up to L_gossip random index members, ages
+// included, summaries absent (§4.2). The seed is carved from the slab of the
+// query's cell and lives as long as the query.
+func (s *System) dirViewSeed(h *host, q *Query) []gossip.Entry {
+	p := &s.mpools[s.cellIdx(q.Origin)]
+	want := s.cfg.Gossip.GossipLen
+	if cap(p.seeds)-len(p.seeds) < want {
+		p.seeds = make([]gossip.Entry, 0, queryChunk*want)
+	}
+	seed := p.seeds[len(p.seeds) : len(p.seeds) : len(p.seeds)+want]
 	if s.cfg.SparseSeeds {
-		return s.sparseDirViewSeed(h, exclude)
-	}
-	members := h.dir.Members()
-	s.prand(h.addr).Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-	var seed []gossip.Entry
-	for _, m := range members {
-		if m == exclude {
-			continue
+		seed = s.sparseDirViewSeed(h, q.Origin, seed)
+	} else {
+		p.members = h.dir.AppendMembers(p.members[:0])
+		members := p.members
+		s.prand(h.addr).Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		for _, m := range members {
+			if m == q.Origin {
+				continue
+			}
+			seed = append(seed, gossip.Entry{Node: m, Age: 0})
+			if len(seed) == want {
+				break
+			}
 		}
-		seed = append(seed, gossip.Entry{Node: m, Age: 0})
-		if len(seed) >= s.cfg.Gossip.GossipLen {
-			break
-		}
 	}
+	p.seeds = p.seeds[:len(p.seeds)+len(seed)]
 	return seed
 }
 
-// sparseDirViewSeed is the Config.SparseSeeds variant: up to L_gossip
-// distinct members sampled with O(L_gossip) bounded draws against the
-// directory's member list — no membership snapshot, no full shuffle. The
-// oversampling bound keeps the cost constant even when the index is
-// smaller than the requested seed or dominated by the excluded client.
-func (s *System) sparseDirViewSeed(h *host, exclude simnet.NodeID) []gossip.Entry {
+// sparseDirViewSeed is the Config.SparseSeeds variant: it fills seed to its
+// capacity (at most) with distinct members sampled with O(L_gossip) bounded
+// draws against the directory's member list — no membership snapshot, no
+// full shuffle. The oversampling bound keeps the cost constant even when
+// the index is smaller than the requested seed or dominated by the excluded
+// client.
+func (s *System) sparseDirViewSeed(h *host, exclude simnet.NodeID, seed []gossip.Entry) []gossip.Entry {
 	n := h.dir.MemberCount()
-	if n == 0 {
-		return nil
-	}
-	want := s.cfg.Gossip.GossipLen
+	want := cap(seed)
 	if want > n {
 		want = n
 	}
-	var seed []gossip.Entry
 draws:
 	for tries := 0; tries < 4*want && len(seed) < want; tries++ {
 		m := h.dir.MemberAt(s.prand(h.addr).Intn(n))

@@ -136,11 +136,15 @@ type msgPool struct {
 	routed []*routedMsg
 	push   []*pushMsg
 
-	// Bump-allocated slabs: Query records and their candidate lists are
-	// carved from the current chunk and never reused, so a chunk becomes
-	// garbage as a whole once every query in it has.
+	// Bump-allocated slabs: Query records, their candidate lists and the
+	// view seeds directories hand them are carved from the current chunk and
+	// never reused, so a chunk becomes garbage as a whole once every query
+	// in it has.
 	queries []Query
 	cands   []simnet.NodeID
+	seeds   []gossip.Entry
+
+	members []simnet.NodeID // dirViewSeed's reusable membership snapshot
 
 	// Await registry: awaiting[i] is the query whose armed timeout carries
 	// slot i in its timer argument (nil = free). awaitTok numbers the cell's
@@ -199,7 +203,12 @@ func (s *System) newServeMsg(q *Query, fromContentPeer bool) *serveMsg {
 	return m
 }
 
-func (s *System) putServeMsg(m *serveMsg) { put(&s.mpools[s.cellIdx(m.Q.Origin)].serve, m, &m.live) }
+func (s *System) putServeMsg(m *serveMsg) {
+	seed := m.ViewSeed
+	clear(seed) // do not pin summaries while pooled
+	put(&s.mpools[s.cellIdx(m.Q.Origin)].serve, m, &m.live)
+	m.ViewSeed = seed[:0]
+}
 
 // newRoutedMsg builds a routed envelope with a fresh TTL for owner: the
 // origin of the query looked up (q set), or the candidate of a
@@ -623,13 +632,15 @@ func (s *System) placeDirectoriesAndPools() error {
 			}
 		}
 	}
-	// Per-(active site, locality) client pools.
+	// Per-(active site, locality) client pools, each pool's hosts one slab
+	// (a slice that never grows, so the pointers stay stable).
 	actives := s.cfg.ActiveSiteIDs()
 	s.pools = make([][][]simnet.NodeID, len(actives))
 	for si := range actives {
 		s.pools[si] = make([][]simnet.NodeID, s.cfg.Localities)
 		for loc := 0; loc < s.cfg.Localities; loc++ {
-			for m := 0; m < s.cfg.PoolSizes[si][loc]; m++ {
+			slab := make([]host, s.cfg.PoolSizes[si][loc])
+			for m := range slab {
 				addr, err := next(loc)
 				if err != nil {
 					return err
@@ -637,7 +648,8 @@ func (s *System) placeDirectoriesAndPools() error {
 				if err := s.checkSubcell(addr, loc, si); err != nil {
 					return err
 				}
-				h := &host{sys: s, addr: addr}
+				h := &slab[m]
+				h.sys, h.addr = s, addr
 				s.hs.loc[addr] = int32(loc)
 				s.hosts[addr] = h
 				s.net.Register(addr, h)

@@ -2,6 +2,7 @@ package dring
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"flowercdn/internal/bitset"
@@ -160,10 +161,16 @@ func (d *Directory) HasPeer(node simnet.NodeID) bool {
 
 // Members returns the indexed content peers in ascending node order.
 func (d *Directory) Members() []simnet.NodeID {
-	out := make([]simnet.NodeID, len(d.nodes))
-	copy(out, d.nodes)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return d.AppendMembers(make([]simnet.NodeID, 0, len(d.nodes)))
+}
+
+// AppendMembers is Members appending to dst (allocation-free once dst has
+// room for the membership).
+func (d *Directory) AppendMembers(dst []simnet.NodeID) []simnet.NodeID {
+	base := len(dst)
+	dst = append(dst, d.nodes...)
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // MemberCount returns the number of indexed content peers (= Size).

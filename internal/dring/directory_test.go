@@ -1,6 +1,7 @@
 package dring
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -299,6 +300,14 @@ func TestMembersSorted(t *testing.T) {
 		if m[i] <= m[i-1] {
 			t.Fatalf("members not sorted: %v", m)
 		}
+	}
+	// The append form sorts only what it appends, into the caller's storage.
+	buf := append(make([]simnet.NodeID, 0, 8), 99)
+	if avg := testing.AllocsPerRun(20, func() { buf = d.AppendMembers(buf[:1]) }); avg != 0 {
+		t.Fatalf("AppendMembers allocates %.0f times with room in dst, want 0", avg)
+	}
+	if fmt.Sprint(buf) != "[99 1 3 7 9]" {
+		t.Fatalf("AppendMembers = %v, want [99 1 3 7 9]", buf)
 	}
 }
 

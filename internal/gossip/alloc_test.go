@@ -10,8 +10,8 @@ import (
 // BenchmarkGossipRound drives the per-round view operations of Algorithm 4
 // — age, select a subset, merge the partner's subset — on two steady-state
 // views. After warm-up the only allocation left is the subset slice that
-// escapes into the outgoing message; Merge and the Fisher–Yates index
-// buffer reuse the views' scratch storage.
+// escapes into the outgoing message; Merge works in place and the
+// Fisher–Yates index buffer is stack storage.
 func BenchmarkGossipRound(b *testing.B) {
 	const viewSize, gossipLen = 24, 10
 	a := NewView(1, viewSize)
@@ -32,9 +32,10 @@ func BenchmarkGossipRound(b *testing.B) {
 	}
 }
 
-// Merge on its own must allocate nothing once the scratch buffers exist,
-// and getting there from an empty view must cost a bounded handful of
-// right-sized buffers, not an append-doubling crawl per array.
+// Merge on its own must allocate nothing once the entries array exists, and
+// getting there from an empty view must cost that one right-sized array,
+// not an append-doubling crawl. Insert and a Refresh of an absent node ride
+// the same in-place path.
 func TestMergeAllocFree(t *testing.T) {
 	const viewSize, gossipLen = 24, 8
 	growth := testing.AllocsPerRun(20, func() {
@@ -47,9 +48,9 @@ func TestMergeAllocFree(t *testing.T) {
 			g.Merge(sub)
 		}
 	})
-	// View + subset + one sizing of each of the two swapped arrays.
-	if growth > 4 {
-		t.Fatalf("empty view to steady state costs %.0f allocations, want <= 4", growth)
+	// View + subset + the entries array, sized once.
+	if growth > 3 {
+		t.Fatalf("empty view to steady state costs %.0f allocations, want <= 3", growth)
 	}
 
 	v := NewView(0, 24)
@@ -60,10 +61,21 @@ func TestMergeAllocFree(t *testing.T) {
 	for i := range in {
 		in[i] = Entry{Node: simnet.NodeID(20 + i), Age: i % 3}
 	}
-	v.Merge(in) // warm both scratch buffers
-	v.Merge(in)
+	v.Merge(in) // sizes the entries array for this input
 	if avg := testing.AllocsPerRun(100, func() { v.Merge(in) }); avg != 0 {
 		t.Fatalf("Merge allocates %.1f/op in steady state, want 0", avg)
+	}
+	node := simnet.NodeID(1000)
+	if avg := testing.AllocsPerRun(100, func() {
+		node++
+		v.IncrementAges()
+		v.Insert(Entry{Node: node, Age: 1})
+		v.Refresh(node+5000, nil) // absent: inserted
+	}); avg != 0 {
+		t.Fatalf("Insert + Refresh of an absent node allocate %.1f/op, want 0", avg)
+	}
+	if !v.Contains(node + 5000) {
+		t.Fatal("Refresh did not insert the absent node")
 	}
 }
 
@@ -82,7 +94,7 @@ func TestDropOlderAllocFree(t *testing.T) {
 	for i := range in {
 		in[i] = Entry{Node: simnet.NodeID(100 + i), Age: 4 + i%3}
 	}
-	v.Merge(in) // warm Merge's scratch so only DropOlderThan is measured
+	v.Merge(in) // size the entries array so only DropOlderThan is measured
 	v.DropOlderThan(4)
 	evicted := 0
 	avg := testing.AllocsPerRun(100, func() {

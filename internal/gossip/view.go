@@ -29,12 +29,28 @@ type Entry struct {
 	Summary *bloom.Filter
 }
 
+// entryHdrBytes is an entry's serialized address (6 B) and age (2 B).
+const entryHdrBytes = 6 + 2
+
 // WireBytes models the serialized entry size for traffic accounting:
-// 6 B address + 2 B age + the summary bit-array.
+// address and age + the summary bit-array.
 func (e Entry) WireBytes() int {
-	n := 6 + 2
+	n := entryHdrBytes
 	if e.Summary != nil {
 		n += e.Summary.SizeBytes()
+	}
+	return n
+}
+
+// WireBytes is the sum of Entry.WireBytes over entries when every summary
+// is summaryBytes long — an overlay's summaries share one shape — so sizing
+// a message does not load one cold filter header per entry.
+func WireBytes(entries []Entry, summaryBytes int) int {
+	n := entryHdrBytes * len(entries)
+	for i := range entries {
+		if entries[i].Summary != nil {
+			n += summaryBytes
+		}
 	}
 	return n
 }
@@ -42,28 +58,33 @@ func (e Entry) WireBytes() int {
 // View is a bounded set of entries about distinct peers, owned by one peer
 // (the owner never appears in its own view).
 //
-// The view keeps two pieces of reusable scratch storage so the per-round
-// operations (Merge each exchange, SelectSubset each send) stop allocating
-// once their buffers reach steady-state capacity: a spare entry slice that
-// Merge builds into and then swaps with the live one, and an index buffer
-// for SelectSubset's partial shuffle.
+// The per-round operations stop allocating once their storage exists: Merge
+// works in place on the entries array, which is sized once with room for a
+// received subset past the capacity, and SelectSubset's partial shuffle
+// runs over a stack buffer (views past 64 entries keep one of their own).
 type View struct {
 	owner    simnet.NodeID
 	capacity int
 	entries  []Entry // kept sorted by (Age, Node) — "most recent" first
 
-	scratch []Entry         // Merge's build buffer, swapped with entries each call
-	idx     []int32         // SelectSubset's reusable index buffer
+	idx     []int32         // SelectSubset's index buffer, views past 64 entries only
 	match   []simnet.NodeID // MatchingSummaries' reusable result buffer
 	evicted []simnet.NodeID // DropOlderThan's reusable result buffer
 }
 
-// NewView creates an empty view with the given capacity (V_gossip).
-func NewView(owner simnet.NodeID, capacity int) *View {
+// MakeView returns an empty view with the given capacity (V_gossip), for
+// owners that embed their view by value.
+func MakeView(owner simnet.NodeID, capacity int) View {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &View{owner: owner, capacity: capacity}
+	return View{owner: owner, capacity: capacity}
+}
+
+// NewView is MakeView on the heap.
+func NewView(owner simnet.NodeID, capacity int) *View {
+	v := MakeView(owner, capacity)
+	return &v
 }
 
 // Owner returns the peer owning this view.
@@ -176,10 +197,17 @@ func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
 	if l >= n {
 		return append(dst, v.entries...)
 	}
-	if cap(v.idx) < n {
-		v.idx = make([]int32, n)
+	// The index buffer is stack storage for all but outsized views, which
+	// keep one sized once to the capacity (n never exceeds it).
+	var small [64]int32
+	idx := small[:]
+	if n > len(small) {
+		if cap(v.idx) < n {
+			v.idx = make([]int32, v.capacity)
+		}
+		idx = v.idx
 	}
-	idx := v.idx[:n]
+	idx = idx[:n]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
@@ -208,28 +236,42 @@ func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
 // Insert adds or refreshes a single entry, keeping the freshest instance,
 // then truncates to capacity (a one-entry Merge).
 func (v *View) Insert(e Entry) {
-	v.Merge([]Entry{e})
+	v.Merge(nil, e)
 }
 
 // Merge implements merge() + select_recent() from Algorithm 4: combine the
-// current entries with the received ones, discard duplicates keeping the
-// smallest age (refreshing the summary from the fresher instance), drop the
-// owner, and keep the capacity most-recent entries.
+// current entries with the received ones and then the extra ones (a gossip
+// partner's own entry rides there, so callers need not assemble one slice),
+// discard duplicates keeping the smallest age (refreshing the summary from
+// the fresher instance), drop the owner, and keep the capacity most-recent
+// entries.
 //
-// The combined set is built in the view's scratch slice and swapped with
-// the live one, and duplicates are found by linear scan — views are tens
-// of entries, where the scan beats a throwaway map and, unlike the map,
-// allocates nothing in steady state.
-func (v *View) Merge(received []Entry) {
-	s := v.scratch[:0]
-	if cap(s) < len(v.entries)+len(received) {
-		// One right-sized buffer (entries never exceed capacity) instead of
-		// append's doubling crawl: each of the two arrays is sized once.
-		s = make([]Entry, 0, v.capacity+len(received))
+// The combined set is built in place, in the spare room the entries array
+// keeps past the capacity, and duplicates are found by linear scan — views
+// are tens of entries, where the scan beats a throwaway map and, unlike the
+// map, allocates nothing.
+func (v *View) Merge(received []Entry, extra ...Entry) {
+	s := v.entries
+	if in := len(received) + len(extra); cap(s) < len(s)+in {
+		// One right-sized array (entries never exceed capacity) instead of
+		// append's doubling crawl.
+		s = make([]Entry, len(s), v.capacity+in)
+		copy(s, v.entries)
 	}
-	// The live entries are already deduped and owner-free (invariant).
-	s = append(s, v.entries...)
-	for _, e := range received {
+	s = v.mergeInto(s, received)
+	s = v.mergeInto(s, extra)
+	sortByAgeNode(s)
+	if len(s) > v.capacity {
+		clear(s[v.capacity:]) // truncated entries must not pin their summaries
+		s = s[:v.capacity]
+	}
+	v.entries = s
+}
+
+// mergeInto folds in into s, which has room for all of it. The entries
+// already in s are deduped and owner-free (invariant).
+func (v *View) mergeInto(s, in []Entry) []Entry {
+	for _, e := range in {
 		if e.Node == v.owner {
 			continue
 		}
@@ -254,24 +296,7 @@ func (v *View) Merge(received []Entry) {
 			s = append(s, e)
 		}
 	}
-	sortByAgeNode(s)
-	if len(s) > v.capacity {
-		// Clear the tail so truncated entries do not pin their summaries.
-		for i := v.capacity; i < len(s); i++ {
-			s[i] = Entry{}
-		}
-		s = s[:v.capacity]
-	}
-	// Swap: s (built in the old scratch array) becomes the live slice and
-	// the retired entries array becomes next call's scratch. Its contents
-	// were copied into s, so clear them — stale Entry values would pin
-	// their bloom-filter summaries until overwritten.
-	prev := v.entries
-	v.entries = s
-	for i := range prev {
-		prev[i] = Entry{}
-	}
-	v.scratch = prev[:0]
+	return s
 }
 
 // Remove deletes the entry for node (dead peer, per §5.1/§5.4).

@@ -270,6 +270,11 @@ func TestWireBytes(t *testing.T) {
 	if e.WireBytes() != 8+500 {
 		t.Fatalf("with summary = %d, want 508", e.WireBytes())
 	}
+	// The counted form equals the entry-by-entry sum.
+	es := []Entry{e, entry(2, 1), e}
+	if got := WireBytes(es, e.Summary.SizeBytes()); got != 2*508+8 {
+		t.Fatalf("WireBytes(entries) = %d, want %d", got, 2*508+8)
+	}
 }
 
 // Properties: after any sequence of merges,

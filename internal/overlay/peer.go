@@ -11,9 +11,9 @@
 //
 // Content identity is interned (model.ObjectRef): a peer serves one
 // website, whose ObjectsPerSite objects map to a dense local index, so
-// stored content is a bitset, un-pushed deltas are a dense []int8 and
-// summary rebuilds probe precomputed hashes instead of hashing URL
-// strings.
+// stored content and the un-pushed additions and removals are three
+// bitsets, and summaries are built from precomputed hashes instead of
+// hashing URL strings.
 package overlay
 
 import (
@@ -41,6 +41,10 @@ func DefaultConfig() Config {
 	return Config{ViewSize: 50, GossipLen: 10, PushThreshold: 0.1, SummaryCapacity: 500}
 }
 
+// SummaryBytes is the wire size of every content summary built under this
+// configuration: they all share one shape.
+func (c Config) SummaryBytes() int { return bloom.BytesForCapacity(c.SummaryCapacity) }
+
 // DirInfo is the special view entry for the directory peer (§4.2.1): only
 // address and age, gossiped alongside regular entries so the overlay
 // agrees on who the directory is, especially across replacements (§5.2).
@@ -66,13 +70,12 @@ type GossipMsg struct {
 
 // WireBytes models the message size for traffic accounting: a 20-byte
 // header, the sender summary, the subset entries and the directory entry.
-func (m GossipMsg) WireBytes() int {
-	n := 20 + m.Dir.WireBytes()
+// summaryBytes is the overlay's Config.SummaryBytes: the size is counted
+// from which summaries are present, without dereferencing any.
+func (m GossipMsg) WireBytes(summaryBytes int) int {
+	n := 20 + m.Dir.WireBytes() + gossip.WireBytes(m.ViewSubset, summaryBytes)
 	if m.Summary != nil {
-		n += m.Summary.SizeBytes()
-	}
-	for _, e := range m.ViewSubset {
-		n += e.WireBytes()
+		n += summaryBytes
 	}
 	return n
 }
@@ -90,7 +93,15 @@ type PushMsg struct {
 // 4 bytes per identifier.
 func (m PushMsg) WireBytes() int { return 20 + 4*(len(m.Added)+len(m.Removed)) }
 
-// ContentPeer is the protocol state of one c(ws,loc).
+// maxFresh bounds the list of objects stored since the last summary
+// snapshot; a peer that stores more between two publications rebuilds.
+const maxFresh = 6
+
+// rebuildSummary in ContentPeer.nFresh: the snapshot cannot be extended.
+const rebuildSummary = -1
+
+// ContentPeer is the protocol state of one c(ws,loc): this struct, one
+// word array behind its three bitsets and the view's entry array.
 type ContentPeer struct {
 	addr simnet.NodeID
 	site model.SiteID
@@ -100,22 +111,23 @@ type ContentPeer struct {
 	in   *model.Interner
 	base model.ObjectRef // first ref of the peer's site
 
-	content      bitset.Set    // stored objects, by local index
-	summary      *bloom.Filter // immutable snapshot; rebuilt when dirty
-	summaryDirty bool
+	// Bit state by local index, carved from one array: the stored objects
+	// and the net un-pushed changes. Tracking the *net* effect (an object
+	// is in at most one of added/removed) rather than an append log keeps
+	// ∆lists replayable in any order.
+	content, added, removed bitset.Set
 
-	// Net un-pushed changes by local index: +1 added, -1 removed, 0 none.
-	// Tracking the *net* effect (not an append log) keeps ∆lists
-	// replayable in any order; pendingCount counts the nonzero entries.
-	pending      []int8
-	pendingCount int
+	// summary is the immutable snapshot last published; fresh[:nFresh] are
+	// the objects stored since, which the next publication adds to a copy of
+	// it. nFresh == rebuildSummary when that is not enough: nothing was
+	// published yet, an object was removed (a Bloom filter cannot delete) or
+	// fresh overflowed.
+	summary *bloom.Filter
+	fresh   [maxFresh]int32
+	nFresh  int8
 
-	view *gossip.View
+	view gossip.View
 	dir  DirInfo
-
-	// mergeScratch assembles "received subset + sender entry" for each
-	// gossip merge without a per-exchange allocation.
-	mergeScratch []gossip.Entry
 
 	joinedAt simkernel.Time
 }
@@ -134,6 +146,9 @@ func New(addr simnet.NodeID, site model.SiteID, loc int, cfg Config, joinedAt si
 	if si < 0 {
 		panic("overlay: site not covered by interner")
 	}
+	n := in.ObjectsPerSite()
+	nw := bitset.Words(n)
+	words := make([]uint64, 3*nw)
 	return &ContentPeer{
 		addr:     addr,
 		site:     site,
@@ -141,9 +156,11 @@ func New(addr simnet.NodeID, site model.SiteID, loc int, cfg Config, joinedAt si
 		cfg:      cfg,
 		in:       in,
 		base:     in.SiteBase(si),
-		content:  bitset.New(in.ObjectsPerSite()),
-		pending:  make([]int8, in.ObjectsPerSite()),
-		view:     gossip.NewView(addr, cfg.ViewSize),
+		content:  bitset.Over(words[:nw:nw], n),
+		added:    bitset.Over(words[nw:2*nw:2*nw], n),
+		removed:  bitset.Over(words[2*nw:], n),
+		nFresh:   rebuildSummary,
+		view:     gossip.MakeView(addr, cfg.ViewSize),
 		joinedAt: joinedAt,
 	}
 }
@@ -163,7 +180,7 @@ func (c *ContentPeer) JoinedAt() simkernel.Time { return c.joinedAt }
 
 // View exposes the gossip view (read-mostly; mutations go through the
 // protocol methods).
-func (c *ContentPeer) View() *gossip.View { return c.view }
+func (c *ContentPeer) View() *gossip.View { return &c.view }
 
 // local maps a ref to the peer's per-site dense index. Refs of other
 // sites map outside [0, ObjectsPerSite); like dring.Directory, the
@@ -207,14 +224,15 @@ func (c *ContentPeer) AddObject(ref model.ObjectRef) {
 	if !c.content.Set(i) {
 		return // duplicate
 	}
-	if c.pending[i] == -1 {
-		c.pending[i] = 0 // remove+add within one window cancels out
-		c.pendingCount--
-	} else {
-		c.pending[i] = 1
-		c.pendingCount++
+	if !c.removed.Clear(i) { // remove+add within one window cancels out
+		c.added.Set(i)
 	}
-	c.summaryDirty = true
+	if c.nFresh >= 0 && c.nFresh < maxFresh {
+		c.fresh[c.nFresh] = int32(i)
+		c.nFresh++
+	} else {
+		c.nFresh = rebuildSummary
+	}
 }
 
 // RemoveObject evicts an object (cache replacement is out of the paper's
@@ -227,31 +245,38 @@ func (c *ContentPeer) RemoveObject(ref model.ObjectRef) {
 	if !c.content.Clear(i) {
 		return // absent
 	}
-	if c.pending[i] == 1 {
-		c.pending[i] = 0
-		c.pendingCount--
-	} else {
-		c.pending[i] = -1
-		c.pendingCount++
+	if !c.added.Clear(i) {
+		c.removed.Set(i)
 	}
-	c.summaryDirty = true
+	c.nFresh = rebuildSummary
 }
 
 // Summary returns the current content summary (Bloom over the content
-// list). The returned filter is an immutable snapshot: a new instance is
-// built after every content change. Rebuilds probe precomputed hashes —
-// zero string hashing.
+// list). The returned filter is an immutable snapshot: after a content
+// change a new instance is published — the last one plus the objects stored
+// since, or a rebuild from the content list when that cannot be had (see
+// nFresh). Either way the probes use precomputed hashes, and the bits and
+// the insertion count are the rebuild's.
 func (c *ContentPeer) Summary() *bloom.Filter {
-	if c.summary == nil || c.summaryDirty {
-		f := bloom.NewForCapacity(c.cfg.SummaryCapacity)
-		c.content.ForEach(func(i int) {
-			h1, h2 := c.in.Hashes(c.base + model.ObjectRef(i))
-			f.AddHash(h1, h2)
-		})
-		c.summary = f
-		c.summaryDirty = false
+	if c.nFresh == 0 {
+		return c.summary
 	}
-	return c.summary
+	var f *bloom.Filter
+	add := func(i int) {
+		h1, h2 := c.in.Hashes(c.base + model.ObjectRef(i))
+		f.AddHash(h1, h2)
+	}
+	if c.nFresh > 0 {
+		f = c.summary.Clone()
+		for _, i := range c.fresh[:c.nFresh] {
+			add(int(i))
+		}
+	} else {
+		f = bloom.NewForCapacity(c.cfg.SummaryCapacity)
+		c.content.ForEach(add)
+	}
+	c.summary, c.nFresh = f, 0
+	return f
 }
 
 // --- Push behaviour (Algorithm 5) ----------------------------------------
@@ -259,7 +284,7 @@ func (c *ContentPeer) Summary() *bloom.Filter {
 // NeedPush reports whether the fraction of un-pushed changes reached the
 // push threshold.
 func (c *ContentPeer) NeedPush() bool {
-	changes := c.pendingCount
+	changes := c.PendingChanges()
 	if changes == 0 {
 		return false
 	}
@@ -278,26 +303,18 @@ func (c *ContentPeer) NeedPush() bool {
 // the message still carries added and removed.
 func (c *ContentPeer) TakePush(added, removed []model.ObjectRef) (PushMsg, bool) {
 	msg := PushMsg{From: c.addr, Added: added, Removed: removed}
-	if c.pendingCount == 0 {
+	if c.PendingChanges() == 0 {
 		return msg, false
 	}
-	for i, delta := range c.pending {
-		if delta == 0 {
-			continue
-		}
-		if delta > 0 {
-			msg.Added = append(msg.Added, c.base+model.ObjectRef(i))
-		} else {
-			msg.Removed = append(msg.Removed, c.base+model.ObjectRef(i))
-		}
-		c.pending[i] = 0
-	}
-	c.pendingCount = 0
+	c.added.ForEach(func(i int) { msg.Added = append(msg.Added, c.base+model.ObjectRef(i)) })
+	c.removed.ForEach(func(i int) { msg.Removed = append(msg.Removed, c.base+model.ObjectRef(i)) })
+	c.added.Reset()
+	c.removed.Reset()
 	return msg, true
 }
 
 // PendingChanges reports the number of un-pushed content changes.
-func (c *ContentPeer) PendingChanges() int { return c.pendingCount }
+func (c *ContentPeer) PendingChanges() int { return c.added.Count() + c.removed.Count() }
 
 // --- Directory entry management (§4.2.1, §5.2) ---------------------------
 
@@ -380,15 +397,7 @@ func (c *ContentPeer) AcceptGossip(msg GossipMsg, rng *rand.Rand, subsetBuf []go
 func (c *ContentPeer) ApplyGossipReply(msg GossipMsg) { c.mergeGossip(msg) }
 
 func (c *ContentPeer) mergeGossip(msg GossipMsg) {
-	// mergeScratch is reusable: Merge copies what it keeps into the view
-	// before returning, so the buffer never escapes an exchange.
-	incoming := append(c.mergeScratch[:0], msg.ViewSubset...)
-	incoming = append(incoming, gossip.Entry{Node: msg.From, Age: 0, Summary: msg.Summary})
-	c.view.Merge(incoming)
-	for i := range incoming {
-		incoming[i] = gossip.Entry{} // do not pin summaries between rounds
-	}
-	c.mergeScratch = incoming[:0]
+	c.view.Merge(msg.ViewSubset, gossip.Entry{Node: msg.From, Age: 0, Summary: msg.Summary})
 	c.ConsiderDir(msg.Dir)
 }
 
@@ -429,10 +438,13 @@ func (c *ContentPeer) AppendCandidates(dst []simnet.NodeID, ref model.ObjectRef,
 	return dst
 }
 
-// ViewSeedFor produces the view subset handed to a newly joined peer that
-// this peer just served, including this peer itself as a fresh entry.
-func (c *ContentPeer) ViewSeedFor(rng *rand.Rand) []gossip.Entry {
-	seed := c.view.SelectSubset(rng, c.cfg.GossipLen)
-	seed = append(seed, gossip.Entry{Node: c.addr, Age: 0, Summary: c.Summary()})
-	return seed
+// ViewSeedFor appends to dst (nil for a fresh slice) the view subset handed
+// to a newly joined peer that this peer just served, including this peer
+// itself as a fresh entry.
+func (c *ContentPeer) ViewSeedFor(rng *rand.Rand, dst []gossip.Entry) []gossip.Entry {
+	if cap(dst) == 0 {
+		dst = make([]gossip.Entry, 0, c.cfg.GossipLen+1) // the subset and this peer, sized once
+	}
+	dst = c.view.SelectSubsetAppend(rng, c.cfg.GossipLen, dst)
+	return append(dst, gossip.Entry{Node: c.addr, Age: 0, Summary: c.Summary()})
 }

@@ -252,7 +252,7 @@ func TestViewSeedForIncludesSelf(t *testing.T) {
 	p := newPeer(7)
 	p.AddObject(ref(5))
 	p.SeedView([]gossip.Entry{{Node: 2, Age: 1}, {Node: 3, Age: 2}})
-	seed := p.ViewSeedFor(rng)
+	seed := p.ViewSeedFor(rng, nil)
 	foundSelf := false
 	for _, e := range seed {
 		if e.Node == 7 {
@@ -296,8 +296,8 @@ func TestGossipWireBytes(t *testing.T) {
 	}
 	// header 20 + dir 8 + own summary 100 + 1 entry (8 + 100).
 	want := 20 + 8 + 100 + 108
-	if msg.WireBytes() != want {
-		t.Fatalf("WireBytes = %d, want %d", msg.WireBytes(), want)
+	if got := msg.WireBytes(p.cfg.SummaryBytes()); got != want {
+		t.Fatalf("WireBytes = %d, want %d", got, want)
 	}
 	// 3 interned refs at 4 B each on top of the 20-byte header.
 	push := PushMsg{From: 1, Added: []model.ObjectRef{ref(0), ref(1)}, Removed: []model.ObjectRef{ref(2)}}

@@ -1,0 +1,147 @@
+package overlay
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"flowercdn/internal/bloom"
+	"flowercdn/internal/gossip"
+	"flowercdn/internal/model"
+)
+
+// TestDeltaListAgainstReference checks the two-bitset ∆list against the
+// dense []int8 it replaced (+1 added, -1 removed, 0 none, net effect per
+// object) over random add/remove/TakePush sequences: same pending count,
+// same push decision, same lists in the same ascending order.
+func TestDeltaListAgainstReference(t *testing.T) {
+	n := testIn.ObjectsPerSite()
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := newPeer(1)
+		stored := make([]bool, n)
+		pending := make([]int8, n)
+		for step := 0; step < 400; step++ {
+			i := rng.Intn(n)
+			switch op := rng.Intn(8); {
+			case op < 4:
+				p.AddObject(ref(i))
+				if !stored[i] {
+					stored[i] = true
+					pending[i]++ // -1 → 0: remove+add cancels; 0 → +1
+				}
+			case op < 7:
+				p.RemoveObject(ref(i))
+				if stored[i] {
+					stored[i] = false
+					pending[i]-- // +1 → 0: add+remove cancels; 0 → -1
+				}
+			default:
+				var added, removed []model.ObjectRef
+				for j, d := range pending {
+					if d > 0 {
+						added = append(added, ref(j))
+					} else if d < 0 {
+						removed = append(removed, ref(j))
+					}
+					pending[j] = 0
+				}
+				msg, ok := p.TakePush(nil, nil)
+				if ok != (len(added)+len(removed) > 0) {
+					t.Fatalf("seed %d step %d: TakePush ok=%v with %d reference changes", seed, step, ok, len(added)+len(removed))
+				}
+				if !reflect.DeepEqual(msg.Added, added) || !reflect.DeepEqual(msg.Removed, removed) {
+					t.Fatalf("seed %d step %d: pushed +%v -%v, reference +%v -%v", seed, step, msg.Added, msg.Removed, added, removed)
+				}
+			}
+			changes, size := 0, 0
+			for j := range pending {
+				if pending[j] != 0 {
+					changes++
+				}
+				if stored[j] {
+					size++
+				}
+			}
+			if p.PendingChanges() != changes || p.ContentSize() != size {
+				t.Fatalf("seed %d step %d: %d pending of %d stored, reference %d of %d", seed, step, p.PendingChanges(), p.ContentSize(), changes, size)
+			}
+			if size < 1 {
+				size = 1
+			}
+			if want := changes > 0 && float64(changes)/float64(size) >= p.cfg.PushThreshold; p.NeedPush() != want {
+				t.Fatalf("seed %d step %d: NeedPush=%v with %d changes over %d objects", seed, step, p.NeedPush(), changes, size)
+			}
+		}
+	}
+}
+
+// TestSummaryDeltaAgainstRebuild: a summary published by extending the last
+// snapshot carries exactly the bits and the insertion count of one rebuilt
+// from the content list, over random add/remove/publish sequences — bursts
+// longer than the fresh list, removals, re-adds of removed objects — and no
+// snapshot changes once published.
+func TestSummaryDeltaAgainstRebuild(t *testing.T) {
+	wire := func(f *bloom.Filter) []byte {
+		b, err := f.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	n := testIn.ObjectsPerSite()
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := newPeer(1)
+		var published []*bloom.Filter
+		var frozen [][]byte
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				p.AddObject(ref(rng.Intn(n)))
+			case op == 6:
+				p.RemoveObject(ref(rng.Intn(n)))
+			default:
+				got := p.Summary()
+				want := bloom.NewForCapacity(p.cfg.SummaryCapacity)
+				for _, o := range p.Objects() {
+					want.AddHash(testIn.Hashes(o))
+				}
+				if got.Count() != want.Count() || !bytes.Equal(wire(got), wire(want)) {
+					t.Fatalf("seed %d step %d: published summary (count %d) differs from the rebuild (count %d)", seed, step, got.Count(), want.Count())
+				}
+				if p.Summary() != got {
+					t.Fatalf("seed %d step %d: unchanged content published a second snapshot", seed, step)
+				}
+				published, frozen = append(published, got), append(frozen, wire(got))
+			}
+		}
+		for i, f := range published {
+			if !bytes.Equal(wire(f), frozen[i]) {
+				t.Fatalf("seed %d: snapshot %d changed after publication", seed, i)
+			}
+		}
+	}
+}
+
+// A join's worth of overlay state is the struct and the one word array
+// behind its three bitsets; the view's entry array comes with the first
+// seed.
+func TestNewAllocs(t *testing.T) {
+	var p *ContentPeer
+	if avg := testing.AllocsPerRun(50, func() { p = newPeer(1) }); avg != 2 {
+		t.Fatalf("overlay.New costs %.0f allocations, want 2", avg)
+	}
+	seed := []gossip.Entry{{Node: 2}, {Node: 3, Age: 1}}
+	if avg := testing.AllocsPerRun(50, func() {
+		p = newPeer(1)
+		p.SeedView(seed)
+		p.AddObject(ref(1))
+		p.RemoveObject(ref(1))
+		p.AddObject(ref(2))
+		p.TakePush(nil, nil)
+	}); avg != 4 { // New's two, the entry array, the Added list
+		t.Fatalf("a seeded peer with a first push costs %.0f allocations, want 4", avg)
+	}
+}
