@@ -555,10 +555,10 @@ func runPopulation(w *writer, p flowercdn.Params) error {
 		return err
 	}
 	w.printf("Scale chart — simulator throughput vs peer population (shrunk 100k-preset shape)")
-	w.printf("%-12s %-12s %-12s %-12s %-10s %-12s %-14s %-10s %-8s %-12s", "clients", "events", "periodic", "one-shot", "elided", "wall(s)", "events/sec", "hit", "joins", "bytes/client")
+	w.printf("%-12s %-12s %-12s %-12s %-10s %-12s %-10s %-10s %-12s %-14s %-10s %-8s %-12s", "clients", "events", "periodic", "one-shot", "elided", "near", "far", "far-peak", "wall(s)", "events/sec", "hit", "joins", "bytes/client")
 	for _, pt := range points {
-		w.printf("%-12d %-12d %-12d %-12d %-10d %-12.2f %-14.0f %-10.3f %-8d %-12.0f",
-			pt.Clients, pt.Events, pt.PeriodicEvents, pt.Events-pt.PeriodicEvents, pt.ElidedEvents, pt.WallSeconds, pt.EventsPerSec, pt.HitRatio, pt.Joins, pt.BytesPerClient)
+		w.printf("%-12d %-12d %-12d %-12d %-10d %-12d %-10d %-10d %-12.2f %-14.0f %-10.3f %-8d %-12.0f",
+			pt.Clients, pt.Events, pt.PeriodicEvents, pt.Events-pt.PeriodicEvents, pt.ElidedEvents, pt.NearEvents, pt.FarEvents, pt.FarHeapPeak, pt.WallSeconds, pt.EventsPerSec, pt.HitRatio, pt.Joins, pt.BytesPerClient)
 	}
 	return nil
 }
@@ -673,10 +673,11 @@ func runDirStress(w *writer, p flowercdn.Params) error {
 }
 
 // printThroughput is the kernel line of the scale experiments: events by
-// class (periodic firings / one-shots, and elided records) beside events/sec.
+// class (periodic firings / one-shots, and elided records) and by queue
+// (wheel / far heap, the rest off the period lanes) beside events/sec.
 func printThroughput(w *writer, prefix string, res flowercdn.Result) {
-	w.printf("%skernel events: %d (%d periodic / %d one-shot, %d elided)   wall: %.2fs   throughput: %.0f events/sec",
-		prefix, res.Events, res.PeriodicEvents, res.Events-res.PeriodicEvents, res.ElidedEvents, res.WallSeconds, res.EventsPerSecond())
+	w.printf("%skernel events: %d (%d periodic / %d one-shot, %d elided; %d near / %d far, far-heap peak %d)   wall: %.2fs   throughput: %.0f events/sec",
+		prefix, res.Events, res.PeriodicEvents, res.Events-res.PeriodicEvents, res.ElidedEvents, res.NearEvents, res.FarEvents, res.FarHeapPeak, res.WallSeconds, res.EventsPerSecond())
 }
 
 func runFaults(w *writer, p flowercdn.Params) error {

@@ -246,9 +246,10 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 		s.stopStandbyWatch(h)
 		s.startStandbyTicker(h)
 	}
-	if s.cfg.MaintenancePeriod > 0 && s.hs.stabTicker[h.addr] == (simkernel.Ticker{}) {
+	if s.cfg.MaintenancePeriod > 0 && s.hs.stabTicker[h.addr].Stopped() {
 		// Stabilization mutates the shared ring: coordination kernel only
-		// (and, like replication, is armed at most once per host).
+		// (and, like replication, never armed twice over: a host that left
+		// as a directory and was revived holds a stopped handle).
 		s.hs.stabTicker[h.addr] = s.every(s.k, h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
 	}
 }

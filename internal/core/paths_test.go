@@ -7,6 +7,7 @@ import (
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
+	"flowercdn/internal/simnet"
 	"flowercdn/internal/trace"
 )
 
@@ -266,6 +267,58 @@ func TestReviveDirectoryRefused(t *testing.T) {
 	e.sys.FailDirectory(site, 0)
 	if e.sys.RevivePeer(addr) {
 		t.Fatal("directory host must not be revivable as a plain client")
+	}
+}
+
+// A directory that leaves keeps stopped stabilisation and replication
+// handles (FailPeer'd directories cannot be revived at all). Revived,
+// rejoined and promoted again, it must get fresh tickers: the arm-once
+// guards used to compare against the zero Ticker, so a re-promoted
+// directory never stabilised or replicated again.
+func TestRepromotedDirectoryRearmsTickers(t *testing.T) {
+	e := newTestEnv(t, 33, func(c *Config) {
+		c.MaintenancePeriod = 10 * simkernel.Second
+		c.ReplicationTopK = 2
+	})
+	site := e.cfg.Sites[0]
+	stabilised := map[simnet.NodeID]int{}
+	tick := e.sys.stabTickFn
+	e.sys.stabTickFn = func(a uint64) { stabilised[simnet.NodeID(a)]++; tick(a) }
+	leave := func() simnet.NodeID {
+		t.Helper()
+		if !e.sys.DirectoryLeave(site, 0) {
+			t.Fatal("voluntary leave refused")
+		}
+		addr, _ := e.sys.DirectoryAddr(site, 0)
+		return addr
+	}
+	e.submitAt(simkernel.Second, 0, 0, 0, 1)
+	e.submitAt(2*simkernel.Second, 0, 0, 1, 2)
+	e.k.Run(simkernel.Minute)
+	first := leave() // one of the two members takes the position ...
+	e.k.Run(2 * simkernel.Minute)
+	if leave() == first { // ... hands it to the other and departs ...
+		t.Fatal("premise: the position did not move on")
+	}
+	if !e.sys.hs.stabTicker[first].Stopped() || !e.sys.hs.replTicker[first].Stopped() || !e.sys.RevivePeer(first) {
+		t.Fatal("premise: departed directory still ticking, or not revivable")
+	}
+	member := 0
+	if e.sys.PoolNode(0, 0, 1) == first {
+		member = 1
+	}
+	e.submitAt(3*simkernel.Minute, 0, 0, member, 3) // ... rejoins as a client ...
+	e.k.Run(5 * simkernel.Minute)
+	if got := leave(); got != first { // ... and is the only successor left.
+		t.Fatalf("re-promotion went to %d, want %d", got, first)
+	}
+	if e.sys.hs.stabTicker[first].Stopped() || e.sys.hs.replTicker[first].Stopped() {
+		t.Fatal("re-promoted directory holds stopped stabilisation/replication handles")
+	}
+	before := stabilised[first]
+	e.k.Run(6 * simkernel.Minute)
+	if got := stabilised[first] - before; got < 5 {
+		t.Fatalf("re-promoted directory stabilised %d times in a minute of 10 s periods", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"flowercdn/internal/simkernel"
-	"flowercdn/internal/simnet"
-)
+import "flowercdn/internal/simnet"
 
 // This file implements the active-replication extension the paper lists as
 // future work (§8): "introduce active replication by pushing popular
@@ -20,8 +17,8 @@ import (
 // startReplicationTicker arms the periodic offer behaviour on a directory
 // host (called from system construction and directory installation).
 func (s *System) startReplicationTicker(h *host) {
-	if s.cfg.ReplicationTopK <= 0 || s.hs.replTicker[h.addr] != (simkernel.Ticker{}) {
-		return // armed at most once per host: a stopped handle is not re-armed
+	if s.cfg.ReplicationTopK <= 0 || !s.hs.replTicker[h.addr].Stopped() {
+		return // never armed twice over
 	}
 	s.hs.replTicker[h.addr] = s.every(s.hostKernel(h.addr), h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
 }

@@ -47,6 +47,13 @@ type Result struct {
 	PeriodicEvents uint64
 	ElidedEvents   uint64
 
+	// Events by kernel queue class (simkernel.QueueStats): fired off the
+	// timing wheel, off the far heap (the rest off the period lanes), and the
+	// far heap's high-water length. Summed over all kernels.
+	NearEvents  uint64
+	FarEvents   uint64
+	FarHeapPeak int
+
 	// Sharded-run extras (zero on the classic path). ShardEvents counts
 	// events per locality cell and BarrierEvents the single-threaded
 	// coordination work; both are deterministic per seed. WorkerStallNs is
@@ -118,6 +125,16 @@ func (p Params) metricsConfig(collectors int) metrics.Config {
 		Horizon:         p.Duration,
 		ExpectedQueries: int(p.QueryRate*p.Duration.Seconds()) / collectors,
 	}
+}
+
+// addKernel adds one kernel's event-class counters to the result.
+func (r *Result) addKernel(k *simkernel.Kernel) {
+	q := k.QueueStats()
+	r.PeriodicEvents += k.PeriodicFired()
+	r.ElidedEvents += k.Elided()
+	r.NearEvents += q.NearFired
+	r.FarEvents += q.FarFired
+	r.FarHeapPeak += q.FarHeapPeak
 }
 
 // timedRun drives the kernel for the configured duration, returning the
@@ -309,15 +326,14 @@ func RunFlowerTraced(p Params, traceCapacity int) (Result, *trace.Buffer, error)
 	}
 	events, wall := timedRun(kernel, p.Duration)
 	res := Result{
-		Kind:           KindFlower,
-		Report:         mets.Snapshot(p.Duration),
-		Stats:          sys.Stats(),
-		Params:         p,
-		Events:         events,
-		WallSeconds:    wall,
-		PeriodicEvents: kernel.PeriodicFired(),
-		ElidedEvents:   kernel.Elided(),
+		Kind:        KindFlower,
+		Report:      mets.Snapshot(p.Duration),
+		Stats:       sys.Stats(),
+		Params:      p,
+		Events:      events,
+		WallSeconds: wall,
 	}
+	res.addKernel(kernel)
 	finishFaultPlane(&res, sys, acc)
 	if p.MeasureMemory {
 		res.BytesPerClient = bytesPerClientOf(pools)
@@ -354,15 +370,15 @@ func RunSquirrel(p Params) (Result, error) {
 		})
 	}
 	events, wall := timedRun(kernel, p.Duration)
-	return Result{
-		Kind:           KindSquirrel,
-		Report:         mets.Snapshot(p.Duration),
-		Params:         p,
-		Events:         events,
-		WallSeconds:    wall,
-		PeriodicEvents: kernel.PeriodicFired(),
-		ElidedEvents:   kernel.Elided(),
-	}, nil
+	res := Result{
+		Kind:        KindSquirrel,
+		Report:      mets.Snapshot(p.Duration),
+		Params:      p,
+		Events:      events,
+		WallSeconds: wall,
+	}
+	res.addKernel(kernel)
+	return res, nil
 }
 
 // internerCache memoises interners per (websites, objectsPerSite) shape.
@@ -486,16 +502,16 @@ func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
 	}
 	pumpQueries(kernel, p.Duration, replayer, sys.Submit)
 	events, wall := timedRun(kernel, p.Duration)
-	return Result{
-		Kind:           KindFlower,
-		Report:         mets.Snapshot(p.Duration),
-		Stats:          sys.Stats(),
-		Params:         p,
-		Events:         events,
-		WallSeconds:    wall,
-		PeriodicEvents: kernel.PeriodicFired(),
-		ElidedEvents:   kernel.Elided(),
-	}, nil
+	res := Result{
+		Kind:        KindFlower,
+		Report:      mets.Snapshot(p.Duration),
+		Stats:       sys.Stats(),
+		Params:      p,
+		Events:      events,
+		WallSeconds: wall,
+	}
+	res.addKernel(kernel)
+	return res, nil
 }
 
 // injectChurn schedules peer failures as a Poisson process with rate

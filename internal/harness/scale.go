@@ -62,6 +62,9 @@ type PopulationPoint struct {
 	Events         uint64
 	PeriodicEvents uint64 // of Events: kernel-owned periodic timer firings
 	ElidedEvents   uint64 // cancelled records skipped, not in Events
+	NearEvents     uint64 // of Events: fired off the kernel's timing wheel
+	FarEvents      uint64 // of Events: fired off the far heap
+	FarHeapPeak    int    // far-heap high-water length
 	WallSeconds    float64
 	EventsPerSec   float64
 	HitRatio       float64
@@ -109,6 +112,9 @@ func PopulationSweep(seed int64, populations []int) ([]PopulationPoint, error) {
 			Events:         res.Events,
 			PeriodicEvents: res.PeriodicEvents,
 			ElidedEvents:   res.ElidedEvents,
+			NearEvents:     res.NearEvents,
+			FarEvents:      res.FarEvents,
+			FarHeapPeak:    res.FarHeapPeak,
 			WallSeconds:    res.WallSeconds,
 			EventsPerSec:   res.EventsPerSecond(),
 			HitRatio:       res.Report.HitRatio,

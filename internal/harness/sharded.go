@@ -133,8 +133,7 @@ func runFlowerSharded(p Params, traceCapacity int) (Result, *trace.Buffer, error
 		WorkerStallNs: append([]int64(nil), eng.WorkerStallNs()...),
 	}
 	for _, k := range append(cells, global) {
-		res.PeriodicEvents += k.PeriodicFired()
-		res.ElidedEvents += k.Elided()
+		res.addKernel(k)
 	}
 	merged := metrics.New(p.metricsConfig(1))
 	for _, cm := range cellMets {

@@ -254,8 +254,9 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	}
 }
 
-// Slab reuse across a long run must keep the arena bounded: each firing
-// or cancellation frees its slot for the next scheduling.
+// Slab reuse across a long run must keep the slot arena and the wheel's node
+// slab bounded: each firing or cancellation frees its slot, each pop its
+// node, for the next scheduling.
 func TestSlabReuseBoundsArena(t *testing.T) {
 	k := New(1)
 	var chain func()
@@ -271,7 +272,7 @@ func TestSlabReuseBoundsArena(t *testing.T) {
 	if count != 1000 {
 		t.Fatalf("count = %d", count)
 	}
-	if len(k.slots) > 4 {
-		t.Fatalf("arena grew to %d slots for a 1-deep chain", len(k.slots))
+	if len(k.slots) > 4 || len(k.near.nodes) > 4 {
+		t.Fatalf("arena grew to %d slots, %d wheel nodes for a 1-deep chain", len(k.slots), len(k.near.nodes))
 	}
 }

@@ -7,27 +7,30 @@
 // with the same seed are bit-for-bit reproducible. All protocol code in this
 // repository executes inside kernel events; nothing observes wall-clock time.
 //
-// The queue is a 4-ary min-heap plus up to maxLanes FIFO lanes. One-shot
-// timers go to the heap. A periodic timer (Every/EveryArg) is a slot that
-// carries its period: its first firing is a heap record, and after each
-// callback returns Run itself stamps the next one (now+period, next seq)
-// onto the lane of that period. The clock never runs backwards and seq only
-// grows, so a lane is sorted by construction, its push and pop are O(1), and
-// Run takes the earlier of the heap top and the earliest lane head — the
-// total order one big heap would yield, so lanes change no pop sequence. The
-// protocol has a handful of period constants and nearly every pending event
-// is a timer waiting out its period, so the heap is left with messages in
-// flight and armed deadlines. A period that finds every lane taken re-arms
-// through the heap, as would a record that broke its lane's order.
+// The queue has three classes, and Run takes the earliest of their heads
+// under the one (time, seq) order — the total order one big heap would yield,
+// so the classes change no pop sequence:
+//
+//   - the wheel (wheel.go): one-shots, and first firings of periodic timers,
+//     due less than wheelSize ms after now — messages in flight, armed
+//     deadlines, the query pump; nearly all of them. A one-millisecond bucket
+//     holds one instant and is appended in scheduling order, so it is sorted
+//     by construction; schedule, peek and pop are O(1).
+//   - the far heap, a hand-rolled 4-ary min-heap (container/heap boxes every
+//     record through `any`): the same records when due a horizon or more
+//     ahead. They stay there until they fire; nothing migrates.
+//   - up to maxLanes FIFO lanes. A periodic timer (Every/EveryArg) is a slot
+//     that carries its period: after each callback returns Run itself stamps
+//     the next firing (now+period, next seq) onto the lane of that period.
+//     The clock never runs backwards and seq only grows, so a lane is sorted
+//     by construction too. A period that finds every lane taken re-arms
+//     through the heap, as would a record that broke its lane's order.
 //
 // Callbacks live in a reusable slot arena. Scheduling returns a TimerHandle
 // (a Ticker for periodic timers) that cancels in O(1): the dead record is
-// elided lazily when it surfaces at the heap top or a lane head, and
-// generation counters make handles ABA-safe across slot reuse.
-//
-// The heap is hand-rolled (container/heap boxes every record through `any`)
-// and 4-ary (half a binary heap's depth; four 24-byte records share two cache
-// lines); lanes are rings that only ever double. Scheduling, firing and
+// elided lazily when it surfaces at a head, and generation counters make
+// handles ABA-safe across slot reuse. The wheel is a fixed ~17 KB per kernel;
+// lane rings and the wheel's node slab only ever grow. Scheduling, firing and
 // periodic re-arming allocate nothing in steady state (TestHotPathAllocs).
 package simkernel
 
@@ -70,7 +73,7 @@ func (t Time) String() string {
 	}
 }
 
-// event is one heap record. The callback itself lives in the slot arena so
+// event is one queue record. The callback itself lives in the slot arena so
 // heap moves copy four words, not a closure header.
 type event struct {
 	at   Time
@@ -79,9 +82,9 @@ type event struct {
 	gen  uint32
 }
 
-// before is the (at, seq) order the heap and the lanes share. seq is unique,
-// so the order is total and every correct queue yields the same pop
-// sequence — the golden-trace test holds across queue-shape changes.
+// before is the (at, seq) order the wheel, the heap and the lanes share. seq
+// is unique, so the order is total and every correct queue yields the same
+// pop sequence — the golden-trace test holds across queue-shape changes.
 func (e event) before(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -175,7 +178,7 @@ func (l *lane) push(e event) {
 }
 
 // timerSlot is one arena cell. gen increments every time the slot is
-// handed out, so stale heap records and stale handles can be recognised.
+// handed out, so stale queue records and stale handles can be recognised.
 // A slot carries either a plain callback (fn) or an argument-taking
 // callback (argFn + arg); the latter lets long-lived callers schedule with
 // a reusable function value instead of a fresh closure, so the whole
@@ -241,7 +244,8 @@ func (h TimerHandle) Active() bool {
 // usable; construct with New.
 type Kernel struct {
 	now   Time
-	queue eventHeap // one-shots, first firings, lane overflow
+	near  wheel     // one-shots and first firings due within wheelSize ms
+	queue eventHeap // those due later (the far heap), lane overflow
 	seq   uint64
 
 	lanes   [maxLanes]lane // claimed in index order; period 0 = unclaimed
@@ -256,14 +260,19 @@ type Kernel struct {
 	processed uint64
 	periodic  uint64
 	cancelled uint64
-	elided    uint64
+	popped    [3]uint64 // records taken off each queue class (src* index)
+	elided    [3]uint64 // of popped: dead records skipped
+	farPeak   int       // far-heap high-water
 	stopped   bool
 }
+
+// The queue classes a pending record can sit in; they index popped and elided.
+const srcWheel, srcHeap, srcLane = 0, 1, 2
 
 // New returns a kernel whose clock starts at 0 and whose PRNG is seeded
 // deterministically from seed.
 func New(seed int64) *Kernel {
-	return &Kernel{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{seed: seed, rng: rand.New(rand.NewSource(seed)), near: wheel{nodes: make([]wheelNode, 1)}}
 }
 
 // Now returns the current simulated time.
@@ -327,7 +336,26 @@ func (k *Kernel) Cancelled() uint64 { return k.cancelled }
 
 // Elided reports how many dead records were skipped during Run — the
 // queue garbage that lazy deletion absorbed.
-func (k *Kernel) Elided() uint64 { return k.elided }
+func (k *Kernel) Elided() uint64 { return k.elided[srcWheel] + k.elided[srcHeap] + k.elided[srcLane] }
+
+// QueueStats splits the records Run has popped by the queue class that held
+// them: fired and elided from the wheel (near) and from the far heap — the
+// rest of Processed and Elided came off the lanes — and the far heap's
+// high-water length. Deterministic per seed.
+type QueueStats struct {
+	NearFired, FarFired, NearElided, FarElided uint64
+	FarHeapPeak                                int
+}
+
+func (k *Kernel) QueueStats() QueueStats {
+	return QueueStats{
+		NearFired:   k.popped[srcWheel] - k.elided[srcWheel],
+		FarFired:    k.popped[srcHeap] - k.elided[srcHeap],
+		NearElided:  k.elided[srcWheel],
+		FarElided:   k.elided[srcHeap],
+		FarHeapPeak: k.farPeak,
+	}
+}
 
 // Pending reports how many live timers are waiting to fire. Cancelled
 // entries still occupying the queue are not counted.
@@ -343,14 +371,18 @@ func (k *Kernel) NextEvent() (Time, bool) {
 	return ev.at, ok
 }
 
-// peek returns the earliest pending record and the lane it heads (nil: the
-// heap top). Lanes cost a heap event one compare, against the cached minimum.
-func (k *Kernel) peek() (event, *lane, bool) {
-	ev, ok := k.queue.peek()
-	if l := k.minLane; l != nil && (!ok || l.at(0).before(ev)) {
-		return *l.at(0), l, true
+// peek returns the earliest pending record and the queue class holding it:
+// the minimum under before of the wheel's first record, the far heap's top
+// and the cached earliest lane head. It moves nothing.
+func (k *Kernel) peek() (ev event, src int, ok bool) {
+	ev, ok = k.near.peek(k.now)
+	if far, fok := k.queue.peek(); fok && (!ok || far.before(ev)) {
+		ev, src, ok = far, srcHeap, true
 	}
-	return ev, nil, ok
+	if l := k.minLane; l != nil && (!ok || l.at(0).before(ev)) {
+		return *l.at(0), srcLane, true
+	}
+	return ev, src, ok
 }
 
 // popLane drops the head of l (the current minLane) and re-elects minLane.
@@ -405,7 +437,7 @@ func (k *Kernel) alloc() uint32 {
 	return slot
 }
 
-// schedule pushes a heap record for an already-allocated slot.
+// schedule queues a record for an already-allocated slot: wheel or far heap.
 func (k *Kernel) schedule(t Time, slot uint32) TimerHandle {
 	if t < k.now {
 		t = k.now
@@ -413,7 +445,13 @@ func (k *Kernel) schedule(t Time, slot uint32) TimerHandle {
 	k.seq++
 	k.live++
 	gen := k.slots[slot].gen
-	k.queue.push(event{at: t, seq: k.seq, slot: slot, gen: gen})
+	e := event{at: t, seq: k.seq, slot: slot, gen: gen}
+	if t-k.now < wheelSize {
+		k.near.push(e)
+	} else {
+		k.queue.push(e)
+		k.farPeak = max(k.farPeak, len(k.queue))
+	}
 	return TimerHandle{k: k, slot: slot, gen: gen}
 }
 
@@ -470,7 +508,7 @@ func (k *Kernel) Every(start, period Time, fn func()) Ticker {
 }
 
 // EveryArg schedules fn(arg) to run every period, first after start (an
-// ordinary heap record); Run re-arms it each time the callback returns.
+// ordinary one-shot record); Run re-arms it each time the callback returns.
 func (k *Kernel) EveryArg(start, period Time, fn func(uint64), arg uint64) Ticker {
 	if period <= 0 {
 		panic("simkernel: non-positive ticker period")
@@ -496,18 +534,22 @@ func (k *Kernel) Run(until Time) uint64 {
 	k.stopped = false
 	var n uint64
 	for !k.stopped {
-		ev, l, ok := k.peek()
+		ev, src, ok := k.peek()
 		if !ok || ev.at > until {
 			break
 		}
-		if l != nil {
-			k.popLane(l)
-		} else {
+		switch src {
+		case srcWheel:
+			k.near.pop(ev.at)
+		case srcHeap:
 			k.queue.pop()
+		default:
+			k.popLane(k.minLane)
 		}
+		k.popped[src]++
 		s := &k.slots[ev.slot]
 		if s.gen != ev.gen || !s.live {
-			k.elided++
+			k.elided[src]++
 			continue
 		}
 		fn, argFn, arg, period := s.fn, s.argFn, s.arg, s.period

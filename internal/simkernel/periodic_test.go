@@ -14,11 +14,12 @@ type sched interface {
 	oneShot(at Time, id int)
 	every(start, period Time, id int)
 	cancel(id int)
+	stop() // cut the Run in progress short after the current event
 }
 
 // refKernel is the reference model: every pending record in ONE slice kept
-// sorted by (at, seq) — no heap, no lanes, no slots, no lazy tricks beyond
-// the dead-record skip the kernel documents.
+// sorted by (at, seq) — no wheel, no heap, no lanes, no slots, no lazy tricks
+// beyond the dead-record skip the kernel documents.
 type refKernel struct {
 	now                Time
 	seq                uint64
@@ -27,21 +28,24 @@ type refKernel struct {
 	live               map[int]bool
 	processed, elided  uint64
 	periodic           uint64
+	nearFired, nearEl  uint64 // of processed / elided: scheduled under a horizon ahead
 	pending, cancelled int
+	stopped            bool
 	fire               func(id int)
 }
 
 type refRec struct {
-	at  Time
-	seq uint64
-	id  int
+	at   Time
+	seq  uint64
+	id   int
+	near bool // a schedule() record due less than wheelSize ms after its scheduling
 }
 
 func (r *refKernel) Now() Time { return r.now }
 
-func (r *refKernel) push(at Time, id int) {
+func (r *refKernel) push(at Time, id int, near bool) {
 	r.seq++
-	rec := refRec{at, r.seq, id}
+	rec := refRec{at, r.seq, id, near}
 	i := sort.Search(len(r.recs), func(i int) bool {
 		o := r.recs[i]
 		return o.at > rec.at || (o.at == rec.at && o.seq > rec.seq)
@@ -57,7 +61,7 @@ func (r *refKernel) oneShot(at Time, id int) {
 	}
 	r.live[id] = true
 	r.pending++
-	r.push(at, id)
+	r.push(at, id, at-r.now < wheelSize)
 }
 
 func (r *refKernel) every(start, period Time, id int) {
@@ -73,13 +77,19 @@ func (r *refKernel) cancel(id int) {
 	}
 }
 
+func (r *refKernel) stop() { r.stopped = true }
+
 func (r *refKernel) run(until Time) uint64 {
 	var n uint64
-	for len(r.recs) > 0 && r.recs[0].at <= until {
+	r.stopped = false
+	for !r.stopped && len(r.recs) > 0 && r.recs[0].at <= until {
 		rec := r.recs[0]
 		r.recs = r.recs[1:]
 		if !r.live[rec.id] {
 			r.elided++
+			if rec.near {
+				r.nearEl++
+			}
 			continue
 		}
 		p := r.period[rec.id]
@@ -91,14 +101,17 @@ func (r *refKernel) run(until Time) uint64 {
 		r.fire(rec.id)
 		n++
 		r.processed++
+		if rec.near {
+			r.nearFired++
+		}
 		if p > 0 {
 			r.periodic++
 			if r.live[rec.id] {
-				r.push(r.now+p, rec.id)
+				r.push(r.now+p, rec.id, false)
 			}
 		}
 	}
-	if r.now < until {
+	if r.now < until && !r.stopped {
 		r.now = until
 	}
 	return n
@@ -136,6 +149,7 @@ func (r *realKernel) every(start, period Time, id int) {
 }
 
 func (r *realKernel) cancel(id int) { r.handles[id].Cancel() }
+func (r *realKernel) stop()         { r.Stop() }
 
 // scenario is the seeded workload both kernels execute. All its decisions
 // come from its own rng, consumed in fire order — so as long as the two
@@ -146,12 +160,17 @@ type scenario struct {
 	s       sched
 	nextID  int
 	isTick  map[int]bool
+	chain   map[int]Time // timer id -> instant its firing schedules a one-shot at
 	periods []Time
 	log     []string
 }
 
+// horizonDelays straddle the wheel's horizon: the last near millisecond, the
+// first far ones, and whole revolutions, which alias the bucket of now.
+var horizonDelays = [...]Time{wheelSize - 1, wheelSize, wheelSize + 1, 2 * wheelSize, 2*wheelSize - 1, 3 * wheelSize}
+
 func newScenario(seed int64, s sched) *scenario {
-	sc := &scenario{rng: rand.New(rand.NewSource(seed)), s: s, isTick: map[int]bool{}}
+	sc := &scenario{rng: rand.New(rand.NewSource(seed)), s: s, isTick: map[int]bool{}, chain: map[int]Time{}}
 	// More distinct periods than lanes, so some periodic timers re-arm
 	// through the heap; multiples of 5 so same-instant ties are common.
 	for p := Time(5); len(sc.periods) < maxLanes+4; p += 5 {
@@ -166,13 +185,36 @@ func (sc *scenario) spawn() {
 	}
 	sc.nextID++
 	id := sc.nextID
-	if sc.rng.Intn(3) == 0 {
+	switch sc.rng.Intn(6) {
+	case 0, 1:
 		sc.isTick[id] = true
 		sc.s.every(Time(5*sc.rng.Intn(8)), sc.periods[sc.rng.Intn(len(sc.periods))], id)
+	case 2:
+		sc.s.oneShot(sc.s.Now()+horizonDelays[sc.rng.Intn(len(horizonDelays))], id)
+	default:
+		// Absolute times, a few of them in the past (clamped to now).
+		sc.s.oneShot(sc.s.Now()+Time(5*sc.rng.Intn(40))-10, id)
+	}
+}
+
+// tie stages three records for one instant at, a horizon and more away: a
+// far one-shot scheduled now, the lane head of a ticker whose first firing
+// is one period before at, and a one-shot scheduled from a callback once at
+// is near (at that firing's instant or 5 ms earlier, so either of the two
+// late records can carry the larger seq). seq alone decides their order.
+func (sc *scenario) tie() {
+	if sc.nextID >= 3000 {
 		return
 	}
-	// Absolute times, a few of them in the past (clamped to now).
-	sc.s.oneShot(sc.s.Now()+Time(5*sc.rng.Intn(40))-10, id)
+	now, p := sc.s.Now(), sc.periods[sc.rng.Intn(len(sc.periods))]
+	at := now + wheelSize + p + Time(5*sc.rng.Intn(20))
+	far, tick, trigger := sc.nextID+1, sc.nextID+2, sc.nextID+3
+	sc.nextID += 3
+	sc.s.oneShot(at, far)
+	sc.isTick[tick] = true
+	sc.s.every(at-p-now, p, tick)
+	sc.chain[trigger] = at
+	sc.s.oneShot(at-p-Time(5*sc.rng.Intn(2)), trigger)
 }
 
 func (sc *scenario) cancelRandom() {
@@ -183,6 +225,10 @@ func (sc *scenario) cancelRandom() {
 
 func (sc *scenario) fire(id int) {
 	sc.log = append(sc.log, fmt.Sprintf("%d@%d", id, sc.s.Now()))
+	if at, ok := sc.chain[id]; ok && sc.nextID < 3000 {
+		sc.nextID++
+		sc.s.oneShot(at, sc.nextID)
+	}
 	switch r := sc.rng.Intn(20); {
 	case r < 4:
 		sc.spawn()
@@ -193,14 +239,19 @@ func (sc *scenario) fire(id int) {
 		if r == 8 {
 			sc.spawn() // ... then restart (likely into the freed slot)
 		}
+	case r == 19 && sc.rng.Intn(8) == 0:
+		sc.s.stop()
 	}
 }
 
 // TestPeriodicAgainstReferenceModel: fire order, Now() at each fire and the
-// Processed/Pending/Elided/PeriodicFired/Cancelled counters match a
-// single-sorted-slice model over random mixes of one-shots, periodic
-// timers of more periods than there are lanes, cancellations,
-// stop-from-own-callback-then-restart, and Run cut at arbitrary instants.
+// Processed/Pending/Elided/PeriodicFired/Cancelled counters and the wheel's
+// share of QueueStats match a single-sorted-slice model over random mixes of
+// one-shots (near, at now, straddling the wheel's horizon, whole revolutions
+// ahead), periodic timers of more periods than there are lanes,
+// cancellations, stop-from-own-callback-then-restart, staged
+// far-heap/lane/wheel ties on one millisecond, and Run cut at arbitrary
+// instants, by Stop, or idling several revolutions forward.
 func TestPeriodicAgainstReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		k := New(seed)
@@ -211,6 +262,7 @@ func TestPeriodicAgainstReferenceModel(t *testing.T) {
 		real.argFn = func(id uint64) { a.fire(int(id)) }
 
 		cut := rand.New(rand.NewSource(seed ^ 0x5eed))
+		stops := 0
 		for step := 0; step < 60; step++ {
 			for i := 1 + cut.Intn(5); i > 0; i-- {
 				a.spawn()
@@ -220,17 +272,31 @@ func TestPeriodicAgainstReferenceModel(t *testing.T) {
 				a.cancelRandom()
 				b.cancelRandom()
 			}
+			if step%15 == 5 {
+				a.tie()
+				b.tie()
+			}
 			until := k.Now() + Time(cut.Intn(120))
-			if gotAt, ok := k.NextEvent(); ok != (len(ref.recs) > 0) || (ok && gotAt != ref.recs[0].at) {
-				t.Fatalf("seed %d step %d: NextEvent = (%d, %v), model has %d records", seed, step, gotAt, ok, len(ref.recs))
+			if step%15 == 7 {
+				until += wheelSize + 100 // the staged tie fires; a revolution passes
 			}
-			if got, want := k.Run(until), ref.run(until); got != want {
-				t.Fatalf("seed %d step %d: Run(%d) fired %d, model %d", seed, step, until, got, want)
-			}
-			got := [...]uint64{uint64(k.Now()), k.Processed(), uint64(k.Pending()), k.Elided(), k.PeriodicFired(), k.Cancelled()}
-			want := [...]uint64{uint64(ref.now), ref.processed, uint64(ref.pending), ref.elided, ref.periodic, uint64(ref.cancelled)}
-			if got != want {
-				t.Fatalf("seed %d step %d: now/processed/pending/elided/periodic/cancelled = %v, model %v", seed, step, got, want)
+			for cuts := 0; ; cuts++ { // a Stop cuts a Run short of until: carry on from there
+				if gotAt, ok := k.NextEvent(); ok != (len(ref.recs) > 0) || (ok && gotAt != ref.recs[0].at) {
+					t.Fatalf("seed %d step %d: NextEvent = (%d, %v), model has %d records", seed, step, gotAt, ok, len(ref.recs))
+				}
+				if got, want := k.Run(until), ref.run(until); got != want {
+					t.Fatalf("seed %d step %d: Run(%d) fired %d, model %d", seed, step, until, got, want)
+				}
+				q := k.QueueStats()
+				got := [...]uint64{uint64(k.Now()), k.Processed(), uint64(k.Pending()), k.Elided(), k.PeriodicFired(), k.Cancelled(), q.NearFired, q.NearElided}
+				want := [...]uint64{uint64(ref.now), ref.processed, uint64(ref.pending), ref.elided, ref.periodic, uint64(ref.cancelled), ref.nearFired, ref.nearEl}
+				if got != want {
+					t.Fatalf("seed %d step %d: now/processed/pending/elided/periodic/cancelled/near fired/near elided = %v, model %v", seed, step, got, want)
+				}
+				if k.Now() >= until {
+					stops += cuts
+					break
+				}
 			}
 		}
 		if len(a.log) != len(b.log) {
@@ -246,6 +312,9 @@ func TestPeriodicAgainstReferenceModel(t *testing.T) {
 		}
 		if k.lanes[maxLanes-1].period == 0 {
 			t.Fatalf("seed %d: not every lane was claimed, the heap fallback went unexercised", seed)
+		}
+		if q := k.QueueStats(); q.NearFired == 0 || q.FarFired == 0 || q.NearElided == 0 || q.FarElided == 0 || q.FarHeapPeak == 0 || k.Now() < 3*wheelSize || stops == 0 {
+			t.Fatalf("seed %d: a queue class went unexercised (%+v, now %d, %d stops)", seed, q, k.Now(), stops)
 		}
 	}
 }
