@@ -16,7 +16,6 @@ package flowercdn
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"flowercdn/internal/harness"
@@ -388,49 +387,6 @@ func BenchmarkPopulationScale(b *testing.B) {
 			}
 			b.ReportMetric(float64(events)/float64(b.N), "events/run")
 			b.ReportMetric(float64(joins)/float64(b.N), "joins/run")
-		})
-	}
-}
-
-// BenchmarkPopulationScaleParallel is BenchmarkPopulationScale on the
-// locality-sharded kernel with one worker per available CPU (compare only
-// cells of equal shards and GOMAXPROCS; a 1-core container can only show
-// the single-core sharding overhead). Each cell also reports coordination_share (barrier events
-// over total — the serial fraction that caps the parallel speedup) and
-// worker_stall_ns (wall-clock workers spent parked behind stragglers).
-// Results are byte-identical to a 1-worker sharded run —
-// TestShardedWorkerInvariance pins that — so this measures wall-clock
-// only.
-func BenchmarkPopulationScaleParallel(b *testing.B) {
-	shards := runtime.GOMAXPROCS(0)
-	for _, pop := range []int{1000, 5000, 20000} {
-		b.Run(fmt.Sprintf("pop=%d", pop), func(b *testing.B) {
-			var events, barrier uint64
-			var wall float64
-			var stallNs int64
-			for i := 0; i < b.N; i++ {
-				p := PopulationParams(int64(i)+1, pop)
-				p.Shards = shards
-				res, err := RunFlower(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-				barrier += res.BarrierEvents
-				wall += res.WallSeconds
-				for _, ns := range res.WorkerStallNs {
-					stallNs += ns
-				}
-			}
-			if wall > 0 {
-				b.ReportMetric(float64(events)/wall, "events/sec")
-			}
-			b.ReportMetric(float64(events)/float64(b.N), "events/run")
-			b.ReportMetric(float64(shards), "shards")
-			if events > 0 {
-				b.ReportMetric(float64(barrier)/float64(events), "coordination_share")
-			}
-			b.ReportMetric(float64(stallNs)/float64(b.N), "worker_stall_ns")
 		})
 	}
 }

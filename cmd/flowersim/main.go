@@ -86,18 +86,6 @@ var massiveChurn bool
 // would misfire under -scale small.
 var hoursOverride flowercdn.Time
 
-// shardsOverride carries an explicit -shards value (-1 when the flag was
-// not passed) so preset experiments that set their own shard count
-// (massive defaults to 4) can still be forced onto the classic kernel
-// (-shards 0) or a different worker count.
-var shardsOverride = -1
-
-// cellsOverride carries an explicit -cells value (0 when the flag was not
-// passed): the total cell count of a sharded single run. Above the
-// locality count it splits the hottest localities (HotCellSplit) so
-// -shards can usefully exceed the number of localities.
-var cellsOverride int
-
 // lossOverride carries the -loss grid (nil when the flag was not passed)
 // so `-exp faults` can sweep custom loss rates instead of the default
 // 0/1/2/5/10/20% ladder.
@@ -117,8 +105,6 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		hours      = flag.Int("hours", 0, "override simulated duration in hours")
 		parallel   = flag.Int("parallel", 1, "sweep workers: 1 = sequential, N>1 = N workers, -1 = one per CPU")
-		shards     = flag.Int("shards", -1, "locality-sharded kernel workers for a single run: 0 = classic kernel, N>0 = N workers, -1 = preset default")
-		cells      = flag.Int("cells", 0, "total cells for a sharded single run: above the locality count splits hot localities (0 = one cell per locality)")
 		churn      = flag.Bool("churn", false, "massive: also run with the population-scaled failure injector")
 		loss       = flag.String("loss", "", "faults: comma-separated loss fractions for the sweep (e.g. 0,0.05,0.15; default 0,0.01,0.02,0.05,0.1,0.2)")
 		list       = flag.Bool("list", false, "list experiments and exit")
@@ -131,8 +117,6 @@ func run() int {
 	if *hours > 0 {
 		hoursOverride = flowercdn.Time(*hours) * flowercdn.Hour
 	}
-	shardsOverride = *shards
-	cellsOverride = *cells
 	if *loss != "" {
 		for _, tok := range strings.Split(*loss, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
@@ -197,9 +181,6 @@ func run() int {
 		p.Duration = hoursOverride
 	}
 	p.Parallel = *parallel
-	if *shards >= 0 {
-		p.Shards = *shards
-	}
 
 	w := &writer{quiet: *quiet}
 	names := []string{*exp}
@@ -572,26 +553,18 @@ func runMassive(w *writer, p flowercdn.Params) error {
 	if hoursOverride > 0 {
 		mp.Duration = hoursOverride
 	}
-	if shardsOverride >= 0 {
-		mp.Shards = shardsOverride
-	}
-	if cellsOverride > 0 {
-		mp.CellSplit = flowercdn.HotCellSplit(mp, cellsOverride)
-	}
 	mp.MeasureMemory = true
-	w.notef("massive: 100,000 potential clients, %s simulated, %d shard workers — this is the stress preset, not a figure",
-		mp.Duration, mp.Shards)
+	w.notef("massive: 100,000 potential clients, %s simulated — this is the stress preset, not a figure", mp.Duration)
 	res, err := flowercdn.RunFlower(mp)
 	if err != nil {
 		return err
 	}
-	w.printf("100k-client preset (%s simulated, shards=%d)", mp.Duration, mp.Shards)
+	w.printf("100k-client preset (%s simulated)", mp.Duration)
 	w.printf("clients joined: %d   queries: %d   hit ratio: %.3f", res.Stats.Joins, res.Report.TotalQueries, res.Report.HitRatio)
 	printThroughput(w, "", res)
 	w.printf("avg lookup: %.0f ms   background: %.1f bps/peer", res.Report.AvgLookupMs, res.Report.BackgroundBps)
 	w.printf("heap: %.0f bytes/client", res.BytesPerClient)
 	printMessageTotals(w, res)
-	printShardSummary(w, res)
 	if !massiveChurn {
 		return nil
 	}
@@ -611,7 +584,6 @@ func runMassive(w *writer, p flowercdn.Params) error {
 		res.EventsPerSecond(), cres.EventsPerSecond(),
 		100*(cres.EventsPerSecond()-res.EventsPerSecond())/res.EventsPerSecond())
 	printMessageTotals(w, cres)
-	printShardSummary(w, cres)
 	return nil
 }
 
@@ -621,39 +593,6 @@ func runMassive(w *writer, p flowercdn.Params) error {
 func printMessageTotals(w *writer, res flowercdn.Result) {
 	w.printf("messages: sent=%d dropped(dead)=%d dropped(faults)=%d",
 		res.MessagesSent, res.MessagesDropped, res.FaultDrops)
-}
-
-// printShardSummary reports the per-locality event counts and the barrier
-// behaviour of a sharded run: how the work split across cells, how much ran
-// single-threaded at barriers, and how long each worker sat parked waiting
-// for stragglers (the load-imbalance signal).
-func printShardSummary(w *writer, res flowercdn.Result) {
-	if len(res.ShardEvents) == 0 {
-		return
-	}
-	var cells strings.Builder
-	var total uint64
-	for i, n := range res.ShardEvents {
-		if i > 0 {
-			cells.WriteString(" ")
-		}
-		fmt.Fprintf(&cells, "cell%d=%d", i, n)
-		total += n
-	}
-	w.printf("shard events: %s", cells.String())
-	w.printf("barriers: %d epochs (%d run, %d elided)   %d coordination events (%.1f%% of %d total)",
-		res.Epochs, res.BarriersRun, res.Epochs-res.BarriersRun, res.BarrierEvents,
-		100*float64(res.BarrierEvents)/float64(total+res.BarrierEvents), total+res.BarrierEvents)
-	if len(res.WorkerStallNs) > 0 {
-		var stalls strings.Builder
-		for i, ns := range res.WorkerStallNs {
-			if i > 0 {
-				stalls.WriteString(" ")
-			}
-			fmt.Fprintf(&stalls, "w%d=%.2fs", i, float64(ns)/1e9)
-		}
-		w.printf("barrier stalls: %s", stalls.String())
-	}
 }
 
 func runDirStress(w *writer, p flowercdn.Params) error {
@@ -684,9 +623,6 @@ func runFaults(w *writer, p flowercdn.Params) error {
 	fp := flowercdn.FaultStormParams(p.Seed)
 	if hoursOverride > 0 {
 		fp.Duration = hoursOverride
-	}
-	if shardsOverride >= 0 {
-		fp.Shards = shardsOverride
 	}
 	fc := fp.Faults
 	w.notef("faults: %.0f%% loss, jitter ≤%.0fms (p=%.2f), spikes %.0fms (p=%.2f), %d partition windows, audit every %s",
@@ -742,9 +678,6 @@ func runGray(w *writer, p flowercdn.Params) error {
 	if hoursOverride > 0 {
 		gp.Duration = hoursOverride
 	}
-	if shardsOverride >= 0 {
-		gp.Shards = shardsOverride
-	}
 	fc := gp.Faults
 	w.notef("gray: %d degraded directories (×%.0f), %d asym-loss rules, %d flap windows, %.0f%% loss floor, churn %.0f/h",
 		len(gp.DirDegrades), gp.DirDegrades[0].Factor, len(fc.AsymLoss), len(fc.Flap),
@@ -799,9 +732,6 @@ func runDirCrash(w *writer, p flowercdn.Params) error {
 	warm := flowercdn.DirCrashStormParams(p.Seed)
 	if hoursOverride > 0 {
 		warm.Duration = hoursOverride
-	}
-	if shardsOverride >= 0 {
-		warm.Shards = shardsOverride
 	}
 	cold := warm
 	cold.StandbyFailover = false

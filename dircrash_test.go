@@ -55,21 +55,9 @@ func TestStandbyDisabledIdentical(t *testing.T) {
 	bare.AuditEvery = stripped.AuditEvery
 	bare.QueryPolicy = stripped.QueryPolicy
 
-	a, b := renderDirCrash(t, stripped), renderDirCrash(t, bare)
-	if a == b {
-		return
+	if a, b := renderDirCrash(t, stripped), renderDirCrash(t, bare); a != b {
+		t.Fatalf("disabled standby (got: stripped, want: bare) changed behaviour at %s", firstDiff(a, b))
 	}
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	n := len(al)
-	if len(bl) < n {
-		n = len(bl)
-	}
-	for i := 0; i < n; i++ {
-		if al[i] != bl[i] {
-			t.Fatalf("disabled standby changed behaviour at line %d:\nstripped: %s\n    bare: %s", i+1, al[i], bl[i])
-		}
-	}
-	t.Fatalf("disabled standby changed transcript length: %d vs %d lines", len(al), len(bl))
 }
 
 // TestDirCrashWarmRecovery pins the tentpole claim end to end: under the

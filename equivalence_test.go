@@ -30,6 +30,38 @@ func fixtureParams(seed int64) Params {
 	return p
 }
 
+// churnFixtureParams is the churn + view-then-directory + replication
+// scenario of the fixture.
+func churnFixtureParams(seed int64) Params {
+	p := fixtureParams(seed)
+	p.ChurnPerHour = 120
+	p.ChurnIncludesDirs = true
+	p.ChurnMeanDowntime = 10 * Minute
+	p.QueryPolicy = PolicyViewThenDirectory
+	p.ReplicationTopK = 5
+	return p
+}
+
+// scaleUpFixtureParams is the §5.3 scale-up scenario of the fixture.
+func scaleUpFixtureParams(seed int64) Params {
+	p := fixtureParams(seed)
+	p.MaxOverlaySize = 8
+	p.ClientsPerSite = 60
+	p.InstanceBits = 1
+	return p
+}
+
+// firstDiff names the first line at which two transcripts part.
+func firstDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	return fmt.Sprintf("length: got %d lines, want %d", len(gl), len(wl))
+}
+
 func formatReport(sb *strings.Builder, label string, r Report) {
 	fmt.Fprintf(sb, "== %s ==\n", label)
 	fmt.Fprintf(sb, "queries=%d hits=%d hit_ratio=%.6f\n", r.TotalQueries, r.Hits, r.HitRatio)
@@ -96,24 +128,14 @@ func buildFixture(t *testing.T) string {
 	}
 	formatReport(&sb, "squirrel home-store seed=2", res.Report)
 
-	cp := fixtureParams(3)
-	cp.ChurnPerHour = 120
-	cp.ChurnIncludesDirs = true
-	cp.ChurnMeanDowntime = 10 * Minute
-	cp.QueryPolicy = PolicyViewThenDirectory
-	cp.ReplicationTopK = 5
-	res, err = RunFlower(cp)
+	res, err = RunFlower(churnFixtureParams(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	formatReport(&sb, "flower churn+replication seed=3", res.Report)
 	formatStats(&sb, res)
 
-	sp := fixtureParams(4)
-	sp.MaxOverlaySize = 8
-	sp.ClientsPerSite = 60
-	sp.InstanceBits = 1
-	res, err = RunFlower(sp)
+	res, err = RunFlower(scaleUpFixtureParams(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,22 +173,7 @@ func buildFixture(t *testing.T) string {
 	formatReport(&sb, "flower shrunk-massive-churn seed=7", cmres.Report)
 	formatStats(&sb, cmres)
 
-	// Tenth scenario: the shrunk massive preset on the locality-sharded
-	// kernel. Shards is a worker knob only (TestShardedWorkerInvariance
-	// pins that); this section pins the sharded decomposition itself — the
-	// per-cell event streams and the epoch-barrier rendezvous order.
-	shp := ShrunkMassiveParams(8)
-	shp.Shards = 2
-	sres, err := RunFlower(shp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	formatReport(&sb, "flower sharded shrunk-massive seed=8", sres.Report)
-	formatStats(&sb, sres)
-	fmt.Fprintf(&sb, "shard_events=%v barrier_events=%d epochs=%d\n",
-		sres.ShardEvents, sres.BarrierEvents, sres.Epochs)
-
-	// Eleventh scenario: the fault storm — deterministic loss, jitter and
+	// Tenth scenario: the fault storm — deterministic loss, jitter and
 	// mid-bootstrap partition windows under the hardened protocol, with the
 	// invariant auditor sweeping every minute. Pins the fault plane's entire
 	// observable surface: faulted metrics, drop accounting, retry/fallback
@@ -179,7 +186,7 @@ func buildFixture(t *testing.T) string {
 	formatStats(&sb, fres)
 	formatFaultSummary(&sb, fres)
 
-	// Twelfth scenario: the directory crash storm with warm standbys armed.
+	// Eleventh scenario: the directory crash storm with warm standbys armed.
 	// Pins the whole failover surface — replica designation and delta
 	// cadence, deterministic promotion, takeover announcements, shedding
 	// and the crash→first-local-directory-hit recovery rows.
@@ -192,7 +199,7 @@ func buildFixture(t *testing.T) string {
 	formatFaultSummary(&sb, dres)
 	formatStandbySummary(&sb, dres)
 
-	// Thirteenth scenario: the gray storm with the adaptive plane armed.
+	// Twelfth scenario: the gray storm with the adaptive plane armed.
 	// Pins the gray fault machinery (degraded directories, asymmetric loss,
 	// flapping uplink) and the whole adaptive response surface — estimator-
 	// driven deadlines, hedged lookups with win accounting, and the holder
@@ -232,16 +239,6 @@ func TestEquivalenceFixture(t *testing.T) {
 		t.Fatalf("missing golden (run with -update-fixture): %v", err)
 	}
 	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		n := len(gl)
-		if len(wl) < n {
-			n = len(wl)
-		}
-		for i := 0; i < n; i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("fixture diverged at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("fixture diverged in length: got %d lines, want %d", len(gl), len(wl))
+		t.Fatalf("fixture diverged at %s", firstDiff(got, string(want)))
 	}
 }

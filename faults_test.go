@@ -61,18 +61,8 @@ func TestAdaptiveDisabledIdentical(t *testing.T) {
 	fc.Flap = []FlapWindow{}
 	gray.Faults = &fc
 	gray.Adaptive = false
-	if a, b := render(base), render(gray); a != b {
-		al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-		n := len(al)
-		if len(bl) < n {
-			n = len(bl)
-		}
-		for i := 0; i < n; i++ {
-			if al[i] != bl[i] {
-				t.Fatalf("empty gray config changed behaviour at line %d:\nplain: %s\n gray: %s", i+1, al[i], bl[i])
-			}
-		}
-		t.Fatalf("empty gray config changed transcript length: %d vs %d lines", len(al), len(bl))
+	if a, b := render(gray), render(base); a != b {
+		t.Fatalf("empty gray config (got; want: plain) changed behaviour at %s", firstDiff(a, b))
 	}
 }
 
@@ -128,18 +118,8 @@ func TestFaultsDisabledIdentical(t *testing.T) {
 	base := fixtureParams(1)
 	off := fixtureParams(1)
 	off.Faults = &FaultConfig{}
-	if a, b := render(base), render(off); a != b {
-		al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-		n := len(al)
-		if len(bl) < n {
-			n = len(bl)
-		}
-		for i := 0; i < n; i++ {
-			if al[i] != bl[i] {
-				t.Fatalf("zero fault config changed behaviour at line %d:\n nil: %s\nzero: %s", i+1, al[i], bl[i])
-			}
-		}
-		t.Fatalf("zero fault config changed transcript length: %d vs %d lines", len(al), len(bl))
+	if a, b := render(off), render(base); a != b {
+		t.Fatalf("zero fault config (got; want: nil) changed behaviour at %s", firstDiff(a, b))
 	}
 }
 

@@ -116,11 +116,6 @@ func Massive100kParams(seed int64) Params { return harness.Massive100kParams(see
 // Massive100kParams (5,000 clients, 30 simulated minutes, same knobs).
 func ShrunkMassiveParams(seed int64) Params { return harness.ShrunkMassiveParams(seed) }
 
-// HotCellSplit derives a load-balanced Params.CellSplit that spreads the
-// hottest localities over extra cells until totalCells cells exist, so a
-// sharded run's worker count can usefully exceed the locality count.
-func HotCellSplit(p Params, totalCells int) []int { return harness.HotCellSplit(p, totalCells) }
-
 // WithMassiveChurn adds the population-scaled failure model (2% of the
 // clients per hour, directories included, 15-minute mean rejoin downtime)
 // to a massive-preset Params: the §5 recovery-cost measurement at scale.

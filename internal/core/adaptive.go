@@ -19,10 +19,9 @@ import (
 //     repeatedly time out are demoted from redirect candidate lists until
 //     a cooldown passes instead of costing every query a timeout.
 //
-// Every estimator slot is observer-indexed and written only from the
-// owning host's execution context (or barrier context), so the sharded
-// write discipline holds; no path here draws RNG except the lookup-delay
-// jitter, which replaces (not augments) the fixed ladder's draw.
+// Every estimator slot is observer-indexed; no path here draws RNG except
+// the lookup-delay jitter, which replaces (not augments) the fixed ladder's
+// draw.
 
 // adaptiveWarmup is the sample count below which estimators fall back to
 // the fixed deadlines: the first exchanges of a host's life carry no
@@ -165,30 +164,29 @@ func (s *System) redirectTimeout(a, b simnet.NodeID) simkernel.Time {
 	return d
 }
 
-// holderTripped reports whether a holder's circuit breaker is open at the
-// query's current instant: open holders are skipped by candidate
-// selection exactly like already-failed ones.
-func (s *System) holderTripped(q *Query, holder simnet.NodeID) bool {
-	return s.hs.breakerUntil != nil && s.hs.breakerUntil[holder] > s.nowAt(q.Origin)
+// holderTripped reports whether a holder's circuit breaker is open: open
+// holders are skipped by candidate selection exactly like already-failed
+// ones.
+func (s *System) holderTripped(holder simnet.NodeID) bool {
+	return s.hs.breakerUntil != nil && s.hs.breakerUntil[holder] > s.k.Now()
 }
 
 // noteHolderTimeout strikes a holder after an unanswered redirect or peer
 // query; holderStrikeLimit consecutive strikes open the breaker for
 // breakerCooldown.
-func (s *System) noteHolderTimeout(q *Query, holder simnet.NodeID) {
+func (s *System) noteHolderTimeout(holder simnet.NodeID) {
 	if s.hs.holderStrikes == nil {
 		return
 	}
 	s.hs.holderStrikes[holder]++
 	if s.hs.holderStrikes[holder] >= holderStrikeLimit {
 		s.hs.holderStrikes[holder] = 0
-		s.hs.breakerUntil[holder] = s.nowAt(q.Origin) + breakerCooldown
-		s.metsAt(q.Origin).RecordBreakerTrip()
+		s.hs.breakerUntil[holder] = s.k.Now() + breakerCooldown
+		s.mets.RecordBreakerTrip()
 	}
 }
 
-// noteHolderAlive resets a holder's strike count on any response. Runs in
-// the holder's own execution context (its handlers), never cross-cell.
+// noteHolderAlive resets a holder's strike count on any response.
 func (s *System) noteHolderAlive(holder simnet.NodeID) {
 	if s.hs.holderStrikes != nil {
 		s.hs.holderStrikes[holder] = 0

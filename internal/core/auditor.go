@@ -20,11 +20,9 @@ import (
 //     actual stashes of live same-overlay content peers;
 //   - the await-token/timer plane (a latched dir-join must have its timer
 //     armed; dead hosts must leave nothing pending; a keepalive timeout
-//     can only be armed on a content peer; and per cell, for queries:
-//     timer armed ⇔ continuation kind set ⇔ await-registry slot live).
+//     can only be armed on a content peer; and, for queries: timer armed
+//     ⇔ continuation kind set ⇔ await-registry slot live).
 //
-// It runs at epoch barriers (sharded runs park their workers there, so
-// reading cell timer arenas is race-free) or anywhere on the classic path.
 // It is diagnostic-only: it never mutates state, and it allocates freely.
 
 // AuditReport is the outcome of one audit pass.
@@ -142,22 +140,20 @@ func (s *System) Audit() AuditReport {
 	// queries outside a registry cannot be enumerated: queries are not
 	// retained.) Not tallied in Checks, whose totals the equivalence fixture
 	// pins; violations are reported like any other.
-	for cell := range s.mpools {
-		p := &s.mpools[cell]
-		live := 0
-		for slot, q := range p.awaiting {
-			if q == nil {
-				continue
-			}
-			live++
-			if q.awaitKind == awaitNone || int(q.awaitSlot) != slot || !q.pending.Active() || s.cellIdx(q.Origin) != cell {
-				fail("await: cell %d slot %d holds query %d with kind=%d slot=%d armed=%v",
-					cell, slot, q.ID, q.awaitKind, q.awaitSlot, q.pending.Active())
-			}
+	p := &s.pool
+	live := 0
+	for slot, q := range p.awaiting {
+		if q == nil {
+			continue
 		}
-		if live+len(p.awaitFree) != len(p.awaiting) {
-			fail("await: cell %d registry has %d slots, %d live + %d free", cell, len(p.awaiting), live, len(p.awaitFree))
+		live++
+		if q.awaitKind == awaitNone || int(q.awaitSlot) != slot || !q.pending.Active() {
+			fail("await: slot %d holds query %d with kind=%d slot=%d armed=%v",
+				slot, q.ID, q.awaitKind, q.awaitSlot, q.pending.Active())
 		}
+	}
+	if live+len(p.awaitFree) != len(p.awaiting) {
+		fail("await: registry has %d slots, %d live + %d free", len(p.awaiting), live, len(p.awaitFree))
 	}
 	return r
 }

@@ -130,27 +130,6 @@ type Config struct {
 	// short-circuit to the origin fallback instead of queueing into the
 	// lookup-retry chain. 0 disables shedding.
 	ShedBudget int
-
-	// StaticRing declares that nothing in the run mutates the D-ring after
-	// construction (no churn, no fault plane, no directory crashes, no
-	// standby failover). On sharded runs this lets the delivery-venue
-	// classifier predict Algorithm 2 forward hops from ring state during
-	// parallel phases and keep them on the query owner's cell; the ring
-	// mutators panic if a run breaks the declaration. The harness derives
-	// it from the scenario parameters.
-	StaticRing bool
-
-	// CellSplit splits hot localities across several sharded-kernel cells:
-	// entry i is the number of cells locality i's hosts spread over (>= 1;
-	// nil/empty means one cell per locality). Splitting only affects how
-	// parallel work partitions — latency, fault decisions and protocol
-	// behaviour stay locality-keyed — but it changes which RNG stream a
-	// host draws from, so split and unsplit runs are not byte-comparable
-	// (any worker count within one split IS). Incompatible with the
-	// features whose per-locality state is phase-written by the locality's
-	// cell (ShedBudget, StandbyFailover): several subcells would share a
-	// slot.
-	CellSplit []int
 }
 
 // DefaultConfig returns the paper's simulation parameters (Table 1 with
@@ -259,36 +238,7 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	if len(c.CellSplit) > 0 {
-		if len(c.CellSplit) != c.Localities {
-			return fmt.Errorf("core: %d cell-split factors for %d localities", len(c.CellSplit), c.Localities)
-		}
-		for loc, f := range c.CellSplit {
-			if f < 1 {
-				return fmt.Errorf("core: cell-split factor %d for locality %d (must be >= 1)", f, loc)
-			}
-		}
-		if c.ShedBudget > 0 {
-			return fmt.Errorf("core: cell splitting is incompatible with shedding (per-locality budget slots would be phase-written by several cells)")
-		}
-		if c.StandbyFailover {
-			return fmt.Errorf("core: cell splitting is incompatible with standby failover (per-locality recovery slots would be phase-written by several cells)")
-		}
-	}
 	return nil
-}
-
-// TotalCells returns the number of sharded-kernel cells the configuration
-// asks for: the locality count, enlarged by any CellSplit factors.
-func (c *Config) TotalCells() int {
-	if len(c.CellSplit) == 0 {
-		return c.Localities
-	}
-	n := 0
-	for _, f := range c.CellSplit {
-		n += f
-	}
-	return n
 }
 
 // ActiveSiteIDs returns the sites that receive queries.
@@ -307,19 +257,4 @@ type Deps struct {
 	// to share one instance (and its precomputed hash tables) with the
 	// workload generator and across campaign points.
 	Interner *model.Interner
-
-	// Cells enables the locality-sharded kernel: one kernel per cell,
-	// driven by simkernel.Engine between epoch barriers, with Kernel as
-	// the serial coordination kernel. Must have exactly cfg.TotalCells()
-	// entries — one per locality, or more when cfg.CellSplit spreads hot
-	// localities over several cells. Nil selects the classic single-kernel
-	// path.
-	Cells []*simkernel.Kernel
-	// CellMetrics holds one collector per cell (required with Cells;
-	// Metrics is ignored then). Each parallel phase writes only its own
-	// cell's collector; the harness merges them after the run.
-	CellMetrics []*metrics.Collector
-	// CellTracers optionally holds one tracer per cell (with Cells). Nil
-	// disables tracing; entries may not be nil when the slice is set.
-	CellTracers []trace.Tracer
 }

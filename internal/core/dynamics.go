@@ -13,18 +13,6 @@ import (
 // leaves with state transfer, and locality changes (§5.4). Redirection
 // failures (§5.1) live in query.go next to Algorithm 3.
 
-// assertRingMutable panics when a D-ring membership mutation is attempted
-// under Config.StaticRing: the static-ring venue rules (payloadVenue's
-// routedMsg claim) assume dring.NextHop answers identically at send time
-// and at delivery time, so a mutated ring would silently misroute claimed
-// hops. The harness only derives StaticRing for churn-, fault- and
-// crash-free scenarios; hitting this panic means that derivation drifted.
-func (s *System) assertRingMutable(op string) {
-	if s.cfg.StaticRing {
-		panic("core: D-ring mutation (" + op + ") under Config.StaticRing")
-	}
-}
-
 // FailPeer crashes a node: it stops participating and all traffic to it is
 // lost. Other peers discover the failure through their own timeouts.
 func (s *System) FailPeer(addr simnet.NodeID) {
@@ -36,11 +24,10 @@ func (s *System) FailPeer(addr simnet.NodeID) {
 	s.hs.stopTimers(addr)
 	s.stopStandbyTimers(h)
 	if h.dirNode != nil {
-		s.assertRingMutable("directory failure")
 		s.ring.Fail(h.dirNode)
 	}
 	if s.hs.has(addr, hfAccounted) {
-		s.metsAt(addr).PeerLeft(s.k.Now())
+		s.mets.PeerLeft(s.k.Now())
 		s.hs.clearFlag(addr, hfAccounted)
 	}
 }
@@ -120,9 +107,9 @@ func (s *System) onDirectoryUnreachable(h *host) {
 		// delayed retry re-checks the ring and simply adopts the promoted
 		// standby in the common case.
 		grace := 2*s.cfg.StandbyProbe +
-			simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.StandbyProbe)))
+			simkernel.Time(s.rng.Int63n(int64(s.cfg.StandbyProbe)))
 		s.hs.joinTimer[h.addr].Cancel()
-		s.hs.joinTimer[h.addr] = s.hostKernel(h.addr).AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
+		s.hs.joinTimer[h.addr] = s.k.AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
 		return
 	}
 	s.attemptDirJoin(h, h.cp.Site(), h.cp.Locality())
@@ -147,7 +134,7 @@ func (s *System) attemptDirJoin(h *host, site model.SiteID, loc int) {
 		}
 		return
 	}
-	entry, ok := s.randomAliveDir(s.prand(h.addr))
+	entry, ok := s.randomAliveDir()
 	if !ok {
 		return
 	}
@@ -156,7 +143,7 @@ func (s *System) attemptDirJoin(h *host, site model.SiteID, loc int) {
 	// Clear the in-flight latch if the request is lost in a broken ring;
 	// an answer cancels the timer.
 	s.hs.joinTimer[h.addr].Cancel()
-	s.hs.joinTimer[h.addr] = s.hostKernel(h.addr).AfterArg(15*simkernel.Second, s.joinLatchFn, uint64(uint32(h.addr)))
+	s.hs.joinTimer[h.addr] = s.k.AfterArg(15*simkernel.Second, s.joinLatchFn, uint64(uint32(h.addr)))
 }
 
 // handleDirJoinRequest runs at the D-ring node that received the routed
@@ -204,14 +191,12 @@ func (s *System) handleDirJoinAccept(h *host, m dirJoinAcceptMsg) {
 			s.pushFullContent(h)
 			return
 		}
-		s.assertRingMutable("directory replacement join")
 		s.ring.RemoveNode(key)
 	}
 	bh := s.hosts[m.Bootstrap]
 	if bh == nil || bh.dirNode == nil || !bh.dirNode.Up() {
 		return
 	}
-	s.assertRingMutable("directory replacement join")
 	node, err := s.ring.AddNode(key, h.addr)
 	if err != nil {
 		return
@@ -227,7 +212,7 @@ func (s *System) handleDirJoinAccept(h *host, m dirJoinAcceptMsg) {
 	// their keepalive timeouts and pushes.
 	h.dir.ApplyPush(h.addr, h.cp.Objects(), nil)
 	h.cp.SetDir(h.addr)
-	s.statsAt(h.addr).DirReplacements++
+	s.stats.DirReplacements++
 	s.traceDirReplaced(h)
 }
 
@@ -239,7 +224,7 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 		s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, s.cfg.DirSummaryThreshold, s.in)
 	s.dirByKey[key] = h.addr
 	s.dirAddrs = append(s.dirAddrs, h.addr)
-	s.hs.dirTicker[h.addr] = s.every(s.hostKernel(h.addr), h.addr, s.cfg.TGossip, s.dirTickFn)
+	s.hs.dirTicker[h.addr] = s.every(h.addr, s.cfg.TGossip, s.dirTickFn)
 	s.startReplicationTicker(h)
 	if s.cfg.StandbyFailover {
 		// A host promoted into a directory stops being anyone's standby.
@@ -247,10 +232,9 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 		s.startStandbyTicker(h)
 	}
 	if s.cfg.MaintenancePeriod > 0 && s.hs.stabTicker[h.addr].Stopped() {
-		// Stabilization mutates the shared ring: coordination kernel only
-		// (and, like replication, never armed twice over: a host that left
-		// as a directory and was revived holds a stopped handle).
-		s.hs.stabTicker[h.addr] = s.every(s.k, h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
+		// Like replication, never armed twice over: a host that left as a
+		// directory and was revived holds a stopped handle.
+		s.hs.stabTicker[h.addr] = s.every(h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
 	}
 }
 
@@ -267,7 +251,7 @@ func (s *System) pushFullContent(h *host) {
 		return
 	}
 	// An additions-only push (full-content re-registration, §5.2).
-	m := s.newPushMsg(s.cellIdx(h.addr), h.cp.Site())
+	m := s.newPushMsg(h.cp.Site())
 	m.M.From = h.addr
 	m.M.Added = append(m.M.Added, h.cp.Objects()...)
 	s.net.Send(h.addr, d.Addr, simnet.CatPush, m.M.WireBytes(), m)
@@ -301,7 +285,6 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 		return false
 	}
 	// Hand over the D-ring position and the directory state.
-	s.assertRingMutable("directory handoff")
 	node := s.ring.Transplant(old.dirNode, best.addr)
 	s.installDirectory(best, node, site, loc)
 	best.dir.ImportEntries(old.dir.ExportEntries())
@@ -324,10 +307,10 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 	s.stopStandbyTimers(old)
 	s.net.Fail(old.addr)
 	if s.hs.has(old.addr, hfAccounted) {
-		s.metsAt(old.addr).PeerLeft(s.k.Now())
+		s.mets.PeerLeft(s.k.Now())
 		s.hs.clearFlag(old.addr, hfAccounted)
 	}
-	s.statsAt(addr).DirReplacements++
+	s.stats.DirReplacements++
 	s.traceDirHandoff(old.addr, best.addr, site, loc)
 	return true
 }

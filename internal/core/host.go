@@ -145,14 +145,11 @@ const (
 // b) resumes at host. At most one timeout per query is armed at a time, so
 // completion leaves no dead events behind. Arming allocates nothing: the
 // continuation lives in the Query and the timer rides AfterArg with the
-// cell's bound resumeAwait, its argument packing the query's registry slot
-// with a cell-monotonic token. On the sharded path the timer lives on the
-// kernel of the executing context: the origin's cell during parallel phases
-// (handlers touching q always run there, per payloadForeign), the
-// coordination kernel in barrier context.
+// bound resumeAwait, its argument packing the query's registry slot with a
+// monotonic token.
 func (s *System) await(q *Query, d simkernel.Time, kind awaitKind, host simnet.NodeID, a uint64, b int32) {
 	s.settle(q)
-	p := &s.mpools[s.cellIdx(q.Origin)]
+	p := &s.pool
 	if n := len(p.awaitFree); n > 0 {
 		q.awaitSlot = p.awaitFree[n-1]
 		p.awaitFree = p.awaitFree[:n-1]
@@ -164,24 +161,19 @@ func (s *System) await(q *Query, d simkernel.Time, kind awaitKind, host simnet.N
 	p.awaitTok++
 	q.awaitTok = p.awaitTok
 	q.awaitKind, q.awaitHost, q.awaitA, q.awaitB = kind, host, a, b
-	k := s.k
-	if s.cells != nil && !s.net.InBarrier() {
-		k = s.cells[s.net.CellOf(q.Origin)]
-	}
-	q.pending = k.AfterArg(d, p.awaitFn, uint64(q.awaitSlot)|uint64(q.awaitTok)<<32)
+	q.pending = s.k.AfterArg(d, p.awaitFn, uint64(q.awaitSlot)|uint64(q.awaitTok)<<32)
 }
 
-// resumeAwait fires a query timeout armed in the given cell's registry. A
-// timer that outlived its arm (abandoned by a cross-kernel settle) finds
-// its slot empty or re-let under a newer token and does nothing.
-func (s *System) resumeAwait(cell int, arg uint64) {
-	p := &s.mpools[cell]
-	q := p.awaiting[uint32(arg)]
+// resumeAwait fires a query timeout armed in the await registry. A timer
+// that outlived its arm finds its slot empty or re-let under a newer token
+// and does nothing.
+func (s *System) resumeAwait(arg uint64) {
+	q := s.pool.awaiting[uint32(arg)]
 	if q == nil || q.awaitTok != uint32(arg>>32) {
 		return
 	}
 	kind, h, a, b := q.awaitKind, s.hosts[q.awaitHost], q.awaitA, int(q.awaitB)
-	s.releaseAwait(p, q)
+	s.releaseAwait(q)
 	if q.finished {
 		return
 	}

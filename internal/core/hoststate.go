@@ -256,11 +256,11 @@ func (s *System) onJoinLatchExpired(arg uint64) {
 	}
 	s.hs.joinAttempts[addr] = a + 1
 	d := backoffDelay(5*simkernel.Second, int(a), 2*simkernel.Minute)
-	d += simkernel.Time(s.prand(addr).Int63n(int64(simkernel.Second)))
+	d += simkernel.Time(s.rng.Int63n(int64(simkernel.Second)))
 	// The latch flag stays cleared while the retry timer is pending: the
 	// auditor's invariant is one-directional (latched ⇒ timer armed).
 	s.hs.joinTimer[addr].Cancel()
-	s.hs.joinTimer[addr] = s.hostKernel(addr).AfterArg(d, s.joinRetryFn, arg)
+	s.hs.joinTimer[addr] = s.k.AfterArg(d, s.joinRetryFn, arg)
 }
 
 // onJoinRetry re-issues the §5.2 directory-join request after a backoff,

@@ -69,7 +69,7 @@ func TestQueryLifecycleAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("query lifecycle allocates %.1f allocs/op, want 0", allocs)
 		}
-		for _, q := range e.sys.mpools[0].awaiting {
+		for _, q := range e.sys.pool.awaiting {
 			if q != nil {
 				t.Fatalf("query %d still holds an await-registry slot after the run", q.ID)
 			}
@@ -156,7 +156,7 @@ func TestEnvelopePoolHygiene(t *testing.T) {
 	e := newTestEnv(t, 92, nil)
 	s := e.sys
 	h := s.host(s.PoolNode(0, 0, 0))
-	q := s.newQuery(0)
+	q := s.newQuery()
 	q.Origin = h.addr
 
 	mustPanic := func(what string, f func()) {
@@ -193,21 +193,21 @@ func TestEnvelopePoolHygiene(t *testing.T) {
 		h.HandleMessage(simnet.Message{From: h.addr, To: h.addr, Payload: routed})
 	})
 
-	push := s.newPushMsg(0, e.cfg.Sites[0])
+	push := s.newPushMsg(e.cfg.Sites[0])
 	push.M.From = h.addr
 	push.M.Added = append(push.M.Added, 1, 2, 3)
-	s.putPushMsg(0, push)
+	s.putPushMsg(push)
 	if push.live || push.Site != "" || push.M.From != 0 || len(push.M.Added) != 0 || len(push.M.Removed) != 0 {
 		t.Fatalf("released push envelope not zeroed: %+v", *push)
 	}
 	if cap(push.M.Added) < 3 {
 		t.Fatal("released push envelope lost its reusable ∆list backing")
 	}
-	mustPanic("double push release", func() { s.putPushMsg(0, push) })
+	mustPanic("double push release", func() { s.putPushMsg(push) })
 	mustPanic("dispatching a released push envelope", func() {
 		h.HandleMessage(simnet.Message{From: h.addr, To: h.addr, Payload: push})
 	})
-	if again := s.newPushMsg(0, e.cfg.Sites[1]); again != push || !again.live {
+	if again := s.newPushMsg(e.cfg.Sites[1]); again != push || !again.live {
 		t.Fatal("the pool did not hand the released envelope out again, live")
 	}
 }
@@ -249,7 +249,7 @@ func TestAuditAwaitRegistry(t *testing.T) {
 	e.submitAt(simkernel.Second, 0, 0, 0, 3)
 	e.k.Run(simkernel.Second) // submitted, lookup deadline armed, nothing delivered yet
 	var inFlight *Query
-	for _, q := range e.sys.mpools[0].awaiting {
+	for _, q := range e.sys.pool.awaiting {
 		if q != nil {
 			inFlight = q
 		}

@@ -24,8 +24,8 @@ const (
 // Query carries one client request through the system. It is shared by
 // pointer across the simulated messages of a single in-process run; on a
 // real wire it would be a compact identifier plus the interned object ref.
-// Records are bump-allocated from per-cell slabs (System.newQuery) and
-// never reused, so a stale pointer can at worst read a finished query.
+// Records are bump-allocated from a slab (System.newQuery) and never
+// reused, so a stale pointer can at worst read a finished query.
 type Query struct {
 	ID     uint64
 	Start  simkernel.Time
@@ -43,8 +43,8 @@ type Query struct {
 	pending   simkernel.TimerHandle
 	awaitA    uint64        // continuation argument: a node, a ring ID or a duration
 	awaitHost simnet.NodeID // the host the continuation resumes at
-	awaitTok  uint32        // the cell-monotonic token the timer was armed with
-	awaitSlot uint32        // the query's slot in its cell's await registry
+	awaitTok  uint32        // the monotonic token the timer was armed with
+	awaitSlot uint32        // the query's slot in the await registry
 	awaitB    int32         // continuation argument: an attempt count, a flag or a duration
 
 	Ref            model.ObjectRef // interned object; every lookup keys on this
@@ -63,7 +63,7 @@ type Query struct {
 
 	refScratch [1]model.ObjectRef // backs oneRef
 
-	candidates []simnet.NodeID // untried content-peer path candidates (cell slab storage)
+	candidates []simnet.NodeID // untried content-peer path candidates (slab storage)
 	handlerDir simnet.NodeID   // the directory that ran Algorithm 3 for us
 	remoteDir  simnet.NodeID   // set while a neighbour directory handles the query
 	dirSeed    []gossip.Entry
@@ -134,8 +134,7 @@ func (q *Query) markTriedDir(id chord.ID) {
 // (Algorithm 2): the lookup of query Q from its origin Owner or, with Q
 // nil, the §5.2 replacement join of candidate Owner for the directory
 // position Key. It travels by pointer, is forwarded hop to hop in place and
-// returns to its owner's cell pool where the route ends (newRoutedMsg /
-// putRoutedMsg).
+// returns to the pool where the route ends (newRoutedMsg / putRoutedMsg).
 //
 // Hedged marks the second (raced) lookup of an adaptive hedge: if it
 // reaches a directory first — before any handler claimed the query — the
@@ -200,7 +199,7 @@ type serveMsg struct {
 
 // gossipMsg wraps an overlay gossip exchange with the overlay identity so
 // a peer that changed locality (§5.4) can reject strays. It travels by
-// pointer and is recycled through its cell's System.mpools entry once handled, so
+// pointer and is recycled through System.pool once handled, so
 // steady-state gossip rounds do not allocate an envelope per exchange;
 // allocate via System.newGossipMsg, release via System.putGossipMsg.
 type gossipMsg struct {
@@ -325,143 +324,12 @@ type standbyProbeMsg struct{ From simnet.NodeID }
 // standbyProbeAckMsg: primary → standby: still alive.
 type standbyProbeAckMsg struct{ From simnet.NodeID }
 
-// standbyPromoteMsg: standby → itself, on the global venue: a probe went
-// unanswered, decide the takeover where the ring state is authoritative.
-// The coordination-kernel handler re-checks ring liveness — a false alarm
-// (probe lost to the network, primary actually up) is a harmless no-op.
+// standbyPromoteMsg: standby → itself: a probe went unanswered, decide the
+// takeover one self-addressed hop later. The handler re-checks ring
+// liveness — a false alarm (probe lost to the network, primary actually up)
+// is a harmless no-op.
 type standbyPromoteMsg struct {
 	Key  chord.ID
 	Site model.SiteID
 	Loc  int
-}
-
-// --- Sharded delivery-venue classifiers ------------------------------------
-
-// queryOf extracts the shared *Query a payload carries, if any. Handlers
-// for these payloads read and mutate the query object, whose ownership
-// follows its origin's cell.
-func queryOf(payload any) *Query {
-	switch m := payload.(type) {
-	case peerQueryMsg:
-		return m.Q
-	case nackMsg:
-		return m.Q
-	case fetchMsg:
-		return m.Q
-	case dirQueryMsg:
-		return m.Q
-	case redirectMsg:
-		return m.Q
-	case redirectAckMsg:
-		return m.Q
-	case redirectFailMsg:
-		return m.Q
-	case forwardedQueryMsg:
-		return m.Q
-	case forwardFailMsg:
-		return m.Q
-	case *serveMsg:
-		return m.Q
-	case *routedMsg:
-		return m.Q
-	}
-	return nil
-}
-
-// payloadForeign reports whether delivering payload to a node of dstCell
-// would touch state owned by another cell: a query whose origin lives
-// elsewhere must execute on the coordination kernel even when sender and
-// receiver share a cell, because its handler mutates the query object
-// (and may arm/settle the origin-owned timeout). Installed as the sharded
-// network's foreign classifier.
-func (s *System) payloadForeign(payload any, dstCell int) bool {
-	q := queryOf(payload)
-	return q != nil && s.cellIdx(q.Origin) != dstCell
-}
-
-// payloadGlobal reports whether a payload's handler mutates globally
-// shared structures (the D-ring) and therefore always executes on the
-// coordination kernel: the §5.2 replacement-join protocol rewires the
-// ring on accept, and its routed join request walks ring state hop by
-// hop while the ring may be mid-repair. Installed as the sharded
-// network's global classifier.
-func payloadGlobal(payload any) bool {
-	switch m := payload.(type) {
-	case dirJoinAcceptMsg:
-		return true
-	case standbyPromoteMsg:
-		return true
-	case *routedMsg:
-		return m.Q == nil
-	}
-	return false
-}
-
-// payloadOwner resolves the owner cell of a payload: query-bearing
-// messages belong to the query origin's cell, because every parallel-phase
-// handler that touches a query executes there (delivery is either
-// intra-cell at the origin, or owner-claimed by payloadVenue). Installed
-// as the sharded network's SetOwner resolver; the network uses it to
-// attribute phase sends to the cell actually running them.
-func (s *System) payloadOwner(payload any) (int, bool) {
-	if q := queryOf(payload); q != nil {
-		return s.cellIdx(q.Origin), true
-	}
-	return 0, false
-}
-
-// payloadVenue claims the query-path reply legs whose handlers touch
-// nothing but the query origin's cell: they deliver on the origin's cell
-// lane instead of the coordination kernel, which is what keeps a
-// locality's query traffic inside its petal. A leg may only be claimed
-// when its handler (checked handler by handler)
-//
-//   - mutates no state outside the origin's cell (the query object, the
-//     origin host, the origin locality's accounting slots),
-//   - draws from no RNG stream but the origin cell's, and
-//   - cancels no timer armed on another kernel (settle abandons those).
-//
-// Installed as the sharded network's SetVenue classifier.
-func (s *System) payloadVenue(payload any, to simnet.NodeID) (int, bool) {
-	switch m := payload.(type) {
-	case fetchMsg:
-		// handleFetch → serveQuery(fromContentPeer=false): origin metrics,
-		// origin settle, no view-seed draw.
-		return s.cellIdx(m.Q.Origin), true
-	case *serveMsg:
-		// handleServe touches only the origin — unless the serve admits the
-		// client into an overlay (joinOverlay/joinFounder gossip-ticker
-		// offsets draw prand(origin) in a fixed order the coordination
-		// kernel must own) — those legs stay on the old venue.
-		if q := m.Q; !(q.NewClient && (q.admitted || q.needDirBootstrap)) {
-			return s.cellIdx(q.Origin), true
-		}
-	case redirectAckMsg:
-		// Handler is a bare settle(q).
-		return s.cellIdx(m.Q.Origin), true
-	case redirectMsg:
-		// Only the origin-server leg: a server serves with
-		// fromContentPeer=false (no view-seed draw) and owns no overlay or
-		// directory state. Content-peer holders draw their own cell's RNG
-		// for the §4.2 view seed, so those deliveries keep the old venue.
-		if s.hs.has(to, hfServer) {
-			return s.cellIdx(m.Q.Origin), true
-		}
-	case *routedMsg:
-		// Forward hops of Algorithm 2 only read ring state, which is
-		// immutable on a static ring; the delivering hop runs dirProcess
-		// (directory-owned draws and index writes) and keeps the old venue.
-		if m.Q == nil || !s.cfg.StaticRing || m.TTL <= 0 {
-			return 0, false
-		}
-		h := s.hosts[to]
-		if h == nil || h.dirNode == nil || !h.dirNode.Up() {
-			return 0, false
-		}
-		if _, deliver := dring.NextHop(h.dirNode, m.Key, s.ks); deliver {
-			return 0, false
-		}
-		return s.cellIdx(m.Q.Origin), true
-	}
-	return 0, false
 }

@@ -16,9 +16,8 @@ func newContentPeerFor(h *host, site model.SiteID, loc int, cfg overlay.Config, 
 // peer: the active gossip loop (Algorithm 4) and the keepalive loop
 // (§5.1). Phases are randomised so overlays do not synchronise.
 func (s *System) startContentPeerTickers(h *host) {
-	k := s.hostKernel(h.addr)
-	s.hs.gossipTicker[h.addr] = s.every(k, h.addr, s.cfg.TGossip, s.gossipTickFn)
-	s.hs.kaTicker[h.addr] = s.every(k, h.addr, s.cfg.TKeepalive, s.kaTickFn)
+	s.hs.gossipTicker[h.addr] = s.every(h.addr, s.cfg.TGossip, s.gossipTickFn)
+	s.hs.kaTicker[h.addr] = s.every(h.addr, s.cfg.TKeepalive, s.kaTickFn)
 }
 
 // gossipTick is the active behaviour of Algorithm 4. In steady state it
@@ -34,19 +33,18 @@ func (s *System) gossipTick(h *host) {
 	if h.cp.View().Len() == 0 {
 		return // nobody to gossip with (and no subset buffer to waste)
 	}
-	cell := s.cellIdx(h.addr)
-	target, m, ok := h.cp.MakeGossip(s.prand(h.addr), s.takeSubsetBuf(cell))
+	target, m, ok := h.cp.MakeGossip(s.rng, s.takeSubsetBuf())
 	if !ok {
 		return
 	}
-	wrapped := s.newGossipMsg(cell, h.cp.Site(), h.cp.Locality(), m)
+	wrapped := s.newGossipMsg(h.cp.Site(), h.cp.Locality(), m)
 	s.net.Send(h.addr, target, simnet.CatGossip, bytesGossipHdr+m.WireBytes(s.cfg.Gossip.SummaryBytes()), wrapped)
 	// Failure detection: no answer within the deadline ⇒ drop the contact.
 	// The reply (or a reject) cancels the armed timer.
 	s.hs.gossipToken[h.addr]++
 	s.hs.gossipTarget[h.addr] = target
 	s.hs.gossipTimeout[h.addr].Cancel()
-	s.hs.gossipTimeout[h.addr] = s.hostKernel(h.addr).AfterArg(s.exchangeTimeout(h.addr, target),
+	s.hs.gossipTimeout[h.addr] = s.k.AfterArg(s.exchangeTimeout(h.addr, target),
 		s.gossipTimeoutFn, packAddrTok(h.addr, s.hs.gossipToken[h.addr]))
 }
 
@@ -56,7 +54,6 @@ func (s *System) gossipTick(h *host) {
 // copies what it keeps during merge).
 func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 	m := wrapped.M
-	cell := s.cellIdx(h.addr)
 	if m.IsReply {
 		// Completion of our active round: disarm failure detection.
 		s.hs.gossipToken[h.addr]++
@@ -64,20 +61,20 @@ func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 		if h.cp != nil && h.cp.Site() == wrapped.Site && h.cp.Locality() == wrapped.Loc {
 			h.cp.ApplyGossipReply(m)
 		}
-		s.putGossipMsg(cell, wrapped)
+		s.putGossipMsg(wrapped)
 		return
 	}
 	// Passive behaviour.
 	if h.cp == nil || h.cp.Site() != wrapped.Site || h.cp.Locality() != wrapped.Loc {
 		// We are not (any longer) in the sender's overlay (§5.4).
-		s.statsAt(h.addr).GossipRejects++
-		s.putGossipMsg(cell, wrapped)
+		s.stats.GossipRejects++
+		s.putGossipMsg(wrapped)
 		s.net.Send(h.addr, m.From, simnet.CatGossip, bytesKeepalive, gossipRejectMsg{From: h.addr})
 		return
 	}
-	reply := h.cp.AcceptGossip(m, s.prand(h.addr), s.takeSubsetBuf(cell))
-	rw := s.newGossipMsg(cell, wrapped.Site, wrapped.Loc, reply)
-	s.putGossipMsg(cell, wrapped)
+	reply := h.cp.AcceptGossip(m, s.rng, s.takeSubsetBuf())
+	rw := s.newGossipMsg(wrapped.Site, wrapped.Loc, reply)
+	s.putGossipMsg(wrapped)
 	s.net.Send(h.addr, m.From, simnet.CatGossip, bytesGossipHdr+reply.WireBytes(s.cfg.Gossip.SummaryBytes()), rw)
 }
 
@@ -100,13 +97,12 @@ func (s *System) maybePush(h *host) {
 	}
 	// The ∆list is extracted into a pooled envelope's reusable backing
 	// (NeedPush ⇒ there are changes to take).
-	cell := s.cellIdx(h.addr)
-	m := s.newPushMsg(cell, h.cp.Site())
+	m := s.newPushMsg(h.cp.Site())
 	m.M, _ = h.cp.TakePush(m.M.Added, m.M.Removed)
 	if d.Addr == h.addr {
 		// This peer IS the directory (§5.2 replacement): index locally.
 		h.dir.ApplyPush(h.addr, m.M.Added, m.M.Removed)
-		s.putPushMsg(cell, m)
+		s.putPushMsg(m)
 		return
 	}
 	s.net.Send(h.addr, d.Addr, simnet.CatPush, m.M.WireBytes(), m)
@@ -118,7 +114,7 @@ func (s *System) handlePush(h *host, m *pushMsg) {
 	if h.dir != nil && h.dir.Site() == m.Site {
 		h.dir.ApplyPush(m.M.From, m.M.Added, m.M.Removed)
 	}
-	s.putPushMsg(s.cellIdx(h.addr), m)
+	s.putPushMsg(m)
 }
 
 // keepaliveTick sends the §5.1 liveness probe to the directory and arms
@@ -138,11 +134,11 @@ func (s *System) keepaliveTick(h *host) {
 	}
 	s.net.Send(h.addr, d.Addr, simnet.CatKeepalive, bytesKeepalive, s.hs.kaPayload[h.addr])
 	if s.cfg.Adaptive {
-		s.hs.kaSentAt[h.addr] = s.nowAt(h.addr)
+		s.hs.kaSentAt[h.addr] = s.k.Now()
 	}
 	s.hs.kaToken[h.addr]++
 	s.hs.kaTimeout[h.addr].Cancel()
-	s.hs.kaTimeout[h.addr] = s.hostKernel(h.addr).AfterArg(s.exchangeTimeout(h.addr, d.Addr),
+	s.hs.kaTimeout[h.addr] = s.k.AfterArg(s.exchangeTimeout(h.addr, d.Addr),
 		s.kaTimeoutFn, packAddrTok(h.addr, s.hs.kaToken[h.addr]))
 }
 
@@ -163,7 +159,7 @@ func (s *System) handleKeepaliveAck(h *host, m keepaliveAckMsg) {
 	if s.cfg.Adaptive && s.hs.kaSentAt[h.addr] > 0 {
 		// Keepalive round trips are the steady drip that keeps every member's
 		// estimator warm even when it issues no queries.
-		s.observeRTT(h.addr, s.nowAt(h.addr)-s.hs.kaSentAt[h.addr])
+		s.observeRTT(h.addr, s.k.Now()-s.hs.kaSentAt[h.addr])
 		s.hs.kaSentAt[h.addr] = 0
 	}
 	if h.cp != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"flowercdn/internal/chord"
 	"flowercdn/internal/dring"
 	"flowercdn/internal/gossip"
@@ -20,7 +18,7 @@ import (
 // submits its query to D-ring through any directory peer it knows of, and
 // key-based routing (Algorithm 2) delivers it to d(ws,loc).
 func (s *System) startNewClientQuery(h *host, q *Query) {
-	entry, ok := s.randomAliveDir(s.prand(q.Origin))
+	entry, ok := s.randomAliveDir()
 	if !ok {
 		// No D-ring at all (catastrophic churn): go straight to the server.
 		s.fallbackToOrigin(h, q)
@@ -30,7 +28,7 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 	// several directory instances; new clients spread across them.
 	inst := 0
 	if n := s.ks.Instances(); n > 1 {
-		inst = s.prand(q.Origin).Intn(n)
+		inst = s.rng.Intn(n)
 	}
 	q.targetInstance = inst
 	key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, inst)
@@ -38,7 +36,7 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 		return
 	}
 	if s.cfg.Adaptive {
-		q.sentAt = s.nowAt(q.Origin)
+		q.sentAt = s.k.Now()
 	}
 	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	// If the entry node (or the path) is dead the query would hang; retry
@@ -51,7 +49,7 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 // fallbackToOrigin degrades q to the last tier: fetch from the website's
 // origin server, guarded (hardened runs) by the capped-backoff retry.
 func (s *System) fallbackToOrigin(h *host, q *Query) {
-	s.metsAt(q.Origin).RecordOriginFallback()
+	s.mets.RecordOriginFallback()
 	s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, false)
 }
@@ -75,8 +73,8 @@ func (s *System) awaitLookup(h *host, q *Query, attempt int) {
 // normal retry chain after the remainder of the full deadline.
 func (s *System) hedgeLookup(h *host, q *Query, attempt int, remaining simkernel.Time) {
 	if q.handlerDir == 0 && !q.finished {
-		if entry, ok := s.randomAliveDir(s.prand(q.Origin)); ok {
-			s.metsAt(q.Origin).RecordHedge()
+		if entry, ok := s.randomAliveDir(); ok {
+			s.mets.RecordHedge()
 			key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
 			s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, true))
 		}
@@ -100,20 +98,20 @@ func (s *System) retryNewClientQuery(h *host, q *Query, attempt int) {
 	if q.recorded {
 		return
 	}
-	s.statsAt(q.Origin).QueriesRetried++
-	s.metsAt(q.Origin).RecordRetry()
+	s.stats.QueriesRetried++
+	s.mets.RecordRetry()
 	if attempt >= s.lookupAttemptLimit() {
 		s.fallbackToOrigin(h, q)
 		return
 	}
-	entry, ok := s.randomAliveDir(s.prand(q.Origin))
+	entry, ok := s.randomAliveDir()
 	if !ok {
 		s.fallbackToOrigin(h, q)
 		return
 	}
 	key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
 	if s.cfg.Adaptive {
-		q.sentAt = s.nowAt(q.Origin)
+		q.sentAt = s.k.Now()
 	}
 	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	s.awaitLookup(h, q, attempt)
@@ -147,10 +145,10 @@ func (s *System) lookupRetryDelay(q *Query, attempt int) simkernel.Time {
 			}
 		}
 		d := backoffDelay(base, attempt, 80*simkernel.Second)
-		return d + simkernel.Time(s.prand(q.Origin).Int63n(int64(d/4+1)))
+		return d + simkernel.Time(s.rng.Int63n(int64(d/4+1)))
 	}
 	d := backoffDelay(10*simkernel.Second, attempt, 80*simkernel.Second)
-	return d + simkernel.Time(s.prand(q.Origin).Int63n(int64(2*simkernel.Second)))
+	return d + simkernel.Time(s.rng.Int63n(int64(2*simkernel.Second)))
 }
 
 // backoffDelay doubles base attempt times, capped at ceil (overflow-safe).
@@ -186,7 +184,7 @@ func (s *System) awaitOriginRetry(h *host, q *Query, attempt int, viaDir bool) {
 		return
 	}
 	d := backoffDelay(10*simkernel.Second, attempt, 80*simkernel.Second)
-	d += simkernel.Time(s.prand(q.Origin).Int63n(int64(2 * simkernel.Second)))
+	d += simkernel.Time(s.rng.Int63n(int64(2 * simkernel.Second)))
 	var via uint64
 	if viaDir {
 		via = 1
@@ -206,7 +204,7 @@ func (s *System) takeShedSlot(h *host, q *Query, key chord.ID) bool {
 	}
 	if n := s.ring.Lookup(key); n == nil || !n.Up() {
 		if int(s.shedInFlight[q.OriginLoc]) >= s.cfg.ShedBudget {
-			s.metsAt(q.Origin).RecordShed()
+			s.mets.RecordShed()
 			s.fallbackToOrigin(h, q)
 			return false
 		}
@@ -217,8 +215,6 @@ func (s *System) takeShedSlot(h *host, q *Query, key chord.ID) bool {
 }
 
 // releaseShedSlot returns the locality's shed-budget slot q holds, if any.
-// Runs in the origin's execution context (or at a barrier), i.e. on the
-// counting locality's own cell.
 func (s *System) releaseShedSlot(q *Query) {
 	if q.shedCounted {
 		q.shedCounted = false
@@ -234,7 +230,7 @@ func (s *System) retryOrigin(h *host, q *Query, attempt int, viaDir bool) {
 	if q.finished {
 		return
 	}
-	s.metsAt(q.Origin).RecordRetry()
+	s.mets.RecordRetry()
 	if viaDir && s.net.Alive(h.addr) {
 		s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	} else {
@@ -243,9 +239,9 @@ func (s *System) retryOrigin(h *host, q *Query, attempt int, viaDir bool) {
 	s.awaitOriginRetry(h, q, attempt, viaDir)
 }
 
-func (s *System) randomAliveDir(rng *rand.Rand) (simnet.NodeID, bool) {
+func (s *System) randomAliveDir() (simnet.NodeID, bool) {
 	for try := 0; try < 8; try++ {
-		addr := s.dirAddrs[rng.Intn(len(s.dirAddrs))]
+		addr := s.dirAddrs[s.rng.Intn(len(s.dirAddrs))]
 		if s.net.Alive(addr) {
 			return addr, true
 		}
@@ -263,11 +259,11 @@ func (s *System) randomAliveDir(rng *rand.Rand) (simnet.NodeID, bool) {
 // the content summaries of the peer's partial view, then (per policy) the
 // directory, finally the origin server.
 func (s *System) startContentPeerQuery(h *host, q *Query) {
-	p := &s.mpools[s.cellIdx(h.addr)]
+	p := &s.pool
 	if h.cp.Has(q.Ref) {
-		s.metsAt(q.Origin).RecordQuery(s.nowAt(q.Origin), metrics.SourceLocal, 0, 0)
+		s.mets.RecordQuery(s.k.Now(), metrics.SourceLocal, 0, 0)
 		// A local hit ends the query before anything else could reference
-		// its record: if that is the slab's newest (it is when submitQuery
+		// its record: if that is the slab's newest (it is when Submit
 		// carved it), un-carve it.
 		if n := len(p.queries); n > 0 && q == &p.queries[n-1] {
 			*q = Query{}
@@ -276,8 +272,8 @@ func (s *System) startContentPeerQuery(h *host, q *Query) {
 		return
 	}
 	// Only the RetryLimit candidates the query may try stay carved out of
-	// the cell's slab.
-	cands := s.slabCandidates(p, h.cp, q.Ref)
+	// the slab.
+	cands := s.slabCandidates(h.cp, q.Ref)
 	if len(cands) > s.cfg.RetryLimit {
 		cands = cands[:s.cfg.RetryLimit]
 	}
@@ -287,26 +283,27 @@ func (s *System) startContentPeerQuery(h *host, q *Query) {
 }
 
 // slabCandidates shuffles cp's candidates for ref (see
-// overlay.AppendCandidates) into the unused tail of a cell's candidate
-// slab and returns them. The caller either commits the part it keeps by
-// extending p.cands over it, or consumes the result before the next call.
-func (s *System) slabCandidates(p *msgPool, cp *overlay.ContentPeer, ref model.ObjectRef) []simnet.NodeID {
+// overlay.AppendCandidates) into the unused tail of the candidate slab
+// and returns them. The caller either commits the part it keeps by
+// extending pool.cands over it, or consumes the result before the next call.
+func (s *System) slabCandidates(cp *overlay.ContentPeer, ref model.ObjectRef) []simnet.NodeID {
+	p := &s.pool
 	if cap(p.cands)-len(p.cands) < cp.View().Len() {
 		p.cands = make([]simnet.NodeID, 0, queryChunk*s.cfg.Gossip.ViewSize)
 	}
-	return cp.AppendCandidates(p.cands[len(p.cands):], ref, s.prand(cp.Addr()))
+	return cp.AppendCandidates(p.cands[len(p.cands):], ref, s.rng)
 }
 
 func (s *System) tryNextCandidate(h *host, q *Query) {
 	for len(q.candidates) > 0 {
 		cand := q.candidates[0]
 		q.candidates = q.candidates[1:]
-		if cand == q.Origin || s.holderTripped(q, cand) {
+		if cand == q.Origin || s.holderTripped(cand) {
 			continue
 		}
 		s.trace(trace.PeerQuery, q.ID, q.Origin, cand, "")
 		if s.cfg.Adaptive {
-			q.sentAt = s.nowAt(q.Origin)
+			q.sentAt = s.k.Now()
 		}
 		s.net.Send(q.Origin, cand, simnet.CatQuery, bytesQueryCtl, peerQueryMsg{Q: q})
 		s.await(q, s.exchangeTimeout(q.Origin, cand), awaitCandidate, h.addr, uint64(cand), 0)
@@ -318,9 +315,9 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 		if !s.takeShedSlot(h, q, s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, 0)) {
 			return
 		}
-		s.metsAt(q.Origin).RecordDirFallback()
+		s.mets.RecordDirFallback()
 		if s.cfg.Adaptive {
-			q.sentAt = s.nowAt(q.Origin)
+			q.sentAt = s.k.Now()
 		}
 		s.net.Send(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
 		esc := s.escalationTimeout(q)
@@ -342,18 +339,18 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 // onCandidateTimeout: a view contact ignored the peer query. Dead contact
 // (§5.1 style failure detection): forget it and move on.
 func (s *System) onCandidateTimeout(h *host, q *Query, cand simnet.NodeID) {
-	s.metsAt(q.Origin).RecordRetry()
+	s.mets.RecordRetry()
 	if h.cp != nil {
 		h.cp.RemoveContact(cand)
 	}
-	s.noteHolderTimeout(q, cand)
+	s.noteHolderTimeout(cand)
 	s.tryNextCandidate(h, q)
 }
 
 // resendEscalation retransmits a member's view-miss escalation after the
 // adaptive tail deadline and waits out the rest of the full one.
 func (s *System) resendEscalation(h *host, q *Query, dir simnet.NodeID, remaining simkernel.Time) {
-	s.metsAt(q.Origin).RecordRetry()
+	s.mets.RecordRetry()
 	s.net.Send(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
 	s.await(q, remaining, awaitEscalateExpire, h.addr, 0, 0)
 }
@@ -368,13 +365,10 @@ func (s *System) handleRouted(h *host, m *routedMsg) {
 	next, deliver := dring.NextHop(h.dirNode, m.Key, s.ks)
 	if !deliver {
 		if m.TTL <= 0 {
-			s.metsAt(h.addr).RecordRouteTTLExpiry()
+			s.mets.RecordRouteTTLExpiry()
 		} else {
 			if q := m.Q; q != nil {
-				// Owner-claimed forward hops execute on the origin's cell
-				// even though h is a foreign directory: charge the trace to
-				// the origin's context (see payloadVenue).
-				s.traceAt(q.Origin, trace.RouteHop, q.ID, h.addr, next.Addr(), "")
+				s.trace(trace.RouteHop, q.ID, h.addr, next.Addr(), "")
 			}
 			m.TTL-- // the envelope travels on, hop to hop, in place
 			s.net.Send(h.addr, next.Addr(), simnet.CatQuery, bytesQueryCtl, m)
@@ -389,7 +383,7 @@ func (s *System) handleRouted(h *host, m *routedMsg) {
 	}
 	if hedged && q.handlerDir == 0 && !q.finished {
 		// The hedge reached a directory before the primary lookup did.
-		s.metsAt(q.Origin).RecordHedgeWin()
+		s.mets.RecordHedgeWin()
 	}
 	s.dirProcess(h, q, false)
 }
@@ -407,7 +401,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 	}
 	if h.dir == nil {
 		// Routing delivered to a non-directory (severe churn): server.
-		s.metsAt(q.Origin).RecordOriginFallback()
+		s.mets.RecordOriginFallback()
 		s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 		s.awaitOriginRetry(h, q, 0, true)
 		return
@@ -443,7 +437,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 
 	// Stage A: directory index (complete view of the content overlay).
 	for _, holder := range h.dir.Holders(q.Ref) {
-		if holder == q.Origin || q.triedHolder(holder) || s.holderTripped(q, holder) {
+		if holder == q.Origin || q.triedHolder(holder) || s.holderTripped(holder) {
 			continue
 		}
 		s.dirRedirect(h, q, holder, forwarded)
@@ -456,10 +450,9 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 			s.serveQuery(h, q, forwarded, true)
 			return
 		}
-		// Consumed on the spot, never committed to the (query-owning cell's)
-		// slab.
-		for _, cand := range s.slabCandidates(&s.mpools[s.cellIdx(q.Origin)], h.cp, q.Ref) {
-			if cand == q.Origin || q.triedHolder(cand) || s.holderTripped(q, cand) {
+		// Consumed on the spot, never committed to the slab.
+		for _, cand := range s.slabCandidates(h.cp, q.Ref) {
+			if cand == q.Origin || q.triedHolder(cand) || s.holderTripped(cand) {
 				continue
 			}
 			s.dirRedirect(h, q, cand, forwarded)
@@ -492,7 +485,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 	// Stage D: the origin web server.
 	q.atRemote = false
 	s.trace(trace.ServerFetch, q.ID, h.addr, s.servers[q.Site], "directory fallback")
-	s.metsAt(q.Origin).RecordOriginFallback()
+	s.mets.RecordOriginFallback()
 	s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, true)
 }
@@ -541,12 +534,12 @@ func (s *System) dirRedirect(h *host, q *Query, holder simnet.NodeID, forwarded 
 // onRedirectTimeout: the believed holder never acknowledged (§5.1).
 func (s *System) onRedirectTimeout(h *host, q *Query, holder simnet.NodeID, forwarded bool) {
 	s.trace(trace.RedirectFailed, q.ID, h.addr, holder, "timeout")
-	s.metsAt(h.addr).RecordRedirectFailure()
+	s.mets.RecordRedirectFailure()
 	h.dir.RemovePeer(holder)
 	if h.cp != nil {
 		h.cp.RemoveContact(holder)
 	}
-	s.noteHolderTimeout(q, holder)
+	s.noteHolderTimeout(holder)
 	q.markFailedHolder(holder)
 	s.dirProcess(h, q, forwarded)
 }
@@ -615,7 +608,7 @@ func (s *System) handleNack(h *host, m nackMsg, from simnet.NodeID) {
 	q := m.Q
 	s.settle(q)
 	if s.cfg.Adaptive && q.sentAt > 0 {
-		s.observeRTT(q.Origin, s.nowAt(q.Origin)-q.sentAt)
+		s.observeRTT(q.Origin, s.k.Now()-q.sentAt)
 		q.sentAt = 0
 	}
 	s.trace(trace.PeerNack, q.ID, h.addr, from, "stale summary or false positive")
@@ -631,7 +624,7 @@ func (s *System) handleFetch(h *host, m fetchMsg) {
 // the object to the requester.
 func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool) {
 	s.settle(q)
-	now := s.nowAt(q.Origin)
+	now := s.k.Now()
 	if !q.recorded {
 		src := metrics.SourceServer
 		if fromContentPeer {
@@ -643,7 +636,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		}
 		lookup := float64(now - q.Start)
 		dist := s.topo.LatencyMs(h.addr, q.Origin)
-		s.metsAt(q.Origin).RecordQuery(now, src, lookup, dist)
+		s.mets.RecordQuery(now, src, lookup, dist)
 		q.recorded = true
 		s.traceServed(q, h.addr, src, lookup, dist)
 		if s.recovery != nil && fromContentPeer && q.handlerDir != 0 {
@@ -663,7 +656,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		h.cp.Site() == q.Site && h.cp.Locality() == q.OriginLoc {
 		// §4.2: a client served by a content peer of its own overlay seeds
 		// its view from that peer's view.
-		msg.ViewSeed = h.cp.ViewSeedFor(s.prand(h.addr), msg.ViewSeed)
+		msg.ViewSeed = h.cp.ViewSeedFor(s.rng, msg.ViewSeed)
 	}
 	s.net.Send(h.addr, q.Origin, simnet.CatTransfer,
 		bytesServeHdr+s.cfg.ObjectBytes+gossip.WireBytes(msg.ViewSeed, s.cfg.Gossip.SummaryBytes()), msg)
@@ -678,7 +671,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 // onDeliveryTimeout: the served object never landed; re-fetch it from the
 // origin server.
 func (s *System) onDeliveryTimeout(h *host, q *Query) {
-	s.metsAt(q.Origin).RecordRetry()
+	s.mets.RecordRetry()
 	s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, false)
 }
@@ -696,7 +689,7 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	if s.cfg.Adaptive && q.sentAt > 0 {
 		// One completed attempt→delivery round trip feeds the origin's
 		// estimator; this is the timescale adaptive lookup deadlines target.
-		s.observeRTT(q.Origin, s.nowAt(q.Origin)-q.sentAt)
+		s.observeRTT(q.Origin, s.k.Now()-q.sentAt)
 		q.sentAt = 0
 	}
 	s.releaseShedSlot(q)
@@ -719,15 +712,15 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 		s.maybePush(h)
 	}
 	if q.needDirBootstrap {
-		s.statsAt(h.addr).DirBootstraps++
+		s.stats.DirBootstraps++
 		if s.cfg.StandbyFailover && h.replica == nil {
 			// Same head start the keepalive path gives the designated
 			// standby: delay the cold volunteer; the retry re-checks the
 			// ring and adopts a promoted standby instead of racing it.
 			grace := 2*s.cfg.StandbyProbe +
-				simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.StandbyProbe)))
+				simkernel.Time(s.rng.Int63n(int64(s.cfg.StandbyProbe)))
 			s.hs.joinTimer[h.addr].Cancel()
-			s.hs.joinTimer[h.addr] = s.hostKernel(h.addr).AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
+			s.hs.joinTimer[h.addr] = s.k.AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
 			return
 		}
 		s.attemptDirJoin(h, q.Site, q.OriginLoc)
@@ -738,7 +731,7 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 // directory is known yet; attemptDirJoin (run by the caller) will install
 // this peer as d(ws,loc) unless someone else won the race.
 func (s *System) joinFounder(h *host, q *Query) {
-	now := s.nowAt(h.addr)
+	now := s.k.Now()
 	h.cp = newContentPeerFor(h, q.Site, q.OriginLoc, s.cfg.Gossip, now)
 	s.hs.dirInstance[h.addr] = int32(q.targetInstance)
 	if stash := s.hs.stash[h.addr]; len(stash) > 0 {
@@ -748,10 +741,10 @@ func (s *System) joinFounder(h *host, q *Query) {
 		s.hs.stash[h.addr] = nil
 	}
 	if !s.hs.has(h.addr, hfAccounted) {
-		s.metsAt(h.addr).PeerJoined(now)
+		s.mets.PeerJoined(now)
 		s.hs.set(h.addr, hfAccounted)
 	}
-	s.statsAt(h.addr).Joins++
+	s.stats.Joins++
 	s.traceJoined(q, h, -1, true)
 	s.startContentPeerTickers(h)
 }
@@ -759,7 +752,7 @@ func (s *System) joinFounder(h *host, q *Query) {
 // joinOverlay turns a served client into a content peer of its locality's
 // overlay (§4.1 construction).
 func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
-	now := s.nowAt(h.addr)
+	now := s.k.Now()
 	h.cp = newContentPeerFor(h, q.Site, q.OriginLoc, s.cfg.Gossip, now)
 	h.cp.SetDir(q.handlerDir)
 	s.hs.dirInstance[h.addr] = int32(q.targetInstance)
@@ -777,20 +770,20 @@ func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
 		s.hs.stash[h.addr] = nil
 	}
 	if !s.hs.has(h.addr, hfAccounted) {
-		s.metsAt(h.addr).PeerJoined(now)
+		s.mets.PeerJoined(now)
 		s.hs.set(h.addr, hfAccounted)
 	}
-	s.statsAt(h.addr).Joins++
+	s.stats.Joins++
 	s.traceJoined(q, h, q.handlerDir, false)
 	s.startContentPeerTickers(h)
 }
 
 // dirViewSeed builds the view seed a directory hands to a client it admits
 // but cannot have served locally: up to L_gossip random index members, ages
-// included, summaries absent (§4.2). The seed is carved from the slab of the
-// query's cell and lives as long as the query.
+// included, summaries absent (§4.2). The seed is carved from the seed slab
+// and lives as long as the query.
 func (s *System) dirViewSeed(h *host, q *Query) []gossip.Entry {
-	p := &s.mpools[s.cellIdx(q.Origin)]
+	p := &s.pool
 	want := s.cfg.Gossip.GossipLen
 	if cap(p.seeds)-len(p.seeds) < want {
 		p.seeds = make([]gossip.Entry, 0, queryChunk*want)
@@ -801,7 +794,7 @@ func (s *System) dirViewSeed(h *host, q *Query) []gossip.Entry {
 	} else {
 		p.members = h.dir.AppendMembers(p.members[:0])
 		members := p.members
-		s.prand(h.addr).Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		s.rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
 		for _, m := range members {
 			if m == q.Origin {
 				continue
@@ -830,7 +823,7 @@ func (s *System) sparseDirViewSeed(h *host, exclude simnet.NodeID, seed []gossip
 	}
 draws:
 	for tries := 0; tries < 4*want && len(seed) < want; tries++ {
-		m := h.dir.MemberAt(s.prand(h.addr).Intn(n))
+		m := h.dir.MemberAt(s.rng.Intn(n))
 		if m == exclude {
 			continue
 		}

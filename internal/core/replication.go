@@ -20,7 +20,7 @@ func (s *System) startReplicationTicker(h *host) {
 	if s.cfg.ReplicationTopK <= 0 || !s.hs.replTicker[h.addr].Stopped() {
 		return // never armed twice over
 	}
-	s.hs.replTicker[h.addr] = s.every(s.hostKernel(h.addr), h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
+	s.hs.replTicker[h.addr] = s.every(h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
 }
 
 // replicationTick runs at a directory: offer the top-K requested objects
@@ -51,7 +51,7 @@ func (s *System) replicationTick(h *host) {
 			}
 			offers = append(offers, ReplicaOffer{
 				Ref:    ref,
-				Holder: holders[s.prand(h.addr).Intn(len(holders))],
+				Holder: holders[s.rng.Intn(len(holders))],
 			})
 		}
 		if len(offers) == 0 {
@@ -77,7 +77,7 @@ func (s *System) handleReplicaOffer(h *host, m replicaOfferMsg) {
 		if len(h.dir.Holders(offer.Ref)) > 0 {
 			continue // raced: someone fetched it meanwhile
 		}
-		member := members[s.prand(h.addr).Intn(len(members))]
+		member := members[s.rng.Intn(len(members))]
 		s.net.Send(h.addr, member, simnet.CatReplication, bytesQueryCtl,
 			prefetchMsg{Ref: offer.Ref, Holder: offer.Holder})
 	}
@@ -109,7 +109,7 @@ func (s *System) handlePrefetchServe(h *host, m prefetchServeMsg) {
 		return
 	}
 	h.cp.AddObject(m.Ref)
-	s.statsAt(h.addr).Prefetches++
+	s.stats.Prefetches++
 	s.tracePrefetch(h, m.Ref)
 	s.maybePush(h)
 }

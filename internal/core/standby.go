@@ -13,8 +13,8 @@ import (
 // JoinedAt, then address) as a warm standby, seeds it with a full index
 // snapshot and keeps the standby's replica fresh with dirty-shard deltas
 // from the dring delta seam. The standby probes its primary far tighter
-// than the overlay keepalive; on silence it asks the coordination kernel
-// — where D-ring state is authoritative — to promote it. A promoted
+// than the overlay keepalive; on silence it re-checks the D-ring and, if
+// the position is really vacant, promotes itself. A promoted
 // standby takes over the D-ring position *with* its replica (bounded
 // staleness; stale holders wash out through the §5.1 redirection-failure
 // path), instead of the cold §5.2 rebuild from an empty index.
@@ -30,13 +30,11 @@ func (s *System) startStandbyTicker(h *host) {
 	if !s.cfg.StandbyFailover || !h.standbyTicker.Stopped() {
 		return
 	}
-	h.standbyTicker = s.every(s.hostKernel(h.addr), h.addr, s.cfg.StandbySyncEvery, s.standbyTickFn)
+	h.standbyTicker = s.every(h.addr, s.cfg.StandbySyncEvery, s.standbyTickFn)
 }
 
 // standbyMaintTick is the directory-side loop: validate or (re)designate
-// the standby, then ship up to StandbySyncShards dirty shards. The
-// directory and every member of its overlay share a locality — and
-// therefore a cell — so all reads and sends here stay cell-local.
+// the standby, then ship up to StandbySyncShards dirty shards.
 func (s *System) standbyMaintTick(h *host) {
 	if h.dir == nil || !s.net.Alive(h.addr) {
 		return
@@ -61,7 +59,7 @@ func (s *System) standbyMaintTick(h *host) {
 		// so each delta exports into a fresh slice.
 		m := standbyDeltaMsg{FromDir: h.addr, Shard: sh, Entries: h.dir.ExportShard(int(sh), nil)}
 		s.net.Send(h.addr, h.standby, simnet.CatMaintenance, m.wireBytes(), m)
-		s.statsAt(h.addr).StandbyDeltas++
+		s.stats.StandbyDeltas++
 	}
 }
 
@@ -103,7 +101,7 @@ func (s *System) designateStandby(h *host) {
 		Entries: h.dir.ExportEntries(),
 	}
 	s.net.Send(h.addr, best.addr, simnet.CatMaintenance, m.wireBytes(), m)
-	s.statsAt(h.addr).StandbyAssigns++
+	s.stats.StandbyAssigns++
 }
 
 // handleStandbyAssign runs at the designated standby: build (or rebuild)
@@ -159,12 +157,12 @@ func (s *System) startStandbyProbes(h *host) {
 	if !h.probeTicker.Stopped() {
 		return
 	}
-	h.probeTicker = s.every(s.hostKernel(h.addr), h.addr, s.cfg.StandbyProbe, s.probeTickFn)
+	h.probeTicker = s.every(h.addr, s.cfg.StandbyProbe, s.probeTickFn)
 }
 
 // standbyProbeTick sends one liveness probe and arms its deadline. A
-// single missed probe already requests promotion: the coordination-kernel
-// arbiter re-checks ring liveness, so a false alarm is a no-op while a
+// single missed probe already requests promotion: the promotion arbiter
+// re-checks ring liveness, so a false alarm is a no-op while a
 // real crash is detected within ~one probe period — which is what lets
 // warm detection beat the cold keepalive-offset race.
 func (s *System) standbyProbeTick(h *host) {
@@ -175,7 +173,7 @@ func (s *System) standbyProbeTick(h *host) {
 	h.probeToken++
 	tok := h.probeToken
 	h.probeTimeout.Cancel()
-	h.probeTimeout = s.hostKernel(h.addr).After(s.exchangeTimeout(h.addr, h.standbyFor), func() {
+	h.probeTimeout = s.k.After(s.exchangeTimeout(h.addr, h.standbyFor), func() {
 		if h.probeToken == tok {
 			s.requestPromotion(h)
 		}
@@ -203,9 +201,8 @@ func (s *System) handleStandbyProbeAck(h *host, m standbyProbeAckMsg) {
 	h.probeTimeout.Cancel()
 }
 
-// requestPromotion sends the standby's self-addressed takeover decision
-// to the global venue: ring mutations happen on the coordination kernel,
-// where liveness can be judged against authoritative state.
+// requestPromotion sends the standby's self-addressed takeover decision:
+// handleStandbyPromote judges liveness against the ring one hop later.
 func (s *System) requestPromotion(h *host) {
 	if h.standbyFor == 0 || h.replica == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
@@ -214,11 +211,10 @@ func (s *System) requestPromotion(h *host) {
 		standbyPromoteMsg{Key: h.standbyKey, Site: h.standbySite, Loc: h.standbyLoc})
 }
 
-// handleStandbyPromote is the promotion arbiter. It executes on the
-// coordination kernel (standbyPromoteMsg is a global payload): if the
-// watched position is actually held by a live node the alarm was false
-// and nothing happens; otherwise the standby joins D-ring under the
-// common key and becomes the directory with its replica as the index.
+// handleStandbyPromote is the promotion arbiter: if the watched position
+// is actually held by a live node the alarm was false and nothing happens;
+// otherwise the standby joins D-ring under the common key and becomes the
+// directory with its replica as the index.
 func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
 	if h.cp == nil || h.dir != nil || h.replica == nil || !s.net.Alive(h.addr) {
 		return
@@ -245,7 +241,7 @@ func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
 	// shipped (readable in simulation; a real standby would bound this by
 	// its sync cadence).
 	if prim := s.hosts[h.standbyFor]; prim != nil && prim.dir != nil {
-		s.statsAt(h.addr).StandbyStaleShards += prim.dir.DirtyShardCount()
+		s.stats.StandbyStaleShards += prim.dir.DirtyShardCount()
 	}
 	replica := h.replica
 	site, loc := m.Site, m.Loc
@@ -269,7 +265,7 @@ func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
 		s.net.Send(h.addr, mAddr, simnet.CatMaintenance, bytesJoinCtl,
 			dirJoinTakenMsg{Key: m.Key, NewDir: h.addr})
 	}
-	s.statsAt(h.addr).StandbyPromotions++
+	s.stats.StandbyPromotions++
 	s.traceStandbyPromoted(h)
 }
 

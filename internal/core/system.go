@@ -65,27 +65,10 @@ type System struct {
 	rng *rand.Rand
 	qid uint64
 
-	// Sharded-mode state (Deps.Cells): one kernel, RNG and collector — and
-	// optionally one tracer — per topology locality. Nil/empty on the
-	// classic single-kernel path. The cells' clocks advance in lock-step
-	// epochs under simkernel.Engine; all cross-cell work executes on s.k
-	// (the coordination kernel) at epoch barriers.
-	cells       []*simkernel.Kernel
-	cellRng     []*rand.Rand
-	cellMets    []*metrics.Collector
-	cellTracers []trace.Tracer
-
-	// splitBase[loc] is the first cell index of locality loc under hot-cell
-	// splitting (nil unless Config.CellSplit is set on a sharded run); see
-	// cellsplit.go.
-	splitBase []int
-
-	// mpools holds, per cell (a single entry on the classic path), the
-	// recycled message envelopes, the Query and candidate slabs and the
-	// await registry — per cell so parallel phases never share a free list.
-	// Envelopes lost to dead receivers simply never come back; a pool
-	// refills on the next allocation.
-	mpools []msgPool
+	// pool holds the recycled message envelopes, the Query and candidate
+	// slabs and the await registry. Envelopes lost to dead receivers simply
+	// never come back; the pool refills on the next allocation.
+	pool msgPool
 
 	// Long-lived bound callbacks for the AfterArg-scheduled
 	// failure-detection timeouts (see hoststate.go): bound once here so
@@ -102,8 +85,7 @@ type System struct {
 	// Partition-recovery accounting (nil unless InstallFaults saw partition
 	// windows): healAt[loc] is when locality loc's last partition window
 	// ends (-1 = never partitioned), recovery[loc] the smallest observed
-	// heal→first-directory-hit delay (-1 = not yet recovered). Each cell
-	// only writes its own locality's slot, so parallel phases never race.
+	// heal→first-directory-hit delay (-1 = not yet recovered).
 	healAt   []simkernel.Time
 	recovery []simkernel.Time
 
@@ -112,23 +94,20 @@ type System struct {
 	// the smallest crash→first-LOCAL-directory-mediated-hit delay. Unlike
 	// the partition probe this one requires handlerIsLocal — a remote
 	// same-site directory mediating a misrouted query proves nothing about
-	// the crashed locality's own directory plane. Same per-cell write
-	// discipline as recovery above.
+	// the crashed locality's own directory plane.
 	crashAt  []simkernel.Time
 	crashRec []simkernel.Time
 
 	// shedInFlight gauges per-locality in-flight new-client queries that
 	// entered the lookup path while the locality's own directory position
-	// was down (nil unless Config.ShedBudget > 0). Written only from the
-	// owning locality's cell.
+	// was down (nil unless Config.ShedBudget > 0).
 	shedInFlight []int32
 
 	tracer trace.Tracer
-	stats  []Stats // per cell; a single element on the classic path
+	stats  Stats
 }
 
-// msgPool is one cell's recycled query- and gossip-path machinery, touched
-// only from that cell's execution context or from barrier context.
+// msgPool is the system's recycled query- and gossip-path machinery.
 type msgPool struct {
 	gossip []*gossipMsg
 	subset [][]gossip.Entry
@@ -147,9 +126,9 @@ type msgPool struct {
 	members []simnet.NodeID // dirViewSeed's reusable membership snapshot
 
 	// Await registry: awaiting[i] is the query whose armed timeout carries
-	// slot i in its timer argument (nil = free). awaitTok numbers the cell's
-	// arms, so a timer that outlives its slot's tenant is told apart from
-	// the next tenant's. awaitFn is resumeAwait bound to this cell, once.
+	// slot i in its timer argument (nil = free). awaitTok numbers the arms,
+	// so a timer that outlives its slot's tenant is told apart from the next
+	// tenant's. awaitFn is resumeAwait, bound once.
 	awaiting  []*Query
 	awaitFree []uint32
 	awaitTok  uint32
@@ -183,9 +162,9 @@ func put[T any](free *[]*T, e *T, live *bool) {
 // costs 1/64 of an allocation, and one long-lived query pins little.
 const queryChunk = 64
 
-// newQuery carves a zeroed Query record from a cell's slab.
-func (s *System) newQuery(cell int) *Query {
-	p := &s.mpools[cell]
+// newQuery carves a zeroed Query record from the slab.
+func (s *System) newQuery() *Query {
+	p := &s.pool
 	if len(p.queries) == cap(p.queries) {
 		p.queries = make([]Query, 0, queryChunk)
 	}
@@ -193,12 +172,11 @@ func (s *System) newQuery(cell int) *Query {
 	return &p.queries[len(p.queries)-1]
 }
 
-// Pooled query-path envelopes: taken from the pool of the cell that owns
-// the query (or join candidate, or pushing peer) when sent, released by
+// Pooled query-path envelopes: taken from the pool when sent, released by
 // the handler that ends their journey, which must not touch them after.
 
 func (s *System) newServeMsg(q *Query, fromContentPeer bool) *serveMsg {
-	m := take(&s.mpools[s.cellIdx(q.Origin)].serve)
+	m := take(&s.pool.serve)
 	m.live, m.Q, m.FromContentPeer = true, q, fromContentPeer
 	return m
 }
@@ -206,7 +184,7 @@ func (s *System) newServeMsg(q *Query, fromContentPeer bool) *serveMsg {
 func (s *System) putServeMsg(m *serveMsg) {
 	seed := m.ViewSeed
 	clear(seed) // do not pin summaries while pooled
-	put(&s.mpools[s.cellIdx(m.Q.Origin)].serve, m, &m.live)
+	put(&s.pool.serve, m, &m.live)
 	m.ViewSeed = seed[:0]
 }
 
@@ -214,40 +192,40 @@ func (s *System) putServeMsg(m *serveMsg) {
 // origin of the query looked up (q set), or the candidate of a
 // directory-join request (q nil).
 func (s *System) newRoutedMsg(key chord.ID, owner simnet.NodeID, q *Query, hedged bool) *routedMsg {
-	m := take(&s.mpools[s.cellIdx(owner)].routed)
+	m := take(&s.pool.routed)
 	*m = routedMsg{live: true, Hedged: hedged, TTL: dring.RouteTTL(s.ks.Space), Key: key, Q: q, Owner: owner}
 	return m
 }
 
-func (s *System) putRoutedMsg(m *routedMsg) { put(&s.mpools[s.cellIdx(m.Owner)].routed, m, &m.live) }
+func (s *System) putRoutedMsg(m *routedMsg) { put(&s.pool.routed, m, &m.live) }
 
 // newPushMsg takes a push envelope whose M.Added / M.Removed are empty but
 // keep the capacity of their last use, for TakePush to fill.
-func (s *System) newPushMsg(cell int, site model.SiteID) *pushMsg {
-	m := take(&s.mpools[cell].push)
+func (s *System) newPushMsg(site model.SiteID) *pushMsg {
+	m := take(&s.pool.push)
 	m.live, m.Site = true, site
 	return m
 }
 
-func (s *System) putPushMsg(cell int, m *pushMsg) {
+func (s *System) putPushMsg(m *pushMsg) {
 	added, removed := m.M.Added[:0], m.M.Removed[:0]
-	put(&s.mpools[cell].push, m, &m.live)
+	put(&s.pool.push, m, &m.live)
 	m.M.Added, m.M.Removed = added, removed
 }
 
-// newGossipMsg takes an envelope from a cell's pool (or allocates one)
-// and fills it.
-func (s *System) newGossipMsg(cell int, site model.SiteID, loc int, m overlay.GossipMsg) *gossipMsg {
-	g := take(&s.mpools[cell].gossip)
+// newGossipMsg takes an envelope from the pool (or allocates one) and
+// fills it.
+func (s *System) newGossipMsg(site model.SiteID, loc int, m overlay.GossipMsg) *gossipMsg {
+	g := take(&s.pool.gossip)
 	g.Site, g.Loc, g.M = site, loc, m
 	return g
 }
 
 // putGossipMsg returns a fully-handled envelope — and the view-subset
-// buffer travelling inside it — to their cell's pools. The handler must
-// not retain any reference to the envelope or its M field afterwards.
-func (s *System) putGossipMsg(cell int, g *gossipMsg) {
-	p := &s.mpools[cell]
+// buffer travelling inside it — to the pool. The handler must not retain
+// any reference to the envelope or its M field afterwards.
+func (s *System) putGossipMsg(g *gossipMsg) {
+	p := &s.pool
 	if sub := g.M.ViewSubset; cap(sub) > 0 {
 		for i := range sub {
 			sub[i] = gossip.Entry{} // do not pin summaries while pooled
@@ -258,11 +236,11 @@ func (s *System) putGossipMsg(cell int, g *gossipMsg) {
 	p.gossip = append(p.gossip, g)
 }
 
-// takeSubsetBuf takes an empty view-subset buffer from a cell's pool (nil
-// when the pool is dry: the subset builder then allocates one that will
-// join the pool once its exchange completes).
-func (s *System) takeSubsetBuf(cell int) []gossip.Entry {
-	p := &s.mpools[cell]
+// takeSubsetBuf takes an empty view-subset buffer from the pool (nil when
+// the pool is dry: the subset builder then allocates one that will join the
+// pool once its exchange completes).
+func (s *System) takeSubsetBuf() []gossip.Entry {
+	p := &s.pool
 	if n := len(p.subset); n > 0 {
 		b := p.subset[n-1]
 		p.subset = p.subset[:n-1]
@@ -271,126 +249,44 @@ func (s *System) takeSubsetBuf(cell int) []gossip.Entry {
 	return nil
 }
 
-// --- Execution-context helpers ---------------------------------------------
-//
-// Every helper takes the address of the host whose state is involved and
-// resolves to that host's cell on the sharded path, or to the single
-// shared context on the classic path. The non-foreign delivery invariant
-// (see payloadForeign and simnet's venue rules) guarantees that during a
-// parallel phase the executing kernel IS the addressed host's cell, so
-// these helpers never read another running kernel's state.
-
-// cellIdx returns the cell a node's state lives in (0 on the classic path).
-func (s *System) cellIdx(addr simnet.NodeID) int {
-	if s.cells == nil {
-		return 0
-	}
-	return s.net.CellOf(addr)
+// every arms one periodic behaviour of host addr at a random phase, so
+// hosts do not synchronise; tick is one of the bound callbacks.
+func (s *System) every(addr simnet.NodeID, period simkernel.Time, tick func(uint64)) simkernel.Ticker {
+	offset := simkernel.Time(s.rng.Int63n(int64(period)))
+	return s.k.EveryArg(offset, period, tick, uint64(addr))
 }
 
-// prand is the RNG for draws involving a host's state: the host's cell
-// RNG on the sharded path, the system RNG otherwise. Venue staticness
-// makes each stream's draw order independent of worker count.
-func (s *System) prand(addr simnet.NodeID) *rand.Rand {
-	if s.cells == nil {
-		return s.rng
-	}
-	return s.cellRng[s.net.CellOf(addr)]
-}
-
-// metsAt is the collector accounting a host's events.
-func (s *System) metsAt(addr simnet.NodeID) *metrics.Collector {
-	if s.cells == nil {
-		return s.mets
-	}
-	return s.cellMets[s.net.CellOf(addr)]
-}
-
-// statsAt is the protocol-counter bank for a host's cell.
-func (s *System) statsAt(addr simnet.NodeID) *Stats {
-	return &s.stats[s.cellIdx(addr)]
-}
-
-// nowAt is the current simulated time in the execution context that owns
-// addr: the owning cell's clock during parallel phases, the coordination
-// kernel's clock during barriers and on the classic path.
-func (s *System) nowAt(addr simnet.NodeID) simkernel.Time {
-	if s.cells == nil || s.net.InBarrier() {
-		return s.k.Now()
-	}
-	return s.cells[s.net.CellOf(addr)].Now()
-}
-
-// hostKernel is the kernel a host's private timers (tickers, failure
-// timeouts) live on: the host's cell kernel when sharded, s.k otherwise.
-func (s *System) hostKernel(addr simnet.NodeID) *simkernel.Kernel {
-	if s.cells == nil {
-		return s.k
-	}
-	return s.cells[s.net.CellOf(addr)]
-}
-
-// every arms one periodic behaviour of host addr on kernel k, at a random
-// phase so hosts do not synchronise; tick is one of the bound callbacks.
-func (s *System) every(k *simkernel.Kernel, addr simnet.NodeID, period simkernel.Time, tick func(uint64)) simkernel.Ticker {
-	offset := simkernel.Time(s.prand(addr).Int63n(int64(period)))
-	return k.EveryArg(offset, period, tick, uint64(addr))
-}
-
-// tracing reports whether any tracer is installed (guard for the
-// formatting wrappers in tracefmt.go, which pay fmt.Sprintf when true).
-func (s *System) tracing() bool { return s.tracer != nil || s.cellTracers != nil }
+// tracing reports whether a tracer is installed (guard for the formatting
+// wrappers in tracefmt.go, which pay fmt.Sprintf when true).
+func (s *System) tracing() bool { return s.tracer != nil }
 
 // settle revokes a query's armed timeout, if any, and frees its registry
-// slot. Cancelling mutates the owning kernel's slot arena, so a parallel
-// phase may only cancel a timer owned by the executing cell's kernel; a
-// timer armed elsewhere (on the coordination kernel, by a barrier-context
-// handler) is abandoned instead — its token no longer matches any registry
-// tenant, so it fires as a no-op, which is deterministic because the venue
-// of every delivery is static.
+// slot.
 func (s *System) settle(q *Query) {
 	if q.awaitKind == awaitNone {
 		return
 	}
-	if s.cells == nil || s.net.InBarrier() ||
-		q.pending.OwnedBy(s.cells[s.net.CellOf(q.Origin)]) {
-		q.pending.Cancel()
-	}
-	s.releaseAwait(&s.mpools[s.cellIdx(q.Origin)], q)
+	q.pending.Cancel()
+	s.releaseAwait(q)
 }
 
 // releaseAwait clears q's continuation and timer handle and returns its
 // registry slot.
-func (s *System) releaseAwait(p *msgPool, q *Query) {
+func (s *System) releaseAwait(q *Query) {
+	p := &s.pool
 	p.awaiting[q.awaitSlot] = nil
 	p.awaitFree = append(p.awaitFree, q.awaitSlot)
 	q.awaitKind = awaitNone
 	q.pending = simkernel.TimerHandle{}
 }
 
-// trace emits a protocol event when tracing is enabled. node must be the
-// host whose execution context the caller runs in (or a host of the same
-// cell): sharded runs route the event to that cell's tracer.
+// trace emits a protocol event when tracing is enabled.
 func (s *System) trace(kind trace.Kind, qid uint64, node, peer simnet.NodeID, detail string) {
-	s.traceAt(node, kind, qid, node, peer, detail)
-}
-
-// traceAt is trace with the execution context named explicitly: ctx must
-// be a host of the cell the caller runs in, while node/peer are free to
-// point anywhere. Owner-claimed handlers run on the query origin's cell
-// but trace events about foreign hosts (a routed hop at a remote
-// directory, a serve at the origin server), so they pass the origin as
-// ctx — reading a foreign cell's clock or tracer mid-phase would race.
-func (s *System) traceAt(ctx simnet.NodeID, kind trace.Kind, qid uint64, node, peer simnet.NodeID, detail string) {
-	t := s.tracer
-	if s.cellTracers != nil {
-		t = s.cellTracers[s.net.CellOf(ctx)]
-	}
-	if t == nil {
+	if s.tracer == nil {
 		return
 	}
-	t.Record(trace.Event{
-		At: s.nowAt(ctx), Kind: kind, QueryID: qid, Node: node, Peer: peer, Detail: detail,
+	s.tracer.Record(trace.Event{
+		At: s.k.Now(), Kind: kind, QueryID: qid, Node: node, Peer: peer, Detail: detail,
 	})
 }
 
@@ -401,26 +297,11 @@ func New(cfg Config, deps Deps) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if deps.Kernel == nil || deps.Topo == nil {
-		return nil, fmt.Errorf("core: missing dependencies")
-	}
-	if deps.Cells == nil && deps.Metrics == nil {
+	if deps.Kernel == nil || deps.Topo == nil || deps.Metrics == nil {
 		return nil, fmt.Errorf("core: missing dependencies")
 	}
 	if deps.Topo.Localities() != cfg.Localities {
 		return nil, fmt.Errorf("core: topology has %d localities, config %d", deps.Topo.Localities(), cfg.Localities)
-	}
-	if deps.Cells != nil {
-		if len(deps.Cells) != cfg.TotalCells() {
-			return nil, fmt.Errorf("core: %d cell kernels for %d cells (%d localities)",
-				len(deps.Cells), cfg.TotalCells(), cfg.Localities)
-		}
-		if len(deps.CellMetrics) != len(deps.Cells) {
-			return nil, fmt.Errorf("core: %d cell collectors for %d cells", len(deps.CellMetrics), len(deps.Cells))
-		}
-		if deps.CellTracers != nil && len(deps.CellTracers) != len(deps.Cells) {
-			return nil, fmt.Errorf("core: %d cell tracers for %d cells", len(deps.CellTracers), len(deps.Cells))
-		}
 	}
 	ks, err := dring.NewKeySpec(cfg.DRingBits, cfg.Localities, cfg.InstanceBits)
 	if err != nil {
@@ -440,23 +321,10 @@ func New(cfg Config, deps Deps) (*System, error) {
 			}
 		}
 	}
-	var net *simnet.Network
-	if deps.Cells != nil {
-		if len(cfg.CellSplit) > 0 {
-			// The node→cell map must exist before placement (construction
-			// itself accounts per cell), so it replays the placement
-			// cursor walk; placeDirectoriesAndPools cross-checks it.
-			net = simnet.NewShardedMapped(deps.Kernel, deps.Cells, deps.Topo, splitCellMap(&cfg, ks, deps.Topo))
-		} else {
-			net = simnet.NewSharded(deps.Kernel, deps.Cells, deps.Topo)
-		}
-	} else {
-		net = simnet.New(deps.Kernel, deps.Topo)
-	}
 	s := &System{
 		cfg:       cfg,
 		k:         deps.Kernel,
-		net:       net,
+		net:       simnet.New(deps.Kernel, deps.Topo),
 		topo:      deps.Topo,
 		mets:      deps.Metrics,
 		in:        in,
@@ -469,38 +337,9 @@ func New(cfg Config, deps Deps) (*System, error) {
 		servers:   make(map[model.SiteID]simnet.NodeID),
 		rng:       deps.Kernel.DeriveRNG("flower-core"),
 		tracer:    deps.Tracer,
-		stats:     make([]Stats, 1),
-		mpools:    make([]msgPool, 1),
 	}
-	if deps.Cells != nil {
-		s.cells = deps.Cells
-		s.cellMets = deps.CellMetrics
-		s.cellTracers = deps.CellTracers
-		s.cellRng = make([]*rand.Rand, len(deps.Cells))
-		for i := range deps.Cells {
-			s.cellRng[i] = deps.Kernel.DeriveRNG(fmt.Sprintf("flower-core-cell-%d", i))
-		}
-		s.stats = make([]Stats, len(deps.Cells))
-		s.mpools = make([]msgPool, len(deps.Cells))
-		sinks := make([]simnet.TrafficSink, len(deps.CellMetrics))
-		for i, c := range deps.CellMetrics {
-			sinks[i] = c
-		}
-		s.net.SetCellSinks(sinks)
-		s.net.SetForeign(s.payloadForeign)
-		s.net.SetGlobalPayload(payloadGlobal)
-		s.net.SetOwner(s.payloadOwner)
-		s.net.SetVenue(s.payloadVenue)
-		if len(cfg.CellSplit) > 0 {
-			s.splitBase = splitBases(&cfg)
-		}
-	} else {
-		s.net.SetSink(deps.Metrics)
-	}
-	for i := range s.mpools {
-		cell := i
-		s.mpools[i].awaitFn = func(arg uint64) { s.resumeAwait(cell, arg) }
-	}
+	s.net.SetSink(deps.Metrics)
+	s.pool.awaitFn = s.resumeAwait
 	s.gossipTimeoutFn = s.onGossipTimeout
 	s.kaTimeoutFn = s.onKaTimeout
 	s.joinLatchFn = s.onJoinLatchExpired
@@ -600,15 +439,12 @@ func (s *System) placeDirectoriesAndPools() error {
 	// With InstanceBits > 0 (§5.3 scale-up), several directory peers per
 	// (website, locality) join D-ring consecutively, each managing its own
 	// content overlay.
-	for siteIdx, site := range s.cfg.Sites {
+	for _, site := range s.cfg.Sites {
 		wid := s.widBySite[site]
 		for loc := 0; loc < s.cfg.Localities; loc++ {
 			for inst := 0; inst < s.ks.Instances(); inst++ {
 				addr, err := next(loc)
 				if err != nil {
-					return err
-				}
-				if err := s.checkSubcell(addr, loc, siteIdx); err != nil {
 					return err
 				}
 				key := s.ks.KeyForWebsiteID(wid, loc, inst)
@@ -623,7 +459,7 @@ func (s *System) placeDirectoriesAndPools() error {
 				if active[site] {
 					// Active-site directories are accounted participants from t=0.
 					s.hs.set(addr, hfAccounted)
-					s.metsAt(addr).PeerJoined(s.k.Now())
+					s.mets.PeerJoined(s.k.Now())
 				}
 				s.hosts[addr] = h
 				s.net.Register(addr, h)
@@ -645,9 +481,6 @@ func (s *System) placeDirectoriesAndPools() error {
 				if err != nil {
 					return err
 				}
-				if err := s.checkSubcell(addr, loc, si); err != nil {
-					return err
-				}
 				h := &slab[m]
 				h.sys, h.addr = s, addr
 				s.hs.loc[addr] = int32(loc)
@@ -663,19 +496,17 @@ func (s *System) placeDirectoriesAndPools() error {
 func (s *System) startDirectoryTickers() {
 	for _, addr := range s.dirAddrs {
 		h := s.hosts[addr]
-		s.hs.dirTicker[addr] = s.every(s.hostKernel(addr), addr, s.cfg.TGossip, s.dirTickFn)
+		s.hs.dirTicker[addr] = s.every(addr, s.cfg.TGossip, s.dirTickFn)
 		s.startReplicationTicker(h)
 		s.startStandbyTicker(h)
 	}
 }
 
 // startMaintenance launches Chord stabilization across D-ring members
-// (needed only under churn; a static ring stays converged). Stabilization
-// mutates the shared ring, so the tickers always live on the coordination
-// kernel: sharded runs stabilize at epoch barriers.
+// (needed only under churn; a static ring stays converged).
 func (s *System) startMaintenance(period simkernel.Time) {
 	for _, addr := range s.dirAddrs {
-		s.hs.stabTicker[addr] = s.every(s.k, addr, period, s.stabTickFn)
+		s.hs.stabTicker[addr] = s.every(addr, period, s.stabTickFn)
 	}
 }
 
@@ -698,7 +529,7 @@ func (s *System) maintainNode(h *host) {
 	// Nominal control traffic for the round (stabilize + notify + finger
 	// lookups); not part of the paper's background metric.
 	if succ := h.dirNode.Successor(); succ != nil && succ != h.dirNode {
-		s.metsAt(h.addr).RecordMessage(s.k.Now(), h.addr, succ.Addr(), simnet.CatMaintenance, 120)
+		s.mets.RecordMessage(s.k.Now(), h.addr, succ.Addr(), simnet.CatMaintenance, 120)
 	}
 }
 
@@ -721,8 +552,7 @@ func (s *System) InstallFaults(fc *simnet.FaultConfig) {
 }
 
 // noteRecovery records a successful directory-mediated P2P hit in loc at
-// now, keeping the smallest heal→hit delay. Monotone-min is commutative,
-// so the observation order across a cell's queries cannot skew it.
+// now, keeping the smallest heal→hit delay.
 func (s *System) noteRecovery(loc int, now simkernel.Time) {
 	if loc < 0 || loc >= len(s.healAt) {
 		return
@@ -746,8 +576,7 @@ func (s *System) RecoveryTimes() (healAt, recovery []simkernel.Time) {
 // CrashDirectory crashes the current directory of (site, loc) and arms the
 // crash-recovery probe for the locality: the time to the first P2P hit
 // mediated by the locality's OWN (replacement or promoted) directory.
-// Returns false when the position is already empty. Must run on the
-// coordination kernel (the harness schedules crashes there).
+// Returns false when the position is already empty.
 func (s *System) CrashDirectory(site model.SiteID, loc int) bool {
 	addr, ok := s.DirectoryAddr(site, loc)
 	if !ok {
@@ -805,23 +634,8 @@ func (s *System) KeySpec() dring.KeySpec { return s.ks }
 // Config returns the system configuration (value copy).
 func (s *System) Config() Config { return s.cfg }
 
-// Stats returns protocol counters, summed across cells on a sharded run.
-func (s *System) Stats() Stats {
-	tot := s.stats[0]
-	for _, st := range s.stats[1:] {
-		tot.Joins += st.Joins
-		tot.DirReplacements += st.DirReplacements
-		tot.DirBootstraps += st.DirBootstraps
-		tot.GossipRejects += st.GossipRejects
-		tot.QueriesRetried += st.QueriesRetried
-		tot.Prefetches += st.Prefetches
-		tot.StandbyAssigns += st.StandbyAssigns
-		tot.StandbyDeltas += st.StandbyDeltas
-		tot.StandbyPromotions += st.StandbyPromotions
-		tot.StandbyStaleShards += st.StandbyStaleShards
-	}
-	return tot
-}
+// Stats returns the protocol counters.
+func (s *System) Stats() Stats { return s.stats }
 
 // ServerOf returns the origin server node of a site.
 func (s *System) ServerOf(site model.SiteID) simnet.NodeID { return s.servers[site] }
@@ -902,37 +716,17 @@ func (s *System) Submit(wq workload.Query) {
 		return // outside the fixed object universe: nothing can hold it
 	}
 	s.qid++
-	s.submitQuery(s.qid, origin, h, wq)
-}
-
-// SubmitWithID is Submit under an externally assigned query identifier.
-// The sharded harness derives the ID from the workload stream position,
-// so every cell's pump hands out the exact IDs the classic sequential
-// pump would, regardless of how queries partition across cells.
-func (s *System) SubmitWithID(id uint64, wq workload.Query) {
-	origin := s.PoolNode(wq.SiteIdx, wq.Locality, wq.Member)
-	h := s.hosts[origin]
-	if h == nil || !s.net.Alive(origin) {
-		return
-	}
-	if wq.Object.Num < 0 || wq.Object.Num >= s.cfg.ObjectsPerSite {
-		return
-	}
-	s.submitQuery(id, origin, h, wq)
-}
-
-func (s *System) submitQuery(id uint64, origin simnet.NodeID, h *host, wq workload.Query) {
 	// The workload's active-site index is the interner's site index (the
 	// active sites lead cfg.Sites), so interning is pure arithmetic; it is
 	// recomputed here rather than trusted from the stream so replayed or
 	// hand-built queries can never smuggle a stale ref.
-	q := s.newQuery(s.cellIdx(origin))
-	q.ID = id
+	q := s.newQuery()
+	q.ID = s.qid
 	q.Origin = origin
 	q.OriginLoc = h.overlayLocality()
 	q.Site = wq.Site
 	q.Ref = s.in.RefFor(wq.SiteIdx, wq.Object.Num)
-	q.Start = s.nowAt(origin)
+	q.Start = s.k.Now()
 	q.NewClient = h.cp == nil
 	if h.cp != nil {
 		s.traceQuerySubmitted(q, true)

@@ -38,10 +38,7 @@ func (s *System) traceServed(q *Query, provider simnet.NodeID, src metrics.Sourc
 	if !s.tracing() {
 		return
 	}
-	// serveQuery may execute on the origin's cell with a foreign provider
-	// (owner-claimed fetch/redirect legs): charge the trace to the origin's
-	// context, which owns the query on every serve path.
-	s.traceAt(q.Origin, trace.Served, q.ID, provider, q.Origin,
+	s.trace(trace.Served, q.ID, provider, q.Origin,
 		fmt.Sprintf("%s lookup=%.0fms dist=%.0fms", src, lookup, dist))
 }
 

@@ -17,7 +17,7 @@ import (
 // spikes, and two scheduled locality partitions (cut and heal mid-run), with
 // the invariant auditor sweeping the system every simulated minute. It is
 // the fixture behind the faulted golden-equivalence section and the
-// worker-invariance fault scenarios.
+// campaign worker-invariance fault scenarios.
 func FaultStormParams(seed int64) Params {
 	p := ScaledParams(seed)
 	p.Duration = 30 * simkernel.Minute

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
+	"flowercdn/internal/simnet"
 	"flowercdn/internal/workload"
 )
 
@@ -269,6 +271,53 @@ func TestRunFlowerReplay(t *testing.T) {
 	bad = []workload.Query{{Member: 9999}}
 	if _, err := RunFlowerReplay(p, bad); err == nil {
 		t.Fatal("bad member accepted")
+	}
+}
+
+// recordedStream drains the generator RunFlower(p) would pump.
+func recordedStream(t *testing.T, p Params) []workload.Query {
+	t.Helper()
+	gen, err := newGenerator(p, p.BuildPools(), sharedInterner(p.Websites, p.ObjectsPerSite))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []workload.Query
+	for src := gen.AsSource(); ; {
+		q, ok := src.Next()
+		if !ok || q.At > p.Duration {
+			return qs
+		}
+		qs = append(qs, q)
+	}
+}
+
+// Replay and generated runs share one scaffold: replaying the generator's
+// own stream is the generated run, and a replay honours the fault plane.
+func TestReplayMatchesGeneratedRun(t *testing.T) {
+	p := fastParams(12)
+	want, err := RunFlower(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunFlowerReplay(p, recordedStream(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Report, want.Report) || got.Stats != want.Stats || got.Events != want.Events {
+		t.Fatalf("replay of the generated stream diverged from RunFlower:\nreplay: %d events, %+v, %v\n   run: %d events, %+v, %v",
+			got.Events, got.Stats, got.Report, want.Events, want.Stats, want.Report)
+	}
+}
+
+func TestReplayAppliesFaults(t *testing.T) {
+	p := fastParams(13)
+	p.Faults = &simnet.FaultConfig{LossProb: 0.1}
+	res, err := RunFlowerReplay(p, recordedStream(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultDrops == 0 {
+		t.Fatalf("replay under 10%% loss dropped nothing (%d messages sent)", res.MessagesSent)
 	}
 }
 

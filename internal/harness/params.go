@@ -84,35 +84,6 @@ type Params struct {
 	// topology and metrics stack, so results are independent of it.
 	Parallel int
 
-	// Shards switches a single run onto the locality-sharded event kernel:
-	// one private kernel per cell advanced in epoch lockstep, with all
-	// cross-cell work applied single-threaded at the barriers. The value is
-	// the worker-goroutine count only (clamped to the cell count — the
-	// locality count, or the CellSplit total when hot localities are
-	// split); the decomposition and every rendezvous are fixed by the
-	// scenario, so results are byte-identical for any Shards ≥ 1. 0 keeps
-	// the classic single-kernel path.
-	Shards int
-
-	// CellSplit spreads hot localities over several cells on the sharded
-	// path (core.Config.CellSplit): entry l is the number of cells locality
-	// l's hosts partition into, keyed by active-site index so a site's
-	// directory and client pool stay co-located. Nil = one cell per
-	// locality. A split run is not byte-comparable with the unsplit run of
-	// the same scenario, but stays byte-identical across worker counts.
-	// Use HotCellSplit to derive a load-balanced split from the pool skew.
-	// Incompatible with DirCrashes, partition faults, ShedBudget and
-	// StandbyFailover (their per-locality accounting assumes one cell per
-	// locality).
-	CellSplit []int
-
-	// EagerBarriers disables barrier elision on the sharded path: every
-	// epoch boundary runs the full single-threaded rendezvous even when it
-	// would provably process zero events. Elision never changes a run's
-	// output, so this is a diagnostic/verification knob (the worker
-	// invariance tests pin elided and eager runs byte-identical).
-	EagerBarriers bool
-
 	// MeasureMemory computes Result.BytesPerClient after the run (a forced
 	// GC plus ReadMemStats). Off by default so timing benchmarks never pay
 	// for the collection.
@@ -128,8 +99,7 @@ type Params struct {
 
 	// AuditEvery runs the core invariant auditor (ring successorship,
 	// directory-index ↔ stash consistency, timer plane) at this period,
-	// plus once at end of run; 0 disables it. On sharded runs the audit
-	// ticks execute at epoch barriers, where the workers are parked.
+	// plus once at end of run; 0 disables it.
 	AuditEvery simkernel.Time
 
 	// StandbyFailover arms the warm-standby directory extension
@@ -142,9 +112,7 @@ type Params struct {
 	ShedBudget int
 	// DirCrashes schedules deterministic directory crashes: at each entry's
 	// time the current holder of d(active-site SiteIdx, Locality) is
-	// crashed and the locality's crash-recovery probe armed. Crashes
-	// execute on the coordination kernel in both the classic and the
-	// sharded path, so worker count cannot reorder them.
+	// crashed and the locality's crash-recovery probe armed.
 	DirCrashes []DirCrash
 
 	// Adaptive arms the gray-failure response (core.Config.Adaptive):
@@ -259,7 +227,6 @@ func Massive100kParams(seed int64) Params {
 	p.GossipLen = 3
 	p.BucketWidth = 30 * simkernel.Minute
 	p.SparseSeeds = true
-	p.Shards = 4 // locality-sharded kernel: the preset exists to stress scale
 	return p
 }
 
@@ -270,7 +237,6 @@ func Massive100kParams(seed int64) Params {
 // equivalence fixture — in seconds.
 func ShrunkMassiveParams(seed int64) Params {
 	p := Massive100kParams(seed)
-	p.Shards = 0 // classic kernel: the long-standing fixtures pin this path
 	p.Duration = 30 * simkernel.Minute
 	p.QueryRate = 30
 	p.Localities = 5
@@ -363,14 +329,6 @@ func (p Params) CoreConfig(pools [][]int) core.Config {
 	cfg.ReplicationTopK = p.ReplicationTopK
 	cfg.StandbyFailover = p.StandbyFailover
 	cfg.ShedBudget = p.ShedBudget
-	cfg.CellSplit = p.CellSplit
-	// A scenario with no churn, no fault plane, no scheduled crashes and no
-	// standby machinery can never mutate D-ring membership after
-	// construction: declare the ring static so the sharded network may keep
-	// routed query hops on their owner cell (core panics on any mutation if
-	// this derivation ever drifts).
-	cfg.StaticRing = p.ChurnPerHour == 0 && !p.Faults.Enabled() &&
-		len(p.DirCrashes) == 0 && len(p.DirDegrades) == 0 && !p.StandbyFailover
 	if p.ChurnPerHour > 0 {
 		cfg.MaintenancePeriod = p.MaintenancePeriod
 	}
@@ -416,55 +374,5 @@ func (p Params) Validate() error {
 	if p.ClientsPerSite <= 0 {
 		return fmt.Errorf("harness: clients per site must be positive")
 	}
-	if len(p.CellSplit) > 0 {
-		if p.Shards <= 0 {
-			return fmt.Errorf("harness: CellSplit requires the sharded path (Shards >= 1)")
-		}
-		// The per-locality recovery probes (partition heal, directory
-		// crash) are written from "the locality's cell" during parallel
-		// phases; under a split several cells share a locality and would
-		// race on the slot.
-		if len(p.DirCrashes) > 0 {
-			return fmt.Errorf("harness: CellSplit is incompatible with DirCrashes")
-		}
-		if p.Faults.Enabled() && len(p.Faults.Partitions) > 0 {
-			return fmt.Errorf("harness: CellSplit is incompatible with partition faults")
-		}
-	}
 	return nil
-}
-
-// HotCellSplit derives a load-balanced Params.CellSplit: it grows the
-// split factor of whichever locality has the most potential clients per
-// cell until totalCells cells exist (ties break toward the lowest
-// locality index, so the result is deterministic). totalCells at or below
-// the locality count returns nil — no split. Use it to let Shards exceed
-// the locality count when the pool skew leaves workers idle behind one
-// hot cell.
-func HotCellSplit(p Params, totalCells int) []int {
-	if totalCells <= p.Localities {
-		return nil
-	}
-	pools := p.BuildPools()
-	clients := make([]int, p.Localities)
-	for si := range pools {
-		for loc, n := range pools[si] {
-			clients[loc] += n
-		}
-	}
-	split := make([]int, p.Localities)
-	for loc := range split {
-		split[loc] = 1
-	}
-	for cells := p.Localities; cells < totalCells; cells++ {
-		best := 0
-		for loc := 1; loc < p.Localities; loc++ {
-			if float64(clients[loc])/float64(split[loc]) >
-				float64(clients[best])/float64(split[best]) {
-				best = loc
-			}
-		}
-		split[best]++
-	}
-	return split
 }

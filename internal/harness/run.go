@@ -43,30 +43,16 @@ type Result struct {
 
 	// PeriodicEvents is how many of Events were periodic-timer firings (the
 	// rest were one-shots), ElidedEvents the cancelled records skipped, which
-	// Events excludes. Deterministic per seed; summed over all kernels.
+	// Events excludes. Deterministic per seed.
 	PeriodicEvents uint64
 	ElidedEvents   uint64
 
 	// Events by kernel queue class (simkernel.QueueStats): fired off the
 	// timing wheel, off the far heap (the rest off the period lanes), and the
-	// far heap's high-water length. Summed over all kernels.
+	// far heap's high-water length.
 	NearEvents  uint64
 	FarEvents   uint64
 	FarHeapPeak int
-
-	// Sharded-run extras (zero on the classic path). ShardEvents counts
-	// events per locality cell and BarrierEvents the single-threaded
-	// coordination work; both are deterministic per seed. WorkerStallNs is
-	// wall-clock time each worker spent parked at epoch barriers waiting
-	// for stragglers — the load-imbalance signal, not deterministic.
-	// BarriersRun counts the epoch boundaries that actually executed the
-	// barrier rendezvous (< Epochs when elision skipped provable no-ops;
-	// deterministic per seed).
-	ShardEvents   []uint64
-	BarrierEvents uint64
-	Epochs        uint64
-	BarriersRun   uint64
-	WorkerStallNs []int64
 
 	// BytesPerClient is the post-run heap footprint per potential client,
 	// filled only when Params.MeasureMemory is set.
@@ -115,26 +101,28 @@ func (r Result) EventsPerSecond() float64 {
 	return float64(r.Events) / r.WallSeconds
 }
 
-// metricsConfig sizes the collectors of a run split over the given number
-// of collectors (1, or one per cell): time-series buckets across the
-// horizon, and sample series for each collector's share of the queries the
-// workload will issue.
-func (p Params) metricsConfig(collectors int) metrics.Config {
+// metricsConfig sizes a run's collector: time-series buckets across the
+// horizon, and sample series for the queries the workload will issue.
+func (p Params) metricsConfig(expectedQueries int) metrics.Config {
 	return metrics.Config{
 		BucketWidth:     p.BucketWidth,
 		Horizon:         p.Duration,
-		ExpectedQueries: int(p.QueryRate*p.Duration.Seconds()) / collectors,
+		ExpectedQueries: expectedQueries,
 	}
 }
 
-// addKernel adds one kernel's event-class counters to the result.
-func (r *Result) addKernel(k *simkernel.Kernel) {
+// generatedQueries is how many queries the synthetic generator issues over
+// the run.
+func (p Params) generatedQueries() int { return int(p.QueryRate * p.Duration.Seconds()) }
+
+// setKernel fills the result's event-class counters from the run's kernel.
+func (r *Result) setKernel(k *simkernel.Kernel) {
 	q := k.QueueStats()
-	r.PeriodicEvents += k.PeriodicFired()
-	r.ElidedEvents += k.Elided()
-	r.NearEvents += q.NearFired
-	r.FarEvents += q.FarFired
-	r.FarHeapPeak += q.FarHeapPeak
+	r.PeriodicEvents = k.PeriodicFired()
+	r.ElidedEvents = k.Elided()
+	r.NearEvents = q.NearFired
+	r.FarEvents = q.FarFired
+	r.FarHeapPeak = q.FarHeapPeak
 }
 
 // timedRun drives the kernel for the configured duration, returning the
@@ -162,10 +150,8 @@ func (a *auditAccum) absorb(r core.AuditReport) {
 }
 
 // applyFaultPlane installs the fault-injection plane and arms the periodic
-// invariant auditor on a freshly built system. k must be the kernel audit
-// ticks should run on — the coordination kernel on sharded runs, so they
-// execute at epoch barriers while the workers are parked. Returns nil when
-// no audit was requested.
+// invariant auditor on a freshly built system. Returns nil when no audit
+// was requested.
 func applyFaultPlane(k *simkernel.Kernel, sys *core.System, p Params) *auditAccum {
 	faults := p.Faults
 	if len(p.DirDegrades) > 0 {
@@ -253,9 +239,7 @@ func finishFaultPlane(res *Result, sys *core.System, acc *auditAccum) {
 	}
 }
 
-// scheduleDirCrashes arms the Params.DirCrashes schedule on the
-// coordination kernel: crashes mutate the ring, so on sharded runs they
-// must land at epoch barriers, exactly like churn.
+// scheduleDirCrashes arms the Params.DirCrashes schedule.
 func scheduleDirCrashes(k *simkernel.Kernel, sys *core.System, p Params) {
 	if len(p.DirCrashes) == 0 {
 		return
@@ -280,25 +264,37 @@ func RunFlower(p Params) (Result, error) {
 // RunFlowerTraced is RunFlower with protocol tracing: up to traceCapacity
 // events are retained in the returned buffer (0 disables tracing).
 func RunFlowerTraced(p Params, traceCapacity int) (Result, *trace.Buffer, error) {
-	if p.Shards > 0 {
-		return runFlowerSharded(p, traceCapacity)
-	}
 	if err := p.Validate(); err != nil {
 		return Result{}, nil, err
 	}
 	pools := p.BuildPools()
+	gen, err := newGenerator(p, pools, sharedInterner(p.Websites, p.ObjectsPerSite))
+	if err != nil {
+		return Result{}, nil, err
+	}
+	return runFlower(p, pools, gen.AsSource(), p.generatedQueries(), traceCapacity)
+}
+
+// runFlower is the one Flower-CDN run scaffold: it builds the system for
+// validated parameters and their pools, arms the fault plane, the auditor,
+// scheduled directory crashes and churn, pumps src into the system for the
+// configured duration and packages the result. expectedQueries sizes the
+// metrics sample series.
+func runFlower(p Params, pools [][]int, src workload.Source, expectedQueries, traceCapacity int) (Result, *trace.Buffer, error) {
 	kernel := simkernel.New(p.Seed)
 	topo, err := topology.Generate(p.TopologyConfig(pools))
 	if err != nil {
 		return Result{}, nil, err
 	}
-	mets := metrics.New(p.metricsConfig(1))
+	mets := metrics.New(p.metricsConfig(expectedQueries))
 	// One interner serves both the system and the workload generator, and
 	// is shared across campaign points: the dense object space (and its
 	// precomputed keys and Bloom hash streams) is a pure function of
 	// (websites, objects-per-site) and read-only after construction.
-	in := sharedInterner(p.Websites, p.ObjectsPerSite)
-	deps := core.Deps{Kernel: kernel, Topo: topo, Metrics: mets, Interner: in}
+	deps := core.Deps{
+		Kernel: kernel, Topo: topo, Metrics: mets,
+		Interner: sharedInterner(p.Websites, p.ObjectsPerSite),
+	}
 	var buf *trace.Buffer
 	if traceCapacity > 0 {
 		buf = trace.NewBuffer(traceCapacity)
@@ -308,13 +304,9 @@ func RunFlowerTraced(p Params, traceCapacity int) (Result, *trace.Buffer, error)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	gen, err := newGenerator(p, pools, in)
-	if err != nil {
-		return Result{}, nil, err
-	}
 	acc := applyFaultPlane(kernel, sys, p)
 	scheduleDirCrashes(kernel, sys, p)
-	pumpQueries(kernel, p.Duration, gen.AsSource(), sys.Submit)
+	pumpQueries(kernel, p.Duration, src, sys.Submit)
 	if p.ChurnPerHour > 0 {
 		injectChurn(kernel, p, func(rng *rand.Rand) {
 			failed := failRandomFlowerPeer(sys, p, rng)
@@ -333,13 +325,32 @@ func RunFlowerTraced(p Params, traceCapacity int) (Result, *trace.Buffer, error)
 		Events:      events,
 		WallSeconds: wall,
 	}
-	res.addKernel(kernel)
+	res.setKernel(kernel)
 	finishFaultPlane(&res, sys, acc)
 	if p.MeasureMemory {
 		res.BytesPerClient = bytesPerClientOf(pools)
 		runtime.KeepAlive(sys) // keep the measured state reachable during GC
 	}
 	return res, buf, nil
+}
+
+// bytesPerClientOf reports the post-run heap footprint per potential
+// client. It forces a collection first, so it is only computed when
+// Params.MeasureMemory asks for it — never on benchmark paths.
+func bytesPerClientOf(pools [][]int) float64 {
+	total := 0
+	for _, row := range pools {
+		for _, n := range row {
+			total += n
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / float64(total)
 }
 
 // RunSquirrel executes the baseline with the identical topology seed,
@@ -354,7 +365,7 @@ func RunSquirrel(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	mets := metrics.New(p.metricsConfig(1))
+	mets := metrics.New(p.metricsConfig(p.generatedQueries()))
 	sys, err := squirrel.New(p.SquirrelConfig(pools), kernel, topo, mets)
 	if err != nil {
 		return Result{}, err
@@ -377,7 +388,7 @@ func RunSquirrel(p Params) (Result, error) {
 		Events:      events,
 		WallSeconds: wall,
 	}
-	res.addKernel(kernel)
+	res.setKernel(kernel)
 	return res, nil
 }
 
@@ -419,36 +430,28 @@ type queryPump struct {
 	k      *simkernel.Kernel
 	until  simkernel.Time
 	src    workload.Source
-	mine   func(workload.Query) bool          // the entries this pump submits (nil: all)
-	submit func(pos uint64, q workload.Query) // pos: 1-based position in the stream
-	pos    uint64
+	submit func(workload.Query)
 	next   workload.Query
 	fireFn func(uint64)
 }
 
 func (p *queryPump) fire(uint64) {
-	p.submit(p.pos, p.next)
+	p.submit(p.next)
 	p.arm()
 }
 
 func (p *queryPump) arm() {
-	for {
-		q, ok := p.src.Next()
-		if !ok || q.At > p.until {
-			return
-		}
-		p.pos++
-		if p.mine == nil || p.mine(q) {
-			p.next = q
-			p.k.AtArg(q.At, p.fireFn, 0)
-			return
-		}
+	q, ok := p.src.Next()
+	if !ok || q.At > p.until {
+		return
 	}
+	p.next = q
+	p.k.AtArg(q.At, p.fireFn, 0)
 }
 
 // pumpQueries starts a pump feeding every query of src to submit.
 func pumpQueries(k *simkernel.Kernel, until simkernel.Time, src workload.Source, submit func(workload.Query)) {
-	p := &queryPump{k: k, until: until, src: src, submit: func(_ uint64, q workload.Query) { submit(q) }}
+	p := &queryPump{k: k, until: until, src: src, submit: submit}
 	p.fireFn = p.fire
 	p.arm()
 }
@@ -456,7 +459,8 @@ func pumpQueries(k *simkernel.Kernel, until simkernel.Time, src workload.Source,
 // RunFlowerReplay runs Flower-CDN against a recorded query trace instead
 // of the synthetic generator (see workload.ParseTrace for the format). The
 // trace's (site, locality, member) coordinates must fit the pools implied
-// by the parameters.
+// by the parameters; everything else in them (faults, churn, scheduled
+// crashes, auditing, memory measurement) applies as in RunFlower.
 func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -485,33 +489,9 @@ func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	kernel := simkernel.New(p.Seed)
-	topo, err := topology.Generate(p.TopologyConfig(pools))
-	if err != nil {
-		return Result{}, err
-	}
-	mcfg := p.metricsConfig(1)
-	mcfg.ExpectedQueries = len(queries) // the trace, not QueryRate, is the load
-	mets := metrics.New(mcfg)
-	sys, err := core.New(p.CoreConfig(pools), core.Deps{
-		Kernel: kernel, Topo: topo, Metrics: mets,
-		Interner: sharedInterner(p.Websites, p.ObjectsPerSite),
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	pumpQueries(kernel, p.Duration, replayer, sys.Submit)
-	events, wall := timedRun(kernel, p.Duration)
-	res := Result{
-		Kind:        KindFlower,
-		Report:      mets.Snapshot(p.Duration),
-		Stats:       sys.Stats(),
-		Params:      p,
-		Events:      events,
-		WallSeconds: wall,
-	}
-	res.addKernel(kernel)
-	return res, nil
+	// The trace, not QueryRate, is the load.
+	res, _, err := runFlower(p, pools, replayer, len(queries), 0)
+	return res, err
 }
 
 // injectChurn schedules peer failures as a Poisson process with rate

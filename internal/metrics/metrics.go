@@ -295,66 +295,6 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 	}
 }
 
-// MergeFrom folds another collector into c: both are first advanced to
-// end (so peer-time integration covers the full run), then every
-// aggregate, histogram, sample series and time-series bucket is summed.
-// The collectors must share the same Config shape. Percentiles stay exact
-// because Snapshot sorts a copy of the merged samples, so the append
-// order across merged collectors does not matter. Used by the sharded
-// harness to combine per-cell collectors after a run; single-threaded.
-func (c *Collector) MergeFrom(o *Collector, end simkernel.Time) {
-	c.advancePeerTime(end)
-	o.advancePeerTime(end)
-	c.totalQueries += o.totalQueries
-	c.hits += o.hits
-	for i := range c.bySource {
-		c.bySource[i] += o.bySource[i]
-		c.lookupBySource[i] += o.lookupBySource[i]
-	}
-	c.lookupSum += o.lookupSum
-	c.distSum += o.distSum
-	c.distCount += o.distCount
-	c.p2pLookupSum += o.p2pLookupSum
-	c.p2pDistSum += o.p2pDistSum
-	c.p2pDistCount += o.p2pDistCount
-	for i := range c.latencyHist {
-		c.latencyHist[i] += o.latencyHist[i]
-	}
-	for i := range c.distanceHist {
-		c.distanceHist[i] += o.distanceHist[i]
-	}
-	c.lookupSamples = append(c.lookupSamples, o.lookupSamples...)
-	c.distSamples = append(c.distSamples, o.distSamples...)
-	for i := range c.trafficBytes {
-		c.trafficBytes[i] += o.trafficBytes[i]
-		c.trafficMsgs[i] += o.trafficMsgs[i]
-	}
-	for len(c.buckets) < len(o.buckets) {
-		c.buckets = append(c.buckets, bucket{})
-	}
-	for i := range o.buckets {
-		b, ob := &c.buckets[i], &o.buckets[i]
-		b.queries += ob.queries
-		b.hits += ob.hits
-		b.lookupSum += ob.lookupSum
-		b.distSum += ob.distSum
-		b.distCount += ob.distCount
-		b.background += ob.background
-		b.peerMs += ob.peerMs
-	}
-	c.curPeers += o.curPeers
-	c.peerMsTotal += o.peerMsTotal
-	c.redirectFailures += o.redirectFailures
-	c.routeTTLExpiry += o.routeTTLExpiry
-	c.retries += o.retries
-	c.dirFallbacks += o.dirFallbacks
-	c.originFallbacks += o.originFallbacks
-	c.shedQueries += o.shedQueries
-	c.hedges += o.hedges
-	c.hedgeWins += o.hedgeWins
-	c.breakerTrips += o.breakerTrips
-}
-
 // RecordRedirectFailure counts a redirection to a dead peer (§5.1).
 func (c *Collector) RecordRedirectFailure() { c.redirectFailures++ }
 

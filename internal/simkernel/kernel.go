@@ -225,12 +225,6 @@ func (h TimerHandle) Cancel() bool {
 	return true
 }
 
-// OwnedBy reports whether the timer was scheduled on k. A zero handle is
-// owned by no kernel. Sharded callers use this to avoid cancelling a timer
-// that lives on another cell's kernel from a parallel phase: such timers
-// are instead abandoned (handle zeroed, token bumped) and fire as no-ops.
-func (h TimerHandle) OwnedBy(k *Kernel) bool { return h.k == k && k != nil }
-
 // Active reports whether the timer is still scheduled to fire.
 func (h TimerHandle) Active() bool {
 	if h.k == nil {
@@ -309,21 +303,6 @@ func (k *Kernel) DeriveRNG(label string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(Mix64(uint64(k.seed) ^ h))))
 }
 
-// DeriveRNGAt is DeriveRNG for indexed stream families: the returned PRNG
-// is a pure function of (kernel seed, label, index), so one label can fan
-// out into per-cell or per-shard streams without string formatting, and
-// stream i never collides with stream j or with the label's un-indexed
-// DeriveRNG stream.
-func (k *Kernel) DeriveRNGAt(label string, index int) *rand.Rand {
-	var h uint64 = 14695981039346656037 // FNV-1a over the label
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	h = Mix64(h ^ Mix64(uint64(index)+0x5bd1e995))
-	return rand.New(rand.NewSource(int64(Mix64(uint64(k.seed) ^ h))))
-}
-
 // Processed reports how many events have fired so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
@@ -363,9 +342,9 @@ func (k *Kernel) Pending() int { return k.live }
 
 // NextEvent returns the timestamp of the earliest pending record, if any.
 // The record may be a lazily-cancelled timer that will be elided without
-// firing, so the returned time is a lower bound on the next real event —
-// exactly what the epoch engine needs to fast-forward over idle stretches
-// without ever skipping work.
+// firing, so the returned time is a lower bound on the next real event.
+// Nothing in a run calls it: the reference-model tests use it to check the
+// three queues' merged order from outside.
 func (k *Kernel) NextEvent() (Time, bool) {
 	ev, _, ok := k.peek()
 	return ev.at, ok

@@ -319,8 +319,7 @@ func TestPeriodicAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// A kernel whose only pending record sits in a lane must still report it:
-// the sharded engine's fast-forward reads NextEvent.
+// A kernel whose only pending record sits in a lane must still report it.
 func TestNextEventSeesLaneOnlyRecord(t *testing.T) {
 	k := New(1)
 	tk := k.Every(5, 10, func() {})

@@ -22,7 +22,7 @@ type wheelNode struct {
 // never passes a pending record, so every record in it is due in
 // [now, now+wheelSize): bucket at&wheelMask holds one instant only and
 // circular order from now&wheelMask is time order. No cursor moves, so peek
-// is read-only, as NextEvent requires.
+// is read-only.
 type wheel struct {
 	tail    [wheelSize]uint32  // per bucket, its newest node; that node's next is the oldest. 0 = empty
 	words   [wheelWords]uint64 // bit b: bucket b is occupied

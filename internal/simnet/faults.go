@@ -3,19 +3,14 @@
 // per-node slowdown windows, direction-dependent link loss, and periodic
 // link flapping — layered under Send.
 //
-// Every fault decision is made at send time from a DeriveRNG-derived
-// stream, so a faulted run is a pure function of (scenario, seed). On a
-// sharded network each cell owns a private stream consumed only by sends
-// executing on that cell's kernel (which the venue rules already
-// serialise), and barrier-context sends draw from the coordination
-// kernel's stream — so fault decisions, like everything else, are
-// invariant under the worker count.
+// Every fault decision is made at send time from one DeriveRNG-derived
+// stream, so a faulted run is a pure function of (scenario, seed).
 //
 // Partitions, degrade windows and flap windows are static schedules, not
 // random processes: each check is a pure function of (endpoint, now) — no
 // RNG draw, no mutation — so cutting, slowing and healing are exactly
-// reproducible and race-free. The probabilistic knobs (loss, asymmetric
-// loss, jitter, spikes) consume the decision stream in a fixed order that
+// reproducible. The probabilistic knobs (loss, asymmetric loss, jitter,
+// spikes) consume the decision stream in a fixed order that
 // depends only on which knobs are configured, never on prior outcomes:
 // enabling a schedule-only gray knob leaves an existing scenario's draw
 // sequence byte-identical (TestDecideDrawOrderStable pins this).
@@ -366,10 +361,9 @@ func (p *faultPlan) decide(rng *rand.Rand, from NodeID, srcLoc, dstLoc int, lat,
 // InstallFaults activates the fault plane. A nil or all-zero config is a
 // no-op, keeping the disabled send path a single pointer check (the
 // TestFaultPlaneDisabledAllocs gate). Must be called before the run
-// starts (single-threaded); on a sharded network each cell gets its own
-// decision stream derived from that cell's kernel. The config is compiled
-// into an immutable plan (merged partition windows, per-node degrade
-// index) so the faulted hot path never rescans the raw schedule.
+// starts. The config is compiled into an immutable plan (merged partition
+// windows, per-node degrade index) so the faulted hot path never rescans
+// the raw schedule.
 func (n *Network) InstallFaults(cfg *FaultConfig) {
 	if !cfg.Enabled() {
 		return
@@ -377,24 +371,12 @@ func (n *Network) InstallFaults(cfg *FaultConfig) {
 	n.faults = cfg
 	n.fplan = compileFaults(cfg, n.topo.Localities(), n.topo.NumNodes())
 	n.faultRNG = n.kernel.DeriveRNG("simnet-faults")
-	if n.cells != nil {
-		n.cellFaultRNG = make([]*rand.Rand, len(n.cells))
-		for i, k := range n.cells {
-			n.cellFaultRNG[i] = k.DeriveRNGAt("simnet-faults", i)
-		}
-	}
 }
 
 // Faults returns the installed fault config (nil when disabled).
 func (n *Network) Faults() *FaultConfig { return n.faults }
 
 // FaultDropped reports how many messages the fault plane dropped (loss or
-// partition), across all lanes. Distinct from Dropped, which counts losses
-// to dead or handler-less endpoints. Same concurrency caveat as Sent.
-func (n *Network) FaultDropped() uint64 {
-	total := n.faultDropped
-	for _, l := range n.lanes {
-		total += l.faultDropped
-	}
-	return total
-}
+// partition). Distinct from Dropped, which counts losses to dead or
+// handler-less endpoints.
+func (n *Network) FaultDropped() uint64 { return n.faultDropped }

@@ -74,10 +74,6 @@ type Message struct {
 	Category Category
 	// SentAt is stamped by the network when the message leaves the sender.
 	SentAt simkernel.Time
-	// Delay is extra latency injected by the fault plane (jitter/spikes),
-	// added on top of the topology's link latency. Zero when faults are
-	// disabled.
-	Delay simkernel.Time
 }
 
 // Handler consumes messages delivered to a node.
@@ -122,29 +118,11 @@ type Network struct {
 
 	// Fault plane (see faults.go); nil when disabled, so the healthy send
 	// path pays one pointer check. fplan is the compiled schedule index
-	// built at install; faultRNG drives decisions for classic and
-	// barrier-context sends; cellFaultRNG[i] drives cell i's parallel
-	// sends (each consumed only on its owning kernel's goroutine).
+	// built at install; faultRNG is the decision stream.
 	faults       *FaultConfig
 	fplan        *faultPlan
 	faultRNG     *rand.Rand
-	cellFaultRNG []*rand.Rand
 	faultDropped uint64
-
-	// Sharded-mode state (see sharded.go); nil on a classic network. When
-	// lanes is non-nil, kernel is the serial coordination kernel and every
-	// node's events run on cells[cellOf[node]] between epoch barriers.
-	cells      []*simkernel.Kernel
-	cellOf     []int32
-	lanes      []*lane
-	globalLane *lane
-	mail       *Mailbox
-	cellSinks  []TrafficSink
-	foreignFn  func(payload any, dstCell int) bool
-	globalFn   func(payload any) bool
-	ownerFn    func(payload any) (int, bool)
-	venueFn    func(payload any, to NodeID) (int, bool)
-	inBarrier  bool
 }
 
 // New creates a network over topo driven by kernel. All nodes start alive
@@ -197,10 +175,6 @@ func (n *Network) Latency(a, b NodeID) simkernel.Time { return n.topo.Latency(a,
 // message is accounted at send time and delivered after the link latency,
 // unless the receiver is dead or handler-less at delivery time.
 func (n *Network) Send(from, to NodeID, cat Category, bytes int, payload any) {
-	if n.lanes != nil {
-		n.sendSharded(from, to, cat, bytes, payload)
-		return
-	}
 	if !n.alive[from] {
 		n.dropped++
 		return
@@ -253,26 +227,9 @@ func (n *Network) deliverPending(arg uint64) {
 	n.handlers[msg.To].HandleMessage(msg)
 }
 
-// Sent reports the number of messages accepted for transmission. On a
-// sharded network, call only while parked (construction, barrier, or
-// after the run).
-func (n *Network) Sent() uint64 {
-	total := n.sent
-	for _, l := range n.lanes {
-		total += l.sent
-	}
-	return total
-}
+// Sent reports the number of messages accepted for transmission.
+func (n *Network) Sent() uint64 { return n.sent }
 
 // Dropped reports the number of messages lost to dead or handler-less
-// endpoints. Same concurrency caveat as Sent.
-func (n *Network) Dropped() uint64 {
-	total := n.dropped
-	for _, l := range n.lanes {
-		total += l.dropped
-	}
-	if n.globalLane != nil {
-		total += n.globalLane.dropped
-	}
-	return total
-}
+// endpoints.
+func (n *Network) Dropped() uint64 { return n.dropped }

@@ -133,40 +133,6 @@ func (b *Buffer) QueryTrace(queryID uint64) []Event {
 	return out
 }
 
-// MergeBuffers combines per-cell trace buffers into one buffer of the
-// given capacity, as if a single tracer had observed the whole sharded
-// run: events are concatenated in buffer (cell) order and stably sorted
-// by timestamp, so ties keep cell order and the result is independent of
-// how the run was scheduled across workers. Totals are summed.
-func MergeBuffers(capacity int, bufs ...*Buffer) *Buffer {
-	merged := NewBuffer(capacity)
-	var all []Event
-	for _, b := range bufs {
-		if b == nil {
-			continue
-		}
-		merged.total += b.total
-		all = append(all, b.Events()...)
-	}
-	// Insertion-style stable sort by At (events are near-sorted already,
-	// each buffer being time-ordered); stdlib stable sort keeps cell order
-	// for equal timestamps.
-	stableSortByAt(all)
-	if len(all) > capacity {
-		all = all[len(all)-capacity:]
-	}
-	merged.events = all
-	return merged
-}
-
-func stableSortByAt(events []Event) {
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j].At < events[j-1].At; j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
-}
-
 // Format renders a slice of events as a multi-line transcript.
 func Format(events []Event) string {
 	var sb strings.Builder
