@@ -51,9 +51,9 @@ func main() {
 	fmt.Println("the only knob that improves hit ratio for free on the wire.")
 }
 
-func printRows(rows []flowercdn.SweepRow) {
+func printRows(rows []flowercdn.Row) {
 	fmt.Printf("  %-10s %-10s %-14s\n", "value", "hit ratio", "background")
 	for _, r := range rows {
-		fmt.Printf("  %-10s %-10.3f %8.1f bps\n", r.Label, r.HitRatio, r.BackgroundBps)
+		fmt.Printf("  %-10s %-10.3f %8.1f bps\n", r.Label, r.Report.HitRatio, r.Report.BackgroundBps)
 	}
 }

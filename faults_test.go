@@ -27,7 +27,7 @@ func formatFaultSummary(sb *strings.Builder, res Result) {
 // circuit-breaker accounting — for golden and invariance comparisons.
 func formatGraySummary(sb *strings.Builder, res Result) {
 	fmt.Fprintf(sb, "gray hedges=%d hedge_wins=%d breaker_trips=%d\n",
-		res.Hedges, res.HedgeWins, res.BreakerTrips)
+		res.Report.Hedges, res.Report.HedgeWins, res.Report.BreakerTrips)
 }
 
 // TestAdaptiveDisabledIdentical pins the gray plane's zero-cost-off
@@ -75,19 +75,25 @@ func TestGrayStormAdaptiveWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full gray-storm simulations")
 	}
-	fixed, adaptive, err := GrayComparison(GrayStormParams(1))
+	rows, err := GrayComparison(GrayStormParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adaptive.P99Ms <= 0 || fixed.P99Ms < 2*adaptive.P99Ms {
-		t.Fatalf("adaptive p99 not ≥2× better: fixed=%.0fms adaptive=%.0fms", fixed.P99Ms, adaptive.P99Ms)
+	fixed, adaptive := rows[0].Report, rows[1].Report
+	if rows[0].Label != "fixed" || rows[0].Params.Adaptive || rows[1].Label != "adaptive" || !rows[1].Params.Adaptive {
+		t.Fatalf("sides mislabelled: %q (adaptive=%v), %q (adaptive=%v)",
+			rows[0].Label, rows[0].Params.Adaptive, rows[1].Label, rows[1].Params.Adaptive)
+	}
+	fixedP99, adaptiveP99 := fixed.LookupPercentiles.P99, adaptive.LookupPercentiles.P99
+	if adaptiveP99 <= 0 || fixedP99 < 2*adaptiveP99 {
+		t.Fatalf("adaptive p99 not ≥2× better: fixed=%.0fms adaptive=%.0fms", fixedP99, adaptiveP99)
 	}
 	if adaptive.HitRatio < fixed.HitRatio {
 		t.Fatalf("adaptive hit ratio regressed: fixed=%.4f adaptive=%.4f", fixed.HitRatio, adaptive.HitRatio)
 	}
-	if len(fixed.AuditViolations) != 0 || len(adaptive.AuditViolations) != 0 {
+	if len(rows[0].AuditViolations) != 0 || len(rows[1].AuditViolations) != 0 {
 		t.Fatalf("auditor violations: fixed=%d adaptive=%d",
-			len(fixed.AuditViolations), len(adaptive.AuditViolations))
+			len(rows[0].AuditViolations), len(rows[1].AuditViolations))
 	}
 	if adaptive.Hedges == 0 || adaptive.HedgeWins == 0 || adaptive.BreakerTrips == 0 {
 		t.Fatalf("adaptive machinery idle: hedges=%d wins=%d trips=%d",

@@ -66,8 +66,9 @@ type Params = harness.Params
 // Result is one finished simulation run.
 type Result = harness.Result
 
-// SweepRow is one row of a Table-2-style parameter sweep.
-type SweepRow = harness.SweepRow
+// Row is one finished point of an experiment or sweep: the point's label
+// and its Result (embedded, so row.Report, row.Stats, … read directly).
+type Row = harness.Row
 
 // Headline condenses the paper's §1/§6 comparison claims.
 type Headline = harness.Headline
@@ -180,27 +181,19 @@ type DirDegrade = harness.DirDegrade
 // on an identical fault schedule.
 func GrayStormParams(seed int64) Params { return harness.GrayStormParams(seed) }
 
-// GrayRow is one side of the fixed-vs-adaptive gray-storm comparison.
-type GrayRow = harness.GrayRow
-
 // GrayComparison runs base twice on the same seed — fixed timeout ladder,
 // then the adaptive plane (EWMA deadlines + hedged lookups + holder
-// circuit breaker) — and reports both sides.
-func GrayComparison(base Params) (fixed, adaptive GrayRow, err error) {
-	return harness.GrayComparison(base)
-}
+// circuit breaker) — and reports both sides, fixed first.
+func GrayComparison(base Params) ([]Row, error) { return harness.GrayComparison(base) }
 
 // DefaultLossRates is the default grid for LossRateSweep (the `-exp
 // faults` sweep); override per-run with the -loss flag.
 var DefaultLossRates = harness.DefaultLossRates
 
-// LossRateRow is one point of the loss-rate degradation sweep.
-type LossRateRow = harness.LossRateRow
-
 // LossRateSweep reruns base under increasing uniform message-loss rates
-// (nil = 0/1/2/5/10/20%) and reports hit-ratio and latency degradation
-// plus retry/fallback volumes.
-func LossRateSweep(base Params, rates []float64) ([]LossRateRow, error) {
+// (nil = 0/1/2/5/10/20%), one row per rate labelled by it in percent:
+// hit-ratio and latency degradation plus retry/fallback volumes.
+func LossRateSweep(base Params, rates []float64) ([]Row, error) {
 	return harness.LossRateSweep(base, rates)
 }
 
@@ -211,15 +204,27 @@ func PopulationParams(seed int64, clients int) Params {
 	return harness.PopulationParams(seed, clients)
 }
 
-// PopulationPoint is one cell of the events/sec-vs-population chart.
-type PopulationPoint = harness.PopulationPoint
-
 // PopulationSweep measures simulator throughput (kernel events per
 // wall-clock second) at each requested total client population (nil =
-// 1k/2k/5k/10k). Cells run sequentially so wall-clock numbers are honest.
-func PopulationSweep(seed int64, populations []int) ([]PopulationPoint, error) {
+// 1k/2k/5k/10k), one row per population labelled by it. Cells run
+// sequentially so wall-clock numbers are honest.
+func PopulationSweep(seed int64, populations []int) ([]Row, error) {
 	return harness.PopulationSweep(seed, populations)
 }
+
+// Experiment is one entry of the registry behind `flowersim`: how its
+// points derive from base parameters and Options, and the named views —
+// what `-exp` selects — that present the resulting rows as Tables.
+type Experiment = harness.Experiment
+
+// Options carries the flowersim flags that reach into experiments.
+type Options = harness.Options
+
+// Table is the shape every view produces: a title, a grid to align, notes.
+type Table = harness.Table
+
+// Experiments returns every registered experiment in presentation order.
+func Experiments() []Experiment { return harness.Experiments() }
 
 // RunFlower simulates Flower-CDN under the given parameters.
 func RunFlower(p Params) (Result, error) { return harness.RunFlower(p) }
@@ -244,13 +249,10 @@ func RunCampaign(points []Point, parallel int) ([]Result, error) {
 // pure function of its inputs.
 func PointSeed(campaignSeed int64, idx int) int64 { return harness.PointSeed(campaignSeed, idx) }
 
-// GridRow is one cell of a localities × T_gossip × V_gossip scenario grid.
-type GridRow = harness.GridRow
-
 // SweepGrid crosses localities × gossip period × view size into one
 // campaign (nil slices use a default grid) and runs every cell, honouring
-// p.Parallel.
-func SweepGrid(p Params, localities []int, periods []Time, views []int) ([]GridRow, error) {
+// p.Parallel; a cell's coordinates are in its label and its Params.
+func SweepGrid(p Params, localities []int, periods []Time, views []int) ([]Row, error) {
 	return harness.SweepGrid(p, localities, periods, views)
 }
 
@@ -320,20 +322,20 @@ func ComputeHeadline(flower, baseline Result) Headline {
 
 // Table2a sweeps the gossip length L_gossip (paper: 5, 10, 20; nil uses
 // the paper's values).
-func Table2a(p Params, values []int) ([]SweepRow, error) { return harness.Table2a(p, values) }
+func Table2a(p Params, values []int) ([]Row, error) { return harness.Table2a(p, values) }
 
 // Table2b sweeps the gossip period T_gossip (paper: 1 min, 30 min, 1 h).
-func Table2b(p Params, values []Time) ([]SweepRow, error) { return harness.Table2b(p, values) }
+func Table2b(p Params, values []Time) ([]Row, error) { return harness.Table2b(p, values) }
 
 // Table2c sweeps the view size V_gossip (paper: 20, 50, 70).
-func Table2c(p Params, values []int) ([]SweepRow, error) { return harness.Table2c(p, values) }
+func Table2c(p Params, values []int) ([]Row, error) { return harness.Table2c(p, values) }
 
 // Fig5 runs Flower-CDN at the chosen operating point; the Report.Series of
 // the result carries hit ratio and background traffic over time.
 func Fig5(p Params) (Result, error) { return harness.Fig5(p) }
 
 // AblationPushThreshold sweeps the push threshold (§6.2).
-func AblationPushThreshold(p Params, values []float64) ([]SweepRow, error) {
+func AblationPushThreshold(p Params, values []float64) ([]Row, error) {
 	return harness.AblationPushThreshold(p, values)
 }
 
@@ -345,7 +347,7 @@ func AblationQueryPolicy(p Params) (viewOnly, viaDir Result, err error) {
 
 // AblationChurn sweeps peer failure rates, exercising §5's recovery
 // mechanisms.
-func AblationChurn(p Params, perHour []float64) ([]SweepRow, error) {
+func AblationChurn(p Params, perHour []float64) ([]Row, error) {
 	return harness.AblationChurn(p, perHour)
 }
 
@@ -358,14 +360,14 @@ func AblationHomeStore(p Params) (directory, homeStore Result, err error) {
 // AblationActiveReplication compares the base system with the §8
 // extension (directories proactively replicate popular objects into
 // sibling overlays).
-func AblationActiveReplication(p Params, topK []int) ([]SweepRow, error) {
+func AblationActiveReplication(p Params, topK []int) ([]Row, error) {
 	return harness.AblationActiveReplication(p, topK)
 }
 
 // AblationScaleUp compares the basic one-directory-per-(website,locality)
 // scheme with the §5.3 multi-instance extension under a client population
 // that overflows S_co.
-func AblationScaleUp(p Params, instanceBits []uint) ([]SweepRow, error) {
+func AblationScaleUp(p Params, instanceBits []uint) ([]Row, error) {
 	return harness.AblationScaleUp(p, instanceBits)
 }
 

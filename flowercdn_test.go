@@ -74,25 +74,25 @@ func TestPublicTableSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[1].BackgroundBps <= rows[0].BackgroundBps {
+	if rows[1].Report.BackgroundBps <= rows[0].Report.BackgroundBps {
 		t.Fatalf("L_gossip bandwidth not increasing: %v, %v",
-			rows[0].BackgroundBps, rows[1].BackgroundBps)
+			rows[0].Report.BackgroundBps, rows[1].Report.BackgroundBps)
 	}
 	rowsB, err := Table2b(p, []Time{2 * Minute, 10 * Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rowsB[0].BackgroundBps <= rowsB[1].BackgroundBps {
+	if rowsB[0].Report.BackgroundBps <= rowsB[1].Report.BackgroundBps {
 		t.Fatalf("T_gossip bandwidth not decreasing: %v, %v",
-			rowsB[0].BackgroundBps, rowsB[1].BackgroundBps)
+			rowsB[0].Report.BackgroundBps, rowsB[1].Report.BackgroundBps)
 	}
 	rowsC, err := Table2c(p, []int{4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rowsC[0].HitRatio > rowsC[1].HitRatio+0.05 {
+	if rowsC[0].Report.HitRatio > rowsC[1].Report.HitRatio+0.05 {
 		t.Fatalf("larger views should not hurt hit ratio: %v vs %v",
-			rowsC[0].HitRatio, rowsC[1].HitRatio)
+			rowsC[0].Report.HitRatio, rowsC[1].Report.HitRatio)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestPublicAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// §6.2: thresholds barely matter.
-	if d := rows[0].HitRatio - rows[1].HitRatio; d > 0.15 || d < -0.15 {
+	if d := rows[0].Report.HitRatio - rows[1].Report.HitRatio; d > 0.15 || d < -0.15 {
 		t.Fatalf("push threshold changed hit ratio too much: %v", d)
 	}
 	dir, hs, err := AblationHomeStore(p)
@@ -159,8 +159,8 @@ func TestPublicChurn(t *testing.T) {
 		t.Fatal("churn runs empty")
 	}
 	// Churn should not raise the hit ratio.
-	if rows[1].HitRatio > rows[0].HitRatio+0.03 {
-		t.Fatalf("churn improved hit ratio? %v vs %v", rows[1].HitRatio, rows[0].HitRatio)
+	if rows[1].Report.HitRatio > rows[0].Report.HitRatio+0.03 {
+		t.Fatalf("churn improved hit ratio? %v vs %v", rows[1].Report.HitRatio, rows[0].Report.HitRatio)
 	}
 }
 

@@ -68,6 +68,37 @@ func (s *System) observeRTT(a simnet.NodeID, sample simkernel.Time) {
 	}
 }
 
+// stamp opens a round-trip measurement on q's current attempt and sample
+// closes it into the origin's estimator; stampKeepalive and sampleKeepalive
+// do the same for a's keepalive probes, the steady drip that keeps every
+// member's estimator warm even when it issues no queries. Fixed-ladder runs
+// never stamp, so their samples find nothing to close.
+func (s *System) stamp(q *Query) {
+	if s.hs.rttEwma != nil {
+		q.sentAt = s.k.Now()
+	}
+}
+
+func (s *System) sample(q *Query) {
+	if q.sentAt > 0 {
+		s.observeRTT(q.Origin, s.k.Now()-q.sentAt)
+		q.sentAt = 0
+	}
+}
+
+func (s *System) stampKeepalive(a simnet.NodeID) {
+	if s.hs.kaSentAt != nil {
+		s.hs.kaSentAt[a] = s.k.Now()
+	}
+}
+
+func (s *System) sampleKeepalive(a simnet.NodeID) {
+	if s.hs.kaSentAt != nil && s.hs.kaSentAt[a] > 0 {
+		s.observeRTT(a, s.k.Now()-s.hs.kaSentAt[a])
+		s.hs.kaSentAt[a] = 0
+	}
+}
+
 // resetAdaptive clears a host's estimator and health state (revival: the
 // new life measures its own network).
 func (hs *hostSoA) resetAdaptive(a simnet.NodeID) {
@@ -77,6 +108,52 @@ func (hs *hostSoA) resetAdaptive(a simnet.NodeID) {
 	hs.rttEwma[a], hs.rttVar[a], hs.rttSamples[a] = 0, 0, 0
 	hs.kaSentAt[a] = 0
 	hs.holderStrikes[a], hs.breakerUntil[a] = 0, 0
+}
+
+// lookupAttemptLimit is how many D-ring lookup attempts a new-client query
+// makes before degrading to the origin tier. Adaptive runs retry on
+// RTT-scale deadlines, so they afford more attempts without queueing —
+// and need them, or the faster ladder would reach the origin fallback
+// before a gray-degraded directory plane gets a fair chance.
+func (s *System) lookupAttemptLimit() int {
+	if s.cfg.Adaptive {
+		return 5
+	}
+	return 3
+}
+
+// lookupRetryDelay is the deadline for one D-ring lookup attempt: a flat
+// 10 s on clean networks (the pinned-golden behaviour), exponential backoff
+// with deterministic per-origin jitter when hardened, so retry storms
+// spread out instead of re-colliding with a lossy window.
+func (s *System) lookupRetryDelay(q *Query, attempt int) simkernel.Time {
+	if !s.cfg.Hardened {
+		return 10 * simkernel.Second
+	}
+	if s.cfg.Adaptive {
+		// Adaptive ladder: deadlines scale with the origin's measured round
+		// trips (a few × the RTO) instead of the fixed 10s rungs, so a lost
+		// lookup is retried on the network's own timescale. A cold estimator
+		// (brand-new client) starts at 4s, well under the fixed first rung.
+		// Warm rungs are floored at 2s — lost-lookup recovery rides the
+		// hedges, the ladder only needs to stay patient enough to ride out
+		// flap down-phases — and capped so a truly dark path still degrades
+		// within the fixed ladder's horizon.
+		base := 4 * simkernel.Second
+		if s.hs.rttSamples[q.Origin] >= adaptiveWarmup {
+			base = 4 * (s.hs.rttEwma[q.Origin] + 4*s.hs.rttVar[q.Origin])
+			if base < 2*simkernel.Second {
+				base = 2 * simkernel.Second
+			}
+			if base > 10*simkernel.Second {
+				base = 10 * simkernel.Second
+			}
+		}
+		d := backoffDelay(base, attempt, 80*simkernel.Second)
+		return d + simkernel.Time(s.rng.Int63n(int64(d/4+1)))
+	}
+	d := backoffDelay(10*simkernel.Second, attempt, 80*simkernel.Second)
+	return d + simkernel.Time(s.rng.Int63n(int64(2*simkernel.Second)))
 }
 
 // exchangeTimeout is the adaptive-aware failure-detection deadline for an

@@ -56,7 +56,6 @@ type Config struct {
 	PoolSizes      [][]int        // [activeSiteIdx][locality] potential clients
 	Sites          []model.SiteID // all |W| sites; first ActiveSites are the active ones
 
-	DRingBits    uint // m (identifier width)
 	InstanceBits uint // b, §5.3 scale-up (0 = basic scheme)
 
 	Gossip     overlay.Config // V_gossip, L_gossip, push threshold, summary sizing
@@ -64,11 +63,7 @@ type Config struct {
 	TKeepalive simkernel.Time // keepalive period (defaults to TGossip)
 	TDead      int            // age limit in periods before an entry is dead
 
-	DirSummaryThreshold float64 // §4.2.1 delayed summary propagation
-
 	QueryPolicy       QueryPolicy
-	RetryLimit        int            // candidate peers tried per query before fallback
-	ObjectBytes       int            // modelled transfer payload (0 = not modelled, as in the paper)
 	MaintenancePeriod simkernel.Time // chord stabilization period (0 = off; enabled under churn)
 
 	// Hardened enables the degraded-network protocol behaviours that only
@@ -115,16 +110,6 @@ type Config struct {
 	// an empty index. Off by default: the disabled path costs one flag
 	// check and the clean-network goldens stay byte-identical.
 	StandbyFailover bool
-	// StandbyProbe is the standby→primary liveness probe period. Defaults
-	// to TKeepalive/64 (clamped to >= 1s): detection must beat the cold
-	// path's keepalive-offset race or warm failover buys nothing.
-	StandbyProbe simkernel.Time
-	// StandbySyncEvery is the designation/anti-entropy maintenance period
-	// on each directory. Defaults to TKeepalive/8.
-	StandbySyncEvery simkernel.Time
-	// StandbySyncShards bounds dirty shards shipped per anti-entropy round
-	// (per-round sync traffic bound). Defaults to 16.
-	StandbySyncShards int
 	// ShedBudget bounds per-locality in-flight new-client queries while the
 	// locality's directory position is down: beyond the budget, queries
 	// short-circuit to the origin fallback instead of queueing into the
@@ -132,27 +117,31 @@ type Config struct {
 	ShedBudget int
 }
 
+// Protocol constants: values the paper fixes in prose and no scenario varies.
+const (
+	DRingBits           = 30  // m, the D-ring identifier width
+	dirSummaryThreshold = 0.1 // §4.2.1 delayed summary propagation
+	retryLimit          = 3   // candidate peers tried per query before fallback
+	standbySyncShards   = 16  // dirty shards shipped per standby anti-entropy round
+)
+
 // DefaultConfig returns the paper's simulation parameters (Table 1 with
 // the §6.2 chosen gossip operating point).
 func DefaultConfig(seed int64) Config {
 	g := overlay.DefaultConfig()
 	return Config{
-		Seed:                seed,
-		Localities:          6,
-		Websites:            100,
-		ActiveSites:         6,
-		ObjectsPerSite:      500,
-		MaxOverlaySize:      100,
-		DRingBits:           30,
-		InstanceBits:        0,
-		Gossip:              g,
-		TGossip:             30 * simkernel.Minute,
-		TKeepalive:          0, // = TGossip
-		TDead:               4,
-		DirSummaryThreshold: 0.1,
-		QueryPolicy:         PolicyViewOnly,
-		RetryLimit:          3,
-		ObjectBytes:         0,
+		Seed:           seed,
+		Localities:     6,
+		Websites:       100,
+		ActiveSites:    6,
+		ObjectsPerSite: 500,
+		MaxOverlaySize: 100,
+		InstanceBits:   0,
+		Gossip:         g,
+		TGossip:        30 * simkernel.Minute,
+		TKeepalive:     0, // = TGossip
+		TDead:          4,
+		QueryPolicy:    PolicyViewOnly,
 	}
 }
 
@@ -184,9 +173,6 @@ func (c *Config) Validate() error {
 	if c.TDead <= 0 {
 		c.TDead = 4
 	}
-	if c.RetryLimit <= 0 {
-		c.RetryLimit = 3
-	}
 	if len(c.Sites) == 0 {
 		c.Sites = model.MakeSites(c.Websites)
 	}
@@ -199,26 +185,8 @@ func (c *Config) Validate() error {
 	if c.Gossip.ViewSize <= 0 || c.Gossip.GossipLen <= 0 {
 		return fmt.Errorf("core: gossip view size and length must be positive")
 	}
-	if c.DirSummaryThreshold <= 0 {
-		c.DirSummaryThreshold = 0.1
-	}
 	if c.ReplicationTopK > 0 && c.ReplicationPeriod <= 0 {
 		c.ReplicationPeriod = c.TGossip
-	}
-	if c.StandbyProbe <= 0 {
-		c.StandbyProbe = c.TKeepalive / 64
-	}
-	if c.StandbyProbe < simkernel.Second {
-		c.StandbyProbe = simkernel.Second
-	}
-	if c.StandbySyncEvery <= 0 {
-		c.StandbySyncEvery = c.TKeepalive / 8
-	}
-	if c.StandbySyncEvery < simkernel.Second {
-		c.StandbySyncEvery = simkernel.Second
-	}
-	if c.StandbySyncShards <= 0 {
-		c.StandbySyncShards = 16
 	}
 	if len(c.PoolSizes) == 0 {
 		return fmt.Errorf("core: pool sizes not set (use harness.BuildPools)")

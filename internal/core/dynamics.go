@@ -102,17 +102,20 @@ func (s *System) onDirectoryUnreachable(h *host) {
 			s.requestPromotion(h)
 			return
 		}
-		// Give the designated standby a deterministic head start (two probe
-		// periods plus jitter) before volunteering a cold rebuild; the
-		// delayed retry re-checks the ring and simply adopts the promoted
-		// standby in the common case.
-		grace := 2*s.cfg.StandbyProbe +
-			simkernel.Time(s.rng.Int63n(int64(s.cfg.StandbyProbe)))
-		s.hs.joinTimer[h.addr].Cancel()
-		s.hs.joinTimer[h.addr] = s.k.AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
+		s.deferDirJoin(h)
 		return
 	}
 	s.attemptDirJoin(h, h.cp.Site(), h.cp.Locality())
+}
+
+// deferDirJoin gives the designated standby a deterministic head start
+// (two probe periods plus jitter) before h volunteers a cold rebuild: the
+// delayed retry re-checks the ring and, in the common case, simply adopts
+// the promoted standby instead of racing it.
+func (s *System) deferDirJoin(h *host) {
+	grace := 2*s.standbyProbe + simkernel.Time(s.rng.Int63n(int64(s.standbyProbe)))
+	s.hs.joinTimer[h.addr].Cancel()
+	s.hs.joinTimer[h.addr] = s.k.AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
 }
 
 // attemptDirJoin starts the §5.2 replacement protocol: the candidate
@@ -183,30 +186,20 @@ func (s *System) handleDirJoinAccept(h *host, m dirJoinAcceptMsg) {
 	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
-	key := m.Key
-	if n := s.ring.Lookup(key); n != nil {
-		if n.Up() {
-			// Raced: someone else joined first.
-			h.cp.SetDir(n.Addr())
-			s.pushFullContent(h)
-			return
-		}
-		s.ring.RemoveNode(key)
+	var boot *chord.Node
+	if bh := s.hosts[m.Bootstrap]; bh != nil && bh.dirNode != nil && bh.dirNode.Up() {
+		boot = bh.dirNode
 	}
-	bh := s.hosts[m.Bootstrap]
-	if bh == nil || bh.dirNode == nil || !bh.dirNode.Up() {
+	node, incumbent := s.takeOverPosition(m.Key, h.addr, boot, false)
+	if incumbent != nil {
+		// Raced: someone else joined first.
+		h.cp.SetDir(incumbent.Addr())
+		s.pushFullContent(h)
 		return
 	}
-	node, err := s.ring.AddNode(key, h.addr)
-	if err != nil {
+	if node == nil {
 		return
 	}
-	if err := s.ring.Join(node, bh.dirNode); err != nil {
-		s.ring.RemoveNode(key)
-		return
-	}
-	node.Stabilize()
-	node.FixAllFingers()
 	s.installDirectory(h, node, h.cp.Site(), h.cp.Locality())
 	// Index our own holdings immediately; overlay members re-register via
 	// their keepalive timeouts and pushes.
@@ -216,12 +209,43 @@ func (s *System) handleDirJoinAccept(h *host, m dirJoinAcceptMsg) {
 	s.traceDirReplaced(h)
 }
 
+// takeOverPosition is the D-ring take-over sequence of the cold §5.2
+// replacement and the warm standby promotion: a live holder of key keeps the
+// position (returned as incumbent), a dead one is removed, and addr's new
+// node joins through boot and converges its links. With no bootstrap the
+// claim is dropped, unless alone lets a standby that finds no other live
+// directory found the position unjoined. node is nil when no claim was made.
+func (s *System) takeOverPosition(key chord.ID, addr simnet.NodeID, boot *chord.Node, alone bool) (node, incumbent *chord.Node) {
+	if n := s.ring.Lookup(key); n != nil {
+		if n.Up() {
+			return nil, n
+		}
+		s.ring.RemoveNode(key)
+	}
+	if boot == nil && !alone {
+		return nil, nil
+	}
+	node, err := s.ring.AddNode(key, addr)
+	if err != nil {
+		return nil, nil
+	}
+	if boot != nil {
+		if err := s.ring.Join(node, boot); err != nil {
+			s.ring.RemoveNode(key)
+			return nil, nil
+		}
+		node.Stabilize()
+		node.FixAllFingers()
+	}
+	return node, nil
+}
+
 // installDirectory wires directory state and tickers onto a host.
 func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, loc int) {
 	key := node.ID()
 	h.dirNode = node
 	h.dir = dring.NewDirectory(site, s.widBySite[site], loc, key,
-		s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, s.cfg.DirSummaryThreshold, s.in)
+		s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 	s.dirByKey[key] = h.addr
 	s.dirAddrs = append(s.dirAddrs, h.addr)
 	s.hs.dirTicker[h.addr] = s.every(h.addr, s.cfg.TGossip, s.dirTickFn)
@@ -300,16 +324,9 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 		}
 		old.standby = 0
 	}
-	// The old directory departs.
-	old.dir = nil
-	old.dirNode = nil
-	s.hs.stopTimers(old.addr)
-	s.stopStandbyTimers(old)
-	s.net.Fail(old.addr)
-	if s.hs.has(old.addr, hfAccounted) {
-		s.mets.PeerLeft(s.k.Now())
-		s.hs.clearFlag(old.addr, hfAccounted)
-	}
+	// The old directory departs: with its roles handed over, like any peer.
+	old.dir, old.dirNode = nil, nil
+	s.FailPeer(old.addr)
 	s.stats.DirReplacements++
 	s.traceDirHandoff(old.addr, best.addr, site, loc)
 	return true

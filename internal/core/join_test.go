@@ -105,7 +105,7 @@ func (w wireTap) HandleMessage(msg simnet.Message) {
 		}
 		*w.checked++
 	case *serveMsg:
-		want := bytesServeHdr + w.h.sys.cfg.ObjectBytes
+		want := bytesServeHdr
 		for _, e := range m.ViewSeed {
 			want += e.WireBytes()
 		}

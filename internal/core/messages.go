@@ -11,8 +11,8 @@ import (
 	"flowercdn/internal/simnet"
 )
 
-// Modelled wire sizes (bytes). Object payloads default to 0 because the
-// paper does not model object size (§6.1); control messages are small.
+// Modelled wire sizes (bytes). A served object costs only its header: the
+// paper does not model object size (§6.1). Control messages are small.
 const (
 	bytesQueryCtl  = 48 // routed queries, redirects, fetches, acks, nacks
 	bytesKeepalive = 20
@@ -98,7 +98,7 @@ func (q *Query) oneRef(ref model.ObjectRef) []model.ObjectRef {
 // a query can cycle through directories and holders indefinitely, and an
 // unbounded append would grow per-query state with every retry. The caps
 // are far above what any clean-network query touches (a handful of
-// neighbour summaries, RetryLimit candidates), so eviction only engages
+// neighbour summaries, retryLimit candidates), so eviction only engages
 // under sustained faults; FIFO eviction forgets the oldest failure first,
 // which at worst re-tries a destination that has had the longest time to
 // recover.

@@ -1,16 +1,6 @@
 package core
 
-import (
-	"flowercdn/internal/model"
-	"flowercdn/internal/overlay"
-	"flowercdn/internal/simkernel"
-	"flowercdn/internal/simnet"
-)
-
-// newContentPeerFor constructs the overlay state for a joining host.
-func newContentPeerFor(h *host, site model.SiteID, loc int, cfg overlay.Config, now simkernel.Time) *overlay.ContentPeer {
-	return overlay.New(h.addr, site, loc, cfg, now, h.sys.in)
-}
+import "flowercdn/internal/simnet"
 
 // startContentPeerTickers launches the periodic behaviours of a content
 // peer: the active gossip loop (Algorithm 4) and the keepalive loop
@@ -133,9 +123,7 @@ func (s *System) keepaliveTick(h *host) {
 		s.hs.kaPayload[h.addr] = keepaliveMsg{From: h.addr}
 	}
 	s.net.Send(h.addr, d.Addr, simnet.CatKeepalive, bytesKeepalive, s.hs.kaPayload[h.addr])
-	if s.cfg.Adaptive {
-		s.hs.kaSentAt[h.addr] = s.k.Now()
-	}
+	s.stampKeepalive(h.addr)
 	s.hs.kaToken[h.addr]++
 	s.hs.kaTimeout[h.addr].Cancel()
 	s.hs.kaTimeout[h.addr] = s.k.AfterArg(s.exchangeTimeout(h.addr, d.Addr),
@@ -156,12 +144,7 @@ func (s *System) handleKeepalive(h *host, m keepaliveMsg) {
 func (s *System) handleKeepaliveAck(h *host, m keepaliveAckMsg) {
 	s.hs.kaToken[h.addr]++
 	s.hs.kaTimeout[h.addr].Cancel()
-	if s.cfg.Adaptive && s.hs.kaSentAt[h.addr] > 0 {
-		// Keepalive round trips are the steady drip that keeps every member's
-		// estimator warm even when it issues no queries.
-		s.observeRTT(h.addr, s.k.Now()-s.hs.kaSentAt[h.addr])
-		s.hs.kaSentAt[h.addr] = 0
-	}
+	s.sampleKeepalive(h.addr)
 	if h.cp != nil {
 		h.cp.RefreshDir()
 	}

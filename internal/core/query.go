@@ -35,9 +35,7 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 	if !s.takeShedSlot(h, q, key) {
 		return
 	}
-	if s.cfg.Adaptive {
-		q.sentAt = s.k.Now()
-	}
+	s.stamp(q)
 	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	// If the entry node (or the path) is dead the query would hang; retry
 	// through a different entry, then fall back to the server. Adaptive
@@ -82,18 +80,6 @@ func (s *System) hedgeLookup(h *host, q *Query, attempt int, remaining simkernel
 	s.await(q, remaining, awaitLookupRetry, h.addr, 0, int32(attempt+1))
 }
 
-// lookupAttemptLimit is how many D-ring lookup attempts a new-client query
-// makes before degrading to the origin tier. Adaptive runs retry on
-// RTT-scale deadlines, so they afford more attempts without queueing —
-// and need them, or the faster ladder would reach the origin fallback
-// before a gray-degraded directory plane gets a fair chance.
-func (s *System) lookupAttemptLimit() int {
-	if s.cfg.Adaptive {
-		return 5
-	}
-	return 3
-}
-
 func (s *System) retryNewClientQuery(h *host, q *Query, attempt int) {
 	if q.recorded {
 		return
@@ -110,45 +96,9 @@ func (s *System) retryNewClientQuery(h *host, q *Query, attempt int) {
 		return
 	}
 	key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
-	if s.cfg.Adaptive {
-		q.sentAt = s.k.Now()
-	}
+	s.stamp(q)
 	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	s.awaitLookup(h, q, attempt)
-}
-
-// lookupRetryDelay is the deadline for one D-ring lookup attempt: a flat
-// 10 s on clean networks (the pinned-golden behaviour), exponential backoff
-// with deterministic per-origin jitter when hardened, so retry storms
-// spread out instead of re-colliding with a lossy window.
-func (s *System) lookupRetryDelay(q *Query, attempt int) simkernel.Time {
-	if !s.cfg.Hardened {
-		return 10 * simkernel.Second
-	}
-	if s.cfg.Adaptive {
-		// Adaptive ladder: deadlines scale with the origin's measured round
-		// trips (a few × the RTO) instead of the fixed 10s rungs, so a lost
-		// lookup is retried on the network's own timescale. A cold estimator
-		// (brand-new client) starts at 4s, well under the fixed first rung.
-		// Warm rungs are floored at 2s — lost-lookup recovery rides the
-		// hedges, the ladder only needs to stay patient enough to ride out
-		// flap down-phases — and capped so a truly dark path still degrades
-		// within the fixed ladder's horizon.
-		base := 4 * simkernel.Second
-		if s.hs.rttSamples[q.Origin] >= adaptiveWarmup {
-			base = 4 * (s.hs.rttEwma[q.Origin] + 4*s.hs.rttVar[q.Origin])
-			if base < 2*simkernel.Second {
-				base = 2 * simkernel.Second
-			}
-			if base > 10*simkernel.Second {
-				base = 10 * simkernel.Second
-			}
-		}
-		d := backoffDelay(base, attempt, 80*simkernel.Second)
-		return d + simkernel.Time(s.rng.Int63n(int64(d/4+1)))
-	}
-	d := backoffDelay(10*simkernel.Second, attempt, 80*simkernel.Second)
-	return d + simkernel.Time(s.rng.Int63n(int64(2*simkernel.Second)))
 }
 
 // backoffDelay doubles base attempt times, capped at ceil (overflow-safe).
@@ -271,11 +221,11 @@ func (s *System) startContentPeerQuery(h *host, q *Query) {
 		}
 		return
 	}
-	// Only the RetryLimit candidates the query may try stay carved out of
+	// Only the retryLimit candidates the query may try stay carved out of
 	// the slab.
 	cands := s.slabCandidates(h.cp, q.Ref)
-	if len(cands) > s.cfg.RetryLimit {
-		cands = cands[:s.cfg.RetryLimit]
+	if len(cands) > retryLimit {
+		cands = cands[:retryLimit]
 	}
 	p.cands = p.cands[:len(p.cands)+len(cands)]
 	q.candidates = cands[:len(cands):len(cands)]
@@ -302,9 +252,7 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 			continue
 		}
 		s.trace(trace.PeerQuery, q.ID, q.Origin, cand, "")
-		if s.cfg.Adaptive {
-			q.sentAt = s.k.Now()
-		}
+		s.stamp(q)
 		s.net.Send(q.Origin, cand, simnet.CatQuery, bytesQueryCtl, peerQueryMsg{Q: q})
 		s.await(q, s.exchangeTimeout(q.Origin, cand), awaitCandidate, h.addr, uint64(cand), 0)
 		return
@@ -316,9 +264,7 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 			return
 		}
 		s.mets.RecordDirFallback()
-		if s.cfg.Adaptive {
-			q.sentAt = s.k.Now()
-		}
+		s.stamp(q)
 		s.net.Send(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
 		esc := s.escalationTimeout(q)
 		if hd, ok := s.hedgeDelay(q, esc); ok {
@@ -607,10 +553,7 @@ func (s *System) handlePeerQuery(h *host, m peerQueryMsg) {
 func (s *System) handleNack(h *host, m nackMsg, from simnet.NodeID) {
 	q := m.Q
 	s.settle(q)
-	if s.cfg.Adaptive && q.sentAt > 0 {
-		s.observeRTT(q.Origin, s.k.Now()-q.sentAt)
-		q.sentAt = 0
-	}
+	s.sample(q)
 	s.trace(trace.PeerNack, q.ID, h.addr, from, "stale summary or false positive")
 	s.tryNextCandidate(h, q)
 }
@@ -639,16 +582,16 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		s.mets.RecordQuery(now, src, lookup, dist)
 		q.recorded = true
 		s.traceServed(q, h.addr, src, lookup, dist)
-		if s.recovery != nil && fromContentPeer && q.handlerDir != 0 {
+		if fromContentPeer && q.handlerDir != 0 {
 			// Partition-recovery probe: a P2P hit that went through a
 			// directory proves the locality's directory plane works again.
-			s.noteRecovery(q.OriginLoc, now)
+			s.healProbe.note(q.OriginLoc, now)
 		}
-		if s.crashAt != nil && fromContentPeer && q.handlerIsLocal {
+		if fromContentPeer && q.handlerIsLocal {
 			// Crash-recovery probe: handlerIsLocal means the locality's OWN
 			// directory position mediated the hit, i.e. the crashed
 			// directory has been replaced (cold) or promoted (warm).
-			s.noteDirCrashRecovery(q.OriginLoc, now)
+			s.crashProbe.note(q.OriginLoc, now)
 		}
 	}
 	msg := s.newServeMsg(q, fromContentPeer)
@@ -659,7 +602,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		msg.ViewSeed = h.cp.ViewSeedFor(s.rng, msg.ViewSeed)
 	}
 	s.net.Send(h.addr, q.Origin, simnet.CatTransfer,
-		bytesServeHdr+s.cfg.ObjectBytes+gossip.WireBytes(msg.ViewSeed, s.cfg.Gossip.SummaryBytes()), msg)
+		bytesServeHdr+gossip.WireBytes(msg.ViewSeed, s.cfg.Gossip.SummaryBytes()), msg)
 	if s.cfg.Hardened {
 		// Delivery guard: the transfer itself can fall to loss or a
 		// partition. If the object never lands, re-fetch from the origin
@@ -686,12 +629,9 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 		return // duplicate delivery after a retry race
 	}
 	q.finished = true
-	if s.cfg.Adaptive && q.sentAt > 0 {
-		// One completed attempt→delivery round trip feeds the origin's
-		// estimator; this is the timescale adaptive lookup deadlines target.
-		s.observeRTT(q.Origin, s.k.Now()-q.sentAt)
-		q.sentAt = 0
-	}
+	// One completed attempt→delivery round trip feeds the origin's
+	// estimator; this is the timescale adaptive lookup deadlines target.
+	s.sample(q)
 	s.releaseShedSlot(q)
 	if s.cfg.Hardened && q.admitted {
 		s.hs.clearAdmit(h.addr, q.Ref)
@@ -714,13 +654,8 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	if q.needDirBootstrap {
 		s.stats.DirBootstraps++
 		if s.cfg.StandbyFailover && h.replica == nil {
-			// Same head start the keepalive path gives the designated
-			// standby: delay the cold volunteer; the retry re-checks the
-			// ring and adopts a promoted standby instead of racing it.
-			grace := 2*s.cfg.StandbyProbe +
-				simkernel.Time(s.rng.Int63n(int64(s.cfg.StandbyProbe)))
-			s.hs.joinTimer[h.addr].Cancel()
-			s.hs.joinTimer[h.addr] = s.k.AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
+			// Same head start the keepalive path gives the designated standby.
+			s.deferDirJoin(h)
 			return
 		}
 		s.attemptDirJoin(h, q.Site, q.OriginLoc)
@@ -731,31 +666,15 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 // directory is known yet; attemptDirJoin (run by the caller) will install
 // this peer as d(ws,loc) unless someone else won the race.
 func (s *System) joinFounder(h *host, q *Query) {
-	now := s.k.Now()
-	h.cp = newContentPeerFor(h, q.Site, q.OriginLoc, s.cfg.Gossip, now)
-	s.hs.dirInstance[h.addr] = int32(q.targetInstance)
-	if stash := s.hs.stash[h.addr]; len(stash) > 0 {
-		for _, obj := range stash {
-			h.cp.AddObject(obj)
-		}
-		s.hs.stash[h.addr] = nil
-	}
-	if !s.hs.has(h.addr, hfAccounted) {
-		s.mets.PeerJoined(now)
-		s.hs.set(h.addr, hfAccounted)
-	}
-	s.stats.Joins++
-	s.traceJoined(q, h, -1, true)
-	s.startContentPeerTickers(h)
+	h.cp = overlay.New(h.addr, q.Site, q.OriginLoc, s.cfg.Gossip, s.k.Now(), s.in)
+	s.finishJoin(h, q, -1, true)
 }
 
 // joinOverlay turns a served client into a content peer of its locality's
 // overlay (§4.1 construction).
 func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
-	now := s.k.Now()
-	h.cp = newContentPeerFor(h, q.Site, q.OriginLoc, s.cfg.Gossip, now)
+	h.cp = overlay.New(h.addr, q.Site, q.OriginLoc, s.cfg.Gossip, s.k.Now(), s.in)
 	h.cp.SetDir(q.handlerDir)
-	s.hs.dirInstance[h.addr] = int32(q.targetInstance)
 	if len(viewSeed) > 0 {
 		h.cp.SeedView(viewSeed)
 	} else if len(q.dirSeed) > 0 {
@@ -763,6 +682,14 @@ func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
 		// index, without summaries (§4.2).
 		h.cp.SeedView(q.dirSeed)
 	}
+	s.finishJoin(h, q, q.handlerDir, false)
+}
+
+// finishJoin is the shared tail of both joins: remember the directory
+// instance, replay objects stashed across a locality change (§5.4), account
+// the participant once per life, and start the peer's periodic behaviours.
+func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, founder bool) {
+	s.hs.dirInstance[h.addr] = int32(q.targetInstance)
 	if stash := s.hs.stash[h.addr]; len(stash) > 0 {
 		for _, obj := range stash {
 			h.cp.AddObject(obj)
@@ -770,11 +697,11 @@ func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
 		s.hs.stash[h.addr] = nil
 	}
 	if !s.hs.has(h.addr, hfAccounted) {
-		s.mets.PeerJoined(now)
+		s.mets.PeerJoined(s.k.Now())
 		s.hs.set(h.addr, hfAccounted)
 	}
 	s.stats.Joins++
-	s.traceJoined(q, h, q.handlerDir, false)
+	s.traceJoined(q, h, dir, founder)
 	s.startContentPeerTickers(h)
 }
 

@@ -98,7 +98,7 @@ func (s *System) handlePrefetchFetch(h *host, m prefetchFetchMsg) {
 	if h.cp == nil || !h.cp.Has(m.Ref) {
 		return // stale offer; the prefetch silently fails
 	}
-	s.net.Send(h.addr, m.From, simnet.CatTransfer, bytesServeHdr+s.cfg.ObjectBytes,
+	s.net.Send(h.addr, m.From, simnet.CatTransfer, bytesServeHdr,
 		prefetchServeMsg{Ref: m.Ref})
 }
 

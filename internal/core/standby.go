@@ -30,11 +30,11 @@ func (s *System) startStandbyTicker(h *host) {
 	if !s.cfg.StandbyFailover || !h.standbyTicker.Stopped() {
 		return
 	}
-	h.standbyTicker = s.every(h.addr, s.cfg.StandbySyncEvery, s.standbyTickFn)
+	h.standbyTicker = s.every(h.addr, s.standbySyncEvery, s.standbyTickFn)
 }
 
 // standbyMaintTick is the directory-side loop: validate or (re)designate
-// the standby, then ship up to StandbySyncShards dirty shards.
+// the standby, then ship up to standbySyncShards dirty shards.
 func (s *System) standbyMaintTick(h *host) {
 	if h.dir == nil || !s.net.Alive(h.addr) {
 		return
@@ -53,7 +53,7 @@ func (s *System) standbyMaintTick(h *host) {
 	if h.dir.DirtyShardCount() == 0 {
 		return
 	}
-	h.deltaShards = h.dir.TakeDirtyShards(h.deltaShards[:0], s.cfg.StandbySyncShards)
+	h.deltaShards = h.dir.TakeDirtyShards(h.deltaShards[:0], standbySyncShards)
 	for _, sh := range h.deltaShards {
 		// The wire rows are owned by the message (applied after latency),
 		// so each delta exports into a fresh slice.
@@ -112,7 +112,7 @@ func (s *System) handleStandbyAssign(h *host, m standbyAssignMsg) {
 	}
 	if h.replica == nil || h.standbyFor != m.FromDir || h.standbyKey != m.Key {
 		h.replica = dring.NewDirectory(m.Site, s.widBySite[m.Site], m.Loc, m.Key,
-			s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, s.cfg.DirSummaryThreshold, s.in)
+			s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 	}
 	h.standbyFor = m.FromDir
 	h.standbyKey = m.Key
@@ -157,7 +157,7 @@ func (s *System) startStandbyProbes(h *host) {
 	if !h.probeTicker.Stopped() {
 		return
 	}
-	h.probeTicker = s.every(h.addr, s.cfg.StandbyProbe, s.probeTickFn)
+	h.probeTicker = s.every(h.addr, s.standbyProbe, s.probeTickFn)
 }
 
 // standbyProbeTick sends one liveness probe and arms its deadline. A
@@ -219,23 +219,9 @@ func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
 	if h.cp == nil || h.dir != nil || h.replica == nil || !s.net.Alive(h.addr) {
 		return
 	}
-	if n := s.ring.Lookup(m.Key); n != nil {
-		if n.Up() {
-			return // false alarm (or a raced replacement): keep watching
-		}
-		s.ring.RemoveNode(m.Key)
-	}
-	node, err := s.ring.AddNode(m.Key, h.addr)
-	if err != nil {
-		return
-	}
-	if boot := s.liveBootstrapNode(h.addr); boot != nil {
-		if err := s.ring.Join(node, boot); err != nil {
-			s.ring.RemoveNode(m.Key)
-			return
-		}
-		node.Stabilize()
-		node.FixAllFingers()
+	node, _ := s.takeOverPosition(m.Key, h.addr, s.liveBootstrapNode(h.addr), true)
+	if node == nil {
+		return // false alarm (or a raced replacement): keep watching
 	}
 	// Staleness at takeover: shards the dead primary dirtied but never
 	// shipped (readable in simulation; a real standby would bound this by

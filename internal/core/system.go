@@ -82,21 +82,19 @@ type System struct {
 	// the kernel's periodic timer passes the host address as the argument.
 	gossipTickFn, kaTickFn, dirTickFn, stabTickFn, replTickFn, standbyTickFn, probeTickFn func(uint64)
 
-	// Partition-recovery accounting (nil unless InstallFaults saw partition
-	// windows): healAt[loc] is when locality loc's last partition window
-	// ends (-1 = never partitioned), recovery[loc] the smallest observed
-	// heal→first-directory-hit delay (-1 = not yet recovered).
-	healAt   []simkernel.Time
-	recovery []simkernel.Time
+	// Recovery probes (empty until armed). healProbe measures, per locality,
+	// from the end of its last partition window (InstallFaults) to the first
+	// directory-mediated P2P hit; crashProbe from a scheduled directory crash
+	// (CrashDirectory) to the first hit mediated by the locality's OWN
+	// directory position — a remote same-site directory mediating a misrouted
+	// query proves nothing about the crashed locality's directory plane.
+	healProbe, crashProbe recoveryProbe
 
-	// Directory-crash recovery accounting (nil until CrashDirectory runs):
-	// crashAt[loc] is when locality loc's directory was crashed, crashRec
-	// the smallest crash→first-LOCAL-directory-mediated-hit delay. Unlike
-	// the partition probe this one requires handlerIsLocal — a remote
-	// same-site directory mediating a misrouted query proves nothing about
-	// the crashed locality's own directory plane.
-	crashAt  []simkernel.Time
-	crashRec []simkernel.Time
+	// Warm-standby cadences, pure functions of TKeepalive (computed in New):
+	// the standby→primary liveness probe period — detection must beat the
+	// cold path's keepalive-offset race or warm failover buys nothing — and
+	// the directory's designation/anti-entropy maintenance period.
+	standbyProbe, standbySyncEvery simkernel.Time
 
 	// shedInFlight gauges per-locality in-flight new-client queries that
 	// entered the lookup path while the locality's own directory position
@@ -303,7 +301,7 @@ func New(cfg Config, deps Deps) (*System, error) {
 	if deps.Topo.Localities() != cfg.Localities {
 		return nil, fmt.Errorf("core: topology has %d localities, config %d", deps.Topo.Localities(), cfg.Localities)
 	}
-	ks, err := dring.NewKeySpec(cfg.DRingBits, cfg.Localities, cfg.InstanceBits)
+	ks, err := dring.NewKeySpec(DRingBits, cfg.Localities, cfg.InstanceBits)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +327,7 @@ func New(cfg Config, deps Deps) (*System, error) {
 		mets:      deps.Metrics,
 		in:        in,
 		ks:        ks,
-		ring:      chord.NewRing(chord.Config{Bits: cfg.DRingBits, SuccessorList: 8}),
+		ring:      chord.NewRing(chord.Config{Bits: DRingBits, SuccessorList: 8}),
 		hosts:     make([]*host, deps.Topo.NumNodes()),
 		hs:        newHostSoA(deps.Topo.NumNodes()),
 		dirByKey:  make(map[chord.ID]simnet.NodeID),
@@ -337,6 +335,9 @@ func New(cfg Config, deps Deps) (*System, error) {
 		servers:   make(map[model.SiteID]simnet.NodeID),
 		rng:       deps.Kernel.DeriveRNG("flower-core"),
 		tracer:    deps.Tracer,
+
+		standbyProbe:     max(cfg.TKeepalive/64, simkernel.Second),
+		standbySyncEvery: max(cfg.TKeepalive/8, simkernel.Second),
 	}
 	s.net.SetSink(deps.Metrics)
 	s.pool.awaitFn = s.resumeAwait
@@ -455,7 +456,7 @@ func (s *System) placeDirectoriesAndPools() error {
 				h := &host{sys: s, addr: addr, dirNode: node}
 				s.hs.loc[addr] = int32(loc)
 				h.dir = dring.NewDirectory(site, wid, loc, key,
-					s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, s.cfg.DirSummaryThreshold, s.in)
+					s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 				if active[site] {
 					// Active-site directories are accounted participants from t=0.
 					s.hs.set(addr, hfAccounted)
@@ -533,88 +534,69 @@ func (s *System) maintainNode(h *host) {
 	}
 }
 
+// recoveryProbe is a per-locality monotone-min stopwatch: since[loc] is the
+// instant recovery is measured from (-1 = not armed), delay[loc] the smallest
+// observed delay from it to a qualifying hit (-1 = none yet).
+type recoveryProbe struct{ since, delay []simkernel.Time }
+
+// arm (re)starts loc's stopwatch at the given instant; the first arm sizes
+// the probe, every other locality unarmed.
+func (p *recoveryProbe) arm(localities, loc int, at simkernel.Time) {
+	for len(p.since) < localities {
+		p.since = append(p.since, -1)
+		p.delay = append(p.delay, -1)
+	}
+	p.since[loc], p.delay[loc] = at, -1
+}
+
+// note records a qualifying hit in loc at now.
+func (p *recoveryProbe) note(loc int, now simkernel.Time) {
+	if loc >= len(p.since) || p.since[loc] < 0 || now < p.since[loc] {
+		return
+	}
+	if d := now - p.since[loc]; p.delay[loc] < 0 || d < p.delay[loc] {
+		p.delay[loc] = d
+	}
+}
+
+// EachRecovery visits the armed localities of the partition-heal probe, then
+// those of the directory-crash probe, each in locality order: the instant
+// measured from and the delay to the first qualifying hit (-1 = not observed).
+func (s *System) EachRecovery(visit func(loc int, since, delay simkernel.Time)) {
+	for _, p := range [...]*recoveryProbe{&s.healProbe, &s.crashProbe} {
+		for loc, since := range p.since {
+			if since >= 0 {
+				visit(loc, since, p.delay[loc])
+			}
+		}
+	}
+}
+
 // InstallFaults enables the fault-injection plane on the system's network
 // and, when the schedule contains partition windows, arms the per-locality
-// partition-recovery probes (time from heal to the first successful
-// directory-mediated P2P hit). Call before Run; a nil or zero config is a
+// partition-recovery probe. Call before Run; a nil or zero config is a
 // no-op.
 func (s *System) InstallFaults(fc *simnet.FaultConfig) {
 	s.net.InstallFaults(fc)
 	if !fc.Enabled() || len(fc.Partitions) == 0 {
 		return
 	}
-	s.healAt = make([]simkernel.Time, s.cfg.Localities)
-	s.recovery = make([]simkernel.Time, s.cfg.Localities)
 	for loc := 0; loc < s.cfg.Localities; loc++ {
-		s.healAt[loc] = fc.HealTime(loc)
-		s.recovery[loc] = -1
+		s.healProbe.arm(s.cfg.Localities, loc, fc.HealTime(loc))
 	}
-}
-
-// noteRecovery records a successful directory-mediated P2P hit in loc at
-// now, keeping the smallest heal→hit delay.
-func (s *System) noteRecovery(loc int, now simkernel.Time) {
-	if loc < 0 || loc >= len(s.healAt) {
-		return
-	}
-	heal := s.healAt[loc]
-	if heal < 0 || now < heal {
-		return
-	}
-	if d := now - heal; s.recovery[loc] < 0 || d < s.recovery[loc] {
-		s.recovery[loc] = d
-	}
-}
-
-// RecoveryTimes returns, per locality, the heal time of its last partition
-// window and the observed heal→first-directory-hit delay (-1 where not
-// partitioned / not yet recovered). Nil when no partitions were installed.
-func (s *System) RecoveryTimes() (healAt, recovery []simkernel.Time) {
-	return s.healAt, s.recovery
 }
 
 // CrashDirectory crashes the current directory of (site, loc) and arms the
-// crash-recovery probe for the locality: the time to the first P2P hit
-// mediated by the locality's OWN (replacement or promoted) directory.
-// Returns false when the position is already empty.
+// crash-recovery probe for the locality. Returns false when the position is
+// already empty.
 func (s *System) CrashDirectory(site model.SiteID, loc int) bool {
 	addr, ok := s.DirectoryAddr(site, loc)
 	if !ok {
 		return false
 	}
-	if s.crashAt == nil {
-		s.crashAt = make([]simkernel.Time, s.cfg.Localities)
-		s.crashRec = make([]simkernel.Time, s.cfg.Localities)
-		for i := range s.crashAt {
-			s.crashAt[i], s.crashRec[i] = -1, -1
-		}
-	}
-	s.crashAt[loc] = s.k.Now()
-	s.crashRec[loc] = -1
+	s.crashProbe.arm(s.cfg.Localities, loc, s.k.Now())
 	s.FailPeer(addr)
 	return true
-}
-
-// noteDirCrashRecovery records a local-directory-mediated P2P hit in loc,
-// keeping the smallest crash→hit delay (monotone-min, like noteRecovery).
-func (s *System) noteDirCrashRecovery(loc int, now simkernel.Time) {
-	if loc < 0 || loc >= len(s.crashAt) {
-		return
-	}
-	crash := s.crashAt[loc]
-	if crash < 0 || now < crash {
-		return
-	}
-	if d := now - crash; s.crashRec[loc] < 0 || d < s.crashRec[loc] {
-		s.crashRec[loc] = d
-	}
-}
-
-// DirCrashRecoveryTimes returns, per locality, when its directory was
-// crashed and the observed crash→first-local-directory-hit delay (-1 where
-// no crash / not yet recovered). Nil when CrashDirectory never ran.
-func (s *System) DirCrashRecoveryTimes() (crashAt, recovery []simkernel.Time) {
-	return s.crashAt, s.crashRec
 }
 
 // --- Accessors ------------------------------------------------------------

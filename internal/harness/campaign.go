@@ -122,26 +122,6 @@ func RunCampaign(points []Point, parallel int) ([]Result, error) {
 	return Campaign{Parallel: parallel}.Run(points)
 }
 
-// sweepRows runs the points of a Table-2-style sweep and packages the
-// results as rows, honouring the parallelism encoded in each sweep's base
-// parameters.
-func sweepRows(points []Point, parallel int) ([]SweepRow, error) {
-	results, err := Campaign{Parallel: parallel}.Run(points)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SweepRow, len(results))
-	for i, res := range results {
-		rows[i] = SweepRow{
-			Label:         points[i].Label,
-			HitRatio:      res.Report.HitRatio,
-			BackgroundBps: res.Report.BackgroundBps,
-			Result:        res,
-		}
-	}
-	return rows, nil
-}
-
 // PointSeed derives the seed of grid point idx from the campaign seed.
 // It is a pure function of its inputs (simkernel.Mix64), so adding points
 // to a grid never perturbs the seeds of existing points.
@@ -149,24 +129,10 @@ func PointSeed(campaignSeed int64, idx int) int64 {
 	return int64(simkernel.Mix64(uint64(campaignSeed) + uint64(idx+1)*0x9e3779b97f4a7c15))
 }
 
-// GridRow is one cell of a multi-dimensional scenario sweep.
-type GridRow struct {
-	Localities int
-	TGossip    simkernel.Time
-	ViewSize   int
-	Result     Result
-}
-
-// Label renders the cell coordinates compactly.
-func (g GridRow) Label() string {
-	return fmt.Sprintf("k=%d T=%s V=%d", g.Localities, g.TGossip, g.ViewSize)
-}
-
-// SweepGrid crosses localities × gossip period × view size into one
-// campaign and runs every cell (nil slices fall back to a default grid).
-// Cell seeds derive from p.Seed via PointSeed, so the grid is
-// reproducible and each cell is statistically independent.
-func SweepGrid(p Params, localities []int, periods []simkernel.Time, views []int) ([]GridRow, error) {
+// gridPoints crosses localities × gossip period × view size (nil slices
+// fall back to a default grid). Cell seeds derive from p.Seed via PointSeed,
+// so the grid is reproducible and each cell is statistically independent.
+func gridPoints(p Params, localities []int, periods []simkernel.Time, views []int) []Point {
 	if len(localities) == 0 {
 		localities = []int{3, 6}
 	}
@@ -177,7 +143,6 @@ func SweepGrid(p Params, localities []int, periods []simkernel.Time, views []int
 		views = []int{20, 50}
 	}
 	var points []Point
-	var cells []GridRow
 	for _, k := range localities {
 		for _, tg := range periods {
 			for _, vs := range views {
@@ -187,17 +152,16 @@ func SweepGrid(p Params, localities []int, periods []simkernel.Time, views []int
 				pv.TKeepalive = tg
 				pv.ViewSize = vs
 				pv.Seed = PointSeed(p.Seed, len(points))
-				cells = append(cells, GridRow{Localities: k, TGossip: tg, ViewSize: vs})
-				points = append(points, Point{Label: cells[len(cells)-1].Label(), Params: pv})
+				points = append(points, Point{Label: fmt.Sprintf("k=%d T=%s V=%d", k, tg, vs), Params: pv})
 			}
 		}
 	}
-	results, err := Campaign{Parallel: p.Parallel}.Run(points)
-	if err != nil {
-		return nil, err
-	}
-	for i := range cells {
-		cells[i].Result = results[i]
-	}
-	return cells, nil
+	return points
+}
+
+// SweepGrid runs every cell of the gridPoints cross product as one
+// campaign, honouring p.Parallel; a cell's coordinates are in its label
+// and its Params.
+func SweepGrid(p Params, localities []int, periods []simkernel.Time, views []int) ([]Row, error) {
+	return runRows(gridPoints(p, localities, periods, views), p.Parallel)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func campaignPoints(t *testing.T, n int) []Point {
 		if i%3 == 2 {
 			kind = KindSquirrel
 		}
-		points[i] = Point{Label: itoa(i), Params: p, Kind: kind}
+		points[i] = Point{Label: strconv.Itoa(i), Params: p, Kind: kind}
 	}
 	return points
 }
@@ -149,11 +150,11 @@ func TestSweepGrid(t *testing.T) {
 		t.Fatalf("grid cells = %d, want 4", len(rows))
 	}
 	for _, r := range rows {
-		if r.Result.Report.TotalQueries == 0 {
-			t.Fatalf("cell %s ran no queries", r.Label())
+		if r.Report.TotalQueries == 0 {
+			t.Fatalf("cell %s ran no queries", r.Label)
 		}
-		if r.Localities != 3 {
-			t.Fatalf("cell %s has wrong coordinates", r.Label())
+		if r.Params.Localities != 3 || !strings.HasPrefix(r.Label, "k=3 ") {
+			t.Fatalf("cell %s has wrong coordinates", r.Label)
 		}
 	}
 	// Distinct cells must have received distinct derived seeds.

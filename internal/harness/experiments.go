@@ -14,80 +14,122 @@ import (
 	"flowercdn/internal/simnet"
 )
 
-// This file defines one entry point per table and figure of the paper's
-// evaluation (§6), plus the ablations listed in DESIGN.md. Each preset
-// runs full simulations with the supplied Params, so callers choose the
-// scale (DefaultParams reproduces the paper; ScaledParams is laptop-quick).
+// This file derives the points of the paper's evaluation (§6) and of the
+// ablations listed in DESIGN.md, and keeps one exported entry point per
+// table and figure for callers that want the rows rather than the printed
+// view (registry.go says how each is presented). Every preset runs full
+// simulations with the supplied Params, so callers choose the scale
+// (DefaultParams reproduces the paper; ScaledParams is laptop-quick).
 
-// SweepRow is one row of a Table-2-style sweep.
-type SweepRow struct {
-	Label         string
-	HitRatio      float64
-	BackgroundBps float64
-	Result        Result
+// Row is one finished point of an experiment: the point's label and its
+// run. It is the only row type; views project the columns they print.
+type Row struct {
+	Label string
+	Result
 }
+
+// runRows runs the points as one campaign and labels the results.
+func runRows(points []Point, parallel int) ([]Row, error) {
+	results, err := Campaign{Parallel: parallel}.Run(points)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(results))
+	for i, res := range results {
+		rows[i] = Row{Label: points[i].Label, Result: res}
+	}
+	return rows, nil
+}
+
+// runPair runs a two-point experiment and returns both results.
+func runPair(points []Point, parallel int) (a, b Result, err error) {
+	results, err := Campaign{Parallel: parallel}.Run(points)
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	return results[0], results[1], nil
+}
+
+// sweep is the one loop behind every named single-parameter sweep: one
+// point per value (the paper's grid when the caller gives none), labelled
+// by label and derived from the base parameters by set.
+type sweep[T any] struct {
+	defaults []T
+	label    func(T) string
+	set      func(*Params, T)
+}
+
+func (s sweep[T]) points(p Params, values []T) []Point {
+	if len(values) == 0 {
+		values = s.defaults
+	}
+	points := make([]Point, len(values))
+	for i, v := range values {
+		pv := p
+		s.set(&pv, v)
+		points[i] = Point{Label: s.label(v), Params: pv}
+	}
+	return points
+}
+
+// grid is the sweep over its default values, as Experiment.Points wants it.
+func (s sweep[T]) grid(p Params, _ Options) []Point { return s.points(p, nil) }
+
+// run executes the sweep, honouring the parallelism of the base parameters.
+func (s sweep[T]) run(p Params, values []T) ([]Row, error) {
+	return runRows(s.points(p, values), p.Parallel)
+}
+
+var (
+	gossipLenSweep = sweep[int]{[]int{5, 10, 20}, strconv.Itoa,
+		func(p *Params, v int) { p.GossipLen = v }}
+	gossipPeriodSweep = sweep[simkernel.Time]{
+		[]simkernel.Time{simkernel.Minute, 30 * simkernel.Minute, simkernel.Hour}, simkernel.Time.String,
+		func(p *Params, v simkernel.Time) { p.TGossip, p.TKeepalive = v, v }}
+	viewSizeSweep = sweep[int]{[]int{20, 50, 70}, strconv.Itoa,
+		func(p *Params, v int) { p.ViewSize = v }}
+	pushThresholdSweep = sweep[float64]{[]float64{0.1, 0.5, 0.7}, ftoa,
+		func(p *Params, v float64) { p.PushThreshold = v }}
+	churnSweep = sweep[float64]{[]float64{0, 30, 120},
+		func(v float64) string { return ftoa(v) + "/h" },
+		func(p *Params, v float64) { p.ChurnPerHour, p.ChurnIncludesDirs = v, true }}
+	replicationSweep = sweep[int]{[]int{0, 5, 20},
+		func(k int) string { return "top-" + strconv.Itoa(k) },
+		func(p *Params, k int) { p.ReplicationTopK = k }}
+	scaleUpSweep = sweep[uint]{[]uint{0, 1},
+		func(b uint) string { return "b=" + strconv.Itoa(int(b)) },
+		func(p *Params, b uint) { p.InstanceBits = b }}
+)
 
 // Table2a varies the gossip length L_gossip (paper values 5, 10, 20) with
 // T_gossip and V_gossip fixed.
-func Table2a(p Params, values []int) ([]SweepRow, error) {
-	if len(values) == 0 {
-		values = []int{5, 10, 20}
-	}
-	points := make([]Point, len(values))
-	for i, v := range values {
-		pv := p
-		pv.GossipLen = v
-		points[i] = Point{Label: itoa(v), Params: pv}
-	}
-	return sweepRows(points, p.Parallel)
-}
+func Table2a(p Params, values []int) ([]Row, error) { return gossipLenSweep.run(p, values) }
 
 // Table2b varies the gossip period T_gossip (paper values 1 min, 30 min,
 // 1 hour).
-func Table2b(p Params, values []simkernel.Time) ([]SweepRow, error) {
-	if len(values) == 0 {
-		values = []simkernel.Time{simkernel.Minute, 30 * simkernel.Minute, simkernel.Hour}
-	}
-	points := make([]Point, len(values))
-	for i, v := range values {
-		pv := p
-		pv.TGossip = v
-		pv.TKeepalive = v
-		points[i] = Point{Label: v.String(), Params: pv}
-	}
-	return sweepRows(points, p.Parallel)
+func Table2b(p Params, values []simkernel.Time) ([]Row, error) {
+	return gossipPeriodSweep.run(p, values)
 }
 
 // Table2c varies the view size V_gossip (paper values 20, 50, 70).
-func Table2c(p Params, values []int) ([]SweepRow, error) {
-	if len(values) == 0 {
-		values = []int{20, 50, 70}
-	}
-	points := make([]Point, len(values))
-	for i, v := range values {
-		pv := p
-		pv.ViewSize = v
-		points[i] = Point{Label: itoa(v), Params: pv}
-	}
-	return sweepRows(points, p.Parallel)
-}
+func Table2c(p Params, values []int) ([]Row, error) { return viewSizeSweep.run(p, values) }
 
 // Fig5 runs Flower-CDN at the chosen operating point and returns the run;
 // the report's Series carries hit ratio and background bps over time.
 func Fig5(p Params) (Result, error) { return RunFlower(p) }
 
+func comparisonPoints(p Params, _ Options) []Point {
+	return []Point{
+		{Label: "flower", Params: p, Kind: KindFlower},
+		{Label: "squirrel", Params: p, Kind: KindSquirrel},
+	}
+}
+
 // Comparison runs both systems on the same seed, topology and workload —
 // the shared basis of Figures 6, 7 and 8. With p.Parallel > 1 the two
 // runs execute concurrently.
 func Comparison(p Params) (flower, baseline Result, err error) {
-	results, err := Campaign{Parallel: p.Parallel}.Run([]Point{
-		{Label: "flower", Params: p, Kind: KindFlower},
-		{Label: "squirrel", Params: p, Kind: KindSquirrel},
-	})
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	return results[0], results[1], nil
+	return runPair(comparisonPoints(p, Options{}), p.Parallel)
 }
 
 // Headline condenses the paper's §1/§6 claims from a comparison pair.
@@ -130,96 +172,57 @@ func ComputeHeadline(flower, baseline Result) Headline {
 
 // AblationPushThreshold sweeps the push threshold (§6.2 reports 0.1, 0.5,
 // 0.7 behave almost identically).
-func AblationPushThreshold(p Params, values []float64) ([]SweepRow, error) {
-	if len(values) == 0 {
-		values = []float64{0.1, 0.5, 0.7}
+func AblationPushThreshold(p Params, values []float64) ([]Row, error) {
+	return pushThresholdSweep.run(p, values)
+}
+
+func queryPolicyPoints(p Params, _ Options) []Point {
+	pView, pDir := p, p
+	pView.QueryPolicy = core.PolicyViewOnly
+	pDir.QueryPolicy = core.PolicyViewThenDirectory
+	return []Point{
+		{Label: "view-only (paper)", Params: pView},
+		{Label: "view-then-directory", Params: pDir},
 	}
-	points := make([]Point, len(values))
-	for i, v := range values {
-		pv := p
-		pv.PushThreshold = v
-		points[i] = Point{Label: ftoa(v), Params: pv}
-	}
-	return sweepRows(points, p.Parallel)
 }
 
 // AblationQueryPolicy compares the paper's view-only member lookup with
 // the view-then-directory variant.
 func AblationQueryPolicy(p Params) (viewOnly, viaDir Result, err error) {
-	pView, pDir := p, p
-	pView.QueryPolicy = core.PolicyViewOnly
-	pDir.QueryPolicy = core.PolicyViewThenDirectory
-	results, err := Campaign{Parallel: p.Parallel}.Run([]Point{
-		{Label: "view-only", Params: pView},
-		{Label: "view-then-directory", Params: pDir},
-	})
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	return results[0], results[1], nil
+	return runPair(queryPolicyPoints(p, Options{}), p.Parallel)
 }
 
 // AblationChurn sweeps failure rates (the paper lists churn analysis as
 // ongoing work; §5 defines the mechanisms we exercise here).
-func AblationChurn(p Params, perHour []float64) ([]SweepRow, error) {
-	if len(perHour) == 0 {
-		perHour = []float64{0, 30, 120}
+func AblationChurn(p Params, perHour []float64) ([]Row, error) { return churnSweep.run(p, perHour) }
+
+func homeStorePoints(p Params, _ Options) []Point {
+	pDir, pHome := p, p
+	pDir.SquirrelHomeStore = false
+	pHome.SquirrelHomeStore = true
+	return []Point{
+		{Label: "directory", Params: pDir, Kind: KindSquirrel},
+		{Label: "home-store", Params: pHome, Kind: KindSquirrel},
 	}
-	points := make([]Point, len(perHour))
-	for i, v := range perHour {
-		pv := p
-		pv.ChurnPerHour = v
-		pv.ChurnIncludesDirs = true
-		points[i] = Point{Label: ftoa(v) + "/h", Params: pv}
-	}
-	return sweepRows(points, p.Parallel)
 }
 
 // AblationHomeStore compares Squirrel's two strategies (§7).
 func AblationHomeStore(p Params) (directory, homeStore Result, err error) {
-	pDir, pHome := p, p
-	pDir.SquirrelHomeStore = false
-	pHome.SquirrelHomeStore = true
-	results, err := Campaign{Parallel: p.Parallel}.Run([]Point{
-		{Label: "directory", Params: pDir, Kind: KindSquirrel},
-		{Label: "home-store", Params: pHome, Kind: KindSquirrel},
-	})
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	return results[0], results[1], nil
+	return runPair(homeStorePoints(p, Options{}), p.Parallel)
 }
 
 // AblationActiveReplication compares the base system with the §8
 // extension: directories proactively push their most-requested objects to
 // sibling overlays, trading replication traffic for earlier hits.
-func AblationActiveReplication(p Params, topK []int) ([]SweepRow, error) {
-	if len(topK) == 0 {
-		topK = []int{0, 5, 20}
-	}
-	points := make([]Point, len(topK))
-	for i, k := range topK {
-		pv := p
-		pv.ReplicationTopK = k
-		points[i] = Point{Label: "top-" + itoa(k), Params: pv}
-	}
-	return sweepRows(points, p.Parallel)
+func AblationActiveReplication(p Params, topK []int) ([]Row, error) {
+	return replicationSweep.run(p, topK)
 }
 
 // AblationScaleUp compares the basic scheme (one directory peer per
 // (website, locality)) with the §5.3 extension (2^b instances), using a
 // client population that overflows the basic scheme's S_co capacity.
-func AblationScaleUp(p Params, instanceBits []uint) ([]SweepRow, error) {
-	if len(instanceBits) == 0 {
-		instanceBits = []uint{0, 1}
-	}
-	points := make([]Point, len(instanceBits))
-	for i, b := range instanceBits {
-		pv := p
-		pv.InstanceBits = b
-		points[i] = Point{Label: "b=" + itoa(int(b)), Params: pv}
-	}
-	return sweepRows(points, p.Parallel)
+func AblationScaleUp(p Params, instanceBits []uint) ([]Row, error) {
+	return scaleUpSweep.run(p, instanceBits)
 }
 
 // SubstrateResult compares D-ring routing cost over the two DHT
@@ -237,11 +240,11 @@ type SubstrateResult struct {
 // Pastry and routes identical lookups through both, demonstrating the
 // paper's claim that D-ring integrates with any standard DHT.
 func CompareSubstrates(seed int64, websites, localities, lookups int) (SubstrateResult, error) {
-	ks, err := dring.NewKeySpec(30, localities, 0)
+	ks, err := dring.NewKeySpec(core.DRingBits, localities, 0)
 	if err != nil {
 		return SubstrateResult{}, err
 	}
-	cRing := chord.NewRing(chord.Config{Bits: 30, SuccessorList: 8})
+	cRing := chord.NewRing(chord.Config{Bits: core.DRingBits, SuccessorList: 8})
 	pRing, err := pastry.NewRing(pastry.DefaultConfig())
 	if err != nil {
 		return SubstrateResult{}, err
@@ -311,11 +314,11 @@ type ConditionalRoutingResult struct {
 // (Algorithm 2). This isolates why the conditional local lookup exists
 // (§3.2: "to guarantee the appropriate redirection").
 func AblationConditionalRouting(seed int64, websites, localities int, failFraction float64, lookups int) (ConditionalRoutingResult, error) {
-	ks, err := dring.NewKeySpec(30, localities, 0)
+	ks, err := dring.NewKeySpec(core.DRingBits, localities, 0)
 	if err != nil {
 		return ConditionalRoutingResult{}, err
 	}
-	ring := chord.NewRing(chord.Config{Bits: 30, SuccessorList: 8})
+	ring := chord.NewRing(chord.Config{Bits: core.DRingBits, SuccessorList: 8})
 	rng := rand.New(rand.NewSource(seed))
 	sites := model.MakeSites(websites)
 	keys := map[chord.ID]bool{}
@@ -405,7 +408,5 @@ func AblationConditionalRouting(seed int64, websites, localities int, failFracti
 	}
 	return res, nil
 }
-
-func itoa(v int) string { return strconv.Itoa(v) }
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 3, 64) }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"flowercdn/internal/core"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
@@ -9,8 +11,8 @@ import (
 // This file holds the fault-injection presets and the loss-rate degradation
 // sweep behind `flowersim -exp faults`: the robustness counterpart of the
 // clean-network scenarios. Everything here is deterministic per seed — the
-// fault plane draws from kernel-derived streams, partitions are a fixed
-// schedule, and the sweep runs its points sequentially.
+// fault plane draws from kernel-derived streams and partitions are a fixed
+// schedule.
 
 // FaultStormParams is the kitchen-sink robustness scenario: the laptop-scale
 // population under 5% uniform message loss, latency jitter with occasional
@@ -121,105 +123,49 @@ func GrayStormParams(seed int64) Params {
 	return p
 }
 
-// GrayRow is one side of the fixed-vs-adaptive gray-storm comparison.
-type GrayRow struct {
-	Label           string
-	HitRatio        float64
-	P50Ms           float64
-	P99Ms           float64
-	Retries         int64
-	OriginFallbacks int64
-	Hedges          int64
-	HedgeWins       int64
-	BreakerTrips    int64
-	FaultDrops      uint64
-	AuditChecks     int
-	AuditViolations []string
+// grayPoints is base twice on the same seed: the fixed timeout ladder, then
+// the adaptive plane (EWMA deadlines + hedged lookups + holder breaker). The
+// fault schedule, topology and workload are identical; only the response
+// differs.
+func grayPoints(base Params) []Point {
+	fixed, adaptive := base, base
+	fixed.Adaptive = false
+	adaptive.Adaptive = true
+	return []Point{{Label: "fixed", Params: fixed}, {Label: "adaptive", Params: adaptive}}
 }
 
-// GrayComparison runs base twice on the same seed — fixed timeout ladder,
-// then the adaptive plane (EWMA deadlines + hedged lookups + holder
-// breaker) — and reports both sides. The fault schedule, topology and
-// workload are identical; only the response differs.
-func GrayComparison(base Params) (fixed, adaptive GrayRow, err error) {
-	row := func(label string, p Params) (GrayRow, error) {
-		res, err := RunFlower(p)
-		if err != nil {
-			return GrayRow{}, err
-		}
-		return GrayRow{
-			Label:           label,
-			HitRatio:        res.Report.HitRatio,
-			P50Ms:           res.Report.LookupPercentiles.P50,
-			P99Ms:           res.Report.LookupPercentiles.P99,
-			Retries:         res.Report.Retries,
-			OriginFallbacks: res.Report.OriginFallbacks,
-			Hedges:          res.Hedges,
-			HedgeWins:       res.HedgeWins,
-			BreakerTrips:    res.BreakerTrips,
-			FaultDrops:      res.FaultDrops,
-			AuditChecks:     res.AuditChecks,
-			AuditViolations: res.AuditViolations,
-		}, nil
-	}
-	pf := base
-	pf.Adaptive = false
-	if fixed, err = row("fixed", pf); err != nil {
-		return
-	}
-	pa := base
-	pa.Adaptive = true
-	adaptive, err = row("adaptive", pa)
-	return
-}
-
-// LossRateRow is one point of the loss-rate degradation sweep.
-type LossRateRow struct {
-	LossPct         float64
-	HitRatio        float64
-	AvgLookupMs     float64
-	FaultDrops      uint64
-	Retries         int64
-	OriginFallbacks int64
-}
+// GrayComparison runs grayPoints and reports both sides, fixed first.
+func GrayComparison(base Params) ([]Row, error) { return runRows(grayPoints(base), base.Parallel) }
 
 // DefaultLossRates is the sweep grid for `-exp faults`.
 var DefaultLossRates = []float64{0, 0.01, 0.02, 0.05, 0.10, 0.20}
 
-// LossRateSweep runs base once per loss rate (sequentially — each point is
-// seconds at laptop scale) and reports how hit ratio and lookup latency
-// degrade as the transport loses more of every flow. Rate 0 runs with the
-// fault plane disabled outright, pinning the baseline to the exact
-// clean-network event stream.
-func LossRateSweep(base Params, rates []float64) ([]LossRateRow, error) {
+// lossPoints is base once per uniform loss rate (nil = DefaultLossRates),
+// labelled by the rate in percent. Rate 0 runs with the fault plane disabled
+// outright, pinning the baseline to the exact clean-network event stream.
+func lossPoints(base Params, rates []float64) []Point {
 	if rates == nil {
 		rates = DefaultLossRates
 	}
-	rows := make([]LossRateRow, 0, len(rates))
-	for _, rate := range rates {
+	points := make([]Point, len(rates))
+	for i, rate := range rates {
 		p := base
+		p.Faults = nil
 		if rate > 0 {
-			fc := simnet.FaultConfig{LossProb: rate}
+			fc := simnet.FaultConfig{}
 			if base.Faults != nil {
 				fc = *base.Faults
-				fc.LossProb = rate
 			}
+			fc.LossProb = rate
 			p.Faults = &fc
-		} else {
-			p.Faults = nil
 		}
-		res, err := RunFlower(p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, LossRateRow{
-			LossPct:         rate * 100,
-			HitRatio:        res.Report.HitRatio,
-			AvgLookupMs:     res.Report.AvgLookupMs,
-			FaultDrops:      res.FaultDrops,
-			Retries:         res.Report.Retries,
-			OriginFallbacks: res.Report.OriginFallbacks,
-		})
+		points[i] = Point{Label: fmt.Sprintf("%.0f%%", 100*rate), Params: p}
 	}
-	return rows, nil
+	return points
+}
+
+// LossRateSweep runs lossPoints and reports how hit ratio and lookup
+// latency degrade as the transport loses more of every flow.
+func LossRateSweep(base Params, rates []float64) ([]Row, error) {
+	return runRows(lossPoints(base, rates), base.Parallel)
 }

@@ -1,13 +1,17 @@
 package harness
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"flowercdn/internal/core"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/model"
+	"flowercdn/internal/overlay"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
+	"flowercdn/internal/squirrel"
 	"flowercdn/internal/workload"
 )
 
@@ -183,25 +187,25 @@ func TestTable2Sweeps(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// More gossip per round ⇒ more background bandwidth.
-	if rows[1].BackgroundBps <= rows[0].BackgroundBps {
+	if rows[1].Report.BackgroundBps <= rows[0].Report.BackgroundBps {
 		t.Fatalf("L_gossip sweep: bps %v then %v, want increasing",
-			rows[0].BackgroundBps, rows[1].BackgroundBps)
+			rows[0].Report.BackgroundBps, rows[1].Report.BackgroundBps)
 	}
 	rowsB, err := Table2b(p, []simkernel.Time{2 * simkernel.Minute, 10 * simkernel.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Longer period ⇒ less background bandwidth.
-	if rowsB[1].BackgroundBps >= rowsB[0].BackgroundBps {
+	if rowsB[1].Report.BackgroundBps >= rowsB[0].Report.BackgroundBps {
 		t.Fatalf("T_gossip sweep: bps %v then %v, want decreasing",
-			rowsB[0].BackgroundBps, rowsB[1].BackgroundBps)
+			rowsB[0].Report.BackgroundBps, rowsB[1].Report.BackgroundBps)
 	}
 	rowsC, err := Table2c(p, []int{4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// View size barely affects bandwidth (paper: unchanged).
-	lo, hi := rowsC[0].BackgroundBps, rowsC[1].BackgroundBps
+	lo, hi := rowsC[0].Report.BackgroundBps, rowsC[1].Report.BackgroundBps
 	if lo == 0 || hi/lo > 1.5 || lo/hi > 1.5 {
 		t.Fatalf("V_gossip should not change bandwidth much: %v vs %v", lo, hi)
 	}
@@ -378,5 +382,67 @@ func TestParamsValidation(t *testing.T) {
 	p.QueryRate = 0
 	if _, err := RunSquirrel(p); err == nil {
 		t.Fatal("zero rate accepted")
+	}
+}
+
+// TestParamsValidate: every input BuildPools would mishandle is rejected up
+// front, through the same door a run takes. At the parent commit the
+// wrong-length weights panicked in BuildPools (index out of range) and the
+// zero-sum weights divided by zero and ran one-client pools with a nil error.
+func TestParamsValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Params)
+		ok   bool
+	}{
+		{"scaled preset", func(*Params) {}, true},
+		{"explicit weights", func(p *Params) { p.LocalityWeights = []float64{3, 2, 1} }, true},
+		{"a locality weighted zero", func(p *Params) { p.LocalityWeights = []float64{1, 0, 1} }, true},
+		{"zero duration", func(p *Params) { p.Duration = 0 }, false},
+		{"zero query rate", func(p *Params) { p.QueryRate = 0 }, false},
+		{"more active sites than websites", func(p *Params) { p.ActiveSites = p.Websites + 1 }, false},
+		{"no clients", func(p *Params) { p.ClientsPerSite = 0 }, false},
+		{"no localities", func(p *Params) { p.Localities = 0 }, false},
+		{"fewer weights than localities", func(p *Params) { p.LocalityWeights = []float64{1, 0} }, false},
+		{"more weights than localities", func(p *Params) { p.LocalityWeights = []float64{1, 1, 1, 1} }, false},
+		{"all-zero weights", func(p *Params) { p.LocalityWeights = []float64{0, 0, 0} }, false},
+		{"a negative weight", func(p *Params) { p.LocalityWeights = []float64{2, -1, 1} }, false},
+		{"a NaN weight", func(p *Params) { p.LocalityWeights = []float64{1, math.NaN(), 1} }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := fastParams(9)
+			p.Duration = 2 * simkernel.Minute
+			c.edit(&p)
+			if err := p.Validate(); (err == nil) != c.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, c.ok)
+			}
+			// RunFlower must agree with Validate: no panic, no silent success.
+			if _, err := RunFlower(p); (err == nil) != c.ok {
+				t.Fatalf("RunFlower() error = %v, want ok=%v", err, c.ok)
+			}
+		})
+	}
+}
+
+// TestSettableValues pins how many independently settable values the
+// configuration surface has. Every field is a value tests and benchmarks
+// must cover: a new knob has to raise a number here on purpose (and a value
+// that only ever holds one setting belongs in a constant, which lowers it).
+func TestSettableValues(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		config any
+		fields int
+	}{
+		{"harness.Params", Params{}, 39},
+		{"core.Config", core.Config{}, 22},
+		{"squirrel.Config", squirrel.Config{}, 7},
+		{"overlay.Config", overlay.Config{}, 4},
+		{"harness.Result", Result{}, 18},
+	} {
+		if got := reflect.TypeOf(c.config).NumField(); got != c.fields {
+			t.Errorf("%s has %d fields, pinned at %d", c.name, got, c.fields)
+		}
 	}
 }

@@ -61,8 +61,7 @@ type Params struct {
 	ReplicationTopK int
 
 	// Squirrel baseline.
-	SquirrelDirEntries int
-	SquirrelHomeStore  bool
+	SquirrelHomeStore bool
 
 	// Churn: expected peer failures per hour (0 = stable network). When
 	// positive, Chord maintenance runs at MaintenancePeriod.
@@ -150,28 +149,27 @@ type DirDegrade struct {
 // 24 hours, T_gossip=30 min, L_gossip=10, V_gossip=50.
 func DefaultParams(seed int64) Params {
 	return Params{
-		Seed:               seed,
-		Duration:           24 * simkernel.Hour,
-		QueryRate:          6,
-		ZipfAlpha:          0.8,
-		Localities:         6,
-		Websites:           100,
-		ActiveSites:        6,
-		ObjectsPerSite:     500,
-		MaxOverlaySize:     100,
-		ClientsPerSite:     600,
-		TopoNodes:          5000,
-		UniformNodes:       200,
-		TGossip:            30 * simkernel.Minute,
-		TKeepalive:         30 * simkernel.Minute,
-		ViewSize:           50,
-		GossipLen:          10,
-		PushThreshold:      0.1,
-		TDead:              4,
-		QueryPolicy:        core.PolicyViewOnly,
-		SquirrelDirEntries: 4,
-		MaintenancePeriod:  time30,
-		BucketWidth:        30 * simkernel.Minute,
+		Seed:              seed,
+		Duration:          24 * simkernel.Hour,
+		QueryRate:         6,
+		ZipfAlpha:         0.8,
+		Localities:        6,
+		Websites:          100,
+		ActiveSites:       6,
+		ObjectsPerSite:    500,
+		MaxOverlaySize:    100,
+		ClientsPerSite:    600,
+		TopoNodes:         5000,
+		UniformNodes:      200,
+		TGossip:           30 * simkernel.Minute,
+		TKeepalive:        30 * simkernel.Minute,
+		ViewSize:          50,
+		GossipLen:         10,
+		PushThreshold:     0.1,
+		TDead:             4,
+		QueryPolicy:       core.PolicyViewOnly,
+		MaintenancePeriod: time30,
+		BucketWidth:       30 * simkernel.Minute,
 	}
 }
 
@@ -353,7 +351,6 @@ func (p Params) SquirrelConfig(pools [][]int) squirrel.Config {
 	cfg.ObjectsPerSite = p.ObjectsPerSite
 	cfg.PoolSizes = pools
 	cfg.ExtraPerLocality = p.Websites
-	cfg.MaxDirEntries = p.SquirrelDirEntries
 	if p.SquirrelHomeStore {
 		cfg.Strategy = squirrel.StrategyHomeStore
 	}
@@ -373,6 +370,23 @@ func (p Params) Validate() error {
 	}
 	if p.ClientsPerSite <= 0 {
 		return fmt.Errorf("harness: clients per site must be positive")
+	}
+	if p.Localities <= 0 {
+		return fmt.Errorf("harness: localities must be positive")
+	}
+	// BuildPools indexes the weights by locality and divides by their sum.
+	if n := len(p.LocalityWeights); n != 0 && n != p.Localities {
+		return fmt.Errorf("harness: %d locality weights for %d localities", n, p.Localities)
+	}
+	sum := 0.0
+	for _, w := range p.LocalityWeights {
+		if !(w >= 0) {
+			return fmt.Errorf("harness: locality weight %v is not a non-negative number", w)
+		}
+		sum += w
+	}
+	if len(p.LocalityWeights) > 0 && !(sum > 0) {
+		return fmt.Errorf("harness: locality weights sum to zero")
 	}
 	return nil
 }

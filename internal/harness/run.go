@@ -76,13 +76,6 @@ type Result struct {
 	// found (capped; empty means the run held every invariant).
 	AuditChecks     int
 	AuditViolations []string
-
-	// Adaptive gray-failure tally (Params.Adaptive; copied from the report
-	// for row-level access): hedged lookups sent, hedges that beat the
-	// primary, holder circuit breakers tripped.
-	Hedges       int64
-	HedgeWins    int64
-	BreakerTrips int64
 }
 
 // LocalityRecovery is one partitioned locality's heal/recovery datapoint.
@@ -205,38 +198,17 @@ func finishFaultPlane(res *Result, sys *core.System, acc *auditAccum) {
 	res.MessagesSent = net.Sent()
 	res.MessagesDropped = net.Dropped()
 	res.FaultDrops = net.FaultDropped()
-	res.Hedges = res.Report.Hedges
-	res.HedgeWins = res.Report.HedgeWins
-	res.BreakerTrips = res.Report.BreakerTrips
 	if acc != nil {
 		acc.absorb(sys.Audit())
 		res.AuditChecks = acc.checks
 		res.AuditViolations = acc.violations
 	}
-	healAt, rec := sys.RecoveryTimes()
-	for loc, h := range healAt {
-		if h < 0 {
-			continue
-		}
-		lr := LocalityRecovery{Locality: loc, HealAt: h, RecoverMs: -1}
-		if rec[loc] >= 0 {
-			lr.RecoverMs = float64(rec[loc])
-		}
-		res.Recovery = append(res.Recovery, lr)
-	}
-	// Directory-crash datapoints ride the same Recovery rows: HealAt is the
-	// crash time, RecoverMs the crash→first-local-directory-hit delay.
-	crashAt, crashRec := sys.DirCrashRecoveryTimes()
-	for loc, c := range crashAt {
-		if c < 0 {
-			continue
-		}
-		lr := LocalityRecovery{Locality: loc, HealAt: c, RecoverMs: -1}
-		if crashRec[loc] >= 0 {
-			lr.RecoverMs = float64(crashRec[loc])
-		}
-		res.Recovery = append(res.Recovery, lr)
-	}
+	// Directory-crash datapoints ride the same rows as partition heals:
+	// HealAt is then the crash time, RecoverMs the
+	// crash→first-local-directory-hit delay.
+	sys.EachRecovery(func(loc int, since, delay simkernel.Time) {
+		res.Recovery = append(res.Recovery, LocalityRecovery{Locality: loc, HealAt: since, RecoverMs: float64(delay)})
+	})
 }
 
 // scheduleDirCrashes arms the Params.DirCrashes schedule.

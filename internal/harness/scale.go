@@ -7,7 +7,7 @@ package harness
 // grows, which is the repository's scale north-star.
 
 import (
-	"fmt"
+	"strconv"
 
 	"flowercdn/internal/simkernel"
 )
@@ -55,23 +55,6 @@ func DirStressParams(seed int64) Params {
 	return p
 }
 
-// PopulationPoint is one cell of the events/sec-vs-population chart: the
-// shrunk 100k-preset shape run at a given total client population.
-type PopulationPoint struct {
-	Clients        int // total potential clients across active sites
-	Events         uint64
-	PeriodicEvents uint64 // of Events: kernel-owned periodic timer firings
-	ElidedEvents   uint64 // cancelled records skipped, not in Events
-	NearEvents     uint64 // of Events: fired off the kernel's timing wheel
-	FarEvents      uint64 // of Events: fired off the far heap
-	FarHeapPeak    int    // far-heap high-water length
-	WallSeconds    float64
-	EventsPerSec   float64
-	HitRatio       float64
-	Joins          int
-	BytesPerClient float64 // post-run heap footprint per potential client
-}
-
 // PopulationParams scales the shrunk 100k-preset shape to a total client
 // population: the per-site pools, overlay capacity and topology budget
 // grow linearly with the population while every protocol knob (sparse
@@ -91,36 +74,25 @@ func PopulationParams(seed int64, clients int) Params {
 	return p
 }
 
-// PopulationSweep runs PopulationParams at each requested population (nil
-// defaults to 1k/2k/5k/10k) and reports simulator throughput per cell.
-// Cells run strictly sequentially — wall-clock throughput is the
-// measurement, so cells must not contend for cores.
-func PopulationSweep(seed int64, populations []int) ([]PopulationPoint, error) {
+// populationPoints is PopulationParams at each requested population (nil
+// defaults to 1k/2k/5k/10k), labelled by it, with the heap footprint
+// measured: the sweep charts bytes/client alongside events/sec.
+func populationPoints(seed int64, populations []int) []Point {
 	if len(populations) == 0 {
 		populations = []int{1000, 2000, 5000, 10000}
 	}
-	out := make([]PopulationPoint, 0, len(populations))
+	points := make([]Point, len(populations))
 	for i, pop := range populations {
 		p := PopulationParams(PointSeed(seed, i), pop)
-		p.MeasureMemory = true // the sweep charts bytes/client alongside events/sec
-		res, err := RunFlower(p)
-		if err != nil {
-			return nil, fmt.Errorf("population %d: %w", pop, err)
-		}
-		out = append(out, PopulationPoint{
-			Clients:        pop,
-			Events:         res.Events,
-			PeriodicEvents: res.PeriodicEvents,
-			ElidedEvents:   res.ElidedEvents,
-			NearEvents:     res.NearEvents,
-			FarEvents:      res.FarEvents,
-			FarHeapPeak:    res.FarHeapPeak,
-			WallSeconds:    res.WallSeconds,
-			EventsPerSec:   res.EventsPerSecond(),
-			HitRatio:       res.Report.HitRatio,
-			Joins:          res.Stats.Joins,
-			BytesPerClient: res.BytesPerClient,
-		})
+		p.MeasureMemory = true
+		points[i] = Point{Label: strconv.Itoa(pop), Params: p}
 	}
-	return out, nil
+	return points
+}
+
+// PopulationSweep runs populationPoints and reports simulator throughput
+// per cell. Cells run strictly sequentially — wall-clock throughput is the
+// measurement, so cells must not contend for cores.
+func PopulationSweep(seed int64, populations []int) ([]Row, error) {
+	return runRows(populationPoints(seed, populations), 1)
 }

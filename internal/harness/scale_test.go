@@ -58,8 +58,9 @@ func TestPopulationSweepShape(t *testing.T) {
 		t.Fatalf("got %d points", len(points))
 	}
 	for _, pt := range points {
-		if pt.Events == 0 || pt.EventsPerSec <= 0 {
-			t.Fatalf("point %d missing throughput: %+v", pt.Clients, pt)
+		if pt.Events == 0 || pt.EventsPerSecond() <= 0 || pt.BytesPerClient <= 0 {
+			t.Fatalf("point %s missing throughput or footprint: events=%d wall=%v bytes/client=%v",
+				pt.Label, pt.Events, pt.WallSeconds, pt.BytesPerClient)
 		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // partitioned locality are dropped. Intra-locality traffic is unaffected
 // — the paper's localities are network-proximate clusters, and a WAN cut
 // severs the cluster from the world, not from itself. Overlapping windows
-// for the same locality are legal and merged at install time.
+// for the same locality are legal: the locality is cut while any covers now.
 type PartitionWindow struct {
 	Locality   int
 	Start, End simkernel.Time
@@ -112,8 +112,8 @@ func (f *FaultConfig) Enabled() bool {
 }
 
 // Partitioned reports whether loc is cut off from other localities at now.
-// This is the reference (linear) form used off the hot path; installed
-// networks check the compiled plan's merged window index instead.
+// This is the reference form over the raw schedule; installed networks
+// check the compiled plan's per-locality window list instead.
 func (f *FaultConfig) Partitioned(loc int, now simkernel.Time) bool {
 	for _, w := range f.Partitions {
 		if w.Locality == loc && now >= w.Start && now < w.End {
@@ -153,25 +153,20 @@ func (f *FaultConfig) lossProb(srcLoc, dstLoc int) float64 {
 	return p
 }
 
-// timeWindow is a normalized [Start, End) span.
-type timeWindow struct {
-	Start, End simkernel.Time
-}
-
 // faultPlan is the compiled, immutable form of a FaultConfig built once at
-// InstallFaults time: per-locality merged+sorted partition windows (the
-// hot-path check is O(log w) instead of a scan over every window), sorted
-// per-locality flap schedules, a per-node degrade index, and a dense
+// InstallFaults time: one per-locality list of cut windows (the hot-path
+// check scans only the windows of the endpoint's locality, and stops at the
+// first that starts after now), a per-node degrade index, and a dense
 // direction-keyed asymmetric-loss matrix. The user's FaultConfig is never
 // mutated.
 type faultPlan struct {
 	cfg *FaultConfig
-	// parts[loc] holds loc's partition windows, validated (empty windows
-	// dropped), merged (overlaps and adjacency collapsed) and sorted.
-	parts [][]timeWindow
-	// flaps[loc] holds loc's flap windows sorted by Start (normalized:
-	// Period > 0, DownFor clamped to (0, Period]).
-	flaps [][]FlapWindow
+	// cuts[loc] holds every window that severs loc from the other
+	// localities, sorted by Start and normalized (Period > 0, DownFor
+	// clamped to (0, Period]). A partition is the flap that is down for its
+	// whole single period, so both schedules compile into this one list.
+	// Nil when neither is configured.
+	cuts [][]FlapWindow
 	// degrade[node] holds the node's degrade windows sorted by Start; nil
 	// slices for the (vast majority of) unscheduled nodes. Nil overall
 	// when no degrade is configured.
@@ -192,31 +187,24 @@ func compileFaults(cfg *FaultConfig, nLoc, nNodes int) *faultPlan {
 	p := &faultPlan{cfg: cfg, nLoc: nLoc}
 	p.anyLoss = cfg.LossProb > 0 || len(cfg.LocalityLoss) > 0 || len(cfg.AsymLoss) > 0
 
-	if len(cfg.Partitions) > 0 {
-		p.parts = make([][]timeWindow, nLoc)
+	if len(cfg.Partitions)+len(cfg.Flap) > 0 {
+		p.cuts = make([][]FlapWindow, nLoc)
+		windows := append([]FlapWindow(nil), cfg.Flap...)
 		for _, w := range cfg.Partitions {
-			if w.Locality < 0 || w.Locality >= nLoc || w.End <= w.Start {
-				continue // invalid or empty window: normalized away
-			}
-			p.parts[w.Locality] = append(p.parts[w.Locality], timeWindow{w.Start, w.End})
+			span := w.End - w.Start
+			windows = append(windows, FlapWindow{Locality: w.Locality, Start: w.Start, End: w.End, Period: span, DownFor: span})
 		}
-		for loc := range p.parts {
-			p.parts[loc] = mergeWindows(p.parts[loc])
-		}
-	}
-	if len(cfg.Flap) > 0 {
-		p.flaps = make([][]FlapWindow, nLoc)
-		for _, w := range cfg.Flap {
+		for _, w := range windows {
 			if w.Locality < 0 || w.Locality >= nLoc || w.End <= w.Start || w.Period <= 0 || w.DownFor <= 0 {
-				continue
+				continue // invalid or empty window: normalized away
 			}
 			if w.DownFor > w.Period {
 				w.DownFor = w.Period
 			}
-			p.flaps[w.Locality] = append(p.flaps[w.Locality], w)
+			p.cuts[w.Locality] = append(p.cuts[w.Locality], w)
 		}
-		for loc := range p.flaps {
-			ws := p.flaps[loc]
+		for loc := range p.cuts {
+			ws := p.cuts[loc]
 			sort.Slice(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
 		}
 	}
@@ -245,57 +233,16 @@ func compileFaults(cfg *FaultConfig, nLoc, nNodes int) *faultPlan {
 	return p
 }
 
-// mergeWindows sorts windows by start and merges overlapping or adjacent
-// spans into disjoint ones, so the binary-searched index gives the same
-// answer as the reference linear scan for any overlap pattern.
-func mergeWindows(ws []timeWindow) []timeWindow {
-	if len(ws) < 2 {
-		return ws
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
-	out := ws[:1]
-	for _, w := range ws[1:] {
-		if last := &out[len(out)-1]; w.Start <= last.End {
-			if w.End > last.End {
-				last.End = w.End
-			}
-		} else {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// inWindows reports whether now falls inside one of the disjoint sorted
-// spans, by binary search: O(log w) on the faulted hot path.
-func inWindows(ws []timeWindow, now simkernel.Time) bool {
-	lo, hi := 0, len(ws)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ws[mid].Start <= now {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	// lo is the first window starting after now; the candidate is lo-1.
-	return lo > 0 && now < ws[lo-1].End
-}
-
-// cut reports whether loc is severed from other localities at now, by a
-// partition window or a flap down-phase.
+// cut reports whether loc is severed from other localities at now: inside
+// a partition window or a flap down-phase. Windows may overlap; any one
+// that is down suffices.
 func (p *faultPlan) cut(loc int, now simkernel.Time) bool {
-	if p.parts != nil && inWindows(p.parts[loc], now) {
-		return true
-	}
-	if p.flaps != nil {
-		for _, w := range p.flaps[loc] {
-			if now < w.Start {
-				break // sorted by Start: nothing later covers now either
-			}
-			if now < w.End && (now-w.Start)%w.Period < w.DownFor {
-				return true
-			}
+	for _, w := range p.cuts[loc] {
+		if now < w.Start {
+			break // sorted by Start: nothing later covers now either
+		}
+		if now < w.End && (now-w.Start)%w.Period < w.DownFor {
+			return true
 		}
 	}
 	return false
@@ -329,8 +276,7 @@ func (p *faultPlan) slowdown(from NodeID, now simkernel.Time) float64 {
 // lat (a degraded sender's factor inflates lat plus any injected extra).
 func (p *faultPlan) decide(rng *rand.Rand, from NodeID, srcLoc, dstLoc int, lat, now simkernel.Time) (drop bool, extra simkernel.Time) {
 	f := p.cfg
-	if srcLoc != dstLoc && (p.parts != nil || p.flaps != nil) &&
-		(p.cut(srcLoc, now) || p.cut(dstLoc, now)) {
+	if srcLoc != dstLoc && p.cuts != nil && (p.cut(srcLoc, now) || p.cut(dstLoc, now)) {
 		return true, 0
 	}
 	if p.anyLoss {
@@ -361,7 +307,7 @@ func (p *faultPlan) decide(rng *rand.Rand, from NodeID, srcLoc, dstLoc int, lat,
 // InstallFaults activates the fault plane. A nil or all-zero config is a
 // no-op, keeping the disabled send path a single pointer check (the
 // TestFaultPlaneDisabledAllocs gate). Must be called before the run
-// starts. The config is compiled into an immutable plan (merged partition
+// starts. The config is compiled into an immutable plan (per-locality cut
 // windows, per-node degrade index) so the faulted hot path never rescans
 // the raw schedule.
 func (n *Network) InstallFaults(cfg *FaultConfig) {

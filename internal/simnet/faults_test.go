@@ -170,10 +170,10 @@ func TestDecideDrawOrderStable(t *testing.T) {
 	}
 }
 
-// TestOverlappingPartitionWindows pins the install-time normalization:
-// overlapping and adjacent windows for one locality must behave exactly
-// like the merged span — same cut decisions as the reference linear scan
-// at every probe instant, and HealTime equal to the true last End.
+// TestOverlappingPartitionWindows pins the compiled schedule: overlapping,
+// nested, adjacent and inverted windows for one locality must give the same
+// cut decisions as the reference linear scan at every probe instant, and
+// HealTime equal to the true last End.
 func TestOverlappingPartitionWindows(t *testing.T) {
 	cfg := &FaultConfig{Partitions: []PartitionWindow{
 		{Locality: 0, Start: 60 * simkernel.Second, End: 150 * simkernel.Second},
@@ -184,12 +184,6 @@ func TestOverlappingPartitionWindows(t *testing.T) {
 		{Locality: 1, Start: 10 * simkernel.Second, End: 20 * simkernel.Second},
 	}}
 	plan := compileFaults(cfg, 3, 4)
-	if got := len(plan.parts[0]); got != 1 {
-		t.Fatalf("locality 0 windows merged to %d spans, want 1", got)
-	}
-	if w := plan.parts[0][0]; w.Start != 60*simkernel.Second || w.End != 220*simkernel.Second {
-		t.Fatalf("merged span = [%v, %v), want [60s, 220s)", w.Start, w.End)
-	}
 	for now := simkernel.Time(0); now < 400*simkernel.Second; now += simkernel.Second / 2 {
 		for loc := 0; loc < 3; loc++ {
 			// The reference scan ignores the inverted window too (Start >= End
@@ -206,7 +200,7 @@ func TestOverlappingPartitionWindows(t *testing.T) {
 
 // TestFaultPlanePartitionedAllocs extends the alloc gate to the faulted
 // hot path: with a partition schedule installed, the per-send window check
-// rides the compiled binary-searched index and must stay allocation-free.
+// rides the compiled per-locality window list and must stay allocation-free.
 func TestFaultPlanePartitionedAllocs(t *testing.T) {
 	n, k := allocNet(t)
 	n.InstallFaults(&FaultConfig{Partitions: []PartitionWindow{

@@ -68,7 +68,7 @@ func (s *System) homeProcess(h *host, q *query) {
 		if q.tried[cand] || cand == q.origin {
 			continue
 		}
-		if tried >= s.cfg.RetryLimit {
+		if tried >= retryLimit {
 			break
 		}
 		q.tried[cand] = true
@@ -151,7 +151,7 @@ func (s *System) serve(h *host, q *query, fromPeer bool) {
 		s.mets.RecordQuery(now, src, float64(now-q.start), s.topo.LatencyMs(h.addr, q.origin))
 		q.recorded = true
 	}
-	s.net.Send(h.addr, q.origin, simnet.CatTransfer, bytesServeHdr+s.cfg.ObjectBytes,
+	s.net.Send(h.addr, q.origin, simnet.CatTransfer, bytesServeHdr,
 		serveMsg{Q: q, Provider: h.addr, FromPeer: fromPeer})
 }
 
@@ -186,13 +186,13 @@ func (s *System) handleHomeFetch(h *host, m homeFetchMsg) {
 		s.mets.RecordQuery(now, metrics.SourceServer, float64(now-q.start), s.topo.LatencyMs(h.addr, q.origin))
 		q.recorded = true
 	}
-	s.net.Send(h.addr, q.home, simnet.CatTransfer, bytesServeHdr+s.cfg.ObjectBytes, homeServeMsg{Q: q})
+	s.net.Send(h.addr, q.home, simnet.CatTransfer, bytesServeHdr, homeServeMsg{Q: q})
 }
 
 // handleHomeServe runs at the home node: store and forward to the client.
 func (s *System) handleHomeServe(h *host, m homeServeMsg) {
 	q := m.Q
 	h.cache.Set(int(q.ref))
-	s.net.Send(h.addr, q.origin, simnet.CatTransfer, bytesServeHdr+s.cfg.ObjectBytes,
+	s.net.Send(h.addr, q.origin, simnet.CatTransfer, bytesServeHdr,
 		serveMsg{Q: q, Provider: h.addr, FromPeer: true})
 }

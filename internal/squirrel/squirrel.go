@@ -56,21 +56,24 @@ type Config struct {
 	ObjectsPerSite   int            // nb-ob: sizes the interned object space
 	PoolSizes        [][]int        // [siteIdx][locality] client pools (mirrors Flower-CDN's)
 	ExtraPerLocality int            // passive DHT members (Flower's directory-peer budget)
-	Bits             uint           // DHT identifier width
 	MaxDirEntries    int            // home-directory size (recent downloaders)
 	Strategy         Strategy
-	RetryLimit       int
-	ObjectBytes      int
 }
+
+// Fixed by the comparison setup: the DHT identifier width and the number of
+// delegates tried per query, both as in Flower-CDN. Like there, the
+// transferred object's size is not modelled.
+const (
+	ringBits   = 30
+	retryLimit = 3
+)
 
 // DefaultConfig mirrors the Flower-CDN comparison setup.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:             seed,
-		Bits:             30,
 		MaxDirEntries:    4,
 		Strategy:         StrategyDirectory,
-		RetryLimit:       3,
 		ExtraPerLocality: 100,
 	}
 }
@@ -83,14 +86,8 @@ func (c *Config) Validate() error {
 	if len(c.PoolSizes) != len(c.Sites) {
 		return fmt.Errorf("squirrel: %d pool rows for %d sites", len(c.PoolSizes), len(c.Sites))
 	}
-	if c.Bits == 0 {
-		c.Bits = 30
-	}
 	if c.MaxDirEntries <= 0 {
 		c.MaxDirEntries = 4
-	}
-	if c.RetryLimit <= 0 {
-		c.RetryLimit = 3
 	}
 	if c.ObjectsPerSite <= 0 {
 		return fmt.Errorf("squirrel: objects per site must be positive")
@@ -206,7 +203,7 @@ func New(cfg Config, kernel *simkernel.Kernel, topo *topology.Topology, mets *me
 		net:     simnet.New(kernel, topo),
 		topo:    topo,
 		mets:    mets,
-		ring:    chord.NewRing(chord.Config{Bits: cfg.Bits, SuccessorList: 8}),
+		ring:    chord.NewRing(chord.Config{Bits: ringBits, SuccessorList: 8}),
 		hosts:   make([]*host, topo.NumNodes()),
 		servers: make(map[model.SiteID]simnet.NodeID),
 		in:      model.NewInterner(cfg.Sites, cfg.ObjectsPerSite),
@@ -357,7 +354,7 @@ func (s *System) Submit(wq workload.Query) {
 	}
 	// Every non-local query navigates the DHT, starting at the client.
 	key := s.homeKeys[q.ref]
-	s.routeStep(h, routedMsg{Key: key, TTL: 4*int(s.cfg.Bits) + 16, Q: q})
+	s.routeStep(h, routedMsg{Key: key, TTL: 4*ringBits + 16, Q: q})
 	s.await(q, 10*simkernel.Second, func() {
 		// Lost in a broken ring (churn): fall back to the origin server.
 		s.net.Send(q.origin, s.servers[q.site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
