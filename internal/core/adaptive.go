@@ -35,36 +35,42 @@ const (
 	breakerCooldown   = 60 * simkernel.Second
 )
 
-// enableAdaptive allocates the gray-failure estimator state (called from
-// New only when Config.Adaptive, so non-adaptive runs pay a nil check).
-func (hs *hostSoA) enableAdaptive(n int) {
-	hs.rttEwma = make([]simkernel.Time, n)
-	hs.rttVar = make([]simkernel.Time, n)
-	hs.rttSamples = make([]uint32, n)
-	hs.kaSentAt = make([]simkernel.Time, n)
-	hs.holderStrikes = make([]uint8, n)
-	hs.breakerUntil = make([]simkernel.Time, n)
+// adaptiveSlot is one host's gray-failure state; System.adapt holds one per
+// underlay node, one array allocated by New only under Config.Adaptive
+// (other runs pay a nil check), so the host record stays free of it.
+// rttEwma/rttVar is the host's Jacobson estimator over its own observed
+// exchange round trips (keepalive acks, query completions) and kaSentAt
+// stamps its outstanding keepalive probe — observer-indexed, so every write
+// happens in the owning host's execution context. holderStrikes/breakerUntil
+// is the per-holder health score: consecutive redirect/peer-query timeouts
+// trip a cooldown circuit breaker that demotes the holder from candidate
+// lists.
+type adaptiveSlot struct {
+	rttEwma, rttVar, kaSentAt, breakerUntil simkernel.Time
+	rttSamples                              uint32
+	holderStrikes                           uint8
 }
 
 // observeRTT feeds one measured round trip into a host's estimator
 // (integer Jacobson: gain 1/8 on the mean, 1/4 on the deviation).
 func (s *System) observeRTT(a simnet.NodeID, sample simkernel.Time) {
-	if s.hs.rttEwma == nil || sample < 0 {
+	if s.adapt == nil || sample < 0 {
 		return
 	}
-	if s.hs.rttSamples[a] == 0 {
-		s.hs.rttEwma[a] = sample
-		s.hs.rttVar[a] = sample / 2
+	e := &s.adapt[a]
+	if e.rttSamples == 0 {
+		e.rttEwma = sample
+		e.rttVar = sample / 2
 	} else {
-		err := sample - s.hs.rttEwma[a]
-		s.hs.rttEwma[a] += err >> 3
+		err := sample - e.rttEwma
+		e.rttEwma += err >> 3
 		if err < 0 {
 			err = -err
 		}
-		s.hs.rttVar[a] += (err - s.hs.rttVar[a]) >> 2
+		e.rttVar += (err - e.rttVar) >> 2
 	}
-	if s.hs.rttSamples[a] != ^uint32(0) {
-		s.hs.rttSamples[a]++
+	if e.rttSamples != ^uint32(0) {
+		e.rttSamples++
 	}
 }
 
@@ -74,7 +80,7 @@ func (s *System) observeRTT(a simnet.NodeID, sample simkernel.Time) {
 // member's estimator warm even when it issues no queries. Fixed-ladder runs
 // never stamp, so their samples find nothing to close.
 func (s *System) stamp(q *Query) {
-	if s.hs.rttEwma != nil {
+	if s.adapt != nil {
 		q.sentAt = s.k.Now()
 	}
 }
@@ -87,27 +93,16 @@ func (s *System) sample(q *Query) {
 }
 
 func (s *System) stampKeepalive(a simnet.NodeID) {
-	if s.hs.kaSentAt != nil {
-		s.hs.kaSentAt[a] = s.k.Now()
+	if s.adapt != nil {
+		s.adapt[a].kaSentAt = s.k.Now()
 	}
 }
 
 func (s *System) sampleKeepalive(a simnet.NodeID) {
-	if s.hs.kaSentAt != nil && s.hs.kaSentAt[a] > 0 {
-		s.observeRTT(a, s.k.Now()-s.hs.kaSentAt[a])
-		s.hs.kaSentAt[a] = 0
+	if s.adapt != nil && s.adapt[a].kaSentAt > 0 {
+		s.observeRTT(a, s.k.Now()-s.adapt[a].kaSentAt)
+		s.adapt[a].kaSentAt = 0
 	}
-}
-
-// resetAdaptive clears a host's estimator and health state (revival: the
-// new life measures its own network).
-func (hs *hostSoA) resetAdaptive(a simnet.NodeID) {
-	if hs.rttEwma == nil {
-		return
-	}
-	hs.rttEwma[a], hs.rttVar[a], hs.rttSamples[a] = 0, 0, 0
-	hs.kaSentAt[a] = 0
-	hs.holderStrikes[a], hs.breakerUntil[a] = 0, 0
 }
 
 // lookupAttemptLimit is how many D-ring lookup attempts a new-client query
@@ -140,8 +135,8 @@ func (s *System) lookupRetryDelay(q *Query, attempt int) simkernel.Time {
 		// flap down-phases — and capped so a truly dark path still degrades
 		// within the fixed ladder's horizon.
 		base := 4 * simkernel.Second
-		if s.hs.rttSamples[q.Origin] >= adaptiveWarmup {
-			base = 4 * (s.hs.rttEwma[q.Origin] + 4*s.hs.rttVar[q.Origin])
+		if e := s.adapt[q.Origin]; e.rttSamples >= adaptiveWarmup {
+			base = 4 * (e.rttEwma + 4*e.rttVar)
 			if base < 2*simkernel.Second {
 				base = 2 * simkernel.Second
 			}
@@ -163,10 +158,10 @@ func (s *System) lookupRetryDelay(q *Query, attempt int) simkernel.Time {
 // detected within seconds.
 func (s *System) exchangeTimeout(a, b simnet.NodeID) simkernel.Time {
 	fixed := s.timeout(a, b)
-	if s.hs.rttEwma == nil || s.hs.rttSamples[a] < adaptiveWarmup {
+	if s.adapt == nil || s.adapt[a].rttSamples < adaptiveWarmup {
 		return fixed
 	}
-	rto := s.hs.rttEwma[a] + 4*s.hs.rttVar[a] + 50*simkernel.Millisecond
+	rto := s.adapt[a].rttEwma + 4*s.adapt[a].rttVar + 50*simkernel.Millisecond
 	if rto < fixed {
 		return fixed
 	}
@@ -185,12 +180,12 @@ func (s *System) exchangeTimeout(a, b simnet.NodeID) simkernel.Time {
 // magnitude above any clean lookup completion, an order below the fixed
 // ladder's first rung. ok=false means no hedge (adaptive off).
 func (s *System) hedgeDelay(q *Query, full simkernel.Time) (simkernel.Time, bool) {
-	if !s.cfg.Adaptive || s.hs.rttEwma == nil {
+	if !s.cfg.Adaptive || s.adapt == nil {
 		return 0, false
 	}
 	hd := simkernel.Second
-	if s.hs.rttSamples[q.Origin] >= adaptiveWarmup {
-		hd = 2 * (s.hs.rttEwma[q.Origin] + 2*s.hs.rttVar[q.Origin])
+	if e := s.adapt[q.Origin]; e.rttSamples >= adaptiveWarmup {
+		hd = 2 * (e.rttEwma + 2*e.rttVar)
 		if hd < 200*simkernel.Millisecond {
 			hd = 200 * simkernel.Millisecond
 		}
@@ -212,10 +207,10 @@ func (s *System) hedgeDelay(q *Query, full simkernel.Time) (simkernel.Time, bool
 // everyone else stops paying 8s for a lost escalation message.
 func (s *System) escalationTimeout(q *Query) simkernel.Time {
 	const fixed = 8 * simkernel.Second
-	if !s.cfg.Adaptive || s.hs.rttEwma == nil || s.hs.rttSamples[q.Origin] < adaptiveWarmup {
+	if !s.cfg.Adaptive || s.adapt == nil || s.adapt[q.Origin].rttSamples < adaptiveWarmup {
 		return fixed
 	}
-	d := 3*(s.hs.rttEwma[q.Origin]+4*s.hs.rttVar[q.Origin]) + simkernel.Second
+	d := 3*(s.adapt[q.Origin].rttEwma+4*s.adapt[q.Origin].rttVar) + simkernel.Second
 	if d < 2*simkernel.Second {
 		d = 2 * simkernel.Second
 	}
@@ -245,27 +240,28 @@ func (s *System) redirectTimeout(a, b simnet.NodeID) simkernel.Time {
 // holders are skipped by candidate selection exactly like already-failed
 // ones.
 func (s *System) holderTripped(holder simnet.NodeID) bool {
-	return s.hs.breakerUntil != nil && s.hs.breakerUntil[holder] > s.k.Now()
+	return s.adapt != nil && s.adapt[holder].breakerUntil > s.k.Now()
 }
 
 // noteHolderTimeout strikes a holder after an unanswered redirect or peer
 // query; holderStrikeLimit consecutive strikes open the breaker for
 // breakerCooldown.
 func (s *System) noteHolderTimeout(holder simnet.NodeID) {
-	if s.hs.holderStrikes == nil {
+	if s.adapt == nil {
 		return
 	}
-	s.hs.holderStrikes[holder]++
-	if s.hs.holderStrikes[holder] >= holderStrikeLimit {
-		s.hs.holderStrikes[holder] = 0
-		s.hs.breakerUntil[holder] = s.k.Now() + breakerCooldown
+	e := &s.adapt[holder]
+	e.holderStrikes++
+	if e.holderStrikes >= holderStrikeLimit {
+		e.holderStrikes = 0
+		e.breakerUntil = s.k.Now() + breakerCooldown
 		s.mets.RecordBreakerTrip()
 	}
 }
 
 // noteHolderAlive resets a holder's strike count on any response.
 func (s *System) noteHolderAlive(holder simnet.NodeID) {
-	if s.hs.holderStrikes != nil {
-		s.hs.holderStrikes[holder] = 0
+	if s.adapt != nil {
+		s.adapt[holder].holderStrikes = 0
 	}
 }

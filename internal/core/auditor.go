@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flowercdn/internal/model"
+	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 )
 
@@ -47,7 +49,8 @@ func (s *System) Audit() AuditReport {
 
 	// --- D-ring live-ghost walk -----------------------------------------
 	for addr, h := range s.hosts {
-		if h == nil || h.dirNode == nil || !h.dirNode.Up() {
+		node := h.dirNode()
+		if node == nil || !node.Up() {
 			continue
 		}
 		r.Checks++
@@ -55,10 +58,10 @@ func (s *System) Audit() AuditReport {
 			fail("ring: node %d is up on the ring but dead on the network", addr)
 		}
 		r.Checks++
-		if s.ring.Lookup(h.dirNode.ID()) != h.dirNode {
-			fail("ring: node %d (id %d) is not the registered node for its ID", addr, h.dirNode.ID())
+		if s.ring.Lookup(node.ID()) != node {
+			fail("ring: node %d (id %d) is not the registered node for its ID", addr, node.ID())
 		}
-		for _, p := range h.dirNode.KnownPeers() {
+		for _, p := range node.KnownPeers() {
 			r.Checks++
 			if s.ring.Lookup(p.ID()) != p {
 				fail("ring: node %d holds live ghost pointer to id %d (addr %d)", addr, p.ID(), p.Addr())
@@ -89,7 +92,7 @@ func (s *System) Audit() AuditReport {
 					continue
 				}
 				r.Checks++
-				if !hh.cp.Has(ref) && !s.hs.admitPendingFor(holder, ref) {
+				if !hh.cp.Has(ref) && !hh.admitPendingFor(ref) {
 					// Entries backed by a pending (or abandoned) optimistic
 					// admission are stale by design and cleaned lazily by the
 					// §5.1 redirection-failure path; anything else is index
@@ -102,33 +105,32 @@ func (s *System) Audit() AuditReport {
 
 	// --- Await-token / timer plane ----------------------------------------
 	for addr, h := range s.hosts {
-		if h == nil || s.hs.has(simnet.NodeID(addr), hfServer) {
+		if h == nil || h.isServer() {
 			continue
 		}
-		a := simnet.NodeID(addr)
-		if !s.net.Alive(a) {
+		if !s.net.Alive(simnet.NodeID(addr)) {
+			oneShot, periodic := h.timers()
 			r.Checks++
-			if s.hs.gossipTimeout[a].Active() || s.hs.kaTimeout[a].Active() || s.hs.joinTimer[a].Active() {
+			if slices.ContainsFunc(oneShot[:], simkernel.TimerHandle.Active) {
 				fail("timers: dead host %d has an armed failure-detection timer", addr)
 			}
 			r.Checks++
-			if !s.hs.gossipTicker[a].Stopped() || !s.hs.kaTicker[a].Stopped() ||
-				!s.hs.dirTicker[a].Stopped() || !s.hs.replTicker[a].Stopped() {
+			if slices.ContainsFunc(periodic[:], func(t simkernel.Ticker) bool { return !t.Stopped() }) {
 				fail("timers: dead host %d has a running ticker", addr)
 			}
 			continue
 		}
 		r.Checks++
-		if s.hs.has(a, hfJoinInFlight) && !s.hs.joinTimer[a].Active() {
+		if h.has(hfJoinInFlight) && (h.rare == nil || !h.rare.joinTimer.Active()) {
 			fail("timers: host %d latched a dir-join with no armed latch timer", addr)
 		}
 		r.Checks++
-		if s.hs.kaTimeout[a].Active() && h.cp == nil {
+		if h.kaTimeout.Active() && h.cp == nil {
 			fail("timers: host %d has a keepalive timeout armed but is not a content peer", addr)
 		}
 		if h.cp != nil {
 			r.Checks++
-			if s.hs.gossipTicker[a].Stopped() || s.hs.kaTicker[a].Stopped() {
+			if h.gossipTicker.Stopped() || h.kaTicker.Stopped() {
 				fail("timers: content peer %d is missing its gossip/keepalive ticker", addr)
 			}
 		}

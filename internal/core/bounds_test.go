@@ -45,18 +45,21 @@ func TestQueryFailureMemoryBounded(t *testing.T) {
 // The pending-admission record behind the auditor's stale-entry tolerance
 // is bounded the same way.
 func TestAdmitPendingBounded(t *testing.T) {
-	hs := newHostSoA(2)
-	for i := 0; i < 10*maxAdmitPending; i++ {
-		hs.noteAdmit(1, modelRef(i))
+	var h host
+	if h.admitPendingFor(modelRef(0)) || h.rare != nil {
+		t.Fatal("a query about pending admissions allocated the rare state")
 	}
-	if n := len(hs.admitPending[1]); n != maxAdmitPending {
+	for i := 0; i < 10*maxAdmitPending; i++ {
+		h.noteAdmit(modelRef(i))
+	}
+	if n := len(h.rare.admitPending); n != maxAdmitPending {
 		t.Fatalf("admitPending grew to %d, cap is %d", n, maxAdmitPending)
 	}
-	if !hs.admitPendingFor(1, modelRef(10*maxAdmitPending-1)) {
+	if !h.admitPendingFor(modelRef(10*maxAdmitPending - 1)) {
 		t.Fatal("newest pending admission evicted; eviction must be FIFO")
 	}
-	hs.clearAdmit(1, modelRef(10*maxAdmitPending-1))
-	if hs.admitPendingFor(1, modelRef(10*maxAdmitPending-1)) {
+	h.clearAdmit(modelRef(10*maxAdmitPending - 1))
+	if h.admitPendingFor(modelRef(10*maxAdmitPending - 1)) {
 		t.Fatal("clearAdmit left the entry behind")
 	}
 }

@@ -42,10 +42,11 @@ func dispatchRound(e *testEnv, member *host) {
 	e.k.Run(e.k.Now() + 2*simkernel.Second)
 }
 
-// TestDispatchLoopAllocs is the alloc gate for the SoA control plane: at
+// TestDispatchLoopAllocs is the alloc gate for the control plane: at
 // steady state a complete keepalive round and a complete gossip exchange —
-// ticker fire, SoA token/timeout bookkeeping, AfterArg failure-detection
-// arming, pooled envelopes and subset buffers, pre-boxed probe payloads,
+// ticker fire, token/timeout bookkeeping in the host record, AfterArg
+// failure-detection arming, pooled envelopes and subset buffers, zero-size
+// probe payloads, the directory's slot-hinted keepalive,
 // delivery, merge, ack — allocate nothing.
 func TestDispatchLoopAllocs(t *testing.T) {
 	e, member := dispatchEnv(t)

@@ -17,18 +17,17 @@ import (
 // lost. Other peers discover the failure through their own timeouts.
 func (s *System) FailPeer(addr simnet.NodeID) {
 	h := s.hosts[addr]
-	if h == nil || s.hs.has(addr, hfServer) {
+	if h == nil || h.isServer() {
 		return
 	}
 	s.net.Fail(addr)
-	s.hs.stopTimers(addr)
-	s.stopStandbyTimers(h)
-	if h.dirNode != nil {
-		s.ring.Fail(h.dirNode)
+	h.stopTimers()
+	if n := h.dirNode(); n != nil {
+		s.ring.Fail(n)
 	}
-	if s.hs.has(addr, hfAccounted) {
+	if h.has(hfAccounted) {
 		s.mets.PeerLeft(s.k.Now())
-		s.hs.clearFlag(addr, hfAccounted)
+		h.flags &^= hfAccounted
 	}
 }
 
@@ -38,42 +37,20 @@ func (s *System) FailPeer(addr simnet.NodeID) {
 // be revived this way (their position is re-filled by §5.2 replacement).
 func (s *System) RevivePeer(addr simnet.NodeID) bool {
 	h := s.hosts[addr]
-	if h == nil || s.hs.has(addr, hfServer) || h.dir != nil || h.dirNode != nil {
+	if h == nil || h.isServer() || h.dir != nil || h.dirNode() != nil {
 		return false
 	}
 	if s.net.Alive(addr) {
 		return false
 	}
 	s.net.Recover(addr)
-	h.cp = nil
-	s.hs.stash[addr] = nil
-	s.hs.admitPending[addr] = nil
-	s.hs.clearFlag(addr, hfJoinInFlight)
-	s.hs.joinAttempts[addr] = 0
-	s.hs.gossipTimeout[addr] = simkernel.TimerHandle{}
-	s.hs.kaTimeout[addr] = simkernel.TimerHandle{}
-	s.hs.joinTimer[addr] = simkernel.TimerHandle{}
-	// Failure memory from the pre-crash life must not leak into the new
-	// one: bump the await tokens so any orphaned handle fires as a no-op,
-	// drop the remembered gossip partner, and forget any standby role —
-	// a reborn client is a blank slate, not a watchdog for a directory it
-	// no longer belongs to.
-	s.hs.gossipToken[addr]++
-	s.hs.kaToken[addr]++
-	s.hs.gossipTarget[addr] = 0
-	s.hs.resetAdaptive(addr)
-	s.stopStandbyWatch(h)
+	// Nothing of the pre-crash life may leak into the new one, estimator
+	// history included; FailPeer left no timer armed.
+	h.reborn()
+	if s.adapt != nil {
+		s.adapt[addr] = adaptiveSlot{}
+	}
 	return true
-}
-
-// stopStandbyTimers silences a crashed host's standby machinery (both
-// roles): the watchdog and maintenance loops must leave nothing in the
-// event queue, exactly like hostSoA.stopTimers for the core tickers.
-func (s *System) stopStandbyTimers(h *host) {
-	h.standbyTicker.Stop()
-	h.probeTicker.Stop()
-	h.probeTimeout.Cancel()
-	h.probeToken++
 }
 
 // FailDirectory crashes the current directory peer of (site, loc); returns
@@ -96,7 +73,7 @@ func (s *System) onDirectoryUnreachable(h *host) {
 	s.traceDirSilent(h)
 	h.cp.ForgetDir()
 	if s.cfg.StandbyFailover {
-		if h.replica != nil && h.standbyFor != 0 {
+		if h.role.warm() != nil && h.role.watched() != 0 {
 			// We ARE the standby: take over directly, don't race ourselves
 			// through the cold join protocol.
 			s.requestPromotion(h)
@@ -114,8 +91,9 @@ func (s *System) onDirectoryUnreachable(h *host) {
 // the promoted standby instead of racing it.
 func (s *System) deferDirJoin(h *host) {
 	grace := 2*s.standbyProbe + simkernel.Time(s.rng.Int63n(int64(s.standbyProbe)))
-	s.hs.joinTimer[h.addr].Cancel()
-	s.hs.joinTimer[h.addr] = s.k.AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
+	r := h.rarely()
+	r.joinTimer.Cancel()
+	r.joinTimer = s.k.AfterArg(grace, s.joinRetryFn, uint64(uint32(h.addr)))
 }
 
 // attemptDirJoin starts the §5.2 replacement protocol: the candidate
@@ -124,13 +102,14 @@ func (s *System) deferDirJoin(h *host) {
 // D-ring; whoever is closest to the key decides whether the position is
 // already taken.
 func (s *System) attemptDirJoin(h *host, site model.SiteID, loc int) {
-	if s.hs.has(h.addr, hfJoinInFlight) || h.dir != nil || !s.net.Alive(h.addr) {
+	if h.has(hfJoinInFlight) || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
-	key := s.ks.KeyForWebsiteID(s.widBySite[site], loc, int(s.hs.dirInstance[h.addr]))
+	r := h.rarely()
+	key := s.ks.KeyForWebsiteID(s.widBySite[site], loc, int(h.dirInstance))
 	if n := s.ring.Lookup(key); n != nil && n.Up() {
 		// Someone already replaced it: adopt.
-		s.hs.joinAttempts[h.addr] = 0
+		r.joinAttempts = 0
 		if h.cp != nil {
 			h.cp.SetDir(n.Addr())
 			s.pushFullContent(h)
@@ -141,12 +120,12 @@ func (s *System) attemptDirJoin(h *host, site model.SiteID, loc int) {
 	if !ok {
 		return
 	}
-	s.hs.set(h.addr, hfJoinInFlight)
+	h.flags |= hfJoinInFlight
 	s.net.Send(h.addr, entry, simnet.CatMaintenance, bytesJoinCtl, s.newRoutedMsg(key, h.addr, nil, false))
 	// Clear the in-flight latch if the request is lost in a broken ring;
 	// an answer cancels the timer.
-	s.hs.joinTimer[h.addr].Cancel()
-	s.hs.joinTimer[h.addr] = s.k.AfterArg(15*simkernel.Second, s.joinLatchFn, uint64(uint32(h.addr)))
+	r.joinTimer.Cancel()
+	r.joinTimer = s.k.AfterArg(15*simkernel.Second, s.joinLatchFn, uint64(uint32(h.addr)))
 }
 
 // handleDirJoinRequest runs at the D-ring node that received the routed
@@ -162,13 +141,22 @@ func (s *System) handleDirJoinRequest(h *host, key chord.ID, candidate simnet.No
 		dirJoinAcceptMsg{Key: key, Bootstrap: h.addr})
 }
 
+// dirJoinAnswered clears the join latch, its timer and the retry count: any
+// answer (a promoted standby's announcement included, which no request of
+// this host need precede) ends the attempt.
+func (h *host) dirJoinAnswered() {
+	h.flags &^= hfJoinInFlight
+	if r := h.rare; r != nil {
+		r.joinTimer.Cancel()
+		r.joinAttempts = 0
+	}
+}
+
 // handleDirJoinTaken: another content peer won the race; learn the new
 // directory and make sure it indexes our content ("the content peer gets
 // acquainted with its new directory peer", §5.2).
 func (s *System) handleDirJoinTaken(h *host, m dirJoinTakenMsg) {
-	s.hs.clearFlag(h.addr, hfJoinInFlight)
-	s.hs.joinTimer[h.addr].Cancel()
-	s.hs.joinAttempts[h.addr] = 0
+	h.dirJoinAnswered()
 	if h.cp == nil {
 		return
 	}
@@ -180,15 +168,13 @@ func (s *System) handleDirJoinTaken(h *host, m dirJoinTakenMsg) {
 // common key, become the directory, and rebuild the index from pushes
 // while answering early queries from our own store and view (§5.2).
 func (s *System) handleDirJoinAccept(h *host, m dirJoinAcceptMsg) {
-	s.hs.clearFlag(h.addr, hfJoinInFlight)
-	s.hs.joinTimer[h.addr].Cancel()
-	s.hs.joinAttempts[h.addr] = 0
+	h.dirJoinAnswered()
 	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
-	var boot *chord.Node
-	if bh := s.hosts[m.Bootstrap]; bh != nil && bh.dirNode != nil && bh.dirNode.Up() {
-		boot = bh.dirNode
+	boot := s.hosts[m.Bootstrap].dirNode()
+	if boot != nil && !boot.Up() {
+		boot = nil
 	}
 	node, incumbent := s.takeOverPosition(m.Key, h.addr, boot, false)
 	if incumbent != nil {
@@ -243,22 +229,24 @@ func (s *System) takeOverPosition(key chord.ID, addr simnet.NodeID, boot *chord.
 // installDirectory wires directory state and tickers onto a host.
 func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, loc int) {
 	key := node.ID()
-	h.dirNode = node
+	if h.role == nil {
+		h.role = new(dirRole)
+	}
+	h.role.node = node
 	h.dir = dring.NewDirectory(site, s.widBySite[site], loc, key,
 		s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 	s.dirByKey[key] = h.addr
 	s.dirAddrs = append(s.dirAddrs, h.addr)
-	s.hs.dirTicker[h.addr] = s.every(h.addr, s.cfg.TGossip, s.dirTickFn)
+	h.role.dirTicker = s.every(h.addr, s.cfg.TGossip, s.dirTickFn)
 	s.startReplicationTicker(h)
 	if s.cfg.StandbyFailover {
 		// A host promoted into a directory stops being anyone's standby.
 		s.stopStandbyWatch(h)
 		s.startStandbyTicker(h)
 	}
-	if s.cfg.MaintenancePeriod > 0 && s.hs.stabTicker[h.addr].Stopped() {
-		// Like replication, never armed twice over: a host that left as a
-		// directory and was revived holds a stopped handle.
-		s.hs.stabTicker[h.addr] = s.every(h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
+	if s.cfg.MaintenancePeriod > 0 && h.role.stabTicker.Stopped() {
+		// Like replication, never armed twice over.
+		h.role.stabTicker = s.every(h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
 	}
 }
 
@@ -292,7 +280,7 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 		return false
 	}
 	old := s.hosts[addr]
-	if old == nil || old.dir == nil || old.dirNode == nil {
+	if old == nil || old.dir == nil || old.dirNode() == nil {
 		return false
 	}
 	var best *host
@@ -309,7 +297,7 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 		return false
 	}
 	// Hand over the D-ring position and the directory state.
-	node := s.ring.Transplant(old.dirNode, best.addr)
+	node := s.ring.Transplant(old.role.node, best.addr)
 	s.installDirectory(best, node, site, loc)
 	best.dir.ImportEntries(old.dir.ExportEntries())
 	for _, ns := range old.dir.NeighborSummaries() {
@@ -318,14 +306,14 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 	best.cp.SetDir(best.addr)
 	// Stand the old designation down: the successor directory designates
 	// its own standby on its maintenance loop.
-	if old.standby != 0 {
-		if sb := s.hosts[old.standby]; sb != nil && s.net.Alive(old.standby) && sb.standbyFor == old.addr {
-			s.net.Send(old.addr, old.standby, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{FromDir: old.addr})
+	if sbAddr := old.role.standby; sbAddr != 0 {
+		if sb := s.hosts[sbAddr]; sb != nil && s.net.Alive(sbAddr) && sb.role.watched() == old.addr {
+			s.net.Send(old.addr, sbAddr, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{FromDir: old.addr})
 		}
-		old.standby = 0
+		old.role.standby = 0
 	}
 	// The old directory departs: with its roles handed over, like any peer.
-	old.dir, old.dirNode = nil, nil
+	old.dir, old.role.node = nil, nil
 	s.FailPeer(old.addr)
 	s.stats.DirReplacements++
 	s.traceDirHandoff(old.addr, best.addr, site, loc)
@@ -339,21 +327,22 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 // content to the new directory.
 func (s *System) ChangeLocality(addr simnet.NodeID, newLoc int) bool {
 	h := s.hosts[addr]
-	if h == nil || s.hs.has(addr, hfServer) || h.dir != nil {
+	if h == nil || h.isServer() || h.dir != nil {
 		return false
 	}
 	if newLoc < 0 || newLoc >= s.cfg.Localities {
 		return false
 	}
-	s.hs.assignedLoc[addr] = int32(newLoc)
-	s.hs.set(addr, hfLocOverride)
+	r := h.rarely()
+	r.assignedLoc = int32(newLoc)
+	h.flags |= hfLocOverride
 	if h.cp != nil {
-		s.hs.stash[addr] = h.cp.Objects()
+		r.stash = h.cp.Objects()
 		h.cp = nil
-		s.hs.gossipTicker[addr].Stop()
-		s.hs.kaTicker[addr].Stop()
-		s.hs.gossipTimeout[addr].Cancel()
-		s.hs.kaTimeout[addr].Cancel()
+		h.gossipTicker.Stop()
+		h.kaTicker.Stop()
+		h.gossipTimeout.Cancel()
+		h.kaTimeout.Cancel()
 		// Still an accounted participant; it rejoins on its next query.
 	}
 	return true

@@ -9,45 +9,92 @@ import (
 	"flowercdn/internal/simnet"
 )
 
-// host is one simulated process. A host can play several roles over its
+// host is one simulated process and the one record of everything the
+// protocol keeps about it. A host can play several roles over its
 // lifetime: origin server, directory peer, content peer — and, after a
 // §5.2 replacement, directory and content peer at once.
 //
-// Only the cold, pointer-shaped protocol state lives here; the hot
-// per-host control fields (tickers, await tokens, timeout handles, role
-// bits, locality, stash) live in System.hs, a struct-of-arrays indexed by
-// addr — see hoststate.go.
+// Ticks arrive in time order, one host at a time, so what a gossip or
+// keepalive round reads (tokens, the two armed timeouts, the two tickers,
+// flags, locality) sits inline next to the protocol pointers: one record,
+// ≤ 144 bytes (TestHostRecordSize), for every potential client. What only
+// a directory or its warm standby carries lives behind role, what a client
+// rarely needs behind rare; both are nil until first used.
 type host struct {
-	sys  *System
-	addr simnet.NodeID
+	sys *System
 
 	// Roles.
-	serverSite model.SiteID
-	cp         *overlay.ContentPeer
-	dir        *dring.Directory
-	dirNode    *chord.Node
+	cp   *overlay.ContentPeer
+	dir  *dring.Directory
+	role *dirRole
+	rare *rareState
 
-	// Warm-standby failover state (nil/zero unless Config.StandbyFailover
-	// engaged it; rare enough that pointer-shaped host fields beat SoA
-	// slots). A directory remembers its designated standby; a standby
-	// carries the replica index, the primary it watches and the probe
-	// watchdog machinery.
-	standby       simnet.NodeID    // directory side: designated standby (0 = none)
-	standbyTicker simkernel.Ticker // directory side: designation + anti-entropy loop
-	deltaShards   []int32          // directory side: TakeDirtyShards scratch
-	replica       *dring.Directory // standby side: warm copy of the primary's index
-	standbyFor    simnet.NodeID    // standby side: the watched primary (0 = not a standby)
-	standbyKey    chord.ID         // standby side: the D-ring position to take over
-	standbySite   model.SiteID
-	standbyLoc    int
-	probeTicker   simkernel.Ticker
-	probeToken    uint32
-	probeTimeout  simkernel.TimerHandle
+	// Await tokens, their armed failure-detection timers, and the pending
+	// gossip partner. The handles let replies revoke the timeout outright;
+	// the tokens stay as a guard against replies racing a new round at the
+	// same instant. Storing the gossip target here lets the timeout fire
+	// through a long-lived bound callback (no per-tick closure).
+	gossipTimeout, kaTimeout simkernel.TimerHandle
+	gossipTicker, kaTicker   simkernel.Ticker
+	gossipToken, kaToken     uint32
+	gossipTarget             simnet.NodeID
+
+	addr        simnet.NodeID
+	loc         int32 // measured (landmark) locality
+	dirInstance int32 // §5.3 directory instance this content peer belongs to
+	// dirSlot is where the directory last found this member in its index: a
+	// hint dring.KeepaliveAt verifies, so a keepalive skips the NodeID→slot map.
+	dirSlot int32
+	flags   hostFlag
 }
 
-func (h *host) isServer() bool { return h.sys.hs.has(h.addr, hfServer) }
+// dirRole is what a host carries as a directory peer or as a directory's
+// warm standby (Config.StandbyFailover), allocated at promotion or
+// designation: the directory's D-ring node, its periodic behaviours and its
+// designated standby; on the standby, the replica index, the primary it
+// watches and the probe watchdog.
+type dirRole struct {
+	node                              *chord.Node // read through host.dirNode
+	dirTicker, stabTicker, replTicker simkernel.Ticker
+	standbyTicker                     simkernel.Ticker // designation + anti-entropy loop
+	standby                           simnet.NodeID    // designated standby (0 = none)
+	deltaShards                       []int32          // TakeDirtyShards scratch
 
-func (h *host) overlayLocality() int { return h.sys.hs.overlayLocality(h.addr) }
+	replica      *dring.Directory // warm copy of the primary's index
+	standbyFor   simnet.NodeID    // the watched primary (0 = not a standby)
+	standbyKey   chord.ID         // the D-ring position to take over
+	standbySite  model.SiteID
+	standbyLoc   int
+	probeTicker  simkernel.Ticker
+	probeToken   uint32
+	probeTimeout simkernel.TimerHandle
+}
+
+// rareState is the client state most hosts never need, allocated on first
+// use: the §5.4 locality override and stash, the §5.2 dir-join timer and
+// retry count, and a hardened run's pending admissions.
+type rareState struct {
+	// stash is content kept across a locality change (§5.4): the peer keeps
+	// its objects and re-pushes them after rejoining.
+	stash []model.ObjectRef
+
+	// admitPending: optimistic admissions whose serve has not landed yet
+	// (hardened runs only). The directory indexes a new client at admission
+	// time, before the object reaches it; under loss or a partition that gap
+	// is open for seconds to minutes, and abandoned queries leave it open for
+	// good. The auditor consults this set so only entries with no admission
+	// behind them count as index corruption. It starts on admitRoom, so the
+	// usual one or two pending admissions cost no allocation of their own.
+	admitPending []model.ObjectRef
+	admitRoom    [2]model.ObjectRef
+
+	joinTimer   simkernel.TimerHandle
+	assignedLoc int32 // §5.4 override, valid when hfLocOverride is set
+	// joinAttempts counts consecutive unanswered §5.2 dir-join requests,
+	// driving the hardened retry backoff; any answer (taken/accept) or a
+	// revival resets it.
+	joinAttempts uint8
+}
 
 // HandleMessage dispatches simulated datagrams to the protocol engines.
 func (h *host) HandleMessage(msg simnet.Message) {
@@ -82,9 +129,9 @@ func (h *host) HandleMessage(msg simnet.Message) {
 	case *pushMsg:
 		s.handlePush(h, m)
 	case keepaliveMsg:
-		s.handleKeepalive(h, m)
+		s.handleKeepalive(h, msg.From)
 	case keepaliveAckMsg:
-		s.handleKeepaliveAck(h, m)
+		s.handleKeepaliveAck(h)
 	case dirSummaryMsg:
 		s.handleDirSummary(h, m)
 	case dirJoinTakenMsg:

@@ -1,19 +1,18 @@
 package core
 
 import (
+	"slices"
+
+	"flowercdn/internal/chord"
+	"flowercdn/internal/dring"
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 )
 
-// This file holds the per-host hot control-plane state as struct-of-arrays
-// owned by System, indexed by simnet.NodeID — the same dense-index layout
-// the content plane uses for interned objects. The dispatch loop and the
-// keepalive/gossip scans touch these flat slices instead of chasing a
-// pointer into a fat per-host struct: the fields a tick actually reads
-// (token, timeout handle, flags) sit contiguously across hosts, and the
-// cold protocol state (*overlay.ContentPeer, *dring.Directory) stays
-// behind the host pointer where only role transitions need it.
+// This file holds the behaviour of the per-participant record (host.go):
+// role and latch bits, the rarely-needed state behind its two pointers, the
+// one list of its timers, and its bound failure-detection callbacks.
 
 // hostFlag packs the per-host role and latch bits.
 type hostFlag uint8
@@ -21,8 +20,8 @@ type hostFlag uint8
 const (
 	// hfServer marks an origin-server host (never fails, never joins).
 	hfServer hostFlag = 1 << iota
-	// hfLocOverride marks a §5.4 locality change: assignedLoc replaces the
-	// measured locality.
+	// hfLocOverride marks a §5.4 locality change: rare.assignedLoc replaces
+	// the measured locality.
 	hfLocOverride
 	// hfAccounted marks a participant of the per-peer traffic average.
 	hfAccounted
@@ -30,96 +29,51 @@ const (
 	hfJoinInFlight
 )
 
-// hostSoA carries one entry per underlay node in every slice; a host's
-// state lives at index host.addr across all of them.
-type hostSoA struct {
-	flags       []hostFlag
-	loc         []int32 // measured (landmark) locality
-	assignedLoc []int32 // §5.4 override, valid when hfLocOverride is set
-	dirInstance []int32 // §5.3 directory instance this content peer belongs to
+func (h *host) has(f hostFlag) bool { return h.flags&f != 0 }
 
-	// Await tokens, their armed failure-detection timers, and the pending
-	// gossip partner. The handles let replies revoke the timeout outright;
-	// the tokens stay as a guard against replies racing a new round at the
-	// same instant. Storing the gossip target here lets the timeout fire
-	// through a long-lived bound callback (no per-tick closure).
-	gossipToken   []uint32
-	gossipTarget  []simnet.NodeID
-	gossipTimeout []simkernel.TimerHandle
-	kaToken       []uint32
-	kaTimeout     []simkernel.TimerHandle
-	joinTimer     []simkernel.TimerHandle
+func (h *host) isServer() bool { return h.has(hfServer) }
 
-	// joinAttempts counts consecutive unanswered §5.2 dir-join requests,
-	// driving the hardened retry backoff; any answer (taken/accept) or a
-	// revival resets it.
-	joinAttempts []uint8
-
-	// Tickers (periodic behaviours), armed per role.
-	dirTicker    []simkernel.Ticker
-	gossipTicker []simkernel.Ticker
-	kaTicker     []simkernel.Ticker
-	stabTicker   []simkernel.Ticker
-	replTicker   []simkernel.Ticker
-
-	// Pre-boxed keepalive payloads: boxing a keepaliveMsg value into the
-	// network's `any` payload heap-allocates, so each host boxes its two
-	// constant probe messages once (lazily) and resends the same interface
-	// value every period.
-	kaPayload    []any
-	kaAckPayload []any
-
-	// Content stashed across a locality change (§5.4): the peer keeps its
-	// objects and re-pushes them after rejoining.
-	stash [][]model.ObjectRef
-
-	// Optimistic admissions whose serve has not landed yet (hardened runs
-	// only). The directory indexes a new client at admission time, before
-	// the object reaches it; under loss or a partition that gap is open for
-	// seconds to minutes, and abandoned queries leave it open for good. The
-	// auditor consults this set so only entries with no admission behind
-	// them count as index corruption.
-	admitPending [][]model.ObjectRef
-
-	// Adaptive gray-failure state (nil unless Config.Adaptive; see
-	// adaptive.go). rttEwma/rttVar is each host's Jacobson estimator over
-	// its own observed exchange round trips (keepalive acks, query
-	// completions) — observer-indexed, so every write happens in the
-	// owning host's execution context. kaSentAt stamps the outstanding
-	// keepalive probe. holderStrikes/breakerUntil is the per-holder health
-	// score: consecutive redirect/peer-query timeouts trip a cooldown
-	// circuit breaker that demotes the holder from candidate lists.
-	rttEwma       []simkernel.Time
-	rttVar        []simkernel.Time
-	rttSamples    []uint32
-	kaSentAt      []simkernel.Time
-	holderStrikes []uint8
-	breakerUntil  []simkernel.Time
+// overlayLocality resolves the effective locality of a host: the measured
+// one, unless a §5.4 change overrode it.
+func (h *host) overlayLocality() int {
+	if h.has(hfLocOverride) {
+		return int(h.rare.assignedLoc)
+	}
+	return int(h.loc)
 }
 
-func newHostSoA(n int) hostSoA {
-	return hostSoA{
-		flags:         make([]hostFlag, n),
-		loc:           make([]int32, n),
-		assignedLoc:   make([]int32, n),
-		dirInstance:   make([]int32, n),
-		gossipToken:   make([]uint32, n),
-		gossipTarget:  make([]simnet.NodeID, n),
-		gossipTimeout: make([]simkernel.TimerHandle, n),
-		kaToken:       make([]uint32, n),
-		kaTimeout:     make([]simkernel.TimerHandle, n),
-		joinTimer:     make([]simkernel.TimerHandle, n),
-		joinAttempts:  make([]uint8, n),
-		dirTicker:     make([]simkernel.Ticker, n),
-		gossipTicker:  make([]simkernel.Ticker, n),
-		kaTicker:      make([]simkernel.Ticker, n),
-		stabTicker:    make([]simkernel.Ticker, n),
-		replTicker:    make([]simkernel.Ticker, n),
-		kaPayload:     make([]any, n),
-		kaAckPayload:  make([]any, n),
-		stash:         make([][]model.ObjectRef, n),
-		admitPending:  make([][]model.ObjectRef, n),
+// rarely returns h's rare client state, allocating it on first use.
+func (h *host) rarely() *rareState {
+	if h.rare == nil {
+		h.rare = new(rareState)
+		h.rare.admitPending = h.rare.admitRoom[:0]
 	}
+	return h.rare
+}
+
+// dirNode, watched and warm read role state of a host that may hold none at
+// all (dirNode even of a nil host): its D-ring node (nil = not on the ring),
+// the primary it is warm standby for (0 = none) and its replica of that
+// primary's index.
+func (h *host) dirNode() *chord.Node {
+	if h == nil || h.role == nil {
+		return nil
+	}
+	return h.role.node
+}
+
+func (r *dirRole) watched() simnet.NodeID {
+	if r == nil {
+		return 0
+	}
+	return r.standbyFor
+}
+
+func (r *dirRole) warm() *dring.Directory {
+	if r == nil {
+		return nil
+	}
+	return r.replica
 }
 
 // maxAdmitPending bounds the per-host pending-admission record: a client
@@ -127,67 +81,71 @@ func newHostSoA(n int) hostSoA {
 // without a cap its record would grow with every attempt.
 const maxAdmitPending = 32
 
-func (hs *hostSoA) noteAdmit(a simnet.NodeID, ref model.ObjectRef) {
-	p := hs.admitPending[a]
-	for _, r := range p {
-		if r == ref {
-			return
-		}
+func (h *host) noteAdmit(ref model.ObjectRef) {
+	if h.admitPendingFor(ref) {
+		return
 	}
-	if len(p) >= maxAdmitPending {
+	r := h.rarely()
+	if p := r.admitPending; len(p) >= maxAdmitPending {
 		copy(p, p[1:])
 		p[len(p)-1] = ref
 		return
 	}
-	hs.admitPending[a] = append(p, ref)
+	r.admitPending = append(r.admitPending, ref)
 }
 
-func (hs *hostSoA) clearAdmit(a simnet.NodeID, ref model.ObjectRef) {
-	p := hs.admitPending[a]
-	for i, r := range p {
-		if r == ref {
-			hs.admitPending[a] = append(p[:i], p[i+1:]...)
-			return
+func (h *host) clearAdmit(ref model.ObjectRef) {
+	if r := h.rare; r != nil {
+		if i := slices.Index(r.admitPending, ref); i >= 0 {
+			r.admitPending = slices.Delete(r.admitPending, i, i+1)
 		}
 	}
 }
 
-func (hs *hostSoA) admitPendingFor(a simnet.NodeID, ref model.ObjectRef) bool {
-	for _, r := range hs.admitPending[a] {
-		if r == ref {
-			return true
-		}
-	}
-	return false
+func (h *host) admitPendingFor(ref model.ObjectRef) bool {
+	return h.rare != nil && slices.Contains(h.rare.admitPending, ref)
 }
 
-func (hs *hostSoA) has(a simnet.NodeID, f hostFlag) bool { return hs.flags[a]&f != 0 }
-func (hs *hostSoA) set(a simnet.NodeID, f hostFlag)      { hs.flags[a] |= f }
-func (hs *hostSoA) clearFlag(a simnet.NodeID, f hostFlag) {
-	hs.flags[a] &^= f
-}
-
-// overlayLocality resolves the effective locality of a host: the measured
-// one, unless a §5.4 change overrode it.
-func (hs *hostSoA) overlayLocality(a simnet.NodeID) int {
-	if hs.has(a, hfLocOverride) {
-		return int(hs.assignedLoc[a])
+// timers enumerates every timer the record holds, behind either pointer or
+// inline: the armed one-shots and the periodic behaviours. stopTimers and
+// the auditor's dead-host check both walk this one list, so a timer added
+// to the record and listed here is stopped on a crash and audited; zero
+// handles (role or rare state never allocated) are inert.
+func (h *host) timers() (oneShot [4]simkernel.TimerHandle, periodic [7]simkernel.Ticker) {
+	oneShot[0], oneShot[1] = h.gossipTimeout, h.kaTimeout
+	periodic[0], periodic[1] = h.gossipTicker, h.kaTicker
+	if r := h.rare; r != nil {
+		oneShot[2] = r.joinTimer
 	}
-	return int(hs.loc[a])
+	if r := h.role; r != nil {
+		oneShot[3] = r.probeTimeout
+		periodic[2], periodic[3], periodic[4] = r.dirTicker, r.stabTicker, r.replTicker
+		periodic[5], periodic[6] = r.standbyTicker, r.probeTicker
+	}
+	return oneShot, periodic
 }
 
 // stopTimers cancels every periodic behaviour and armed one-shot timer of
 // a host (on failure/leave), so a dead host leaves nothing in the event
 // queue.
-func (hs *hostSoA) stopTimers(a simnet.NodeID) {
-	for _, t := range [...]simkernel.Ticker{
-		hs.dirTicker[a], hs.gossipTicker[a], hs.kaTicker[a], hs.stabTicker[a], hs.replTicker[a],
-	} {
+func (h *host) stopTimers() {
+	oneShot, periodic := h.timers()
+	for _, t := range oneShot {
+		t.Cancel()
+	}
+	for _, t := range periodic {
 		t.Stop()
 	}
-	hs.gossipTimeout[a].Cancel()
-	hs.kaTimeout[a].Cancel()
-	hs.joinTimer[a].Cancel()
+}
+
+// reborn makes a revived client a blank slate, not a watchdog for a
+// directory it no longer belongs to: everything the record held goes —
+// roles, role and rare state, latches, the locality override, the gossip
+// partner and directory slot — except its identity, and the two await tokens
+// move on so that an orphaned handle of the previous life fires as a no-op.
+func (h *host) reborn() {
+	*h = host{sys: h.sys, addr: h.addr, loc: h.loc, flags: h.flags & hfServer,
+		gossipToken: h.gossipToken + 1, kaToken: h.kaToken + 1}
 }
 
 // packAddrTok encodes (host address, await token) into the uint64 argument
@@ -207,11 +165,8 @@ func unpackAddrTok(arg uint64) (simnet.NodeID, uint32) {
 // defence for same-instant races.
 func (s *System) onGossipTimeout(arg uint64) {
 	addr, tok := unpackAddrTok(arg)
-	if s.hs.gossipToken[addr] != tok {
-		return
-	}
-	if h := s.hosts[addr]; h != nil && h.cp != nil {
-		h.cp.RemoveContact(s.hs.gossipTarget[addr])
+	if h := s.hosts[addr]; h.gossipToken == tok && h.cp != nil {
+		h.cp.RemoveContact(h.gossipTarget)
 	}
 }
 
@@ -219,10 +174,7 @@ func (s *System) onGossipTimeout(arg uint64) {
 // the §5.2 replacement protocol.
 func (s *System) onKaTimeout(arg uint64) {
 	addr, tok := unpackAddrTok(arg)
-	if s.hs.kaToken[addr] != tok {
-		return
-	}
-	if h := s.hosts[addr]; h != nil && h.cp != nil {
+	if h := s.hosts[addr]; h.kaToken == tok && h.cp != nil {
 		s.onDirectoryUnreachable(h)
 	}
 }
@@ -238,41 +190,40 @@ const maxJoinAttempts = 6
 // retry, so a locality whose join request died inside a partition
 // re-volunteers after the heal instead of staying directory-less forever.
 func (s *System) onJoinLatchExpired(arg uint64) {
-	addr := simnet.NodeID(uint32(arg))
-	s.hs.clearFlag(addr, hfJoinInFlight)
+	h := s.hosts[uint32(arg)]
+	h.flags &^= hfJoinInFlight
 	if !s.cfg.Hardened {
 		return
 	}
-	h := s.hosts[addr]
-	if h == nil || h.cp == nil || h.dir != nil || !s.net.Alive(addr) {
+	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
 	if h.cp.Dir().Known {
 		return // a directory answered through another channel meanwhile
 	}
-	a := s.hs.joinAttempts[addr]
+	r := h.rare // armed this timer, so allocated
+	a := r.joinAttempts
 	if a >= maxJoinAttempts {
 		return
 	}
-	s.hs.joinAttempts[addr] = a + 1
+	r.joinAttempts = a + 1
 	d := backoffDelay(5*simkernel.Second, int(a), 2*simkernel.Minute)
 	d += simkernel.Time(s.rng.Int63n(int64(simkernel.Second)))
 	// The latch flag stays cleared while the retry timer is pending: the
 	// auditor's invariant is one-directional (latched ⇒ timer armed).
-	s.hs.joinTimer[addr].Cancel()
-	s.hs.joinTimer[addr] = s.k.AfterArg(d, s.joinRetryFn, arg)
+	r.joinTimer.Cancel()
+	r.joinTimer = s.k.AfterArg(d, s.joinRetryFn, arg)
 }
 
 // onJoinRetry re-issues the §5.2 directory-join request after a backoff,
 // re-checking every guard — the position may have been filled, the peer
 // may have died or joined a directory itself in the meantime.
 func (s *System) onJoinRetry(arg uint64) {
-	addr := simnet.NodeID(uint32(arg))
-	h := s.hosts[addr]
-	if h == nil || h.cp == nil || h.dir != nil || !s.net.Alive(addr) {
+	h := s.hosts[uint32(arg)]
+	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
-	if h.cp.Dir().Known || s.hs.has(addr, hfJoinInFlight) {
+	if h.cp.Dir().Known || h.has(hfJoinInFlight) {
 		return
 	}
 	s.attemptDirJoin(h, h.cp.Site(), h.cp.Locality())

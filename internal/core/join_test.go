@@ -34,9 +34,7 @@ func TestJoinAllocs(t *testing.T) {
 				c.TGossip, c.TKeepalive = 24*simkernel.Hour, 24*simkernel.Hour
 			})
 			s := e.sys
-			for addr := range s.hosts {
-				s.hs.stopTimers(simnet.NodeID(addr)) // directories' ticks: only joins run
-			}
+			e.stopAllTimers() // directories' ticks: only joins run
 			next := 0
 			join := func() {
 				loc, member := next%3, next/3
@@ -47,7 +45,7 @@ func TestJoinAllocs(t *testing.T) {
 				if h.cp == nil {
 					t.Fatalf("client %d of locality %d did not join", member, loc)
 				}
-				s.hs.stopTimers(h.addr)
+				h.stopTimers()
 				s.gossipTick(h)
 				e.k.Run(e.k.Now() + 2*simkernel.Second)
 			}

@@ -28,14 +28,17 @@ func lifecycleEnv(t *testing.T, hardened bool) *testEnv {
 	e.submitAt(2*simkernel.Second, 0, 0, 1, 5)
 	e.submitAt(3*simkernel.Minute, 0, 0, 1, 3)
 	e.k.Run(20 * simkernel.Minute)
-	for _, bank := range [][]simkernel.Ticker{
-		e.sys.hs.dirTicker, e.sys.hs.gossipTicker, e.sys.hs.kaTicker, e.sys.hs.stabTicker, e.sys.hs.replTicker,
-	} {
-		for _, tk := range bank {
-			tk.Stop()
+	e.stopAllTimers()
+	return e
+}
+
+// stopAllTimers stops every ticker and armed timeout of every host.
+func (e *testEnv) stopAllTimers() {
+	for _, h := range e.sys.hosts {
+		if h != nil {
+			h.stopTimers()
 		}
 	}
-	return e
 }
 
 // submitNow injects a query at the current instant without building the
@@ -126,7 +129,7 @@ func TestQueryLifecycleAllocs(t *testing.T) {
 
 // TestTickerArmAllocs: arming a joined peer's periodic behaviours builds no
 // Ticker object, no method value and no per-host closure — the handles are
-// values in the SoA arrays and the callbacks were bound at construction.
+// values in the host record and the callbacks were bound at construction.
 func TestTickerArmAllocs(t *testing.T) {
 	e := lifecycleEnv(t, false)
 	s := e.sys
@@ -136,10 +139,10 @@ func TestTickerArmAllocs(t *testing.T) {
 	}
 	op := func() {
 		s.startContentPeerTickers(member)
-		if s.hs.gossipTicker[member.addr].Stopped() || s.hs.kaTicker[member.addr].Stopped() {
+		if member.gossipTicker.Stopped() || member.kaTicker.Stopped() {
 			t.Fatal("tickers not armed")
 		}
-		s.hs.stopTimers(member.addr)
+		member.stopTimers()
 		e.k.Run(e.k.Now() + s.cfg.TGossip + s.cfg.TKeepalive) // elide the two dead first firings
 	}
 	op() // timer arena and heap reach capacity

@@ -220,13 +220,12 @@ type pushMsg struct {
 	M    overlay.PushMsg
 }
 
-// keepaliveMsg: content peer → directory (§5.1). Hosts send their
-// pre-boxed copy (host.kaPayload) so the periodic probe never re-boxes.
-type keepaliveMsg struct{ From simnet.NodeID }
+// keepaliveMsg: content peer → directory (§5.1). Zero-size, so the periodic
+// probe boxes nothing; the sender is the envelope's Message.From.
+type keepaliveMsg struct{}
 
-// keepaliveAckMsg: directory → content peer. Pre-boxed per host as
-// host.kaAckPayload, like keepaliveMsg.
-type keepaliveAckMsg struct{ From simnet.NodeID }
+// keepaliveAckMsg: directory → content peer. Zero-size like keepaliveMsg.
+type keepaliveAckMsg struct{}
 
 // dirSummaryMsg: directory → same-website directory: refreshed directory
 // summary (§3.3/§4.2.1).

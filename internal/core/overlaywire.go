@@ -6,8 +6,8 @@ import "flowercdn/internal/simnet"
 // peer: the active gossip loop (Algorithm 4) and the keepalive loop
 // (§5.1). Phases are randomised so overlays do not synchronise.
 func (s *System) startContentPeerTickers(h *host) {
-	s.hs.gossipTicker[h.addr] = s.every(h.addr, s.cfg.TGossip, s.gossipTickFn)
-	s.hs.kaTicker[h.addr] = s.every(h.addr, s.cfg.TKeepalive, s.kaTickFn)
+	h.gossipTicker = s.every(h.addr, s.cfg.TGossip, s.gossipTickFn)
+	h.kaTicker = s.every(h.addr, s.cfg.TKeepalive, s.kaTickFn)
 }
 
 // gossipTick is the active behaviour of Algorithm 4. In steady state it
@@ -31,11 +31,11 @@ func (s *System) gossipTick(h *host) {
 	s.net.Send(h.addr, target, simnet.CatGossip, bytesGossipHdr+m.WireBytes(s.cfg.Gossip.SummaryBytes()), wrapped)
 	// Failure detection: no answer within the deadline ⇒ drop the contact.
 	// The reply (or a reject) cancels the armed timer.
-	s.hs.gossipToken[h.addr]++
-	s.hs.gossipTarget[h.addr] = target
-	s.hs.gossipTimeout[h.addr].Cancel()
-	s.hs.gossipTimeout[h.addr] = s.k.AfterArg(s.exchangeTimeout(h.addr, target),
-		s.gossipTimeoutFn, packAddrTok(h.addr, s.hs.gossipToken[h.addr]))
+	h.gossipToken++
+	h.gossipTarget = target
+	h.gossipTimeout.Cancel()
+	h.gossipTimeout = s.k.AfterArg(s.exchangeTimeout(h.addr, target),
+		s.gossipTimeoutFn, packAddrTok(h.addr, h.gossipToken))
 }
 
 // handleGossip covers both directions of an exchange. The envelope (and
@@ -46,8 +46,8 @@ func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 	m := wrapped.M
 	if m.IsReply {
 		// Completion of our active round: disarm failure detection.
-		s.hs.gossipToken[h.addr]++
-		s.hs.gossipTimeout[h.addr].Cancel()
+		h.gossipToken++
+		h.gossipTimeout.Cancel()
 		if h.cp != nil && h.cp.Site() == wrapped.Site && h.cp.Locality() == wrapped.Loc {
 			h.cp.ApplyGossipReply(m)
 		}
@@ -69,8 +69,8 @@ func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 }
 
 func (s *System) handleGossipReject(h *host, m gossipRejectMsg) {
-	s.hs.gossipToken[h.addr]++
-	s.hs.gossipTimeout[h.addr].Cancel()
+	h.gossipToken++
+	h.gossipTimeout.Cancel()
 	if h.cp != nil {
 		h.cp.RemoveContact(m.From)
 	}
@@ -109,8 +109,8 @@ func (s *System) handlePush(h *host, m *pushMsg) {
 
 // keepaliveTick sends the §5.1 liveness probe to the directory and arms
 // failure detection (§5.2: failures are noticed "while sending keepalive
-// or push messages"). Allocation-free in steady state: the probe payload
-// is pre-boxed per host and the timeout rides AfterArg.
+// or push messages"). Allocation-free in steady state: the probe is a
+// zero-size payload (nothing to box) and the timeout rides AfterArg.
 func (s *System) keepaliveTick(h *host) {
 	if h.cp == nil || !s.net.Alive(h.addr) {
 		return
@@ -119,31 +119,28 @@ func (s *System) keepaliveTick(h *host) {
 	if !d.Known || d.Addr == h.addr {
 		return
 	}
-	if s.hs.kaPayload[h.addr] == nil {
-		s.hs.kaPayload[h.addr] = keepaliveMsg{From: h.addr}
-	}
-	s.net.Send(h.addr, d.Addr, simnet.CatKeepalive, bytesKeepalive, s.hs.kaPayload[h.addr])
+	s.net.Send(h.addr, d.Addr, simnet.CatKeepalive, bytesKeepalive, keepaliveMsg{})
 	s.stampKeepalive(h.addr)
-	s.hs.kaToken[h.addr]++
-	s.hs.kaTimeout[h.addr].Cancel()
-	s.hs.kaTimeout[h.addr] = s.k.AfterArg(s.exchangeTimeout(h.addr, d.Addr),
-		s.kaTimeoutFn, packAddrTok(h.addr, s.hs.kaToken[h.addr]))
+	h.kaToken++
+	h.kaTimeout.Cancel()
+	h.kaTimeout = s.k.AfterArg(s.exchangeTimeout(h.addr, d.Addr),
+		s.kaTimeoutFn, packAddrTok(h.addr, h.kaToken))
 }
 
-func (s *System) handleKeepalive(h *host, m keepaliveMsg) {
+// handleKeepalive resets the sender's age in the index, through the slot
+// hint the sender's record carries (host.dirSlot).
+func (s *System) handleKeepalive(h *host, from simnet.NodeID) {
 	if h.dir == nil {
 		return // not a directory (any more): silence triggers replacement
 	}
-	h.dir.Keepalive(m.From)
-	if s.hs.kaAckPayload[h.addr] == nil {
-		s.hs.kaAckPayload[h.addr] = keepaliveAckMsg{From: h.addr}
-	}
-	s.net.Send(h.addr, m.From, simnet.CatKeepalive, bytesKeepalive, s.hs.kaAckPayload[h.addr])
+	member := s.hosts[from]
+	member.dirSlot = h.dir.KeepaliveAt(from, member.dirSlot)
+	s.net.Send(h.addr, from, simnet.CatKeepalive, bytesKeepalive, keepaliveAckMsg{})
 }
 
-func (s *System) handleKeepaliveAck(h *host, m keepaliveAckMsg) {
-	s.hs.kaToken[h.addr]++
-	s.hs.kaTimeout[h.addr].Cancel()
+func (s *System) handleKeepaliveAck(h *host) {
+	h.kaToken++
+	h.kaTimeout.Cancel()
 	s.sampleKeepalive(h.addr)
 	if h.cp != nil {
 		h.cp.RefreshDir()
@@ -168,10 +165,10 @@ func (s *System) dirTick(h *host) {
 	}
 	f := h.dir.BuildSummary()
 	sent := false
-	if h.dirNode != nil && h.dirNode.Up() {
+	if node := h.dirNode(); node != nil && node.Up() {
 		// KnownPeers, not VisitKnown: the sends below consume kernel sequence
 		// numbers and fault-plane draws, so peer order is part of the run.
-		for _, p := range h.dirNode.KnownPeers() {
+		for _, p := range node.KnownPeers() {
 			if !s.ks.SameWebsite(p.ID(), h.dir.Key()) || p.ID() == h.dir.Key() {
 				continue
 			}

@@ -300,7 +300,7 @@ func TestRepromotedDirectoryRearmsTickers(t *testing.T) {
 	if leave() == first { // ... hands it to the other and departs ...
 		t.Fatal("premise: the position did not move on")
 	}
-	if !e.sys.hs.stabTicker[first].Stopped() || !e.sys.hs.replTicker[first].Stopped() || !e.sys.RevivePeer(first) {
+	if len(activeTimers(e.sys.host(first))) > 0 || !e.sys.RevivePeer(first) {
 		t.Fatal("premise: departed directory still ticking, or not revivable")
 	}
 	member := 0
@@ -312,7 +312,7 @@ func TestRepromotedDirectoryRearmsTickers(t *testing.T) {
 	if got := leave(); got != first { // ... and is the only successor left.
 		t.Fatalf("re-promotion went to %d, want %d", got, first)
 	}
-	if e.sys.hs.stabTicker[first].Stopped() || e.sys.hs.replTicker[first].Stopped() {
+	if role := e.sys.host(first).role; role.stabTicker.Stopped() || role.replTicker.Stopped() {
 		t.Fatal("re-promoted directory holds stopped stabilisation/replication handles")
 	}
 	before := stabilised[first]

@@ -304,11 +304,12 @@ func (s *System) resendEscalation(h *host, q *Query, dir simnet.NodeID, remainin
 // --- D-ring routing -------------------------------------------------------
 
 func (s *System) handleRouted(h *host, m *routedMsg) {
-	if h.dirNode == nil || !h.dirNode.Up() {
+	node := h.dirNode()
+	if node == nil || !node.Up() {
 		s.putRoutedMsg(m)
 		return // stale route to a demoted node; sender-side timeouts recover
 	}
-	next, deliver := dring.NextHop(h.dirNode, m.Key, s.ks)
+	next, deliver := dring.NextHop(node, m.Key, s.ks)
 	if !deliver {
 		if m.TTL <= 0 {
 			s.mets.RecordRouteTTLExpiry()
@@ -359,8 +360,12 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 			q.admitted = h.dir.AddOptimistic(q.Origin, q.Ref)
 			if q.admitted {
 				q.dirSeed = s.dirViewSeed(h, q)
+				// A new member sits in the index's last slot: the guess saves its
+				// first keepalive the map (KeepaliveAt verifies it either way).
+				client := s.hosts[q.Origin]
+				client.dirSlot = int32(h.dir.MemberCount() - 1)
 				if s.cfg.Hardened {
-					s.hs.noteAdmit(q.Origin, q.Ref)
+					client.noteAdmit(q.Ref)
 				}
 			}
 		}
@@ -634,7 +639,7 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	s.sample(q)
 	s.releaseShedSlot(q)
 	if s.cfg.Hardened && q.admitted {
-		s.hs.clearAdmit(h.addr, q.Ref)
+		h.clearAdmit(q.Ref)
 	}
 	if h.cp == nil && q.NewClient && q.admitted && q.handlerIsLocal {
 		s.joinOverlay(h, q, m.ViewSeed) // copied into the new view
@@ -653,7 +658,7 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	}
 	if q.needDirBootstrap {
 		s.stats.DirBootstraps++
-		if s.cfg.StandbyFailover && h.replica == nil {
+		if s.cfg.StandbyFailover && h.role.warm() == nil {
 			// Same head start the keepalive path gives the designated standby.
 			s.deferDirJoin(h)
 			return
@@ -689,16 +694,16 @@ func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
 // instance, replay objects stashed across a locality change (§5.4), account
 // the participant once per life, and start the peer's periodic behaviours.
 func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, founder bool) {
-	s.hs.dirInstance[h.addr] = int32(q.targetInstance)
-	if stash := s.hs.stash[h.addr]; len(stash) > 0 {
-		for _, obj := range stash {
+	h.dirInstance = int32(q.targetInstance)
+	if r := h.rare; r != nil {
+		for _, obj := range r.stash {
 			h.cp.AddObject(obj)
 		}
-		s.hs.stash[h.addr] = nil
+		r.stash = nil
 	}
-	if !s.hs.has(h.addr, hfAccounted) {
+	if !h.has(hfAccounted) {
 		s.mets.PeerJoined(s.k.Now())
-		s.hs.set(h.addr, hfAccounted)
+		h.flags |= hfAccounted
 	}
 	s.stats.Joins++
 	s.traceJoined(q, h, dir, founder)

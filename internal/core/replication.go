@@ -17,17 +17,17 @@ import "flowercdn/internal/simnet"
 // startReplicationTicker arms the periodic offer behaviour on a directory
 // host (called from system construction and directory installation).
 func (s *System) startReplicationTicker(h *host) {
-	if s.cfg.ReplicationTopK <= 0 || !s.hs.replTicker[h.addr].Stopped() {
+	if s.cfg.ReplicationTopK <= 0 || !h.role.replTicker.Stopped() {
 		return // never armed twice over
 	}
-	s.hs.replTicker[h.addr] = s.every(h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
+	h.role.replTicker = s.every(h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
 }
 
 // replicationTick runs at a directory: offer the top-K requested objects
 // to every same-website neighbour whose summary does not already report
 // them.
 func (s *System) replicationTick(h *host) {
-	if h.dir == nil || h.dirNode == nil || !h.dirNode.Up() || !s.net.Alive(h.addr) {
+	if n := h.dirNode(); h.dir == nil || n == nil || !n.Up() || !s.net.Alive(h.addr) {
 		return
 	}
 	top := h.dir.TopObjects(s.cfg.ReplicationTopK)

@@ -27,10 +27,10 @@ import (
 // on a directory host. Offsets are randomised like every other periodic
 // behaviour so directories do not synchronise.
 func (s *System) startStandbyTicker(h *host) {
-	if !s.cfg.StandbyFailover || !h.standbyTicker.Stopped() {
+	if !s.cfg.StandbyFailover || !h.role.standbyTicker.Stopped() {
 		return
 	}
-	h.standbyTicker = s.every(h.addr, s.standbySyncEvery, s.standbyTickFn)
+	h.role.standbyTicker = s.every(h.addr, s.standbySyncEvery, s.standbyTickFn)
 }
 
 // standbyMaintTick is the directory-side loop: validate or (re)designate
@@ -39,26 +39,27 @@ func (s *System) standbyMaintTick(h *host) {
 	if h.dir == nil || !s.net.Alive(h.addr) {
 		return
 	}
-	if h.standby != 0 && !s.standbyStillFit(h) {
-		if sb := s.hosts[h.standby]; sb != nil && s.net.Alive(h.standby) && sb.standbyFor == h.addr {
-			s.net.Send(h.addr, h.standby, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{FromDir: h.addr})
+	r := h.role
+	if r.standby != 0 && !s.standbyStillFit(h) {
+		if sb := s.hosts[r.standby]; sb != nil && s.net.Alive(r.standby) && sb.role.watched() == h.addr {
+			s.net.Send(h.addr, r.standby, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{FromDir: h.addr})
 		}
-		h.standby = 0
+		r.standby = 0
 		h.dir.DisableDeltaTracking()
 	}
-	if h.standby == 0 {
+	if r.standby == 0 {
 		s.designateStandby(h)
 		return // the full snapshot covers everything; deltas start next tick
 	}
 	if h.dir.DirtyShardCount() == 0 {
 		return
 	}
-	h.deltaShards = h.dir.TakeDirtyShards(h.deltaShards[:0], standbySyncShards)
-	for _, sh := range h.deltaShards {
+	r.deltaShards = h.dir.TakeDirtyShards(r.deltaShards[:0], standbySyncShards)
+	for _, sh := range r.deltaShards {
 		// The wire rows are owned by the message (applied after latency),
 		// so each delta exports into a fresh slice.
 		m := standbyDeltaMsg{FromDir: h.addr, Shard: sh, Entries: h.dir.ExportShard(int(sh), nil)}
-		s.net.Send(h.addr, h.standby, simnet.CatMaintenance, m.wireBytes(), m)
+		s.net.Send(h.addr, r.standby, simnet.CatMaintenance, m.wireBytes(), m)
 		s.stats.StandbyDeltas++
 	}
 }
@@ -66,8 +67,8 @@ func (s *System) standbyMaintTick(h *host) {
 // standbyStillFit re-validates the current designation: the standby must
 // be alive, still a plain content peer, and still watching us.
 func (s *System) standbyStillFit(h *host) bool {
-	sb := s.hosts[h.standby]
-	return sb != nil && s.net.Alive(h.standby) && sb.cp != nil && sb.dir == nil && sb.standbyFor == h.addr
+	sb := s.hosts[h.role.standby]
+	return sb != nil && s.net.Alive(h.role.standby) && sb.cp != nil && sb.dir == nil && sb.role.watched() == h.addr
 }
 
 // designateStandby picks the directory's most stable member (§5.2
@@ -80,7 +81,7 @@ func (s *System) designateStandby(h *host) {
 		if mh == nil || mh.cp == nil || mh.dir != nil || !s.net.Alive(mAddr) {
 			continue
 		}
-		if mh.standbyFor != 0 && mh.standbyFor != h.addr {
+		if w := mh.role.watched(); w != 0 && w != h.addr {
 			continue // already carries a replica for another directory
 		}
 		if best == nil || mh.cp.JoinedAt() < best.cp.JoinedAt() ||
@@ -91,7 +92,7 @@ func (s *System) designateStandby(h *host) {
 	if best == nil {
 		return // empty or dead overlay: no standby, no probe traffic
 	}
-	h.standby = best.addr
+	h.role.standby = best.addr
 	h.dir.EnableDeltaTracking()
 	m := standbyAssignMsg{
 		FromDir: h.addr,
@@ -110,54 +111,56 @@ func (s *System) handleStandbyAssign(h *host, m standbyAssignMsg) {
 	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
-	if h.replica == nil || h.standbyFor != m.FromDir || h.standbyKey != m.Key {
-		h.replica = dring.NewDirectory(m.Site, s.widBySite[m.Site], m.Loc, m.Key,
+	if h.role == nil {
+		h.role = new(dirRole)
+	}
+	r := h.role
+	if r.replica == nil || r.standbyFor != m.FromDir || r.standbyKey != m.Key {
+		r.replica = dring.NewDirectory(m.Site, s.widBySite[m.Site], m.Loc, m.Key,
 			s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 	}
-	h.standbyFor = m.FromDir
-	h.standbyKey = m.Key
-	h.standbySite = m.Site
-	h.standbyLoc = m.Loc
-	h.replica.ImportEntries(m.Entries)
+	r.standbyFor, r.standbyKey, r.standbySite, r.standbyLoc = m.FromDir, m.Key, m.Site, m.Loc
+	r.replica.ImportEntries(m.Entries)
 	s.startStandbyProbes(h)
 }
 
 // handleStandbyDelta applies one dirty shard to the replica.
 func (s *System) handleStandbyDelta(h *host, m standbyDeltaMsg) {
-	if h.replica == nil || h.standbyFor != m.FromDir {
+	if h.role.warm() == nil || h.role.standbyFor != m.FromDir {
 		return
 	}
-	h.replica.ApplyShardDelta(int(m.Shard), m.Entries)
+	h.role.replica.ApplyShardDelta(int(m.Shard), m.Entries)
 }
 
 // handleStandbyRevoke stands a former standby down.
 func (s *System) handleStandbyRevoke(h *host, m standbyRevokeMsg) {
-	if h.standbyFor != m.FromDir {
+	if h.role.watched() != m.FromDir {
 		return
 	}
 	s.stopStandbyWatch(h)
 }
 
 // stopStandbyWatch clears all standby-side state: watchdog, replica and
-// designation memory.
+// designation memory; the probe token moves on past any orphaned timeout.
 func (s *System) stopStandbyWatch(h *host) {
-	h.probeTicker.Stop()
-	h.probeTimeout.Cancel()
-	h.probeTimeout = simkernel.TimerHandle{}
-	h.probeToken++
-	h.replica = nil
-	h.standbyFor = 0
-	h.standbyKey = 0
-	h.standbySite = ""
-	h.standbyLoc = 0
+	r := h.role
+	if r == nil {
+		return
+	}
+	r.probeTicker.Stop()
+	r.probeTimeout.Cancel()
+	r.probeTimeout = simkernel.TimerHandle{}
+	r.probeToken++
+	r.replica = nil
+	r.standbyFor, r.standbyKey, r.standbySite, r.standbyLoc = 0, 0, "", 0
 }
 
 // startStandbyProbes arms the standby→primary liveness watchdog.
 func (s *System) startStandbyProbes(h *host) {
-	if !h.probeTicker.Stopped() {
+	if !h.role.probeTicker.Stopped() {
 		return
 	}
-	h.probeTicker = s.every(h.addr, s.standbyProbe, s.probeTickFn)
+	h.role.probeTicker = s.every(h.addr, s.standbyProbe, s.probeTickFn)
 }
 
 // standbyProbeTick sends one liveness probe and arms its deadline. A
@@ -166,15 +169,16 @@ func (s *System) startStandbyProbes(h *host) {
 // real crash is detected within ~one probe period — which is what lets
 // warm detection beat the cold keepalive-offset race.
 func (s *System) standbyProbeTick(h *host) {
-	if h.standbyFor == 0 || h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
+	r := h.role // armed this ticker, so allocated
+	if r.standbyFor == 0 || h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
-	s.net.Send(h.addr, h.standbyFor, simnet.CatKeepalive, bytesKeepalive, standbyProbeMsg{From: h.addr})
-	h.probeToken++
-	tok := h.probeToken
-	h.probeTimeout.Cancel()
-	h.probeTimeout = s.k.After(s.exchangeTimeout(h.addr, h.standbyFor), func() {
-		if h.probeToken == tok {
+	s.net.Send(h.addr, r.standbyFor, simnet.CatKeepalive, bytesKeepalive, standbyProbeMsg{From: h.addr})
+	r.probeToken++
+	tok := r.probeToken
+	r.probeTimeout.Cancel()
+	r.probeTimeout = s.k.After(s.exchangeTimeout(h.addr, r.standbyFor), func() {
+		if r.probeToken == tok {
 			s.requestPromotion(h)
 		}
 	})
@@ -186,7 +190,7 @@ func (s *System) handleStandbyProbe(h *host, m standbyProbeMsg) {
 	if h.dir == nil {
 		return // demoted or departed: silence is the correct answer
 	}
-	if h.standby != m.From {
+	if h.role.standby != m.From {
 		s.net.Send(h.addr, m.From, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{FromDir: h.addr})
 		return
 	}
@@ -194,21 +198,23 @@ func (s *System) handleStandbyProbe(h *host, m standbyProbeMsg) {
 }
 
 func (s *System) handleStandbyProbeAck(h *host, m standbyProbeAckMsg) {
-	if h.standbyFor != m.From {
+	r := h.role
+	if r == nil || r.standbyFor != m.From {
 		return
 	}
-	h.probeToken++
-	h.probeTimeout.Cancel()
+	r.probeToken++
+	r.probeTimeout.Cancel()
 }
 
 // requestPromotion sends the standby's self-addressed takeover decision:
 // handleStandbyPromote judges liveness against the ring one hop later.
 func (s *System) requestPromotion(h *host) {
-	if h.standbyFor == 0 || h.replica == nil || h.dir != nil || !s.net.Alive(h.addr) {
+	r := h.role
+	if r.watched() == 0 || r.replica == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
 	s.net.Send(h.addr, h.addr, simnet.CatMaintenance, bytesJoinCtl,
-		standbyPromoteMsg{Key: h.standbyKey, Site: h.standbySite, Loc: h.standbyLoc})
+		standbyPromoteMsg{Key: r.standbyKey, Site: r.standbySite, Loc: r.standbyLoc})
 }
 
 // handleStandbyPromote is the promotion arbiter: if the watched position
@@ -216,7 +222,7 @@ func (s *System) requestPromotion(h *host) {
 // otherwise the standby joins D-ring under the common key and becomes the
 // directory with its replica as the index.
 func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
-	if h.cp == nil || h.dir != nil || h.replica == nil || !s.net.Alive(h.addr) {
+	if h.cp == nil || h.dir != nil || h.role.warm() == nil || !s.net.Alive(h.addr) {
 		return
 	}
 	node, _ := s.takeOverPosition(m.Key, h.addr, s.liveBootstrapNode(h.addr), true)
@@ -226,10 +232,10 @@ func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
 	// Staleness at takeover: shards the dead primary dirtied but never
 	// shipped (readable in simulation; a real standby would bound this by
 	// its sync cadence).
-	if prim := s.hosts[h.standbyFor]; prim != nil && prim.dir != nil {
+	if prim := s.hosts[h.role.standbyFor]; prim != nil && prim.dir != nil {
 		s.stats.StandbyStaleShards += prim.dir.DirtyShardCount()
 	}
-	replica := h.replica
+	replica := h.role.replica
 	site, loc := m.Site, m.Loc
 	s.stopStandbyWatch(h)
 	s.installDirectory(h, node, site, loc)
@@ -261,9 +267,8 @@ func (s *System) liveBootstrapNode(exclude simnet.NodeID) *chord.Node {
 		if da == exclude {
 			continue
 		}
-		bh := s.hosts[da]
-		if bh != nil && bh.dirNode != nil && bh.dirNode.Up() && s.net.Alive(da) {
-			return bh.dirNode
+		if n := s.hosts[da].dirNode(); n != nil && n.Up() && s.net.Alive(da) {
+			return n
 		}
 	}
 	return nil

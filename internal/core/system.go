@@ -49,12 +49,7 @@ type System struct {
 	ks   dring.KeySpec
 	ring *chord.Ring
 
-	hosts []*host // indexed by simnet.NodeID; nil = not part of the system
-	// hs is the per-host hot control-plane state, struct-of-arrays indexed
-	// by simnet.NodeID (see hoststate.go): the dispatch loop and the
-	// keepalive/gossip scans walk these flat slices instead of chasing
-	// per-host pointers.
-	hs        hostSoA
+	hosts     []*host // indexed by simnet.NodeID; nil = not part of the system
 	dirAddrs  []simnet.NodeID
 	dirByKey  map[chord.ID]simnet.NodeID
 	widBySite map[model.SiteID]uint64
@@ -100,6 +95,10 @@ type System struct {
 	// entered the lookup path while the locality's own directory position
 	// was down (nil unless Config.ShedBudget > 0).
 	shedInFlight []int32
+
+	// adapt is the gray-failure estimator and holder-health state, one slot
+	// per underlay node (nil unless Config.Adaptive; see adaptive.go).
+	adapt []adaptiveSlot
 
 	tracer trace.Tracer
 	stats  Stats
@@ -329,7 +328,6 @@ func New(cfg Config, deps Deps) (*System, error) {
 		ks:        ks,
 		ring:      chord.NewRing(chord.Config{Bits: DRingBits, SuccessorList: 8}),
 		hosts:     make([]*host, deps.Topo.NumNodes()),
-		hs:        newHostSoA(deps.Topo.NumNodes()),
 		dirByKey:  make(map[chord.ID]simnet.NodeID),
 		widBySite: make(map[model.SiteID]uint64),
 		servers:   make(map[model.SiteID]simnet.NodeID),
@@ -356,7 +354,7 @@ func New(cfg Config, deps Deps) (*System, error) {
 		s.shedInFlight = make([]int32, cfg.Localities)
 	}
 	if cfg.Adaptive {
-		s.hs.enableAdaptive(deps.Topo.NumNodes())
+		s.adapt = make([]adaptiveSlot, deps.Topo.NumNodes())
 	}
 
 	if err := s.assignWebsiteIDs(); err != nil {
@@ -404,9 +402,7 @@ func (s *System) placeServers() error {
 	for i, site := range s.cfg.Sites {
 		addr := uniform[i]
 		s.servers[site] = addr
-		h := &host{sys: s, addr: addr, serverSite: site}
-		s.hs.loc[addr] = int32(s.topo.LocalityOf(addr))
-		s.hs.set(addr, hfServer)
+		h := &host{sys: s, addr: addr, loc: int32(s.topo.LocalityOf(addr)), flags: hfServer}
 		s.hosts[addr] = h
 		s.net.Register(addr, h)
 	}
@@ -453,13 +449,12 @@ func (s *System) placeDirectoriesAndPools() error {
 				if err != nil {
 					return fmt.Errorf("core: directory key collision for %s/%d: %w", site, loc, err)
 				}
-				h := &host{sys: s, addr: addr, dirNode: node}
-				s.hs.loc[addr] = int32(loc)
+				h := &host{sys: s, addr: addr, loc: int32(loc), role: &dirRole{node: node}}
 				h.dir = dring.NewDirectory(site, wid, loc, key,
 					s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 				if active[site] {
 					// Active-site directories are accounted participants from t=0.
-					s.hs.set(addr, hfAccounted)
+					h.flags |= hfAccounted
 					s.mets.PeerJoined(s.k.Now())
 				}
 				s.hosts[addr] = h
@@ -483,8 +478,7 @@ func (s *System) placeDirectoriesAndPools() error {
 					return err
 				}
 				h := &slab[m]
-				h.sys, h.addr = s, addr
-				s.hs.loc[addr] = int32(loc)
+				h.sys, h.addr, h.loc = s, addr, int32(loc)
 				s.hosts[addr] = h
 				s.net.Register(addr, h)
 				s.pools[si][loc] = append(s.pools[si][loc], addr)
@@ -497,7 +491,7 @@ func (s *System) placeDirectoriesAndPools() error {
 func (s *System) startDirectoryTickers() {
 	for _, addr := range s.dirAddrs {
 		h := s.hosts[addr]
-		s.hs.dirTicker[addr] = s.every(addr, s.cfg.TGossip, s.dirTickFn)
+		h.role.dirTicker = s.every(addr, s.cfg.TGossip, s.dirTickFn)
 		s.startReplicationTicker(h)
 		s.startStandbyTicker(h)
 	}
@@ -507,29 +501,30 @@ func (s *System) startDirectoryTickers() {
 // (needed only under churn; a static ring stays converged).
 func (s *System) startMaintenance(period simkernel.Time) {
 	for _, addr := range s.dirAddrs {
-		s.hs.stabTicker[addr] = s.every(addr, period, s.stabTickFn)
+		s.hosts[addr].role.stabTicker = s.every(addr, period, s.stabTickFn)
 	}
 }
 
 func (s *System) maintainNode(h *host) {
-	if h.dirNode == nil || !h.dirNode.Up() || !s.net.Alive(h.addr) {
+	node := h.dirNode()
+	if node == nil || !node.Up() || !s.net.Alive(h.addr) {
 		return
 	}
-	h.dirNode.CheckPredecessor()
-	h.dirNode.Stabilize()
+	node.CheckPredecessor()
+	node.Stabilize()
 	for i := 0; i < 3; i++ {
-		h.dirNode.FixNextFinger()
+		node.FixNextFinger()
 	}
-	if s.cfg.Hardened && h.dirNode.Successor() == nil {
+	if s.cfg.Hardened && node.Successor() == nil {
 		// Whole successor list dead (a partition took out a locality's
 		// directories at once): run an immediate second repair round so the
 		// ring re-converges within one maintenance period after the heal
 		// instead of limping one repaired entry at a time.
-		h.dirNode.Stabilize()
+		node.Stabilize()
 	}
 	// Nominal control traffic for the round (stabilize + notify + finger
 	// lookups); not part of the paper's background metric.
-	if succ := h.dirNode.Successor(); succ != nil && succ != h.dirNode {
+	if succ := node.Successor(); succ != nil && succ != node {
 		s.mets.RecordMessage(s.k.Now(), h.addr, succ.Addr(), simnet.CatMaintenance, 120)
 	}
 }

@@ -33,11 +33,12 @@ type IndexEntry struct {
 // (object → holders), the known-object set and the popularity counters are
 // flat structures instead of string-keyed maps.
 //
-// The member index is a struct-of-arrays slab, like the core host control
-// plane: nodes/ages/objects are parallel arrays in admission order
+// The member index is a struct-of-arrays slab — here a loop does scan the
+// arrays: nodes/ages/objects are parallel arrays in admission order
 // (swap-removed on eviction) and the only map left is the NodeID→slot
-// lookup. The periodic dirTick (age every entry, scan for evictions) is
-// therefore a linear, pointer-free array sweep instead of a walk over
+// lookup, which a keepalive skips when its caller remembers the slot
+// (KeepaliveAt). The periodic dirTick (age every entry, scan for evictions)
+// is therefore a linear, pointer-free array sweep instead of a walk over
 // map-boxed entries, and it allocates nothing — evicted slots, their
 // bitsets and their holder-list cells are all recycled.
 type Directory struct {
@@ -281,10 +282,21 @@ func (d *Directory) ApplyPush(node simnet.NodeID, added, removed []model.ObjectR
 }
 
 // Keepalive resets a member's age (§5.1); unknown nodes are ignored.
-func (d *Directory) Keepalive(node simnet.NodeID) {
-	if s, ok := d.slot[node]; ok {
-		d.ages[s] = 0
+func (d *Directory) Keepalive(node simnet.NodeID) { d.KeepaliveAt(node, -1) }
+
+// KeepaliveAt is Keepalive for a caller that remembers where the member was
+// last found: while hint is node's slot the age is reset without touching
+// the NodeID→slot map; a stale, out-of-range or foreign hint (swap-removes
+// move slots) falls back to it. Returns the slot to remember, -1 if unknown.
+func (d *Directory) KeepaliveAt(node simnet.NodeID, hint int32) int32 {
+	if uint32(hint) >= uint32(len(d.nodes)) || d.nodes[hint] != node {
+		var ok bool
+		if hint, ok = d.slot[node]; !ok {
+			return -1
+		}
 	}
+	d.ages[hint] = 0
+	return hint
 }
 
 // RemovePeer drops a member and its holdings (dead peer or redirection

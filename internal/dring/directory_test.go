@@ -2,6 +2,7 @@ package dring
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -396,5 +397,72 @@ func TestAccessors(t *testing.T) {
 	ks, _ := NewKeySpec(30, 6, 0)
 	if d.Key() != ks.Key("ws-001", 1) || d.WebsiteID() != ks.WebsiteID("ws-001") {
 		t.Fatal("key accessors wrong")
+	}
+}
+
+// TestKeepaliveAtAgainstMap drives a directory through random admissions,
+// swap-removing evictions, re-admissions and age rounds while every
+// keepalive arrives through KeepaliveAt with a correct, stale, out-of-range
+// or negative hint: whatever the hint, exactly the member a map lookup finds
+// is aged back to zero (checked against a plain map of ages), the returned
+// slot is the member's, and a following call with it needs no map.
+func TestKeepaliveAtAgainstMap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := newDir()
+		ages := map[simnet.NodeID]int32{}
+		hints := map[simnet.NodeID]int32{} // what each node last heard back, never invalidated
+		for step := 0; step < 2000; step++ {
+			node := simnet.NodeID(1 + rng.Intn(40))
+			switch op := rng.Intn(10); {
+			case op < 3: // admit or re-admit
+				d.AddOptimistic(node, dref(rng.Intn(64)))
+				ages[node] = 0
+			case op < 5: // evict: the last member moves into the freed slot
+				d.RemovePeer(node)
+				delete(ages, node)
+			case op < 6:
+				d.TickAges()
+				for n := range ages {
+					ages[n]++
+				}
+			default:
+				hint := hints[node] // correct, or stale since a swap-remove, or zero
+				switch rng.Intn(4) {
+				case 0:
+					hint = -1 - int32(rng.Intn(3))
+				case 1:
+					hint = int32(d.Size() + rng.Intn(3))
+				case 2:
+					hint = int32(rng.Intn(d.Size() + 1))
+				}
+				slot := d.KeepaliveAt(node, hint)
+				if _, member := ages[node]; !member {
+					if slot != -1 {
+						t.Fatalf("seed %d step %d: non-member %d (hint %d) got slot %d", seed, step, node, hint, slot)
+					}
+					break
+				}
+				ages[node] = 0
+				if slot < 0 || d.nodes[slot] != node {
+					t.Fatalf("seed %d step %d: member %d (hint %d) got slot %d", seed, step, node, hint, slot)
+				}
+				hints[node] = slot
+				index := d.slot
+				d.slot = nil // a hit must not need the map
+				if again := d.KeepaliveAt(node, slot); again != slot {
+					t.Fatalf("seed %d step %d: the returned slot %d missed on the next call (%d)", seed, step, slot, again)
+				}
+				d.slot = index
+			}
+			if len(ages) != d.Size() {
+				t.Fatalf("seed %d step %d: %d members, model has %d", seed, step, d.Size(), len(ages))
+			}
+			for n, want := range ages {
+				if got := d.ages[d.slot[n]]; got != want {
+					t.Fatalf("seed %d step %d: member %d has age %d, want %d", seed, step, n, got, want)
+				}
+			}
+		}
 	}
 }

@@ -101,7 +101,7 @@ type TrafficSink interface {
 // kernel's AtArg path. Send therefore performs zero heap allocations in
 // steady state (the slab and its free list stop growing once they cover
 // the peak number of in-flight messages), provided the payload itself is
-// pointer-shaped or pre-boxed — see TestHotPathAllocs.
+// pointer-shaped or zero-size — see TestHotPathAllocs.
 type Network struct {
 	kernel   *simkernel.Kernel
 	topo     *topology.Topology
