@@ -5,22 +5,24 @@
 // object space, replacing string-keyed maps on the query hot path.
 package bitset
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Set is a fixed-capacity bit set. Construct with New or Over; the zero
-// value is an empty set of capacity 0.
+// value is an empty set of capacity 0. Capacity and count are 32-bit, the
+// set 32 bytes: every content peer and directory member slot holds some.
 type Set struct {
 	words []uint64
-	n     int // capacity in bits
-	count int // set bits, maintained incrementally
+	n     int32 // capacity in bits
+	count int32 // set bits, maintained incrementally
 }
 
 // New creates an empty set able to hold indices [0, n).
 func New(n int) Set {
-	if n < 0 {
-		n = 0
-	}
-	return Set{words: make([]uint64, Words(n)), n: n}
+	n = max(n, 0)
+	return Over(make([]uint64, Words(n)), n)
 }
 
 // Words returns the number of 64-bit words a set of capacity n occupies.
@@ -31,25 +33,25 @@ func Words(n int) int { return (n + 63) / 64 }
 // Words(n) long and must not be shared with another set; bits already set
 // in it are members.
 func Over(words []uint64, n int) Set {
-	if n < 0 || len(words) != Words(n) {
+	if n < 0 || n > math.MaxInt32 || len(words) != Words(n) {
 		panic("bitset: storage does not match capacity")
 	}
-	s := Set{words: words, n: n}
+	s := Set{words: words, n: int32(n)}
 	for _, w := range words {
-		s.count += bits.OnesCount64(w)
+		s.count += int32(bits.OnesCount64(w))
 	}
 	return s
 }
 
 // Cap returns the capacity in bits.
-func (s *Set) Cap() int { return s.n }
+func (s *Set) Cap() int { return int(s.n) }
 
 // Count returns the number of set bits.
-func (s *Set) Count() int { return s.count }
+func (s *Set) Count() int { return int(s.count) }
 
 // Has reports whether bit i is set. Out-of-range indices are false.
 func (s *Set) Has(i int) bool {
-	if i < 0 || i >= s.n {
+	if i < 0 || i >= s.Cap() {
 		return false
 	}
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
@@ -58,7 +60,7 @@ func (s *Set) Has(i int) bool {
 // Set sets bit i and reports whether it was previously clear. Out-of-range
 // indices panic: the caller owns the dense index space.
 func (s *Set) Set(i int) bool {
-	if i < 0 || i >= s.n {
+	if i < 0 || i >= s.Cap() {
 		panic("bitset: index out of range")
 	}
 	w, m := i>>6, uint64(1)<<(uint(i)&63)
@@ -72,7 +74,7 @@ func (s *Set) Set(i int) bool {
 
 // Clear clears bit i and reports whether it was previously set.
 func (s *Set) Clear(i int) bool {
-	if i < 0 || i >= s.n {
+	if i < 0 || i >= s.Cap() {
 		return false
 	}
 	w, m := i>>6, uint64(1)<<(uint(i)&63)

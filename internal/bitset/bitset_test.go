@@ -3,7 +3,16 @@ package bitset
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// A content peer holds three sets and a directory one per member slot: the
+// header stays at the slice plus two 32-bit counters.
+func TestSetSize(t *testing.T) {
+	if got := unsafe.Sizeof(Set{}); got != 32 {
+		t.Fatalf("bitset.Set is %d bytes, want 32", got)
+	}
+}
 
 // TestBoundary exercises set/clear/iterate around word edges and the
 // capacity boundary for sizes shaped like ObjectsPerSite configurations —

@@ -23,7 +23,8 @@ import (
 //   - the await-token/timer plane (a latched dir-join must have its timer
 //     armed; dead hosts must leave nothing pending; a keepalive timeout
 //     can only be armed on a content peer; and, for queries: timer armed
-//     ⇔ continuation kind set ⇔ await-registry slot live).
+//     ⇔ continuation kind set ⇔ await-registry slot live);
+//   - every live content peer's gossip view (gossip.View.Check).
 //
 // It is diagnostic-only: it never mutates state, and it allocates freely.
 
@@ -132,6 +133,10 @@ func (s *System) Audit() AuditReport {
 			r.Checks++
 			if h.gossipTicker.Stopped() || h.kaTicker.Stopped() {
 				fail("timers: content peer %d is missing its gossip/keepalive ticker", addr)
+			}
+			// Like the await registry below, not tallied in Checks.
+			if err := h.cp.View().Check(); err != nil {
+				fail("view: content peer %d: %v", addr, err)
 			}
 		}
 	}

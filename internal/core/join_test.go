@@ -12,7 +12,7 @@ import (
 // peer: routed lookup → admission and directory view seed → redirect → serve
 // with the holder's view seed → joinOverlay → first push → first gossip
 // exchange. What a join may cost is its state, not its plumbing: the
-// ContentPeer struct, the word array behind its bitsets, the view's entry
+// ContentPeer struct, the word array behind its bitsets, the view's slot
 // array, its first published summary (two: filter and bits) and the
 // directory's holdings bitset for the new member — six, and one to spare
 // (holder lists, slab chunks and the timer arena grow by amortised

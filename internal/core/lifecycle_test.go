@@ -269,3 +269,34 @@ func TestAuditAwaitRegistry(t *testing.T) {
 		t.Fatalf("audit missed the lost continuation: %v", r.Violations)
 	}
 }
+
+// TestAuditChecksViews: the auditor looks inside every live content peer's
+// gossip view. A stale header copied back over a compacted slot array — the
+// one corruption the exported API allows — leaves every slot zeroed, i.e.
+// node 0 several times, and must be reported, outside the Checks tally.
+func TestAuditChecksViews(t *testing.T) {
+	e := newTestEnv(t, 96, nil)
+	for m := 0; m < 3; m++ {
+		e.submitAt(simkernel.Time(m+1)*simkernel.Second, 0, 0, m, 3)
+	}
+	e.k.Run(2 * simkernel.Hour)
+	member := e.sys.host(e.sys.PoolNode(0, 0, 1))
+	if member.cp == nil || member.cp.View().Len() < 2 {
+		t.Fatalf("member's view has too few contacts to corrupt: %+v", member.cp)
+	}
+	clean := e.sys.Audit()
+	if len(clean.Violations) > 0 {
+		t.Fatalf("audit of healthy views: %v", clean.Violations)
+	}
+	v := member.cp.View()
+	stale := *v
+	v.DropOlderThan(0)
+	*v = stale
+	r := e.sys.Audit()
+	if len(r.Violations) != 1 || !strings.HasPrefix(r.Violations[0], "view:") {
+		t.Fatalf("audit missed the corrupted view: %v", r.Violations)
+	}
+	if r.Checks != clean.Checks {
+		t.Fatalf("view checks are tallied: %d checks, %d before", r.Checks, clean.Checks)
+	}
+}

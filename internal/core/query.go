@@ -667,18 +667,27 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	}
 }
 
+// overlayFor returns c(site, loc)'s shared descriptor, built at its first join.
+func (s *System) overlayFor(site model.SiteID, loc int) *overlay.Shared {
+	sh := &s.overlays[s.in.SiteIndex(site)*s.cfg.Localities+loc]
+	if *sh == nil {
+		*sh = overlay.NewShared(site, loc, s.cfg.Gossip, s.in)
+	}
+	return *sh
+}
+
 // joinFounder creates the first content peer of an orphaned overlay: no
 // directory is known yet; attemptDirJoin (run by the caller) will install
 // this peer as d(ws,loc) unless someone else won the race.
 func (s *System) joinFounder(h *host, q *Query) {
-	h.cp = overlay.New(h.addr, q.Site, q.OriginLoc, s.cfg.Gossip, s.k.Now(), s.in)
+	h.cp = s.overlayFor(q.Site, q.OriginLoc).NewPeer(h.addr, s.k.Now())
 	s.finishJoin(h, q, -1, true)
 }
 
 // joinOverlay turns a served client into a content peer of its locality's
 // overlay (§4.1 construction).
 func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
-	h.cp = overlay.New(h.addr, q.Site, q.OriginLoc, s.cfg.Gossip, s.k.Now(), s.in)
+	h.cp = s.overlayFor(q.Site, q.OriginLoc).NewPeer(h.addr, s.k.Now())
 	h.cp.SetDir(q.handlerDir)
 	if len(viewSeed) > 0 {
 		h.cp.SeedView(viewSeed)

@@ -41,10 +41,11 @@ func queryPathEnv(t testing.TB) (e *testEnv, member *host, dir *host, ref model.
 	return e, member, dir, ref
 }
 
-// queryPathOnce runs the read-only Bloom-probe/hit-check operations of one
-// member lookup plus the directory stages: local bitset hit-check, view
-// summary matching over precomputed hashes, directory inverse-index
-// lookup, and the neighbour-summary probe. It returns a value derived
+// queryPathOnce runs the Bloom-probe/hit-check operations of one member
+// lookup plus the directory stages: local bitset hit-check, view summary
+// matching over precomputed hashes into the candidate slab (consumed, not
+// committed), directory inverse-index lookup, and the neighbour-summary
+// probe. It returns a value derived
 // from the results so nothing is optimised away.
 func queryPathOnce(s *System, member, dir *host, ref model.ObjectRef) int {
 	h1, h2 := s.in.Hashes(ref)
@@ -52,7 +53,7 @@ func queryPathOnce(s *System, member, dir *host, ref model.ObjectRef) int {
 	if member.cp.Has(ref) {
 		n++
 	}
-	n += len(member.cp.View().MatchingSummaries(h1, h2))
+	n += len(s.slabCandidates(member.cp, ref))
 	n += len(dir.dir.Holders(ref))
 	n += len(dir.dir.NeighborsWithObject(ref))
 	if member.cp.Summary().TestHash(h1, h2) {

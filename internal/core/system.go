@@ -56,6 +56,9 @@ type System struct {
 
 	servers map[model.SiteID]simnet.NodeID
 	pools   [][][]simnet.NodeID // [activeSiteIdx][loc][member]
+	// overlays[siteIdx*Localities+loc] is what the content peers of one
+	// c(ws,loc) share (nil until its first join; see overlayFor).
+	overlays []*overlay.Shared
 
 	rng *rand.Rand
 	qid uint64
@@ -331,6 +334,7 @@ func New(cfg Config, deps Deps) (*System, error) {
 		dirByKey:  make(map[chord.ID]simnet.NodeID),
 		widBySite: make(map[model.SiteID]uint64),
 		servers:   make(map[model.SiteID]simnet.NodeID),
+		overlays:  make([]*overlay.Shared, len(cfg.Sites)*cfg.Localities),
 		rng:       deps.Kernel.DeriveRNG("flower-core"),
 		tracer:    deps.Tracer,
 

@@ -83,7 +83,7 @@ type Directory struct {
 
 	// Popularity counters for the active-replication extension (§8
 	// future work: "pushing popular contents from some content overlay
-	// towards other overlays of the same website").
+	// towards other overlays of the same website"); nil until first noted.
 	popularity []int64
 
 	// neighborScratch backs NeighborsWithObject's result between calls;
@@ -131,7 +131,6 @@ func NewDirectory(site model.SiteID, websiteID uint64, loc int, key chord.ID,
 		knownObjects:     bitset.New(n),
 		summaryThreshold: summaryThreshold,
 		summaryCapacity:  summaryCapacity,
-		popularity:       make([]int64, n),
 	}
 }
 
@@ -393,15 +392,19 @@ func (d *Directory) ShardHeld(s int) int { return d.holders.shardHeld(s) }
 // counters rank objects for active replication toward sibling overlays.
 // Foreign-site refs are ignored.
 func (d *Directory) NoteRequest(ref model.ObjectRef) {
-	if d.inRange(ref) {
-		d.popularity[d.local(ref)]++
+	if !d.inRange(ref) {
+		return
 	}
+	if d.popularity == nil {
+		d.popularity = make([]int64, d.nObj)
+	}
+	d.popularity[d.local(ref)]++
 }
 
 // Popularity returns the request count recorded for ref (0 for
 // foreign-site refs).
 func (d *Directory) Popularity(ref model.ObjectRef) int64 {
-	if !d.inRange(ref) {
+	if !d.inRange(ref) || d.popularity == nil {
 		return 0
 	}
 	return d.popularity[d.local(ref)]

@@ -20,6 +20,10 @@ import (
 //   - A shard is a self-contained slice of the index for a ref range, so
 //     a hot website's directory can later be split across instances along
 //     shard boundaries without the §5.3 key-space split.
+//
+// A shard's list table is made at its first add — a run has a directory per
+// website and locality and a handful of active websites, and a directory
+// that indexes nothing should hold nothing; readers take nil as all-empty.
 
 // shardBits sizes a shard at 64 refs: exactly one bitset word, so a
 // member's holdings map 1:1 onto shards and the word walk *is* the shard
@@ -30,7 +34,7 @@ const shardBits = 6
 const shardSize = 1 << shardBits
 
 // holdersShard is one ref-range shard: per-ref holder lists (sorted
-// ascending by node) plus the count of refs with ≥1 holder.
+// ascending by node; nil until the first add) and the count of refs held.
 type holdersShard struct {
 	lists [][]simnet.NodeID
 	held  int
@@ -45,27 +49,25 @@ type holdersIndex struct {
 
 func newHoldersIndex(nObj int) holdersIndex {
 	nShards := (nObj + shardSize - 1) / shardSize
-	h := holdersIndex{nObj: nObj, shards: make([]holdersShard, nShards)}
-	for s := range h.shards {
-		lo := s << shardBits
-		hi := lo + shardSize
-		if hi > nObj {
-			hi = nObj
-		}
-		h.shards[s].lists = make([][]simnet.NodeID, hi-lo)
-	}
-	return h
+	return holdersIndex{nObj: nObj, shards: make([]holdersShard, nShards)}
 }
 
 // listAt returns the holder list for local ref i (read-only view).
 func (h *holdersIndex) listAt(i int) []simnet.NodeID {
-	return h.shards[i>>shardBits].lists[i&(shardSize-1)]
+	if lists := h.shards[i>>shardBits].lists; lists != nil {
+		return lists[i&(shardSize-1)]
+	}
+	return nil
 }
 
 // add inserts node into ref i's holder list, keeping ascending node order
 // (holder lists are small).
 func (h *holdersIndex) add(i int, node simnet.NodeID) {
 	sh := &h.shards[i>>shardBits]
+	if sh.lists == nil {
+		lo := i &^ (shardSize - 1)
+		sh.lists = make([][]simnet.NodeID, min(shardSize, h.nObj-lo))
+	}
 	hs := sh.lists[i&(shardSize-1)]
 	if len(hs) == 0 {
 		sh.held++
@@ -84,7 +86,7 @@ func (h *holdersIndex) add(i int, node simnet.NodeID) {
 // remove deletes node from ref i's holder list (no-op when absent).
 func (h *holdersIndex) remove(i int, node simnet.NodeID) {
 	sh := &h.shards[i>>shardBits]
-	hs := sh.lists[i&(shardSize-1)]
+	hs := h.listAt(i)
 	for p, n := range hs {
 		if n == node {
 			copy(hs[p:], hs[p+1:])

@@ -363,3 +363,66 @@ func TestExportImportRoundTripRandom(t *testing.T) {
 		t.Fatal("snapshot bitset aliases the slab")
 	}
 }
+
+// TestIdleDirectoryHoldsNothing: a directory nobody joined is queried,
+// ticked, exported, imported into, reset and audited like any other, with
+// no shard list table and no popularity counters to show for it; its first
+// add makes exactly the touched shard's table, its first request the
+// counters.
+func TestIdleDirectoryHoldsNothing(t *testing.T) {
+	idle := func(d *Directory) {
+		t.Helper()
+		for s := range d.holders.shards {
+			if d.holders.shards[s].lists != nil {
+				t.Fatalf("shard %d of a directory that indexes nothing has a list table", s)
+			}
+		}
+		if d.popularity != nil {
+			t.Fatal("a directory that noted no request has popularity counters")
+		}
+	}
+	d := propDirectory(8)
+	for i := 0; i < propObjects; i++ {
+		if hs := d.Holders(pref(i)); len(hs) != 0 {
+			t.Fatalf("empty directory lists holders %v for ref %d", hs, i)
+		}
+	}
+	d.ApplyPush(7, nil, []model.ObjectRef{pref(3), pref(130)}) // removals of nothing
+	d.RemovePeer(7)
+	d.TickAges()
+	d.EvictOlderThan(1)
+	d.ForEachHeld(func(model.ObjectRef, []simnet.NodeID) { t.Fatal("empty directory holds a ref") })
+	if d.ObjectCount() != 0 || d.Popularity(pref(3)) != 0 || len(d.TopObjects(5)) != 0 ||
+		d.BuildSummary().Test(propIn.Key(pref(3))) || len(d.ExportEntries()) != 0 {
+		t.Fatal("empty directory reports content")
+	}
+	d.ImportEntries(nil) // resets the index
+	if lines, checks := d.AuditConsistency(nil, 0); len(lines) != 0 || checks == 0 {
+		t.Fatalf("audit of an empty directory: %d checks, violations %v", checks, lines)
+	}
+	idle(d)
+
+	d.AddOptimistic(5, pref(130)) // shard 2
+	for s := range d.holders.shards {
+		if made := d.holders.shards[s].lists != nil; made != (s == 2) {
+			t.Fatalf("after one add to shard 2, shard %d list table made=%v", s, made)
+		}
+	}
+	if got := len(d.holders.shards[3].lists); got != 0 {
+		t.Fatalf("untouched partial shard has %d lists", got)
+	}
+	d.AddOptimistic(5, pref(propObjects-1)) // the partial trailing shard
+	if got, want := len(d.holders.shards[3].lists), propObjects-3*shardSize; got != want {
+		t.Fatalf("partial shard's table has %d lists, want %d", got, want)
+	}
+	if d.popularity != nil {
+		t.Fatal("indexing an object made the popularity counters")
+	}
+	d.NoteRequest(pref(130))
+	if d.Popularity(pref(130)) != 1 || len(d.TopObjects(5)) != 1 {
+		t.Fatal("first noted request not counted")
+	}
+	if lines, _ := d.AuditConsistency(nil, 0); len(lines) != 0 {
+		t.Fatalf("audit after first adds: %v", lines)
+	}
+}

@@ -11,7 +11,7 @@ import (
 // — age, select a subset, merge the partner's subset — on two steady-state
 // views. After warm-up the only allocation left is the subset slice that
 // escapes into the outgoing message; Merge works in place and the
-// Fisher–Yates index buffer is stack storage.
+// Fisher–Yates state is stack storage.
 func BenchmarkGossipRound(b *testing.B) {
 	const viewSize, gossipLen = 24, 10
 	a := NewView(1, viewSize)
@@ -25,14 +25,14 @@ func BenchmarkGossipRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.IncrementAges()
-		sub := a.SelectSubset(rng, gossipLen)
+		sub := a.SelectSubsetAppend(rng, gossipLen, nil)
 		c.Merge(sub)
-		back := c.SelectSubset(rng, gossipLen)
+		back := c.SelectSubsetAppend(rng, gossipLen, nil)
 		a.Merge(back)
 	}
 }
 
-// Merge on its own must allocate nothing once the entries array exists, and
+// Merge on its own must allocate nothing once the slot array exists, and
 // getting there from an empty view must cost that one right-sized array,
 // not an append-doubling crawl. Insert and a Refresh of an absent node ride
 // the same in-place path.
@@ -48,7 +48,7 @@ func TestMergeAllocFree(t *testing.T) {
 			g.Merge(sub)
 		}
 	})
-	// View + subset + the entries array, sized once.
+	// View + subset + the slot array, sized once.
 	if growth > 3 {
 		t.Fatalf("empty view to steady state costs %.0f allocations, want <= 3", growth)
 	}
@@ -61,7 +61,7 @@ func TestMergeAllocFree(t *testing.T) {
 	for i := range in {
 		in[i] = Entry{Node: simnet.NodeID(20 + i), Age: i % 3}
 	}
-	v.Merge(in) // sizes the entries array for this input
+	v.Merge(in) // sizes the slot array for this input
 	if avg := testing.AllocsPerRun(100, func() { v.Merge(in) }); avg != 0 {
 		t.Fatalf("Merge allocates %.1f/op in steady state, want 0", avg)
 	}
@@ -79,27 +79,26 @@ func TestMergeAllocFree(t *testing.T) {
 	}
 }
 
-// DropOlderThan returns view-owned scratch: evicting every period (the
-// sparse-gossip regime, where contacts age out between rounds) must not
-// allocate once the buffer exists.
+// Evicting every period (the sparse-gossip regime, where contacts age out
+// between rounds) must not allocate: DropOlderThan truncates in place.
 func TestDropOlderAllocFree(t *testing.T) {
 	v := NewView(0, 24)
 	for i := 1; i <= 24; i++ {
 		v.Insert(Entry{Node: simnet.NodeID(i), Age: i % 9})
 	}
-	if n := len(v.DropOlderThan(4)); n == 0 { // warm the result buffer
+	if v.DropOlderThan(4) == 0 {
 		t.Fatal("setup evicts nothing")
 	}
 	in := make([]Entry, 12)
 	for i := range in {
 		in[i] = Entry{Node: simnet.NodeID(100 + i), Age: 4 + i%3}
 	}
-	v.Merge(in) // size the entries array so only DropOlderThan is measured
+	v.Merge(in) // size the slot array so only DropOlderThan is measured
 	v.DropOlderThan(4)
 	evicted := 0
 	avg := testing.AllocsPerRun(100, func() {
 		v.Merge(in)
-		evicted += len(v.DropOlderThan(4))
+		evicted += v.DropOlderThan(4)
 	})
 	if evicted == 0 {
 		t.Fatal("measured rounds evicted nothing")

@@ -50,7 +50,7 @@ fold:
 }
 
 // TestMergeAgainstReference drives the in-place Merge and the operations
-// that share its entries array (Insert, Refresh, Remove, DropOlderThan,
+// that share its slot array (Insert, Refresh, Remove, DropOlderThan,
 // IncrementAges) with random inputs drawn from a node range small enough to
 // collide all the time — duplicates inside one received slice, owner
 // entries, equal ages, summaries present on either, both or neither side —
@@ -136,6 +136,9 @@ func TestMergeAgainstReference(t *testing.T) {
 					model[i].Age++
 				}
 			}
+			if err := v.Check(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 			got := v.Entries()
 			if len(got) != len(model) {
 				t.Fatalf("seed %d step %d: %d entries, reference has %d\n got %v\nwant %v", seed, step, len(got), len(model), got, model)
@@ -145,8 +148,8 @@ func TestMergeAgainstReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: entry %d is %+v, reference has %+v", seed, step, i, got[i], model[i])
 				}
 			}
-			for i, e := range v.entries[:cap(v.entries)][v.Len():] {
-				if e != (Entry{}) {
+			for i, e := range v.slots[:cap(v.slots)][v.Len():] {
+				if e != (slot{}) {
 					t.Fatalf("seed %d step %d: backing slot %d past Len() still holds %+v", seed, step, v.Len()+i, e)
 				}
 			}
@@ -154,37 +157,49 @@ func TestMergeAgainstReference(t *testing.T) {
 	}
 }
 
-// A view past the stack index buffer's 64 entries selects through its own
-// buffer: same draws, same entries as the rng.Perm-style full shuffle
-// prefix the partial Fisher–Yates stands for.
+// A view of any size selects from the stack — a dense prefix of positions
+// and, past it, only the displaced ones: same draws, same entries as the
+// rng.Perm-style full shuffle prefix the partial Fisher–Yates stands for,
+// whether the prefix covers the view (40), stops short of it (90), or the
+// draw outgrows the stack array (65, 89).
 func TestSelectSubsetOutsizedView(t *testing.T) {
-	v := NewView(0, 100)
-	for i := 1; i <= 90; i++ {
-		v.Insert(entry(i, i%7))
-	}
-	const l = 12
-	got := v.SelectSubsetAppend(rand.New(rand.NewSource(9)), l, nil)
+	var v *View
+	for _, n := range []int{40, 90} {
+		v = NewView(0, 100)
+		for i := 1; i <= n; i++ {
+			v.Insert(entry(i, i%7))
+		}
+		all := v.Entries()
+		for _, l := range []int{1, 12, 39, 64, 65, 89} {
+			if l >= n {
+				continue
+			}
+			got := v.SelectSubsetAppend(rand.New(rand.NewSource(9)), l, nil)
 
-	rng := rand.New(rand.NewSource(9))
-	idx := make([]int, v.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < l; i++ {
-		j := i + rng.Intn(len(idx)-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	sort.Ints(idx[:l])
-	all := v.Entries()
-	if len(got) != l {
-		t.Fatalf("selected %d entries, want %d", len(got), l)
-	}
-	for i, pos := range idx[:l] {
-		if got[i] != all[pos] {
-			t.Fatalf("entry %d is %+v, want view position %d (%+v)", i, got[i], pos, all[pos])
+			rng := rand.New(rand.NewSource(9))
+			idx := make([]int, v.Len())
+			for i := range idx {
+				idx[i] = i
+			}
+			for i := 0; i < l; i++ {
+				j := i + rng.Intn(len(idx)-i)
+				idx[i], idx[j] = idx[j], idx[i]
+			}
+			sort.Ints(idx[:l])
+			if len(got) != l {
+				t.Fatalf("selected %d entries, want %d", len(got), l)
+			}
+			for i, pos := range idx[:l] {
+				if got[i] != all[pos] {
+					t.Fatalf("n=%d l=%d: entry %d is %+v, want view position %d (%+v)", n, l, i, got[i], pos, all[pos])
+				}
+			}
 		}
 	}
+	const l = 12
+	rng := rand.New(rand.NewSource(9))
+	got := make([]Entry, 0, l)
 	if avg := testing.AllocsPerRun(50, func() { got = v.SelectSubsetAppend(rng, l, got[:0]) }); avg != 0 {
-		t.Fatalf("outsized view selects with %.1f allocs/op once its buffer exists, want 0", avg)
+		t.Fatalf("outsized view selects with %.1f allocs/op into a sized buffer, want 0", avg)
 	}
 }

@@ -10,17 +10,23 @@
 // property-test: a view never contains its owner, never holds duplicate
 // peers, never exceeds its capacity, and merging always keeps the
 // freshest instance of every entry.
+//
+// Entry is the exchange form: what messages, seeds and Entries() carry. At
+// rest a contact is a 16-byte slot, packed and unpacked at the view's edge.
 package gossip
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"flowercdn/internal/bloom"
 	"flowercdn/internal/simnet"
 )
 
-// Entry is one view slot: a contact plus the age of the information and
-// the contact's last known content summary (§4.2: address, age, summary).
+// Entry is one view contact: its address, the age of the information and
+// its last known content summary (§4.2: address, age, summary).
 // Summaries are treated as immutable snapshots; owners publish a fresh
 // filter rather than mutating a shared one.
 type Entry struct {
@@ -55,30 +61,48 @@ func WireBytes(entries []Entry, summaryBytes int) int {
 	return n
 }
 
+// slot is an entry at rest. The key is age<<32 | node: the (Age, Node) order
+// every operation keeps is one integer compare, ageing a slot one add.
+type slot struct {
+	key uint64
+	sum *bloom.Filter
+}
+
+// pack builds e's slot. A node outside [0, 2³²) or an age outside [0, 2³¹)
+// would alias another contact's key, so either panics; the age bound is half
+// the field, which leaves IncrementAges 2³¹ periods before a carry-out.
+func pack(e Entry) slot {
+	if uint64(e.Node) >= 1<<32 || uint64(e.Age) >= 1<<31 {
+		panic("gossip: entry's node or age does not fit a view slot")
+	}
+	return slot{key: uint64(e.Age)<<32 | uint64(e.Node), sum: e.Summary}
+}
+
+func (s slot) node() simnet.NodeID { return simnet.NodeID(uint32(s.key)) }
+
+func (s slot) entry() Entry {
+	return Entry{Node: s.node(), Age: int(s.key >> 32), Summary: s.sum}
+}
+
 // View is a bounded set of entries about distinct peers, owned by one peer
 // (the owner never appears in its own view).
 //
-// The per-round operations stop allocating once their storage exists: Merge
-// works in place on the entries array, which is sized once with room for a
-// received subset past the capacity, and SelectSubset's partial shuffle
-// runs over a stack buffer (views past 64 entries keep one of their own).
+// The per-round operations stop allocating once the slot array exists: Merge
+// works in place on it (it is sized once, with room for a received subset
+// past the capacity) and SelectSubsetAppend shuffles on the stack.
 type View struct {
-	owner    simnet.NodeID
-	capacity int
-	entries  []Entry // kept sorted by (Age, Node) — "most recent" first
-
-	idx     []int32         // SelectSubset's index buffer, views past 64 entries only
-	match   []simnet.NodeID // MatchingSummaries' reusable result buffer
-	evicted []simnet.NodeID // DropOlderThan's reusable result buffer
+	owner    uint32
+	capacity int32
+	slots    []slot // kept sorted by key — "most recent" first
 }
 
 // MakeView returns an empty view with the given capacity (V_gossip), for
-// owners that embed their view by value.
+// owners that embed their view by value. The owner must fit a slot's node.
 func MakeView(owner simnet.NodeID, capacity int) View {
-	if capacity <= 0 {
-		capacity = 1
+	if uint64(owner) >= 1<<32 || capacity > math.MaxInt32 {
+		panic("gossip: view owner or capacity out of range")
 	}
-	return View{owner: owner, capacity: capacity}
+	return View{owner: uint32(owner), capacity: int32(max(capacity, 1))}
 }
 
 // NewView is MakeView on the heap.
@@ -88,156 +112,143 @@ func NewView(owner simnet.NodeID, capacity int) *View {
 }
 
 // Owner returns the peer owning this view.
-func (v *View) Owner() simnet.NodeID { return v.owner }
+func (v *View) Owner() simnet.NodeID { return simnet.NodeID(v.owner) }
 
 // Capacity returns V_gossip.
-func (v *View) Capacity() int { return v.capacity }
+func (v *View) Capacity() int { return int(v.capacity) }
 
 // Len returns the number of entries.
-func (v *View) Len() int { return len(v.entries) }
+func (v *View) Len() int { return len(v.slots) }
 
 // Entries returns a copy of the entries (most recent first).
 func (v *View) Entries() []Entry {
-	out := make([]Entry, len(v.entries))
-	copy(out, v.entries)
+	out := make([]Entry, len(v.slots))
+	for i, s := range v.slots {
+		out[i] = s.entry()
+	}
 	return out
+}
+
+// find returns the position of node's slot, -1 when absent.
+func (v *View) find(node simnet.NodeID) int {
+	for i, s := range v.slots {
+		if s.node() == node {
+			return i
+		}
+	}
+	return -1
 }
 
 // Get returns the entry for node, if present.
 func (v *View) Get(node simnet.NodeID) (Entry, bool) {
-	for _, e := range v.entries {
-		if e.Node == node {
-			return e, true
-		}
+	if i := v.find(node); i >= 0 {
+		return v.slots[i].entry(), true
 	}
 	return Entry{}, false
 }
 
 // Contains reports whether node is in the view.
-func (v *View) Contains(node simnet.NodeID) bool {
-	_, ok := v.Get(node)
-	return ok
-}
+func (v *View) Contains(node simnet.NodeID) bool { return v.find(node) >= 0 }
 
-// sortByAgeNode is an insertion sort by (Age, Node). Views are small
-// (bounded by V_gossip, tens of entries), where insertion sort beats the
-// generic sort and — unlike sort.Slice, whose reflect.Swapper allocates —
-// costs nothing on the heap. The key is a total order (nodes are distinct
-// after dedup), so the result is deterministic.
-func sortByAgeNode(es []Entry) {
-	for i := 1; i < len(es); i++ {
-		e := es[i]
+// sortSlots is an insertion sort by key. Views are small (bounded by
+// V_gossip, tens of entries), where insertion sort beats the generic sort
+// and — unlike sort.Slice, whose reflect.Swapper allocates — costs nothing
+// on the heap. The key is a total order (nodes are distinct after dedup), so
+// the result is deterministic.
+func sortSlots(ss []slot) {
+	for i := 1; i < len(ss); i++ {
+		s := ss[i]
 		j := i - 1
-		for j >= 0 && (es[j].Age > e.Age || (es[j].Age == e.Age && es[j].Node > e.Node)) {
-			es[j+1] = es[j]
+		for j >= 0 && ss[j].key > s.key {
+			ss[j+1] = ss[j]
 			j--
 		}
-		es[j+1] = e
+		ss[j+1] = s
 	}
 }
-
-func (v *View) sortEntries() { sortByAgeNode(v.entries) }
 
 // IncrementAges ages every entry by one gossip period (§4.2: "periodically,
 // cws,loc increments by 1 the age of all its view entries").
 func (v *View) IncrementAges() {
-	for i := range v.entries {
-		v.entries[i].Age++
+	for i := range v.slots {
+		v.slots[i].key += 1 << 32
 	}
 }
 
 // SelectOldest returns the entry with the highest age (ties broken by the
 // lowest node ID for determinism), as gossip target selection requires.
 func (v *View) SelectOldest() (Entry, bool) {
-	if len(v.entries) == 0 {
+	i := len(v.slots) - 1
+	if i < 0 {
 		return Entry{}, false
 	}
-	best := v.entries[0]
-	for _, e := range v.entries[1:] {
-		if e.Age > best.Age || (e.Age == best.Age && e.Node < best.Node) {
-			best = e
-		}
+	// Slots ascend by (age, node): the oldest age's run ends the array and
+	// its lowest node starts the run.
+	for i > 0 && v.slots[i-1].key>>32 == v.slots[i].key>>32 {
+		i--
 	}
-	return best, true
+	return v.slots[i].entry(), true
 }
 
-// SelectSubset returns up to l random distinct entries (the view subset of
-// length L_gossip exchanged each round) in a fresh slice. It is
-// SelectSubsetAppend without a reuse buffer; callers on the gossip hot
-// path (whose subset escapes into an outgoing message they later get
-// back) pool their buffers through the append variant instead.
-func (v *View) SelectSubset(rng *rand.Rand, l int) []Entry {
-	if l <= 0 || len(v.entries) == 0 {
-		return nil
-	}
-	return v.SelectSubsetAppend(rng, l, nil)
-}
-
-// SelectSubsetAppend appends up to l random distinct entries to dst and
-// returns the extended slice (allocation-free once dst has capacity).
-// Selection is a partial Fisher–Yates over a reusable index buffer — l
-// draws from rng instead of rng.Perm's n fresh ints — and draws exactly
-// the same rng sequence as SelectSubset for any given view.
+// SelectSubsetAppend appends up to l random distinct entries — the view
+// subset of length L_gossip exchanged each round — to dst (nil for a fresh
+// slice) and returns the extended slice; callers whose subset escapes into a
+// message they later get back pool dst and select without allocating.
+// Selection is the first l steps of a Fisher–Yates shuffle of the view
+// positions: l draws from rng instead of rng.Perm's n fresh ints.
 func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
-	if l <= 0 || len(v.entries) == 0 {
+	n := len(v.slots)
+	if l <= 0 || n == 0 {
 		return dst
 	}
-	n := len(v.entries)
-	want := l
-	if want > n {
-		want = n
-	}
-	// One right-sized growth when dst is short (e.g. nil from the
-	// compatibility wrapper) instead of append's doubling crawl.
-	if cap(dst)-len(dst) < want {
-		grown := make([]Entry, len(dst), len(dst)+want)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, min(l, n))
 	if l >= n {
-		return append(dst, v.entries...)
-	}
-	// The index buffer is stack storage for all but outsized views, which
-	// keep one sized once to the capacity (n never exceeds it).
-	var small [64]int32
-	idx := small[:]
-	if n > len(small) {
-		if cap(v.idx) < n {
-			v.idx = make([]int32, v.capacity)
+		for _, s := range v.slots {
+			dst = append(dst, s.entry())
 		}
-		idx = v.idx
+		return dst
 	}
-	idx = idx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
+	// The position array is not materialised past a dense prefix — the l
+	// positions drawn into and, stack room allowing, the whole view. Beyond
+	// it a position holds itself unless a swap displaced it: at[k] then holds
+	// val[k]. Each step displaces at most one, so l of those suffice.
+	const dense = 64
+	var small [3 * dense]int32
+	buf := small[:]
+	if l > dense {
+		buf = make([]int32, 3*l)
 	}
-	for i := 0; i < l; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
+	d := len(buf) / 3
+	pre, at, val := buf[:min(n, d)], buf[d:d:2*d], buf[2*d:2*d:3*d]
+	for i := range pre {
+		pre[i] = int32(i)
 	}
-	sel := idx[:l]
-	// Deterministic output order: ascending view position (insertion sort;
-	// sort.Ints on a converted []int would allocate).
-	for i := 1; i < len(sel); i++ {
-		x := sel[i]
-		j := i - 1
-		for j >= 0 && sel[j] > x {
-			sel[j+1] = sel[j]
-			j--
+	sel := pre[:l]
+	for i := range sel {
+		j := int32(i + rng.Intn(n-i))
+		if int(j) < len(pre) {
+			pre[i], pre[j] = pre[j], pre[i]
+			continue
 		}
-		sel[j+1] = x
+		k := 0
+		for k < len(at) && at[k] != j {
+			k++
+		}
+		if k == len(at) {
+			at, val = append(at, j), append(val, j)
+		}
+		pre[i], val[k] = val[k], pre[i]
 	}
+	slices.Sort(sel) // deterministic output order: ascending view position
 	for _, i := range sel {
-		dst = append(dst, v.entries[i])
+		dst = append(dst, v.slots[i].entry())
 	}
 	return dst
 }
 
 // Insert adds or refreshes a single entry, keeping the freshest instance,
 // then truncates to capacity (a one-entry Merge).
-func (v *View) Insert(e Entry) {
-	v.Merge(nil, e)
-}
+func (v *View) Insert(e Entry) { v.Merge(nil, e) }
 
 // Merge implements merge() + select_recent() from Algorithm 4: combine the
 // current entries with the received ones and then the extra ones (a gossip
@@ -246,120 +257,124 @@ func (v *View) Insert(e Entry) {
 // the fresher instance), drop the owner, and keep the capacity most-recent
 // entries.
 //
-// The combined set is built in place, in the spare room the entries array
+// The combined set is built in place, in the spare room the slot array
 // keeps past the capacity, and duplicates are found by linear scan — views
 // are tens of entries, where the scan beats a throwaway map and, unlike the
 // map, allocates nothing.
 func (v *View) Merge(received []Entry, extra ...Entry) {
-	s := v.entries
+	s := v.slots
 	if in := len(received) + len(extra); cap(s) < len(s)+in {
 		// One right-sized array (entries never exceed capacity) instead of
 		// append's doubling crawl.
-		s = make([]Entry, len(s), v.capacity+in)
-		copy(s, v.entries)
+		s = make([]slot, len(s), v.Capacity()+in)
+		copy(s, v.slots)
 	}
 	s = v.mergeInto(s, received)
 	s = v.mergeInto(s, extra)
-	sortByAgeNode(s)
-	if len(s) > v.capacity {
-		clear(s[v.capacity:]) // truncated entries must not pin their summaries
-		s = s[:v.capacity]
+	sortSlots(s)
+	if c := v.Capacity(); len(s) > c {
+		clear(s[c:]) // truncated entries must not pin their summaries
+		s = s[:c]
 	}
-	v.entries = s
+	v.slots = s
 }
 
-// mergeInto folds in into s, which has room for all of it. The entries
+// mergeInto folds in into s, which has room for all of it. The slots
 // already in s are deduped and owner-free (invariant).
-func (v *View) mergeInto(s, in []Entry) []Entry {
+func (v *View) mergeInto(s []slot, in []Entry) []slot {
+fold:
 	for _, e := range in {
-		if e.Node == v.owner {
+		if e.Node == v.Owner() {
 			continue
 		}
-		found := false
-		for i := range s {
-			if s[i].Node != e.Node {
+		p := pack(e)
+		for i, x := range s { // by value: the compiler walks a pointer, not a scaled index
+			if uint32(x.key) != uint32(p.key) {
 				continue
 			}
-			found = true
-			if e.Age < s[i].Age {
+			if p.key < s[i].key { // same node: the fresher age
 				// Never lose a known summary to a fresher entry that lacks one.
-				if e.Summary == nil && s[i].Summary != nil {
-					e.Summary = s[i].Summary
+				if p.sum == nil {
+					p.sum = s[i].sum
 				}
-				s[i] = e
-			} else if s[i].Summary == nil && e.Summary != nil {
-				s[i].Summary = e.Summary
+				s[i] = p
+			} else if s[i].sum == nil {
+				s[i].sum = p.sum
 			}
-			break
+			continue fold
 		}
-		if !found {
-			s = append(s, e)
-		}
+		s = append(s, p)
 	}
 	return s
 }
 
 // Remove deletes the entry for node (dead peer, per §5.1/§5.4).
 func (v *View) Remove(node simnet.NodeID) {
-	out := v.entries[:0]
-	for _, e := range v.entries {
-		if e.Node != node {
-			out = append(out, e)
-		}
+	if i := v.find(node); i >= 0 {
+		v.slots = slices.Delete(v.slots, i, i+1) // zeroes the vacated slot: no pinned summary
 	}
-	clear(v.entries[len(out):]) // the vacated tail must not pin summaries
-	v.entries = out
 }
 
-// DropOlderThan evicts entries whose age reached the limit (T_dead); it
-// returns the evicted nodes. The returned slice is the view's reusable
-// scratch buffer: it is valid until the next call and must not be retained
-// (copy it to keep it), like MatchingSummaries' result.
-func (v *View) DropOlderThan(ageLimit int) []simnet.NodeID {
-	evicted := v.evicted[:0]
-	out := v.entries[:0]
-	for _, e := range v.entries {
-		if e.Age >= ageLimit {
-			evicted = append(evicted, e.Node)
-			continue
-		}
-		out = append(out, e)
+// DropOlderThan evicts entries whose age reached the limit (T_dead) and
+// reports how many went. Slots ascend by age, so they are the array's tail.
+func (v *View) DropOlderThan(ageLimit int) int {
+	n := len(v.slots)
+	kept := n
+	for kept > 0 && int(v.slots[kept-1].key>>32) >= ageLimit {
+		kept--
 	}
-	clear(v.entries[len(out):]) // the vacated tail must not pin summaries
-	v.entries = out
-	v.evicted = evicted
-	return evicted
+	clear(v.slots[kept:]) // the vacated tail must not pin summaries
+	v.slots = v.slots[:kept]
+	return n - kept
 }
 
 // Refresh sets node's age to zero and updates its summary, inserting the
 // entry if absent.
 func (v *View) Refresh(node simnet.NodeID, summary *bloom.Filter) {
-	for i := range v.entries {
-		if v.entries[i].Node == node {
-			v.entries[i].Age = 0
-			if summary != nil {
-				v.entries[i].Summary = summary
-			}
-			v.sortEntries()
-			return
-		}
+	if i := v.find(node); i >= 0 && summary == nil {
+		summary = v.slots[i].sum
 	}
+	v.Remove(node)
 	v.Insert(Entry{Node: node, Age: 0, Summary: summary})
 }
 
-// MatchingSummaries returns the nodes whose summary tests positive for
+// AppendMatching appends to dst the nodes whose summary tests positive for
 // the key with precomputed hash pair (h1, h2) — see bloom.HashKey —
 // freshest entries first: the candidate set for a content-overlay lookup
-// (§4.1). The probes do zero hashing and the returned slice is the view's
-// reusable scratch buffer: it is valid until the next call and must not
-// be retained (copy it to keep it).
-func (v *View) MatchingSummaries(h1, h2 uint64) []simnet.NodeID {
-	out := v.match[:0]
-	for _, e := range v.entries {
-		if e.Summary != nil && e.Summary.TestHash(h1, h2) {
-			out = append(out, e.Node)
+// (§4.1). No hashing, and no allocation once dst has room for Len() nodes.
+func (v *View) AppendMatching(dst []simnet.NodeID, h1, h2 uint64) []simnet.NodeID {
+	for _, s := range v.slots {
+		if s.sum != nil && s.sum.TestHash(h1, h2) {
+			dst = append(dst, s.node())
 		}
 	}
-	v.match = out
-	return out
+	return dst
+}
+
+// MatchingSummaries is AppendMatching into a fresh slice.
+func (v *View) MatchingSummaries(h1, h2 uint64) []simnet.NodeID { return v.AppendMatching(nil, h1, h2) }
+
+// Check returns the first structural invariant the view breaks, nil when all
+// hold: no more entries than the capacity, the owner absent, nodes distinct,
+// slots in key order, and the array past Len() zeroed (a dropped entry must
+// not pin its summary). It is the core auditor's look at a view.
+func (v *View) Check() error {
+	all := v.slots[:cap(v.slots)]
+	for i, s := range all {
+		switch {
+		case i >= len(v.slots):
+			if s != (slot{}) {
+				return fmt.Errorf("vacated slot %d still holds node %d", i, s.node())
+			}
+		case i >= v.Capacity():
+			return fmt.Errorf("%d entries exceed capacity %d", len(v.slots), v.capacity)
+		case s.node() == v.Owner():
+			return fmt.Errorf("slot %d holds the owner", i)
+		case v.find(s.node()) != i:
+			return fmt.Errorf("node %d held twice", s.node())
+		case i > 0 && all[i-1].key > s.key:
+			return fmt.Errorf("slot %d out of (age, node) order", i)
+		}
+	}
+	return nil
 }

@@ -110,7 +110,7 @@ func TestSelectSubset(t *testing.T) {
 		v.Insert(entry(i, 0))
 	}
 	rng := rand.New(rand.NewSource(4))
-	sub := v.SelectSubset(rng, 4)
+	sub := v.SelectSubsetAppend(rng, 4, nil)
 	if len(sub) != 4 {
 		t.Fatalf("subset len = %d, want 4", len(sub))
 	}
@@ -121,10 +121,10 @@ func TestSelectSubset(t *testing.T) {
 		}
 		seen[e.Node] = true
 	}
-	if got := v.SelectSubset(rng, 50); len(got) != 10 {
+	if got := v.SelectSubsetAppend(rng, 50, nil); len(got) != 10 {
 		t.Fatalf("oversized request should return all, got %d", len(got))
 	}
-	if got := v.SelectSubset(rng, 0); got != nil {
+	if got := v.SelectSubsetAppend(rng, 0, nil); got != nil {
 		t.Fatal("zero-length subset should be nil")
 	}
 }
@@ -140,8 +140,8 @@ func TestSelectSubsetDeterministicPerSeed(t *testing.T) {
 		}
 		return v
 	}
-	a := build().SelectSubset(rand.New(rand.NewSource(7)), 5)
-	b := build().SelectSubset(rand.New(rand.NewSource(7)), 5)
+	a := build().SelectSubsetAppend(rand.New(rand.NewSource(7)), 5, nil)
+	b := build().SelectSubsetAppend(rand.New(rand.NewSource(7)), 5, nil)
 	if len(a) != 5 || len(b) != 5 {
 		t.Fatalf("lens = %d, %d, want 5", len(a), len(b))
 	}
@@ -167,9 +167,8 @@ func TestRemoveAndDropOlderThan(t *testing.T) {
 	if v.Contains(2) {
 		t.Fatal("Remove failed")
 	}
-	evicted := v.DropOlderThan(9)
-	if len(evicted) != 1 || evicted[0] != 3 {
-		t.Fatalf("evicted = %v, want [3]", evicted)
+	if n := v.DropOlderThan(9); n != 1 || v.Contains(3) {
+		t.Fatalf("evicted %d (node 3 held: %v), want node 3 alone", n, v.Contains(3))
 	}
 	if !v.Contains(1) {
 		t.Fatal("young entry evicted")
@@ -192,8 +191,8 @@ func TestCompactionClearsVacatedTail(t *testing.T) {
 		if v.Len() != wantLen {
 			t.Fatalf("len = %d, want %d", v.Len(), wantLen)
 		}
-		for i, e := range v.entries[:cap(v.entries)][v.Len():] {
-			if e != (Entry{}) {
+		for i, e := range v.slots[:cap(v.slots)][v.Len():] {
+			if e != (slot{}) {
 				t.Fatalf("backing slot %d past Len() still holds %+v", v.Len()+i, e)
 			}
 		}
@@ -206,7 +205,7 @@ func TestCompactionClearsVacatedTail(t *testing.T) {
 	})
 	t.Run("DropOlderThan", func(t *testing.T) {
 		v := fill()
-		if n := len(v.DropOlderThan(4)); n != 3 {
+		if n := v.DropOlderThan(4); n != 3 {
 			t.Fatalf("evicted %d, want 3", n)
 		}
 		check(t, v, 3)
@@ -249,15 +248,14 @@ func TestMatchingSummaries(t *testing.T) {
 	if got[0] != 1 {
 		t.Fatalf("freshest match should come first, got %v", got)
 	}
-	// The returned slice is scratch: copy before the next call.
-	first := append([]simnet.NodeID(nil), got...)
 	z1, z2 := bloom.HashKey("zzz")
 	if len(v.MatchingSummaries(z1, z2)) != 0 {
 		t.Log("false positive (acceptable for a bloom filter)")
 	}
-	again := v.MatchingSummaries(h1, h2)
-	if len(again) != len(first) || again[0] != first[0] {
-		t.Fatalf("scratch reuse changed results: %v vs %v", again, first)
+	// The append form extends the caller's storage and leaves its prefix.
+	again := v.AppendMatching([]simnet.NodeID{9}, h1, h2)
+	if len(again) != 3 || again[0] != 9 || again[1] != got[0] || again[2] != got[1] {
+		t.Fatalf("AppendMatching = %v, want [9 %d %d]", again, got[0], got[1])
 	}
 }
 

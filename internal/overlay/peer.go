@@ -18,6 +18,7 @@ package overlay
 
 import (
 	"math/rand"
+	"slices"
 
 	"flowercdn/internal/bitset"
 	"flowercdn/internal/bloom"
@@ -50,7 +51,7 @@ func (c Config) SummaryBytes() int { return bloom.BytesForCapacity(c.SummaryCapa
 // agrees on who the directory is, especially across replacements (§5.2).
 type DirInfo struct {
 	Addr  simnet.NodeID
-	Age   int
+	Age   int32
 	Known bool
 }
 
@@ -100,16 +101,34 @@ const maxFresh = 6
 // rebuildSummary in ContentPeer.nFresh: the snapshot cannot be extended.
 const rebuildSummary = -1
 
-// ContentPeer is the protocol state of one c(ws,loc): this struct, one
-// word array behind its three bitsets and the view's entry array.
-type ContentPeer struct {
-	addr simnet.NodeID
+// Shared is what the members of one content overlay c(ws,loc) have in
+// common: website, locality, gossip parameters and the site's place in the
+// interned object space. Whoever owns the peers builds it once per overlay
+// (the core system keeps a table per System); it is read-only afterwards.
+type Shared struct {
 	site model.SiteID
 	loc  int
 	cfg  Config
-
 	in   *model.Interner
-	base model.ObjectRef // first ref of the peer's site
+	base model.ObjectRef // first ref of the site
+}
+
+// NewShared describes the overlay of (site, loc). The interner must cover
+// the site; it defines the dense object space content state is indexed by.
+func NewShared(site model.SiteID, loc int, cfg Config, in *model.Interner) *Shared {
+	si := in.SiteIndex(site)
+	if si < 0 {
+		panic("overlay: site not covered by interner")
+	}
+	return &Shared{site: site, loc: loc, cfg: cfg, in: in, base: in.SiteBase(si)}
+}
+
+// ContentPeer is the protocol state of one c(ws,loc): this struct, one word
+// array behind its three bitsets and the view's slot array. What it shares
+// with the rest of its overlay sits behind one pointer.
+type ContentPeer struct {
+	sh   *Shared
+	addr simnet.NodeID
 
 	// Bit state by local index, carved from one array: the stored objects
 	// and the net un-pushed changes. Tracking the *net* effect (an object
@@ -132,35 +151,25 @@ type ContentPeer struct {
 	joinedAt simkernel.Time
 }
 
-// New creates a content peer that joined at the given time. The interner
-// must cover the peer's site; it defines the dense object space all
-// content state is indexed by.
+// New creates a content peer that joined at the given time, with a
+// descriptor of its own: the one-peer form of NewShared + NewPeer.
 func New(addr simnet.NodeID, site model.SiteID, loc int, cfg Config, joinedAt simkernel.Time, in *model.Interner) *ContentPeer {
-	if cfg.ViewSize <= 0 {
-		cfg.ViewSize = 1
-	}
-	if cfg.SummaryCapacity <= 0 {
-		cfg.SummaryCapacity = 1
-	}
-	si := in.SiteIndex(site)
-	if si < 0 {
-		panic("overlay: site not covered by interner")
-	}
-	n := in.ObjectsPerSite()
+	return NewShared(site, loc, cfg, in).NewPeer(addr, joinedAt)
+}
+
+// NewPeer creates a member of the overlay that joined at the given time.
+func (sh *Shared) NewPeer(addr simnet.NodeID, joinedAt simkernel.Time) *ContentPeer {
+	n := sh.in.ObjectsPerSite()
 	nw := bitset.Words(n)
 	words := make([]uint64, 3*nw)
 	return &ContentPeer{
+		sh:       sh,
 		addr:     addr,
-		site:     site,
-		loc:      loc,
-		cfg:      cfg,
-		in:       in,
-		base:     in.SiteBase(si),
 		content:  bitset.Over(words[:nw:nw], n),
 		added:    bitset.Over(words[nw:2*nw:2*nw], n),
 		removed:  bitset.Over(words[2*nw:], n),
 		nFresh:   rebuildSummary,
-		view:     gossip.MakeView(addr, cfg.ViewSize),
+		view:     gossip.MakeView(addr, sh.cfg.ViewSize),
 		joinedAt: joinedAt,
 	}
 }
@@ -169,10 +178,10 @@ func New(addr simnet.NodeID, site model.SiteID, loc int, cfg Config, joinedAt si
 func (c *ContentPeer) Addr() simnet.NodeID { return c.addr }
 
 // Site returns the website the peer supports.
-func (c *ContentPeer) Site() model.SiteID { return c.site }
+func (c *ContentPeer) Site() model.SiteID { return c.sh.site }
 
 // Locality returns the peer's measured locality.
-func (c *ContentPeer) Locality() int { return c.loc }
+func (c *ContentPeer) Locality() int { return c.sh.loc }
 
 // JoinedAt returns the join time (used for replacement-candidate ranking,
 // §5.2: "peer stability").
@@ -186,7 +195,7 @@ func (c *ContentPeer) View() *gossip.View { return &c.view }
 // sites map outside [0, ObjectsPerSite); like dring.Directory, the
 // content API treats them as not-stored no-ops rather than panicking —
 // mis-routed messages must degrade the way the string-keyed maps did.
-func (c *ContentPeer) local(ref model.ObjectRef) int { return int(ref) - int(c.base) }
+func (c *ContentPeer) local(ref model.ObjectRef) int { return int(ref) - int(c.sh.base) }
 
 func (c *ContentPeer) inRange(ref model.ObjectRef) bool {
 	i := c.local(ref)
@@ -209,7 +218,7 @@ func (c *ContentPeer) ContentSize() int { return c.content.Count() }
 func (c *ContentPeer) Objects() []model.ObjectRef {
 	out := make([]model.ObjectRef, 0, c.content.Count())
 	c.content.ForEach(func(i int) {
-		out = append(out, c.base+model.ObjectRef(i))
+		out = append(out, c.sh.base+model.ObjectRef(i))
 	})
 	return out
 }
@@ -263,7 +272,7 @@ func (c *ContentPeer) Summary() *bloom.Filter {
 	}
 	var f *bloom.Filter
 	add := func(i int) {
-		h1, h2 := c.in.Hashes(c.base + model.ObjectRef(i))
+		h1, h2 := c.sh.in.Hashes(c.sh.base + model.ObjectRef(i))
 		f.AddHash(h1, h2)
 	}
 	if c.nFresh > 0 {
@@ -272,7 +281,7 @@ func (c *ContentPeer) Summary() *bloom.Filter {
 			add(int(i))
 		}
 	} else {
-		f = bloom.NewForCapacity(c.cfg.SummaryCapacity)
+		f = bloom.NewForCapacity(c.sh.cfg.SummaryCapacity)
 		c.content.ForEach(add)
 	}
 	c.summary, c.nFresh = f, 0
@@ -292,7 +301,7 @@ func (c *ContentPeer) NeedPush() bool {
 	if base < 1 {
 		base = 1
 	}
-	return float64(changes)/float64(base) >= c.cfg.PushThreshold
+	return float64(changes)/float64(base) >= c.sh.cfg.PushThreshold
 }
 
 // TakePush extracts the ∆list and resets the change counter (Algorithm 5's
@@ -306,8 +315,8 @@ func (c *ContentPeer) TakePush(added, removed []model.ObjectRef) (PushMsg, bool)
 	if c.PendingChanges() == 0 {
 		return msg, false
 	}
-	c.added.ForEach(func(i int) { msg.Added = append(msg.Added, c.base+model.ObjectRef(i)) })
-	c.removed.ForEach(func(i int) { msg.Removed = append(msg.Removed, c.base+model.ObjectRef(i)) })
+	c.added.ForEach(func(i int) { msg.Added = append(msg.Added, c.sh.base+model.ObjectRef(i)) })
+	c.removed.ForEach(func(i int) { msg.Removed = append(msg.Removed, c.sh.base+model.ObjectRef(i)) })
 	c.added.Reset()
 	c.removed.Reset()
 	return msg, true
@@ -371,7 +380,7 @@ func (c *ContentPeer) MakeGossip(rng *rand.Rand, subsetBuf []gossip.Entry) (targ
 	return oldest.Node, GossipMsg{
 		From:       c.addr,
 		Summary:    c.Summary(),
-		ViewSubset: c.view.SelectSubsetAppend(rng, c.cfg.GossipLen, subsetBuf),
+		ViewSubset: c.view.SelectSubsetAppend(rng, c.sh.cfg.GossipLen, subsetBuf),
 		Dir:        c.dir,
 	}, true
 }
@@ -384,7 +393,7 @@ func (c *ContentPeer) AcceptGossip(msg GossipMsg, rng *rand.Rand, subsetBuf []go
 	reply := GossipMsg{
 		From:       c.addr,
 		Summary:    c.Summary(),
-		ViewSubset: c.view.SelectSubsetAppend(rng, c.cfg.GossipLen, subsetBuf),
+		ViewSubset: c.view.SelectSubsetAppend(rng, c.sh.cfg.GossipLen, subsetBuf),
 		Dir:        c.dir,
 		IsReply:    true,
 	}
@@ -412,16 +421,15 @@ func (c *ContentPeer) SeedView(entries []gossip.Entry) {
 func (c *ContentPeer) RemoveContact(node simnet.NodeID) { c.view.Remove(node) }
 
 // DropOldContacts evicts view entries at or beyond the age limit and
-// returns them.
-func (c *ContentPeer) DropOldContacts(ageLimit int) []simnet.NodeID {
-	return c.view.DropOlderThan(ageLimit)
-}
+// reports how many went.
+func (c *ContentPeer) DropOldContacts(ageLimit int) int { return c.view.DropOlderThan(ageLimit) }
 
 // CandidatesFor returns contacts whose summaries test positive for ref, in
 // a load-spreading random order (§4.1: replicas of popular objects spread
-// the load across holders), as a freshly allocated slice.
+// the load across holders), as a freshly allocated slice of their number.
 func (c *ContentPeer) CandidatesFor(ref model.ObjectRef, rng *rand.Rand) []simnet.NodeID {
-	return c.AppendCandidates(nil, ref, rng)
+	var buf [64]simnet.NodeID
+	return slices.Clone(c.AppendCandidates(buf[:0], ref, rng))
 }
 
 // AppendCandidates is CandidatesFor appending to dst (allocation-free
@@ -430,9 +438,9 @@ func (c *ContentPeer) CandidatesFor(ref model.ObjectRef, rng *rand.Rand) []simne
 // use the ref's precomputed hashes; the shuffle draws from rng exactly as
 // CandidatesFor does.
 func (c *ContentPeer) AppendCandidates(dst []simnet.NodeID, ref model.ObjectRef, rng *rand.Rand) []simnet.NodeID {
-	h1, h2 := c.in.Hashes(ref)
+	h1, h2 := c.sh.in.Hashes(ref)
 	base := len(dst)
-	dst = append(dst, c.view.MatchingSummaries(h1, h2)...)
+	dst = c.view.AppendMatching(dst, h1, h2)
 	cands := dst[base:]
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	return dst
@@ -443,8 +451,8 @@ func (c *ContentPeer) AppendCandidates(dst []simnet.NodeID, ref model.ObjectRef,
 // itself as a fresh entry.
 func (c *ContentPeer) ViewSeedFor(rng *rand.Rand, dst []gossip.Entry) []gossip.Entry {
 	if cap(dst) == 0 {
-		dst = make([]gossip.Entry, 0, c.cfg.GossipLen+1) // the subset and this peer, sized once
+		dst = make([]gossip.Entry, 0, c.sh.cfg.GossipLen+1) // the subset and this peer, sized once
 	}
-	dst = c.view.SelectSubsetAppend(rng, c.cfg.GossipLen, dst)
+	dst = c.view.SelectSubsetAppend(rng, c.sh.cfg.GossipLen, dst)
 	return append(dst, gossip.Entry{Node: c.addr, Age: 0, Summary: c.Summary()})
 }

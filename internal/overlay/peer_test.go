@@ -274,9 +274,8 @@ func TestDropOldContacts(t *testing.T) {
 		p.TickAges()
 	}
 	p.View().Refresh(2, nil)
-	evicted := p.DropOldContacts(4)
-	if len(evicted) != 1 || evicted[0] != 3 {
-		t.Fatalf("evicted = %v, want [3]", evicted)
+	if n := p.DropOldContacts(4); n != 1 || p.View().Contains(3) || !p.View().Contains(2) {
+		t.Fatalf("evicted %d, view %v; want node 3 alone gone", n, p.View().Entries())
 	}
 	p.RemoveContact(2)
 	if p.View().Len() != 0 {
@@ -296,7 +295,7 @@ func TestGossipWireBytes(t *testing.T) {
 	}
 	// header 20 + dir 8 + own summary 100 + 1 entry (8 + 100).
 	want := 20 + 8 + 100 + 108
-	if got := msg.WireBytes(p.cfg.SummaryBytes()); got != want {
+	if got := msg.WireBytes(p.sh.cfg.SummaryBytes()); got != want {
 		t.Fatalf("WireBytes = %d, want %d", got, want)
 	}
 	// 3 interned refs at 4 B each on top of the 20-byte header.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"flowercdn/internal/bloom"
 	"flowercdn/internal/gossip"
@@ -70,7 +71,7 @@ func TestDeltaListAgainstReference(t *testing.T) {
 			if size < 1 {
 				size = 1
 			}
-			if want := changes > 0 && float64(changes)/float64(size) >= p.cfg.PushThreshold; p.NeedPush() != want {
+			if want := changes > 0 && float64(changes)/float64(size) >= p.sh.cfg.PushThreshold; p.NeedPush() != want {
 				t.Fatalf("seed %d step %d: NeedPush=%v with %d changes over %d objects", seed, step, p.NeedPush(), changes, size)
 			}
 		}
@@ -104,7 +105,7 @@ func TestSummaryDeltaAgainstRebuild(t *testing.T) {
 				p.RemoveObject(ref(rng.Intn(n)))
 			default:
 				got := p.Summary()
-				want := bloom.NewForCapacity(p.cfg.SummaryCapacity)
+				want := bloom.NewForCapacity(p.sh.cfg.SummaryCapacity)
 				for _, o := range p.Objects() {
 					want.AddHash(testIn.Hashes(o))
 				}
@@ -126,22 +127,36 @@ func TestSummaryDeltaAgainstRebuild(t *testing.T) {
 }
 
 // A join's worth of overlay state is the struct and the one word array
-// behind its three bitsets; the view's entry array comes with the first
-// seed.
+// behind its three bitsets; the view's slot array comes with the first
+// seed. The overlay's descriptor is paid once, not per member — the
+// one-peer New builds its own.
 func TestNewAllocs(t *testing.T) {
 	var p *ContentPeer
-	if avg := testing.AllocsPerRun(50, func() { p = newPeer(1) }); avg != 2 {
-		t.Fatalf("overlay.New costs %.0f allocations, want 2", avg)
+	sh := NewShared("ws-000", 2, DefaultConfig(), testIn)
+	if avg := testing.AllocsPerRun(50, func() { p = sh.NewPeer(1, 0) }); avg != 2 {
+		t.Fatalf("a member of an existing overlay costs %.0f allocations, want 2", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() { p = newPeer(1) }); avg != 3 {
+		t.Fatalf("overlay.New costs %.0f allocations, want 3", avg)
 	}
 	seed := []gossip.Entry{{Node: 2}, {Node: 3, Age: 1}}
 	if avg := testing.AllocsPerRun(50, func() {
-		p = newPeer(1)
+		p = sh.NewPeer(1, 0)
 		p.SeedView(seed)
 		p.AddObject(ref(1))
 		p.RemoveObject(ref(1))
 		p.AddObject(ref(2))
 		p.TakePush(nil, nil)
-	}); avg != 4 { // New's two, the entry array, the Added list
+	}); avg != 4 { // NewPeer's two, the slot array, the Added list
 		t.Fatalf("a seeded peer with a first push costs %.0f allocations, want 4", avg)
+	}
+}
+
+// The per-member record: what 66k joined peers of a 100k-client run each
+// hold. 208 bytes today (a malloc size class); the descriptor's five fields
+// must not creep back in.
+func TestContentPeerSize(t *testing.T) {
+	if got := unsafe.Sizeof(ContentPeer{}); got > 240 {
+		t.Fatalf("ContentPeer is %d bytes, want <= 240", got)
 	}
 }
