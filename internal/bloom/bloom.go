@@ -19,27 +19,79 @@ import (
 
 // Filter is a standard Bloom filter. The zero value is unusable; construct
 // with New or NewForCapacity.
+//
+// The header is 32 bytes and, for filters of up to 128 words, sits in the
+// same heap object as the bit array (see newBlock): a content summary is
+// republished as a fresh immutable snapshot whenever its peer's content
+// changed, so the cost of one filter is the simulator's steady-state
+// allocation rate. bits comes first so that the collector's scan of a block
+// stops after one word.
 type Filter struct {
 	bits   []uint64
-	mBits  uint64
-	hashes uint32
-	count  uint64 // number of Add calls (upper bound on distinct items)
+	count  uint32 // number of Add calls (upper bound on distinct items); the width MarshalBinary writes
+	hashes uint8
+	tail   uint8 // unused bits of the last word: the size in bits is 64·len(bits) − tail
 }
 
-// New creates a filter with mBits bits and k hash functions.
+// block is a Filter next to a fixed word array, one heap object. Its five
+// classes (8 … 128 words, see newBlock) put the sizes the presets use — 60,
+// 100 and 500 objects = 8, 13 and 63 words — in 96-, 160- and 576-byte
+// objects. A one-word header in front of a variable-length array would save
+// the slice's 16 bytes, but needs unsafe to reach the words; fixed arrays
+// do not.
+type block[A any] struct {
+	f Filter
+	w A
+}
+
+// newBlock returns a zeroed filter of the given word count, in one
+// allocation when a block class holds it and as header plus array beyond.
+// The returned pointer is interior to the block, which keeps all of it
+// alive; the collector frees it like any other object.
+func newBlock(words int) *Filter {
+	var f *Filter
+	var w []uint64
+	switch {
+	case words <= 8:
+		b := new(block[[8]uint64])
+		f, w = &b.f, b.w[:]
+	case words <= 16:
+		b := new(block[[16]uint64])
+		f, w = &b.f, b.w[:]
+	case words <= 32:
+		b := new(block[[32]uint64])
+		f, w = &b.f, b.w[:]
+	case words <= 64:
+		b := new(block[[64]uint64])
+		f, w = &b.f, b.w[:]
+	case words <= 128:
+		b := new(block[[128]uint64])
+		f, w = &b.f, b.w[:]
+	default:
+		f, w = new(Filter), make([]uint64, words)
+	}
+	f.bits = w[:words]
+	return f
+}
+
+// New creates a filter with mBits bits and k hash functions (k ≤ 255), as
+// one heap object up to 8192 bits.
 func New(mBits int, k int) *Filter {
 	if mBits <= 0 {
 		panic(fmt.Sprintf("bloom: non-positive size %d", mBits))
 	}
-	if k <= 0 {
-		panic(fmt.Sprintf("bloom: non-positive hash count %d", k))
+	if k <= 0 || k > math.MaxUint8 {
+		panic(fmt.Sprintf("bloom: hash count %d outside [1, %d]", k, math.MaxUint8))
 	}
-	return &Filter{
-		bits:   make([]uint64, (mBits+63)/64),
-		mBits:  uint64(mBits),
-		hashes: uint32(k),
-	}
+	words := (mBits + 63) / 64
+	f := newBlock(words)
+	f.hashes = uint8(k)
+	f.tail = uint8(64*words - mBits)
+	return f
 }
+
+// mBits is the filter size in bits, the modulus of every probe.
+func (f *Filter) mBits() uint64 { return uint64(len(f.bits))<<6 - uint64(f.tail) }
 
 // NewForCapacity creates a filter sized per Table 1 of the paper: 8 bits
 // per expected item, with the optimal hash count for that load.
@@ -89,8 +141,9 @@ func HashKey(key string) (h1, h2 uint64) {
 // zero allocation: the per-probe work is one multiply-add and a modulo.
 func (f *Filter) AddHash(h1, h2 uint64) {
 	h2 |= 1 // odd => full period
-	for i := uint32(0); i < f.hashes; i++ {
-		idx := (h1 + uint64(i)*h2) % f.mBits
+	m := f.mBits()
+	for i := uint64(0); i < uint64(f.hashes); i++ {
+		idx := (h1 + i*h2) % m
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
 	f.count++
@@ -100,8 +153,9 @@ func (f *Filter) AddHash(h1, h2 uint64) {
 // in the filter. False positives are possible; false negatives are not.
 func (f *Filter) TestHash(h1, h2 uint64) bool {
 	h2 |= 1
-	for i := uint32(0); i < f.hashes; i++ {
-		idx := (h1 + uint64(i)*h2) % f.mBits
+	m := f.mBits()
+	for i := uint64(0); i < uint64(f.hashes); i++ {
+		idx := (h1 + i*h2) % m
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
 			return false
 		}
@@ -130,14 +184,11 @@ func (f *Filter) Reset() {
 	f.count = 0
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, in one heap object when New would have made
+// the source in one.
 func (f *Filter) Clone() *Filter {
-	cp := &Filter{
-		bits:   make([]uint64, len(f.bits)),
-		mBits:  f.mBits,
-		hashes: f.hashes,
-		count:  f.count,
-	}
+	cp := newBlock(len(f.bits))
+	cp.count, cp.hashes, cp.tail = f.count, f.hashes, f.tail
 	copy(cp.bits, f.bits)
 	return cp
 }
@@ -147,7 +198,7 @@ var ErrIncompatible = errors.New("bloom: filters have different size or hash cou
 
 // Union ORs other into f. Both filters must have identical parameters.
 func (f *Filter) Union(other *Filter) error {
-	if other == nil || f.mBits != other.mBits || f.hashes != other.hashes {
+	if other == nil || f.mBits() != other.mBits() || f.hashes != other.hashes {
 		return ErrIncompatible
 	}
 	for i := range f.bits {
@@ -158,7 +209,7 @@ func (f *Filter) Union(other *Filter) error {
 }
 
 // Bits returns the filter size in bits.
-func (f *Filter) Bits() int { return int(f.mBits) }
+func (f *Filter) Bits() int { return int(f.mBits()) }
 
 // Hashes returns the number of hash functions.
 func (f *Filter) Hashes() int { return int(f.hashes) }
@@ -168,7 +219,7 @@ func (f *Filter) Count() int { return int(f.count) }
 
 // SizeBytes is the wire size of the filter used for traffic accounting:
 // the bit array only, as in Summary Cache.
-func (f *Filter) SizeBytes() int { return int((f.mBits + 7) / 8) }
+func (f *Filter) SizeBytes() int { return (f.Bits() + 7) / 8 }
 
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 {
@@ -176,7 +227,7 @@ func (f *Filter) FillRatio() float64 {
 	for _, w := range f.bits {
 		ones += popcount(w)
 	}
-	return float64(ones) / float64(f.mBits)
+	return float64(ones) / float64(f.mBits())
 }
 
 func popcount(x uint64) int {
@@ -198,9 +249,9 @@ func (f *Filter) EstimatedFalsePositiveRate() float64 {
 // gossip message would carry on a real wire.
 func (f *Filter) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 16+len(f.bits)*8)
-	binary.LittleEndian.PutUint64(buf[0:8], f.mBits)
-	binary.LittleEndian.PutUint32(buf[8:12], f.hashes)
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(f.count))
+	binary.LittleEndian.PutUint64(buf[0:8], f.mBits())
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(f.hashes))
+	binary.LittleEndian.PutUint32(buf[12:16], f.count)
 	for i, w := range f.bits {
 		binary.LittleEndian.PutUint64(buf[16+8*i:], w)
 	}
@@ -215,16 +266,18 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	mBits := binary.LittleEndian.Uint64(data[0:8])
 	hashes := binary.LittleEndian.Uint32(data[8:12])
 	count := binary.LittleEndian.Uint32(data[12:16])
+	// A size the data cannot hold is rejected before it is rounded to words,
+	// where it could wrap.
+	if mBits == 0 || mBits > 8*uint64(len(data)) || hashes == 0 || hashes > math.MaxUint8 {
+		return errors.New("bloom: invalid parameters")
+	}
 	words := int((mBits + 63) / 64)
 	if len(data) != 16+8*words {
 		return fmt.Errorf("bloom: body is %d bytes, want %d", len(data)-16, 8*words)
 	}
-	if mBits == 0 || hashes == 0 {
-		return errors.New("bloom: invalid parameters")
-	}
-	f.mBits = mBits
-	f.hashes = hashes
-	f.count = uint64(count)
+	f.hashes = uint8(hashes)
+	f.tail = uint8(uint64(words)*64 - mBits)
+	f.count = count
 	f.bits = make([]uint64, words)
 	for i := range f.bits {
 		f.bits[i] = binary.LittleEndian.Uint64(data[16+8*i:])

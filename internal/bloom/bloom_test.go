@@ -1,10 +1,12 @@
 package bloom
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
@@ -235,4 +237,81 @@ func TestFillRatioMonotone(t *testing.T) {
 	if prev <= 0 || prev > 1 {
 		t.Fatalf("fill ratio out of range: %v", prev)
 	}
+}
+
+// A filter of up to 128 words is one heap object — header and bit array in
+// one block — and two beyond; its header is at most 32 bytes; a clone is
+// equal to its source and independent of it.
+func TestFilterOneBlock(t *testing.T) {
+	if got := unsafe.Sizeof(Filter{}); got > 32 {
+		t.Fatalf("Filter header is %d bytes, want ≤ 32", got)
+	}
+	for _, words := range []int{1, 2, 7, 8, 9, 13, 16, 17, 32, 33, 63, 64, 65, 127, 128, 129, 200} {
+		want := 1.0
+		if words > 128 {
+			want = 2
+		}
+		mBits := 64*words - 17 // a partly used last word
+		src := New(mBits, 6)
+		for i := 0; i < 2*words; i++ {
+			src.Add(fmt.Sprintf("k%d", i))
+		}
+		for name, alloc := range map[string]func(){
+			"New":            func() { sinkFilter = New(mBits, 6) },
+			"NewForCapacity": func() { sinkFilter = NewForCapacity(8 * words) }, // 64·words bits
+			"Clone":          func() { sinkFilter = src.Clone() },
+		} {
+			if got := testing.AllocsPerRun(50, alloc); got != want {
+				t.Errorf("%s at %d words: %.0f allocations, want %.0f", name, words, got, want)
+			}
+		}
+		if got := NewForCapacity(8 * words); len(got.bits) != words {
+			t.Fatalf("NewForCapacity(%d) has %d words, want %d", 8*words, len(got.bits), words)
+		}
+
+		before := mustMarshal(t, src)
+		cp := src.Clone()
+		if cp.Bits() != src.Bits() || cp.Hashes() != src.Hashes() || cp.Count() != src.Count() {
+			t.Fatalf("%d words: clone header (%d, %d, %d) differs from source (%d, %d, %d)", words,
+				cp.Bits(), cp.Hashes(), cp.Count(), src.Bits(), src.Hashes(), src.Count())
+		}
+		if !bytes.Equal(mustMarshal(t, cp), before) {
+			t.Fatalf("%d words: clone serialises differently from its source", words)
+		}
+		cp.Add("only in the clone")
+		cloned := mustMarshal(t, cp)
+		if bytes.Equal(cloned, before) || !bytes.Equal(mustMarshal(t, src), before) {
+			t.Fatalf("%d words: an insertion into the clone missed it or reached the source", words)
+		}
+		src.Add("only in the source")
+		if bytes.Equal(mustMarshal(t, src), before) || !bytes.Equal(mustMarshal(t, cp), cloned) {
+			t.Fatalf("%d words: an insertion into the source missed it or reached the clone", words)
+		}
+	}
+
+	// The size in bits is kept as the unused tail of the last word.
+	for mBits := 1; mBits <= 8256; mBits++ {
+		f := New(mBits, 3)
+		if f.Bits() != mBits || f.SizeBytes() != (mBits+7)/8 || len(f.bits) != (mBits+63)/64 {
+			t.Fatalf("New(%d): Bits %d, SizeBytes %d, %d words", mBits, f.Bits(), f.SizeBytes(), len(f.bits))
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New(m, 256) did not panic: the hash count is kept in a byte")
+		}
+	}()
+	New(1024, 256)
+}
+
+var sinkFilter *Filter
+
+func mustMarshal(t *testing.T, f *Filter) []byte {
+	t.Helper()
+	data, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

@@ -265,7 +265,7 @@ func (s *System) pushFullContent(h *host) {
 	// An additions-only push (full-content re-registration, §5.2).
 	m := s.newPushMsg(h.cp.Site())
 	m.M.From = h.addr
-	m.M.Added = append(m.M.Added, h.cp.Objects()...)
+	m.M.Added = h.cp.AppendObjects(m.M.Added)
 	s.net.Send(h.addr, d.Addr, simnet.CatPush, m.M.WireBytes(), m)
 	h.cp.RefreshDir()
 }

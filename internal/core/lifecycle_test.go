@@ -8,6 +8,7 @@ import (
 	"flowercdn/internal/gossip"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/model"
+	"flowercdn/internal/overlay"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/workload"
@@ -213,6 +214,86 @@ func TestEnvelopePoolHygiene(t *testing.T) {
 	if again := s.newPushMsg(e.cfg.Sites[1]); again != push || !again.live {
 		t.Fatal("the pool did not hand the released envelope out again, live")
 	}
+}
+
+// TestEnvelopesReturnOnLoss: a pooled envelope whose message the network
+// loses — at a failed sender, in the fault plane, at a failed receiver —
+// comes back to the pool, its subset buffer with it, so a burst of lost
+// messages takes nothing from the heap once the pool has seen one like it;
+// and gossipMsg, the envelope the network hands back most often, panics on
+// a second release like the other three.
+func TestEnvelopesReturnOnLoss(t *testing.T) {
+	e := newTestEnv(t, 94, nil)
+	s := e.sys
+	up, deadTo, deadFrom := s.PoolNode(0, 0, 0), s.PoolNode(0, 0, 1), s.PoolNode(0, 0, 2)
+	s.net.Fail(deadTo)
+	s.net.Fail(deadFrom)
+	q := s.newQuery()
+	q.Origin = up
+	site, sum := e.cfg.Sites[0], bloom.New(64, 2)
+
+	const rounds = 40
+	burst := func() {
+		for i := 0; i < rounds; i++ {
+			from, to := up, deadTo
+			if i%4 == 0 {
+				from, to = deadFrom, up
+			}
+			sub := append(s.takeSubsetBuf(), gossip.Entry{Node: up, Summary: sum}, gossip.Entry{Node: deadTo, Summary: sum})
+			s.net.Send(from, to, simnet.CatGossip, 100, s.newGossipMsg(site, 0, overlay.GossipMsg{From: from, Summary: sum, ViewSubset: sub}))
+			push := s.newPushMsg(site)
+			push.M.Added = append(push.M.Added, 1, 2, 3)
+			s.net.Send(from, to, simnet.CatPush, 100, push)
+			serve := s.newServeMsg(q, true)
+			serve.ViewSeed = append(serve.ViewSeed, gossip.Entry{Node: up, Summary: sum})
+			s.net.Send(from, to, simnet.CatTransfer, 100, serve)
+			s.net.Send(from, to, simnet.CatQuery, 100, s.newRoutedMsg(7, up, q, false))
+		}
+		e.k.Run(e.k.Now() + simkernel.Minute)
+	}
+	pooled := func() [5]int {
+		p := &s.pool
+		return [5]int{len(p.gossip), len(p.subset), len(p.push), len(p.serve), len(p.routed)}
+	}
+
+	// Without loss every message to the failed receiver is in flight at
+	// once: the most envelopes a burst can hold, all handed back on arrival.
+	burst()
+	warm := pooled()
+	inFlight := rounds - rounds/4
+	if warm != [5]int{inFlight, inFlight, inFlight, inFlight, inFlight} {
+		t.Fatalf("after a burst with %d messages of each kind in flight the pools hold %v", inFlight, warm)
+	}
+	sent, dropped := s.net.Sent(), s.net.Dropped()
+	if dropped != 4*rounds {
+		t.Fatalf("%d of the burst's %d messages were dropped", dropped, 4*rounds)
+	}
+
+	s.InstallFaults(&simnet.FaultConfig{LossProb: 0.5})
+	burst()
+	burst()
+	if s.net.FaultDropped() == 0 || s.net.Sent() == sent || s.net.Dropped()-dropped <= 2*4*rounds/4 {
+		t.Fatalf("the lossy bursts missed a loss site: %d fault drops, %d sent, %d dropped at an endpoint",
+			s.net.FaultDropped(), s.net.Sent()-sent, s.net.Dropped()-dropped)
+	}
+	if got := pooled(); got != warm {
+		t.Fatalf("pools hold %v after the lossy bursts, %v before: an envelope was lost or a new one made", got, warm)
+	}
+	if sub := s.takeSubsetBuf(); cap(sub) < 2 || sub[:2][0] != (gossip.Entry{}) {
+		t.Fatal("a handed-back subset buffer lost its backing, or still pins a summary through it")
+	}
+
+	g := s.newGossipMsg(site, 0, overlay.GossipMsg{From: up})
+	s.putGossipMsg(g)
+	if g.live || g.Site != "" || g.M.From != 0 {
+		t.Fatalf("released gossip envelope not zeroed: %+v", *g)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double gossip release did not panic")
+		}
+	}()
+	s.putGossipMsg(g)
 }
 
 // TestShedSlotReleasedAtOriginRetryCap: a query that took a takeover-

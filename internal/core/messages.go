@@ -203,6 +203,7 @@ type serveMsg struct {
 // steady-state gossip rounds do not allocate an envelope per exchange;
 // allocate via System.newGossipMsg, release via System.putGossipMsg.
 type gossipMsg struct {
+	live bool
 	Site model.SiteID
 	Loc  int
 	M    overlay.GossipMsg

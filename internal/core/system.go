@@ -146,9 +146,11 @@ func take[T any](free *[]*T) *T {
 }
 
 // put zeroes a released envelope and returns it to a free list. live is
-// the envelope's own flag (zeroed with it): every handler of a pooled
-// envelope ends by releasing it, so one that is handed a released envelope
-// — or releases one twice — panics here instead of corrupting the pool.
+// the envelope's own flag (zeroed with it): every journey of a pooled
+// envelope ends in one release — by the handler it reached, or by the
+// network's drop hook (reclaim) when it reached none — so a second release,
+// or a release of an envelope already handed back, panics here instead of
+// corrupting the pool.
 func put[T any](free *[]*T, e *T, live *bool) {
 	if !*live {
 		panic("core: pooled envelope used after release")
@@ -156,6 +158,23 @@ func put[T any](free *[]*T, e *T, live *bool) {
 	var zero T
 	*e = zero
 	*free = append(*free, e)
+}
+
+// reclaim is the network's drop hook (set once in New): a message lost at a
+// dead sender, in the fault plane or at a dead receiver ends its journey in
+// the network, which hands its envelope back here instead of leaving it —
+// and the buffers inside it — to the collector.
+func (s *System) reclaim(payload any) {
+	switch m := payload.(type) {
+	case *gossipMsg:
+		s.putGossipMsg(m)
+	case *pushMsg:
+		s.putPushMsg(m)
+	case *serveMsg:
+		s.putServeMsg(m)
+	case *routedMsg:
+		s.putRoutedMsg(m)
+	}
 }
 
 // queryChunk is the slab chunk size in Query records (~13 KB): a query
@@ -173,7 +192,9 @@ func (s *System) newQuery() *Query {
 }
 
 // Pooled query-path envelopes: taken from the pool when sent, released by
-// the handler that ends their journey, which must not touch them after.
+// the handler that ends their journey, which must not touch them after. Nor
+// may a sender after Send: a message from a dead host or into the fault
+// plane is released before Send returns.
 
 func (s *System) newServeMsg(q *Query, fromContentPeer bool) *serveMsg {
 	m := take(&s.pool.serve)
@@ -217,7 +238,7 @@ func (s *System) putPushMsg(m *pushMsg) {
 // fills it.
 func (s *System) newGossipMsg(site model.SiteID, loc int, m overlay.GossipMsg) *gossipMsg {
 	g := take(&s.pool.gossip)
-	g.Site, g.Loc, g.M = site, loc, m
+	g.live, g.Site, g.Loc, g.M = true, site, loc, m
 	return g
 }
 
@@ -225,15 +246,12 @@ func (s *System) newGossipMsg(site model.SiteID, loc int, m overlay.GossipMsg) *
 // buffer travelling inside it — to the pool. The handler must not retain
 // any reference to the envelope or its M field afterwards.
 func (s *System) putGossipMsg(g *gossipMsg) {
-	p := &s.pool
-	if sub := g.M.ViewSubset; cap(sub) > 0 {
-		for i := range sub {
-			sub[i] = gossip.Entry{} // do not pin summaries while pooled
-		}
-		p.subset = append(p.subset, sub[:0])
+	sub := g.M.ViewSubset
+	put(&s.pool.gossip, g, &g.live) // zeroed: releases the subset slice and summary pointers
+	if cap(sub) > 0 {
+		clear(sub) // do not pin summaries while pooled
+		s.pool.subset = append(s.pool.subset, sub[:0])
 	}
-	*g = gossipMsg{} // release the view-subset slice and summary pointers
-	p.gossip = append(p.gossip, g)
 }
 
 // takeSubsetBuf takes an empty view-subset buffer from the pool (nil when
@@ -342,6 +360,7 @@ func New(cfg Config, deps Deps) (*System, error) {
 		standbySyncEvery: max(cfg.TKeepalive/8, simkernel.Second),
 	}
 	s.net.SetSink(deps.Metrics)
+	s.net.OnDrop(s.reclaim)
 	s.pool.awaitFn = s.resumeAwait
 	s.gossipTimeoutFn = s.onGossipTimeout
 	s.kaTimeoutFn = s.onKaTimeout

@@ -61,11 +61,12 @@ type Config struct {
 	Horizon simkernel.Time
 
 	// ExpectedQueries is how many queries the run is expected to record.
-	// When set, the raw sample series are sized for it once — on the first
-	// recorded query, so an idle collector stays small — instead of growing
-	// by doubling (which allocates twice the final size in total and leaves
-	// up to half the last array unused); a run that records more still
-	// works, the series then grow on demand. 0 means "unknown".
+	// When set, the transfer-distance sample series is sized for it once —
+	// on the first recorded query, so an idle collector stays small —
+	// instead of growing by doubling (which allocates twice the final size
+	// in total and leaves up to half the last array unused); a run that
+	// records more still works, the series then grows on demand. 0 means
+	// "unknown".
 	ExpectedQueries int
 
 	LatencyBinMs  float64 // histogram bin width for lookup latency (default 150, per Fig 7b)
@@ -134,10 +135,16 @@ type Collector struct {
 	latencyHist  []int64 // LatencyBins + 1 (overflow)
 	distanceHist []int64 // DistanceBins + 1
 
-	// Raw samples for exact percentiles (a 24-hour paper-scale run holds
-	// ~500k samples ≈ 4 MB per series — cheap for a simulator).
-	lookupSamples []float64
-	distSamples   []float64
+	// Lookup latencies are whole simulated milliseconds, so the exact
+	// percentiles need no samples: lookupCounts[ms] counts the queries that
+	// took ms, grown to the slowest lookup seen (a few KB on a clean
+	// network). Slots stop at maxLookupSlot, which gathers everything
+	// slower; lookupMaxMs keeps the true maximum beside it.
+	lookupCounts []uint32
+	lookupMaxMs  int
+	// Transfer distances are fractional: raw samples (a 24-hour paper-scale
+	// run holds ~500k ≈ 4 MB), sorted in place by Snapshot.
+	distSamples []float64
 
 	trafficBytes [simnet.NumCategories]int64
 	trafficMsgs  [simnet.NumCategories]int64
@@ -248,8 +255,7 @@ func (c *Collector) RecordMessage(at simkernel.Time, from, to simnet.NodeID, cat
 // RecordQuery records a resolved query. distMs < 0 means "no transfer
 // distance" (should not normally happen; local hits record 0).
 func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs float64) {
-	if c.lookupSamples == nil && c.cfg.ExpectedQueries > 0 {
-		c.lookupSamples = make([]float64, 0, c.cfg.ExpectedQueries)
+	if c.distSamples == nil && c.cfg.ExpectedQueries > 0 {
 		c.distSamples = make([]float64, 0, c.cfg.ExpectedQueries)
 	}
 	c.totalQueries++
@@ -260,7 +266,7 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 	}
 	c.lookupSum += lookupMs
 	c.lookupBySource[src] += lookupMs
-	c.lookupSamples = append(c.lookupSamples, lookupMs)
+	c.countLookup(int(lookupMs)) // the clock's resolution: a fractional part is dropped
 	bin := int(lookupMs / c.cfg.LatencyBinMs)
 	if bin >= len(c.latencyHist) {
 		bin = len(c.latencyHist) - 1
@@ -293,6 +299,21 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 			c.p2pDistCount++
 		}
 	}
+}
+
+// maxLookupSlot is the last slot of lookupCounts, ≈ 17 simulated minutes.
+// The retry ladders give up within a few minutes, so no run gets near it;
+// it bounds the array (4 MB) should one ever do.
+const maxLookupSlot = 1<<20 - 1
+
+// countLookup adds one lookup of ms whole milliseconds to the counts.
+func (c *Collector) countLookup(ms int) {
+	c.lookupMaxMs = max(c.lookupMaxMs, ms)
+	ms = min(ms, maxLookupSlot)
+	if ms >= len(c.lookupCounts) {
+		c.lookupCounts = append(c.lookupCounts, make([]uint32, ms+1-len(c.lookupCounts))...)
+	}
+	c.lookupCounts[ms]++
 }
 
 // RecordRedirectFailure counts a redirection to a dead peer (§5.1).

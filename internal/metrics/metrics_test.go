@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -352,5 +353,56 @@ func TestNegativeDistanceSkipped(t *testing.T) {
 	}
 	if total != 0 {
 		t.Fatal("distance histogram should be empty")
+	}
+}
+
+// The lookup percentiles are read off per-millisecond counts; they must be
+// the order statistics computePercentiles extracts from the same whole-ms
+// samples, whatever the series: empty, single, all equal, and wide enough
+// that the count array grew several times.
+func TestCountedPercentilesMatchSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	series := [][]int{
+		{},
+		{0},
+		{42},
+		{7, 7, 7, 7, 7, 7, 7},
+		{3, 250000, 3}, // one outlier grows the array past everything else
+	}
+	for trial := 0; trial < 300; trial++ {
+		n, spread := 1+rng.Intn(400), 1+rng.Intn(5000)
+		s := make([]int, n)
+		for i := range s {
+			s[i] = rng.Intn(spread)
+			if rng.Intn(50) == 0 {
+				s[i] *= 40 // a retry-ladder tail
+			}
+		}
+		series = append(series, s)
+	}
+	for _, s := range series {
+		c := New(Config{})
+		samples := make([]float64, len(s))
+		for i, ms := range s {
+			samples[i] = float64(ms)
+			c.RecordQuery(0, SourcePeer, float64(ms), -1)
+		}
+		want := computePercentiles(samples)
+		if got := c.Snapshot(simkernel.Hour).LookupPercentiles; got != want {
+			t.Fatalf("%d samples %v: counted %+v, sorted %+v", len(s), s[:min(len(s), 8)], got, want)
+		}
+		if len(c.lookupCounts) > 0 && len(c.lookupCounts) != int(want.Max)+1 {
+			t.Fatalf("count array has %d slots for a maximum of %v ms", len(c.lookupCounts), want.Max)
+		}
+	}
+
+	// A fractional lookup is counted at the clock's resolution, and the
+	// slowest one is reported exactly even when its slot is the clamped last.
+	c := New(Config{})
+	c.RecordQuery(0, SourcePeer, 149.9, -1)
+	c.RecordQuery(0, SourcePeer, 5*maxLookupSlot, -1)
+	p := c.Snapshot(simkernel.Hour).LookupPercentiles
+	if p.P50 != 149 || p.Max != 5*maxLookupSlot || len(c.lookupCounts) != maxLookupSlot+1 {
+		t.Fatalf("p50 %v max %v over %d slots, want 149, %d, %d", p.P50, p.Max, len(c.lookupCounts), 5*maxLookupSlot, maxLookupSlot+1)
 	}
 }

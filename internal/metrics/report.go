@@ -36,32 +36,48 @@ type Percentiles struct {
 	Max                float64
 }
 
-// computePercentiles sorts a copy of the samples and extracts the order
-// statistics (nearest-rank method).
+// nearestRank is the index, in a sorted series of n ≥ 1 samples, of the
+// q-quantile by the nearest-rank method.
+func nearestRank(q float64, n int) int {
+	return min(max(int(q*float64(n)+0.5)-1, 0), n-1)
+}
+
+// computePercentiles sorts the samples in place (their order carries no
+// meaning) and extracts the order statistics.
 func computePercentiles(samples []float64) Percentiles {
-	if len(samples) == 0 {
+	n := len(samples)
+	if n == 0 {
 		return Percentiles{}
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	at := func(q float64) float64 {
-		i := int(q*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
+	sort.Float64s(samples)
 	return Percentiles{
-		P50: at(0.50),
-		P90: at(0.90),
-		P95: at(0.95),
-		P99: at(0.99),
-		Max: sorted[len(sorted)-1],
+		P50: samples[nearestRank(0.50, n)],
+		P90: samples[nearestRank(0.90, n)],
+		P95: samples[nearestRank(0.95, n)],
+		P99: samples[nearestRank(0.99, n)],
+		Max: samples[n-1],
 	}
+}
+
+// countedPercentiles reads the same order statistics off per-millisecond
+// counts of n samples: the sample at sorted index i is the first slot whose
+// running total exceeds i. maxMs is the exact maximum, which the last slot
+// may have clamped.
+func countedPercentiles(counts []uint32, n int64, maxMs int) Percentiles {
+	if n == 0 {
+		return Percentiles{}
+	}
+	var out [4]float64
+	ms, below := 0, int64(0) // below: samples in slots before ms
+	for k, q := range [4]float64{0.50, 0.90, 0.95, 0.99} {
+		i := int64(nearestRank(q, int(n)))
+		for below+int64(counts[ms]) <= i {
+			below += int64(counts[ms])
+			ms++
+		}
+		out[k] = float64(ms)
+	}
+	return Percentiles{P50: out[0], P90: out[1], P95: out[2], P99: out[3], Max: float64(maxMs)}
 }
 
 // TrafficStat summarises one category.
@@ -159,7 +175,7 @@ func (c *Collector) Snapshot(end simkernel.Time) Report {
 	}
 	r.LatencyHist = buildHist(c.latencyHist, c.cfg.LatencyBinMs, c.totalQueries)
 	r.DistanceHist = buildHist(c.distanceHist, c.cfg.DistanceBinMs, c.distCount)
-	r.LookupPercentiles = computePercentiles(c.lookupSamples)
+	r.LookupPercentiles = countedPercentiles(c.lookupCounts, c.totalQueries, c.lookupMaxMs)
 	r.TransferPercentiles = computePercentiles(c.distSamples)
 
 	var backgroundBytes int64

@@ -213,14 +213,18 @@ func (c *ContentPeer) Has(ref model.ObjectRef) bool {
 // ContentSize returns the number of stored objects.
 func (c *ContentPeer) ContentSize() int { return c.content.Count() }
 
-// Objects returns the stored object refs in ascending (canonical key)
-// order.
-func (c *ContentPeer) Objects() []model.ObjectRef {
-	out := make([]model.ObjectRef, 0, c.content.Count())
+// AppendObjects appends the stored object refs to dst in ascending
+// (canonical key) order.
+func (c *ContentPeer) AppendObjects(dst []model.ObjectRef) []model.ObjectRef {
 	c.content.ForEach(func(i int) {
-		out = append(out, c.sh.base+model.ObjectRef(i))
+		dst = append(dst, c.sh.base+model.ObjectRef(i))
 	})
-	return out
+	return dst
+}
+
+// Objects is AppendObjects into a fresh slice, for callers that keep it.
+func (c *ContentPeer) Objects() []model.ObjectRef {
+	return c.AppendObjects(make([]model.ObjectRef, 0, c.content.Count()))
 }
 
 // AddObject stores a retrieved object ("peers keep the web-pages they

@@ -150,6 +150,30 @@ func TestNewAllocs(t *testing.T) {
 	}); avg != 4 { // NewPeer's two, the slot array, the Added list
 		t.Fatalf("a seeded peer with a first push costs %.0f allocations, want 4", avg)
 	}
+
+	// Publishing a summary costs the snapshot — one block — on both paths,
+	// and listing the content into a grown buffer costs nothing.
+	p = sh.NewPeer(1, 0)
+	next := 0
+	if avg := testing.AllocsPerRun(50, func() {
+		next++
+		p.AddObject(ref(next))
+		p.Summary() // the last snapshot plus the object stored since
+	}); avg != 1 {
+		t.Fatalf("an incremental summary costs %.0f allocations, want 1", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		p.RemoveObject(ref(next))
+		next--
+		p.Summary() // rebuilt from the content list
+	}); avg != 1 {
+		t.Fatalf("a rebuilt summary costs %.0f allocations, want 1", avg)
+	}
+	p.AddObject(ref(1))
+	buf := p.Objects()
+	if avg := testing.AllocsPerRun(50, func() { buf = p.AppendObjects(buf[:0]) }); avg != 0 || len(buf) != p.ContentSize() {
+		t.Fatalf("AppendObjects into a grown buffer: %.0f allocations, %d of %d objects", avg, len(buf), p.ContentSize())
+	}
 }
 
 // The per-member record: what 66k joined peers of a 100k-client run each

@@ -414,3 +414,62 @@ func TestPartitionWindow(t *testing.T) {
 		t.Fatalf("FaultDropped = %d, want 2", n.FaultDropped())
 	}
 }
+
+// TestOnDropSeesEveryLoss: the drop hook is called once per lost message at
+// each of the three loss sites — dead sender, fault plane, dead or
+// handler-less receiver — with that message's payload, so its calls equal
+// Dropped() + FaultDropped() and, with the deliveries, account for every
+// send. A send with the hook installed still allocates nothing.
+func TestOnDropSeesEveryLoss(t *testing.T) {
+	k := simkernel.New(3)
+	n := faultNet(t, k)
+	n.InstallFaults(&FaultConfig{LossProb: 0.3})
+	delivered, lost := map[int]int{}, map[int]int{}
+	n.OnDrop(func(payload any) { lost[*payload.(allocPayload).p]++ })
+	n.Register(1, HandlerFunc(func(m Message) { delivered[*m.Payload.(allocPayload).p]++ }))
+	n.Fail(2) // dead sender; node 3 has no handler, node 4 dies with messages in flight
+	n.Register(4, HandlerFunc(func(m Message) { delivered[*m.Payload.(allocPayload).p]++ }))
+
+	const sends = 800
+	ids := make([]int, sends)
+	for i := range ids {
+		ids[i] = i
+		from, to := NodeID(0), NodeID(1+i%4) // receivers 1 (alive), 2 (dead), 3 (no handler), 4 (dies)
+		if i%5 == 0 {
+			from = 2
+		}
+		n.Send(from, to, CatQuery, 40, allocPayload{p: &ids[i]})
+	}
+	n.Fail(4)
+	k.Run(k.Now() + simkernel.Minute)
+
+	if n.Dropped() == 0 || n.FaultDropped() == 0 || len(delivered) == 0 {
+		t.Fatalf("the run missed a site: %d dead drops, %d fault drops, %d deliveries", n.Dropped(), n.FaultDropped(), len(delivered))
+	}
+	if got, want := uint64(len(lost)), n.Dropped()+n.FaultDropped(); got != want {
+		t.Fatalf("hook saw %d payloads, network counts %d lost", got, want)
+	}
+	for i := range ids {
+		if delivered[i]+lost[i] != 1 {
+			t.Fatalf("message %d: delivered %d times, lost %d times", i, delivered[i], lost[i])
+		}
+	}
+
+	x, calls := 0, 0
+	pl := allocPayload{p: &x}
+	n.OnDrop(func(any) { calls++ })
+	for i := 0; i < 64; i++ {
+		n.Send(0, 4, CatQuery, 40, pl)
+	}
+	k.Run(k.Now() + simkernel.Minute)
+	if avg := testing.AllocsPerRun(200, func() {
+		n.Send(0, 4, CatQuery, 40, pl) // lost in the fault plane or at the dead receiver
+		n.Send(2, 1, CatQuery, 40, pl) // lost at the dead sender
+		k.Run(k.Now() + simkernel.Minute)
+	}); avg != 0 {
+		t.Fatalf("a lost send with a hook installed allocates %.1f/op, want 0", avg)
+	}
+	if calls < 64+2*200 {
+		t.Fatalf("hook ran %d times over %d lost sends", calls, 64+2*200)
+	}
+}

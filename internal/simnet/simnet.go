@@ -6,8 +6,11 @@
 // other categories are tracked so the CLI can report them separately.
 //
 // The network also models node failure: messages to or from a failed node
-// are silently dropped, which is how protocols above (keepalives, pushes,
-// redirections) come to observe the failure.
+// are dropped and counted, which is how protocols above (keepalives, pushes,
+// redirections) come to observe the failure. No protocol is told of a loss;
+// the payload of every lost message — dead sender, fault plane, dead or
+// handler-less receiver — is handed to the OnDrop hook, so that its owner
+// can recycle what it carried.
 package simnet
 
 import (
@@ -115,6 +118,7 @@ type Network struct {
 
 	sent    uint64
 	dropped uint64
+	onDrop  func(payload any) // nil: a lost payload is left to the collector
 
 	// Fault plane (see faults.go); nil when disabled, so the healthy send
 	// path pays one pointer check. fplan is the compiled schedule index
@@ -150,6 +154,12 @@ func (n *Network) Topology() *topology.Topology { return n.topo }
 // SetSink installs the traffic accounting sink (may be nil).
 func (n *Network) SetSink(s TrafficSink) { n.sink = s }
 
+// OnDrop installs the hook that receives the payload of every message the
+// network loses: exactly Dropped() + FaultDropped() calls. A send from a
+// dead node or into the fault plane calls it before Send returns, so a
+// sender must not touch a payload it recycles through the hook after Send.
+func (n *Network) OnDrop(f func(payload any)) { n.onDrop = f }
+
 // Register installs the message handler for a node, replacing any previous
 // handler.
 func (n *Network) Register(id NodeID, h Handler) {
@@ -177,6 +187,7 @@ func (n *Network) Latency(a, b NodeID) simkernel.Time { return n.topo.Latency(a,
 func (n *Network) Send(from, to NodeID, cat Category, bytes int, payload any) {
 	if !n.alive[from] {
 		n.dropped++
+		n.lose(payload)
 		return
 	}
 	now := n.kernel.Now()
@@ -191,6 +202,7 @@ func (n *Network) Send(from, to NodeID, cat Category, bytes int, payload any) {
 		drop, extra := n.fplan.decide(n.faultRNG, from, n.topo.LocalityOf(from), n.topo.LocalityOf(to), lat, now)
 		if drop {
 			n.faultDropped++
+			n.lose(payload)
 			return
 		}
 		lat += extra
@@ -222,9 +234,17 @@ func (n *Network) deliverPending(arg uint64) {
 	n.free = append(n.free, idx)
 	if !n.alive[msg.To] || n.handlers[msg.To] == nil {
 		n.dropped++
+		n.lose(msg.Payload)
 		return
 	}
 	n.handlers[msg.To].HandleMessage(msg)
+}
+
+// lose hands a lost message's payload to the drop hook, if one is set.
+func (n *Network) lose(payload any) {
+	if n.onDrop != nil {
+		n.onDrop(payload)
+	}
 }
 
 // Sent reports the number of messages accepted for transmission.
