@@ -21,16 +21,15 @@ import (
 // with New or NewForCapacity.
 //
 // The header is 32 bytes and, for filters of up to 128 words, sits in the
-// same heap object as the bit array (see newBlock): a content summary is
-// republished as a fresh immutable snapshot whenever its peer's content
-// changed, so the cost of one filter is the simulator's steady-state
-// allocation rate. bits comes first so that the collector's scan of a block
-// stops after one word.
+// same heap object as the bit array (see newBlock). bits comes first so that
+// the collector's scan of a block stops after one word; refs, in what was
+// padding, counts a snapshot's holders, so the last can hand the block back.
 type Filter struct {
 	bits   []uint64
 	count  uint32 // number of Add calls (upper bound on distinct items); the width MarshalBinary writes
 	hashes uint8
-	tail   uint8 // unused bits of the last word: the size in bits is 64·len(bits) − tail
+	tail   uint8  // unused bits of the last word: the size in bits is 64·len(bits) − tail
+	refs   uint16 // holders (Retain, Release); MaxUint16 sticks: pinned, left to the collector
 }
 
 // block is a Filter next to a fixed word array, one heap object. Its five
@@ -192,6 +191,30 @@ func (f *Filter) Clone() *Filter {
 	copy(cp.bits, f.bits)
 	return cp
 }
+
+// Retain adds a holder; on nil it does nothing.
+func (f *Filter) Retain() {
+	if f != nil && f.refs < math.MaxUint16 {
+		f.refs++
+	}
+}
+
+// Release drops a holder and reports whether it was the last, after which f
+// may be overwritten; nil has none. Releasing a filter nobody holds panics.
+func (f *Filter) Release() bool {
+	switch {
+	case f == nil:
+		return false
+	case f.refs == 0:
+		panic("bloom: filter released with no holder")
+	case f.refs < math.MaxUint16:
+		f.refs--
+	}
+	return f.refs == 0
+}
+
+// Refs returns the number of holders (MaxUint16: pinned).
+func (f *Filter) Refs() int { return int(f.refs) }
 
 // ErrIncompatible is returned when combining filters of different shapes.
 var ErrIncompatible = errors.New("bloom: filters have different size or hash count")

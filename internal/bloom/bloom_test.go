@@ -3,6 +3,7 @@ package bloom
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -314,4 +315,46 @@ func mustMarshal(t *testing.T, f *Filter) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestRefCount: a filter counts its holders and reports the last release; a
+// release nobody holds panics; a count that saturates pins the filter, so no
+// release reports it free again. A clone starts unheld, and Reset and Union
+// — a spare block overwritten — keep the holders.
+func TestRefCount(t *testing.T) {
+	f := New(512, 4)
+	f.Add("x")
+	f.Retain()
+	f.Retain()
+	if f.Refs() != 2 || f.Release() || !f.Release() || f.Refs() != 0 {
+		t.Fatalf("two holders letting go: %d left", f.Refs())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a release with no holder did not panic")
+			}
+		}()
+		f.Release()
+	}()
+
+	g := New(512, 4)
+	g.Add("y")
+	g.Retain()
+	g.Reset()
+	if err := g.Union(f); err != nil || g.Refs() != 1 || !bytes.Equal(mustMarshal(t, g), mustMarshal(t, f)) || f.Clone().Refs() != 0 {
+		t.Fatal("overwriting a held filter lost its holder or missed the source's bits, or a clone came held")
+	}
+
+	for i := 0; i < math.MaxUint16+10; i++ {
+		f.Retain()
+	}
+	for i := 0; i < 2*math.MaxUint16; i++ {
+		if f.Release() {
+			t.Fatalf("a saturated filter was reported free after %d releases", i+1)
+		}
+	}
+	if f.Refs() != math.MaxUint16 {
+		t.Fatalf("saturated count moved to %d", f.Refs())
+	}
 }

@@ -24,7 +24,7 @@ import (
 //     armed; dead hosts must leave nothing pending; a keepalive timeout
 //     can only be armed on a content peer; and, for queries: timer armed
 //     ⇔ continuation kind set ⇔ await-registry slot live);
-//   - every live content peer's gossip view (gossip.View.Check).
+//   - every live content peer's gossip view (gossip.View.Check) and own summary.
 //
 // It is diagnostic-only: it never mutates state, and it allocates freely.
 
@@ -137,6 +137,9 @@ func (s *System) Audit() AuditReport {
 			// Like the await registry below, not tallied in Checks.
 			if err := h.cp.View().Check(); err != nil {
 				fail("view: content peer %d: %v", addr, err)
+			}
+			if f := h.cp.Published(); f != nil && f.Refs() == 0 {
+				fail("view: content peer %d: own summary has no holder: used after release", addr)
 			}
 		}
 	}

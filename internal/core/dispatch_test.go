@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"flowercdn/internal/simkernel"
+	"flowercdn/internal/simnet"
 )
 
 // dispatchEnv builds a small system with a two-member content overlay in
@@ -32,8 +34,16 @@ func dispatchEnv(t testing.TB) (e *testEnv, member *host) {
 
 // dispatchRound drives one full keepalive round (probe → ack) and one full
 // gossip round (request → reply → merge) through the simulated network,
-// including every timer armed and cancelled along the way.
+// including every timer armed and cancelled along the way. The member's
+// content changes first — an object stored or, every other round, removed
+// again — so the gossip round publishes a new summary, on the delta and the
+// rebuild path in turn.
 func dispatchRound(e *testEnv, member *host) {
+	if ref := e.sys.in.RefFor(0, 7); member.cp.Has(ref) {
+		member.cp.RemoveObject(ref)
+	} else {
+		member.cp.AddObject(ref)
+	}
 	e.sys.keepaliveTick(member)
 	e.sys.gossipTick(member)
 	// 2 simulated seconds cover both round trips (intra-locality RTTs are
@@ -47,7 +57,9 @@ func dispatchRound(e *testEnv, member *host) {
 // ticker fire, token/timeout bookkeeping in the host record, AfterArg
 // failure-detection arming, pooled envelopes and subset buffers, zero-size
 // probe payloads, the directory's slot-hinted keepalive,
-// delivery, merge, ack — allocate nothing.
+// delivery, merge, ack — allocate nothing, and neither does the summary the
+// round publishes after a content change: the block its predecessor's last
+// holder gave back is overwritten.
 func TestDispatchLoopAllocs(t *testing.T) {
 	e, member := dispatchEnv(t)
 	// Warm the pools: envelopes, subset buffers, timer slots and the
@@ -75,5 +87,40 @@ func BenchmarkDispatchLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dispatchRound(e, member)
+	}
+}
+
+// TestRejectSendAllocs: a gossip reject, like the standby's probe, ack and
+// revoke, is zero-size — its sender is the envelope's Message.From — so a
+// send→deliver boxes nothing. The endpoints' addresses lie beyond the 256
+// small integers the runtime boxes for free, where a payload carrying the
+// sender's NodeID costs one allocation per send.
+func TestRejectSendAllocs(t *testing.T) {
+	for _, size := range []uintptr{unsafe.Sizeof(gossipRejectMsg{}), unsafe.Sizeof(standbyProbeMsg{}),
+		unsafe.Sizeof(standbyProbeAckMsg{}), unsafe.Sizeof(standbyRevokeMsg{})} {
+		if size != 0 {
+			t.Fatalf("a sender-only message is %d bytes, want 0", size)
+		}
+	}
+	e := newTestEnv(t, 97, nil)
+	e.stopAllTimers()
+	s := e.sys
+	var ends []simnet.NodeID
+	for addr, h := range s.hosts {
+		if h != nil && !h.isServer() && h.dir == nil && addr >= 256 && len(ends) < 2 {
+			ends = append(ends, simnet.NodeID(addr))
+		}
+	}
+	a, b := ends[0], ends[1]
+	op := func() {
+		s.net.Send(a, b, simnet.CatGossip, bytesKeepalive, gossipRejectMsg{})
+		s.net.Send(b, a, simnet.CatKeepalive, bytesKeepalive, standbyProbeMsg{})
+		s.net.Send(a, b, simnet.CatKeepalive, bytesKeepalive, standbyProbeAckMsg{})
+		s.net.Send(b, a, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
+		e.k.Run(e.k.Now() + simkernel.Second)
+	}
+	op() // the network's message slab and the timer arena reach capacity
+	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+		t.Fatalf("a reject and the standby's probe, ack and revoke allocate %.1f allocs/op, want 0", allocs)
 	}
 }

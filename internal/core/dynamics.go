@@ -45,7 +45,10 @@ func (s *System) RevivePeer(addr simnet.NodeID) bool {
 	}
 	s.net.Recover(addr)
 	// Nothing of the pre-crash life may leak into the new one, estimator
-	// history included; FailPeer left no timer armed.
+	// history included, and its summaries go back; FailPeer left no timer armed.
+	if h.cp != nil {
+		h.cp.Leave()
+	}
 	h.reborn()
 	if s.adapt != nil {
 		s.adapt[addr] = adaptiveSlot{}
@@ -308,7 +311,7 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 	// its own standby on its maintenance loop.
 	if sbAddr := old.role.standby; sbAddr != 0 {
 		if sb := s.hosts[sbAddr]; sb != nil && s.net.Alive(sbAddr) && sb.role.watched() == old.addr {
-			s.net.Send(old.addr, sbAddr, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{FromDir: old.addr})
+			s.net.Send(old.addr, sbAddr, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
 		}
 		old.role.standby = 0
 	}
@@ -338,6 +341,7 @@ func (s *System) ChangeLocality(addr simnet.NodeID, newLoc int) bool {
 	h.flags |= hfLocOverride
 	if h.cp != nil {
 		r.stash = h.cp.Objects()
+		h.cp.Leave()
 		h.cp = nil
 		h.gossipTicker.Stop()
 		h.kaTicker.Stop()

@@ -125,7 +125,7 @@ func (h *host) HandleMessage(msg simnet.Message) {
 	case *gossipMsg:
 		s.handleGossip(h, m)
 	case gossipRejectMsg:
-		s.handleGossipReject(h, m)
+		s.handleGossipReject(h, msg.From)
 	case *pushMsg:
 		s.handlePush(h, m)
 	case keepaliveMsg:
@@ -151,11 +151,11 @@ func (h *host) HandleMessage(msg simnet.Message) {
 	case standbyDeltaMsg:
 		s.handleStandbyDelta(h, m)
 	case standbyRevokeMsg:
-		s.handleStandbyRevoke(h, m)
+		s.handleStandbyRevoke(h, msg.From)
 	case standbyProbeMsg:
-		s.handleStandbyProbe(h, m)
+		s.handleStandbyProbe(h, msg.From)
 	case standbyProbeAckMsg:
-		s.handleStandbyProbeAck(h, m)
+		s.handleStandbyProbeAck(h, msg.From)
 	case standbyPromoteMsg:
 		s.handleStandbyPromote(h, m)
 	default:

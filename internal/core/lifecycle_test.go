@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -352,32 +353,66 @@ func TestAuditAwaitRegistry(t *testing.T) {
 }
 
 // TestAuditChecksViews: the auditor looks inside every live content peer's
-// gossip view. A stale header copied back over a compacted slot array — the
-// one corruption the exported API allows — leaves every slot zeroed, i.e.
-// node 0 several times, and must be reported, outside the Checks tally.
+// gossip view and at its own summary, and reports outside the Checks tally.
+// A stale header copied back over a compacted slot array — the one
+// corruption the exported API allows — leaves every slot zeroed, i.e. node 0
+// several times. A summary released to no holder while a view slot or its
+// publisher still uses it — the next publication may overwrite it — is
+// reported at each.
 func TestAuditChecksViews(t *testing.T) {
-	e := newTestEnv(t, 96, nil)
-	for m := 0; m < 3; m++ {
-		e.submitAt(simkernel.Time(m+1)*simkernel.Second, 0, 0, m, 3)
+	settled := func(t *testing.T) (*testEnv, AuditReport) {
+		e := newTestEnv(t, 96, nil)
+		for m := 0; m < 3; m++ {
+			e.submitAt(simkernel.Time(m+1)*simkernel.Second, 0, 0, m, 3)
+		}
+		e.k.Run(2 * simkernel.Hour)
+		member := e.sys.host(e.sys.PoolNode(0, 0, 1))
+		if member.cp == nil || member.cp.View().Len() < 2 {
+			t.Fatalf("member's view has too few contacts to corrupt: %+v", member.cp)
+		}
+		clean := e.sys.Audit()
+		if len(clean.Violations) > 0 {
+			t.Fatalf("audit of healthy views: %v", clean.Violations)
+		}
+		return e, clean
 	}
-	e.k.Run(2 * simkernel.Hour)
-	member := e.sys.host(e.sys.PoolNode(0, 0, 1))
-	if member.cp == nil || member.cp.View().Len() < 2 {
-		t.Fatalf("member's view has too few contacts to corrupt: %+v", member.cp)
-	}
-	clean := e.sys.Audit()
-	if len(clean.Violations) > 0 {
-		t.Fatalf("audit of healthy views: %v", clean.Violations)
-	}
-	v := member.cp.View()
-	stale := *v
-	v.DropOlderThan(0)
-	*v = stale
-	r := e.sys.Audit()
-	if len(r.Violations) != 1 || !strings.HasPrefix(r.Violations[0], "view:") {
-		t.Fatalf("audit missed the corrupted view: %v", r.Violations)
-	}
-	if r.Checks != clean.Checks {
-		t.Fatalf("view checks are tallied: %d checks, %d before", r.Checks, clean.Checks)
-	}
+	t.Run("stale-header", func(t *testing.T) {
+		e, clean := settled(t)
+		cp := e.sys.host(e.sys.PoolNode(0, 0, 1)).cp
+		v := cp.View()
+		stale := *v
+		cp.DropOldContacts(0)
+		*v = stale
+		r := e.sys.Audit()
+		if len(r.Violations) != 1 || !strings.HasPrefix(r.Violations[0], "view:") {
+			t.Fatalf("audit missed the corrupted view: %v", r.Violations)
+		}
+		if r.Checks != clean.Checks {
+			t.Fatalf("view checks are tallied: %d checks, %d before", r.Checks, clean.Checks)
+		}
+	})
+	t.Run("force-released", func(t *testing.T) {
+		e, clean := settled(t)
+		member := e.sys.host(e.sys.PoolNode(0, 0, 1))
+		publisher := e.sys.host(e.sys.PoolNode(0, 0, 0))
+		contact, ok := member.cp.View().Get(publisher.addr)
+		if !ok || contact.Summary == nil || contact.Summary != publisher.cp.Summary() {
+			t.Fatalf("member does not hold the publisher's current summary: %+v", contact)
+		}
+		for contact.Summary.Refs() > 0 {
+			contact.Summary.Release()
+		}
+		r := e.sys.Audit()
+		want := map[simnet.NodeID]string{publisher.addr: "own summary has no holder", member.addr: "summary has no holder"}
+		for _, v := range r.Violations {
+			for addr, msg := range want {
+				if strings.HasPrefix(v, fmt.Sprintf("view: content peer %d:", addr)) && strings.Contains(v, msg) {
+					delete(want, addr)
+				}
+			}
+		}
+		if len(want) > 0 || r.Checks != clean.Checks {
+			t.Fatalf("audit missed a use after release at %v (%d checks, %d before): %v", want, r.Checks, clean.Checks, r.Violations)
+		}
+	})
 }

@@ -193,6 +193,7 @@ type serveMsg struct {
 	FromContentPeer bool
 	Q               *Query
 	ViewSeed        []gossip.Entry
+	seedLease       overlay.Lease // what ViewSeed's summaries travel under
 }
 
 // --- Overlay maintenance messages ----------------------------------------
@@ -210,7 +211,7 @@ type gossipMsg struct {
 }
 
 // gossipRejectMsg: receiver is not (any more) in the sender's overlay.
-type gossipRejectMsg struct{ From simnet.NodeID }
+type gossipRejectMsg struct{}
 
 // pushMsg wraps Algorithm 5's ∆list push. Pooled like routedMsg; a
 // recycled envelope keeps the backing arrays of M.Added / M.Removed, which
@@ -315,14 +316,14 @@ func (m standbyDeltaMsg) wireBytes() int {
 
 // standbyRevokeMsg: directory → former standby: designation withdrawn
 // (standby fell out of the overlay, or the directory is departing).
-type standbyRevokeMsg struct{ FromDir simnet.NodeID }
+type standbyRevokeMsg struct{}
 
 // standbyProbeMsg: standby → its primary directory: liveness probe, much
 // tighter than the overlay keepalive so warm detection beats cold.
-type standbyProbeMsg struct{ From simnet.NodeID }
+type standbyProbeMsg struct{}
 
 // standbyProbeAckMsg: primary → standby: still alive.
-type standbyProbeAckMsg struct{ From simnet.NodeID }
+type standbyProbeAckMsg struct{}
 
 // standbyPromoteMsg: standby → itself: a probe went unanswered, decide the
 // takeover one self-addressed hop later. The handler re-checks ring

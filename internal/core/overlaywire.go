@@ -59,7 +59,7 @@ func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 		// We are not (any longer) in the sender's overlay (§5.4).
 		s.stats.GossipRejects++
 		s.putGossipMsg(wrapped)
-		s.net.Send(h.addr, m.From, simnet.CatGossip, bytesKeepalive, gossipRejectMsg{From: h.addr})
+		s.net.Send(h.addr, m.From, simnet.CatGossip, bytesKeepalive, gossipRejectMsg{})
 		return
 	}
 	reply := h.cp.AcceptGossip(m, s.rng, s.takeSubsetBuf())
@@ -68,11 +68,11 @@ func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 	s.net.Send(h.addr, m.From, simnet.CatGossip, bytesGossipHdr+reply.WireBytes(s.cfg.Gossip.SummaryBytes()), rw)
 }
 
-func (s *System) handleGossipReject(h *host, m gossipRejectMsg) {
+func (s *System) handleGossipReject(h *host, from simnet.NodeID) {
 	h.gossipToken++
 	h.gossipTimeout.Cancel()
 	if h.cp != nil {
-		h.cp.RemoveContact(m.From)
+		h.cp.RemoveContact(from)
 	}
 }
 

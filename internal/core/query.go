@@ -604,7 +604,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		h.cp.Site() == q.Site && h.cp.Locality() == q.OriginLoc {
 		// §4.2: a client served by a content peer of its own overlay seeds
 		// its view from that peer's view.
-		msg.ViewSeed = h.cp.ViewSeedFor(s.rng, msg.ViewSeed)
+		msg.ViewSeed, msg.seedLease = h.cp.ViewSeedFor(s.rng, msg.ViewSeed)
 	}
 	s.net.Send(h.addr, q.Origin, simnet.CatTransfer,
 		bytesServeHdr+gossip.WireBytes(msg.ViewSeed, s.cfg.Gossip.SummaryBytes()), msg)

@@ -42,7 +42,7 @@ func (s *System) standbyMaintTick(h *host) {
 	r := h.role
 	if r.standby != 0 && !s.standbyStillFit(h) {
 		if sb := s.hosts[r.standby]; sb != nil && s.net.Alive(r.standby) && sb.role.watched() == h.addr {
-			s.net.Send(h.addr, r.standby, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{FromDir: h.addr})
+			s.net.Send(h.addr, r.standby, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
 		}
 		r.standby = 0
 		h.dir.DisableDeltaTracking()
@@ -133,8 +133,8 @@ func (s *System) handleStandbyDelta(h *host, m standbyDeltaMsg) {
 }
 
 // handleStandbyRevoke stands a former standby down.
-func (s *System) handleStandbyRevoke(h *host, m standbyRevokeMsg) {
-	if h.role.watched() != m.FromDir {
+func (s *System) handleStandbyRevoke(h *host, from simnet.NodeID) {
+	if h.role.watched() != from {
 		return
 	}
 	s.stopStandbyWatch(h)
@@ -173,7 +173,7 @@ func (s *System) standbyProbeTick(h *host) {
 	if r.standbyFor == 0 || h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
-	s.net.Send(h.addr, r.standbyFor, simnet.CatKeepalive, bytesKeepalive, standbyProbeMsg{From: h.addr})
+	s.net.Send(h.addr, r.standbyFor, simnet.CatKeepalive, bytesKeepalive, standbyProbeMsg{})
 	r.probeToken++
 	tok := r.probeToken
 	r.probeTimeout.Cancel()
@@ -186,20 +186,20 @@ func (s *System) standbyProbeTick(h *host) {
 
 // handleStandbyProbe runs at the primary: ack if the designation still
 // stands, revoke a stray prober otherwise.
-func (s *System) handleStandbyProbe(h *host, m standbyProbeMsg) {
+func (s *System) handleStandbyProbe(h *host, from simnet.NodeID) {
 	if h.dir == nil {
 		return // demoted or departed: silence is the correct answer
 	}
-	if h.role.standby != m.From {
-		s.net.Send(h.addr, m.From, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{FromDir: h.addr})
+	if h.role.standby != from {
+		s.net.Send(h.addr, from, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
 		return
 	}
-	s.net.Send(h.addr, m.From, simnet.CatKeepalive, bytesKeepalive, standbyProbeAckMsg{From: h.addr})
+	s.net.Send(h.addr, from, simnet.CatKeepalive, bytesKeepalive, standbyProbeAckMsg{})
 }
 
-func (s *System) handleStandbyProbeAck(h *host, m standbyProbeAckMsg) {
+func (s *System) handleStandbyProbeAck(h *host, from simnet.NodeID) {
 	r := h.role
-	if r == nil || r.standbyFor != m.From {
+	if r == nil || r.standbyFor != from {
 		return
 	}
 	r.probeToken++

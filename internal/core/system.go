@@ -203,9 +203,10 @@ func (s *System) newServeMsg(q *Query, fromContentPeer bool) *serveMsg {
 }
 
 func (s *System) putServeMsg(m *serveMsg) {
-	seed := m.ViewSeed
-	clear(seed) // do not pin summaries while pooled
+	seed, lease := m.ViewSeed, m.seedLease
 	put(&s.pool.serve, m, &m.live)
+	lease.End()
+	clear(seed) // do not pin summaries while pooled
 	m.ViewSeed = seed[:0]
 }
 
@@ -242,13 +243,14 @@ func (s *System) newGossipMsg(site model.SiteID, loc int, m overlay.GossipMsg) *
 	return g
 }
 
-// putGossipMsg returns a fully-handled envelope — and the view-subset
-// buffer travelling inside it — to the pool. The handler must not retain
-// any reference to the envelope or its M field afterwards.
+// putGossipMsg returns a fully-handled envelope — and the view-subset buffer
+// travelling inside it — to the pool, and its summaries to their overlay. The
+// handler must not retain any reference to the envelope or its M afterwards.
 func (s *System) putGossipMsg(g *gossipMsg) {
-	sub := g.M.ViewSubset
+	m := g.M
 	put(&s.pool.gossip, g, &g.live) // zeroed: releases the subset slice and summary pointers
-	if cap(sub) > 0 {
+	m.Lease.End()
+	if sub := m.ViewSubset; cap(sub) > 0 {
 		clear(sub) // do not pin summaries while pooled
 		s.pool.subset = append(s.pool.subset, sub[:0])
 	}

@@ -86,7 +86,7 @@ func TestDropOlderAllocFree(t *testing.T) {
 	for i := 1; i <= 24; i++ {
 		v.Insert(Entry{Node: simnet.NodeID(i), Age: i % 9})
 	}
-	if v.DropOlderThan(4) == 0 {
+	if v.DropOlderThan(release, 4) == 0 {
 		t.Fatal("setup evicts nothing")
 	}
 	in := make([]Entry, 12)
@@ -94,11 +94,11 @@ func TestDropOlderAllocFree(t *testing.T) {
 		in[i] = Entry{Node: simnet.NodeID(100 + i), Age: 4 + i%3}
 	}
 	v.Merge(in) // size the slot array so only DropOlderThan is measured
-	v.DropOlderThan(4)
+	v.DropOlderThan(release, 4)
 	evicted := 0
 	avg := testing.AllocsPerRun(100, func() {
 		v.Merge(in)
-		evicted += v.DropOlderThan(4)
+		evicted += v.DropOlderThan(release, 4)
 	})
 	if evicted == 0 {
 		t.Fatal("measured rounds evicted nothing")

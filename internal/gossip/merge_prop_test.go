@@ -113,7 +113,7 @@ func TestMergeAgainstReference(t *testing.T) {
 				}
 			case op == 7:
 				node := simnet.NodeID(rng.Intn(16))
-				v.Remove(node)
+				v.Remove(release, node)
 				for i := range model {
 					if model[i].Node == node {
 						model = append(model[:i], model[i+1:]...)
@@ -122,7 +122,7 @@ func TestMergeAgainstReference(t *testing.T) {
 				}
 			case op == 8:
 				limit := 2 + rng.Intn(5)
-				v.DropOlderThan(limit)
+				v.DropOlderThan(release, limit)
 				kept := model[:0]
 				for _, e := range model {
 					if e.Age < limit {

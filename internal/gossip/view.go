@@ -89,7 +89,8 @@ func (s slot) entry() Entry {
 //
 // The per-round operations stop allocating once the slot array exists: Merge
 // works in place on it (it is sized once, with room for a received subset
-// past the capacity) and SelectSubsetAppend shuffles on the stack.
+// past the capacity) and SelectSubsetAppend shuffles on the stack. A slot
+// holds a reference to its summary, which it passes to a sink when dropped.
 type View struct {
 	owner    uint32
 	capacity int32
@@ -110,6 +111,9 @@ func NewView(owner simnet.NodeID, capacity int) *View {
 	v := MakeView(owner, capacity)
 	return &v
 }
+
+// release is a sink that recycles nothing (any sink also gets slots' nil summaries).
+func release(f *bloom.Filter) { f.Release() }
 
 // Owner returns the peer owning this view.
 func (v *View) Owner() simnet.NodeID { return simnet.NodeID(v.owner) }
@@ -250,18 +254,21 @@ func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
 // then truncates to capacity (a one-entry Merge).
 func (v *View) Insert(e Entry) { v.Merge(nil, e) }
 
-// Merge implements merge() + select_recent() from Algorithm 4: combine the
-// current entries with the received ones and then the extra ones (a gossip
-// partner's own entry rides there, so callers need not assemble one slice),
-// discard duplicates keeping the smallest age (refreshing the summary from
-// the fresher instance), drop the owner, and keep the capacity most-recent
-// entries.
+// Merge is MergeWith a sink that recycles nothing.
+func (v *View) Merge(received []Entry, extra ...Entry) { v.MergeWith(release, received, extra...) }
+
+// MergeWith implements merge() + select_recent() from Algorithm 4: combine
+// the current entries with the received ones and then the extra ones (a
+// gossip partner's own entry rides there, so callers need not assemble one
+// slice), discard duplicates keeping the smallest age (refreshing the summary
+// from the fresher instance), drop the owner, and keep the capacity
+// most-recent entries. Slots retain what they take up, and sink gets the rest.
 //
 // The combined set is built in place, in the spare room the slot array
 // keeps past the capacity, and duplicates are found by linear scan — views
 // are tens of entries, where the scan beats a throwaway map and, unlike the
 // map, allocates nothing.
-func (v *View) Merge(received []Entry, extra ...Entry) {
+func (v *View) MergeWith(sink func(*bloom.Filter), received []Entry, extra ...Entry) {
 	s := v.slots
 	if in := len(received) + len(extra); cap(s) < len(s)+in {
 		// One right-sized array (entries never exceed capacity) instead of
@@ -269,10 +276,13 @@ func (v *View) Merge(received []Entry, extra ...Entry) {
 		s = make([]slot, len(s), v.Capacity()+in)
 		copy(s, v.slots)
 	}
-	s = v.mergeInto(s, received)
-	s = v.mergeInto(s, extra)
+	s = v.mergeInto(sink, s, received)
+	s = v.mergeInto(sink, s, extra)
 	sortSlots(s)
 	if c := v.Capacity(); len(s) > c {
+		for _, x := range s[c:] {
+			sink(x.sum)
+		}
 		clear(s[c:]) // truncated entries must not pin their summaries
 		s = s[:c]
 	}
@@ -281,7 +291,7 @@ func (v *View) Merge(received []Entry, extra ...Entry) {
 
 // mergeInto folds in into s, which has room for all of it. The slots
 // already in s are deduped and owner-free (invariant).
-func (v *View) mergeInto(s []slot, in []Entry) []slot {
+func (v *View) mergeInto(sink func(*bloom.Filter), s []slot, in []Entry) []slot {
 fold:
 	for _, e := range in {
 		if e.Node == v.Owner() {
@@ -292,36 +302,43 @@ fold:
 			if uint32(x.key) != uint32(p.key) {
 				continue
 			}
-			if p.key < s[i].key { // same node: the fresher age
+			if p.key < x.key { // same node: the fresher age
 				// Never lose a known summary to a fresher entry that lacks one.
 				if p.sum == nil {
-					p.sum = s[i].sum
+					p.sum = x.sum
+				} else if p.sum != x.sum {
+					p.sum.Retain()
+					sink(x.sum)
 				}
 				s[i] = p
-			} else if s[i].sum == nil {
+			} else if x.sum == nil {
+				p.sum.Retain()
 				s[i].sum = p.sum
 			}
 			continue fold
 		}
+		p.sum.Retain()
 		s = append(s, p)
 	}
 	return s
 }
 
-// Remove deletes the entry for node (dead peer, per §5.1/§5.4).
-func (v *View) Remove(node simnet.NodeID) {
+// Remove deletes the entry for node (dead peer, per §5.1/§5.4) into sink.
+func (v *View) Remove(sink func(*bloom.Filter), node simnet.NodeID) {
 	if i := v.find(node); i >= 0 {
+		sink(v.slots[i].sum)
 		v.slots = slices.Delete(v.slots, i, i+1) // zeroes the vacated slot: no pinned summary
 	}
 }
 
-// DropOlderThan evicts entries whose age reached the limit (T_dead) and
-// reports how many went. Slots ascend by age, so they are the array's tail.
-func (v *View) DropOlderThan(ageLimit int) int {
+// DropOlderThan evicts entries whose age reached the limit (T_dead) into sink
+// and reports how many went. Slots ascend by age, so they are the array's tail.
+func (v *View) DropOlderThan(sink func(*bloom.Filter), ageLimit int) int {
 	n := len(v.slots)
 	kept := n
 	for kept > 0 && int(v.slots[kept-1].key>>32) >= ageLimit {
 		kept--
+		sink(v.slots[kept].sum)
 	}
 	clear(v.slots[kept:]) // the vacated tail must not pin summaries
 	v.slots = v.slots[:kept]
@@ -331,10 +348,9 @@ func (v *View) DropOlderThan(ageLimit int) int {
 // Refresh sets node's age to zero and updates its summary, inserting the
 // entry if absent.
 func (v *View) Refresh(node simnet.NodeID, summary *bloom.Filter) {
-	if i := v.find(node); i >= 0 && summary == nil {
-		summary = v.slots[i].sum
+	if i := v.find(node); i >= 0 {
+		v.slots[i].key += 1 << 32 // older than age 0: the Insert replaces the slot
 	}
-	v.Remove(node)
 	v.Insert(Entry{Node: node, Age: 0, Summary: summary})
 }
 
@@ -356,8 +372,8 @@ func (v *View) MatchingSummaries(h1, h2 uint64) []simnet.NodeID { return v.Appen
 
 // Check returns the first structural invariant the view breaks, nil when all
 // hold: no more entries than the capacity, the owner absent, nodes distinct,
-// slots in key order, and the array past Len() zeroed (a dropped entry must
-// not pin its summary). It is the core auditor's look at a view.
+// slots in key order, every summary held, and the array past Len() zeroed (a
+// dropped entry must not pin its summary). It is the core auditor's look.
 func (v *View) Check() error {
 	all := v.slots[:cap(v.slots)]
 	for i, s := range all {
@@ -370,6 +386,8 @@ func (v *View) Check() error {
 			return fmt.Errorf("%d entries exceed capacity %d", len(v.slots), v.capacity)
 		case s.node() == v.Owner():
 			return fmt.Errorf("slot %d holds the owner", i)
+		case s.sum != nil && s.sum.Refs() == 0:
+			return fmt.Errorf("slot %d's summary has no holder: used after release", i)
 		case v.find(s.node()) != i:
 			return fmt.Errorf("node %d held twice", s.node())
 		case i > 0 && all[i-1].key > s.key:

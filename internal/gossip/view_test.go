@@ -163,11 +163,11 @@ func TestRemoveAndDropOlderThan(t *testing.T) {
 	v.Insert(entry(1, 0))
 	v.Insert(entry(2, 5))
 	v.Insert(entry(3, 9))
-	v.Remove(2)
+	v.Remove(release, 2)
 	if v.Contains(2) {
 		t.Fatal("Remove failed")
 	}
-	if n := v.DropOlderThan(9); n != 1 || v.Contains(3) {
+	if n := v.DropOlderThan(release, 9); n != 1 || v.Contains(3) {
 		t.Fatalf("evicted %d (node 3 held: %v), want node 3 alone", n, v.Contains(3))
 	}
 	if !v.Contains(1) {
@@ -199,13 +199,13 @@ func TestCompactionClearsVacatedTail(t *testing.T) {
 	}
 	t.Run("Remove", func(t *testing.T) {
 		v := fill()
-		v.Remove(2)
-		v.Remove(5)
+		v.Remove(release, 2)
+		v.Remove(release, 5)
 		check(t, v, 4)
 	})
 	t.Run("DropOlderThan", func(t *testing.T) {
 		v := fill()
-		if n := v.DropOlderThan(4); n != 3 {
+		if n := v.DropOlderThan(release, 4); n != 3 {
 			t.Fatalf("evicted %d, want 3", n)
 		}
 		check(t, v, 3)

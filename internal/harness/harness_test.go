@@ -3,6 +3,7 @@ package harness
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flowercdn/internal/core"
@@ -100,6 +101,52 @@ func TestRunSquirrelSmoke(t *testing.T) {
 	// than the intra-locality scale.
 	if r.AvgLookupMs < 100 {
 		t.Fatalf("squirrel lookup too fast: %v", r.AvgLookupMs)
+	}
+}
+
+// TestRunSquirrelRefusesFlowerInputs: the fault plane, scheduled directory
+// crashes and degradations and the auditor act on Flower-CDN's directories
+// and overlays; a Squirrel run given one fails naming the field instead of
+// running without it.
+func TestRunSquirrelRefusesFlowerInputs(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Params)
+	}{
+		{"Faults", func(p *Params) { p.Faults = &simnet.FaultConfig{LossProb: 0.05} }},
+		{"DirDegrades", func(p *Params) { p.DirDegrades = []DirDegrade{{End: simkernel.Minute, Factor: 4}} }},
+		{"DirCrashes", func(p *Params) { p.DirCrashes = []DirCrash{{At: simkernel.Minute}} }},
+		{"AuditEvery", func(p *Params) { p.AuditEvery = simkernel.Minute }},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			p := fastParams(3)
+			c.set(&p)
+			if _, err := RunSquirrel(p); err == nil || !strings.Contains(err.Error(), "Params."+c.field) {
+				t.Fatalf("RunSquirrel with %s set: error %v, want one naming the field", c.field, err)
+			}
+		})
+	}
+}
+
+// TestRunSquirrelMeasuresMemory: MeasureMemory fills BytesPerClient for the
+// baseline as it does for Flower-CDN, and changes nothing else.
+func TestRunSquirrelMeasuresMemory(t *testing.T) {
+	p := fastParams(3)
+	p.Duration = 5 * simkernel.Minute
+	plain, err := RunSquirrel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MeasureMemory = true
+	measured, err := RunSquirrel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.BytesPerClient != 0 || measured.BytesPerClient <= 0 {
+		t.Fatalf("bytes per client %v unmeasured, %v measured", plain.BytesPerClient, measured.BytesPerClient)
+	}
+	if plain.Report.String() != measured.Report.String() {
+		t.Fatal("measuring memory changed the run")
 	}
 }
 

@@ -299,17 +299,18 @@ func runFlower(p Params, pools [][]int, src workload.Source, expectedQueries, tr
 	}
 	res.setKernel(kernel)
 	finishFaultPlane(&res, sys, acc)
-	if p.MeasureMemory {
-		res.BytesPerClient = bytesPerClientOf(pools)
-		runtime.KeepAlive(sys) // keep the measured state reachable during GC
-	}
+	res.BytesPerClient = bytesPerClientOf(p, pools, sys)
 	return res, buf, nil
 }
 
-// bytesPerClientOf reports the post-run heap footprint per potential
+// bytesPerClientOf reports sys's post-run heap footprint per potential
 // client. It forces a collection first, so it is only computed when
 // Params.MeasureMemory asks for it — never on benchmark paths.
-func bytesPerClientOf(pools [][]int) float64 {
+func bytesPerClientOf(p Params, pools [][]int, sys any) float64 {
+	if !p.MeasureMemory {
+		return 0
+	}
+	defer runtime.KeepAlive(sys) // the measured state stays reachable during GC
 	total := 0
 	for _, row := range pools {
 		for _, n := range row {
@@ -326,10 +327,15 @@ func bytesPerClientOf(pools [][]int) float64 {
 }
 
 // RunSquirrel executes the baseline with the identical topology seed,
-// pools and workload stream.
+// pools and workload stream, refusing the inputs it does not model.
 func RunSquirrel(p Params) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
+	}
+	for i, set := range [...]bool{p.Faults.Enabled(), len(p.DirDegrades) > 0, len(p.DirCrashes) > 0, p.AuditEvery > 0} {
+		if set {
+			return Result{}, fmt.Errorf("harness: Squirrel does not model Params.%s", [...]string{"Faults", "DirDegrades", "DirCrashes", "AuditEvery"}[i])
+		}
 	}
 	pools := p.BuildPools()
 	kernel := simkernel.New(p.Seed)
@@ -361,6 +367,7 @@ func RunSquirrel(p Params) (Result, error) {
 		WallSeconds: wall,
 	}
 	res.setKernel(kernel)
+	res.BytesPerClient = bytesPerClientOf(p, pools, sys)
 	return res, nil
 }
 

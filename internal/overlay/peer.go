@@ -67,6 +67,7 @@ type GossipMsg struct {
 	ViewSubset []gossip.Entry
 	Dir        DirInfo
 	IsReply    bool
+	Lease      Lease // on the sender's overlay, ended once merged, rejected or lost
 }
 
 // WireBytes models the message size for traffic accounting: a 20-byte
@@ -102,15 +103,19 @@ const maxFresh = 6
 const rebuildSummary = -1
 
 // Shared is what the members of one content overlay c(ws,loc) have in
-// common: website, locality, gossip parameters and the site's place in the
-// interned object space. Whoever owns the peers builds it once per overlay
-// (the core system keeps a table per System); it is read-only afterwards.
+// common: website, locality, gossip parameters, the site's place in the
+// interned object space and the summary blocks they recycle. Whoever owns the
+// peers builds it once per overlay (the core system keeps a table per System).
 type Shared struct {
-	site model.SiteID
-	loc  int
-	cfg  Config
-	in   *model.Interner
-	base model.ObjectRef // first ref of the site
+	site  model.SiteID
+	loc   int
+	cfg   Config
+	in    *model.Interner
+	base  model.ObjectRef // first ref of the site
+	spare []*bloom.Filter
+	limbo [2][]*bloom.Filter // by epoch
+	open  [2]int32           // leases by epoch
+	epoch uint8
 }
 
 // NewShared describes the overlay of (site, loc). The interner must cover
@@ -123,12 +128,61 @@ func NewShared(site model.SiteID, loc int, cfg Config, in *model.Interner) *Shar
 	return &Shared{site: site, loc: loc, cfg: cfg, in: in, base: in.SiteBase(si)}
 }
 
+const maxSpares = 8 // bounds the spare and limbo lists (docs/perf-log.md, PR 25)
+
+// release gives back a reference to f. A block of the overlay's shape whose
+// last holder — owner or view slot — let go waits in the current epoch's
+// limbo, as open messages may carry it; if it waited in the older one, a
+// receiver took it up again since, and newer messages may carry it too. Peers
+// that exchange summaries share one Shared.
+func (sh *Shared) release(f *bloom.Filter) {
+	if !f.Release() || f.Bits() != 8*sh.cfg.SummaryBytes() || f.Hashes() != bloom.OptimalHashes(8) {
+		return
+	}
+	sh.limbo[sh.epoch^1] = slices.DeleteFunc(sh.limbo[sh.epoch^1], func(g *bloom.Filter) bool { return g == f })
+	if cur := sh.limbo[sh.epoch]; len(cur) < maxSpares && !slices.Contains(cur, f) {
+		sh.limbo[sh.epoch] = append(cur, f)
+	}
+	sh.settle()
+}
+
+// settle makes spares of the older epoch's limbo once none of its leases is
+// open (the flip into the current epoch waited for the one before), and flips.
+func (sh *Shared) settle() {
+	old := sh.epoch ^ 1
+	if sh.open[old] > 0 {
+		return
+	}
+	for _, f := range sh.limbo[old] {
+		if f.Refs() == 0 && len(sh.spare) < maxSpares {
+			sh.spare = append(sh.spare, f)
+		}
+	}
+	sh.limbo[old], sh.epoch = slices.Delete(sh.limbo[old], 0, len(sh.limbo[old])), old
+}
+
+// A Lease is an open message's or seed's place in its epoch's count, held
+// instead of a reference per summary (see release); the zero Lease holds none.
+type Lease struct{ open *int32 }
+
+func (sh *Shared) lease() Lease {
+	sh.settle()
+	sh.open[sh.epoch]++
+	return Lease{&sh.open[sh.epoch]}
+}
+
+// End closes the lease, once its message is merged, rejected or lost.
+func (l Lease) End() {
+	if l.open != nil {
+		*l.open--
+	}
+}
+
 // ContentPeer is the protocol state of one c(ws,loc): this struct, one word
 // array behind its three bitsets and the view's slot array. What it shares
 // with the rest of its overlay sits behind one pointer.
 type ContentPeer struct {
-	sh   *Shared
-	addr simnet.NodeID
+	sh *Shared
 
 	// Bit state by local index, carved from one array: the stored objects
 	// and the net un-pushed changes. Tracking the *net* effect (an object
@@ -136,11 +190,11 @@ type ContentPeer struct {
 	// ∆lists replayable in any order.
 	content, added, removed bitset.Set
 
-	// summary is the immutable snapshot last published; fresh[:nFresh] are
-	// the objects stored since, which the next publication adds to a copy of
-	// it. nFresh == rebuildSummary when that is not enough: nothing was
-	// published yet, an object was removed (a Bloom filter cannot delete) or
-	// fresh overflowed.
+	// summary is the immutable snapshot last published (the peer holds a
+	// reference); fresh[:nFresh] are the objects stored since, which the next
+	// publication adds to a copy of it. nFresh == rebuildSummary when that is
+	// not enough: nothing was published yet, an object was removed (a Bloom
+	// filter cannot delete) or fresh overflowed.
 	summary *bloom.Filter
 	fresh   [maxFresh]int32
 	nFresh  int8
@@ -164,7 +218,6 @@ func (sh *Shared) NewPeer(addr simnet.NodeID, joinedAt simkernel.Time) *ContentP
 	words := make([]uint64, 3*nw)
 	return &ContentPeer{
 		sh:       sh,
-		addr:     addr,
 		content:  bitset.Over(words[:nw:nw], n),
 		added:    bitset.Over(words[nw:2*nw:2*nw], n),
 		removed:  bitset.Over(words[2*nw:], n),
@@ -174,8 +227,8 @@ func (sh *Shared) NewPeer(addr simnet.NodeID, joinedAt simkernel.Time) *ContentP
 	}
 }
 
-// Addr returns the peer's network address.
-func (c *ContentPeer) Addr() simnet.NodeID { return c.addr }
+// Addr returns the peer's network address, its view's owner.
+func (c *ContentPeer) Addr() simnet.NodeID { return c.view.Owner() }
 
 // Site returns the website the peer supports.
 func (c *ContentPeer) Site() model.SiteID { return c.sh.site }
@@ -265,29 +318,36 @@ func (c *ContentPeer) RemoveObject(ref model.ObjectRef) {
 }
 
 // Summary returns the current content summary (Bloom over the content
-// list). The returned filter is an immutable snapshot: after a content
-// change a new instance is published — the last one plus the objects stored
-// since, or a rebuild from the content list when that cannot be had (see
-// nFresh). Either way the probes use precomputed hashes, and the bits and
-// the insertion count are the rebuild's.
+// list), an immutable snapshot while held (Retain): after a content change a
+// new instance is published, into a spare block when the overlay has one —
+// the last one plus the objects stored since, or a rebuild from the content
+// list when that cannot be had (see nFresh). Either way the probes use
+// precomputed hashes, and the bits and the insertion count are the rebuild's.
 func (c *ContentPeer) Summary() *bloom.Filter {
 	if c.nFresh == 0 {
 		return c.summary
 	}
 	var f *bloom.Filter
+	if n := len(c.sh.spare); n > 0 {
+		f, c.sh.spare = c.sh.spare[n-1], c.sh.spare[:n-1]
+		f.Reset()
+	} else {
+		f = bloom.NewForCapacity(c.sh.cfg.SummaryCapacity)
+	}
 	add := func(i int) {
 		h1, h2 := c.sh.in.Hashes(c.sh.base + model.ObjectRef(i))
 		f.AddHash(h1, h2)
 	}
 	if c.nFresh > 0 {
-		f = c.summary.Clone()
+		_ = f.Union(c.summary) // a copy: both have the overlay's shape
 		for _, i := range c.fresh[:c.nFresh] {
 			add(int(i))
 		}
 	} else {
-		f = bloom.NewForCapacity(c.sh.cfg.SummaryCapacity)
 		c.content.ForEach(add)
 	}
+	f.Retain()
+	c.sh.release(c.summary)
 	c.summary, c.nFresh = f, 0
 	return f
 }
@@ -315,7 +375,7 @@ func (c *ContentPeer) NeedPush() bool {
 // extracts without allocating. ok=false means there was nothing to push;
 // the message still carries added and removed.
 func (c *ContentPeer) TakePush(added, removed []model.ObjectRef) (PushMsg, bool) {
-	msg := PushMsg{From: c.addr, Added: added, Removed: removed}
+	msg := PushMsg{From: c.Addr(), Added: added, Removed: removed}
 	if c.PendingChanges() == 0 {
 		return msg, false
 	}
@@ -381,12 +441,13 @@ func (c *ContentPeer) MakeGossip(rng *rand.Rand, subsetBuf []gossip.Entry) (targ
 	if !ok {
 		return 0, GossipMsg{}, false
 	}
-	return oldest.Node, GossipMsg{
-		From:       c.addr,
-		Summary:    c.Summary(),
-		ViewSubset: c.view.SelectSubsetAppend(rng, c.sh.cfg.GossipLen, subsetBuf),
-		Dir:        c.dir,
-	}, true
+	return oldest.Node, c.outgoing(rng, subsetBuf, false), true
+}
+
+// outgoing is this peer's half of an exchange: summary, subset, directory.
+func (c *ContentPeer) outgoing(rng *rand.Rand, subsetBuf []gossip.Entry, reply bool) GossipMsg {
+	return GossipMsg{From: c.Addr(), Summary: c.Summary(), ViewSubset: c.view.SelectSubsetAppend(rng, c.sh.cfg.GossipLen, subsetBuf),
+		Dir: c.dir, IsReply: reply, Lease: c.sh.lease()}
 }
 
 // AcceptGossip performs the passive behaviour: build the answer message
@@ -394,13 +455,7 @@ func (c *ContentPeer) MakeGossip(rng *rand.Rand, subsetBuf []gossip.Entry) (targ
 // then merge the received information (view subset + a fresh entry for the
 // sender) and consider the gossiped directory entry.
 func (c *ContentPeer) AcceptGossip(msg GossipMsg, rng *rand.Rand, subsetBuf []gossip.Entry) GossipMsg {
-	reply := GossipMsg{
-		From:       c.addr,
-		Summary:    c.Summary(),
-		ViewSubset: c.view.SelectSubsetAppend(rng, c.sh.cfg.GossipLen, subsetBuf),
-		Dir:        c.dir,
-		IsReply:    true,
-	}
+	reply := c.outgoing(rng, subsetBuf, true)
 	c.mergeGossip(msg)
 	return reply
 }
@@ -410,23 +465,30 @@ func (c *ContentPeer) AcceptGossip(msg GossipMsg, rng *rand.Rand, subsetBuf []go
 func (c *ContentPeer) ApplyGossipReply(msg GossipMsg) { c.mergeGossip(msg) }
 
 func (c *ContentPeer) mergeGossip(msg GossipMsg) {
-	c.view.Merge(msg.ViewSubset, gossip.Entry{Node: msg.From, Age: 0, Summary: msg.Summary})
+	c.view.MergeWith(c.sh.release, msg.ViewSubset, gossip.Entry{Node: msg.From, Age: 0, Summary: msg.Summary})
 	c.ConsiderDir(msg.Dir)
 }
 
 // SeedView initialises the view of a freshly joined peer from entries
 // provided by the peer that served it (a subset of that peer's view) or by
 // the directory peer (a subset of its index, without summaries) — §4.2.
-func (c *ContentPeer) SeedView(entries []gossip.Entry) {
-	c.view.Merge(entries)
+func (c *ContentPeer) SeedView(entries []gossip.Entry) { c.view.MergeWith(c.sh.release, entries) }
+
+// Leave gives back the view's references and the peer's own, for good.
+func (c *ContentPeer) Leave() {
+	c.view.DropOlderThan(c.sh.release, 0)
+	c.sh.release(c.summary)
 }
 
+// Published returns the last published snapshot (nil: none) without publishing.
+func (c *ContentPeer) Published() *bloom.Filter { return c.summary }
+
 // RemoveContact drops a dead or relocated contact (§5.1, §5.4).
-func (c *ContentPeer) RemoveContact(node simnet.NodeID) { c.view.Remove(node) }
+func (c *ContentPeer) RemoveContact(node simnet.NodeID) { c.view.Remove(c.sh.release, node) }
 
 // DropOldContacts evicts view entries at or beyond the age limit and
 // reports how many went.
-func (c *ContentPeer) DropOldContacts(ageLimit int) int { return c.view.DropOlderThan(ageLimit) }
+func (c *ContentPeer) DropOldContacts(age int) int { return c.view.DropOlderThan(c.sh.release, age) }
 
 // CandidatesFor returns contacts whose summaries test positive for ref, in
 // a load-spreading random order (§4.1: replicas of popular objects spread
@@ -452,11 +514,11 @@ func (c *ContentPeer) AppendCandidates(dst []simnet.NodeID, ref model.ObjectRef,
 
 // ViewSeedFor appends to dst (nil for a fresh slice) the view subset handed
 // to a newly joined peer that this peer just served, including this peer
-// itself as a fresh entry.
-func (c *ContentPeer) ViewSeedFor(rng *rand.Rand, dst []gossip.Entry) []gossip.Entry {
+// itself as a fresh entry, and the lease the seed travels under.
+func (c *ContentPeer) ViewSeedFor(rng *rand.Rand, dst []gossip.Entry) ([]gossip.Entry, Lease) {
 	if cap(dst) == 0 {
 		dst = make([]gossip.Entry, 0, c.sh.cfg.GossipLen+1) // the subset and this peer, sized once
 	}
 	dst = c.view.SelectSubsetAppend(rng, c.sh.cfg.GossipLen, dst)
-	return append(dst, gossip.Entry{Node: c.addr, Age: 0, Summary: c.Summary()})
+	return append(dst, gossip.Entry{Node: c.Addr(), Age: 0, Summary: c.Summary()}), c.sh.lease()
 }

@@ -50,6 +50,7 @@ func TestSummarySnapshotImmutable(t *testing.T) {
 	p := newPeer(1)
 	p.AddObject(ref(10))
 	s1 := p.Summary()
+	s1.Retain() // held past the next publication
 	if !s1.Test(testIn.Key(ref(10))) {
 		t.Fatal("summary missing content")
 	}
@@ -252,7 +253,8 @@ func TestViewSeedForIncludesSelf(t *testing.T) {
 	p := newPeer(7)
 	p.AddObject(ref(5))
 	p.SeedView([]gossip.Entry{{Node: 2, Age: 1}, {Node: 3, Age: 2}})
-	seed := p.ViewSeedFor(rng, nil)
+	seed, lease := p.ViewSeedFor(rng, nil)
+	defer lease.End()
 	foundSelf := false
 	for _, e := range seed {
 		if e.Node == 7 {

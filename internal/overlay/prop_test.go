@@ -82,7 +82,8 @@ func TestDeltaListAgainstReference(t *testing.T) {
 // snapshot carries exactly the bits and the insertion count of one rebuilt
 // from the content list, over random add/remove/publish sequences — bursts
 // longer than the fresh list, removals, re-adds of removed objects — and no
-// snapshot changes once published.
+// snapshot changes once published while someone holds it (the test, here:
+// one nobody holds is a spare block the next publication overwrites).
 func TestSummaryDeltaAgainstRebuild(t *testing.T) {
 	wire := func(f *bloom.Filter) []byte {
 		b, err := f.MarshalBinary()
@@ -115,6 +116,7 @@ func TestSummaryDeltaAgainstRebuild(t *testing.T) {
 				if p.Summary() != got {
 					t.Fatalf("seed %d step %d: unchanged content published a second snapshot", seed, step)
 				}
+				got.Retain()
 				published, frozen = append(published, got), append(frozen, wire(got))
 			}
 		}
@@ -151,23 +153,35 @@ func TestNewAllocs(t *testing.T) {
 		t.Fatalf("a seeded peer with a first push costs %.0f allocations, want 4", avg)
 	}
 
-	// Publishing a summary costs the snapshot — one block — on both paths,
-	// and listing the content into a grown buffer costs nothing.
+	// Publishing a summary costs the snapshot — one block — on both paths
+	// while every snapshot stays held, and nothing once the overlay holds a
+	// spare: here the previous snapshot, which its peer held last. Listing the
+	// content into a grown buffer costs nothing.
 	p = sh.NewPeer(1, 0)
 	next := 0
-	if avg := testing.AllocsPerRun(50, func() {
-		next++
-		p.AddObject(ref(next))
-		p.Summary() // the last snapshot plus the object stored since
-	}); avg != 1 {
-		t.Fatalf("an incremental summary costs %.0f allocations, want 1", avg)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		p.RemoveObject(ref(next))
-		next--
-		p.Summary() // rebuilt from the content list
-	}); avg != 1 {
-		t.Fatalf("a rebuilt summary costs %.0f allocations, want 1", avg)
+	for _, held := range []bool{true, false} {
+		want := 0.0
+		if held {
+			want = 1
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			next++
+			p.AddObject(ref(next))
+			if f := p.Summary(); held { // the last snapshot plus the object stored since
+				f.Retain()
+			}
+		}); avg != want {
+			t.Fatalf("an incremental summary (held: %v) costs %.0f allocations, want %.0f", held, avg, want)
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			p.RemoveObject(ref(next))
+			next--
+			if f := p.Summary(); held { // rebuilt from the content list
+				f.Retain()
+			}
+		}); avg != want {
+			t.Fatalf("a rebuilt summary (held: %v) costs %.0f allocations, want %.0f", held, avg, want)
+		}
 	}
 	p.AddObject(ref(1))
 	buf := p.Objects()
