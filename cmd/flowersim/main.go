@@ -68,6 +68,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *hours < 0 {
+		fmt.Fprintf(stderr, "-hours: %d is not a duration (0 keeps the experiment's own)\n", *hours)
+		return 2
+	}
 	opts := flowercdn.Options{Hours: flowercdn.Time(*hours) * flowercdn.Hour, Churn: *churn}
 	if *loss != "" {
 		for _, tok := range strings.Split(*loss, ",") {

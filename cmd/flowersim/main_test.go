@@ -231,6 +231,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-exp", "headline", "-scale", "bogus"},
 		{"-exp", "faults", "-scale", "small", "-loss", "2"},
 		{"-exp", "faults", "-scale", "small", "-loss", "0.1,x"},
+		{"-exp", "headline", "-scale", "small", "-hours", "-3"},
 		{"-no-such-flag"},
 	} {
 		out, errs, code := sim(args...)

@@ -100,17 +100,59 @@ func formatStats(sb *strings.Builder, res Result) {
 		res.Stats.GossipRejects, res.Stats.QueriesRetried, res.Stats.Prefetches)
 }
 
+// checkReportIdentities asserts what a report owes its own counters: every
+// query is counted once by source, by latency bin, by distance bin (each
+// Flower and Squirrel resolution records a distance ≥ 0) and by time bucket;
+// the hits are the queries the origin did not serve; both percentile sets
+// are ordered.
+func checkReportIdentities(t *testing.T, label string, r Report) {
+	t.Helper()
+	var bySource, latency, distance, series int64
+	for _, n := range r.BySource {
+		bySource += n
+	}
+	for _, b := range r.LatencyHist {
+		latency += b.Count
+	}
+	for _, b := range r.DistanceHist {
+		distance += b.Count
+	}
+	for _, b := range r.Series {
+		series += b.Queries
+	}
+	for _, sum := range []struct {
+		name string
+		n    int64
+	}{{"Σ BySource", bySource}, {"Σ LatencyHist", latency}, {"Σ DistanceHist", distance}, {"Σ Series.Queries", series}} {
+		if sum.n != r.TotalQueries {
+			t.Errorf("%s: %s = %d, want TotalQueries = %d", label, sum.name, sum.n, r.TotalQueries)
+		}
+	}
+	if want := r.TotalQueries - r.BySource["server"]; r.Hits != want {
+		t.Errorf("%s: Hits = %d, want TotalQueries − server = %d", label, r.Hits, want)
+	}
+	for _, p := range []metrics.Percentiles{r.LookupPercentiles, r.TransferPercentiles} {
+		if !(p.P50 <= p.P90 && p.P90 <= p.P95 && p.P95 <= p.P99 && p.P99 <= p.Max) {
+			t.Errorf("%s: percentiles out of order: %+v", label, p)
+		}
+	}
+}
+
 // buildFixture runs every scenario and renders the canonical transcript.
 func buildFixture(t *testing.T) string {
 	t.Helper()
 	var sb strings.Builder
+	report := func(label string, r Report) {
+		checkReportIdentities(t, label, r)
+		formatReport(&sb, label, r)
+	}
 
 	for _, seed := range []int64{1, 2} {
 		res, err := RunFlower(fixtureParams(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		formatReport(&sb, fmt.Sprintf("flower seed=%d", seed), res.Report)
+		report(fmt.Sprintf("flower seed=%d", seed), res.Report)
 		formatStats(&sb, res)
 	}
 
@@ -118,7 +160,7 @@ func buildFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "squirrel seed=1", res.Report)
+	report("squirrel seed=1", res.Report)
 
 	hp := fixtureParams(2)
 	hp.SquirrelHomeStore = true
@@ -126,27 +168,27 @@ func buildFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "squirrel home-store seed=2", res.Report)
+	report("squirrel home-store seed=2", res.Report)
 
 	res, err = RunFlower(churnFixtureParams(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "flower churn+replication seed=3", res.Report)
+	report("flower churn+replication seed=3", res.Report)
 	formatStats(&sb, res)
 
 	res, err = RunFlower(scaleUpFixtureParams(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "flower scale-up seed=4", res.Report)
+	report("flower scale-up seed=4", res.Report)
 	formatStats(&sb, res)
 
 	tres, buf, err := RunFlowerTraced(fixtureParams(5), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "flower traced seed=5", tres.Report)
+	report("flower traced seed=5", tres.Report)
 	formatStats(&sb, tres)
 	sb.WriteString("trace:\n")
 	sb.WriteString(FormatTrace(buf.Events()))
@@ -159,7 +201,7 @@ func buildFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "flower shrunk-massive seed=6", mres.Report)
+	report("flower shrunk-massive seed=6", mres.Report)
 	formatStats(&sb, mres)
 
 	// Ninth scenario: churn at scale — the shrunk massive preset under the
@@ -170,7 +212,7 @@ func buildFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "flower shrunk-massive-churn seed=7", cmres.Report)
+	report("flower shrunk-massive-churn seed=7", cmres.Report)
 	formatStats(&sb, cmres)
 
 	// Tenth scenario: the fault storm — deterministic loss, jitter and
@@ -182,7 +224,7 @@ func buildFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "flower fault-storm seed=9", fres.Report)
+	report("flower fault-storm seed=9", fres.Report)
 	formatStats(&sb, fres)
 	formatFaultSummary(&sb, fres)
 
@@ -194,7 +236,7 @@ func buildFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "flower dircrash seed=10", dres.Report)
+	report("flower dircrash seed=10", dres.Report)
 	formatStats(&sb, dres)
 	formatFaultSummary(&sb, dres)
 	formatStandbySummary(&sb, dres)
@@ -210,7 +252,7 @@ func buildFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formatReport(&sb, "flower gray-storm adaptive seed=11", gres.Report)
+	report("flower gray-storm adaptive seed=11", gres.Report)
 	formatStats(&sb, gres)
 	formatFaultSummary(&sb, gres)
 	formatGraySummary(&sb, gres)

@@ -143,7 +143,7 @@ type Collector struct {
 	lookupCounts []uint32
 	lookupMaxMs  int
 	// Transfer distances are fractional: raw samples (a 24-hour paper-scale
-	// run holds ~500k ≈ 4 MB), sorted in place by Snapshot.
+	// run holds ~500k ≈ 4 MB), reordered in place as Snapshot selects.
 	distSamples []float64
 
 	trafficBytes [simnet.NumCategories]int64

@@ -3,6 +3,8 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -356,10 +358,181 @@ func TestNegativeDistanceSkipped(t *testing.T) {
 	}
 }
 
+// sortedPercentiles is the oracle both percentile paths are checked
+// against: the nearest-rank values of a sorted copy of the samples.
+func sortedPercentiles(samples []float64) Percentiles {
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	n := len(s)
+	if n == 0 {
+		return Percentiles{}
+	}
+	return Percentiles{
+		P50: s[nearestRank(0.50, n)],
+		P90: s[nearestRank(0.90, n)],
+		P95: s[nearestRank(0.95, n)],
+		P99: s[nearestRank(0.99, n)],
+		Max: s[n-1],
+	}
+}
+
+// bitEqual compares two percentile sets bit for bit.
+func bitEqual(a, b Percentiles) bool {
+	x, y := [5]float64{a.P50, a.P90, a.P95, a.P99, a.Max}, [5]float64{b.P50, b.P90, b.P95, b.P99, b.Max}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// medianOf3Killer returns n samples on which each of selectRank's first 64
+// partitions towards rank k splits off only two samples: before each one,
+// the samples at the first and middle of the range get the next smallest
+// values unless they have one, so the median of three is the second
+// smallest sample left. The samples still unassigned are larger than every
+// assigned one, distinct, and carry their original position.
+func medianOf3Killer(n, k int) []float64 {
+	const unset = 1e9
+	s, out := make([]float64, n), make([]float64, n)
+	for i := range s {
+		s[i] = unset + float64(i)
+		out[i] = s[i]
+	}
+	next := 0.0
+	lo, hi := 0, n-1
+	for round := 0; round < 64 && hi-lo >= 16; round++ {
+		for _, at := range [2]int{lo, lo + (hi-lo)/2} {
+			if s[at] >= unset {
+				next++
+				out[int(s[at]-unset)], s[at] = next, next
+			}
+		}
+		if j := partition(s, lo, hi); k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	return out
+}
+
+// The transfer percentiles are selected, not sorted. Over 300 seeded
+// series — the lengths either side of the selection's 16-sample sort
+// cut-off, then random lengths up to 2·10⁵; uniform, at least a third exact
+// zeros (local hits record distance 0), few distinct values, ascending,
+// descending, all equal, organ pipe, and a median-of-three killer — every
+// percentile must be bit-equal to the nearest-rank value of a sorted copy,
+// and a second Snapshot of the same collector must report the same. The
+// killer must drive the selection into its sort fallback.
+func TestTransferPercentilesMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	shapes := []struct {
+		name string
+		at   func(i, n int) float64
+	}{
+		{"uniform", func(i, n int) float64 { return 600 * rng.Float64() }},
+		{"zeros", func(i, n int) float64 {
+			if i%3 == 0 || rng.Intn(4) == 0 {
+				return 0
+			}
+			return 600 * rng.Float64()
+		}},
+		{"few distinct", func(i, n int) float64 { return 12.5 * float64(rng.Intn(4)) }},
+		{"ascending", func(i, n int) float64 { return float64(i) / 4 }},
+		{"descending", func(i, n int) float64 { return float64(n-i) / 4 }},
+		{"all equal", func(i, n int) float64 { return 42.5 }},
+		{"organ pipe", func(i, n int) float64 { return float64(min(i, n-1-i)) }},
+		{"median-of-3 killer", nil},
+	}
+	for trial := 0; trial < 300; trial++ {
+		shape := shapes[trial%len(shapes)]
+		n := int(math.Exp(rng.Float64() * math.Log(2e5)))
+		if edge := []int{1, 2, 3, 16, 17}; trial/len(shapes) < len(edge) {
+			n = edge[trial/len(shapes)]
+		}
+		var s []float64
+		if shape.at == nil {
+			s = medianOf3Killer(n, nearestRank(0.50, n))
+		} else {
+			s = make([]float64, n)
+			for i := range s {
+				s[i] = shape.at(i, n)
+			}
+		}
+		want := sortedPercentiles(s)
+		c := New(Config{})
+		for _, d := range s {
+			c.RecordQuery(0, SourcePeer, 0, d)
+		}
+		r := c.Snapshot(simkernel.Hour)
+		if !bitEqual(r.TransferPercentiles, want) {
+			t.Fatalf("%s, %d samples: selected %+v, sorted %+v", shape.name, n, r.TransferPercentiles, want)
+		}
+		if again := c.Snapshot(simkernel.Hour); !reflect.DeepEqual(again, r) {
+			t.Fatalf("%s, %d samples: a second Snapshot reads %+v, the first %+v", shape.name, n, again.TransferPercentiles, r.TransferPercentiles)
+		}
+		// Each partition drawn from a killer splits off two samples, so the
+		// budget runs out and the rest of the range — nearly all of it — is
+		// sorted; a selection that finished would leave it in pieces.
+		if shape.at == nil && n >= 1000 {
+			k := nearestRank(0.50, n)
+			selectRank(s, k)
+			if !slices.IsSorted(s[n/8:]) {
+				t.Fatalf("the killer of %d samples did not reach the sort fallback", n)
+			}
+		}
+	}
+}
+
+// The percentile path allocates nothing, however long the series.
+func TestSnapshotPercentileAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fresh := make([]float64, 100000)
+	for i := range fresh {
+		if i%3 != 0 {
+			fresh[i] = 600 * rng.Float64()
+		}
+	}
+	s := make([]float64, len(fresh))
+	if allocs := testing.AllocsPerRun(5, func() {
+		copy(s, fresh)
+		computePercentiles(s)
+	}); allocs != 0 {
+		t.Fatalf("transfer percentiles of %d samples: %.1f allocs/op, want 0", len(s), allocs)
+	}
+}
+
+// BenchmarkSnapshot times what ends every run: the first Snapshot of 500k
+// recorded queries, whose transfer distances — a third of them zero — are
+// in arrival order. Each iteration restores that order outside the timer.
+func BenchmarkSnapshot(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	c := New(Config{Horizon: 24 * simkernel.Hour})
+	c.PeerJoined(0)
+	for i := 0; i < 500000; i++ {
+		d := 0.0
+		if i%3 != 0 {
+			d = 20 + 400*rng.Float64()
+		}
+		c.RecordQuery(simkernel.Time(i%86400)*simkernel.Second, Source(i%4), float64(40+rng.Intn(900)), d)
+	}
+	fresh := slices.Clone(c.distSamples)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(c.distSamples, fresh)
+		b.StartTimer()
+		c.Snapshot(24 * simkernel.Hour)
+	}
+}
+
 // The lookup percentiles are read off per-millisecond counts; they must be
-// the order statistics computePercentiles extracts from the same whole-ms
-// samples, whatever the series: empty, single, all equal, and wide enough
-// that the count array grew several times.
+// the order statistics of a sorted copy of the same whole-ms samples,
+// whatever the series: empty, single, all equal, and wide enough that the
+// count array grew several times.
 func TestCountedPercentilesMatchSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	series := [][]int{
@@ -387,7 +560,7 @@ func TestCountedPercentilesMatchSamples(t *testing.T) {
 			samples[i] = float64(ms)
 			c.RecordQuery(0, SourcePeer, float64(ms), -1)
 		}
-		want := computePercentiles(samples)
+		want := sortedPercentiles(samples)
 		if got := c.Snapshot(simkernel.Hour).LookupPercentiles; got != want {
 			t.Fatalf("%d samples %v: counted %+v, sorted %+v", len(s), s[:min(len(s), 8)], got, want)
 		}

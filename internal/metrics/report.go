@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"flowercdn/internal/simkernel"
@@ -36,26 +36,65 @@ type Percentiles struct {
 	Max                float64
 }
 
+// percentileRanks are the quantiles of P50, P90, P95 and P99.
+var percentileRanks = [4]float64{0.50, 0.90, 0.95, 0.99}
+
 // nearestRank is the index, in a sorted series of n ≥ 1 samples, of the
 // q-quantile by the nearest-rank method.
 func nearestRank(q float64, n int) int {
 	return min(max(int(q*float64(n)+0.5)-1, 0), n-1)
 }
 
-// computePercentiles sorts the samples in place (their order carries no
-// meaning) and extracts the order statistics.
+// computePercentiles selects the order statistics in place (the samples'
+// order carries no meaning) without allocating: P50 over the whole series,
+// each higher rank only above the one before it, Max from P99 up.
 func computePercentiles(samples []float64) Percentiles {
-	n := len(samples)
-	if n == 0 {
+	if len(samples) == 0 {
 		return Percentiles{}
 	}
-	sort.Float64s(samples)
-	return Percentiles{
-		P50: samples[nearestRank(0.50, n)],
-		P90: samples[nearestRank(0.90, n)],
-		P95: samples[nearestRank(0.95, n)],
-		P99: samples[nearestRank(0.99, n)],
-		Max: samples[n-1],
+	out, lo := [4]float64{}, 0
+	for k, q := range percentileRanks {
+		i := nearestRank(q, len(samples))
+		selectRank(samples[lo:], i-lo)
+		out[k], lo = samples[i], i
+	}
+	return Percentiles{P50: out[0], P90: out[1], P95: out[2], P99: out[3], Max: slices.Max(samples[lo:])}
+}
+
+// selectRank puts at s[k] what sorting would, nothing larger before it and
+// nothing smaller after, in linear time: each partition keeps the side
+// holding k. A range of ≤ 16 samples is sorted, and so is the range left once
+// partitions have scanned 8·len(s) samples, so no input goes quadratic.
+func selectRank(s []float64, k int) {
+	lo, hi := 0, len(s)-1
+	for budget := 8 * len(s); hi-lo >= 16 && budget > 0; {
+		budget -= hi - lo + 1
+		if j := partition(s, lo, hi); k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	slices.Sort(s[lo : hi+1])
+}
+
+// partition splits s[lo : hi+1], hi ≥ lo+2, Hoare-style around the median of
+// its first, middle and last samples: s[lo : j+1] ≤ pivot ≤ s[j+1 : hi+1],
+// lo ≤ j < hi.
+func partition(s []float64, lo, hi int) int {
+	a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi]
+	p := max(min(a, b), min(max(a, b), c))
+	for i, j := lo, hi; ; i, j = i+1, j-1 {
+		for s[i] < p {
+			i++
+		}
+		for s[j] > p {
+			j--
+		}
+		if i >= j {
+			return j
+		}
+		s[i], s[j] = s[j], s[i]
 	}
 }
 
@@ -69,7 +108,7 @@ func countedPercentiles(counts []uint32, n int64, maxMs int) Percentiles {
 	}
 	var out [4]float64
 	ms, below := 0, int64(0) // below: samples in slots before ms
-	for k, q := range [4]float64{0.50, 0.90, 0.95, 0.99} {
+	for k, q := range percentileRanks {
 		i := int64(nearestRank(q, int(n)))
 		for below+int64(counts[ms]) <= i {
 			below += int64(counts[ms])
