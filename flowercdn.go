@@ -235,12 +235,12 @@ type Point = harness.Point
 
 // Campaign fans independent simulation points out over a worker pool.
 // Every point builds its own kernel, topology and metrics stack, so a
-// parallel campaign's results are byte-identical to the sequential run.
+// campaign's results are byte-identical whatever its worker count.
 type Campaign = harness.Campaign
 
-// RunCampaign executes the points with the given worker count (0/1 =
-// sequential, n>1 = n workers, negative = one per CPU) and returns
-// results in point order.
+// RunCampaign executes the points with the given worker count (0/1 = one
+// worker taking them in order, n>1 = n workers, negative = one per CPU)
+// and returns results in point order.
 func RunCampaign(points []Point, parallel int) ([]Result, error) {
 	return harness.RunCampaign(points, parallel)
 }

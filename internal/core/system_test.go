@@ -53,11 +53,10 @@ func newTestEnv(t testing.TB, seed int64, mod func(*Config)) *testEnv {
 	if mod != nil {
 		mod(&cfg)
 	}
-	// Horizon preallocates the time-series buckets, ExpectedQueries the raw
-	// sample series, so alloc-gate tests see an append-free accounting path;
-	// empty trailing buckets are dropped at Snapshot, so reports are
-	// unaffected.
-	mets := metrics.New(metrics.Config{BucketWidth: 10 * simkernel.Minute, Horizon: 2 * simkernel.Hour, ExpectedQueries: 1 << 12})
+	// Horizon preallocates the time-series buckets, so alloc-gate tests see
+	// an append-free accounting path; empty trailing buckets are dropped at
+	// Snapshot, so reports are unaffected.
+	mets := metrics.New(metrics.Config{BucketWidth: 10 * simkernel.Minute, Horizon: 2 * simkernel.Hour})
 	sys, err := New(cfg, Deps{Kernel: k, Topo: topo, Metrics: mets})
 	if err != nil {
 		t.Fatal(err)

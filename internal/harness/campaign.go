@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"flowercdn/internal/simkernel"
 )
@@ -25,8 +26,8 @@ type Point struct {
 
 // Campaign executes a set of independent points.
 type Campaign struct {
-	// Parallel is the worker count: 0 or 1 runs sequentially in the
-	// calling goroutine, n>1 uses n workers, and a negative value uses
+	// Parallel is the worker count: 0 or 1 runs one worker, which takes
+	// the points in order, n>1 uses n workers, and a negative value uses
 	// one worker per CPU.
 	Parallel int
 }
@@ -37,13 +38,7 @@ func (c Campaign) workers(n int) int {
 	if w < 0 {
 		w = runtime.NumCPU()
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(min(w, n), 1)
 }
 
 // runPoint dispatches one point to the matching runner.
@@ -59,43 +54,26 @@ func runPoint(pt Point) (Result, error) {
 // topology, metrics and RNGs), so the output is identical no matter how
 // many workers execute it or in which order points finish. On failure,
 // in-flight points drain, not-yet-started points are skipped, and the
-// lowest-index error is returned (matching the sequential path).
+// lowest-index error is returned; one worker runs the points in order and
+// stops at the first failure.
 func (c Campaign) Run(points []Point) ([]Result, error) {
 	results := make([]Result, len(points))
-	workers := c.workers(len(points))
-	if workers == 1 {
-		for i, pt := range points {
-			res, err := runPoint(pt)
-			if err != nil {
-				return nil, fmt.Errorf("campaign point %d (%s): %w", i, pt.Label, err)
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-
 	idx := make(chan int)
 	errs := make([]error, len(points))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	failed := false
-	for w := 0; w < workers; w++ {
+	var failed atomic.Bool
+	for w := 0; w < c.workers(len(points)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				mu.Lock()
-				skip := failed
-				mu.Unlock()
-				if skip {
+				if failed.Load() {
 					continue // a point already failed; drain without running
 				}
 				res, err := runPoint(points[i])
 				if err != nil {
 					errs[i] = fmt.Errorf("campaign point %d (%s): %w", i, points[i].Label, err)
-					mu.Lock()
-					failed = true
-					mu.Unlock()
+					failed.Store(true)
 					continue
 				}
 				results[i] = res
@@ -107,7 +85,7 @@ func (c Campaign) Run(points []Point) ([]Result, error) {
 	}
 	close(idx)
 	wg.Wait()
-	// Like the sequential path, report the lowest-index failure.
+	// Report the lowest-index failure, whichever worker met it first.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -436,6 +436,9 @@ func TestParamsValidation(t *testing.T) {
 // front, through the same door a run takes. At the parent commit the
 // wrong-length weights panicked in BuildPools (index out of range) and the
 // zero-sum weights divided by zero and ran one-client pools with a nil error.
+// A directory crash or degrade that cannot act (no such position, a crash
+// outside the run, an empty window, a factor ≤ 1) used to be skipped without
+// a word, measuring a run without it.
 func TestParamsValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -455,6 +458,23 @@ func TestParamsValidate(t *testing.T) {
 		{"all-zero weights", func(p *Params) { p.LocalityWeights = []float64{0, 0, 0} }, false},
 		{"a negative weight", func(p *Params) { p.LocalityWeights = []float64{2, -1, 1} }, false},
 		{"a NaN weight", func(p *Params) { p.LocalityWeights = []float64{1, math.NaN(), 1} }, false},
+		{"a directory crash", func(p *Params) { p.DirCrashes = []DirCrash{{SiteIdx: 1, Locality: 2, At: simkernel.Minute}} }, true},
+		{"a crash of site ActiveSites", func(p *Params) { p.DirCrashes = []DirCrash{{SiteIdx: p.ActiveSites}} }, false},
+		{"a crash of a negative site", func(p *Params) { p.DirCrashes = []DirCrash{{SiteIdx: -1}} }, false},
+		{"a crash in locality Localities", func(p *Params) { p.DirCrashes = []DirCrash{{Locality: p.Localities}} }, false},
+		{"a crash in a negative locality", func(p *Params) { p.DirCrashes = []DirCrash{{Locality: -1}} }, false},
+		{"a crash at the end of the run", func(p *Params) { p.DirCrashes = []DirCrash{{At: p.Duration}} }, false},
+		{"a crash before the run", func(p *Params) { p.DirCrashes = []DirCrash{{At: -1}} }, false},
+		{"a directory degrade", func(p *Params) {
+			p.DirDegrades = []DirDegrade{{SiteIdx: 1, Locality: 2, Start: simkernel.Minute, End: 5 * simkernel.Minute, Factor: 1.5}}
+		}, true},
+		{"a degrade of site ActiveSites", func(p *Params) { p.DirDegrades = []DirDegrade{{SiteIdx: p.ActiveSites, End: 1, Factor: 2}} }, false},
+		{"a degrade in a negative locality", func(p *Params) { p.DirDegrades = []DirDegrade{{Locality: -1, End: 1, Factor: 2}} }, false},
+		{"a degrade in locality Localities", func(p *Params) { p.DirDegrades = []DirDegrade{{Locality: p.Localities, End: 1, Factor: 2}} }, false},
+		{"a degrade ending at its start", func(p *Params) { p.DirDegrades = []DirDegrade{{Start: 5, End: 5, Factor: 2}} }, false},
+		{"a degrade ending before its start", func(p *Params) { p.DirDegrades = []DirDegrade{{Start: 5, End: 4, Factor: 2}} }, false},
+		{"a degrade by factor 1", func(p *Params) { p.DirDegrades = []DirDegrade{{End: 1, Factor: 1}} }, false},
+		{"a degrade by a NaN factor", func(p *Params) { p.DirDegrades = []DirDegrade{{End: 1, Factor: math.NaN()}} }, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -486,6 +506,7 @@ func TestSettableValues(t *testing.T) {
 		{"core.Config", core.Config{}, 22},
 		{"squirrel.Config", squirrel.Config{}, 7},
 		{"overlay.Config", overlay.Config{}, 4},
+		{"metrics.Config", metrics.Config{}, 6},
 		{"harness.Result", Result{}, 18},
 	} {
 		if got := reflect.TypeOf(c.config).NumField(); got != c.fields {

@@ -388,5 +388,22 @@ func (p Params) Validate() error {
 	if len(p.LocalityWeights) > 0 && !(sum > 0) {
 		return fmt.Errorf("harness: locality weights sum to zero")
 	}
+	// A schedule entry that cannot act is refused, not skipped: a run that
+	// silently lost its crash or its slowdown would measure the wrong thing.
+	for _, dc := range p.DirCrashes {
+		if !p.isDirPosition(dc.SiteIdx, dc.Locality) || dc.At < 0 || dc.At >= p.Duration {
+			return fmt.Errorf("harness: directory crash %+v names no directory or falls outside the run [0, %s)", dc, p.Duration)
+		}
+	}
+	for _, dd := range p.DirDegrades {
+		if !p.isDirPosition(dd.SiteIdx, dd.Locality) || dd.End <= dd.Start || !(dd.Factor > 1) {
+			return fmt.Errorf("harness: directory degrade %+v names no directory, an empty window or a factor ≤ 1", dd)
+		}
+	}
 	return nil
+}
+
+// isDirPosition reports whether d(active site si, locality loc) exists.
+func (p Params) isDirPosition(si, loc int) bool {
+	return si >= 0 && si < p.ActiveSites && loc >= 0 && loc < p.Localities
 }

@@ -95,18 +95,10 @@ func (r Result) EventsPerSecond() float64 {
 }
 
 // metricsConfig sizes a run's collector: time-series buckets across the
-// horizon, and sample series for the queries the workload will issue.
-func (p Params) metricsConfig(expectedQueries int) metrics.Config {
-	return metrics.Config{
-		BucketWidth:     p.BucketWidth,
-		Horizon:         p.Duration,
-		ExpectedQueries: expectedQueries,
-	}
+// horizon.
+func (p Params) metricsConfig() metrics.Config {
+	return metrics.Config{BucketWidth: p.BucketWidth, Horizon: p.Duration}
 }
-
-// generatedQueries is how many queries the synthetic generator issues over
-// the run.
-func (p Params) generatedQueries() int { return int(p.QueryRate * p.Duration.Seconds()) }
 
 // setKernel fills the result's event-class counters from the run's kernel.
 func (r *Result) setKernel(k *simkernel.Kernel) {
@@ -177,9 +169,6 @@ func resolveDirDegrades(sys *core.System, p Params) []simnet.DegradeWindow {
 	sites := model.MakeSites(p.Websites)[:p.ActiveSites]
 	var wins []simnet.DegradeWindow
 	for _, dd := range p.DirDegrades {
-		if dd.SiteIdx < 0 || dd.SiteIdx >= len(sites) || dd.Locality < 0 || dd.Locality >= p.Localities {
-			continue
-		}
 		addr, ok := sys.DirectoryAddr(sites[dd.SiteIdx], dd.Locality)
 		if !ok {
 			continue
@@ -218,11 +207,7 @@ func scheduleDirCrashes(k *simkernel.Kernel, sys *core.System, p Params) {
 	}
 	sites := model.MakeSites(p.Websites)[:p.ActiveSites]
 	for _, dc := range p.DirCrashes {
-		if dc.SiteIdx < 0 || dc.SiteIdx >= len(sites) || dc.Locality < 0 || dc.Locality >= p.Localities {
-			continue
-		}
-		site := sites[dc.SiteIdx]
-		loc := dc.Locality
+		site, loc := sites[dc.SiteIdx], dc.Locality
 		k.At(dc.At, func() { sys.CrashDirectory(site, loc) })
 	}
 }
@@ -244,21 +229,20 @@ func RunFlowerTraced(p Params, traceCapacity int) (Result, *trace.Buffer, error)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return runFlower(p, pools, gen.AsSource(), p.generatedQueries(), traceCapacity)
+	return runFlower(p, pools, gen.AsSource(), traceCapacity)
 }
 
 // runFlower is the one Flower-CDN run scaffold: it builds the system for
 // validated parameters and their pools, arms the fault plane, the auditor,
 // scheduled directory crashes and churn, pumps src into the system for the
-// configured duration and packages the result. expectedQueries sizes the
-// metrics sample series.
-func runFlower(p Params, pools [][]int, src workload.Source, expectedQueries, traceCapacity int) (Result, *trace.Buffer, error) {
+// configured duration and packages the result.
+func runFlower(p Params, pools [][]int, src workload.Source, traceCapacity int) (Result, *trace.Buffer, error) {
 	kernel := simkernel.New(p.Seed)
 	topo, err := topology.Generate(p.TopologyConfig(pools))
 	if err != nil {
 		return Result{}, nil, err
 	}
-	mets := metrics.New(p.metricsConfig(expectedQueries))
+	mets := metrics.New(p.metricsConfig())
 	// One interner serves both the system and the workload generator, and
 	// is shared across campaign points: the dense object space (and its
 	// precomputed keys and Bloom hash streams) is a pure function of
@@ -343,7 +327,7 @@ func RunSquirrel(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	mets := metrics.New(p.metricsConfig(p.generatedQueries()))
+	mets := metrics.New(p.metricsConfig())
 	sys, err := squirrel.New(p.SquirrelConfig(pools), kernel, topo, mets)
 	if err != nil {
 		return Result{}, err
@@ -469,7 +453,7 @@ func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
 		return Result{}, err
 	}
 	// The trace, not QueryRate, is the load.
-	res, _, err := runFlower(p, pools, replayer, len(queries), 0)
+	res, _, err := runFlower(p, pools, replayer, 0)
 	return res, err
 }
 

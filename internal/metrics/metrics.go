@@ -14,6 +14,8 @@
 package metrics
 
 import (
+	"math"
+
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 )
@@ -59,15 +61,6 @@ type Config struct {
 	// state. Events beyond the horizon still work — the bucket slice grows
 	// on demand as before. 0 means "unknown" (grow on demand only).
 	Horizon simkernel.Time
-
-	// ExpectedQueries is how many queries the run is expected to record.
-	// When set, the transfer-distance sample series is sized for it once —
-	// on the first recorded query, so an idle collector stays small —
-	// instead of growing by doubling (which allocates twice the final size
-	// in total and leaves up to half the last array unused); a run that
-	// records more still works, the series then grows on demand. 0 means
-	// "unknown".
-	ExpectedQueries int
 
 	LatencyBinMs  float64 // histogram bin width for lookup latency (default 150, per Fig 7b)
 	LatencyBins   int     // number of finite bins; one overflow bin is added (default 7 → ">1050ms")
@@ -135,16 +128,12 @@ type Collector struct {
 	latencyHist  []int64 // LatencyBins + 1 (overflow)
 	distanceHist []int64 // DistanceBins + 1
 
-	// Lookup latencies are whole simulated milliseconds, so the exact
-	// percentiles need no samples: lookupCounts[ms] counts the queries that
-	// took ms, grown to the slowest lookup seen (a few KB on a clean
-	// network). Slots stop at maxLookupSlot, which gathers everything
-	// slower; lookupMaxMs keeps the true maximum beside it.
-	lookupCounts []uint32
-	lookupMaxMs  int
-	// Transfer distances are fractional: raw samples (a 24-hour paper-scale
-	// run holds ~500k ≈ 4 MB), reordered in place as Snapshot selects.
-	distSamples []float64
+	// The order statistics are read off counts per simulated millisecond,
+	// not stored samples: lookups (whole milliseconds already; a few KB of
+	// slots on a clean network) and transfer distances (≤ 501 slots, since
+	// a link's latency stops at the topology's 500 ms).
+	lookups   msCounts
+	distances msCounts
 
 	trafficBytes [simnet.NumCategories]int64
 	trafficMsgs  [simnet.NumCategories]int64
@@ -255,9 +244,6 @@ func (c *Collector) RecordMessage(at simkernel.Time, from, to simnet.NodeID, cat
 // RecordQuery records a resolved query. distMs < 0 means "no transfer
 // distance" (should not normally happen; local hits record 0).
 func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs float64) {
-	if c.distSamples == nil && c.cfg.ExpectedQueries > 0 {
-		c.distSamples = make([]float64, 0, c.cfg.ExpectedQueries)
-	}
 	c.totalQueries++
 	c.bySource[src]++
 	hit := src.IsHit()
@@ -266,7 +252,7 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 	}
 	c.lookupSum += lookupMs
 	c.lookupBySource[src] += lookupMs
-	c.countLookup(int(lookupMs)) // the clock's resolution: a fractional part is dropped
+	c.lookups.add(lookupMs)
 	bin := int(lookupMs / c.cfg.LatencyBinMs)
 	if bin >= len(c.latencyHist) {
 		bin = len(c.latencyHist) - 1
@@ -283,7 +269,7 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 	if distMs >= 0 {
 		c.distSum += distMs
 		c.distCount++
-		c.distSamples = append(c.distSamples, distMs)
+		c.distances.add(distMs)
 		dbin := int(distMs / c.cfg.DistanceBinMs)
 		if dbin >= len(c.distanceHist) {
 			dbin = len(c.distanceHist) - 1
@@ -301,19 +287,31 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 	}
 }
 
-// maxLookupSlot is the last slot of lookupCounts, ≈ 17 simulated minutes.
-// The retry ladders give up within a few minutes, so no run gets near it;
-// it bounds the array (4 MB) should one ever do.
-const maxLookupSlot = 1<<20 - 1
+// msCounts is a series of n values held as counts per whole millisecond:
+// counts[ms] counts the values that round to ms, grown to the largest seen.
+// Slots stop at maxSlot, which gathers everything slower; max keeps the
+// exact largest value beside them.
+type msCounts struct {
+	counts []uint32
+	n      int64
+	max    float64
+}
 
-// countLookup adds one lookup of ms whole milliseconds to the counts.
-func (c *Collector) countLookup(ms int) {
-	c.lookupMaxMs = max(c.lookupMaxMs, ms)
-	ms = min(ms, maxLookupSlot)
-	if ms >= len(c.lookupCounts) {
-		c.lookupCounts = append(c.lookupCounts, make([]uint32, ms+1-len(c.lookupCounts))...)
+// maxSlot is the last slot of a count series, ≈ 17 simulated minutes. The
+// retry ladders give up within a few minutes, so no run gets near it; it
+// bounds the array (4 MB) should one ever do.
+const maxSlot = 1<<20 - 1
+
+// add counts v at whole milliseconds, rounded the way topology.Latency
+// rounds a link.
+func (m *msCounts) add(v float64) {
+	m.n++
+	m.max = max(m.max, v)
+	ms := min(int(math.Round(v)), maxSlot)
+	if ms >= len(m.counts) {
+		m.counts = append(m.counts, make([]uint32, ms+1-len(m.counts))...)
 	}
-	c.lookupCounts[ms]++
+	m.counts[ms]++
 }
 
 // RecordRedirectFailure counts a redirection to a dead peer (§5.1).

@@ -358,8 +358,8 @@ func TestNegativeDistanceSkipped(t *testing.T) {
 	}
 }
 
-// sortedPercentiles is the oracle both percentile paths are checked
-// against: the nearest-rank values of a sorted copy of the samples.
+// sortedPercentiles is the oracle the counts are checked against: the
+// nearest-rank values of a sorted copy of the samples.
 func sortedPercentiles(samples []float64) Percentiles {
 	s := slices.Clone(samples)
 	slices.Sort(s)
@@ -376,163 +376,77 @@ func sortedPercentiles(samples []float64) Percentiles {
 	}
 }
 
-// bitEqual compares two percentile sets bit for bit.
-func bitEqual(a, b Percentiles) bool {
-	x, y := [5]float64{a.P50, a.P90, a.P95, a.P99, a.Max}, [5]float64{b.P50, b.P90, b.P95, b.P99, b.Max}
-	for i := range x {
-		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// medianOf3Killer returns n samples on which each of selectRank's first 64
-// partitions towards rank k splits off only two samples: before each one,
-// the samples at the first and middle of the range get the next smallest
-// values unless they have one, so the median of three is the second
-// smallest sample left. The samples still unassigned are larger than every
-// assigned one, distinct, and carry their original position.
-func medianOf3Killer(n, k int) []float64 {
-	const unset = 1e9
-	s, out := make([]float64, n), make([]float64, n)
-	for i := range s {
-		s[i] = unset + float64(i)
-		out[i] = s[i]
-	}
-	next := 0.0
-	lo, hi := 0, n-1
-	for round := 0; round < 64 && hi-lo >= 16; round++ {
-		for _, at := range [2]int{lo, lo + (hi-lo)/2} {
-			if s[at] >= unset {
-				next++
-				out[int(s[at]-unset)], s[at] = next, next
-			}
-		}
-		if j := partition(s, lo, hi); k <= j {
-			hi = j
-		} else {
-			lo = j + 1
-		}
-	}
-	return out
-}
-
-// The transfer percentiles are selected, not sorted. Over 300 seeded
-// series — the lengths either side of the selection's 16-sample sort
-// cut-off, then random lengths up to 2·10⁵; uniform, at least a third exact
-// zeros (local hits record distance 0), few distinct values, ascending,
-// descending, all equal, organ pipe, and a median-of-three killer — every
-// percentile must be bit-equal to the nearest-rank value of a sorted copy,
-// and a second Snapshot of the same collector must report the same. The
-// killer must drive the selection into its sort fallback.
+// The transfer percentiles are read off per-millisecond counts, as the
+// lookup ones are. Over 200 seeded series — lengths 1, 2, 3, 16 and 17, then
+// random lengths up to 2·10⁵; uniform distances in [0, 500], at least a third
+// exact zeros (local hits record distance 0), integral lookups with a
+// retry-ladder tail, and few distinct values on the half-millisecond —
+// recorded as lookups and as distances, P50–P99 must be the nearest-rank
+// values of a sorted copy of the rounded samples and within 0.5 ms of the
+// unrounded ones, Max the exact maximum, each count array just long enough
+// for the largest rounded sample, and a second Snapshot of the same
+// collector must report the same.
 func TestTransferPercentilesMatchSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
+	rng := rand.New(rand.NewSource(27))
 	shapes := []struct {
 		name string
-		at   func(i, n int) float64
+		at   func(i int) float64
 	}{
-		{"uniform", func(i, n int) float64 { return 600 * rng.Float64() }},
-		{"zeros", func(i, n int) float64 {
+		{"uniform", func(int) float64 { return 500 * rng.Float64() }},
+		{"zeros", func(i int) float64 {
 			if i%3 == 0 || rng.Intn(4) == 0 {
 				return 0
 			}
-			return 600 * rng.Float64()
+			return 500 * rng.Float64()
 		}},
-		{"few distinct", func(i, n int) float64 { return 12.5 * float64(rng.Intn(4)) }},
-		{"ascending", func(i, n int) float64 { return float64(i) / 4 }},
-		{"descending", func(i, n int) float64 { return float64(n-i) / 4 }},
-		{"all equal", func(i, n int) float64 { return 42.5 }},
-		{"organ pipe", func(i, n int) float64 { return float64(min(i, n-1-i)) }},
-		{"median-of-3 killer", nil},
+		{"integral lookups", func(int) float64 {
+			if rng.Intn(50) == 0 {
+				return float64(40 * rng.Intn(1200)) // a retry-ladder tail
+			}
+			return float64(rng.Intn(1200))
+		}},
+		{"few distinct", func(int) float64 { return 12.5 * float64(rng.Intn(4)) }},
 	}
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		shape := shapes[trial%len(shapes)]
 		n := int(math.Exp(rng.Float64() * math.Log(2e5)))
 		if edge := []int{1, 2, 3, 16, 17}; trial/len(shapes) < len(edge) {
 			n = edge[trial/len(shapes)]
 		}
-		var s []float64
-		if shape.at == nil {
-			s = medianOf3Killer(n, nearestRank(0.50, n))
-		} else {
-			s = make([]float64, n)
-			for i := range s {
-				s[i] = shape.at(i, n)
+		raw, rounded := make([]float64, n), make([]float64, n)
+		c := New(Config{})
+		for i := range raw {
+			raw[i] = shape.at(i)
+			rounded[i] = math.Round(raw[i])
+			c.RecordQuery(0, SourcePeer, raw[i], raw[i])
+		}
+		exact, want := sortedPercentiles(raw), sortedPercentiles(rounded)
+		want.Max = exact.Max
+		r := c.Snapshot(simkernel.Hour)
+		for _, m := range []*msCounts{&c.lookups, &c.distances} {
+			if len(m.counts) != int(math.Round(exact.Max))+1 {
+				t.Fatalf("%s, %d samples up to %v ms over %d slots", shape.name, n, exact.Max, len(m.counts))
 			}
 		}
-		want := sortedPercentiles(s)
-		c := New(Config{})
-		for _, d := range s {
-			c.RecordQuery(0, SourcePeer, 0, d)
-		}
-		r := c.Snapshot(simkernel.Hour)
-		if !bitEqual(r.TransferPercentiles, want) {
-			t.Fatalf("%s, %d samples: selected %+v, sorted %+v", shape.name, n, r.TransferPercentiles, want)
+		for _, got := range []Percentiles{r.LookupPercentiles, r.TransferPercentiles} {
+			if got != want {
+				t.Fatalf("%s, %d samples: counted %+v, sorted %+v", shape.name, n, got, want)
+			}
+			for _, d := range [4]float64{got.P50 - exact.P50, got.P90 - exact.P90, got.P95 - exact.P95, got.P99 - exact.P99} {
+				if math.Abs(d) > 0.5 {
+					t.Fatalf("%s, %d samples: counted %+v, %v from the unrounded %+v", shape.name, n, got, d, exact)
+				}
+			}
 		}
 		if again := c.Snapshot(simkernel.Hour); !reflect.DeepEqual(again, r) {
 			t.Fatalf("%s, %d samples: a second Snapshot reads %+v, the first %+v", shape.name, n, again.TransferPercentiles, r.TransferPercentiles)
 		}
-		// Each partition drawn from a killer splits off two samples, so the
-		// budget runs out and the rest of the range — nearly all of it — is
-		// sorted; a selection that finished would leave it in pieces.
-		if shape.at == nil && n >= 1000 {
-			k := nearestRank(0.50, n)
-			selectRank(s, k)
-			if !slices.IsSorted(s[n/8:]) {
-				t.Fatalf("the killer of %d samples did not reach the sort fallback", n)
-			}
-		}
 	}
 }
 
-// The percentile path allocates nothing, however long the series.
-func TestSnapshotPercentileAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	fresh := make([]float64, 100000)
-	for i := range fresh {
-		if i%3 != 0 {
-			fresh[i] = 600 * rng.Float64()
-		}
-	}
-	s := make([]float64, len(fresh))
-	if allocs := testing.AllocsPerRun(5, func() {
-		copy(s, fresh)
-		computePercentiles(s)
-	}); allocs != 0 {
-		t.Fatalf("transfer percentiles of %d samples: %.1f allocs/op, want 0", len(s), allocs)
-	}
-}
-
-// BenchmarkSnapshot times what ends every run: the first Snapshot of 500k
-// recorded queries, whose transfer distances — a third of them zero — are
-// in arrival order. Each iteration restores that order outside the timer.
-func BenchmarkSnapshot(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	c := New(Config{Horizon: 24 * simkernel.Hour})
-	c.PeerJoined(0)
-	for i := 0; i < 500000; i++ {
-		d := 0.0
-		if i%3 != 0 {
-			d = 20 + 400*rng.Float64()
-		}
-		c.RecordQuery(simkernel.Time(i%86400)*simkernel.Second, Source(i%4), float64(40+rng.Intn(900)), d)
-	}
-	fresh := slices.Clone(c.distSamples)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		copy(c.distSamples, fresh)
-		b.StartTimer()
-		c.Snapshot(24 * simkernel.Hour)
-	}
-}
-
-// The lookup percentiles are read off per-millisecond counts; they must be
-// the order statistics of a sorted copy of the same whole-ms samples,
-// whatever the series: empty, single, all equal, and wide enough that the
-// count array grew several times.
+// The lookup percentiles must be the order statistics of a sorted copy of
+// the same whole-ms samples, whatever the series: empty, single, all equal,
+// and wide enough that the count array grew several times.
 func TestCountedPercentilesMatchSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	series := [][]int{
@@ -564,18 +478,63 @@ func TestCountedPercentilesMatchSamples(t *testing.T) {
 		if got := c.Snapshot(simkernel.Hour).LookupPercentiles; got != want {
 			t.Fatalf("%d samples %v: counted %+v, sorted %+v", len(s), s[:min(len(s), 8)], got, want)
 		}
-		if len(c.lookupCounts) > 0 && len(c.lookupCounts) != int(want.Max)+1 {
-			t.Fatalf("count array has %d slots for a maximum of %v ms", len(c.lookupCounts), want.Max)
+		if len(c.lookups.counts) > 0 && len(c.lookups.counts) != int(want.Max)+1 {
+			t.Fatalf("count array has %d slots for a maximum of %v ms", len(c.lookups.counts), want.Max)
 		}
 	}
 
-	// A fractional lookup is counted at the clock's resolution, and the
+	// A fractional lookup is counted at its nearest millisecond, and the
 	// slowest one is reported exactly even when its slot is the clamped last.
 	c := New(Config{})
-	c.RecordQuery(0, SourcePeer, 149.9, -1)
-	c.RecordQuery(0, SourcePeer, 5*maxLookupSlot, -1)
+	c.RecordQuery(0, SourcePeer, 149.4, -1)
+	c.RecordQuery(0, SourcePeer, 5*maxSlot, -1)
 	p := c.Snapshot(simkernel.Hour).LookupPercentiles
-	if p.P50 != 149 || p.Max != 5*maxLookupSlot || len(c.lookupCounts) != maxLookupSlot+1 {
-		t.Fatalf("p50 %v max %v over %d slots, want 149, %d, %d", p.P50, p.Max, len(c.lookupCounts), 5*maxLookupSlot, maxLookupSlot+1)
+	if p.P50 != 149 || p.Max != 5*maxSlot || len(c.lookups.counts) != maxSlot+1 {
+		t.Fatalf("p50 %v max %v over %d slots, want 149, %d, %d", p.P50, p.Max, len(c.lookups.counts), 5*maxSlot, maxSlot+1)
+	}
+}
+
+// Recording a query and reading the percentiles allocate nothing in steady
+// state, and the distance counts stop at the topology's 500 ms however many
+// queries a run records.
+func TestSnapshotPercentileAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := New(Config{Horizon: simkernel.Hour})
+	for i := 0; i < 1000000; i++ {
+		c.RecordQuery(simkernel.Time(i%3600)*simkernel.Second, Source(i%4), float64(rng.Intn(1000)), 500*rng.Float64())
+	}
+	if n := len(c.distances.counts); n > 501 {
+		t.Fatalf("10⁶ distances in [0, 500] over %d slots, want ≤ 501", n)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.RecordQuery(30*simkernel.Minute, SourcePeer, 999, 499.9)
+	}); allocs != 0 {
+		t.Fatalf("RecordQuery: %.1f allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		c.lookups.percentiles()
+		c.distances.percentiles()
+	}); allocs != 0 {
+		t.Fatalf("percentiles of %d queries: %.1f allocs/op, want 0", c.totalQueries, allocs)
+	}
+}
+
+// BenchmarkSnapshot times what ends every run: the Snapshot of a collector
+// holding 500k recorded queries, a third of their transfer distances zero.
+func BenchmarkSnapshot(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	c := New(Config{Horizon: 24 * simkernel.Hour})
+	c.PeerJoined(0)
+	for i := 0; i < 500000; i++ {
+		d := 0.0
+		if i%3 != 0 {
+			d = 20 + 400*rng.Float64()
+		}
+		c.RecordQuery(simkernel.Time(i%86400)*simkernel.Second, Source(i%4), float64(40+rng.Intn(900)), d)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Snapshot(24 * simkernel.Hour)
 	}
 }

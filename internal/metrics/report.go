@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"flowercdn/internal/simkernel"
@@ -30,7 +29,8 @@ type BucketStats struct {
 	Peers         float64 // average accounted participants in the bucket
 }
 
-// Percentiles holds exact order statistics of a metric series.
+// Percentiles holds order statistics of a metric series: P50–P99 by the
+// nearest-rank method over values rounded to whole milliseconds, Max exact.
 type Percentiles struct {
 	P50, P90, P95, P99 float64
 	Max                float64
@@ -45,78 +45,25 @@ func nearestRank(q float64, n int) int {
 	return min(max(int(q*float64(n)+0.5)-1, 0), n-1)
 }
 
-// computePercentiles selects the order statistics in place (the samples'
-// order carries no meaning) without allocating: P50 over the whole series,
-// each higher rank only above the one before it, Max from P99 up.
-func computePercentiles(samples []float64) Percentiles {
-	if len(samples) == 0 {
-		return Percentiles{}
-	}
-	out, lo := [4]float64{}, 0
-	for k, q := range percentileRanks {
-		i := nearestRank(q, len(samples))
-		selectRank(samples[lo:], i-lo)
-		out[k], lo = samples[i], i
-	}
-	return Percentiles{P50: out[0], P90: out[1], P95: out[2], P99: out[3], Max: slices.Max(samples[lo:])}
-}
-
-// selectRank puts at s[k] what sorting would, nothing larger before it and
-// nothing smaller after, in linear time: each partition keeps the side
-// holding k. A range of ≤ 16 samples is sorted, and so is the range left once
-// partitions have scanned 8·len(s) samples, so no input goes quadratic.
-func selectRank(s []float64, k int) {
-	lo, hi := 0, len(s)-1
-	for budget := 8 * len(s); hi-lo >= 16 && budget > 0; {
-		budget -= hi - lo + 1
-		if j := partition(s, lo, hi); k <= j {
-			hi = j
-		} else {
-			lo = j + 1
-		}
-	}
-	slices.Sort(s[lo : hi+1])
-}
-
-// partition splits s[lo : hi+1], hi ≥ lo+2, Hoare-style around the median of
-// its first, middle and last samples: s[lo : j+1] ≤ pivot ≤ s[j+1 : hi+1],
-// lo ≤ j < hi.
-func partition(s []float64, lo, hi int) int {
-	a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi]
-	p := max(min(a, b), min(max(a, b), c))
-	for i, j := lo, hi; ; i, j = i+1, j-1 {
-		for s[i] < p {
-			i++
-		}
-		for s[j] > p {
-			j--
-		}
-		if i >= j {
-			return j
-		}
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// countedPercentiles reads the same order statistics off per-millisecond
-// counts of n samples: the sample at sorted index i is the first slot whose
-// running total exceeds i. maxMs is the exact maximum, which the last slot
-// may have clamped.
-func countedPercentiles(counts []uint32, n int64, maxMs int) Percentiles {
-	if n == 0 {
+// percentiles reads the order statistics off the counts: the value at
+// sorted index i is the first slot whose running total exceeds i. P50–P99
+// are therefore whole milliseconds; Max is the exact maximum, which the
+// last slot may have rounded or clamped.
+func (m *msCounts) percentiles() Percentiles {
+	if m.n == 0 {
 		return Percentiles{}
 	}
 	var out [4]float64
-	ms, below := 0, int64(0) // below: samples in slots before ms
+	ms, below := 0, int64(0) // below: values in slots before ms
 	for k, q := range percentileRanks {
-		i := int64(nearestRank(q, int(n)))
-		for below+int64(counts[ms]) <= i {
-			below += int64(counts[ms])
+		i := int64(nearestRank(q, int(m.n)))
+		for below+int64(m.counts[ms]) <= i {
+			below += int64(m.counts[ms])
 			ms++
 		}
 		out[k] = float64(ms)
 	}
-	return Percentiles{P50: out[0], P90: out[1], P95: out[2], P99: out[3], Max: float64(maxMs)}
+	return Percentiles{P50: out[0], P90: out[1], P95: out[2], P99: out[3], Max: m.max}
 }
 
 // TrafficStat summarises one category.
@@ -214,8 +161,8 @@ func (c *Collector) Snapshot(end simkernel.Time) Report {
 	}
 	r.LatencyHist = buildHist(c.latencyHist, c.cfg.LatencyBinMs, c.totalQueries)
 	r.DistanceHist = buildHist(c.distanceHist, c.cfg.DistanceBinMs, c.distCount)
-	r.LookupPercentiles = countedPercentiles(c.lookupCounts, c.totalQueries, c.lookupMaxMs)
-	r.TransferPercentiles = computePercentiles(c.distSamples)
+	r.LookupPercentiles = c.lookups.percentiles()
+	r.TransferPercentiles = c.distances.percentiles()
 
 	var backgroundBytes int64
 	for _, b := range c.buckets {
