@@ -23,7 +23,7 @@ import (
 //   - the await-token/timer plane (a latched dir-join must have its timer
 //     armed; dead hosts must leave nothing pending; a keepalive timeout
 //     can only be armed on a content peer; and, for queries: timer armed
-//     ⇔ continuation kind set ⇔ await-registry slot live);
+//     ⇔ continuation kind set ⇔ await-registry slot live ⇔ record live);
 //   - every live content peer's gossip view (gossip.View.Check) and own summary.
 //
 // It is diagnostic-only: it never mutates state, and it allocates freely.
@@ -144,26 +144,25 @@ func (s *System) Audit() AuditReport {
 		}
 	}
 
-	// --- Query await registry ----------------------------------------------
-	// Every tenant must have its continuation set, its timer armed and its
-	// slot pointing back; every other slot must be on the free list. (Armed
-	// queries outside a registry cannot be enumerated: queries are not
-	// retained.) Not tallied in Checks, whose totals the equivalence fixture
-	// pins; violations are reported like any other.
+	// --- Query await registry and record pool -------------------------------
+	// Every tenant must be a live record with its continuation set, its timer
+	// armed and its own slot; a pooled record must hold no reference and no
+	// timer. (Other live records cannot be enumerated: only messages reach
+	// them.) Not tallied in Checks, whose totals the equivalence fixture pins.
 	p := &s.pool
-	live := 0
 	for slot, q := range p.awaiting {
 		if q == nil {
 			continue
 		}
-		live++
-		if q.awaitKind == awaitNone || int(q.awaitSlot) != slot || !q.pending.Active() {
-			fail("await: slot %d holds query %d with kind=%d slot=%d armed=%v",
-				slot, q.ID, q.awaitKind, q.awaitSlot, q.pending.Active())
+		if !q.live || q.awaitKind == awaitNone || int(q.awaitSlot) != slot || !q.pending.Active() {
+			fail("await: slot %d holds query %d with live=%v kind=%d slot=%d armed=%v",
+				slot, q.ID, q.live, q.awaitKind, q.awaitSlot, q.pending.Active())
 		}
 	}
-	if live+len(p.awaitFree) != len(p.awaiting) {
-		fail("await: registry has %d slots, %d live + %d free", len(p.awaiting), live, len(p.awaitFree))
+	for _, q := range p.queries {
+		if q.live || q.refs != 0 || q.pending.Active() {
+			fail("query pool: pooled record live=%v refs=%d armed=%v", q.live, q.refs, q.pending.Active())
+		}
 	}
 	return r
 }

@@ -96,9 +96,13 @@ type rareState struct {
 	joinAttempts uint8
 }
 
-// HandleMessage dispatches simulated datagrams to the protocol engines.
+// HandleMessage dispatches simulated datagrams to the protocol engines. A
+// query-path message holds its query until the handler returns.
 func (h *host) HandleMessage(msg simnet.Message) {
 	s := h.sys
+	if q := carried(msg.Payload); q != nil {
+		defer s.unref(q)
+	}
 	switch m := msg.Payload.(type) {
 	case *routedMsg:
 		s.handleRouted(h, m)
@@ -193,17 +197,11 @@ const (
 // completion leaves no dead events behind. Arming allocates nothing: the
 // continuation lives in the Query and the timer rides AfterArg with the
 // bound resumeAwait, its argument packing the query's registry slot with a
-// monotonic token.
+// monotonic token. The armed timer holds a reference to q.
 func (s *System) await(q *Query, d simkernel.Time, kind awaitKind, host simnet.NodeID, a uint64, b int32) {
 	s.settle(q)
+	q.refs++
 	p := &s.pool
-	if n := len(p.awaitFree); n > 0 {
-		q.awaitSlot = p.awaitFree[n-1]
-		p.awaitFree = p.awaitFree[:n-1]
-	} else {
-		p.awaiting = append(p.awaiting, nil)
-		q.awaitSlot = uint32(len(p.awaiting) - 1)
-	}
 	p.awaiting[q.awaitSlot] = q
 	p.awaitTok++
 	q.awaitTok = p.awaitTok
@@ -211,16 +209,20 @@ func (s *System) await(q *Query, d simkernel.Time, kind awaitKind, host simnet.N
 	q.pending = s.k.AfterArg(d, p.awaitFn, uint64(q.awaitSlot)|uint64(q.awaitTok)<<32)
 }
 
-// resumeAwait fires a query timeout armed in the await registry. A timer
-// that outlived its arm finds its slot empty or re-let under a newer token
-// and does nothing.
+// resumeAwait fires a query timeout armed in the await registry, whose
+// reference lasts until the continuation returns. A timer that outlived its
+// arm finds its slot empty or re-let under a newer token and does nothing.
 func (s *System) resumeAwait(arg uint64) {
 	q := s.pool.awaiting[uint32(arg)]
+	if q != nil && !q.live {
+		panic("core: a timer reached a pooled query record")
+	}
 	if q == nil || q.awaitTok != uint32(arg>>32) {
 		return
 	}
 	kind, h, a, b := q.awaitKind, s.hosts[q.awaitHost], q.awaitA, int(q.awaitB)
 	s.releaseAwait(q)
+	defer s.unref(q)
 	if q.finished {
 		return
 	}

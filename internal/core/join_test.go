@@ -15,8 +15,8 @@ import (
 // ContentPeer struct, the word array behind its bitsets, the view's slot
 // array, its first published summary (one block: filter and bits) and the
 // directory's holdings bitset for the new member — five, and one to spare
-// (holder lists, slab chunks and the timer arena grow by amortised
-// fractions, which AllocsPerRun rounds down).
+// (holder lists and the timer arena grow by amortised fractions, which
+// AllocsPerRun rounds down).
 func TestJoinAllocs(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		name := "plain"
@@ -50,7 +50,7 @@ func TestJoinAllocs(t *testing.T) {
 				e.k.Run(e.k.Now() + 2*simkernel.Second)
 			}
 			for next < 12 {
-				join() // founders are served by the origin; pools and slabs fill
+				join() // founders are served by the origin; the pools fill
 			}
 			before := e.mets.Snapshot(e.k.Now())
 			allocs := testing.AllocsPerRun(100, join)

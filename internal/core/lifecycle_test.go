@@ -55,10 +55,10 @@ func (e *testEnv) submitNow(si, loc, member, obj int) {
 }
 
 // TestQueryLifecycleAllocs is the alloc gate for a query's whole life
-// through the real System, network and kernel: pump-side submit, slab
-// Query record, slab candidates, typed await continuations, pooled routed,
-// serve and push envelopes. After warm-up none of it allocates (the Query
-// slab's one chunk per 64 queries rounds to zero, as designed).
+// through the real System, network and kernel: pump-side submit, pooled
+// Query record with its inline candidates, typed await continuations,
+// pooled routed, serve and push envelopes. After warm-up none of it
+// allocates: the record is back in the pool once nothing reaches it.
 func TestQueryLifecycleAllocs(t *testing.T) {
 	measure := func(t *testing.T, e *testEnv, op func()) {
 		t.Helper()
@@ -78,6 +78,9 @@ func TestQueryLifecycleAllocs(t *testing.T) {
 			if q != nil {
 				t.Fatalf("query %d still holds an await-registry slot after the run", q.ID)
 			}
+		}
+		if p := &e.sys.pool; len(p.queries) != e.sys.stats.QueryRecords {
+			t.Fatalf("%d of %d query records are back in the pool after the run", len(p.queries), e.sys.stats.QueryRecords)
 		}
 	}
 
@@ -156,7 +159,9 @@ func TestTickerArmAllocs(t *testing.T) {
 // TestEnvelopePoolHygiene: a released envelope is zeroed (a pooled push
 // keeps only the capacity of its ∆list arrays, a pooled serve that of its
 // view seed, cleared), and both releasing it twice and handling it again
-// panic.
+// panic. So is a Query record its last reference released (keeping its view
+// seed's array and its failure memory, reset), and a second release, a send
+// and a message or timer that reaches it panic.
 func TestEnvelopePoolHygiene(t *testing.T) {
 	e := newTestEnv(t, 92, nil)
 	s := e.sys
@@ -215,22 +220,53 @@ func TestEnvelopePoolHygiene(t *testing.T) {
 	if again := s.newPushMsg(e.cfg.Sites[1]); again != push || !again.live {
 		t.Fatal("the pool did not hand the released envelope out again, live")
 	}
+
+	q.dirSeed = append(q.dirSeed, gossip.Entry{Node: 5, Age: 1})
+	q.markTriedDir(3)
+	q.markFailedHolder(9)
+	s.unref(q) // the test's own reference, the last
+	if q.live || q.refs != 0 || q.Origin != 0 || len(q.dirSeed) != 0 || cap(q.dirSeed) < 1 ||
+		q.fails.nDirs != 0 || len(q.fails.holders) != 0 || cap(q.fails.holders) < 1 {
+		t.Fatalf("released query record not zeroed, or lost its seed array or failure memory: %+v", *q)
+	}
+	mustPanic("double query release", func() { s.unref(q) })
+	mustPanic("sending a released query", func() {
+		s.sendQuery(h.addr, h.addr, simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+	})
+	mustPanic("dispatching a message that carries a released query", func() {
+		h.HandleMessage(simnet.Message{From: h.addr, To: h.addr, Payload: nackMsg{Q: q}})
+	})
+	mustPanic("a timer reaching a released query", func() {
+		s.pool.awaiting[q.awaitSlot] = q
+		s.resumeAwait(uint64(q.awaitSlot))
+	})
+	if r := s.Audit(); len(r.Violations) != 1 || !strings.HasPrefix(r.Violations[0], "await:") {
+		t.Fatalf("audit missed the released query in the await registry: %v", r.Violations)
+	}
+	s.pool.awaiting[q.awaitSlot] = nil
+	q.refs = 1
+	if r := s.Audit(); len(r.Violations) != 1 || !strings.HasPrefix(r.Violations[0], "query pool:") {
+		t.Fatalf("audit missed a pooled query record holding a reference: %v", r.Violations)
+	}
+	q.refs = 0
+	if again := s.newQuery(); again != q || !again.live || again.refs != 1 {
+		t.Fatal("the pool did not hand the released query record out again, live, with one reference")
+	}
 }
 
 // TestEnvelopesReturnOnLoss: a pooled envelope whose message the network
 // loses — at a failed sender, in the fault plane, at a failed receiver —
-// comes back to the pool, its subset buffer with it, so a burst of lost
-// messages takes nothing from the heap once the pool has seen one like it;
-// and gossipMsg, the envelope the network hands back most often, panics on
-// a second release like the other three.
+// comes back to the pool, its subset buffer with it, and so does a Query
+// record once every message carrying it is lost, so a burst of lost
+// messages and queries takes nothing from the heap once the pool has seen
+// one like it; and gossipMsg, the envelope the network hands back most
+// often, panics on a second release like the other three.
 func TestEnvelopesReturnOnLoss(t *testing.T) {
 	e := newTestEnv(t, 94, nil)
 	s := e.sys
 	up, deadTo, deadFrom := s.PoolNode(0, 0, 0), s.PoolNode(0, 0, 1), s.PoolNode(0, 0, 2)
 	s.net.Fail(deadTo)
 	s.net.Fail(deadFrom)
-	q := s.newQuery()
-	q.Origin = up
 	site, sum := e.cfg.Sites[0], bloom.New(64, 2)
 
 	const rounds = 40
@@ -245,40 +281,50 @@ func TestEnvelopesReturnOnLoss(t *testing.T) {
 			push := s.newPushMsg(site)
 			push.M.Added = append(push.M.Added, 1, 2, 3)
 			s.net.Send(from, to, simnet.CatPush, 100, push)
+			q := s.newQuery()
+			q.Origin = up
 			serve := s.newServeMsg(q, true)
 			serve.ViewSeed = append(serve.ViewSeed, gossip.Entry{Node: up, Summary: sum})
-			s.net.Send(from, to, simnet.CatTransfer, 100, serve)
-			s.net.Send(from, to, simnet.CatQuery, 100, s.newRoutedMsg(7, up, q, false))
+			s.sendQuery(from, to, simnet.CatTransfer, 100, serve)
+			s.sendQuery(from, to, simnet.CatQuery, 100, s.newRoutedMsg(7, up, q, false))
+			s.sendQuery(from, to, simnet.CatQuery, 100, fetchMsg{Q: q})
+			s.unref(q) // the messages' references are what is left
 		}
 		e.k.Run(e.k.Now() + simkernel.Minute)
 	}
-	pooled := func() [5]int {
+	pooled := func() [6]int {
 		p := &s.pool
-		return [5]int{len(p.gossip), len(p.subset), len(p.push), len(p.serve), len(p.routed)}
+		return [6]int{len(p.gossip), len(p.subset), len(p.push), len(p.serve), len(p.routed), len(p.queries)}
 	}
 
 	// Without loss every message to the failed receiver is in flight at
-	// once: the most envelopes a burst can hold, all handed back on arrival.
+	// once: the most envelopes and records a burst can hold, all handed
+	// back on arrival.
 	burst()
 	warm := pooled()
 	inFlight := rounds - rounds/4
-	if warm != [5]int{inFlight, inFlight, inFlight, inFlight, inFlight} {
-		t.Fatalf("after a burst with %d messages of each kind in flight the pools hold %v", inFlight, warm)
+	if warm != [6]int{inFlight, inFlight, inFlight, inFlight, inFlight, inFlight} {
+		t.Fatalf("after a burst with %d messages of each kind and queries in flight the pools hold %v", inFlight, warm)
+	}
+	if s.stats.QueryRecords != inFlight || s.pool.abandoned != rounds {
+		t.Fatalf("%d query records made and %d abandoned for %d queries, %d of them in flight at once",
+			s.stats.QueryRecords, s.pool.abandoned, rounds, inFlight)
 	}
 	sent, dropped := s.net.Sent(), s.net.Dropped()
-	if dropped != 4*rounds {
-		t.Fatalf("%d of the burst's %d messages were dropped", dropped, 4*rounds)
+	if dropped != 5*rounds {
+		t.Fatalf("%d of the burst's %d messages were dropped", dropped, 5*rounds)
 	}
 
 	s.InstallFaults(&simnet.FaultConfig{LossProb: 0.5})
 	burst()
 	burst()
-	if s.net.FaultDropped() == 0 || s.net.Sent() == sent || s.net.Dropped()-dropped <= 2*4*rounds/4 {
+	if s.net.FaultDropped() == 0 || s.net.Sent() == sent || s.net.Dropped()-dropped <= 2*5*rounds/4 {
 		t.Fatalf("the lossy bursts missed a loss site: %d fault drops, %d sent, %d dropped at an endpoint",
 			s.net.FaultDropped(), s.net.Sent()-sent, s.net.Dropped()-dropped)
 	}
-	if got := pooled(); got != warm {
-		t.Fatalf("pools hold %v after the lossy bursts, %v before: an envelope was lost or a new one made", got, warm)
+	if got := pooled(); got != warm || s.stats.QueryRecords != inFlight {
+		t.Fatalf("pools hold %v after the lossy bursts, %v before, %d query records made: an envelope or record was lost or a new one made",
+			got, warm, s.stats.QueryRecords)
 	}
 	if sub := s.takeSubsetBuf(); cap(sub) < 2 || sub[:2][0] != (gossip.Entry{}) {
 		t.Fatal("a handed-back subset buffer lost its backing, or still pins a summary through it")
@@ -309,20 +355,178 @@ func TestShedSlotReleasedAtOriginRetryCap(t *testing.T) {
 	})
 	s := e.sys
 	h := s.host(s.PoolNode(0, 0, 0))
-	q := &Query{ID: 1, Origin: h.addr, OriginLoc: 0, Site: e.cfg.Sites[0], Ref: s.in.RefFor(0, 3), NewClient: true}
+	q := s.newQuery() // its reference keeps the record out of the pool until the checks
+	q.ID, q.Origin, q.Site, q.Ref, q.NewClient = 1, h.addr, e.cfg.Sites[0], s.in.RefFor(0, 3), true
 	s.shedInFlight[0]++
 	q.shedCounted = true
 	s.net.Fail(h.addr) // every fetch of the chain is lost at the sender
 	s.fallbackToOrigin(h, q)
 	e.k.Run(15 * simkernel.Minute) // 10+20+40+80+80+80 s of backoff, plus jitter
-	if q.finished {
-		t.Fatal("the cut-off query was served; the cap was never reached")
+	if q.finished || q.refs != 1 {
+		t.Fatalf("the cut-off query was served, or is still referenced (%d references); the cap was never reached", q.refs)
 	}
 	if q.shedCounted || s.shedInFlight[0] != 0 {
 		t.Fatalf("shed slot leaked at the origin-retry cap: counted=%v inFlight=%d", q.shedCounted, s.shedInFlight[0])
 	}
 	if r := s.Audit(); len(r.Violations) > 0 {
 		t.Fatalf("audit: %v", r.Violations)
+	}
+	s.unref(q)
+}
+
+// TestShedSlotReturnsWhenQueryAbandoned: a query that took a
+// takeover-shedding slot and lost its client before the serve landed has,
+// without the hardened retry chain, nothing left to resolve it. Its record
+// goes back to the pool and hands the slot back — or ShedBudget such
+// queries later the locality sheds every new client for the rest of the run.
+func TestShedSlotReturnsWhenQueryAbandoned(t *testing.T) {
+	e := newTestEnv(t, 98, func(c *Config) { c.ShedBudget = 1 })
+	s := e.sys
+	site := e.cfg.Sites[0]
+	if !s.FailDirectory(site, 0) {
+		t.Fatal("no directory to fail")
+	}
+	client := s.PoolNode(0, 0, 0)
+	s.Submit(workload.Query{Site: site, Object: model.ObjectID{Site: site, Num: 3}})
+	if s.shedInFlight[0] != 1 {
+		t.Fatal("the new client's query took no shed slot behind the dead directory")
+	}
+	s.FailPeer(client)
+	e.k.Run(10 * simkernel.Minute)
+	if s.shedInFlight[0] != 0 || s.pool.abandoned != 1 || len(s.pool.queries) != 1 {
+		t.Fatalf("after the client died: %d shed slots held, %d queries abandoned, %d records pooled; want 0, 1, 1",
+			s.shedInFlight[0], s.pool.abandoned, len(s.pool.queries))
+	}
+}
+
+// TestQueryRecordsConserved: every query that leaves Submit resolves
+// exactly once and leaves nothing behind, whatever the network and churn do
+// to it. Each config pumps a generated workload for half an hour, then
+// drains for two hours with no new submissions. Afterwards every record ever
+// made is back in the pool, the await registry is empty, no shed slot is
+// held, and the records that came back finished plus those abandoned are
+// the queries that left Submit — none abandoned on a clean network.
+func TestQueryRecordsConserved(t *testing.T) {
+	const load, drain = 30 * simkernel.Minute, 2 * simkernel.Hour
+	// churn fails a random joined client (every fourth time a random
+	// directory instead) every gap until the load ends, reviving clients
+	// three minutes later when revive is set.
+	churn := func(e *testEnv, gap simkernel.Time, revive bool) {
+		rng := e.k.DeriveRNG("test-churn")
+		for at := gap; at < load; at += gap {
+			e.k.At(at, func() {
+				si, loc := rng.Intn(e.cfg.ActiveSites), rng.Intn(e.cfg.Localities)
+				if rng.Intn(4) == 0 {
+					e.sys.FailDirectory(e.cfg.Sites[si], loc)
+					return
+				}
+				addr := e.sys.PoolNode(si, loc, rng.Intn(e.sys.PoolSize(si, loc)))
+				if !e.sys.Joined(addr) || !e.sys.Network().Alive(addr) {
+					return
+				}
+				e.sys.FailPeer(addr)
+				if revive {
+					e.k.After(3*simkernel.Minute, func() { e.sys.RevivePeer(addr) })
+				}
+			})
+		}
+	}
+	hardened := func(c *Config) { c.Hardened, c.MaintenancePeriod = true, 30*simkernel.Second }
+	cases := []struct {
+		name string
+		mod  func(*Config)
+		arm  func(*testEnv)
+	}{
+		{"clean", nil, func(*testEnv) {}},
+		{"churn", func(c *Config) { c.MaintenancePeriod = 30 * simkernel.Second },
+			func(e *testEnv) { churn(e, 2*simkernel.Minute, true) }},
+		{"fault-storm", hardened, func(e *testEnv) {
+			e.sys.InstallFaults(&simnet.FaultConfig{
+				LossProb: 0.05, JitterProb: 0.2, JitterMaxMs: 120, SpikeProb: 0.02, SpikeMs: 400,
+				Partitions: []simnet.PartitionWindow{
+					{Locality: 0, Start: 60 * simkernel.Second, End: 150 * simkernel.Second},
+					{Locality: 2, Start: 90 * simkernel.Second, End: 180 * simkernel.Second},
+				},
+			})
+		}},
+		{"dircrash-storm", func(c *Config) {
+			hardened(c)
+			c.StandbyFailover, c.ShedBudget, c.QueryPolicy = true, 2, PolicyViewThenDirectory
+		}, func(e *testEnv) {
+			e.sys.InstallFaults(&simnet.FaultConfig{LossProb: 0.02, JitterProb: 0.1, JitterMaxMs: 80})
+			for _, site := range e.cfg.ActiveSiteIDs() {
+				e.k.At(2*simkernel.Minute, func() { e.sys.CrashDirectory(site, 0) })
+				e.k.At(150*simkernel.Second, func() { e.sys.CrashDirectory(site, 2) })
+			}
+		}},
+		{"gray-storm", func(c *Config) {
+			hardened(c)
+			c.Adaptive, c.QueryPolicy, c.TKeepalive = true, PolicyViewThenDirectory, simkernel.Minute
+		}, func(e *testEnv) {
+			fc := &simnet.FaultConfig{
+				LossProb: 0.02, JitterProb: 0.2, JitterMaxMs: 80,
+				AsymLoss: []simnet.AsymLossRule{{FromLoc: 0, ToLoc: 1, Prob: 0.35}},
+				Flap: []simnet.FlapWindow{{Locality: 2, Start: 200 * simkernel.Second, End: 500 * simkernel.Second,
+					Period: 30 * simkernel.Second, DownFor: 10 * simkernel.Second}},
+			}
+			for _, site := range e.cfg.ActiveSiteIDs() {
+				if addr, ok := e.sys.DirectoryAddr(site, 1); ok {
+					fc.NodeDegrade = append(fc.NodeDegrade, simnet.DegradeWindow{
+						Node: addr, Start: 2 * simkernel.Minute, End: 10 * simkernel.Minute, Factor: 8})
+				}
+			}
+			e.sys.InstallFaults(fc)
+			churn(e, 3*simkernel.Minute, false)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEnv(t, 99, tc.mod)
+			s, p := e.sys, &e.sys.pool
+			tc.arm(e)
+			gen, err := workload.New(workload.Config{
+				Seed: 99, Sites: e.cfg.ActiveSiteIDs(), ObjectsPerSite: e.cfg.ObjectsPerSite,
+				ZipfAlpha: 0.8, QueryRate: 1, Poisson: true, PoolSizes: e.cfg.PoolSizes,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := gen.Next(); q.At < load; q = gen.Next() {
+				e.k.At(q.At, func() { s.Submit(q) })
+			}
+			e.k.Run(load + drain)
+
+			if s.qid < 1000 {
+				t.Fatalf("only %d queries left Submit", s.qid)
+			}
+			if len(p.queries) != s.stats.QueryRecords {
+				t.Errorf("%d of the %d query records made are back in the pool", len(p.queries), s.stats.QueryRecords)
+			}
+			for slot, q := range p.awaiting {
+				if q != nil {
+					t.Errorf("await slot %d still holds query %d", slot, q.ID)
+				}
+			}
+			for loc, n := range s.shedInFlight {
+				if n != 0 {
+					t.Errorf("locality %d still counts %d shed slots", loc, n)
+				}
+			}
+			if got := uint64(p.finished + p.abandoned); got != s.qid {
+				t.Errorf("%d finished + %d abandoned records for %d queries", p.finished, p.abandoned, s.qid)
+			}
+			if tc.mod == nil && p.abandoned != 0 {
+				t.Errorf("%d queries abandoned on a clean network", p.abandoned)
+			}
+			// Only the query sections: the holder-vs-stash walk flags clients
+			// revived into their old overlay in runs that are not hardened.
+			for _, v := range s.Audit().Violations {
+				if strings.HasPrefix(v, "await:") || strings.HasPrefix(v, "query pool:") {
+					t.Errorf("audit: %s", v)
+				}
+			}
+			t.Logf("%d queries: %d finished, %d abandoned, %d records", s.qid, p.finished, p.abandoned, s.stats.QueryRecords)
+		})
 	}
 }
 

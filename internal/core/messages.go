@@ -24,9 +24,13 @@ const (
 // Query carries one client request through the system. It is shared by
 // pointer across the simulated messages of a single in-process run; on a
 // real wire it would be a compact identifier plus the interned object ref.
-// Records are bump-allocated from a slab (System.newQuery) and never
-// reused, so a stale pointer can at worst read a finished query.
+// Records are pooled: refs counts the messages in flight that carry one
+// (sendQuery), its armed timeout (await) and the entry point running for
+// it, and the last to go returns it to the pool (System.unref).
 type Query struct {
+	live bool // taken from the pool (System.newQuery) and not yet released
+	refs int32
+
 	ID     uint64
 	Start  simkernel.Time
 	Site   model.SiteID
@@ -44,7 +48,7 @@ type Query struct {
 	awaitA    uint64        // continuation argument: a node, a ring ID or a duration
 	awaitHost simnet.NodeID // the host the continuation resumes at
 	awaitTok  uint32        // the monotonic token the timer was armed with
-	awaitSlot uint32        // the query's slot in the await registry
+	awaitSlot uint32        // the record's own slot in the await registry
 	awaitB    int32         // continuation argument: an attempt count, a flag or a duration
 
 	Ref            model.ObjectRef // interned object; every lookup keys on this
@@ -63,28 +67,21 @@ type Query struct {
 
 	refScratch [1]model.ObjectRef // backs oneRef
 
-	candidates []simnet.NodeID // untried content-peer path candidates (slab storage)
-	handlerDir simnet.NodeID   // the directory that ran Algorithm 3 for us
-	remoteDir  simnet.NodeID   // set while a neighbour directory handles the query
+	cands            [retryLimit]simnet.NodeID // cands[nextCand:nCands]: untried content-peer candidates
+	nextCand, nCands uint8
+
+	handlerDir simnet.NodeID // the directory that ran Algorithm 3 for us
+	remoteDir  simnet.NodeID // set while a neighbour directory handles the query
 	dirSeed    []gossip.Entry
-	fails      *queryFails // failed-destination memory; nil until something fails
+	fails      queryFails // failed-destination memory
 }
 
-// queryFails is a query's failed-destination dedup, allocated when the
-// first neighbour directory or holder is tried in vain — most queries never
-// get there, and do not carry the space. Queries touch a handful of
-// directories and holders, so linear scans over small arrays beat maps.
+// queryFails is a query's failed-destination dedup. Queries touch a handful
+// of directories and holders, so linear scans over small arrays beat maps.
 type queryFails struct {
 	nDirs   int
 	dirs    [maxTriedDirs]chord.ID
 	holders []simnet.NodeID
-}
-
-func (q *Query) failState() *queryFails {
-	if q.fails == nil {
-		q.fails = new(queryFails)
-	}
-	return q.fails
 }
 
 // oneRef returns a one-element ref slice without allocating, backed by
@@ -108,18 +105,16 @@ const (
 )
 
 func (q *Query) triedDir(id chord.ID) bool {
-	if f := q.fails; f != nil {
-		for _, d := range f.dirs[:f.nDirs] {
-			if d == id {
-				return true
-			}
+	for _, d := range q.fails.dirs[:q.fails.nDirs] {
+		if d == id {
+			return true
 		}
 	}
 	return false
 }
 
 func (q *Query) markTriedDir(id chord.ID) {
-	f := q.failState()
+	f := &q.fails
 	if f.nDirs == maxTriedDirs {
 		copy(f.dirs[:], f.dirs[1:])
 		f.nDirs--
@@ -154,6 +149,7 @@ type routedMsg struct {
 // in Message.Payload (an `any`) is a direct-interface conversion, no heap
 // allocation per send. Keep them single-pointer; the sender's address
 // travels in the network envelope (Message.From), never in the payload.
+// Each is a queryMsg: send it with sendQuery.
 
 // redirectMsg: directory → holder (content peer or origin server): serve Q.
 type redirectMsg struct{ Q *Query }
@@ -194,6 +190,35 @@ type serveMsg struct {
 	Q               *Query
 	ViewSeed        []gossip.Entry
 	seedLease       overlay.Lease // what ViewSeed's summaries travel under
+}
+
+// queryMsg is a query-path message: it holds a reference to its query while
+// in flight (sendQuery).
+type queryMsg interface{ query() *Query }
+
+func (m *routedMsg) query() *Query        { return m.Q } // nil: a dir-join request
+func (m *serveMsg) query() *Query         { return m.Q }
+func (m redirectMsg) query() *Query       { return m.Q }
+func (m redirectAckMsg) query() *Query    { return m.Q }
+func (m redirectFailMsg) query() *Query   { return m.Q }
+func (m peerQueryMsg) query() *Query      { return m.Q }
+func (m nackMsg) query() *Query           { return m.Q }
+func (m fetchMsg) query() *Query          { return m.Q }
+func (m dirQueryMsg) query() *Query       { return m.Q }
+func (m forwardedQueryMsg) query() *Query { return m.Q }
+func (m forwardFailMsg) query() *Query    { return m.Q }
+
+// carried returns the query a message payload holds a reference to (nil:
+// none); a pooled one means a reference went uncounted.
+func carried(payload any) *Query {
+	var q *Query
+	if m, ok := payload.(queryMsg); ok {
+		q = m.query()
+	}
+	if q != nil && !q.live {
+		panic("core: a message reached a pooled query record")
+	}
+	return q
 }
 
 // --- Overlay maintenance messages ----------------------------------------

@@ -36,7 +36,7 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 		return
 	}
 	s.stamp(q)
-	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
+	s.sendQuery(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	// If the entry node (or the path) is dead the query would hang; retry
 	// through a different entry, then fall back to the server. Adaptive
 	// runs split the wait: when the estimator's tail quantile passes with
@@ -48,7 +48,7 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 // origin server, guarded (hardened runs) by the capped-backoff retry.
 func (s *System) fallbackToOrigin(h *host, q *Query) {
 	s.mets.RecordOriginFallback()
-	s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+	s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, false)
 }
 
@@ -74,7 +74,7 @@ func (s *System) hedgeLookup(h *host, q *Query, attempt int, remaining simkernel
 		if entry, ok := s.randomAliveDir(); ok {
 			s.mets.RecordHedge()
 			key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
-			s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, true))
+			s.sendQuery(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, true))
 		}
 	}
 	s.await(q, remaining, awaitLookupRetry, h.addr, 0, int32(attempt+1))
@@ -97,7 +97,7 @@ func (s *System) retryNewClientQuery(h *host, q *Query, attempt int) {
 	}
 	key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
 	s.stamp(q)
-	s.net.Send(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
+	s.sendQuery(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	s.awaitLookup(h, q, attempt)
 }
 
@@ -128,8 +128,9 @@ func (s *System) awaitOriginRetry(h *host, q *Query, attempt int, viaDir bool) {
 		return
 	}
 	if attempt >= maxOriginRetries {
-		// The query is abandoned here, so nothing later would hand back a
-		// takeover-shedding slot it holds.
+		// The chain gives up: hand back a takeover-shedding slot q holds now,
+		// not when its record is recycled, which the last fetch still in
+		// flight delays.
 		s.releaseShedSlot(q)
 		return
 	}
@@ -182,9 +183,9 @@ func (s *System) retryOrigin(h *host, q *Query, attempt int, viaDir bool) {
 	}
 	s.mets.RecordRetry()
 	if viaDir && s.net.Alive(h.addr) {
-		s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
+		s.sendQuery(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	} else {
-		s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+		s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
 	}
 	s.awaitOriginRetry(h, q, attempt, viaDir)
 }
@@ -209,51 +210,33 @@ func (s *System) randomAliveDir() (simnet.NodeID, bool) {
 // the content summaries of the peer's partial view, then (per policy) the
 // directory, finally the origin server.
 func (s *System) startContentPeerQuery(h *host, q *Query) {
-	p := &s.pool
 	if h.cp.Has(q.Ref) {
 		s.mets.RecordQuery(s.k.Now(), metrics.SourceLocal, 0, 0)
-		// A local hit ends the query before anything else could reference
-		// its record: if that is the slab's newest (it is when Submit
-		// carved it), un-carve it.
-		if n := len(p.queries); n > 0 && q == &p.queries[n-1] {
-			*q = Query{}
-			p.queries = p.queries[:n-1]
-		}
+		q.finished = true
 		return
 	}
-	// Only the retryLimit candidates the query may try stay carved out of
-	// the slab.
-	cands := s.slabCandidates(h.cp, q.Ref)
-	if len(cands) > retryLimit {
-		cands = cands[:retryLimit]
-	}
-	p.cands = p.cands[:len(p.cands)+len(cands)]
-	q.candidates = cands[:len(cands):len(cands)]
+	// The query keeps the retryLimit candidates it may try.
+	q.nCands = uint8(copy(q.cands[:], s.candidates(h.cp, q.Ref)))
 	s.tryNextCandidate(h, q)
 }
 
-// slabCandidates shuffles cp's candidates for ref (see
-// overlay.AppendCandidates) into the unused tail of the candidate slab
-// and returns them. The caller either commits the part it keeps by
-// extending pool.cands over it, or consumes the result before the next call.
-func (s *System) slabCandidates(cp *overlay.ContentPeer, ref model.ObjectRef) []simnet.NodeID {
-	p := &s.pool
-	if cap(p.cands)-len(p.cands) < cp.View().Len() {
-		p.cands = make([]simnet.NodeID, 0, queryChunk*s.cfg.Gossip.ViewSize)
-	}
-	return cp.AppendCandidates(p.cands[len(p.cands):], ref, s.rng)
+// candidates shuffles cp's candidates for ref (see overlay.AppendCandidates)
+// into the pool's scratch buffer and returns them, valid until the next call.
+func (s *System) candidates(cp *overlay.ContentPeer, ref model.ObjectRef) []simnet.NodeID {
+	s.pool.cands = cp.AppendCandidates(s.pool.cands[:0], ref, s.rng)
+	return s.pool.cands
 }
 
 func (s *System) tryNextCandidate(h *host, q *Query) {
-	for len(q.candidates) > 0 {
-		cand := q.candidates[0]
-		q.candidates = q.candidates[1:]
+	for q.nextCand < q.nCands {
+		cand := q.cands[q.nextCand]
+		q.nextCand++
 		if cand == q.Origin || s.holderTripped(cand) {
 			continue
 		}
 		s.trace(trace.PeerQuery, q.ID, q.Origin, cand, "")
 		s.stamp(q)
-		s.net.Send(q.Origin, cand, simnet.CatQuery, bytesQueryCtl, peerQueryMsg{Q: q})
+		s.sendQuery(q.Origin, cand, simnet.CatQuery, bytesQueryCtl, peerQueryMsg{Q: q})
 		s.await(q, s.exchangeTimeout(q.Origin, cand), awaitCandidate, h.addr, uint64(cand), 0)
 		return
 	}
@@ -265,7 +248,7 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 		}
 		s.mets.RecordDirFallback()
 		s.stamp(q)
-		s.net.Send(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
+		s.sendQuery(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
 		esc := s.escalationTimeout(q)
 		if hd, ok := s.hedgeDelay(q, esc); ok {
 			// Retransmit-on-silence: if the directory started processing,
@@ -297,7 +280,7 @@ func (s *System) onCandidateTimeout(h *host, q *Query, cand simnet.NodeID) {
 // adaptive tail deadline and waits out the rest of the full one.
 func (s *System) resendEscalation(h *host, q *Query, dir simnet.NodeID, remaining simkernel.Time) {
 	s.mets.RecordRetry()
-	s.net.Send(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
+	s.sendQuery(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
 	s.await(q, remaining, awaitEscalateExpire, h.addr, 0, 0)
 }
 
@@ -318,7 +301,7 @@ func (s *System) handleRouted(h *host, m *routedMsg) {
 				s.trace(trace.RouteHop, q.ID, h.addr, next.Addr(), "")
 			}
 			m.TTL-- // the envelope travels on, hop to hop, in place
-			s.net.Send(h.addr, next.Addr(), simnet.CatQuery, bytesQueryCtl, m)
+			s.sendQuery(h.addr, next.Addr(), simnet.CatQuery, bytesQueryCtl, m)
 			return
 		}
 	}
@@ -349,7 +332,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 	if h.dir == nil {
 		// Routing delivered to a non-directory (severe churn): server.
 		s.mets.RecordOriginFallback()
-		s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
+		s.sendQuery(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 		s.awaitOriginRetry(h, q, 0, true)
 		return
 	}
@@ -401,8 +384,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 			s.serveQuery(h, q, forwarded, true)
 			return
 		}
-		// Consumed on the spot, never committed to the slab.
-		for _, cand := range s.slabCandidates(h.cp, q.Ref) {
+		for _, cand := range s.candidates(h.cp, q.Ref) {
 			if cand == q.Origin || q.triedHolder(cand) || s.holderTripped(cand) {
 				continue
 			}
@@ -412,7 +394,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 	}
 	if forwarded {
 		// This overlay cannot help; report back to the handler directory.
-		s.net.Send(h.addr, q.handlerDir, simnet.CatQuery, bytesQueryCtl, forwardFailMsg{Q: q})
+		s.sendQuery(h.addr, q.handlerDir, simnet.CatQuery, bytesQueryCtl, forwardFailMsg{Q: q})
 		return
 	}
 	// Stage C: directory summaries of same-website neighbours.
@@ -429,7 +411,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 		q.atRemote = true
 		q.remoteDir = target.Addr()
 		s.trace(trace.ForwardedToSibling, q.ID, h.addr, target.Addr(), "")
-		s.net.Send(h.addr, target.Addr(), simnet.CatQuery, bytesQueryCtl, forwardedQueryMsg{Q: q})
+		s.sendQuery(h.addr, target.Addr(), simnet.CatQuery, bytesQueryCtl, forwardedQueryMsg{Q: q})
 		s.await(q, s.timeout(h.addr, target.Addr())+2*simkernel.Second, awaitSibling, h.addr, uint64(dirID), 0)
 		return
 	}
@@ -437,7 +419,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 	q.atRemote = false
 	s.trace(trace.ServerFetch, q.ID, h.addr, s.servers[q.Site], "directory fallback")
 	s.mets.RecordOriginFallback()
-	s.net.Send(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
+	s.sendQuery(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, true)
 }
 
@@ -450,18 +432,16 @@ func (s *System) onSiblingTimeout(h *host, q *Query, dirID chord.ID) {
 }
 
 func (q *Query) triedHolder(n simnet.NodeID) bool {
-	if f := q.fails; f != nil {
-		for _, h := range f.holders {
-			if h == n {
-				return true
-			}
+	for _, h := range q.fails.holders {
+		if h == n {
+			return true
 		}
 	}
 	return false
 }
 
 func (q *Query) markFailedHolder(n simnet.NodeID) {
-	f := q.failState()
+	f := &q.fails
 	if len(f.holders) >= maxFailedHolders {
 		copy(f.holders, f.holders[1:])
 		f.holders[len(f.holders)-1] = n
@@ -474,7 +454,7 @@ func (q *Query) markFailedHolder(n simnet.NodeID) {
 // redirection-failure timeout.
 func (s *System) dirRedirect(h *host, q *Query, holder simnet.NodeID, forwarded bool) {
 	s.trace(trace.Redirect, q.ID, h.addr, holder, "")
-	s.net.Send(h.addr, holder, simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
+	s.sendQuery(h.addr, holder, simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	var fwd int32
 	if forwarded {
 		fwd = 1
@@ -504,12 +484,12 @@ func (s *System) handleRedirect(h *host, q *Query, dir simnet.NodeID) {
 	}
 	// Acknowledge liveness to the redirecting directory.
 	s.noteHolderAlive(h.addr)
-	s.net.Send(h.addr, dir, simnet.CatQuery, bytesQueryCtl, redirectAckMsg{Q: q})
+	s.sendQuery(h.addr, dir, simnet.CatQuery, bytesQueryCtl, redirectAckMsg{Q: q})
 	if h.cp != nil && h.cp.Has(q.Ref) {
 		s.serveQuery(h, q, q.atRemote, true)
 		return
 	}
-	s.net.Send(h.addr, dir, simnet.CatQuery, bytesQueryCtl, redirectFailMsg{Q: q})
+	s.sendQuery(h.addr, dir, simnet.CatQuery, bytesQueryCtl, redirectFailMsg{Q: q})
 }
 
 // handleRedirectFail runs at the directory when a holder no longer has the
@@ -550,7 +530,7 @@ func (s *System) handlePeerQuery(h *host, m peerQueryMsg) {
 		s.serveQuery(h, q, false, true)
 		return
 	}
-	s.net.Send(h.addr, q.Origin, simnet.CatQuery, bytesQueryCtl, nackMsg{Q: q})
+	s.sendQuery(h.addr, q.Origin, simnet.CatQuery, bytesQueryCtl, nackMsg{Q: q})
 }
 
 // handleNack advances the requesting peer to its next candidate. from is
@@ -606,7 +586,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		// its view from that peer's view.
 		msg.ViewSeed, msg.seedLease = h.cp.ViewSeedFor(s.rng, msg.ViewSeed)
 	}
-	s.net.Send(h.addr, q.Origin, simnet.CatTransfer,
+	s.sendQuery(h.addr, q.Origin, simnet.CatTransfer,
 		bytesServeHdr+gossip.WireBytes(msg.ViewSeed, s.cfg.Gossip.SummaryBytes()), msg)
 	if s.cfg.Hardened {
 		// Delivery guard: the transfer itself can fall to loss or a
@@ -620,7 +600,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 // origin server.
 func (s *System) onDeliveryTimeout(h *host, q *Query) {
 	s.mets.RecordRetry()
-	s.net.Send(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+	s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, false)
 }
 
@@ -721,15 +701,15 @@ func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, founder bool) 
 
 // dirViewSeed builds the view seed a directory hands to a client it admits
 // but cannot have served locally: up to L_gossip random index members, ages
-// included, summaries absent (§4.2). The seed is carved from the seed slab
-// and lives as long as the query.
+// included, summaries absent (§4.2). The seed is built in the query's own
+// seed array, which its record keeps across reuse.
 func (s *System) dirViewSeed(h *host, q *Query) []gossip.Entry {
 	p := &s.pool
 	want := s.cfg.Gossip.GossipLen
-	if cap(p.seeds)-len(p.seeds) < want {
-		p.seeds = make([]gossip.Entry, 0, queryChunk*want)
+	seed := q.dirSeed[:0]
+	if cap(seed) < want {
+		seed = make([]gossip.Entry, 0, want)
 	}
-	seed := p.seeds[len(p.seeds) : len(p.seeds) : len(p.seeds)+want]
 	if s.cfg.SparseSeeds {
 		seed = s.sparseDirViewSeed(h, q.Origin, seed)
 	} else {
@@ -746,7 +726,6 @@ func (s *System) dirViewSeed(h *host, q *Query) []gossip.Entry {
 			}
 		}
 	}
-	p.seeds = p.seeds[:len(p.seeds)+len(seed)]
 	return seed
 }
 

@@ -43,17 +43,16 @@ func queryPathEnv(t testing.TB) (e *testEnv, member *host, dir *host, ref model.
 
 // queryPathOnce runs the Bloom-probe/hit-check operations of one member
 // lookup plus the directory stages: local bitset hit-check, view summary
-// matching over precomputed hashes into the candidate slab (consumed, not
-// committed), directory inverse-index lookup, and the neighbour-summary
-// probe. It returns a value derived
-// from the results so nothing is optimised away.
+// matching over precomputed hashes into the candidate scratch buffer,
+// directory inverse-index lookup, and the neighbour-summary probe. It
+// returns a value derived from the results so nothing is optimised away.
 func queryPathOnce(s *System, member, dir *host, ref model.ObjectRef) int {
 	h1, h2 := s.in.Hashes(ref)
 	n := 0
 	if member.cp.Has(ref) {
 		n++
 	}
-	n += len(s.slabCandidates(member.cp, ref))
+	n += len(s.candidates(member.cp, ref))
 	n += len(dir.dir.Holders(ref))
 	n += len(dir.dir.NeighborsWithObject(ref))
 	if member.cp.Summary().TestHash(h1, h2) {

@@ -26,6 +26,7 @@ type Stats struct {
 	GossipRejects   int // gossip to peers that left the overlay (§5.4)
 	QueriesRetried  int // new-client queries re-submitted after entry loss
 	Prefetches      int // objects replicated proactively (§8 extension)
+	QueryRecords    int // Query records allocated: the peak of queries alive at once
 
 	// Warm-standby failover counters (zero unless Config.StandbyFailover).
 	StandbyAssigns     int // full-snapshot standby designations
@@ -63,9 +64,8 @@ type System struct {
 	rng *rand.Rand
 	qid uint64
 
-	// pool holds the recycled message envelopes, the Query and candidate
-	// slabs and the await registry. Envelopes lost to dead receivers simply
-	// never come back; the pool refills on the next allocation.
+	// pool holds the recycled message envelopes and Query records and the
+	// await registry. A lost message hands its envelope back too (reclaim).
 	pool msgPool
 
 	// Long-lived bound callbacks for the AfterArg-scheduled
@@ -115,27 +115,24 @@ type msgPool struct {
 	routed []*routedMsg
 	push   []*pushMsg
 
-	// Bump-allocated slabs: Query records, their candidate lists and the
-	// view seeds directories hand them are carved from the current chunk and
-	// never reused, so a chunk becomes garbage as a whole once every query
-	// in it has.
-	queries []Query
-	cands   []simnet.NodeID
-	seeds   []gossip.Entry
+	// Query records nothing reaches any more, and how many came back finished
+	// and unfinished (abandoned: nothing was left to resolve them).
+	queries             []*Query
+	finished, abandoned int
 
+	cands   []simnet.NodeID // candidates' reusable scratch buffer
 	members []simnet.NodeID // dirViewSeed's reusable membership snapshot
 
-	// Await registry: awaiting[i] is the query whose armed timeout carries
-	// slot i in its timer argument (nil = free). awaitTok numbers the arms,
-	// so a timer that outlives its slot's tenant is told apart from the next
-	// tenant's. awaitFn is resumeAwait, bound once.
-	awaiting  []*Query
-	awaitFree []uint32
-	awaitTok  uint32
-	awaitFn   func(uint64)
+	// Await registry: every record owns slot awaitSlot, which holds it while
+	// its timeout is armed (nil otherwise) and which the timer's argument
+	// carries. awaitTok numbers the arms, so a timer that outlives its arm is
+	// told apart from the next one. awaitFn is resumeAwait, bound once.
+	awaiting []*Query
+	awaitTok uint32
+	awaitFn  func(uint64)
 }
 
-// take pops a recycled envelope off a free list, or allocates one.
+// take pops a recycled envelope or record off a free list, or allocates one.
 func take[T any](free *[]*T) *T {
 	if n := len(*free); n > 0 {
 		e := (*free)[n-1]
@@ -145,15 +142,16 @@ func take[T any](free *[]*T) *T {
 	return new(T)
 }
 
-// put zeroes a released envelope and returns it to a free list. live is
-// the envelope's own flag (zeroed with it): every journey of a pooled
-// envelope ends in one release — by the handler it reached, or by the
-// network's drop hook (reclaim) when it reached none — so a second release,
-// or a release of an envelope already handed back, panics here instead of
-// corrupting the pool.
+// put zeroes a released envelope or Query record and returns it to a free
+// list. live is the object's own flag (zeroed with it): every journey of a
+// pooled envelope ends in one release — by the handler it reached, or by the
+// network's drop hook (reclaim) when it reached none — and a record is
+// released once, by its last reference, so a second release, or a release
+// of an object already handed back, panics here instead of corrupting the
+// pool.
 func put[T any](free *[]*T, e *T, live *bool) {
 	if !*live {
-		panic("core: pooled envelope used after release")
+		panic("core: pooled object used after release")
 	}
 	var zero T
 	*e = zero
@@ -163,8 +161,11 @@ func put[T any](free *[]*T, e *T, live *bool) {
 // reclaim is the network's drop hook (set once in New): a message lost at a
 // dead sender, in the fault plane or at a dead receiver ends its journey in
 // the network, which hands its envelope back here instead of leaving it —
-// and the buffers inside it — to the collector.
+// and the buffers inside it — to the collector, and its query reference.
 func (s *System) reclaim(payload any) {
+	if q := carried(payload); q != nil {
+		defer s.unref(q)
+	}
 	switch m := payload.(type) {
 	case *gossipMsg:
 		s.putGossipMsg(m)
@@ -177,18 +178,48 @@ func (s *System) reclaim(payload any) {
 	}
 }
 
-// queryChunk is the slab chunk size in Query records (~13 KB): a query
-// costs 1/64 of an allocation, and one long-lived query pins little.
-const queryChunk = 64
-
-// newQuery carves a zeroed Query record from the slab.
+// newQuery takes a zeroed Query record from the pool (or allocates one)
+// with the reference of the entry point that runs for it.
 func (s *System) newQuery() *Query {
 	p := &s.pool
-	if len(p.queries) == cap(p.queries) {
-		p.queries = make([]Query, 0, queryChunk)
+	if len(p.queries) == 0 {
+		p.queries = append(p.queries, &Query{awaitSlot: uint32(len(p.awaiting))})
+		p.awaiting = append(p.awaiting, nil)
+		s.stats.QueryRecords++
 	}
-	p.queries = p.queries[:len(p.queries)+1]
-	return &p.queries[len(p.queries)-1]
+	q := take(&p.queries)
+	q.live, q.refs = true, 1
+	return q
+}
+
+// sendQuery sends a query-path message, which holds a reference to its
+// query until the handler it reaches returns or the network loses it.
+func (s *System) sendQuery(from, to simnet.NodeID, cat simnet.Category, bytes int, payload any) {
+	if q := carried(payload); q != nil {
+		q.refs++
+	}
+	s.net.Send(from, to, cat, bytes, payload)
+}
+
+// unref drops one reference to q. The last returns the record to the pool,
+// zeroed but for its registry slot and the arrays of its view seed and
+// failed holders; a query released unfinished was abandoned, and hands back
+// a shed slot it holds.
+func (s *System) unref(q *Query) {
+	if q.refs > 1 {
+		q.refs--
+		return
+	}
+	p, finished := &s.pool, q.finished
+	seed, holders, slot := q.dirSeed[:0], q.fails.holders[:0], q.awaitSlot
+	s.releaseShedSlot(q)
+	put(&p.queries, q, &q.live)
+	q.dirSeed, q.fails.holders, q.awaitSlot = seed, holders, slot
+	if finished {
+		p.finished++
+	} else {
+		p.abandoned++
+	}
 }
 
 // Pooled query-path envelopes: taken from the pool when sent, released by
@@ -280,14 +311,15 @@ func (s *System) every(addr simnet.NodeID, period simkernel.Time, tick func(uint
 // wrappers in tracefmt.go, which pay fmt.Sprintf when true).
 func (s *System) tracing() bool { return s.tracer != nil }
 
-// settle revokes a query's armed timeout, if any, and frees its registry
-// slot.
+// settle revokes a query's armed timeout, if any, frees its registry slot
+// and drops the timer's reference (never the last: the caller runs for q).
 func (s *System) settle(q *Query) {
 	if q.awaitKind == awaitNone {
 		return
 	}
 	q.pending.Cancel()
 	s.releaseAwait(q)
+	s.unref(q)
 }
 
 // releaseAwait clears q's continuation and timer handle and returns its
@@ -295,7 +327,6 @@ func (s *System) settle(q *Query) {
 func (s *System) releaseAwait(q *Query) {
 	p := &s.pool
 	p.awaiting[q.awaitSlot] = nil
-	p.awaitFree = append(p.awaitFree, q.awaitSlot)
 	q.awaitKind = awaitNone
 	q.pending = simkernel.TimerHandle{}
 }
@@ -723,6 +754,7 @@ func (s *System) Submit(wq workload.Query) {
 	// recomputed here rather than trusted from the stream so replayed or
 	// hand-built queries can never smuggle a stale ref.
 	q := s.newQuery()
+	defer s.unref(q)
 	q.ID = s.qid
 	q.Origin = origin
 	q.OriginLoc = h.overlayLocality()

@@ -85,6 +85,19 @@ func TestRunFlowerSmoke(t *testing.T) {
 	}
 }
 
+// TestScaledRunRecyclesQueryRecords: Query records are pooled, so a clean
+// ScaledParams run makes only as many as were alive at once — fewer than 1 %
+// of the queries it submits.
+func TestScaledRunRecyclesQueryRecords(t *testing.T) {
+	res, err := RunFlower(ScaledParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, q := res.Stats.QueryRecords, res.Report.TotalQueries; n == 0 || 100*int64(n) >= q {
+		t.Fatalf("%d query records made for %d queries, want fewer than 1 %%", n, q)
+	}
+}
+
 func TestRunSquirrelSmoke(t *testing.T) {
 	res, err := RunSquirrel(fastParams(3))
 	if err != nil {
