@@ -17,9 +17,9 @@ import (
 //   - D-ring successorship (the live-ghost invariant: every live pointer
 //     must resolve to the node the ring registers for that ID — a stale
 //     pointer to a transplanted or removed node is a routing hole);
-//   - every directory's index (forward member bitsets ↔ inverse holder
-//     lists, see dring.AuditConsistency) and its holder claims against the
-//     actual stashes of live same-overlay content peers;
+//   - every directory's index (forward member bitsets ↔ the holder bit
+//     matrix and its counts, see dring.AuditConsistency) and its holder
+//     claims against the actual stashes of live same-overlay content peers;
 //   - the await-token/timer plane (a latched dir-join must have its timer
 //     armed; dead hosts must leave nothing pending; a keepalive timeout
 //     can only be armed on a content peer; and, for queries: timer armed

@@ -525,6 +525,20 @@ func TestQueryRecordsConserved(t *testing.T) {
 					t.Errorf("audit: %s", v)
 				}
 			}
+			// At quiescence every live directory's index is self-consistent.
+			dirs := 0
+			for addr, h := range s.hosts {
+				if h == nil || h.dir == nil || !s.net.Alive(simnet.NodeID(addr)) {
+					continue
+				}
+				dirs++
+				if lines, _ := h.dir.AuditConsistency(nil, 0); len(lines) != 0 {
+					t.Errorf("directory at %d: %v", addr, lines)
+				}
+			}
+			if dirs == 0 {
+				t.Error("no live directory to audit")
+			}
 			t.Logf("%d queries: %d finished, %d abandoned, %d records", s.qid, p.finished, p.abandoned, s.stats.QueryRecords)
 		})
 	}

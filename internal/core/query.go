@@ -370,10 +370,9 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 	}
 
 	// Stage A: directory index (complete view of the content overlay).
-	for _, holder := range h.dir.Holders(q.Ref) {
-		if holder == q.Origin || q.triedHolder(holder) || s.holderTripped(holder) {
-			continue
-		}
+	if holder, ok := h.dir.LowestHolder(q.Ref, func(n simnet.NodeID) bool {
+		return n != q.Origin && !q.triedHolder(n) && !s.holderTripped(n)
+	}); ok {
 		s.dirRedirect(h, q, holder, forwarded)
 		return
 	}

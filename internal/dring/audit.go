@@ -9,26 +9,30 @@ import (
 
 // This file holds the directory's self-consistency audit, used by the
 // core invariant auditor under fault injection. The directory index is
-// intentionally redundant — a forward table (member → held-object bitset)
-// and a sharded inverse table (object → sorted holder list) that must
-// mirror each other exactly, plus held/total counters that summarise the
-// inverse table. Message loss, partitions and churn exercise every mutation
-// path (pushes, optimistic admissions, evictions, imports), so the audit
-// re-derives one side from the other and cross-checks the counters.
+// intentionally redundant — a forward table (member slot → held-object
+// bitset) and the holder matrix (object → one bit per member slot) that
+// must mirror each other exactly, plus per-ref, per-shard and total
+// counters that summarise the matrix. Message loss, partitions and churn
+// exercise every mutation path (pushes, optimistic admissions, evictions,
+// imports), so the audit re-derives one side from the other and
+// cross-checks the counters.
 
 // ForEachHeld calls fn for every object ref with at least one recorded
-// holder, in ascending ref order, with the holder list (read-only view;
-// do not retain or mutate).
+// holder, in ascending ref order, with its holders in ascending node order
+// (directory-owned scratch, valid until the next call; do not retain it or
+// call Holders from fn).
 func (d *Directory) ForEachHeld(fn func(ref model.ObjectRef, holders []simnet.NodeID)) {
-	d.holders.forEachHeld(func(i int, hs []simnet.NodeID) {
-		fn(d.base+model.ObjectRef(i), hs)
+	d.holders.forEachHeld(func(i int) {
+		fn(d.base+model.ObjectRef(i), d.holdersAt(i))
 	})
 }
 
 // AuditConsistency cross-checks the forward member slab against the
-// inverse holders index and its counters, appending one human-readable
-// line per violation to out (capped at max new entries; max <= 0 means
-// unlimited). It returns out plus the number of checks performed.
+// holder matrix and its counters, appending one human-readable line per
+// violation to out (capped at max new entries; max <= 0 means unlimited).
+// It returns out plus the number of checks performed: one per slot-map
+// entry, one for the slab arity, one per forward bit, one per matrix bit,
+// one per shard and one for the total.
 func (d *Directory) AuditConsistency(out []string, max int) ([]string, int) {
 	checks := 0
 	report := func(format string, args ...any) {
@@ -50,45 +54,42 @@ func (d *Directory) AuditConsistency(out []string, max int) ([]string, int) {
 			d.site, d.loc, len(d.slot), len(d.nodes), len(d.ages), len(d.objects))
 	}
 
-	// Forward → inverse: every held bit must appear in the holder list.
-	for i, node := range d.nodes {
-		obj := &d.objects[i]
-		obj.ForEach(func(j int) {
+	// Forward → matrix: every held bit must be set in the ref's row.
+	for s, node := range d.nodes {
+		d.objects[s].ForEach(func(j int) {
 			checks++
-			if !holdersContain(d.holders.listAt(j), node) {
-				report("dring %s/%d: member %d holds ref %d but inverse index misses it", d.site, d.loc, node, j)
+			if !d.holders.has(j, s) {
+				report("dring %s/%d: member %d holds ref %d but the holder matrix misses it", d.site, d.loc, node, j)
 			}
 		})
 	}
 
-	// Inverse → forward, plus list ordering and the held/total counters.
+	// Matrix → forward, plus the per-ref, per-shard and total counters (a
+	// shard's ref counts ride its one check).
 	total := 0
-	for si := range d.holders.shards {
+	for si, shardHeld := range d.holders.held {
 		held := 0
-		base := si << shardBits
-		for j, hs := range d.holders.shards[si].lists {
-			if len(hs) == 0 {
-				continue
-			}
-			held++
-			for p, node := range hs {
+		for j := si << shardBits; j < min((si+1)<<shardBits, d.nObj); j++ {
+			n := 0
+			d.holders.forEachSlot(j, func(s int) {
 				checks++
-				if p > 0 && hs[p-1] >= node {
-					report("dring %s/%d: ref %d holder list unsorted or duplicated at %d", d.site, d.loc, base+j, node)
+				n++
+				if s >= len(d.nodes) {
+					report("dring %s/%d: ref %d row sets empty slot %d", d.site, d.loc, j, s)
+				} else if !d.objects[s].Has(j) {
+					report("dring %s/%d: ref %d lists holder %d whose forward bitset lacks it", d.site, d.loc, j, d.nodes[s])
 				}
-				slot, ok := d.slot[node]
-				if !ok {
-					report("dring %s/%d: ref %d lists non-member holder %d", d.site, d.loc, base+j, node)
-					continue
-				}
-				if !d.objects[slot].Has(base + j) {
-					report("dring %s/%d: ref %d lists holder %d whose forward bitset lacks it", d.site, d.loc, base+j, node)
-				}
+			})
+			if c := d.holders.holderCount(j); c != n {
+				report("dring %s/%d: ref %d holder count %d, recomputed %d", d.site, d.loc, j, c, n)
+			}
+			if n > 0 {
+				held++
 			}
 		}
 		checks++
-		if held != d.holders.shards[si].held {
-			report("dring %s/%d: shard %d held count %d, recomputed %d", d.site, d.loc, si, d.holders.shards[si].held, held)
+		if held != int(shardHeld) {
+			report("dring %s/%d: shard %d held count %d, recomputed %d", d.site, d.loc, si, shardHeld, held)
 		}
 		total += held
 	}
@@ -97,13 +98,4 @@ func (d *Directory) AuditConsistency(out []string, max int) ([]string, int) {
 		report("dring %s/%d: total held count %d, recomputed %d", d.site, d.loc, d.holders.total, total)
 	}
 	return out, checks
-}
-
-func holdersContain(hs []simnet.NodeID, node simnet.NodeID) bool {
-	for _, h := range hs {
-		if h == node {
-			return true
-		}
-	}
-	return false
 }

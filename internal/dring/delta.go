@@ -10,7 +10,7 @@ import (
 
 // This file is the incremental-replication seam of the directory index:
 // dirty-word tracking plus per-shard export/apply, built on the same
-// 64-ref shard grid as the inverse holders index (holders.go). A warm
+// 64-ref shard grid as the holder matrix's held counts (holders.go). A warm
 // standby keeps a replica Directory fresh by applying shard deltas — one
 // ShardEntry per member with holdings in the shard, one 64-bit word each —
 // instead of re-importing the full index. Apply uses replace semantics
@@ -36,7 +36,7 @@ type ShardEntry struct {
 // mutation and nothing else.
 func (d *Directory) EnableDeltaTracking() {
 	if d.dirty.Cap() == 0 {
-		d.dirty = bitset.New(d.holders.shardCount())
+		d.dirty = bitset.New(d.ShardCount())
 	} else {
 		d.dirty.Reset()
 	}
@@ -115,7 +115,7 @@ func (d *Directory) markDirtyWords(set *bitset.Set) {
 // slice. Admission order is deterministic simulation state, so the wire
 // content is reproducible without sorting.
 func (d *Directory) ExportShard(s int, buf []ShardEntry) []ShardEntry {
-	if s < 0 || s >= d.holders.shardCount() {
+	if s < 0 || s >= d.ShardCount() {
 		return buf
 	}
 	for slot, node := range d.nodes {
@@ -129,11 +129,11 @@ func (d *Directory) ExportShard(s int, buf []ShardEntry) []ShardEntry {
 // ApplyShardDelta replaces the replica's shard s with the exported rows:
 // named members diff toward their word (admitting unknown members — the
 // replica mirrors a primary that already enforced S_co), unnamed members
-// lose their shard-s holdings. Forward bitsets, the inverse holders index
-// and the known-object bookkeeping stay mutually consistent, so a
+// lose their shard-s holdings. Forward bitsets, the holder matrix and the
+// known-object bookkeeping stay mutually consistent, so a
 // promoted replica passes AuditConsistency as-is.
 func (d *Directory) ApplyShardDelta(s int, entries []ShardEntry) {
-	if s < 0 || s >= d.holders.shardCount() {
+	if s < 0 || s >= d.ShardCount() {
 		return
 	}
 	base := s << shardBits
@@ -144,7 +144,7 @@ func (d *Directory) ApplyShardDelta(s int, entries []ShardEntry) {
 		for add := e.Word &^ cur; add != 0; add &= add - 1 {
 			i := base + bits.TrailingZeros64(add)
 			if i < d.nObj && d.objects[slot].Set(i) {
-				d.holders.add(i, e.Node)
+				d.holders.add(i, slot)
 				if d.knownObjects.Set(i) {
 					d.newSincePublish++
 				}
@@ -154,7 +154,7 @@ func (d *Directory) ApplyShardDelta(s int, entries []ShardEntry) {
 		for del := cur &^ e.Word; del != 0; del &= del - 1 {
 			i := base + bits.TrailingZeros64(del)
 			if d.objects[slot].Clear(i) {
-				d.holders.remove(i, e.Node)
+				d.holders.remove(i, slot)
 				d.markDirtyLocal(i)
 			}
 		}
@@ -165,11 +165,10 @@ func (d *Directory) ApplyShardDelta(s int, entries []ShardEntry) {
 		if slotTouched(touched, int32(slot)) {
 			continue
 		}
-		node := d.nodes[slot]
 		for w := d.objects[slot].Word(s); w != 0; w &= w - 1 {
 			i := base + bits.TrailingZeros64(w)
 			if d.objects[slot].Clear(i) {
-				d.holders.remove(i, node)
+				d.holders.remove(i, int32(slot))
 				d.markDirtyLocal(i)
 			}
 		}

@@ -1,9 +1,9 @@
 package dring
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"flowercdn/internal/bitset"
 	"flowercdn/internal/bloom"
@@ -39,8 +39,8 @@ type IndexEntry struct {
 // lookup, which a keepalive skips when its caller remembers the slot
 // (KeepaliveAt). The periodic dirTick (age every entry, scan for evictions)
 // is therefore a linear, pointer-free array sweep instead of a walk over
-// map-boxed entries, and it allocates nothing — evicted slots, their
-// bitsets and their holder-list cells are all recycled.
+// map-boxed entries, and it allocates nothing — evicted slots and their
+// bitsets are recycled, and their matrix columns are reused in place.
 type Directory struct {
 	site      model.SiteID
 	websiteID uint64
@@ -65,8 +65,8 @@ type Directory struct {
 	// readmit) does not allocate per rejoin.
 	freeSets []bitset.Set
 
-	// holders is the inverse index (local object → holder list), sharded
-	// by ref range; see holders.go.
+	// holders is the inverse index (local object → holder slots), a bit
+	// matrix over the slab; see holders.go.
 	holders holdersIndex
 
 	neighbors []NeighborSummary // sorted by DirID
@@ -87,9 +87,10 @@ type Directory struct {
 	popularity []int64
 
 	// neighborScratch backs NeighborsWithObject's result between calls;
-	// evictScratch backs EvictOlderThan's.
+	// evictScratch backs EvictOlderThan's, holderScratch Holders'.
 	neighborScratch []chord.ID
 	evictScratch    []simnet.NodeID
+	holderScratch   []simnet.NodeID
 
 	// Standby-replication seam (delta.go): when dirtyTrack is armed, every
 	// index mutation marks the 64-ref shard it touches, and the periodic
@@ -225,7 +226,7 @@ func (d *Directory) addObject(node simnet.NodeID, ref model.ObjectRef) {
 	if !d.objects[s].Set(i) {
 		return // duplicate
 	}
-	d.holders.add(i, node)
+	d.holders.add(i, s)
 	if d.knownObjects.Set(i) {
 		d.newSincePublish++
 	}
@@ -241,7 +242,7 @@ func (d *Directory) dropObject(node simnet.NodeID, ref model.ObjectRef) {
 	if !d.objects[s].Clear(i) {
 		return
 	}
-	d.holders.remove(i, node)
+	d.holders.remove(i, s)
 	d.markDirtyLocal(i)
 }
 
@@ -299,21 +300,21 @@ func (d *Directory) KeepaliveAt(node simnet.NodeID, hint int32) int32 {
 }
 
 // RemovePeer drops a member and its holdings (dead peer or redirection
-// failure, §5.1): the inverse index is updated shard-by-shard for exactly
-// the refs the member held, and the slab slot is swap-removed with its
-// bitset recycled.
+// failure, §5.1): the slab slot is swap-removed with its bitset recycled,
+// and the matrix clears exactly the refs the member held and moves the last
+// slot's bits into its column.
 func (d *Directory) RemovePeer(node simnet.NodeID) {
 	s, ok := d.slot[node]
 	if !ok {
 		return
 	}
+	last := int32(len(d.nodes) - 1)
 	set := d.objects[s]
 	d.markDirtyWords(&set)
-	d.holders.removeBits(&set, node)
+	d.holders.removeSlot(s, &set, last, &d.objects[last])
 	set.Reset()
 	d.freeSets = append(d.freeSets, set)
 
-	last := int32(len(d.nodes) - 1)
 	moved := d.nodes[last]
 	d.nodes[s] = moved
 	d.ages[s] = d.ages[last]
@@ -364,13 +365,37 @@ func (d *Directory) EvictOlderThan(ageLimit int) []simnet.NodeID {
 
 // Holders returns the indexed peers holding ref, ascending (the caller
 // picks one, typically at random, to spread load — §4.1). The returned
-// slice is the directory's internal holder list: read-only, valid until
-// the next index mutation.
+// slice is directory-owned scratch: read-only, valid until the next call.
 func (d *Directory) Holders(ref model.ObjectRef) []simnet.NodeID {
 	if !d.inRange(ref) {
 		return nil
 	}
-	return d.holders.listAt(d.local(ref))
+	return d.holdersAt(d.local(ref))
+}
+
+// holdersAt fills the holder scratch with local ref i's holders, ascending.
+func (d *Directory) holdersAt(i int) []simnet.NodeID {
+	hs := d.holderScratch[:0]
+	d.holders.forEachSlot(i, func(s int) { hs = append(hs, d.nodes[s]) })
+	slices.Sort(hs)
+	d.holderScratch = hs
+	return hs
+}
+
+// LowestHolder returns the lowest-numbered holder of ref that ok accepts —
+// the one a walk of Holders in ascending order would stop at — found in
+// one pass over ref's row without sorting or allocating; false if none.
+func (d *Directory) LowestHolder(ref model.ObjectRef, ok func(simnet.NodeID) bool) (simnet.NodeID, bool) {
+	var best simnet.NodeID
+	found := false
+	if d.inRange(ref) {
+		d.holders.forEachSlot(d.local(ref), func(s int) {
+			if n := d.nodes[s]; (!found || n < best) && ok(n) {
+				best, found = n, true
+			}
+		})
+	}
+	return best, found
 }
 
 // ObjectCount returns the number of distinct objects currently indexed.
@@ -378,13 +403,13 @@ func (d *Directory) ObjectCount() int { return d.holders.total }
 
 // ShardCount returns the number of ref-range shards of the inverse index
 // (each spans shardSize refs of the site's dense object space).
-func (d *Directory) ShardCount() int { return d.holders.shardCount() }
+func (d *Directory) ShardCount() int { return len(d.holders.held) }
 
 // ShardHeld returns how many refs in shard s currently have at least one
 // holder. Together with ShardCount it exposes the per-range occupancy a
 // future split of a hot website's index across directory instances would
 // partition on.
-func (d *Directory) ShardHeld(s int) int { return d.holders.shardHeld(s) }
+func (d *Directory) ShardHeld(s int) int { return int(d.holders.held[s]) }
 
 // --- Popularity tracking (active replication, §8) ------------------------
 
@@ -421,16 +446,13 @@ func (d *Directory) TopObjects(k int) []model.ObjectRef {
 	}
 	var list []po
 	for i, count := range d.popularity {
-		if count == 0 || len(d.holders.listAt(i)) == 0 {
+		if count == 0 || d.holders.holderCount(i) == 0 {
 			continue
 		}
 		list = append(list, po{d.base + model.ObjectRef(i), count})
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].count != list[j].count {
-			return list[i].count > list[j].count
-		}
-		return list[i].ref < list[j].ref
+	slices.SortFunc(list, func(a, b po) int {
+		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.ref, b.ref))
 	})
 	if len(list) > k {
 		list = list[:k]
@@ -455,7 +477,7 @@ func (d *Directory) UpdateNeighborSummary(dirID chord.ID, locality int, filter *
 		}
 	}
 	d.neighbors = append(d.neighbors, NeighborSummary{DirID: dirID, Locality: locality, Filter: filter})
-	sort.Slice(d.neighbors, func(i, j int) bool { return d.neighbors[i].DirID < d.neighbors[j].DirID })
+	slices.SortFunc(d.neighbors, func(a, b NeighborSummary) int { return cmp.Compare(a.DirID, b.DirID) })
 }
 
 // RemoveNeighborSummary forgets a neighbour (departed directory).
@@ -498,7 +520,7 @@ func (d *Directory) NeighborsWithObject(ref model.ObjectRef) []chord.ID {
 // wholesale.
 func (d *Directory) BuildSummary() *bloom.Filter {
 	f := bloom.NewForCapacity(d.summaryCapacity)
-	d.holders.forEachHeld(func(i int, _ []simnet.NodeID) {
+	d.holders.forEachHeld(func(i int) {
 		h1, h2 := d.in.Hashes(d.base + model.ObjectRef(i))
 		f.AddHash(h1, h2)
 	})

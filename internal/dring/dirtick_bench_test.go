@@ -145,4 +145,28 @@ func TestDirTickAllocs(t *testing.T) {
 	if churn != 0 {
 		t.Errorf("churn dirTick allocates %.1f/op, want 0", churn)
 	}
+
+	// Once the matrix and the holder scratch have reached their high-water
+	// marks, a push that adds and drops holdings, the evict → readmit of its
+	// sender, a lowest-holder scan and a Holders copy allocate nothing.
+	var skip simnet.NodeID
+	var add, drop [1]model.ObjectRef
+	cycle := testing.AllocsPerRun(50, func() {
+		round++
+		node := simnet.NodeID(round%benchMembers + 1)
+		add[0], drop[0] = dref(round%64), dref((round+7)%64)
+		d.ApplyPush(node, add[:], drop[:])
+		d.RemovePeer(node)
+		d.ApplyPush(node, drop[:], add[:])
+		skip = node
+		if _, ok := d.LowestHolder(dref(round%64), func(n simnet.NodeID) bool { return n != skip }); !ok {
+			t.Fatal("no eligible holder")
+		}
+		if len(d.Holders(dref(round%64))) == 0 {
+			t.Fatal("no holders")
+		}
+	})
+	if cycle != 0 {
+		t.Errorf("push → evict → readmit and holder scans allocate %.1f/op, want 0", cycle)
+	}
 }

@@ -4,26 +4,23 @@ import (
 	"math/bits"
 
 	"flowercdn/internal/bitset"
-	"flowercdn/internal/simnet"
 )
 
-// The inverse index (local object → holders) is sharded by ref range:
-// each shard owns a contiguous, bitset-word-aligned range of the site's
-// dense object space and tracks how many of its refs currently have at
-// least one holder. Sharding buys two things the flat [][]NodeID table
-// could not:
+// The inverse index (local object → holders) is a ref-major bit matrix over
+// the member slab's slots: row i holds one bit per slot, set while the
+// member in that slot holds local ref i. Every row is stride words and all
+// rows live in one []uint64, so an add or a drop is one bit set or clear,
+// and the matrix is the forward bitsets (member → refs) transposed.
 //
-//   - Removing an evicted peer walks its holdings word-by-word and only
-//     touches the shards those words land in — O(held objects), never
-//     O(nObj) — and whole-index sweeps (summary rebuilds, range scans)
-//     skip empty shards in one comparison.
-//   - A shard is a self-contained slice of the index for a ref range, so
-//     a hot website's directory can later be split across instances along
-//     shard boundaries without the §5.3 key-space split.
+// Per-ref holder counts and per-shard held counts keep ObjectCount,
+// ShardHeld and whole-index sweeps (summary rebuilds, TopObjects) O(1) per
+// ref and skip-empty per 64-ref shard. A shard is exactly one forward
+// bitset word, which is also the grain of the standby's delta sync
+// (delta.go).
 //
-// A shard's list table is made at its first add — a run has a directory per
-// website and locality and a handful of active websites, and a directory
-// that indexes nothing should hold nothing; readers take nil as all-empty.
+// The matrix and the per-ref counts are made at the first add — a run has
+// a directory per website and locality and a handful of active websites,
+// and a directory that indexes nothing should hold nothing.
 
 // shardBits sizes a shard at 64 refs: exactly one bitset word, so a
 // member's holdings map 1:1 onto shards and the word walk *is* the shard
@@ -33,119 +30,117 @@ const shardBits = 6
 // shardSize is the number of local refs per shard.
 const shardSize = 1 << shardBits
 
-// holdersShard is one ref-range shard: per-ref holder lists (sorted
-// ascending by node; nil until the first add) and the count of refs held.
-type holdersShard struct {
-	lists [][]simnet.NodeID
-	held  int
-}
-
-// holdersIndex is the sharded inverse index over [0, nObj) local refs.
+// holdersIndex is the slot-matrix inverse index over [0, nObj) local refs.
 type holdersIndex struct {
 	nObj   int
-	total  int // refs with ≥1 holder, across all shards
-	shards []holdersShard
+	stride int      // words per row: slots [0, 64·stride) are addressable
+	rows   []uint64 // nObj rows of stride words; nil until the first add
+	count  []int32  // holders per ref; nil until the first add
+	held   []int32  // refs with ≥1 holder, per shard
+	total  int      // refs with ≥1 holder, across all shards
 }
 
 func newHoldersIndex(nObj int) holdersIndex {
-	nShards := (nObj + shardSize - 1) / shardSize
-	return holdersIndex{nObj: nObj, shards: make([]holdersShard, nShards)}
+	return holdersIndex{nObj: nObj, held: make([]int32, (nObj+shardSize-1)/shardSize)}
 }
 
-// listAt returns the holder list for local ref i (read-only view).
-func (h *holdersIndex) listAt(i int) []simnet.NodeID {
-	if lists := h.shards[i>>shardBits].lists; lists != nil {
-		return lists[i&(shardSize-1)]
+// add sets slot's bit in ref i's row, widening the rows first when the
+// slot lies beyond the stride.
+func (h *holdersIndex) add(i int, slot int32) {
+	w := int(slot >> 6)
+	if w >= h.stride {
+		h.grow(w + 1)
 	}
-	return nil
-}
-
-// add inserts node into ref i's holder list, keeping ascending node order
-// (holder lists are small).
-func (h *holdersIndex) add(i int, node simnet.NodeID) {
-	sh := &h.shards[i>>shardBits]
-	if sh.lists == nil {
-		lo := i &^ (shardSize - 1)
-		sh.lists = make([][]simnet.NodeID, min(shardSize, h.nObj-lo))
-	}
-	hs := sh.lists[i&(shardSize-1)]
-	if len(hs) == 0 {
-		sh.held++
+	h.rows[i*h.stride+w] |= 1 << (slot & 63)
+	if h.count[i]++; h.count[i] == 1 {
+		h.held[i>>shardBits]++
 		h.total++
 	}
-	pos := len(hs)
-	for pos > 0 && hs[pos-1] > node {
-		pos--
-	}
-	hs = append(hs, 0)
-	copy(hs[pos+1:], hs[pos:])
-	hs[pos] = node
-	sh.lists[i&(shardSize-1)] = hs
 }
 
-// remove deletes node from ref i's holder list (no-op when absent).
-func (h *holdersIndex) remove(i int, node simnet.NodeID) {
-	sh := &h.shards[i>>shardBits]
-	hs := h.listAt(i)
-	for p, n := range hs {
-		if n == node {
-			copy(hs[p:], hs[p+1:])
-			sh.lists[i&(shardSize-1)] = hs[:len(hs)-1]
-			if len(hs) == 1 {
-				sh.held--
-				h.total--
-			}
-			return
-		}
+// remove clears slot's bit in ref i's row; the caller knows it is set.
+func (h *holdersIndex) remove(i int, slot int32) {
+	h.rows[i*h.stride+int(slot>>6)] &^= 1 << (slot & 63)
+	if h.count[i]--; h.count[i] == 0 {
+		h.held[i>>shardBits]--
+		h.total--
 	}
 }
 
-// removeBits deletes node from every ref set in bits, visiting only the
-// shards the bitset's nonzero words land in: evicting a peer costs its
-// held-object count, independent of the object universe. Words map 1:1
-// onto shards (shardBits = 6 = one uint64), so the word walk is the
-// shard walk.
-func (h *holdersIndex) removeBits(held *bitset.Set, node simnet.NodeID) {
-	held.ForEachWord(func(w int, word uint64) {
-		base := w << shardBits
-		for word != 0 {
-			h.remove(base+bits.TrailingZeros64(word), node)
-			word &= word - 1 // clear lowest set bit
-		}
+// grow widens every row to at least words, at least doubling the stride so
+// a growing slab re-lays the matrix O(log members) times.
+func (h *holdersIndex) grow(words int) {
+	stride := max(words, 2*h.stride)
+	rows := make([]uint64, h.nObj*stride)
+	for i := range h.nObj {
+		copy(rows[i*stride:], h.rows[i*h.stride:(i+1)*h.stride])
+	}
+	if h.count == nil {
+		h.count = make([]int32, h.nObj)
+	}
+	h.rows, h.stride = rows, stride
+}
+
+// removeSlot is the matrix half of the slab's swap-remove: slot s's bits
+// (the refs in gone, its forward bitset) are cleared and the last slot's
+// bits (the refs in moved) move into s.
+func (h *holdersIndex) removeSlot(s int32, gone *bitset.Set, last int32, moved *bitset.Set) {
+	gone.ForEach(func(i int) { h.remove(i, s) })
+	if s == last {
+		return
+	}
+	moved.ForEach(func(i int) {
+		row := h.rows[i*h.stride:]
+		row[last>>6] &^= 1 << (last & 63)
+		row[s>>6] |= 1 << (s & 63)
 	})
+}
+
+// has reports whether slot's bit is set in ref i's row.
+func (h *holdersIndex) has(i, slot int) bool {
+	return slot>>6 < h.stride && h.rows[i*h.stride+(slot>>6)]&(1<<(slot&63)) != 0
+}
+
+// holderCount returns how many slots hold ref i.
+func (h *holdersIndex) holderCount(i int) int {
+	if h.count == nil {
+		return 0
+	}
+	return int(h.count[i])
+}
+
+// forEachSlot calls fn for every slot holding ref i, in ascending slot
+// (admission) order.
+func (h *holdersIndex) forEachSlot(i int, fn func(slot int)) {
+	if h.rows == nil {
+		return
+	}
+	for w, word := range h.rows[i*h.stride : (i+1)*h.stride] {
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6 | bits.TrailingZeros64(word))
+		}
+	}
 }
 
 // forEachHeld calls fn for every ref with ≥1 holder in ascending ref
 // order, skipping empty shards wholesale.
-func (h *holdersIndex) forEachHeld(fn func(i int, hs []simnet.NodeID)) {
-	for s := range h.shards {
-		sh := &h.shards[s]
-		if sh.held == 0 {
+func (h *holdersIndex) forEachHeld(fn func(i int)) {
+	for s, held := range h.held {
+		if held == 0 {
 			continue
 		}
-		base := s << shardBits
-		for j, hs := range sh.lists {
-			if len(hs) > 0 {
-				fn(base+j, hs)
+		for i := s << shardBits; i < min((s+1)<<shardBits, h.nObj); i++ {
+			if h.count[i] > 0 {
+				fn(i)
 			}
 		}
 	}
 }
 
-// reset empties every shard, keeping list capacities for reuse.
+// reset empties the index, keeping the matrix for reuse.
 func (h *holdersIndex) reset() {
-	for s := range h.shards {
-		sh := &h.shards[s]
-		for j := range sh.lists {
-			sh.lists[j] = sh.lists[j][:0]
-		}
-		sh.held = 0
-	}
+	clear(h.rows)
+	clear(h.count)
+	clear(h.held)
 	h.total = 0
 }
-
-// shardCount returns the number of ref-range shards.
-func (h *holdersIndex) shardCount() int { return len(h.shards) }
-
-// shardHeld returns how many refs in shard s currently have holders.
-func (h *holdersIndex) shardHeld(s int) int { return h.shards[s].held }

@@ -87,14 +87,25 @@ func TestRunFlowerSmoke(t *testing.T) {
 
 // TestScaledRunRecyclesQueryRecords: Query records are pooled, so a clean
 // ScaledParams run makes only as many as were alive at once — fewer than 1 %
-// of the queries it submits.
+// of the queries it submits. The run ends with an audit pass, and every live
+// directory's index must be self-consistent in it.
 func TestScaledRunRecyclesQueryRecords(t *testing.T) {
-	res, err := RunFlower(ScaledParams(1))
+	p := ScaledParams(1)
+	p.AuditEvery = p.Duration
+	res, err := RunFlower(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, q := res.Stats.QueryRecords, res.Report.TotalQueries; n == 0 || 100*int64(n) >= q {
 		t.Fatalf("%d query records made for %d queries, want fewer than 1 %%", n, q)
+	}
+	if res.AuditChecks == 0 {
+		t.Fatal("no audit ran")
+	}
+	for _, v := range res.AuditViolations {
+		if strings.HasPrefix(v, "dring ") {
+			t.Errorf("directory index: %s", v)
+		}
 	}
 }
 
