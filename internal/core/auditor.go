@@ -20,6 +20,7 @@ import (
 //   - every directory's index (forward member bitsets ↔ the holder bit
 //     matrix and its counts, see dring.AuditConsistency) and its holder
 //     claims against the actual stashes of live same-overlay content peers;
+//     a dead directory keeps its index only until its position is taken over;
 //   - the await-token/timer plane (a latched dir-join must have its timer
 //     armed; dead hosts must leave nothing pending; a keepalive timeout
 //     can only be armed on a content peer; and, for queries: timer armed
@@ -118,6 +119,11 @@ func (s *System) Audit() AuditReport {
 			r.Checks++
 			if slices.ContainsFunc(periodic[:], func(t simkernel.Ticker) bool { return !t.Stopped() }) {
 				fail("timers: dead host %d has a running ticker", addr)
+			}
+			// Not tallied in Checks either (see the await registry below).
+			if h.dir != nil && s.dirByKey[h.dir.Key()] != simnet.NodeID(addr) {
+				fail("index: dead host %d keeps the index of d(%s,%d), a position since taken over",
+					addr, h.dir.Site(), h.dir.Locality())
 			}
 			continue
 		}

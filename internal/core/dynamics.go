@@ -34,7 +34,8 @@ func (s *System) FailPeer(addr simnet.NodeID) {
 // RevivePeer brings a crashed client node back online. Its volatile state
 // (cache, view, overlay membership) is gone — it rejoins as a new client
 // on its next query, exactly like a returning user. Directory hosts cannot
-// be revived this way (their position is re-filled by §5.2 replacement).
+// be revived this way (their position is re-filled by §5.2 replacement),
+// nor can one whose position was taken over and its index released.
 func (s *System) RevivePeer(addr simnet.NodeID) bool {
 	h := s.hosts[addr]
 	if h == nil || h.isServer() || h.dir != nil || h.dirNode() != nil {
@@ -229,9 +230,15 @@ func (s *System) takeOverPosition(key chord.ID, addr simnet.NodeID, boot *chord.
 	return node, nil
 }
 
-// installDirectory wires directory state and tickers onto a host.
+// installDirectory wires directory state and tickers onto a host. A crashed
+// previous holder of the position gives its index back: nothing reads it
+// once the position is taken over, and it is never revived (it keeps its
+// D-ring node).
 func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, loc int) {
 	key := node.ID()
+	if prev, ok := s.dirByKey[key]; ok && !s.net.Alive(prev) {
+		s.hosts[prev].dir = nil
+	}
 	if h.role == nil {
 		h.role = new(dirRole)
 	}

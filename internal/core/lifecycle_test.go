@@ -518,17 +518,23 @@ func TestQueryRecordsConserved(t *testing.T) {
 			if tc.mod == nil && p.abandoned != 0 {
 				t.Errorf("%d queries abandoned on a clean network", p.abandoned)
 			}
-			// Only the query sections: the holder-vs-stash walk flags clients
-			// revived into their old overlay in runs that are not hardened.
+			// Only the query sections and the crashed directories' indexes: the
+			// holder-vs-stash walk flags clients revived into their old overlay
+			// in runs that are not hardened.
 			for _, v := range s.Audit().Violations {
-				if strings.HasPrefix(v, "await:") || strings.HasPrefix(v, "query pool:") {
+				if strings.HasPrefix(v, "await:") || strings.HasPrefix(v, "query pool:") || strings.HasPrefix(v, "index:") {
 					t.Errorf("audit: %s", v)
 				}
 			}
-			// At quiescence every live directory's index is self-consistent.
-			dirs := 0
+			// At quiescence every live directory's index is self-consistent, and
+			// no position has two: a crashed directory's went when its position
+			// was taken over.
+			dirs, indexes := 0, 0
 			for addr, h := range s.hosts {
-				if h == nil || h.dir == nil || !s.net.Alive(simnet.NodeID(addr)) {
+				if h == nil || h.dir == nil {
+					continue
+				}
+				if indexes++; !s.net.Alive(simnet.NodeID(addr)) {
 					continue
 				}
 				dirs++
@@ -539,7 +545,11 @@ func TestQueryRecordsConserved(t *testing.T) {
 			if dirs == 0 {
 				t.Error("no live directory to audit")
 			}
-			t.Logf("%d queries: %d finished, %d abandoned, %d records", s.qid, p.finished, p.abandoned, s.stats.QueryRecords)
+			if indexes > len(s.dirByKey) {
+				t.Errorf("%d directory indexes held for %d positions", indexes, len(s.dirByKey))
+			}
+			t.Logf("%d queries: %d finished, %d abandoned, %d records; %d indexes for %d positions, %d replacements",
+				s.qid, p.finished, p.abandoned, s.stats.QueryRecords, indexes, len(s.dirByKey), s.stats.DirReplacements+s.stats.StandbyPromotions)
 		})
 	}
 }

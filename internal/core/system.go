@@ -52,7 +52,7 @@ type System struct {
 
 	hosts     []*host // indexed by simnet.NodeID; nil = not part of the system
 	dirAddrs  []simnet.NodeID
-	dirByKey  map[chord.ID]simnet.NodeID
+	dirByKey  map[chord.ID]simnet.NodeID // the last host installed at each position
 	widBySite map[model.SiteID]uint64
 
 	servers map[model.SiteID]simnet.NodeID

@@ -586,7 +586,3 @@ func (d *Directory) ImportEntries(entries []IndexEntry) {
 		d.ages[d.slotFor(node)] = int32(e.Age)
 	}
 }
-
-// DropMember is RemovePeer plus neighbour bookkeeping hook; kept separate
-// for symmetry with the paper's redirection-failure handling.
-func (d *Directory) DropMember(node simnet.NodeID) { d.RemovePeer(node) }
