@@ -259,7 +259,8 @@ func SweepGrid(p Params, localities []int, periods []Time, views []int) ([]Row, 
 // TraceEvent is one structured protocol event from a traced run.
 type TraceEvent = trace.Event
 
-// TraceBuffer retains protocol events from a traced run.
+// TraceBuffer retains the protocol steps of a traced run as fixed-size
+// records and renders them as TraceEvents when read.
 type TraceBuffer = trace.Buffer
 
 // RunFlowerTraced is RunFlower with protocol tracing enabled: up to

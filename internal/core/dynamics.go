@@ -6,6 +6,7 @@ import (
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
+	"flowercdn/internal/trace"
 )
 
 // This file implements §5, "Dealing with Dynamicity": crash failures,
@@ -74,7 +75,8 @@ func (s *System) onDirectoryUnreachable(h *host) {
 	if h.cp == nil {
 		return
 	}
-	s.traceDirSilent(h)
+	s.trace(trace.Record{Kind: trace.DirFailureDetected, Node: h.addr, Peer: -1,
+		Str: string(h.cp.Site()), Loc: int32(h.cp.Locality())})
 	h.cp.ForgetDir()
 	if s.cfg.StandbyFailover {
 		if h.role.warm() != nil && h.role.watched() != 0 {
@@ -196,7 +198,8 @@ func (s *System) handleDirJoinAccept(h *host, m dirJoinAcceptMsg) {
 	h.dir.ApplyPush(h.addr, h.cp.Objects(), nil)
 	h.cp.SetDir(h.addr)
 	s.stats.DirReplacements++
-	s.traceDirReplaced(h)
+	s.trace(trace.Record{Kind: trace.DirReplaced, Node: h.addr, Peer: -1,
+		Str: string(h.cp.Site()), Loc: int32(h.cp.Locality())})
 }
 
 // takeOverPosition is the D-ring take-over sequence of the cold §5.2
@@ -326,7 +329,7 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 	old.dir, old.role.node = nil, nil
 	s.FailPeer(old.addr)
 	s.stats.DirReplacements++
-	s.traceDirHandoff(old.addr, best.addr, site, loc)
+	s.trace(trace.Record{Kind: trace.DirHandoff, Node: old.addr, Peer: best.addr, Str: string(site), Loc: int32(loc)})
 	return true
 }
 

@@ -12,6 +12,7 @@ import (
 	"flowercdn/internal/overlay"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
+	"flowercdn/internal/trace"
 	"flowercdn/internal/workload"
 )
 
@@ -59,20 +60,41 @@ func (e *testEnv) submitNow(si, loc, member, obj int) {
 // Query record with its inline candidates, typed await continuations,
 // pooled routed, serve and push envelopes. After warm-up none of it
 // allocates: the record is back in the pool once nothing reaches it.
-func TestQueryLifecycleAllocs(t *testing.T) {
-	measure := func(t *testing.T, e *testEnv, op func()) {
+func TestQueryLifecycleAllocs(t *testing.T) { checkLifecycleAllocs(t, false) }
+
+// TestTraceEnabledAllocs: with a tracer installed whose buffer has already
+// wrapped, the same paths record their events at 0 allocs/op — a record
+// carries no text, only values the emission site already holds.
+func TestTraceEnabledAllocs(t *testing.T) { checkLifecycleAllocs(t, true) }
+
+func checkLifecycleAllocs(t *testing.T, traced bool) {
+	const runs = 109 // 8 warm-up rounds, one AllocsPerRun calibration round and 100 measured
+	env := func(t *testing.T, hardened bool) (*testEnv, *trace.Buffer) {
+		e := lifecycleEnv(t, hardened)
+		var buf *trace.Buffer
+		if traced {
+			buf = trace.NewBuffer(16)
+			e.sys.tracer = buf
+		}
+		return e, buf
+	}
+	measure := func(t *testing.T, e *testEnv, buf *trace.Buffer, op func()) {
 		t.Helper()
 		before := e.mets.Snapshot(e.k.Now())
 		for i := 0; i < 8; i++ {
-			op() // pools, slabs, registry and timer arena reach capacity
+			op() // pools, slabs, registry, timer arena and trace buffer reach capacity
 		}
 		allocs := testing.AllocsPerRun(100, op)
 		after := e.mets.Snapshot(e.k.Now())
-		if got := after.BySource["peer"] - before.BySource["peer"]; got != 109 {
-			t.Fatalf("%d of 109 queries were served by an overlay peer; the measured path is not the intended one", got)
+		if got := after.BySource["peer"] - before.BySource["peer"]; got != runs {
+			t.Fatalf("%d of %d queries were served by an overlay peer; the measured path is not the intended one", got, runs)
 		}
 		if allocs != 0 {
-			t.Fatalf("query lifecycle allocates %.1f allocs/op, want 0", allocs)
+			t.Fatalf("query lifecycle allocates %.1f allocs/op (traced %v), want 0", allocs, traced)
+		}
+		// Every query is at least submitted, dispatched and served.
+		if buf != nil && buf.Total() < 3*runs {
+			t.Fatalf("%d events recorded for %d queries", buf.Total(), runs)
 		}
 		for _, q := range e.sys.pool.awaiting {
 			if q != nil {
@@ -85,14 +107,14 @@ func TestQueryLifecycleAllocs(t *testing.T) {
 	}
 
 	t.Run("member-view-hit-and-push", func(t *testing.T) {
-		e := lifecycleEnv(t, false)
+		e, buf := env(t, false)
 		member := e.sys.host(e.sys.PoolNode(0, 0, 1))
 		ref := e.sys.in.RefFor(0, 3)
 		if member.cp == nil || !member.cp.Has(ref) {
 			t.Fatal("member did not join or lacks the probe object")
 		}
 		pushes := e.mets.Snapshot(e.k.Now()).Traffic
-		measure(t, e, func() {
+		measure(t, e, buf, func() {
 			// Forget the object (pushing the removal), then ask for it again:
 			// a view contact's summary matches, the contact serves, and
 			// storing the object pushes the addition.
@@ -111,8 +133,8 @@ func TestQueryLifecycleAllocs(t *testing.T) {
 			}
 			return 0
 		}
-		if got := sent(e.mets.Snapshot(e.k.Now()).Traffic) - sent(pushes); got != 2*109 {
-			t.Fatalf("%d pushes for 109 remove+add rounds, want %d", got, 2*109)
+		if got := sent(e.mets.Snapshot(e.k.Now()).Traffic) - sent(pushes); got != 2*runs {
+			t.Fatalf("%d pushes for %d remove+add rounds, want %d", got, runs, 2*runs)
 		}
 	})
 
@@ -122,9 +144,9 @@ func TestQueryLifecycleAllocs(t *testing.T) {
 			name += "-hardened"
 		}
 		t.Run(name, func(t *testing.T) {
-			e := lifecycleEnv(t, hardened)
+			e, buf := env(t, hardened)
 			client := e.sys.host(e.sys.PoolNode(0, 0, 2))
-			measure(t, e, func() { e.submitNow(0, 0, 2, 3) })
+			measure(t, e, buf, func() { e.submitNow(0, 0, 2, 3) })
 			if client.cp != nil {
 				t.Fatal("the client was admitted to a full overlay")
 			}

@@ -234,7 +234,7 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 		if cand == q.Origin || s.holderTripped(cand) {
 			continue
 		}
-		s.trace(trace.PeerQuery, q.ID, q.Origin, cand, "")
+		s.trace(trace.Record{Kind: trace.PeerQuery, Query: q.ID, Node: q.Origin, Peer: cand})
 		s.stamp(q)
 		s.sendQuery(q.Origin, cand, simnet.CatQuery, bytesQueryCtl, peerQueryMsg{Q: q})
 		s.await(q, s.exchangeTimeout(q.Origin, cand), awaitCandidate, h.addr, uint64(cand), 0)
@@ -261,7 +261,8 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 		s.await(q, esc, awaitEscalateExpire, h.addr, 0, 0)
 		return
 	}
-	s.trace(trace.ServerFetch, q.ID, q.Origin, s.servers[q.Site], "view exhausted")
+	s.trace(trace.Record{Kind: trace.ServerFetch, Variant: trace.ViewExhausted, Query: q.ID, Node: q.Origin,
+		Peer: s.servers[q.Site]})
 	s.fallbackToOrigin(h, q)
 }
 
@@ -298,7 +299,7 @@ func (s *System) handleRouted(h *host, m *routedMsg) {
 			s.mets.RecordRouteTTLExpiry()
 		} else {
 			if q := m.Q; q != nil {
-				s.trace(trace.RouteHop, q.ID, h.addr, next.Addr(), "")
+				s.trace(trace.Record{Kind: trace.RouteHop, Query: q.ID, Node: h.addr, Peer: next.Addr()})
 			}
 			m.TTL-- // the envelope travels on, hop to hop, in place
 			s.sendQuery(h.addr, next.Addr(), simnet.CatQuery, bytesQueryCtl, m)
@@ -366,7 +367,8 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 		h.dir.NoteRequest(q.Ref)
 	}
 	if !forwarded {
-		s.traceDirProcess(q, h)
+		s.trace(trace.Record{Kind: trace.DirProcess, Query: q.ID, Node: h.addr, Peer: -1,
+			Str: string(h.dir.Site()), Loc: int32(h.dir.Locality())})
 	}
 
 	// Stage A: directory index (complete view of the content overlay).
@@ -409,14 +411,14 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 		}
 		q.atRemote = true
 		q.remoteDir = target.Addr()
-		s.trace(trace.ForwardedToSibling, q.ID, h.addr, target.Addr(), "")
+		s.trace(trace.Record{Kind: trace.ForwardedToSibling, Query: q.ID, Node: h.addr, Peer: target.Addr()})
 		s.sendQuery(h.addr, target.Addr(), simnet.CatQuery, bytesQueryCtl, forwardedQueryMsg{Q: q})
 		s.await(q, s.timeout(h.addr, target.Addr())+2*simkernel.Second, awaitSibling, h.addr, uint64(dirID), 0)
 		return
 	}
 	// Stage D: the origin web server.
 	q.atRemote = false
-	s.trace(trace.ServerFetch, q.ID, h.addr, s.servers[q.Site], "directory fallback")
+	s.trace(trace.Record{Kind: trace.ServerFetch, Query: q.ID, Node: h.addr, Peer: s.servers[q.Site]})
 	s.mets.RecordOriginFallback()
 	s.sendQuery(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, true)
@@ -452,7 +454,7 @@ func (q *Query) markFailedHolder(n simnet.NodeID) {
 // dirRedirect sends the query to a believed holder and arms the §5.1
 // redirection-failure timeout.
 func (s *System) dirRedirect(h *host, q *Query, holder simnet.NodeID, forwarded bool) {
-	s.trace(trace.Redirect, q.ID, h.addr, holder, "")
+	s.trace(trace.Record{Kind: trace.Redirect, Query: q.ID, Node: h.addr, Peer: holder})
 	s.sendQuery(h.addr, holder, simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	var fwd int32
 	if forwarded {
@@ -463,7 +465,7 @@ func (s *System) dirRedirect(h *host, q *Query, holder simnet.NodeID, forwarded 
 
 // onRedirectTimeout: the believed holder never acknowledged (§5.1).
 func (s *System) onRedirectTimeout(h *host, q *Query, holder simnet.NodeID, forwarded bool) {
-	s.trace(trace.RedirectFailed, q.ID, h.addr, holder, "timeout")
+	s.trace(trace.Record{Kind: trace.RedirectFailed, Query: q.ID, Node: h.addr, Peer: holder})
 	s.mets.RecordRedirectFailure()
 	h.dir.RemovePeer(holder)
 	if h.cp != nil {
@@ -538,7 +540,7 @@ func (s *System) handleNack(h *host, m nackMsg, from simnet.NodeID) {
 	q := m.Q
 	s.settle(q)
 	s.sample(q)
-	s.trace(trace.PeerNack, q.ID, h.addr, from, "stale summary or false positive")
+	s.trace(trace.Record{Kind: trace.PeerNack, Query: q.ID, Node: h.addr, Peer: from})
 	s.tryNextCandidate(h, q)
 }
 
@@ -565,7 +567,8 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		dist := s.topo.LatencyMs(h.addr, q.Origin)
 		s.mets.RecordQuery(now, src, lookup, dist)
 		q.recorded = true
-		s.traceServed(q, h.addr, src, lookup, dist)
+		s.trace(trace.Record{Kind: trace.Served, Variant: trace.Variant(src), Query: q.ID, Node: h.addr, Peer: q.Origin,
+			Args: [2]int32{trace.Ms(lookup), trace.Ms(dist)}})
 		if fromContentPeer && q.handlerDir != 0 {
 			// Partition-recovery probe: a P2P hit that went through a
 			// directory proves the locality's directory plane works again.
@@ -660,7 +663,7 @@ func (s *System) overlayFor(site model.SiteID, loc int) *overlay.Shared {
 // this peer as d(ws,loc) unless someone else won the race.
 func (s *System) joinFounder(h *host, q *Query) {
 	h.cp = s.overlayFor(q.Site, q.OriginLoc).NewPeer(h.addr, s.k.Now())
-	s.finishJoin(h, q, -1, true)
+	s.finishJoin(h, q, -1, trace.Founding)
 }
 
 // joinOverlay turns a served client into a content peer of its locality's
@@ -675,13 +678,14 @@ func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
 		// index, without summaries (§4.2).
 		h.cp.SeedView(q.dirSeed)
 	}
-	s.finishJoin(h, q, q.handlerDir, false)
+	s.finishJoin(h, q, q.handlerDir, 0)
 }
 
 // finishJoin is the shared tail of both joins: remember the directory
 // instance, replay objects stashed across a locality change (§5.4), account
 // the participant once per life, and start the peer's periodic behaviours.
-func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, founder bool) {
+// how is trace.Founding for an overlay's first member, else 0.
+func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, how trace.Variant) {
 	h.dirInstance = int32(q.targetInstance)
 	if r := h.rare; r != nil {
 		for _, obj := range r.stash {
@@ -694,7 +698,8 @@ func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, founder bool) 
 		h.flags |= hfAccounted
 	}
 	s.stats.Joins++
-	s.traceJoined(q, h, dir, founder)
+	s.trace(trace.Record{Kind: trace.Joined, Variant: how, Query: q.ID, Node: h.addr, Peer: dir,
+		Str: string(q.Site), Loc: int32(q.OriginLoc)})
 	s.startContentPeerTickers(h)
 }
 

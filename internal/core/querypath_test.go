@@ -5,6 +5,7 @@ import (
 
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
+	"flowercdn/internal/trace"
 )
 
 // queryPathEnv builds a populated small system and returns the pieces the
@@ -78,24 +79,21 @@ func TestQueryPathAllocs(t *testing.T) {
 	}
 }
 
-// TestTraceDisabledAllocs proves disabled tracing costs nothing: every
-// formatted trace emission takes typed arguments and checks the tracer
-// before formatting, so with a nil tracer the calls are free.
+// TestTraceDisabledAllocs proves disabled tracing costs nothing: a record
+// of every kind and text variant, built from what the emission sites pass,
+// is dropped by the nil check without allocating.
 func TestTraceDisabledAllocs(t *testing.T) {
 	e, member, dir, ref := queryPathEnv(t)
 	if e.sys.tracer != nil {
 		t.Fatal("env unexpectedly traced")
 	}
-	q := &Query{ID: 1, Origin: member.addr, Site: e.cfg.Sites[0], Ref: ref}
 	allocs := testing.AllocsPerRun(200, func() {
-		e.sys.traceQuerySubmitted(q, true)
-		e.sys.traceDirProcess(q, dir)
-		e.sys.traceServed(q, dir.addr, 0, 12, 34)
-		e.sys.traceJoined(q, member, dir.addr, false)
-		e.sys.traceDirSilent(member)
-		e.sys.traceDirReplaced(member)
-		e.sys.traceDirHandoff(dir.addr, member.addr, q.Site, 0)
-		e.sys.tracePrefetch(member, ref)
+		for k := trace.Kind(0); k <= trace.Prefetch; k++ {
+			for v := trace.Variant(0); v <= trace.StandbyPromoted; v++ {
+				e.sys.trace(trace.Record{Kind: k, Variant: v, Query: 1, Node: member.addr, Peer: dir.addr,
+					Str: e.sys.in.Key(ref), Loc: int32(dir.dir.Locality()), Args: [2]int32{trace.Ms(12.5), trace.Ms(34)}})
+			}
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %.1f allocs/op, want 0", allocs)

@@ -1,6 +1,9 @@
 package core
 
-import "flowercdn/internal/simnet"
+import (
+	"flowercdn/internal/simnet"
+	"flowercdn/internal/trace"
+)
 
 // This file implements the active-replication extension the paper lists as
 // future work (§8): "introduce active replication by pushing popular
@@ -110,6 +113,6 @@ func (s *System) handlePrefetchServe(h *host, m prefetchServeMsg) {
 	}
 	h.cp.AddObject(m.Ref)
 	s.stats.Prefetches++
-	s.tracePrefetch(h, m.Ref)
+	s.trace(trace.Record{Kind: trace.Prefetch, Node: h.addr, Peer: -1, Str: s.in.Key(m.Ref)})
 	s.maybePush(h)
 }

@@ -5,6 +5,7 @@ import (
 	"flowercdn/internal/dring"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
+	"flowercdn/internal/trace"
 )
 
 // This file implements the warm-standby directory failover extension
@@ -258,7 +259,8 @@ func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
 			dirJoinTakenMsg{Key: m.Key, NewDir: h.addr})
 	}
 	s.stats.StandbyPromotions++
-	s.traceStandbyPromoted(h)
+	s.trace(trace.Record{Kind: trace.DirReplaced, Variant: trace.StandbyPromoted, Node: h.addr, Peer: -1,
+		Str: string(h.dir.Site()), Loc: int32(h.dir.Locality())})
 }
 
 // liveBootstrapNode finds a live D-ring member to join through.

@@ -307,10 +307,6 @@ func (s *System) every(addr simnet.NodeID, period simkernel.Time, tick func(uint
 	return s.k.EveryArg(offset, period, tick, uint64(addr))
 }
 
-// tracing reports whether a tracer is installed (guard for the formatting
-// wrappers in tracefmt.go, which pay fmt.Sprintf when true).
-func (s *System) tracing() bool { return s.tracer != nil }
-
 // settle revokes a query's armed timeout, if any, frees its registry slot
 // and drops the timer's reference (never the last: the caller runs for q).
 func (s *System) settle(q *Query) {
@@ -331,14 +327,15 @@ func (s *System) releaseAwait(q *Query) {
 	q.pending = simkernel.TimerHandle{}
 }
 
-// trace emits a protocol event when tracing is enabled.
-func (s *System) trace(kind trace.Kind, qid uint64, node, peer simnet.NodeID, detail string) {
+// trace stamps r with the current time and hands it to the tracer, if one
+// is installed. Emission sites fill r with values they already hold: no
+// text is formatted here (the trace buffer renders it when read).
+func (s *System) trace(r trace.Record) {
 	if s.tracer == nil {
 		return
 	}
-	s.tracer.Record(trace.Event{
-		At: s.k.Now(), Kind: kind, QueryID: qid, Node: node, Peer: peer, Detail: detail,
-	})
+	r.At = s.k.Now()
+	s.tracer.Record(r)
 }
 
 // New builds and wires a Flower-CDN system. The D-ring starts converged
@@ -762,11 +759,13 @@ func (s *System) Submit(wq workload.Query) {
 	q.Ref = s.in.RefFor(wq.SiteIdx, wq.Object.Num)
 	q.Start = s.k.Now()
 	q.NewClient = h.cp == nil
+	r := trace.Record{Kind: trace.QuerySubmitted, Query: q.ID, Node: origin, Peer: -1, Str: s.in.Key(q.Ref)}
 	if h.cp != nil {
-		s.traceQuerySubmitted(q, true)
+		r.Variant = trace.Member
+		s.trace(r)
 		s.startContentPeerQuery(h, q)
 	} else {
-		s.traceQuerySubmitted(q, false)
+		s.trace(r)
 		s.startNewClientQuery(h, q)
 	}
 }

@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"flowercdn/internal/core"
 	"flowercdn/internal/metrics"
@@ -499,18 +501,46 @@ func TestParamsValidate(t *testing.T) {
 		{"a degrade ending before its start", func(p *Params) { p.DirDegrades = []DirDegrade{{Start: 5, End: 4, Factor: 2}} }, false},
 		{"a degrade by factor 1", func(p *Params) { p.DirDegrades = []DirDegrade{{End: 1, Factor: 1}} }, false},
 		{"a degrade by a NaN factor", func(p *Params) { p.DirDegrades = []DirDegrade{{End: 1, Factor: math.NaN()}} }, false},
+		{"a NaN query rate", func(p *Params) { p.QueryRate = math.NaN() }, false},
+		{"an infinite query rate", func(p *Params) { p.QueryRate = math.Inf(1) }, false},
+		{"no objects per site", func(p *Params) { p.ObjectsPerSite = 0 }, false},
+		{"churn", func(p *Params) { p.ChurnPerHour = 30 }, true},
+		{"a negative churn rate", func(p *Params) { p.ChurnPerHour = -1 }, false},
+		{"a NaN churn rate", func(p *Params) { p.ChurnPerHour = math.NaN() }, false},
+		{"an infinite churn rate", func(p *Params) { p.ChurnPerHour = math.Inf(1) }, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			p := fastParams(9)
 			p.Duration = 2 * simkernel.Minute
 			c.edit(&p)
-			if err := p.Validate(); (err == nil) != c.ok {
-				t.Fatalf("Validate() = %v, want ok=%v", err, c.ok)
-			}
-			// RunFlower must agree with Validate: no panic, no silent success.
-			if _, err := RunFlower(p); (err == nil) != c.ok {
-				t.Fatalf("RunFlower() error = %v, want ok=%v", err, c.ok)
+			// Under a deadline, so a value that hangs or panics the run fails
+			// its row rather than the whole test binary.
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				if err := p.Validate(); (err == nil) != c.ok {
+					done <- fmt.Errorf("Validate() = %v, want ok=%v", err, c.ok)
+					return
+				}
+				// RunFlower must agree with Validate: no panic, no silent success.
+				if _, err := RunFlower(p); (err == nil) != c.ok {
+					done <- fmt.Errorf("RunFlower() error = %v, want ok=%v", err, c.ok)
+					return
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("Validate and RunFlower did not return within 30 s")
 			}
 		})
 	}

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"flowercdn/internal/core"
 	"flowercdn/internal/model"
@@ -362,8 +363,15 @@ func (p Params) Validate() error {
 	if p.Duration <= 0 {
 		return fmt.Errorf("harness: duration must be positive")
 	}
-	if p.QueryRate <= 0 {
-		return fmt.Errorf("harness: query rate must be positive")
+	// The rate tests are negated so that NaN fails them too.
+	if !(p.QueryRate > 0) || math.IsInf(p.QueryRate, 1) {
+		return fmt.Errorf("harness: query rate %v is not a positive finite number", p.QueryRate)
+	}
+	if p.ObjectsPerSite <= 0 {
+		return fmt.Errorf("harness: objects per site must be positive")
+	}
+	if !(p.ChurnPerHour >= 0) || math.IsInf(p.ChurnPerHour, 1) {
+		return fmt.Errorf("harness: churn rate %v is not a non-negative finite number", p.ChurnPerHour)
 	}
 	if p.ActiveSites > p.Websites {
 		return fmt.Errorf("harness: active sites exceed websites")

@@ -1,14 +1,20 @@
-// Package trace provides lightweight structured tracing of protocol
-// events — the observability layer a downstream user needs to understand
-// *why* a query took the path it did (D-ring routing, redirections,
-// failures, replacements). Tracing is optional and zero-cost when no
-// tracer is installed.
+// Package trace records the protocol steps of a run, so a reader can see
+// why a query took the path it did (D-ring routing, redirections,
+// failures, replacements). The core emits one fixed-size Record per step
+// and formats nothing: numbers, a Variant picking the kind's text, and at
+// most one string it already holds (an interned object key or a site ID).
+// Text is rendered only when a Buffer is read (Events, QueryTrace), with
+// strconv and concatenation. A run without a tracer pays nothing; a traced
+// run records without allocating once its buffer has grown.
 package trace
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
+	"flowercdn/internal/metrics"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 )
@@ -50,7 +56,83 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one traced protocol step.
+// Variant picks one of a kind's texts. Served carries the
+// metrics.Source that answered; the kinds below take the named variant or
+// 0 for their usual text, and every other kind has one text only.
+type Variant uint8
+
+const (
+	Member          Variant = 1 + iota // QuerySubmitted by a content-overlay member, not a new client
+	ViewExhausted                      // ServerFetch by a member whose view ran out, not a directory's fallback
+	Founding                           // Joined as the first member of its content overlay
+	StandbyPromoted                    // DirReplaced by a promoted standby, not a §5.2 takeover
+)
+
+// Record is one protocol step as the core emits it.
+type Record struct {
+	At      simkernel.Time
+	Query   uint64        // 0 when not query-scoped
+	Node    simnet.NodeID // where the step happened
+	Peer    simnet.NodeID // counterpart (target of a hop/redirect), or -1
+	Str     string        // object key (QuerySubmitted, Prefetch), else the site of the position named
+	Loc     int32         // the position's locality
+	Args    [2]int32      // Served: lookup latency and transfer distance in whole ms (see Ms)
+	Kind    Kind
+	Variant Variant
+}
+
+// Ms rounds a millisecond quantity to the whole number Served renders,
+// half to even as fmt's %.0f does.
+func Ms(v float64) int32 { return int32(math.RoundToEven(v)) }
+
+// Detail renders the record's text.
+func (r *Record) Detail() string {
+	switch r.Kind {
+	case QuerySubmitted:
+		return pick(r.Variant == Member, "member ", "new-client ") + r.Str
+	case DirProcess:
+		return r.pos("d")
+	case Served:
+		return metrics.Source(r.Variant).String() +
+			" lookup=" + strconv.Itoa(int(r.Args[0])) + "ms dist=" + strconv.Itoa(int(r.Args[1])) + "ms"
+	case Joined:
+		return pick(r.Variant == Founding, "founding ", "") + r.pos("content-overlay")
+	case DirFailureDetected:
+		return r.pos("d") + " silent"
+	case DirReplaced:
+		return pick(r.Variant == StandbyPromoted, "standby promoted to ", "took over ") + r.pos("d")
+	case DirHandoff:
+		return r.pos("d") + " voluntary leave"
+	case Prefetch:
+		return r.Str
+	case ServerFetch:
+		return pick(r.Variant == ViewExhausted, "view exhausted", "directory fallback")
+	case RedirectFailed:
+		return "timeout"
+	case PeerNack:
+		return "stale summary or false positive"
+	}
+	return ""
+}
+
+func pick(cond bool, yes, no string) string {
+	if cond {
+		return yes
+	}
+	return no
+}
+
+// pos renders the position the record names: what(site,locality).
+func (r *Record) pos(what string) string {
+	return what + "(" + r.Str + "," + strconv.Itoa(int(r.Loc)) + ")"
+}
+
+// Event renders the record.
+func (r *Record) Event() Event {
+	return Event{At: r.At, Kind: r.Kind, QueryID: r.Query, Node: r.Node, Peer: r.Peer, Detail: r.Detail()}
+}
+
+// Event is one traced protocol step, rendered.
 type Event struct {
 	At      simkernel.Time
 	Kind    Kind
@@ -62,30 +144,29 @@ type Event struct {
 
 // String renders the event on one line.
 func (e Event) String() string {
-	peer := ""
+	peer, q := "", ""
 	if e.Peer >= 0 {
 		peer = fmt.Sprintf(" -> node %d", e.Peer)
 	}
-	q := ""
 	if e.QueryID != 0 {
 		q = fmt.Sprintf(" q%d", e.QueryID)
 	}
 	return fmt.Sprintf("%-8s %-22s%s node %d%s %s", e.At, e.Kind, q, e.Node, peer, e.Detail)
 }
 
-// Tracer consumes events. Implementations must be cheap; they run inline
+// Tracer consumes records. Implementations must be cheap; they run inline
 // with the simulation.
 type Tracer interface {
-	Record(Event)
+	Record(Record)
 }
 
-// Buffer is a bounded in-memory tracer (a ring buffer: oldest events are
+// Buffer is a bounded in-memory tracer (a ring buffer: oldest records are
 // dropped once the capacity is reached).
 type Buffer struct {
-	cap    int
-	events []Event
-	start  int
-	total  uint64
+	cap   int
+	recs  []Record
+	start int
+	total uint64
 }
 
 // NewBuffer creates a tracer retaining up to capacity events.
@@ -97,13 +178,13 @@ func NewBuffer(capacity int) *Buffer {
 }
 
 // Record implements Tracer.
-func (b *Buffer) Record(e Event) {
+func (b *Buffer) Record(r Record) {
 	b.total++
-	if len(b.events) < b.cap {
-		b.events = append(b.events, e)
+	if len(b.recs) < b.cap {
+		b.recs = append(b.recs, r)
 		return
 	}
-	b.events[b.start] = e
+	b.recs[b.start] = r
 	b.start = (b.start + 1) % b.cap
 }
 
@@ -111,23 +192,23 @@ func (b *Buffer) Record(e Event) {
 func (b *Buffer) Total() uint64 { return b.total }
 
 // Len reports how many events are retained.
-func (b *Buffer) Len() int { return len(b.events) }
+func (b *Buffer) Len() int { return len(b.recs) }
 
-// Events returns the retained events in arrival order.
+// Events renders the retained events in arrival order.
 func (b *Buffer) Events() []Event {
-	out := make([]Event, 0, len(b.events))
-	for i := 0; i < len(b.events); i++ {
-		out = append(out, b.events[(b.start+i)%len(b.events)])
+	out := make([]Event, len(b.recs))
+	for i := range out {
+		out[i] = b.recs[(b.start+i)%len(b.recs)].Event()
 	}
 	return out
 }
 
-// QueryTrace filters the retained events of one query, in order.
+// QueryTrace renders the retained events of one query, in order.
 func (b *Buffer) QueryTrace(queryID uint64) []Event {
 	var out []Event
-	for _, e := range b.Events() {
-		if e.QueryID == queryID {
-			out = append(out, e)
+	for i := range b.recs {
+		if r := &b.recs[(b.start+i)%len(b.recs)]; r.Query == queryID {
+			out = append(out, r.Event())
 		}
 	}
 	return out
@@ -141,15 +222,4 @@ func Format(events []Event) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// Filter returns the events matching kind.
-func Filter(events []Event, kind Kind) []Event {
-	var out []Event
-	for _, e := range events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -1,9 +1,15 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"flowercdn/internal/metrics"
+	"flowercdn/internal/simkernel"
+	"flowercdn/internal/simnet"
 )
 
 func TestKindNames(t *testing.T) {
@@ -23,7 +29,7 @@ func TestKindNames(t *testing.T) {
 func TestBufferOrder(t *testing.T) {
 	b := NewBuffer(10)
 	for i := 0; i < 5; i++ {
-		b.Record(Event{At: 0, QueryID: uint64(i + 1), Peer: -1})
+		b.Record(Record{Query: uint64(i + 1), Peer: -1})
 	}
 	evs := b.Events()
 	if len(evs) != 5 || b.Len() != 5 || b.Total() != 5 {
@@ -39,7 +45,7 @@ func TestBufferOrder(t *testing.T) {
 func TestBufferWrap(t *testing.T) {
 	b := NewBuffer(3)
 	for i := 1; i <= 7; i++ {
-		b.Record(Event{QueryID: uint64(i), Peer: -1})
+		b.Record(Record{Query: uint64(i), Peer: -1})
 	}
 	evs := b.Events()
 	if len(evs) != 3 || b.Total() != 7 {
@@ -55,17 +61,16 @@ func TestBufferWrap(t *testing.T) {
 
 func TestQueryTraceAndFilter(t *testing.T) {
 	b := NewBuffer(32)
-	b.Record(Event{Kind: QuerySubmitted, QueryID: 1, Peer: -1})
-	b.Record(Event{Kind: RouteHop, QueryID: 1, Peer: 5})
-	b.Record(Event{Kind: QuerySubmitted, QueryID: 2, Peer: -1})
-	b.Record(Event{Kind: Served, QueryID: 1, Peer: -1})
+	b.Record(Record{Kind: QuerySubmitted, Query: 1, Peer: -1})
+	b.Record(Record{Kind: RouteHop, Query: 1, Peer: 5})
+	b.Record(Record{Kind: QuerySubmitted, Query: 2, Peer: -1})
+	b.Record(Record{Kind: Served, Query: 1, Peer: -1})
 	q1 := b.QueryTrace(1)
 	if len(q1) != 3 {
 		t.Fatalf("q1 trace = %d events, want 3", len(q1))
 	}
-	hops := Filter(b.Events(), RouteHop)
-	if len(hops) != 1 || hops[0].Peer != 5 {
-		t.Fatalf("filter wrong: %v", hops)
+	if evs := b.Events(); len(evs) != 4 || evs[1].Kind != RouteHop || evs[1].Peer != 5 || evs[3].QueryID != 1 {
+		t.Fatalf("events wrong: %v", evs)
 	}
 }
 
@@ -89,8 +94,8 @@ func TestFormatting(t *testing.T) {
 
 func TestZeroCapacity(t *testing.T) {
 	b := NewBuffer(0)
-	b.Record(Event{QueryID: 1, Peer: -1})
-	b.Record(Event{QueryID: 2, Peer: -1})
+	b.Record(Record{Query: 1, Peer: -1})
+	b.Record(Record{Query: 2, Peer: -1})
 	if b.Len() != 1 || b.Events()[0].QueryID != 2 {
 		t.Fatal("degenerate capacity should keep the newest event")
 	}
@@ -103,7 +108,7 @@ func TestQuickBufferRetention(t *testing.T) {
 		capacity := int(capRaw%16) + 1
 		b := NewBuffer(capacity)
 		for i := 1; i <= int(n); i++ {
-			b.Record(Event{QueryID: uint64(i), Peer: -1})
+			b.Record(Record{Query: uint64(i), Peer: -1})
 		}
 		evs := b.Events()
 		want := int(n)
@@ -122,5 +127,116 @@ func TestQuickBufferRetention(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refDetail is how the core built each kind's Detail with fmt when the
+// event happened, before records were rendered on read: the reference the
+// rendered text must match byte for byte. key is the object key, (site,
+// loc) the directory or overlay the event names.
+func refDetail(k Kind, v Variant, key, site string, loc int, lookup, dist float64) string {
+	switch k {
+	case QuerySubmitted:
+		kind := "new-client "
+		if v == Member {
+			kind = "member "
+		}
+		return kind + key
+	case DirProcess:
+		return fmt.Sprintf("d(%s,%d)", site, loc)
+	case Served:
+		return fmt.Sprintf("%s lookup=%.0fms dist=%.0fms", metrics.Source(v), lookup, dist)
+	case Joined:
+		if v == Founding {
+			return fmt.Sprintf("founding content-overlay(%s,%d)", site, loc)
+		}
+		return fmt.Sprintf("content-overlay(%s,%d)", site, loc)
+	case DirFailureDetected:
+		return fmt.Sprintf("d(%s,%d) silent", site, loc)
+	case DirReplaced:
+		if v == StandbyPromoted {
+			return fmt.Sprintf("standby promoted to d(%s,%d)", site, loc)
+		}
+		return fmt.Sprintf("took over d(%s,%d)", site, loc)
+	case DirHandoff:
+		return fmt.Sprintf("d(%s,%d) voluntary leave", site, loc)
+	case Prefetch:
+		return key
+	case ServerFetch:
+		if v == ViewExhausted {
+			return "view exhausted"
+		}
+		return "directory fallback"
+	case RedirectFailed:
+		return "timeout"
+	case PeerNack:
+		return "stale summary or false positive"
+	}
+	return ""
+}
+
+// kindVariants lists every text variant of each kind.
+func kindVariants(k Kind) []Variant {
+	switch k {
+	case QuerySubmitted:
+		return []Variant{0, Member}
+	case ServerFetch:
+		return []Variant{0, ViewExhausted}
+	case Joined:
+		return []Variant{0, Founding}
+	case DirReplaced:
+		return []Variant{0, StandbyPromoted}
+	case Served:
+		return []Variant{Variant(metrics.SourceLocal), Variant(metrics.SourcePeer),
+			Variant(metrics.SourceRemoteOverlay), Variant(metrics.SourceServer)}
+	}
+	return []Variant{0}
+}
+
+// TestRenderMatchesFormattedDetail renders every kind × variant from a
+// record and requires the Detail and the transcript line to be byte-equal
+// to the fmt forms the events carried before, including Served's
+// round-half-to-even milliseconds, query 0 and peer -1.
+func TestRenderMatchesFormattedDetail(t *testing.T) {
+	ms := []float64{0, 0.5, 1.5, 2.5, 3.5, 0.49999999999999994, 12, 34.4999, 34.5, 35.5, 299.25, 86_399_999.5}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		ms = append(ms, float64(rng.Intn(200_000))/2, rng.Float64()*1e5)
+	}
+	const key = "ws-007/o42"
+	cases := 0
+	for k := Kind(0); k < numKinds; k++ {
+		for _, v := range kindVariants(k) {
+			for i, site := range []string{"ws-001", "ws-117"} {
+				for _, loc := range []int{0, 2, 11} {
+					lookups, dists := ms[:1], ms[:1]
+					if k == Served {
+						lookups, dists = ms, ms[len(ms)/2:]
+					}
+					for _, lookup := range lookups {
+						for _, dist := range dists {
+							r := Record{At: simkernel.Time(1500 * i), Kind: k, Variant: v, Node: 3,
+								Peer: simnet.NodeID(i*8 - 1), Query: uint64(i * 9),
+								Str: site, Loc: int32(loc), Args: [2]int32{Ms(lookup), Ms(dist)}}
+							if k == QuerySubmitted || k == Prefetch {
+								r.Str = key
+							}
+							want := refDetail(k, v, key, site, loc, lookup, dist)
+							if got := r.Detail(); got != want {
+								t.Fatalf("%s variant %d (lookup %v, dist %v): rendered %q, want %q", k, v, lookup, dist, got, want)
+							}
+							e := Event{At: r.At, Kind: k, QueryID: r.Query, Node: r.Node, Peer: r.Peer, Detail: want}
+							if got := r.Event(); got != e || got.String() != e.String() {
+								t.Fatalf("%s variant %d: event %q, want %q", k, v, got, e)
+							}
+							cases++
+						}
+					}
+				}
+			}
+		}
+	}
+	if cases < 20_000 {
+		t.Fatalf("only %d cases rendered", cases)
 	}
 }

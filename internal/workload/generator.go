@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"flowercdn/internal/model"
@@ -67,8 +68,9 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.ObjectsPerSite <= 0 {
 		return nil, fmt.Errorf("workload: objects per site must be positive")
 	}
-	if cfg.QueryRate <= 0 {
-		return nil, fmt.Errorf("workload: query rate must be positive")
+	// Negated so that NaN fails it too.
+	if !(cfg.QueryRate > 0) || math.IsInf(cfg.QueryRate, 1) {
+		return nil, fmt.Errorf("workload: query rate %v is not a positive finite number", cfg.QueryRate)
 	}
 	if len(cfg.PoolSizes) != len(cfg.Sites) {
 		return nil, fmt.Errorf("workload: %d pool rows for %d sites", len(cfg.PoolSizes), len(cfg.Sites))

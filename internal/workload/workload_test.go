@@ -123,10 +123,12 @@ func TestGeneratorValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("no objects accepted")
 	}
-	bad = genCfg(1)
-	bad.QueryRate = 0
-	if _, err := New(bad); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		bad = genCfg(1)
+		bad.QueryRate = rate
+		if _, err := New(bad); err == nil {
+			t.Fatalf("rate %v accepted", rate)
+		}
 	}
 	bad = genCfg(1)
 	bad.PoolSizes = bad.PoolSizes[:2]
