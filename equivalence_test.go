@@ -194,9 +194,8 @@ func buildFixture(t *testing.T) string {
 	sb.WriteString(FormatTrace(buf.Events()))
 
 	// Eighth scenario: the 100k-preset's shrunk variant — sparse gossip
-	// views, O(L_gossip) directory view seeding (SparseSeeds), compact
-	// object universe — so refactors of the scale code paths are pinned
-	// exactly like the dense ones.
+	// views, compact object universe — so refactors of the scale code paths
+	// are pinned exactly like the paper-scale ones.
 	mres, err := RunFlower(ShrunkMassiveParams(6))
 	if err != nil {
 		t.Fatal(err)

@@ -85,16 +85,6 @@ type Config struct {
 	// TestAdaptiveDisabledIdentical and the golden fault sections.
 	Adaptive bool
 
-	// SparseSeeds samples the §4.2 directory view seed with O(L_gossip)
-	// random draws against the directory's member list instead of
-	// materialising and shuffling the whole index membership (O(S_co) per
-	// admitted client). At 10^5-peer populations the dense path is a
-	// per-join scan of thousand-member overlays; the sparse path is
-	// constant work. The two draw different RNG sequences, so the knob is
-	// off by default (the paper-scale presets and the pinned equivalence
-	// scenarios use the dense path) and enabled by the 100k-scale presets.
-	SparseSeeds bool
-
 	// Active replication (§8 future work, implemented as an extension):
 	// every ReplicationPeriod, each directory offers its ReplicationTopK
 	// most-requested objects to same-website neighbour directories, which

@@ -428,7 +428,9 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 // silent; drop its summary and resume Algorithm 3 here.
 func (s *System) onSiblingTimeout(h *host, q *Query, dirID chord.ID) {
 	q.atRemote = false
-	h.dir.RemoveNeighborSummary(dirID)
+	if h.dir != nil { // nil once a crashed directory's position is taken over
+		h.dir.RemoveNeighborSummary(dirID)
+	}
 	s.dirProcess(h, q, false)
 }
 
@@ -467,7 +469,9 @@ func (s *System) dirRedirect(h *host, q *Query, holder simnet.NodeID, forwarded 
 func (s *System) onRedirectTimeout(h *host, q *Query, holder simnet.NodeID, forwarded bool) {
 	s.trace(trace.Record{Kind: trace.RedirectFailed, Query: q.ID, Node: h.addr, Peer: holder})
 	s.mets.RecordRedirectFailure()
-	h.dir.RemovePeer(holder)
+	if h.dir != nil { // nil once a crashed directory's position is taken over
+		h.dir.RemovePeer(holder)
+	}
 	if h.cp != nil {
 		h.cp.RemoveContact(holder)
 	}
@@ -704,59 +708,27 @@ func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, how trace.Vari
 }
 
 // dirViewSeed builds the view seed a directory hands to a client it admits
-// but cannot have served locally: up to L_gossip random index members, ages
-// included, summaries absent (§4.2). The seed is built in the query's own
-// seed array, which its record keeps across reuse.
+// but cannot have served locally: a uniform sample of min(L_gossip, eligible)
+// index members other than the client, ages included, summaries absent
+// (§4.2). It draws positions among the members with the client's left out —
+// one draw per entry, none when every eligible member fits — into the
+// query's own seed array, which its record keeps across reuse.
 func (s *System) dirViewSeed(h *host, q *Query) []gossip.Entry {
-	p := &s.pool
 	want := s.cfg.Gossip.GossipLen
 	seed := q.dirSeed[:0]
 	if cap(seed) < want {
 		seed = make([]gossip.Entry, 0, want)
 	}
-	if s.cfg.SparseSeeds {
-		seed = s.sparseDirViewSeed(h, q.Origin, seed)
-	} else {
-		p.members = h.dir.AppendMembers(p.members[:0])
-		members := p.members
-		s.rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-		for _, m := range members {
-			if m == q.Origin {
-				continue
-			}
-			seed = append(seed, gossip.Entry{Node: m, Age: 0})
-			if len(seed) == want {
-				break
-			}
-		}
+	n, client := h.dir.MemberCount(), h.dir.MemberIndex(q.Origin)
+	if client >= 0 {
+		n--
 	}
-	return seed
-}
-
-// sparseDirViewSeed is the Config.SparseSeeds variant: it fills seed to its
-// capacity (at most) with distinct members sampled with O(L_gossip) bounded
-// draws against the directory's member list — no membership snapshot, no
-// full shuffle. The oversampling bound keeps the cost constant even when
-// the index is smaller than the requested seed or dominated by the excluded
-// client.
-func (s *System) sparseDirViewSeed(h *host, exclude simnet.NodeID, seed []gossip.Entry) []gossip.Entry {
-	n := h.dir.MemberCount()
-	want := cap(seed)
-	if want > n {
-		want = n
-	}
-draws:
-	for tries := 0; tries < 4*want && len(seed) < want; tries++ {
-		m := h.dir.MemberAt(s.rng.Intn(n))
-		if m == exclude {
-			continue
+	var buf [gossip.SampleStack]int32 // a seed of up to SampleStack positions stays on the stack
+	for _, i := range gossip.SamplePositions(s.rng, n, want, buf[:0]) {
+		if client >= 0 && int(i) >= client {
+			i++ // positions past the client's shift over it
 		}
-		for _, e := range seed {
-			if e.Node == m {
-				continue draws
-			}
-		}
-		seed = append(seed, gossip.Entry{Node: m, Age: 0})
+		seed = append(seed, gossip.Entry{Node: h.dir.MemberAt(int(i)), Age: 0})
 	}
 	return seed
 }

@@ -120,8 +120,7 @@ type msgPool struct {
 	queries             []*Query
 	finished, abandoned int
 
-	cands   []simnet.NodeID // candidates' reusable scratch buffer
-	members []simnet.NodeID // dirViewSeed's reusable membership snapshot
+	cands []simnet.NodeID // candidates' reusable scratch buffer
 
 	// Await registry: every record owns slot awaitSlot, which holds it while
 	// its timeout is armed (nil otherwise) and which the timer's argument

@@ -429,7 +429,7 @@ func TestViewOnlyPolicyMissesWithoutSummaries(t *testing.T) {
 func TestScaleUpInstances(t *testing.T) {
 	// §5.3: with 1 instance bit and S_co=2, each (site, locality) can
 	// absorb 4 members across two directory instances.
-	e := newTestEnv(t, 15, func(c *Config) {
+	e := newTestEnv(t, 16, func(c *Config) {
 		c.InstanceBits = 1
 		c.MaxOverlaySize = 2
 	})

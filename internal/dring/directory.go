@@ -55,7 +55,7 @@ type Directory struct {
 
 	// Member slab: slot is the only pointer-bearing structure; nodes holds
 	// the members in admission order (so it doubles as the member list the
-	// sparse view-seed sampler draws from), ages and objects are parallel.
+	// view-seed sampler draws from), ages and objects are parallel.
 	slot    map[simnet.NodeID]int32
 	nodes   []simnet.NodeID
 	ages    []int32
@@ -162,25 +162,26 @@ func (d *Directory) HasPeer(node simnet.NodeID) bool {
 
 // Members returns the indexed content peers in ascending node order.
 func (d *Directory) Members() []simnet.NodeID {
-	return d.AppendMembers(make([]simnet.NodeID, 0, len(d.nodes)))
-}
-
-// AppendMembers is Members appending to dst (allocation-free once dst has
-// room for the membership).
-func (d *Directory) AppendMembers(dst []simnet.NodeID) []simnet.NodeID {
-	base := len(dst)
-	dst = append(dst, d.nodes...)
-	slices.Sort(dst[base:])
-	return dst
+	out := slices.Clone(d.nodes)
+	slices.Sort(out)
+	return out
 }
 
 // MemberCount returns the number of indexed content peers (= Size).
 func (d *Directory) MemberCount() int { return len(d.nodes) }
 
 // MemberAt returns the i'th member in admission order (positions shift on
-// removal): with MemberCount, the O(1) access the sparse view-seed sampler
-// draws from instead of materialising and shuffling the whole membership.
+// removal): with MemberCount and MemberIndex, the O(1) access the view-seed
+// sampler draws from instead of materialising the whole membership.
 func (d *Directory) MemberAt(i int) simnet.NodeID { return d.nodes[i] }
+
+// MemberIndex returns node's MemberAt position, -1 when it is not indexed.
+func (d *Directory) MemberIndex(node simnet.NodeID) int {
+	if s, ok := d.slot[node]; ok {
+		return int(s)
+	}
+	return -1
+}
 
 // local maps a ref to the site's dense index. Refs of other sites map
 // outside [0, nObj); callers treat them as not-indexed (the string-keyed

@@ -198,28 +198,43 @@ func (v *View) SelectOldest() (Entry, bool) {
 // subset of length L_gossip exchanged each round — to dst (nil for a fresh
 // slice) and returns the extended slice; callers whose subset escapes into a
 // message they later get back pool dst and select without allocating.
-// Selection is the first l steps of a Fisher–Yates shuffle of the view
-// positions: l draws from rng instead of rng.Perm's n fresh ints.
 func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
-	n := len(v.slots)
-	if l <= 0 || n == 0 {
+	var buf [SampleStack]int32
+	pos := SamplePositions(rng, len(v.slots), l, buf[:0])
+	dst = slices.Grow(dst, len(pos))
+	for _, i := range pos {
+		dst = append(dst, v.slots[i].entry())
+	}
+	return dst
+}
+
+// SampleStack is how many positions SamplePositions draws without a heap
+// buffer, and the stack array its callers collect them in.
+const SampleStack = 64
+
+// SamplePositions appends min(l, n) distinct positions of [0, n), drawn
+// uniformly without replacement, to dst in ascending order and returns the
+// extended slice. The draw is the first l steps of a Fisher–Yates shuffle of
+// 0..n-1: l draws from rng instead of rng.Perm's n, and none when l >= n
+// takes every position. It allocates only past SampleStack positions or
+// when dst lacks room.
+func SamplePositions(rng *rand.Rand, n, l int, dst []int32) []int32 {
+	if l <= 0 || n <= 0 {
 		return dst
 	}
-	dst = slices.Grow(dst, min(l, n))
 	if l >= n {
-		for _, s := range v.slots {
-			dst = append(dst, s.entry())
+		for i := range n {
+			dst = append(dst, int32(i))
 		}
 		return dst
 	}
 	// The position array is not materialised past a dense prefix — the l
-	// positions drawn into and, stack room allowing, the whole view. Beyond
-	// it a position holds itself unless a swap displaced it: at[k] then holds
+	// positions drawn into and, stack room allowing, all n. Beyond it a
+	// position holds itself unless a swap displaced it: at[k] then holds
 	// val[k]. Each step displaces at most one, so l of those suffice.
-	const dense = 64
-	var small [3 * dense]int32
+	var small [3 * SampleStack]int32
 	buf := small[:]
-	if l > dense {
+	if l > SampleStack {
 		buf = make([]int32, 3*l)
 	}
 	d := len(buf) / 3
@@ -243,11 +258,8 @@ func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
 		}
 		pre[i], val[k] = val[k], pre[i]
 	}
-	slices.Sort(sel) // deterministic output order: ascending view position
-	for _, i := range sel {
-		dst = append(dst, v.slots[i].entry())
-	}
-	return dst
+	slices.Sort(sel) // deterministic output order: ascending position
+	return append(dst, sel...)
 }
 
 // Insert adds or refreshes a single entry, keeping the freshest instance,

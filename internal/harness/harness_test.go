@@ -445,6 +445,17 @@ func TestActiveReplicationHarness(t *testing.T) {
 	}
 }
 
+// TestTimeoutAtReleasedIndex: a crashed directory whose position is taken
+// over gives its index back, yet a redirect or sibling timeout it armed
+// before the crash still fires at it. The storm at seed 14 (the only one of
+// seeds 1–40) reaches such a timeout, whose handler dereferenced the
+// released index and panicked.
+func TestTimeoutAtReleasedIndex(t *testing.T) {
+	if _, err := RunFlower(DirCrashStormParams(14)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestParamsValidation(t *testing.T) {
 	p := fastParams(9)
 	p.Duration = 0
@@ -464,7 +475,9 @@ func TestParamsValidation(t *testing.T) {
 // zero-sum weights divided by zero and ran one-client pools with a nil error.
 // A directory crash or degrade that cannot act (no such position, a crash
 // outside the run, an empty window, a factor ≤ 1) used to be skipped without
-// a word, measuring a run without it.
+// a word, measuring a run without it. A NaN or infinite push threshold ran
+// with no member ever pushing, and a negative mean downtime ran its churn as
+// permanent failures.
 func TestParamsValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -508,6 +521,12 @@ func TestParamsValidate(t *testing.T) {
 		{"a negative churn rate", func(p *Params) { p.ChurnPerHour = -1 }, false},
 		{"a NaN churn rate", func(p *Params) { p.ChurnPerHour = math.NaN() }, false},
 		{"an infinite churn rate", func(p *Params) { p.ChurnPerHour = math.Inf(1) }, false},
+		{"churn with rejoins", func(p *Params) { p.ChurnPerHour, p.ChurnMeanDowntime = 30, simkernel.Minute }, true},
+		{"a negative mean downtime", func(p *Params) { p.ChurnPerHour, p.ChurnMeanDowntime = 30, -simkernel.Minute }, false},
+		{"a push threshold of 0.9", func(p *Params) { p.PushThreshold = 0.9 }, true},
+		{"a NaN push threshold", func(p *Params) { p.PushThreshold = math.NaN() }, false},
+		{"an infinite push threshold", func(p *Params) { p.PushThreshold = math.Inf(1) }, false},
+		{"a negative infinite push threshold", func(p *Params) { p.PushThreshold = math.Inf(-1) }, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -556,8 +575,8 @@ func TestSettableValues(t *testing.T) {
 		config any
 		fields int
 	}{
-		{"harness.Params", Params{}, 39},
-		{"core.Config", core.Config{}, 22},
+		{"harness.Params", Params{}, 38},
+		{"core.Config", core.Config{}, 21},
 		{"squirrel.Config", squirrel.Config{}, 7},
 		{"overlay.Config", overlay.Config{}, 4},
 		{"metrics.Config", metrics.Config{}, 6},

@@ -52,11 +52,6 @@ type Params struct {
 	// Protocol variants.
 	QueryPolicy  core.QueryPolicy
 	InstanceBits uint // §5.3 scale-up
-	// SparseSeeds switches the directory view seed to O(L_gossip) sampling
-	// (core.Config.SparseSeeds): constant per-join work instead of a scan
-	// and shuffle of the whole overlay membership. Different RNG draws than
-	// the dense path, so only the 100k-scale presets turn it on.
-	SparseSeeds bool
 	// Active replication (§8 extension): top-K popular objects offered to
 	// sibling overlays each gossip period. 0 = off (the paper's tables).
 	ReplicationTopK int
@@ -204,10 +199,10 @@ func ScaledParams(seed int64) Params {
 // control-plane scale wall rather than at reproducing a figure. The shape
 // trades per-peer state for population: sparse gossip views (V_gossip=8,
 // L_gossip=3), lazily rebuilt summaries over a compact object universe,
-// S_co sized so whole pools can join, and O(L_gossip) directory view
-// seeding (SparseSeeds) so admissions stay constant-work as overlays grow
-// to thousands of members. Topology generation and system construction
-// are O(population); nothing touches an all-pairs structure.
+// and S_co sized so whole pools can join; the O(L_gossip) directory view
+// seed keeps admissions constant-work as overlays grow to thousands of
+// members. Topology generation and system construction are
+// O(population); nothing touches an all-pairs structure.
 func Massive100kParams(seed int64) Params {
 	p := DefaultParams(seed)
 	p.Duration = 2 * simkernel.Hour
@@ -225,13 +220,12 @@ func Massive100kParams(seed int64) Params {
 	p.ViewSize = 8 // sparse views: per-peer gossip state stays tiny
 	p.GossipLen = 3
 	p.BucketWidth = 30 * simkernel.Minute
-	p.SparseSeeds = true
 	return p
 }
 
 // ShrunkMassiveParams is the CI-runnable shrunk variant of
-// Massive100kParams: the same shape and knobs (sparse views, sparse
-// seeding, compact object universe) at 5,000 clients and 30 simulated
+// Massive100kParams: the same shape and knobs (sparse views, compact
+// object universe) at 5,000 clients and 30 simulated
 // minutes, so the preset's code paths are exercised — and pinned by the
 // equivalence fixture — in seconds.
 func ShrunkMassiveParams(seed int64) Params {
@@ -324,7 +318,6 @@ func (p Params) CoreConfig(pools [][]int) core.Config {
 	cfg.TKeepalive = p.TKeepalive
 	cfg.TDead = p.TDead
 	cfg.QueryPolicy = p.QueryPolicy
-	cfg.SparseSeeds = p.SparseSeeds
 	cfg.ReplicationTopK = p.ReplicationTopK
 	cfg.StandbyFailover = p.StandbyFailover
 	cfg.ShedBudget = p.ShedBudget
@@ -372,6 +365,16 @@ func (p Params) Validate() error {
 	}
 	if !(p.ChurnPerHour >= 0) || math.IsInf(p.ChurnPerHour, 1) {
 		return fmt.Errorf("harness: churn rate %v is not a non-negative finite number", p.ChurnPerHour)
+	}
+	// Rejoins are scheduled only for a positive downtime: a negative one
+	// would run as permanent failures.
+	if p.ChurnMeanDowntime < 0 {
+		return fmt.Errorf("harness: churn mean downtime %s is negative", p.ChurnMeanDowntime)
+	}
+	// NeedPush compares with >=, which no change ratio passes against a NaN
+	// or infinite threshold: no member would ever push.
+	if !(math.Abs(p.PushThreshold) <= math.MaxFloat64) {
+		return fmt.Errorf("harness: push threshold %v is not a finite number", p.PushThreshold)
 	}
 	if p.ActiveSites > p.Websites {
 		return fmt.Errorf("harness: active sites exceed websites")

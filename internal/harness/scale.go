@@ -51,14 +51,13 @@ func DirStressParams(seed int64) Params {
 	p.ViewSize = 8
 	p.GossipLen = 3
 	p.BucketWidth = 10 * simkernel.Minute
-	p.SparseSeeds = true
 	return p
 }
 
 // PopulationParams scales the shrunk 100k-preset shape to a total client
 // population: the per-site pools, overlay capacity and topology budget
 // grow linearly with the population while every protocol knob (sparse
-// views, sparse seeding, gossip cadence) stays fixed, so a sweep varies
+// views, gossip cadence) stays fixed, so a sweep varies
 // exactly one thing.
 func PopulationParams(seed int64, clients int) Params {
 	p := ShrunkMassiveParams(seed)
