@@ -165,11 +165,13 @@ func (s *System) exchangeTimeout(a, b simnet.NodeID) simkernel.Time {
 	if rto < fixed {
 		return fixed
 	}
-	if rto > 10*simkernel.Second {
-		rto = 10 * simkernel.Second
-	}
-	return rto
+	return min(rto, maxExchangeTimeout)
 }
+
+// maxExchangeTimeout caps the adaptive failure-detection timeout; the fixed
+// one, two link latencies and 50 ms, stays far below it. No round period
+// may be shorter (RoundPeriods).
+const maxExchangeTimeout = 10 * simkernel.Second
 
 // hedgeDelay is the tail quantile after which a lookup hedges: roughly
 // the estimator's mean+2·deviation, scaled for the multi-hop route,

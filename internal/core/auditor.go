@@ -113,8 +113,8 @@ func (s *System) Audit() AuditReport {
 		if !s.net.Alive(simnet.NodeID(addr)) {
 			oneShot, periodic := h.timers()
 			r.Checks++
-			if slices.ContainsFunc(oneShot[:], simkernel.TimerHandle.Active) {
-				fail("timers: dead host %d has an armed failure-detection timer", addr)
+			if slices.ContainsFunc(oneShot[:], simkernel.TimerHandle.Active) || h.has(hfAwait) {
+				fail("timers: dead host %d has an armed failure-detection timer or a round await", addr)
 			}
 			r.Checks++
 			if slices.ContainsFunc(periodic[:], func(t simkernel.Ticker) bool { return !t.Stopped() }) {
@@ -132,13 +132,14 @@ func (s *System) Audit() AuditReport {
 			fail("timers: host %d latched a dir-join with no armed latch timer", addr)
 		}
 		r.Checks++
-		if h.kaTimeout.Active() && h.cp == nil {
-			fail("timers: host %d has a keepalive timeout armed but is not a content peer", addr)
+		if armed := h.deadline.Active(); armed != h.has(hfAwait) || armed && h.cp == nil {
+			fail("timers: host %d: round deadline armed=%v, awaiting gossip=%v keepalive=%v, content peer=%v",
+				addr, armed, h.has(hfAwaitGossip), h.has(hfAwaitKeepalive), h.cp != nil)
 		}
 		if h.cp != nil {
 			r.Checks++
-			if h.gossipTicker.Stopped() || h.kaTicker.Stopped() {
-				fail("timers: content peer %d is missing its gossip/keepalive ticker", addr)
+			if h.round.Stopped() {
+				fail("timers: content peer %d is missing its round ticker", addr)
 			}
 			// Like the await registry below, not tallied in Checks.
 			if err := h.cp.View().Check(); err != nil {

@@ -60,7 +60,7 @@ type Config struct {
 
 	Gossip     overlay.Config // V_gossip, L_gossip, push threshold, summary sizing
 	TGossip    simkernel.Time // gossip period
-	TKeepalive simkernel.Time // keepalive period (defaults to TGossip)
+	TKeepalive simkernel.Time // keepalive period (defaults to TGossip; RoundPeriods)
 	TDead      int            // age limit in periods before an entry is dead
 
 	QueryPolicy       QueryPolicy
@@ -155,6 +155,9 @@ func (c *Config) Validate() error {
 	if c.TKeepalive <= 0 {
 		c.TKeepalive = c.TGossip
 	}
+	if err := RoundPeriods(c.TGossip, c.TKeepalive); err != nil {
+		return err
+	}
 	if c.Adaptive {
 		// The adaptive gray-failure response presupposes the hardened
 		// degraded-network behaviours (backed-off retries, delivery guards).
@@ -195,6 +198,24 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("core: negative pool size %d", p)
 			}
 		}
+	}
+	return nil
+}
+
+// RoundPeriods refuses gossip and keepalive periods one round cannot run
+// (overlaywire.go): the longer must be a whole multiple of the shorter, and
+// the shorter no less than maxExchangeTimeout, so that what a round awaits
+// is answered or timed out before the next round starts.
+func RoundPeriods(gossip, keepalive simkernel.Time) error {
+	if gossip <= 0 || keepalive <= 0 {
+		return nil // positivity and the keepalive default are checked apart
+	}
+	short, long := min(gossip, keepalive), max(gossip, keepalive)
+	if long%short != 0 {
+		return fmt.Errorf("core: gossip period %s and keepalive period %s do not nest", gossip, keepalive)
+	}
+	if short < maxExchangeTimeout {
+		return fmt.Errorf("core: period %s is shorter than the %s failure-detection timeout", short, maxExchangeTimeout)
 	}
 	return nil
 }

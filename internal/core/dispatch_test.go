@@ -32,20 +32,22 @@ func dispatchEnv(t testing.TB) (e *testEnv, member *host) {
 	return e, member
 }
 
-// dispatchRound drives one full keepalive round (probe → ack) and one full
-// gossip round (request → reply → merge) through the simulated network,
-// including every timer armed and cancelled along the way. The member's
-// content changes first — an object stored or, every other round, removed
-// again — so the gossip round publishes a new summary, on the delta and the
-// rebuild path in turn.
+// dispatchRound drives one full round of the member — its gossip half
+// (request → reply → merge) and its keepalive half (probe → ack) — through
+// the simulated network, including the deadline armed and revoked along
+// the way. The member's content changes first — an object stored or, every
+// other round, removed again — so the gossip half publishes a new summary,
+// on the delta and the rebuild path in turn.
 func dispatchRound(e *testEnv, member *host) {
 	if ref := e.sys.in.RefFor(0, 7); member.cp.Has(ref) {
 		member.cp.RemoveObject(ref)
 	} else {
 		member.cp.AddObject(ref)
 	}
-	e.sys.keepaliveTick(member)
-	e.sys.gossipTick(member)
+	e.sys.round(member)
+	if !member.has(hfAwaitGossip) || !member.has(hfAwaitKeepalive) || !member.deadline.Active() {
+		panic("the round did not send both halves and arm its deadline")
+	}
 	// 2 simulated seconds cover both round trips (intra-locality RTTs are
 	// tens of milliseconds); other hosts' tickers landing in the window run
 	// the same steady-state paths.
@@ -53,13 +55,12 @@ func dispatchRound(e *testEnv, member *host) {
 }
 
 // TestDispatchLoopAllocs is the alloc gate for the control plane: at
-// steady state a complete keepalive round and a complete gossip exchange —
-// ticker fire, token/timeout bookkeeping in the host record, AfterArg
-// failure-detection arming, pooled envelopes and subset buffers, zero-size
-// probe payloads, the directory's slot-hinted keepalive,
-// delivery, merge, ack — allocate nothing, and neither does the summary the
-// round publishes after a content change: the block its predecessor's last
-// holder gave back is overwritten.
+// steady state a complete round — gossip and keepalive halves, the await
+// bits and the one AfterArg deadline in the host record, pooled envelopes
+// and subset buffers, zero-size probe payloads, the directory's
+// slot-hinted keepalive, delivery, merge, ack — allocate nothing, and
+// neither does the summary the round publishes after a content change: the
+// block its predecessor's last holder gave back is overwritten.
 func TestDispatchLoopAllocs(t *testing.T) {
 	e, member := dispatchEnv(t)
 	// Warm the pools: envelopes, subset buffers, timer slots and the
@@ -75,7 +76,7 @@ func TestDispatchLoopAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDispatchLoop measures one steady-state keepalive+gossip round
+// BenchmarkDispatchLoop measures one steady-state round (gossip + keepalive)
 // through the simulated network (the per-period control-plane cost of one
 // content peer).
 func BenchmarkDispatchLoop(b *testing.B) {

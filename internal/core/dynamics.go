@@ -353,10 +353,9 @@ func (s *System) ChangeLocality(addr simnet.NodeID, newLoc int) bool {
 		r.stash = h.cp.Objects()
 		h.cp.Leave()
 		h.cp = nil
-		h.gossipTicker.Stop()
-		h.kaTicker.Stop()
-		h.gossipTimeout.Cancel()
-		h.kaTimeout.Cancel()
+		h.round.Stop()
+		h.deadline.Cancel()
+		h.flags &^= hfAwait
 		// Still an accounted participant; it rejoins on its next query.
 	}
 	return true

@@ -14,11 +14,11 @@ import (
 // lifetime: origin server, directory peer, content peer — and, after a
 // §5.2 replacement, directory and content peer at once.
 //
-// Ticks arrive in time order, one host at a time, so what a gossip or
-// keepalive round reads (tokens, the two armed timeouts, the two tickers,
-// flags, locality) sits inline next to the protocol pointers: one record,
-// ≤ 144 bytes (TestHostRecordSize), for every potential client. What only
-// a directory or its warm standby carries lives behind role, what a client
+// Ticks arrive in time order, one host at a time, so what a round reads
+// (the round ticker and its one deadline, the gossip partner, flags,
+// locality) sits inline next to the protocol pointers: one record, ≤ 112
+// bytes (TestHostRecordSize), for every potential client. What only a
+// directory or its warm standby carries lives behind role, what a client
 // rarely needs behind rare; both are nil until first used.
 type host struct {
 	sys *System
@@ -29,19 +29,18 @@ type host struct {
 	role *dirRole
 	rare *rareState
 
-	// Await tokens, their armed failure-detection timers, and the pending
-	// gossip partner. The handles let replies revoke the timeout outright;
-	// the tokens stay as a guard against replies racing a new round at the
-	// same instant. Storing the gossip target here lets the timeout fire
-	// through a long-lived bound callback (no per-tick closure).
-	gossipTimeout, kaTimeout simkernel.TimerHandle
-	gossipTicker, kaTicker   simkernel.Ticker
-	gossipToken, kaToken     uint32
-	gossipTarget             simnet.NodeID
+	// The content peer's round (gossip and keepalive on one ticker,
+	// overlaywire.go), its one failure-detection deadline, armed while an
+	// hfAwait bit is set, and the earlier of its halves' own timeouts.
+	round    simkernel.Ticker
+	deadline simkernel.TimerHandle
+	firstDue simkernel.Time
 
-	addr        simnet.NodeID
-	loc         int32 // measured (landmark) locality
-	dirInstance int32 // §5.3 directory instance this content peer belongs to
+	addr         simnet.NodeID
+	gossipTarget int32  // the pending gossip partner's NodeID
+	longPhase    uint32 // round count mod roundsPerLong of the longer half's rounds
+	loc          int32  // measured (landmark) locality
+	dirInstance  int32  // §5.3 directory instance this content peer belongs to
 	// dirSlot is where the directory last found this member in its index: a
 	// hint dring.KeepaliveAt verifies, so a keepalive skips the NodeID→slot map.
 	dirSlot int32

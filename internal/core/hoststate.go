@@ -27,6 +27,12 @@ const (
 	hfAccounted
 	// hfJoinInFlight latches an outstanding §5.2 directory-join request.
 	hfJoinInFlight
+	// hfAwaitGossip and hfAwaitKeepalive mark a round's unanswered halves;
+	// hfKeepaliveFirst, that the keepalive's timeout is host.firstDue.
+	hfAwaitGossip
+	hfAwaitKeepalive
+	hfKeepaliveFirst
+	hfAwait = hfAwaitGossip | hfAwaitKeepalive
 )
 
 func (h *host) has(f hostFlag) bool { return h.flags&f != 0 }
@@ -111,23 +117,22 @@ func (h *host) admitPendingFor(ref model.ObjectRef) bool {
 // the auditor's dead-host check both walk this one list, so a timer added
 // to the record and listed here is stopped on a crash and audited; zero
 // handles (role or rare state never allocated) are inert.
-func (h *host) timers() (oneShot [4]simkernel.TimerHandle, periodic [7]simkernel.Ticker) {
-	oneShot[0], oneShot[1] = h.gossipTimeout, h.kaTimeout
-	periodic[0], periodic[1] = h.gossipTicker, h.kaTicker
+func (h *host) timers() (oneShot [3]simkernel.TimerHandle, periodic [6]simkernel.Ticker) {
+	oneShot[0], periodic[0] = h.deadline, h.round
 	if r := h.rare; r != nil {
-		oneShot[2] = r.joinTimer
+		oneShot[1] = r.joinTimer
 	}
 	if r := h.role; r != nil {
-		oneShot[3] = r.probeTimeout
-		periodic[2], periodic[3], periodic[4] = r.dirTicker, r.stabTicker, r.replTicker
-		periodic[5], periodic[6] = r.standbyTicker, r.probeTicker
+		oneShot[2] = r.probeTimeout
+		periodic[1], periodic[2], periodic[3] = r.dirTicker, r.stabTicker, r.replTicker
+		periodic[4], periodic[5] = r.standbyTicker, r.probeTicker
 	}
 	return oneShot, periodic
 }
 
 // stopTimers cancels every periodic behaviour and armed one-shot timer of
 // a host (on failure/leave), so a dead host leaves nothing in the event
-// queue.
+// queue, and drops what its last round awaited.
 func (h *host) stopTimers() {
 	oneShot, periodic := h.timers()
 	for _, t := range oneShot {
@@ -136,47 +141,15 @@ func (h *host) stopTimers() {
 	for _, t := range periodic {
 		t.Stop()
 	}
+	h.flags &^= hfAwait
 }
 
 // reborn makes a revived client a blank slate, not a watchdog for a
 // directory it no longer belongs to: everything the record held goes —
 // roles, role and rare state, latches, the locality override, the gossip
-// partner and directory slot — except its identity, and the two await tokens
-// move on so that an orphaned handle of the previous life fires as a no-op.
+// partner and directory slot — except its identity.
 func (h *host) reborn() {
-	*h = host{sys: h.sys, addr: h.addr, loc: h.loc, flags: h.flags & hfServer,
-		gossipToken: h.gossipToken + 1, kaToken: h.kaToken + 1}
-}
-
-// packAddrTok encodes (host address, await token) into the uint64 argument
-// of an AfterArg-scheduled failure-detection timeout: low 32 bits the
-// address, high 32 the token the timeout was armed with.
-func packAddrTok(a simnet.NodeID, tok uint32) uint64 {
-	return uint64(uint32(a)) | uint64(tok)<<32
-}
-
-func unpackAddrTok(arg uint64) (simnet.NodeID, uint32) {
-	return simnet.NodeID(uint32(arg)), uint32(arg >> 32)
-}
-
-// onGossipTimeout fires when a gossip partner stayed silent past the
-// failure-detection deadline: drop the contact (§5.1). A reply or reject
-// cancels the armed timer; the token comparison is the second line of
-// defence for same-instant races.
-func (s *System) onGossipTimeout(arg uint64) {
-	addr, tok := unpackAddrTok(arg)
-	if h := s.hosts[addr]; h.gossipToken == tok && h.cp != nil {
-		h.cp.RemoveContact(h.gossipTarget)
-	}
-}
-
-// onKaTimeout fires when the directory ignored a keepalive probe: start
-// the §5.2 replacement protocol.
-func (s *System) onKaTimeout(arg uint64) {
-	addr, tok := unpackAddrTok(arg)
-	if h := s.hosts[addr]; h.kaToken == tok && h.cp != nil {
-		s.onDirectoryUnreachable(h)
-	}
+	*h = host{sys: h.sys, addr: h.addr, loc: h.loc, flags: h.flags & hfServer}
 }
 
 // Hardened dir-join retry: how many unanswered requests before giving up,

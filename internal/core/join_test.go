@@ -45,7 +45,7 @@ func TestJoinAllocs(t *testing.T) {
 				t.Fatalf("client %d of locality %d did not join", member, loc)
 			}
 			h.stopTimers()
-			s.gossipTick(h)
+			s.round(h)
 			e.k.Run(e.k.Now() + 2*simkernel.Second)
 		}
 		for next < 12 {

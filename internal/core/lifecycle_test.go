@@ -154,9 +154,9 @@ func checkLifecycleAllocs(t *testing.T, traced bool) {
 	}
 }
 
-// TestTickerArmAllocs: arming a joined peer's periodic behaviours builds no
-// Ticker object, no method value and no per-host closure — the handles are
-// values in the host record and the callbacks were bound at construction.
+// TestTickerArmAllocs: arming a joined peer's round builds no Ticker
+// object, no method value and no per-host closure — the handle is a value
+// in the host record and the callback was bound at construction.
 func TestTickerArmAllocs(t *testing.T) {
 	e := lifecycleEnv(t, false)
 	s := e.sys
@@ -165,12 +165,12 @@ func TestTickerArmAllocs(t *testing.T) {
 		t.Fatal("member did not join")
 	}
 	op := func() {
-		s.startContentPeerTickers(member)
-		if member.gossipTicker.Stopped() || member.kaTicker.Stopped() {
-			t.Fatal("tickers not armed")
+		s.startRound(member)
+		if member.round.Stopped() {
+			t.Fatal("round not armed")
 		}
 		member.stopTimers()
-		e.k.Run(e.k.Now() + s.cfg.TGossip + s.cfg.TKeepalive) // elide the two dead first firings
+		e.k.Run(e.k.Now() + max(s.cfg.TGossip, s.cfg.TKeepalive)) // elide the dead first firing
 	}
 	op() // timer arena and heap reach capacity
 	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {

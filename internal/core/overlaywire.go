@@ -1,41 +1,98 @@
 package core
 
-import "flowercdn/internal/simnet"
+import (
+	"flowercdn/internal/simkernel"
+	"flowercdn/internal/simnet"
+)
 
-// startContentPeerTickers launches the periodic behaviours of a content
-// peer: the active gossip loop (Algorithm 4) and the keepalive loop
-// (§5.1). Phases are randomised so overlays do not synchronise.
-func (s *System) startContentPeerTickers(h *host) {
-	h.gossipTicker = s.every(h.addr, s.cfg.TGossip, s.gossipTickFn)
-	h.kaTicker = s.every(h.addr, s.cfg.TKeepalive, s.kaTickFn)
+// startRound launches a content peer's one periodic behaviour, its round
+// (Algorithm 4's gossip and the §5.1 keepalive), at the shorter period. The
+// longer is a whole multiple of it (RoundPeriods); its half runs from a
+// random instant in [0, longer period), whose remainder is the round's phase.
+func (s *System) startRound(h *host) {
+	p := s.roundPeriod
+	at := simkernel.Time(s.rng.Int63n(int64(p * s.roundsPerLong)))
+	h.longPhase = uint32((s.k.Now() + at) / p % s.roundsPerLong)
+	h.round = s.k.EveryArg(at%p, p, s.roundFn, uint64(h.addr))
 }
 
-// gossipTick is the active behaviour of Algorithm 4. In steady state it
-// allocates nothing: the envelope and its view-subset buffer come from the
-// System pools, and the failure-detection timeout is armed through the
-// kernel's AfterArg path with a callback bound once at construction.
-func (s *System) gossipTick(h *host) {
+// round sends the gossip half, then the keepalive half (the §5.1 probe to
+// the directory), each in the rounds its period falls on, and arms one
+// deadline at the later of their timeouts, keeping the earlier as firstDue
+// (see answered). What the last round awaited is answered or timed out by
+// now (RoundPeriods); the round drops it all the same. It allocates nothing.
+func (s *System) round(h *host) {
 	if h.cp == nil || !s.net.Alive(h.addr) {
 		return
 	}
+	h.deadline.Cancel()
+	h.flags &^= hfAwait | hfKeepaliveFirst
+	long := uint32(s.k.Now()/s.roundPeriod%s.roundsPerLong) == h.longPhase
+	var g, ka simkernel.Time
+	if long || s.cfg.TGossip == s.roundPeriod {
+		if g = s.gossipHalf(h); g > 0 {
+			h.flags |= hfAwaitGossip
+		}
+	}
+	if d := h.cp.Dir(); (long || s.cfg.TKeepalive == s.roundPeriod) && d.Known && d.Addr != h.addr {
+		s.net.Send(h.addr, d.Addr, simnet.CatKeepalive, bytesKeepalive, keepaliveMsg{})
+		s.stampKeepalive(h.addr)
+		ka = s.exchangeTimeout(h.addr, d.Addr)
+		h.flags |= hfAwaitKeepalive
+	}
+	h.firstDue = s.k.Now() + g
+	if ka > 0 && (g == 0 || ka < g) {
+		h.firstDue = s.k.Now() + ka
+		h.flags |= hfKeepaliveFirst
+	}
+	if h.has(hfAwait) {
+		h.deadline = s.k.AfterArg(max(g, ka), s.deadlineFn, uint64(h.addr))
+	}
+}
+
+// answered clears the await a reply, reject or ack answers; the last one
+// revokes the deadline. An answer to the half whose own timeout falls first
+// that comes after it is late: the half times out first, as it would have
+// on a timer of its own.
+func (s *System) answered(h *host, half hostFlag) {
+	late := h.has(half) && (half == hfAwaitKeepalive) == h.has(hfKeepaliveFirst) && s.k.Now() >= h.firstDue
+	if h.flags &^= half; !h.has(hfAwait) {
+		h.deadline.Cancel()
+	}
+	if late {
+		s.timedOut(h, half)
+	}
+}
+
+// timedOut ends the unanswered halves of a round (the deadline's callback
+// passes all it awaits): a silent gossip partner leaves the view (§5.1), a
+// silent directory starts the §5.2 replacement protocol.
+func (s *System) timedOut(h *host, halves hostFlag) {
+	h.flags &^= halves
+	if h.cp != nil && halves&hfAwaitGossip != 0 {
+		h.cp.RemoveContact(simnet.NodeID(h.gossipTarget))
+	}
+	if halves&hfAwaitKeepalive != 0 {
+		s.onDirectoryUnreachable(h)
+	}
+}
+
+// gossipHalf is Algorithm 4's active behaviour; it returns the exchange's
+// failure-detection timeout (0: nothing sent).
+func (s *System) gossipHalf(h *host) simkernel.Time {
 	h.cp.TickAges()
 	h.cp.DropOldContacts(s.cfg.TDead)
 	if h.cp.View().Len() == 0 {
-		return // nobody to gossip with (and no subset buffer to waste)
+		return 0 // nobody to gossip with (and no subset buffer to waste)
 	}
 	target, m, ok := h.cp.MakeGossip(s.rng, s.takeSubsetBuf())
 	if !ok {
-		return
+		return 0
 	}
 	wrapped := s.newGossipMsg(h.cp.Site(), h.cp.Locality(), m)
 	s.net.Send(h.addr, target, simnet.CatGossip, bytesGossipHdr+m.WireBytes(s.cfg.Gossip.SummaryBytes()), wrapped)
-	// Failure detection: no answer within the deadline ⇒ drop the contact.
-	// The reply (or a reject) cancels the armed timer.
-	h.gossipToken++
-	h.gossipTarget = target
-	h.gossipTimeout.Cancel()
-	h.gossipTimeout = s.k.AfterArg(s.exchangeTimeout(h.addr, target),
-		s.gossipTimeoutFn, packAddrTok(h.addr, h.gossipToken))
+	h.gossipTarget = int32(target)
+	return s.exchangeTimeout(h.addr, target)
 }
 
 // handleGossip covers both directions of an exchange. The envelope (and
@@ -45,9 +102,8 @@ func (s *System) gossipTick(h *host) {
 func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 	m := wrapped.M
 	if m.IsReply {
-		// Completion of our active round: disarm failure detection.
-		h.gossipToken++
-		h.gossipTimeout.Cancel()
+		// Completion of our active exchange.
+		s.answered(h, hfAwaitGossip)
 		if h.cp != nil && h.cp.Site() == wrapped.Site && h.cp.Locality() == wrapped.Loc {
 			h.cp.ApplyGossipReply(m)
 		}
@@ -69,8 +125,7 @@ func (s *System) handleGossip(h *host, wrapped *gossipMsg) {
 }
 
 func (s *System) handleGossipReject(h *host, from simnet.NodeID) {
-	h.gossipToken++
-	h.gossipTimeout.Cancel()
+	s.answered(h, hfAwaitGossip)
 	if h.cp != nil {
 		h.cp.RemoveContact(from)
 	}
@@ -107,26 +162,6 @@ func (s *System) handlePush(h *host, m *pushMsg) {
 	s.putPushMsg(m)
 }
 
-// keepaliveTick sends the §5.1 liveness probe to the directory and arms
-// failure detection (§5.2: failures are noticed "while sending keepalive
-// or push messages"). Allocation-free in steady state: the probe is a
-// zero-size payload (nothing to box) and the timeout rides AfterArg.
-func (s *System) keepaliveTick(h *host) {
-	if h.cp == nil || !s.net.Alive(h.addr) {
-		return
-	}
-	d := h.cp.Dir()
-	if !d.Known || d.Addr == h.addr {
-		return
-	}
-	s.net.Send(h.addr, d.Addr, simnet.CatKeepalive, bytesKeepalive, keepaliveMsg{})
-	s.stampKeepalive(h.addr)
-	h.kaToken++
-	h.kaTimeout.Cancel()
-	h.kaTimeout = s.k.AfterArg(s.exchangeTimeout(h.addr, d.Addr),
-		s.kaTimeoutFn, packAddrTok(h.addr, h.kaToken))
-}
-
 // handleKeepalive resets the sender's age in the index, through the slot
 // hint the sender's record carries (host.dirSlot).
 func (s *System) handleKeepalive(h *host, from simnet.NodeID) {
@@ -139,8 +174,7 @@ func (s *System) handleKeepalive(h *host, from simnet.NodeID) {
 }
 
 func (s *System) handleKeepaliveAck(h *host) {
-	h.kaToken++
-	h.kaTimeout.Cancel()
+	s.answered(h, hfAwaitKeepalive)
 	s.sampleKeepalive(h.addr)
 	if h.cp != nil {
 		h.cp.RefreshDir()

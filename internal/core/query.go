@@ -704,7 +704,7 @@ func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, how trace.Vari
 	s.stats.Joins++
 	s.trace(trace.Record{Kind: trace.Joined, Variant: how, Query: q.ID, Node: h.addr, Peer: dir,
 		Str: string(q.Site), Loc: int32(q.OriginLoc)})
-	s.startContentPeerTickers(h)
+	s.startRound(h)
 }
 
 // dirViewSeed builds the view seed a directory hands to a client it admits

@@ -69,16 +69,19 @@ type System struct {
 	pool msgPool
 
 	// Long-lived bound callbacks for the AfterArg-scheduled
-	// failure-detection timeouts (see hoststate.go): bound once here so
-	// arming a timeout never builds a closure.
-	gossipTimeoutFn func(uint64)
-	kaTimeoutFn     func(uint64)
-	joinLatchFn     func(uint64)
-	joinRetryFn     func(uint64)
+	// failure-detection timeouts (overlaywire.go, hoststate.go): bound once
+	// here so arming a timeout never builds a closure.
+	deadlineFn  func(uint64)
+	joinLatchFn func(uint64)
+	joinRetryFn func(uint64)
 
 	// Tick callbacks of the periodic behaviours, bound once the same way:
 	// the kernel's periodic timer passes the host address as the argument.
-	gossipTickFn, kaTickFn, dirTickFn, stabTickFn, replTickFn, standbyTickFn, probeTickFn func(uint64)
+	roundFn, dirTickFn, stabTickFn, replTickFn, standbyTickFn, probeTickFn func(uint64)
+
+	// A content peer's round ticks at the shorter of TGossip and TKeepalive;
+	// the other period is roundsPerLong rounds (overlaywire.go).
+	roundPeriod, roundsPerLong simkernel.Time
 
 	// Recovery probes (empty until armed). healProbe measures, per locality,
 	// from the end of its last partition window (InstallFaults) to the first
@@ -388,15 +391,15 @@ func New(cfg Config, deps Deps) (*System, error) {
 		standbyProbe:     max(cfg.TKeepalive/64, simkernel.Second),
 		standbySyncEvery: max(cfg.TKeepalive/8, simkernel.Second),
 	}
+	s.roundPeriod = min(cfg.TGossip, cfg.TKeepalive)
+	s.roundsPerLong = max(cfg.TGossip, cfg.TKeepalive) / s.roundPeriod
 	s.net.SetSink(deps.Metrics)
 	s.net.OnDrop(s.reclaim)
 	s.pool.awaitFn = s.resumeAwait
-	s.gossipTimeoutFn = s.onGossipTimeout
-	s.kaTimeoutFn = s.onKaTimeout
+	s.deadlineFn = func(a uint64) { s.timedOut(s.hosts[a], s.hosts[a].flags&hfAwait) }
 	s.joinLatchFn = s.onJoinLatchExpired
 	s.joinRetryFn = s.onJoinRetry
-	s.gossipTickFn = func(a uint64) { s.gossipTick(s.hosts[a]) }
-	s.kaTickFn = func(a uint64) { s.keepaliveTick(s.hosts[a]) }
+	s.roundFn = func(a uint64) { s.round(s.hosts[a]) }
 	s.dirTickFn = func(a uint64) { s.dirTick(s.hosts[a]) }
 	s.stabTickFn = func(a uint64) { s.maintainNode(s.hosts[a]) }
 	s.replTickFn = func(a uint64) { s.replicationTick(s.hosts[a]) }

@@ -477,7 +477,8 @@ func TestParamsValidation(t *testing.T) {
 // outside the run, an empty window, a factor ≤ 1) used to be skipped without
 // a word, measuring a run without it. A NaN or infinite push threshold ran
 // with no member ever pushing, and a negative mean downtime ran its churn as
-// permanent failures.
+// permanent failures. A content peer's round runs both periodic halves on
+// one ticker, so the longer period must be a whole multiple of the shorter.
 func TestParamsValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -527,6 +528,12 @@ func TestParamsValidate(t *testing.T) {
 		{"a NaN push threshold", func(p *Params) { p.PushThreshold = math.NaN() }, false},
 		{"an infinite push threshold", func(p *Params) { p.PushThreshold = math.Inf(1) }, false},
 		{"a negative infinite push threshold", func(p *Params) { p.PushThreshold = math.Inf(-1) }, false},
+		{"periods 5m/5m", func(p *Params) { p.TGossip, p.TKeepalive = 5*simkernel.Minute, 5*simkernel.Minute }, true},
+		{"periods 5m/1m", func(p *Params) { p.TGossip, p.TKeepalive = 5*simkernel.Minute, simkernel.Minute }, true},
+		{"periods 30s/1h", func(p *Params) { p.TGossip, p.TKeepalive = 30*simkernel.Second, simkernel.Hour }, true},
+		{"periods 3m/2m, which do not nest", func(p *Params) { p.TGossip, p.TKeepalive = 3*simkernel.Minute, 2*simkernel.Minute }, false},
+		{"periods 5s/1m, shorter than the failure-detection timeout", func(p *Params) { p.TGossip, p.TKeepalive = 5*simkernel.Second, simkernel.Minute }, false},
+		{"periods 10s/1m", func(p *Params) { p.TGossip, p.TKeepalive = 10*simkernel.Second, simkernel.Minute }, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

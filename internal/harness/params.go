@@ -376,6 +376,9 @@ func (p Params) Validate() error {
 	if !(math.Abs(p.PushThreshold) <= math.MaxFloat64) {
 		return fmt.Errorf("harness: push threshold %v is not a finite number", p.PushThreshold)
 	}
+	if err := core.RoundPeriods(p.TGossip, p.TKeepalive); err != nil {
+		return err
+	}
 	if p.ActiveSites > p.Websites {
 		return fmt.Errorf("harness: active sites exceed websites")
 	}
