@@ -35,7 +35,7 @@ func renderDirCrash(t *testing.T, p Params) string {
 
 // TestStandbyDisabledIdentical pins the standby subsystem's
 // zero-cost-off property at the behaviour level: the crash-storm preset
-// with StandbyFailover, ShedBudget and the crash schedule stripped must
+// with StandbyFailover and the crash schedule stripped must
 // produce a byte-identical transcript to the same scenario assembled
 // without the feature ever existing — the disabled subsystem draws no
 // RNG, arms no timers, sends no messages and changes no protocol path.
@@ -45,7 +45,6 @@ func TestStandbyDisabledIdentical(t *testing.T) {
 	}
 	stripped := DirCrashStormParams(1)
 	stripped.StandbyFailover = false
-	stripped.ShedBudget = 0
 	stripped.DirCrashes = nil
 
 	bare := ScaledParams(1)
@@ -73,7 +72,6 @@ func TestDirCrashWarmRecovery(t *testing.T) {
 	warm := DirCrashStormParams(1)
 	cold := warm
 	cold.StandbyFailover = false
-	cold.ShedBudget = 0
 
 	cres, err := RunFlower(cold)
 	if err != nil {

@@ -154,7 +154,7 @@ type DirCrash = harness.DirCrash
 // laptop-scale population under light loss/jitter with every active site's
 // directory crashed in two localities during bootstrap; warm standbys and
 // takeover shedding armed. The cold §5.2 rebuild baseline is the same
-// preset with StandbyFailover and ShedBudget zeroed.
+// preset with StandbyFailover off.
 func DirCrashStormParams(seed int64) Params { return harness.DirCrashStormParams(seed) }
 
 // DegradeWindow slows every message a gray node sends during [Start, End)

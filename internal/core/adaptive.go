@@ -122,7 +122,7 @@ func (s *System) lookupAttemptLimit() int {
 // with deterministic per-origin jitter when hardened, so retry storms
 // spread out instead of re-colliding with a lossy window.
 func (s *System) lookupRetryDelay(q *Query, attempt int) simkernel.Time {
-	if !s.cfg.Hardened {
+	if !s.Hardened() {
 		return 10 * simkernel.Second
 	}
 	if s.cfg.Adaptive {
@@ -170,7 +170,7 @@ func (s *System) exchangeTimeout(a, b simnet.NodeID) simkernel.Time {
 
 // maxExchangeTimeout caps the adaptive failure-detection timeout; the fixed
 // one, two link latencies and 50 ms, stays far below it. No round period
-// may be shorter (RoundPeriods).
+// may be shorter (Config.Validate).
 const maxExchangeTimeout = 10 * simkernel.Second
 
 // hedgeDelay is the tail quantile after which a lookup hedges: roughly

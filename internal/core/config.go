@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 
+	"flowercdn/internal/dring"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/model"
 	"flowercdn/internal/overlay"
@@ -60,28 +61,18 @@ type Config struct {
 
 	Gossip     overlay.Config // V_gossip, L_gossip, push threshold, summary sizing
 	TGossip    simkernel.Time // gossip period
-	TKeepalive simkernel.Time // keepalive period (defaults to TGossip; RoundPeriods)
+	TKeepalive simkernel.Time // keepalive period (defaults to TGossip; see Validate)
 	TDead      int            // age limit in periods before an entry is dead
 
 	QueryPolicy       QueryPolicy
 	MaintenancePeriod simkernel.Time // chord stabilization period (0 = off; enabled under churn)
 
-	// Hardened enables the degraded-network protocol behaviours that only
-	// matter when the transport can lose or delay messages: exponential
-	// backoff with jittered deadlines on query retries, dir-join retry
-	// after latch expiry, and an extra stabilization round when a D-ring
-	// successor is down. Off by default so the clean-network scenarios (and
-	// their pinned goldens) are bit-for-bit unchanged; the harness turns it
-	// on whenever fault injection is configured.
-	Hardened bool
-
-	// Adaptive layers the gray-failure response on top of Hardened (it
-	// implies Hardened; Validate enforces this): per-host EWMA RTT +
+	// Adaptive arms the gray-failure response: per-host EWMA RTT +
 	// variance estimators feed adaptive lookup/keepalive/probe deadlines
 	// in place of the fixed forms, D-ring lookups hedge a second entry
 	// point when the adaptive tail deadline passes, and holders that
 	// repeatedly time out are demoted by a circuit breaker (adaptive.go).
-	// Off by default: Hardened-only runs stay byte-identical, pinned by
+	// It makes the system Hardened. Off by default, pinned by
 	// TestAdaptiveDisabledIdentical and the golden fault sections.
 	Adaptive bool
 
@@ -97,14 +88,11 @@ type Config struct {
 	// as a standby, keeps the standby's replica index fresh with
 	// dirty-shard deltas (dring delta seam), and on directory silence the
 	// standby promotes with its replica instead of a fresh peer rebuilding
-	// an empty index. Off by default: the disabled path costs one flag
-	// check and the clean-network goldens stay byte-identical.
+	// an empty index; and it sheds to the origin the queries beyond
+	// takeoverShedSlots queued behind a down position. Off by default: the
+	// disabled path costs one flag check and the clean-network goldens stay
+	// byte-identical.
 	StandbyFailover bool
-	// ShedBudget bounds per-locality in-flight new-client queries while the
-	// locality's directory position is down: beyond the budget, queries
-	// short-circuit to the origin fallback instead of queueing into the
-	// lookup-retry chain. 0 disables shedding.
-	ShedBudget int
 }
 
 // Protocol constants: values the paper fixes in prose and no scenario varies.
@@ -113,6 +101,7 @@ const (
 	dirSummaryThreshold = 0.1 // §4.2.1 delayed summary propagation
 	retryLimit          = 3   // candidate peers tried per query before fallback
 	standbySyncShards   = 16  // dirty shards shipped per standby anti-entropy round
+	takeoverShedSlots   = 2   // queries per locality queued behind a down directory (StandbyFailover)
 )
 
 // DefaultConfig returns the paper's simulation parameters (Table 1 with
@@ -143,6 +132,14 @@ func (c *Config) Validate() error {
 	if c.ActiveSites > c.Websites {
 		return fmt.Errorf("core: %d active sites exceed %d websites", c.ActiveSites, c.Websites)
 	}
+	// The D-ring key holds the locality, the instance and an ID for every website.
+	ks, err := dring.NewKeySpec(DRingBits, c.Localities, c.InstanceBits)
+	if err != nil {
+		return err
+	}
+	if uint64(c.Websites) > 1<<ks.WebsiteBits()-1 {
+		return fmt.Errorf("core: %d websites exceed the %d-bit website-ID space", c.Websites, ks.WebsiteBits())
+	}
 	if c.ObjectsPerSite <= 0 {
 		return fmt.Errorf("core: objects per site must be positive")
 	}
@@ -152,24 +149,26 @@ func (c *Config) Validate() error {
 	if c.TGossip <= 0 {
 		return fmt.Errorf("core: gossip period must be positive")
 	}
-	if c.TKeepalive <= 0 {
+	if c.TKeepalive < 0 || c.TDead < 0 || c.ReplicationTopK < 0 {
+		return fmt.Errorf("core: negative keepalive period, dead age or replication top-K (0 = default)")
+	}
+	if c.TKeepalive == 0 {
 		c.TKeepalive = c.TGossip
 	}
-	if err := RoundPeriods(c.TGossip, c.TKeepalive); err != nil {
-		return err
+	// One round runs both periods (overlaywire.go): the longer must be a whole
+	// multiple of the shorter, and the shorter no less than maxExchangeTimeout,
+	// so that what a round awaits is answered or timed out before the next.
+	short, long := min(c.TGossip, c.TKeepalive), max(c.TGossip, c.TKeepalive)
+	if long%short != 0 {
+		return fmt.Errorf("core: gossip period %s and keepalive period %s do not nest", c.TGossip, c.TKeepalive)
 	}
-	if c.Adaptive {
-		// The adaptive gray-failure response presupposes the hardened
-		// degraded-network behaviours (backed-off retries, delivery guards).
-		c.Hardened = true
+	if short < maxExchangeTimeout {
+		return fmt.Errorf("core: period %s is shorter than the %s failure-detection timeout", short, maxExchangeTimeout)
 	}
-	if c.TDead <= 0 {
+	if c.TDead == 0 {
 		c.TDead = 4
 	}
-	if len(c.Sites) == 0 {
-		c.Sites = model.MakeSites(c.Websites)
-	}
-	if len(c.Sites) != c.Websites {
+	if len(c.Sites) != 0 && len(c.Sites) != c.Websites { // none: New names them
 		return fmt.Errorf("core: %d site names for %d websites", len(c.Sites), c.Websites)
 	}
 	if c.Gossip.SummaryCapacity == 0 {
@@ -198,24 +197,6 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("core: negative pool size %d", p)
 			}
 		}
-	}
-	return nil
-}
-
-// RoundPeriods refuses gossip and keepalive periods one round cannot run
-// (overlaywire.go): the longer must be a whole multiple of the shorter, and
-// the shorter no less than maxExchangeTimeout, so that what a round awaits
-// is answered or timed out before the next round starts.
-func RoundPeriods(gossip, keepalive simkernel.Time) error {
-	if gossip <= 0 || keepalive <= 0 {
-		return nil // positivity and the keepalive default are checked apart
-	}
-	short, long := min(gossip, keepalive), max(gossip, keepalive)
-	if long%short != 0 {
-		return fmt.Errorf("core: gossip period %s and keepalive period %s do not nest", gossip, keepalive)
-	}
-	if short < maxExchangeTimeout {
-		return fmt.Errorf("core: period %s is shorter than the %s failure-detection timeout", short, maxExchangeTimeout)
 	}
 	return nil
 }

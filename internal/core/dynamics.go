@@ -233,10 +233,10 @@ func (s *System) takeOverPosition(key chord.ID, addr simnet.NodeID, boot *chord.
 	return node, nil
 }
 
-// installDirectory wires directory state and tickers onto a host. A crashed
-// previous holder of the position gives its index back: nothing reads it
-// once the position is taken over, and it is never revived (it keeps its
-// D-ring node).
+// installDirectory wires directory state and tickers onto a host: a founding
+// directory, or one a §5.2 replacement, standby promotion or leave installs.
+// A crashed previous holder of the position gives its index back: nothing
+// reads it once the position is taken over, and it is never revived.
 func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, loc int) {
 	key := node.ID()
 	if prev, ok := s.dirByKey[key]; ok && !s.net.Alive(prev) {
@@ -245,21 +245,26 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 	if h.role == nil {
 		h.role = new(dirRole)
 	}
-	h.role.node = node
+	r := h.role
+	r.node = node
 	h.dir = dring.NewDirectory(site, s.widBySite[site], loc, key,
 		s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 	s.dirByKey[key] = h.addr
 	s.dirAddrs = append(s.dirAddrs, h.addr)
-	h.role.dirTicker = s.every(h.addr, s.cfg.TGossip, s.dirTickFn)
-	s.startReplicationTicker(h)
+	// The optional tickers are never armed twice over.
+	r.dirTicker = s.every(h.addr, s.cfg.TGossip, s.dirTickFn)
+	if s.cfg.ReplicationTopK > 0 && r.replTicker.Stopped() {
+		r.replTicker = s.every(h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
+	}
 	if s.cfg.StandbyFailover {
 		// A host promoted into a directory stops being anyone's standby.
 		s.stopStandbyWatch(h)
-		s.startStandbyTicker(h)
+		if r.standbyTicker.Stopped() {
+			r.standbyTicker = s.every(h.addr, s.standbySyncEvery, s.standbyTickFn)
+		}
 	}
-	if s.cfg.MaintenancePeriod > 0 && h.role.stabTicker.Stopped() {
-		// Like replication, never armed twice over.
-		h.role.stabTicker = s.every(h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
+	if s.cfg.MaintenancePeriod > 0 && r.stabTicker.Stopped() {
+		r.stabTicker = s.every(h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
 	}
 }
 

@@ -165,7 +165,7 @@ const maxJoinAttempts = 6
 func (s *System) onJoinLatchExpired(arg uint64) {
 	h := s.hosts[uint32(arg)]
 	h.flags &^= hfJoinInFlight
-	if !s.cfg.Hardened {
+	if !s.Hardened() {
 		return
 	}
 	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {

@@ -23,16 +23,24 @@ import (
 // afterwards is query lifecycle and nothing else (in particular no gossip
 // round rebuilds a content summary the queries dirtied).
 func lifecycleEnv(t *testing.T, hardened bool) *testEnv {
-	e := newTestEnv(t, 91, func(c *Config) {
-		c.MaxOverlaySize = 2
-		c.Hardened = hardened
-	})
+	e := newTestEnv(t, 91, func(c *Config) { c.MaxOverlaySize = 2 })
+	if hardened {
+		e.sys.InstallFaults(scheduleOnlyPlane())
+	}
 	e.submitAt(simkernel.Second, 0, 0, 0, 3)
 	e.submitAt(2*simkernel.Second, 0, 0, 1, 5)
 	e.submitAt(3*simkernel.Minute, 0, 0, 1, 3)
 	e.k.Run(20 * simkernel.Minute)
 	e.stopAllTimers()
 	return e
+}
+
+// scheduleOnlyPlane is a fault plane that injects nothing a test reaches:
+// one partition window long after every run ends, which draws no random
+// number. Installing it only makes the system hardened.
+func scheduleOnlyPlane() *simnet.FaultConfig {
+	return &simnet.FaultConfig{Partitions: []simnet.PartitionWindow{
+		{Locality: 0, Start: 1000 * simkernel.Hour, End: 1001 * simkernel.Hour}}}
 }
 
 // stopAllTimers stops every ticker and armed timeout of every host.
@@ -368,14 +376,12 @@ func TestEnvelopesReturnOnLoss(t *testing.T) {
 // TestShedSlotReleasedAtOriginRetryCap: a query that took a takeover-
 // shedding slot and then runs out the hardened origin-retry chain (its
 // origin is cut off, so no serve ever lands to release the slot) must hand
-// the slot back when the chain gives up — or ShedBudget such queries later
-// the locality sheds every new client forever.
+// the slot back when the chain gives up — or takeoverShedSlots such queries
+// later the locality sheds every new client forever.
 func TestShedSlotReleasedAtOriginRetryCap(t *testing.T) {
-	e := newTestEnv(t, 93, func(c *Config) {
-		c.Hardened = true
-		c.ShedBudget = 1
-	})
+	e := newTestEnv(t, 93, func(c *Config) { c.StandbyFailover = true })
 	s := e.sys
+	s.InstallFaults(scheduleOnlyPlane())
 	h := s.host(s.PoolNode(0, 0, 0))
 	q := s.newQuery() // its reference keeps the record out of the pool until the checks
 	q.ID, q.Origin, q.Site, q.Ref, q.NewClient = 1, h.addr, e.cfg.Sites[0], s.in.RefFor(0, 3), true
@@ -399,10 +405,10 @@ func TestShedSlotReleasedAtOriginRetryCap(t *testing.T) {
 // TestShedSlotReturnsWhenQueryAbandoned: a query that took a
 // takeover-shedding slot and lost its client before the serve landed has,
 // without the hardened retry chain, nothing left to resolve it. Its record
-// goes back to the pool and hands the slot back — or ShedBudget such
+// goes back to the pool and hands the slot back — or takeoverShedSlots such
 // queries later the locality sheds every new client for the rest of the run.
 func TestShedSlotReturnsWhenQueryAbandoned(t *testing.T) {
-	e := newTestEnv(t, 98, func(c *Config) { c.ShedBudget = 1 })
+	e := newTestEnv(t, 98, func(c *Config) { c.StandbyFailover = true })
 	s := e.sys
 	site := e.cfg.Sites[0]
 	if !s.FailDirectory(site, 0) {
@@ -453,16 +459,18 @@ func TestQueryRecordsConserved(t *testing.T) {
 			})
 		}
 	}
-	hardened := func(c *Config) { c.Hardened, c.MaintenancePeriod = true, 30*simkernel.Second }
+	// Ring maintenance; the fault plane each faulted arm installs makes the
+	// run hardened.
+	maintained := func(c *Config) { c.MaintenancePeriod = 30 * simkernel.Second }
 	cases := []struct {
 		name string
 		mod  func(*Config)
 		arm  func(*testEnv)
 	}{
 		{"clean", nil, func(*testEnv) {}},
-		{"churn", func(c *Config) { c.MaintenancePeriod = 30 * simkernel.Second },
+		{"churn", maintained,
 			func(e *testEnv) { churn(e, 2*simkernel.Minute, true) }},
-		{"fault-storm", hardened, func(e *testEnv) {
+		{"fault-storm", maintained, func(e *testEnv) {
 			e.sys.InstallFaults(&simnet.FaultConfig{
 				LossProb: 0.05, JitterProb: 0.2, JitterMaxMs: 120, SpikeProb: 0.02, SpikeMs: 400,
 				Partitions: []simnet.PartitionWindow{
@@ -472,8 +480,8 @@ func TestQueryRecordsConserved(t *testing.T) {
 			})
 		}},
 		{"dircrash-storm", func(c *Config) {
-			hardened(c)
-			c.StandbyFailover, c.ShedBudget, c.QueryPolicy = true, 2, PolicyViewThenDirectory
+			maintained(c)
+			c.StandbyFailover, c.QueryPolicy = true, PolicyViewThenDirectory
 		}, func(e *testEnv) {
 			e.sys.InstallFaults(&simnet.FaultConfig{LossProb: 0.02, JitterProb: 0.1, JitterMaxMs: 80})
 			for _, site := range e.cfg.ActiveSiteIDs() {
@@ -482,7 +490,7 @@ func TestQueryRecordsConserved(t *testing.T) {
 			}
 		}},
 		{"gray-storm", func(c *Config) {
-			hardened(c)
+			maintained(c)
 			c.Adaptive, c.QueryPolicy, c.TKeepalive = true, PolicyViewThenDirectory, simkernel.Minute
 		}, func(e *testEnv) {
 			fc := &simnet.FaultConfig{

@@ -7,7 +7,7 @@ import (
 
 // startRound launches a content peer's one periodic behaviour, its round
 // (Algorithm 4's gossip and the §5.1 keepalive), at the shorter period. The
-// longer is a whole multiple of it (RoundPeriods); its half runs from a
+// longer is a whole multiple of it (Config.Validate); its half runs from a
 // random instant in [0, longer period), whose remainder is the round's phase.
 func (s *System) startRound(h *host) {
 	p := s.roundPeriod
@@ -20,7 +20,7 @@ func (s *System) startRound(h *host) {
 // the directory), each in the rounds its period falls on, and arms one
 // deadline at the later of their timeouts, keeping the earlier as firstDue
 // (see answered). What the last round awaited is answered or timed out by
-// now (RoundPeriods); the round drops it all the same. It allocates nothing.
+// now (Config.Validate); the round drops it all the same. It allocates nothing.
 func (s *System) round(h *host) {
 	if h.cp == nil || !s.net.Alive(h.addr) {
 		return

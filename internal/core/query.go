@@ -124,7 +124,7 @@ const maxOriginRetries = 6
 // heal the first retry lands. No-op on clean-network configs, where origin
 // sends cannot be lost.
 func (s *System) awaitOriginRetry(h *host, q *Query, attempt int, viaDir bool) {
-	if !s.cfg.Hardened {
+	if !s.Hardened() {
 		return
 	}
 	if attempt >= maxOriginRetries {
@@ -144,9 +144,9 @@ func (s *System) awaitOriginRetry(h *host, q *Query, attempt int, viaDir bool) {
 }
 
 // takeShedSlot is overload shedding during directory takeover: while the
-// locality's own directory position (key) is down, only ShedBudget queries
-// — new clients' lookups and members' escalations alike — may sit in the
-// retry/timeout chains behind it at once. The excess short-circuits to the
+// locality's own directory position (key) is down, only takeoverShedSlots
+// queries — new clients' lookups and members' escalations alike — may sit in
+// the retry/timeout chains behind it at once. The excess short-circuits to the
 // origin tier instead of queueing into a timeout storm: false means q was
 // shed and is on its way there.
 func (s *System) takeShedSlot(h *host, q *Query, key chord.ID) bool {
@@ -154,7 +154,7 @@ func (s *System) takeShedSlot(h *host, q *Query, key chord.ID) bool {
 		return true
 	}
 	if n := s.ring.Lookup(key); n == nil || !n.Up() {
-		if int(s.shedInFlight[q.OriginLoc]) >= s.cfg.ShedBudget {
+		if int(s.shedInFlight[q.OriginLoc]) >= takeoverShedSlots {
 			s.mets.RecordShed()
 			s.fallbackToOrigin(h, q)
 			return false
@@ -348,7 +348,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 				// first keepalive the map (KeepaliveAt verifies it either way).
 				client := s.hosts[q.Origin]
 				client.dirSlot = int32(h.dir.MemberCount() - 1)
-				if s.cfg.Hardened {
+				if s.Hardened() {
 					client.noteAdmit(q.Ref)
 				}
 			}
@@ -594,7 +594,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 	}
 	s.sendQuery(h.addr, q.Origin, simnet.CatTransfer,
 		bytesServeHdr+gossip.WireBytes(msg.ViewSeed, s.cfg.Gossip.SummaryBytes()), msg)
-	if s.cfg.Hardened {
+	if s.Hardened() {
 		// Delivery guard: the transfer itself can fall to loss or a
 		// partition. If the object never lands, re-fetch from the origin
 		// (bounded by the capped-backoff chain).
@@ -624,7 +624,7 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	// estimator; this is the timescale adaptive lookup deadlines target.
 	s.sample(q)
 	s.releaseShedSlot(q)
-	if s.cfg.Hardened && q.admitted {
+	if s.Hardened() && q.admitted {
 		h.clearAdmit(q.Ref)
 	}
 	if h.cp == nil && q.NewClient && q.admitted && q.handlerIsLocal {

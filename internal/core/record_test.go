@@ -121,7 +121,7 @@ func TestReviveIsBlankSlate(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := newTestEnv(t, 100+seed, func(c *Config) {
-			c.Adaptive = true // implies Hardened
+			c.Adaptive = true // makes the system hardened
 			c.StandbyFailover = true
 			c.MaintenancePeriod = 10 * simkernel.Second
 			c.TGossip, c.TKeepalive = 30*simkernel.Second, 30*simkernel.Second

@@ -17,15 +17,6 @@ import (
 // The extension is off by default (Config.ReplicationTopK = 0); the
 // evaluation tables of the paper were produced without it.
 
-// startReplicationTicker arms the periodic offer behaviour on a directory
-// host (called from system construction and directory installation).
-func (s *System) startReplicationTicker(h *host) {
-	if s.cfg.ReplicationTopK <= 0 || !h.role.replTicker.Stopped() {
-		return // never armed twice over
-	}
-	h.role.replTicker = s.every(h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
-}
-
 // replicationTick runs at a directory: offer the top-K requested objects
 // to every same-website neighbour whose summary does not already report
 // them.

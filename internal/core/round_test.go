@@ -281,14 +281,44 @@ func TestConfigRoundPeriods(t *testing.T) {
 		{simkernel.Minute, 5 * simkernel.Second, false},
 		{10 * simkernel.Second, simkernel.Minute, true},
 	} {
-		cfg := DefaultConfig(1)
-		cfg.PoolSizes = make([][]int, cfg.ActiveSites)
-		for i := range cfg.PoolSizes {
-			cfg.PoolSizes[i] = make([]int, cfg.Localities)
-		}
+		cfg := validatable()
 		cfg.TGossip, cfg.TKeepalive = c.gossip, c.keepalive
 		if err := cfg.Validate(); (err == nil) != c.ok {
 			t.Errorf("periods %s/%s: Validate() = %v, want ok=%v", c.gossip, c.keepalive, err, c.ok)
+		}
+	}
+}
+
+// validatable is the default config with empty pools, which Validate accepts.
+func validatable() Config {
+	cfg := DefaultConfig(1)
+	cfg.PoolSizes = make([][]int, cfg.ActiveSites)
+	for i := range cfg.PoolSizes {
+		cfg.PoolSizes[i] = make([]int, cfg.Localities)
+	}
+	return cfg
+}
+
+// TestConfigRefusesNegatives: a negative keepalive period, dead age or
+// replication top-K is refused rather than run as the default (or as off);
+// 0 keeps its default meaning.
+func TestConfigRefusesNegatives(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"zero keepalive period", func(c *Config) { c.TKeepalive = 0 }, true},
+		{"negative keepalive period", func(c *Config) { c.TKeepalive = -simkernel.Minute }, false},
+		{"zero dead age", func(c *Config) { c.TDead = 0 }, true},
+		{"negative dead age", func(c *Config) { c.TDead = -1 }, false},
+		{"zero replication top-K", func(c *Config) { c.ReplicationTopK = 0 }, true},
+		{"negative replication top-K", func(c *Config) { c.ReplicationTopK = -1 }, false},
+	} {
+		cfg := validatable()
+		c.edit(&cfg)
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }

@@ -20,19 +20,11 @@ import (
 // staleness; stale holders wash out through the §5.1 redirection-failure
 // path), instead of the cold §5.2 rebuild from an empty index.
 //
+// installDirectory arms the maintenance ticker on every directory, founding
+// or installed later; the same switch arms takeover shedding (query.go).
 // Everything here is gated off by default: with StandbyFailover false no
 // ticker is armed, no RNG is drawn, no message is sent, and the pinned
 // clean-network goldens stay byte-identical.
-
-// startStandbyTicker arms the designation/anti-entropy maintenance loop
-// on a directory host. Offsets are randomised like every other periodic
-// behaviour so directories do not synchronise.
-func (s *System) startStandbyTicker(h *host) {
-	if !s.cfg.StandbyFailover || !h.role.standbyTicker.Stopped() {
-		return
-	}
-	h.role.standbyTicker = s.every(h.addr, s.standbySyncEvery, s.standbyTickFn)
-}
 
 // standbyMaintTick is the directory-side loop: validate or (re)designate
 // the standby, then ship up to standbySyncShards dirty shards.

@@ -99,7 +99,7 @@ type System struct {
 
 	// shedInFlight gauges per-locality in-flight new-client queries that
 	// entered the lookup path while the locality's own directory position
-	// was down (nil unless Config.ShedBudget > 0).
+	// was down (nil unless Config.StandbyFailover).
 	shedInFlight []int32
 
 	// adapt is the gray-failure estimator and holder-health state, one slot
@@ -347,6 +347,9 @@ func New(cfg Config, deps Deps) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if len(cfg.Sites) == 0 {
+		cfg.Sites = model.MakeSites(cfg.Websites)
+	}
 	if deps.Kernel == nil || deps.Topo == nil || deps.Metrics == nil {
 		return nil, fmt.Errorf("core: missing dependencies")
 	}
@@ -405,16 +408,14 @@ func New(cfg Config, deps Deps) (*System, error) {
 	s.replTickFn = func(a uint64) { s.replicationTick(s.hosts[a]) }
 	s.standbyTickFn = func(a uint64) { s.standbyMaintTick(s.hosts[a]) }
 	s.probeTickFn = func(a uint64) { s.standbyProbeTick(s.hosts[a]) }
-	if cfg.ShedBudget > 0 {
+	if cfg.StandbyFailover {
 		s.shedInFlight = make([]int32, cfg.Localities)
 	}
 	if cfg.Adaptive {
 		s.adapt = make([]adaptiveSlot, deps.Topo.NumNodes())
 	}
 
-	if err := s.assignWebsiteIDs(); err != nil {
-		return nil, err
-	}
+	s.assignWebsiteIDs()
 	if err := s.placeServers(); err != nil {
 		return nil, err
 	}
@@ -422,22 +423,16 @@ func New(cfg Config, deps Deps) (*System, error) {
 		return nil, err
 	}
 	s.ring.BuildConverged()
-	s.startDirectoryTickers()
-	if cfg.MaintenancePeriod > 0 {
-		s.startMaintenance(cfg.MaintenancePeriod)
-	}
 	return s, nil
 }
 
 // assignWebsiteIDs hashes every site into the website-ID subspace,
 // linearly probing past the rare collisions so each website owns a
-// distinct consecutive block of directory keys.
-func (s *System) assignWebsiteIDs() error {
+// distinct consecutive block of directory keys (Validate made sure every
+// website fits).
+func (s *System) assignWebsiteIDs() {
 	used := map[uint64]bool{}
 	max := uint64(1)<<s.ks.WebsiteBits() - 1
-	if uint64(s.cfg.Websites) > max {
-		return fmt.Errorf("core: %d websites exceed website-ID space", s.cfg.Websites)
-	}
 	for _, site := range s.cfg.Sites {
 		wid := s.ks.WebsiteID(site)
 		for used[wid] {
@@ -446,7 +441,6 @@ func (s *System) assignWebsiteIDs() error {
 		used[wid] = true
 		s.widBySite[site] = wid
 	}
-	return nil
 }
 
 func (s *System) placeServers() error {
@@ -504,9 +498,7 @@ func (s *System) placeDirectoriesAndPools() error {
 				if err != nil {
 					return fmt.Errorf("core: directory key collision for %s/%d: %w", site, loc, err)
 				}
-				h := &host{sys: s, addr: addr, loc: int32(loc), role: &dirRole{node: node}}
-				h.dir = dring.NewDirectory(site, wid, loc, key,
-					s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
+				h := &host{sys: s, addr: addr, loc: int32(loc)}
 				if active[site] {
 					// Active-site directories are accounted participants from t=0.
 					h.flags |= hfAccounted
@@ -514,8 +506,7 @@ func (s *System) placeDirectoriesAndPools() error {
 				}
 				s.hosts[addr] = h
 				s.net.Register(addr, h)
-				s.dirAddrs = append(s.dirAddrs, addr)
-				s.dirByKey[key] = addr
+				s.installDirectory(h, node, site, loc)
 			}
 		}
 	}
@@ -543,23 +534,6 @@ func (s *System) placeDirectoriesAndPools() error {
 	return nil
 }
 
-func (s *System) startDirectoryTickers() {
-	for _, addr := range s.dirAddrs {
-		h := s.hosts[addr]
-		h.role.dirTicker = s.every(addr, s.cfg.TGossip, s.dirTickFn)
-		s.startReplicationTicker(h)
-		s.startStandbyTicker(h)
-	}
-}
-
-// startMaintenance launches Chord stabilization across D-ring members
-// (needed only under churn; a static ring stays converged).
-func (s *System) startMaintenance(period simkernel.Time) {
-	for _, addr := range s.dirAddrs {
-		s.hosts[addr].role.stabTicker = s.every(addr, period, s.stabTickFn)
-	}
-}
-
 func (s *System) maintainNode(h *host) {
 	node := h.dirNode()
 	if node == nil || !node.Up() || !s.net.Alive(h.addr) {
@@ -570,7 +544,7 @@ func (s *System) maintainNode(h *host) {
 	for i := 0; i < 3; i++ {
 		node.FixNextFinger()
 	}
-	if s.cfg.Hardened && node.Successor() == nil {
+	if s.Hardened() && node.Successor() == nil {
 		// Whole successor list dead (a partition took out a locality's
 		// directories at once): run an immediate second repair round so the
 		// ring re-converges within one maintenance period after the heal
@@ -665,6 +639,11 @@ func (s *System) KeySpec() dring.KeySpec { return s.ks }
 
 // Config returns the system configuration (value copy).
 func (s *System) Config() Config { return s.cfg }
+
+// Hardened reports whether the degraded-network behaviours are on (backed-off
+// retries, delivery guards, dir-join retry, extra stabilization): with an
+// installed fault plane or Config.Adaptive, when messages can be lost or late.
+func (s *System) Hardened() bool { return s.net.Faults() != nil || s.adapt != nil }
 
 // Stats returns the protocol counters.
 func (s *System) Stats() Stats { return s.stats }

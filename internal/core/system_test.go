@@ -522,3 +522,27 @@ func TestStatsAndAccessors(t *testing.T) {
 		t.Fatal("KeySpec accessor wrong")
 	}
 }
+
+// TestHardenedFollowsFaultPlane: the degraded-network behaviours are on
+// exactly when a fault plane is installed or the gray-failure response is
+// armed — never for no plane, a nil plane or a zero one.
+func TestHardenedFollowsFaultPlane(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		adaptive bool
+		plane    func(*System)
+		want     bool
+	}{
+		{"no plane", false, func(*System) {}, false},
+		{"nil plane", false, func(s *System) { s.InstallFaults(nil) }, false},
+		{"zero plane", false, func(s *System) { s.InstallFaults(&simnet.FaultConfig{}) }, false},
+		{"enabled plane", false, func(s *System) { s.InstallFaults(scheduleOnlyPlane()) }, true},
+		{"adaptive", true, func(*System) {}, true},
+	} {
+		e := newTestEnv(t, 19, func(cfg *Config) { cfg.Adaptive = c.adaptive })
+		c.plane(e.sys)
+		if got := e.sys.Hardened(); got != c.want {
+			t.Errorf("%s: Hardened() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -50,7 +50,7 @@ func FaultStormParams(seed int64) Params {
 // directory plane, so the crash→first-local-directory-hit probe has
 // observations on both sides). Warm standbys and takeover shedding are
 // armed; the cold §5.2 rebuild baseline is the same preset with
-// StandbyFailover and ShedBudget zeroed.
+// StandbyFailover off.
 func DirCrashStormParams(seed int64) Params {
 	p := ScaledParams(seed)
 	p.Duration = 30 * simkernel.Minute
@@ -62,7 +62,6 @@ func DirCrashStormParams(seed int64) Params {
 	}
 	p.AuditEvery = simkernel.Minute
 	p.StandbyFailover = true
-	p.ShedBudget = 2
 	// Members escalate view misses to their directory: with the paper's
 	// view-only policy the directory plane goes quiet once bootstrap
 	// joining ends, and a crash after that point would be invisible to

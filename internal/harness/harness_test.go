@@ -15,6 +15,7 @@ import (
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/squirrel"
+	"flowercdn/internal/topology"
 	"flowercdn/internal/workload"
 )
 
@@ -534,6 +535,45 @@ func TestParamsValidate(t *testing.T) {
 		{"periods 3m/2m, which do not nest", func(p *Params) { p.TGossip, p.TKeepalive = 3*simkernel.Minute, 2*simkernel.Minute }, false},
 		{"periods 5s/1m, shorter than the failure-detection timeout", func(p *Params) { p.TGossip, p.TKeepalive = 5*simkernel.Second, simkernel.Minute }, false},
 		{"periods 10s/1m", func(p *Params) { p.TGossip, p.TKeepalive = 10*simkernel.Second, simkernel.Minute }, true},
+		{"zero keepalive period", func(p *Params) { p.TKeepalive = 0 }, true},
+		{"a negative keepalive period", func(p *Params) { p.TKeepalive = -500 * simkernel.Millisecond }, false},
+		{"zero dead age", func(p *Params) { p.TDead = 0 }, true},
+		{"a negative dead age", func(p *Params) { p.TDead = -1 }, false},
+		{"replication top-5", func(p *Params) { p.ReplicationTopK = 5 }, true},
+		{"a negative replication top-K", func(p *Params) { p.ReplicationTopK = -1 }, false},
+		{"instance bits 1", func(p *Params) { p.InstanceBits = 1 }, true},
+		{"instance bits 40, beyond the key", func(p *Params) { p.InstanceBits = 40 }, false},
+		{"instance bits 28, no room for a website id", func(p *Params) { p.InstanceBits = 28 }, false},
+		{"instance bits 26, 12 websites in 2 id bits", func(p *Params) { p.Websites, p.InstanceBits = 12, 26 }, false},
+		{"the fault storm", func(p *Params) { p.Faults = FaultStormParams(9).Faults }, true},
+		{"the gray storm", func(p *Params) { p.Faults = GrayStormParams(9).Faults }, true},
+		{"a NaN loss probability", func(p *Params) { p.Faults = &simnet.FaultConfig{LossProb: math.NaN()} }, false},
+		{"a negative loss probability", func(p *Params) { p.Faults = &simnet.FaultConfig{LossProb: -0.5} }, false},
+		{"a loss probability of 2", func(p *Params) { p.Faults = &simnet.FaultConfig{LossProb: 2} }, false},
+		{"a negative jitter", func(p *Params) { p.Faults = &simnet.FaultConfig{JitterProb: 0.1, JitterMaxMs: -500} }, false},
+		{"a negative spike", func(p *Params) { p.Faults = &simnet.FaultConfig{SpikeProb: 0.1, SpikeMs: -500} }, false},
+		{"an infinite spike", func(p *Params) { p.Faults = &simnet.FaultConfig{SpikeProb: 0.1, SpikeMs: math.Inf(1)} }, false},
+		{"an inverted partition window", func(p *Params) {
+			p.Faults = &simnet.FaultConfig{Partitions: []simnet.PartitionWindow{{Start: simkernel.Minute, End: simkernel.Second}}}
+		}, false},
+		{"a partition of locality 9", func(p *Params) {
+			p.Faults = &simnet.FaultConfig{Partitions: []simnet.PartitionWindow{{Locality: 9, End: simkernel.Minute}}}
+		}, false},
+		{"one-way loss to locality 9", func(p *Params) {
+			p.Faults = &simnet.FaultConfig{AsymLoss: []simnet.AsymLossRule{{ToLoc: 9, Prob: 0.2}}}
+		}, false},
+		{"5 locality loss entries for 3 localities", func(p *Params) {
+			p.Faults = &simnet.FaultConfig{LocalityLoss: []float64{0.1, 0.1, 0.1, 0.1, 0.1}}
+		}, false},
+		{"a flap of period 0", func(p *Params) {
+			p.Faults = &simnet.FaultConfig{Flap: []simnet.FlapWindow{{End: simkernel.Minute, DownFor: simkernel.Second}}}
+		}, false},
+		{"a flap down for its whole period", func(p *Params) {
+			p.Faults = &simnet.FaultConfig{Flap: []simnet.FlapWindow{{End: simkernel.Minute, Period: 10 * simkernel.Second, DownFor: 10 * simkernel.Second}}}
+		}, false},
+		{"a node degrade by factor 1", func(p *Params) {
+			p.Faults = &simnet.FaultConfig{NodeDegrade: []simnet.DegradeWindow{{End: simkernel.Minute, Factor: 1}}}
+		}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -582,8 +622,8 @@ func TestSettableValues(t *testing.T) {
 		config any
 		fields int
 	}{
-		{"harness.Params", Params{}, 38},
-		{"core.Config", core.Config{}, 21},
+		{"harness.Params", Params{}, 36},
+		{"core.Config", core.Config{}, 19},
 		{"squirrel.Config", squirrel.Config{}, 7},
 		{"overlay.Config", overlay.Config{}, 4},
 		{"metrics.Config", metrics.Config{}, 6},
@@ -592,5 +632,60 @@ func TestSettableValues(t *testing.T) {
 		if got := reflect.TypeOf(c.config).NumField(); got != c.fields {
 			t.Errorf("%s has %d fields, pinned at %d", c.name, got, c.fields)
 		}
+	}
+}
+
+// TestHardenedFollowsHarnessRule: the system a point builds is hardened
+// exactly when the point's fault plane is enabled or its gray-failure
+// response armed — the rule the harness used to write into the core config —
+// for every Flower point of every registry experiment at -scale small and
+// for every preset. Populations are shrunk: the rule reads no size.
+func TestHardenedFollowsHarnessRule(t *testing.T) {
+	var points []Point
+	o := Options{Churn: true}
+	for _, e := range Experiments() {
+		if e.Points != nil {
+			points = append(points, e.Points(o.preset(ScaledParams(1)), o)...)
+		}
+	}
+	for _, p := range []Params{DefaultParams(1), ScaledParams(1), Massive100kParams(1), ShrunkMassiveParams(1),
+		WithMassiveChurn(ShrunkMassiveParams(1)), FaultStormParams(1), DirCrashStormParams(1), GrayStormParams(1),
+		DirStressParams(1), PopulationParams(1, 1000)} {
+		adaptive := p
+		adaptive.Adaptive = true
+		points = append(points, Point{Label: "preset", Params: p}, Point{Label: "preset+adaptive", Params: adaptive})
+	}
+	built, hardened := 0, 0
+	for _, pt := range points {
+		if pt.Kind == KindSquirrel {
+			continue
+		}
+		built++
+		p := pt.Params
+		p.ClientsPerSite, p.TopoNodes = min(p.ClientsPerSite, 60), min(p.TopoNodes, 1500)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: %v", pt.Label, err)
+		}
+		pools := p.BuildPools()
+		k := simkernel.New(p.Seed)
+		topo, err := topology.Generate(p.TopologyConfig(pools))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := core.New(p.CoreConfig(pools), core.Deps{Kernel: k, Topo: topo, Metrics: metrics.New(p.metricsConfig())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		applyFaultPlane(k, sys, p)
+		want := p.Faults.Enabled() || p.Adaptive
+		if sys.Hardened() != want {
+			t.Errorf("%s (seed %d): Hardened() = %v, Faults.Enabled() || Adaptive = %v", pt.Label, p.Seed, sys.Hardened(), want)
+		}
+		if want {
+			hardened++
+		}
+	}
+	if hardened == 0 || hardened == built {
+		t.Fatalf("%d of %d points hardened: the rule was not exercised both ways", hardened, built)
 	}
 }

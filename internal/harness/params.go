@@ -60,10 +60,9 @@ type Params struct {
 	SquirrelHomeStore bool
 
 	// Churn: expected peer failures per hour (0 = stable network). When
-	// positive, Chord maintenance runs at MaintenancePeriod.
+	// positive, Chord maintenance runs every 30 s (maintenancePeriod).
 	ChurnPerHour      float64
 	ChurnIncludesDirs bool
-	MaintenancePeriod simkernel.Time
 	// ChurnRejoin revives each crashed client after an exponentially
 	// distributed downtime with this mean (0 = failures are permanent).
 	// Revived clients return stateless, as new clients.
@@ -88,8 +87,8 @@ type Params struct {
 	// latency jitter/spikes, locality-scale partitions; see
 	// simnet.FaultConfig). Nil or all-zero disables it — the network send
 	// path then costs one nil check and runs byte-identically to a build
-	// without the plane. When enabled, the derived core config is Hardened
-	// (backed-off retries, dir-join retry, extra stabilization).
+	// without the plane. When enabled, the system runs hardened
+	// (core.System.Hardened) and Chord maintenance runs.
 	Faults *simnet.FaultConfig
 
 	// AuditEvery runs the core invariant auditor (ring successorship,
@@ -99,12 +98,9 @@ type Params struct {
 
 	// StandbyFailover arms the warm-standby directory extension
 	// (core.Config.StandbyFailover): designated standbys with delta-synced
-	// replica indexes that promote on directory silence.
+	// replica indexes that promote on directory silence, and takeover
+	// shedding while a directory position is down.
 	StandbyFailover bool
-	// ShedBudget bounds per-locality in-flight new-client queries while the
-	// locality's directory position is down (core.Config.ShedBudget);
-	// 0 = no shedding.
-	ShedBudget int
 	// DirCrashes schedules deterministic directory crashes: at each entry's
 	// time the current holder of d(active-site SiteIdx, Locality) is
 	// crashed and the locality's crash-recovery probe armed.
@@ -112,7 +108,7 @@ type Params struct {
 
 	// Adaptive arms the gray-failure response (core.Config.Adaptive):
 	// EWMA-driven exchange and lookup deadlines, hedged directory lookups
-	// and the per-holder circuit breaker. Implies Hardened.
+	// and the per-holder circuit breaker. The system runs hardened with it.
 	Adaptive bool
 	// DirDegrades schedules gray degradations of directory positions: at
 	// run start each entry is resolved to the node currently holding
@@ -145,31 +141,31 @@ type DirDegrade struct {
 // 24 hours, T_gossip=30 min, L_gossip=10, V_gossip=50.
 func DefaultParams(seed int64) Params {
 	return Params{
-		Seed:              seed,
-		Duration:          24 * simkernel.Hour,
-		QueryRate:         6,
-		ZipfAlpha:         0.8,
-		Localities:        6,
-		Websites:          100,
-		ActiveSites:       6,
-		ObjectsPerSite:    500,
-		MaxOverlaySize:    100,
-		ClientsPerSite:    600,
-		TopoNodes:         5000,
-		UniformNodes:      200,
-		TGossip:           30 * simkernel.Minute,
-		TKeepalive:        30 * simkernel.Minute,
-		ViewSize:          50,
-		GossipLen:         10,
-		PushThreshold:     0.1,
-		TDead:             4,
-		QueryPolicy:       core.PolicyViewOnly,
-		MaintenancePeriod: time30,
-		BucketWidth:       30 * simkernel.Minute,
+		Seed:           seed,
+		Duration:       24 * simkernel.Hour,
+		QueryRate:      6,
+		ZipfAlpha:      0.8,
+		Localities:     6,
+		Websites:       100,
+		ActiveSites:    6,
+		ObjectsPerSite: 500,
+		MaxOverlaySize: 100,
+		ClientsPerSite: 600,
+		TopoNodes:      5000,
+		UniformNodes:   200,
+		TGossip:        30 * simkernel.Minute,
+		TKeepalive:     30 * simkernel.Minute,
+		ViewSize:       50,
+		GossipLen:      10,
+		PushThreshold:  0.1,
+		TDead:          4,
+		QueryPolicy:    core.PolicyViewOnly,
+		BucketWidth:    30 * simkernel.Minute,
 	}
 }
 
-const time30 = 30 * simkernel.Second
+// maintenancePeriod is the Chord stabilization period under churn or faults.
+const maintenancePeriod = 30 * simkernel.Second
 
 // ScaledParams returns a laptop-scale configuration with the same shape
 // (used by unit tests, quick benchmark runs and examples): 3 localities,
@@ -320,16 +316,10 @@ func (p Params) CoreConfig(pools [][]int) core.Config {
 	cfg.QueryPolicy = p.QueryPolicy
 	cfg.ReplicationTopK = p.ReplicationTopK
 	cfg.StandbyFailover = p.StandbyFailover
-	cfg.ShedBudget = p.ShedBudget
-	if p.ChurnPerHour > 0 {
-		cfg.MaintenancePeriod = p.MaintenancePeriod
-	}
-	if p.Faults.Enabled() {
-		// A lossy/partitioned transport needs the degraded-network protocol
-		// behaviours, and ring maintenance so the hardened stabilization
-		// retry has a vehicle.
-		cfg.Hardened = true
-		cfg.MaintenancePeriod = p.MaintenancePeriod
+	if p.ChurnPerHour > 0 || p.Faults.Enabled() {
+		// Churn breaks the ring, and a lossy/partitioned transport needs ring
+		// maintenance as the vehicle of the hardened stabilization retry.
+		cfg.MaintenancePeriod = maintenancePeriod
 	}
 	cfg.Adaptive = p.Adaptive
 	return cfg
@@ -351,7 +341,8 @@ func (p Params) SquirrelConfig(pools [][]int) squirrel.Config {
 	return cfg
 }
 
-// Validate sanity-checks the harness parameters.
+// Validate sanity-checks the harness parameters and the core config they
+// derive.
 func (p Params) Validate() error {
 	if p.Duration <= 0 {
 		return fmt.Errorf("harness: duration must be positive")
@@ -359,9 +350,6 @@ func (p Params) Validate() error {
 	// The rate tests are negated so that NaN fails them too.
 	if !(p.QueryRate > 0) || math.IsInf(p.QueryRate, 1) {
 		return fmt.Errorf("harness: query rate %v is not a positive finite number", p.QueryRate)
-	}
-	if p.ObjectsPerSite <= 0 {
-		return fmt.Errorf("harness: objects per site must be positive")
 	}
 	if !(p.ChurnPerHour >= 0) || math.IsInf(p.ChurnPerHour, 1) {
 		return fmt.Errorf("harness: churn rate %v is not a non-negative finite number", p.ChurnPerHour)
@@ -376,17 +364,14 @@ func (p Params) Validate() error {
 	if !(math.Abs(p.PushThreshold) <= math.MaxFloat64) {
 		return fmt.Errorf("harness: push threshold %v is not a finite number", p.PushThreshold)
 	}
-	if err := core.RoundPeriods(p.TGossip, p.TKeepalive); err != nil {
-		return err
-	}
-	if p.ActiveSites > p.Websites {
-		return fmt.Errorf("harness: active sites exceed websites")
-	}
 	if p.ClientsPerSite <= 0 {
 		return fmt.Errorf("harness: clients per site must be positive")
 	}
 	if p.Localities <= 0 {
 		return fmt.Errorf("harness: localities must be positive")
+	}
+	if err := p.Faults.Validate(p.Localities); err != nil {
+		return err
 	}
 	// BuildPools indexes the weights by locality and divides by their sum.
 	if n := len(p.LocalityWeights); n != 0 && n != p.Localities {
@@ -414,7 +399,10 @@ func (p Params) Validate() error {
 			return fmt.Errorf("harness: directory degrade %+v names no directory, an empty window or a factor ≤ 1", dd)
 		}
 	}
-	return nil
+	// The protocol's own checks (key space, periods, negative values), before
+	// anything is sized by these parameters.
+	cfg := p.CoreConfig(p.BuildPools())
+	return cfg.Validate()
 }
 
 // isDirPosition reports whether d(active site si, locality loc) exists.

@@ -359,7 +359,7 @@ func Experiments() []Experiment {
 		{Points: func(p Params, o Options) []Point {
 			warm := o.preset(DirCrashStormParams(p.Seed))
 			cold := warm
-			cold.StandbyFailover, cold.ShedBudget = false, 0
+			cold.StandbyFailover = false
 			return []Point{{Label: "cold", Params: cold}, {Label: "warm", Params: warm}}
 		}, Views: []View{{
 			"dircrash", "scheduled directory crashes under light loss: warm-standby promotion against the cold §5.2 rebuild",

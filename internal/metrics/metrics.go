@@ -156,7 +156,7 @@ type Collector struct {
 	dirFallbacks    int64
 	originFallbacks int64
 	// shedQueries counts new-client queries short-circuited to the origin
-	// tier by the takeover shed budget (Config.ShedBudget).
+	// tier by the takeover shed budget (core.Config.StandbyFailover).
 	shedQueries int64
 	// Adaptive gray-failure accounting (Config.Adaptive): hedged lookups
 	// sent, hedges that reached a directory before the primary, and holder

@@ -17,6 +17,8 @@
 package simnet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -109,6 +111,55 @@ func (f *FaultConfig) Enabled() bool {
 		}
 	}
 	return false
+}
+
+// Validate refuses a config that would run as something other than it says
+// (a knob the plane would ignore, clamp or saturate): a probability that is
+// NaN or outside [0, 1], a negative or non-finite ms value, a window with
+// End ≤ Start, a degrade factor not above 1, a locality outside [0,
+// localities) or more LocalityLoss entries than localities, and a flap
+// without 0 < DownFor < Period. Nil-safe.
+func (f *FaultConfig) Validate(localities int) error {
+	if f == nil {
+		return nil
+	}
+	badLoc := func(loc int) bool { return loc < 0 || loc >= localities }
+	probs := append([]float64{f.LossProb, f.JitterProb, f.SpikeProb}, f.LocalityLoss...)
+	for _, r := range f.AsymLoss {
+		if badLoc(r.FromLoc) || badLoc(r.ToLoc) {
+			return fmt.Errorf("simnet: asymmetric loss %+v names no locality", r)
+		}
+		probs = append(probs, r.Prob)
+	}
+	for _, p := range probs {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("simnet: fault probability %v is not in [0, 1]", p)
+		}
+	}
+	for _, ms := range [...]float64{f.JitterMaxMs, f.SpikeMs} {
+		if !(ms >= 0 && ms <= math.MaxFloat64) {
+			return fmt.Errorf("simnet: fault latency %v ms is not a non-negative finite number", ms)
+		}
+	}
+	if len(f.LocalityLoss) > localities {
+		return fmt.Errorf("simnet: %d locality loss entries for %d localities", len(f.LocalityLoss), localities)
+	}
+	for _, w := range f.Partitions {
+		if badLoc(w.Locality) || w.End <= w.Start {
+			return fmt.Errorf("simnet: partition %+v names no locality or an empty window", w)
+		}
+	}
+	for _, w := range f.NodeDegrade {
+		if w.End <= w.Start || !(w.Factor > 1) {
+			return fmt.Errorf("simnet: degrade window %+v is empty or has a factor ≤ 1", w)
+		}
+	}
+	for _, w := range f.Flap {
+		if badLoc(w.Locality) || w.End <= w.Start || !(w.DownFor > 0 && w.DownFor < w.Period) {
+			return fmt.Errorf("simnet: flap %+v names no locality, an empty window or no 0 < DownFor < Period", w)
+		}
+	}
+	return nil
 }
 
 // Partitioned reports whether loc is cut off from other localities at now.
