@@ -79,7 +79,7 @@ func (s *System) onDirectoryUnreachable(h *host) {
 		Str: string(h.cp.Site()), Loc: int32(h.cp.Locality())})
 	h.cp.ForgetDir()
 	if s.cfg.StandbyFailover {
-		if h.role.warm() != nil && h.role.watched() != 0 {
+		if h.role.warm() != nil && h.role.watched() != noNode {
 			// We ARE the standby: take over directly, don't race ourselves
 			// through the cold join protocol.
 			s.requestPromotion(h)
@@ -243,7 +243,7 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 		s.hosts[prev].dir = nil
 	}
 	if h.role == nil {
-		h.role = new(dirRole)
+		h.role = newDirRole()
 	}
 	r := h.role
 	r.node = node
@@ -324,11 +324,11 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 	best.cp.SetDir(best.addr)
 	// Stand the old designation down: the successor directory designates
 	// its own standby on its maintenance loop.
-	if sbAddr := old.role.standby; sbAddr != 0 {
+	if sbAddr := old.role.standby; sbAddr != noNode {
 		if sb := s.hosts[sbAddr]; sb != nil && s.net.Alive(sbAddr) && sb.role.watched() == old.addr {
 			s.net.Send(old.addr, sbAddr, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
 		}
-		old.role.standby = 0
+		old.role.standby = noNode
 	}
 	// The old directory departs: with its roles handed over, like any peer.
 	old.dir, old.role.node = nil, nil

@@ -56,11 +56,11 @@ type dirRole struct {
 	node                              *chord.Node // read through host.dirNode
 	dirTicker, stabTicker, replTicker simkernel.Ticker
 	standbyTicker                     simkernel.Ticker // designation + anti-entropy loop
-	standby                           simnet.NodeID    // designated standby (0 = none)
+	standby                           simnet.NodeID    // designated standby (noNode = none)
 	deltaShards                       []int32          // TakeDirtyShards scratch
 
 	replica      *dring.Directory // warm copy of the primary's index
-	standbyFor   simnet.NodeID    // the watched primary (0 = not a standby)
+	standbyFor   simnet.NodeID    // the watched primary (noNode = not a standby)
 	standbyKey   chord.ID         // the D-ring position to take over
 	standbySite  model.SiteID
 	standbyLoc   int
@@ -68,6 +68,14 @@ type dirRole struct {
 	probeToken   uint32
 	probeTimeout simkernel.TimerHandle
 }
+
+// noNode stands for "no host" in a NodeID field; every NodeID, node 0
+// included, is a host (trace records use -1 the same way).
+const noNode simnet.NodeID = -1
+
+// newDirRole allocates role state that names no standby and watches no
+// primary.
+func newDirRole() *dirRole { return &dirRole{standby: noNode, standbyFor: noNode} }
 
 // rareState is the client state most hosts never need, allocated on first
 // use: the §5.4 locality override and stash, the §5.2 dir-join timer and

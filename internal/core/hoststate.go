@@ -59,7 +59,7 @@ func (h *host) rarely() *rareState {
 
 // dirNode, watched and warm read role state of a host that may hold none at
 // all (dirNode even of a nil host): its D-ring node (nil = not on the ring),
-// the primary it is warm standby for (0 = none) and its replica of that
+// the primary it is warm standby for (noNode = none) and its replica of that
 // primary's index.
 func (h *host) dirNode() *chord.Node {
 	if h == nil || h.role == nil {
@@ -70,7 +70,7 @@ func (h *host) dirNode() *chord.Node {
 
 func (r *dirRole) watched() simnet.NodeID {
 	if r == nil {
-		return 0
+		return noNode
 	}
 	return r.standbyFor
 }

@@ -70,7 +70,7 @@ type Query struct {
 	cands            [retryLimit]simnet.NodeID // cands[nextCand:nCands]: untried content-peer candidates
 	nextCand, nCands uint8
 
-	handlerDir simnet.NodeID // the directory that ran Algorithm 3 for us
+	handlerDir simnet.NodeID // the directory that ran Algorithm 3 for us (noNode: none yet)
 	remoteDir  simnet.NodeID // set while a neighbour directory handles the query
 	dirSeed    []gossip.Entry
 	fails      queryFails // failed-destination memory

@@ -70,7 +70,7 @@ func (s *System) awaitLookup(h *host, q *Query, attempt int) {
 // by the handler-claim and recorded guards), then fall through to the
 // normal retry chain after the remainder of the full deadline.
 func (s *System) hedgeLookup(h *host, q *Query, attempt int, remaining simkernel.Time) {
-	if q.handlerDir == 0 && !q.finished {
+	if q.handlerDir == noNode && !q.finished {
 		if entry, ok := s.randomAliveDir(); ok {
 			s.mets.RecordHedge()
 			key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
@@ -312,7 +312,7 @@ func (s *System) handleRouted(h *host, m *routedMsg) {
 		s.handleDirJoinRequest(h, key, candidate)
 		return
 	}
-	if hedged && q.handlerDir == 0 && !q.finished {
+	if hedged && q.handlerDir == noNode && !q.finished {
 		// The hedge reached a directory before the primary lookup did.
 		s.mets.RecordHedgeWin()
 	}
@@ -337,7 +337,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 		s.awaitOriginRetry(h, q, 0, true)
 		return
 	}
-	if !forwarded && q.handlerDir == 0 {
+	if !forwarded && q.handlerDir == noNode {
 		q.handlerDir = h.addr
 		q.handlerIsLocal = h.dir.Site() == q.Site && h.dir.Locality() == q.OriginLoc
 		if q.NewClient && q.handlerIsLocal {
@@ -520,7 +520,7 @@ func (s *System) handleForwardFail(h *host, q *Query) {
 // escalates a view miss to its directory.
 func (s *System) handleDirQuery(h *host, m dirQueryMsg) {
 	q := m.Q
-	if q.handlerDir == 0 {
+	if q.handlerDir == noNode {
 		q.handlerDir = h.addr
 		q.handlerIsLocal = h.dir != nil && h.dir.Site() == q.Site
 	}
@@ -573,7 +573,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		q.recorded = true
 		s.trace(trace.Record{Kind: trace.Served, Variant: trace.Variant(src), Query: q.ID, Node: h.addr, Peer: q.Origin,
 			Args: [2]int32{trace.Ms(lookup), trace.Ms(dist)}})
-		if fromContentPeer && q.handlerDir != 0 {
+		if fromContentPeer && q.handlerDir != noNode {
 			// Partition-recovery probe: a P2P hit that went through a
 			// directory proves the locality's directory plane works again.
 			s.healProbe.note(q.OriginLoc, now)

@@ -163,7 +163,7 @@ func TestReviveIsBlankSlate(t *testing.T) {
 			step()
 			e.k.Run(e.k.Now() + simkernel.Time(rng.Intn(5000))*simkernel.Millisecond)
 		}
-		if h.role.watched() != 0 {
+		if h.role.watched() != noNode {
 			seen["standby"]++
 		}
 		if rng.Intn(2) == 0 {

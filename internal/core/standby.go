@@ -33,14 +33,14 @@ func (s *System) standbyMaintTick(h *host) {
 		return
 	}
 	r := h.role
-	if r.standby != 0 && !s.standbyStillFit(h) {
+	if r.standby != noNode && !s.standbyStillFit(h) {
 		if sb := s.hosts[r.standby]; sb != nil && s.net.Alive(r.standby) && sb.role.watched() == h.addr {
 			s.net.Send(h.addr, r.standby, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
 		}
-		r.standby = 0
+		r.standby = noNode
 		h.dir.DisableDeltaTracking()
 	}
-	if r.standby == 0 {
+	if r.standby == noNode {
 		s.designateStandby(h)
 		return // the full snapshot covers everything; deltas start next tick
 	}
@@ -74,7 +74,7 @@ func (s *System) designateStandby(h *host) {
 		if mh == nil || mh.cp == nil || mh.dir != nil || !s.net.Alive(mAddr) {
 			continue
 		}
-		if w := mh.role.watched(); w != 0 && w != h.addr {
+		if w := mh.role.watched(); w != noNode && w != h.addr {
 			continue // already carries a replica for another directory
 		}
 		if best == nil || mh.cp.JoinedAt() < best.cp.JoinedAt() ||
@@ -105,7 +105,7 @@ func (s *System) handleStandbyAssign(h *host, m standbyAssignMsg) {
 		return
 	}
 	if h.role == nil {
-		h.role = new(dirRole)
+		h.role = newDirRole()
 	}
 	r := h.role
 	if r.replica == nil || r.standbyFor != m.FromDir || r.standbyKey != m.Key {
@@ -145,7 +145,7 @@ func (s *System) stopStandbyWatch(h *host) {
 	r.probeTimeout = simkernel.TimerHandle{}
 	r.probeToken++
 	r.replica = nil
-	r.standbyFor, r.standbyKey, r.standbySite, r.standbyLoc = 0, 0, "", 0
+	r.standbyFor, r.standbyKey, r.standbySite, r.standbyLoc = noNode, 0, "", 0
 }
 
 // startStandbyProbes arms the standby→primary liveness watchdog.
@@ -163,7 +163,7 @@ func (s *System) startStandbyProbes(h *host) {
 // warm detection beat the cold keepalive-offset race.
 func (s *System) standbyProbeTick(h *host) {
 	r := h.role // armed this ticker, so allocated
-	if r.standbyFor == 0 || h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
+	if r.standbyFor == noNode || h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
 	s.net.Send(h.addr, r.standbyFor, simnet.CatKeepalive, bytesKeepalive, standbyProbeMsg{})
@@ -203,7 +203,7 @@ func (s *System) handleStandbyProbeAck(h *host, from simnet.NodeID) {
 // handleStandbyPromote judges liveness against the ring one hop later.
 func (s *System) requestPromotion(h *host) {
 	r := h.role
-	if r.watched() == 0 || r.replica == nil || h.dir != nil || !s.net.Alive(h.addr) {
+	if r.watched() == noNode || r.replica == nil || h.dir != nil || !s.net.Alive(h.addr) {
 		return
 	}
 	s.net.Send(h.addr, h.addr, simnet.CatMaintenance, bytesJoinCtl,

@@ -190,7 +190,7 @@ func (s *System) newQuery() *Query {
 		s.stats.QueryRecords++
 	}
 	q := take(&p.queries)
-	q.live, q.refs = true, 1
+	q.live, q.refs, q.handlerDir = true, 1, noNode
 	return q
 }
 
