@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -21,10 +22,12 @@ import (
 //     matrix and its counts, see dring.AuditConsistency) and its holder
 //     claims against the actual stashes of live same-overlay content peers;
 //     a dead directory keeps its index only until its position is taken over;
-//   - the await-token/timer plane (a latched dir-join must have its timer
-//     armed; dead hosts must leave nothing pending; a keepalive timeout
-//     can only be armed on a content peer; and, for queries: timer armed
-//     ⇔ continuation kind set ⇔ await-registry slot live ⇔ record live);
+//   - every host's lifecycle: its phase fixes its role pointers, which
+//     timers run and whether the network has it up (a latched dir-join must
+//     have its timer armed; dead hosts must leave nothing pending; a round
+//     deadline can only be armed on a content peer);
+//   - the query await registry (timer armed ⇔ continuation kind set ⇔
+//     await-registry slot live ⇔ record live);
 //   - every live content peer's gossip view (gossip.View.Check) and own summary.
 //
 // It is diagnostic-only: it never mutates state, and it allocates freely.
@@ -105,43 +108,26 @@ func (s *System) Audit() AuditReport {
 		})
 	}
 
-	// --- Await-token / timer plane ----------------------------------------
+	// --- One lifecycle invariant per host ---------------------------------
+	// The tally counts the timer checks the invariant took over, two per
+	// participant and a third per live content peer, as the equivalence
+	// fixture pins it. The view checks, like the await registry below, are
+	// not tallied.
 	for addr, h := range s.hosts {
-		if h == nil || h.isServer() {
+		if h == nil {
 			continue
 		}
-		if !s.net.Alive(simnet.NodeID(addr)) {
-			oneShot, periodic := h.timers()
-			r.Checks++
-			if slices.ContainsFunc(oneShot[:], simkernel.TimerHandle.Active) || h.has(hfAwait) {
-				fail("timers: dead host %d has an armed failure-detection timer or a round await", addr)
+		alive := s.net.Alive(simnet.NodeID(addr))
+		if h.phase != phServer {
+			r.Checks += 2
+			if alive && h.cp != nil {
+				r.Checks++
 			}
-			r.Checks++
-			if slices.ContainsFunc(periodic[:], func(t simkernel.Ticker) bool { return !t.Stopped() }) {
-				fail("timers: dead host %d has a running ticker", addr)
-			}
-			// Not tallied in Checks either (see the await registry below).
-			if h.dir != nil && s.dirByKey[h.dir.Key()] != simnet.NodeID(addr) {
-				fail("index: dead host %d keeps the index of d(%s,%d), a position since taken over",
-					addr, h.dir.Site(), h.dir.Locality())
-			}
-			continue
 		}
-		r.Checks++
-		if h.has(hfJoinInFlight) && (h.rare == nil || !h.rare.joinTimer.Active()) {
-			fail("timers: host %d latched a dir-join with no armed latch timer", addr)
+		if v := s.lifecycleViolation(h, alive); v != "" {
+			fail("%s", v)
 		}
-		r.Checks++
-		if armed := h.deadline.Active(); armed != h.has(hfAwait) || armed && h.cp == nil {
-			fail("timers: host %d: round deadline armed=%v, awaiting gossip=%v keepalive=%v, content peer=%v",
-				addr, armed, h.has(hfAwaitGossip), h.has(hfAwaitKeepalive), h.cp != nil)
-		}
-		if h.cp != nil {
-			r.Checks++
-			if h.round.Stopped() {
-				fail("timers: content peer %d is missing its round ticker", addr)
-			}
-			// Like the await registry below, not tallied in Checks.
+		if alive && h.cp != nil {
 			if err := h.cp.View().Check(); err != nil {
 				fail("view: content peer %d: %v", addr, err)
 			}
@@ -172,4 +158,49 @@ func (s *System) Audit() AuditReport {
 		}
 	}
 	return r
+}
+
+// lifecycleViolation holds h to the one lifecycle invariant, phase ⇔
+// pointers ⇔ timers ⇔ net.Alive: a dead host's timers and the index it may
+// keep, a live host's round and failure-detection timers, then the phase its
+// record shows against the one it is in. It names the first disagreement,
+// or returns "".
+func (s *System) lifecycleViolation(h *host, alive bool) string {
+	oneShot, periodic := h.timers()
+	armed := h.deadline.Active()
+	switch {
+	case !alive && (slices.ContainsFunc(oneShot[:], simkernel.TimerHandle.Active) || h.has(hfAwait) ||
+		slices.ContainsFunc(periodic[:], func(t simkernel.Ticker) bool { return !t.Stopped() })):
+		return fmt.Sprintf("timers: dead host %d has an armed timer, a running ticker or a round await", h.addr)
+	case !alive && h.dir != nil && s.dirByKey[h.dir.Key()] != h.addr:
+		return fmt.Sprintf("index: dead host %d keeps the index of d(%s,%d), a position since taken over",
+			h.addr, h.dir.Site(), h.dir.Locality())
+	case !alive:
+	case h.has(hfJoinInFlight) && (h.rare == nil || !h.rare.joinTimer.Active()):
+		return fmt.Sprintf("timers: host %d latched a dir-join with no armed latch timer", h.addr)
+	case armed != h.has(hfAwait) || armed && h.cp == nil:
+		return fmt.Sprintf("timers: host %d: round deadline armed=%v, awaiting gossip=%v keepalive=%v, content peer=%v",
+			h.addr, armed, h.has(hfAwaitGossip), h.has(hfAwaitKeepalive), h.cp != nil)
+	case (h.cp != nil) == h.round.Stopped():
+		return fmt.Sprintf("timers: content peer=%v at host %d, its round running=%v", h.cp != nil, h.addr, !h.round.Stopped())
+	}
+	r := cmp.Or(h.role, newDirRole())
+	warm := r.replica != nil && r.standbyFor != noNode && !r.probeTicker.Stopped()
+	cold := r.replica == nil && r.standbyFor == noNode && r.probeTicker.Stopped()
+	noDir := h.dir == nil && r.node == nil && r.dirTicker.Stopped() && r.stabTicker.Stopped() &&
+		r.replTicker.Stopped() && r.standbyTicker.Stopped()
+	ok := [...]bool{
+		phClient:    alive && h.cp == nil && noDir && cold,
+		phMember:    alive && h.cp != nil && noDir && cold,
+		phStandby:   alive && h.cp != nil && noDir && warm,
+		phDirectory: alive && h.dir != nil && r.node != nil && !r.dirTicker.Stopped() && cold,
+		phServer:    alive && h.cp == nil && h.role == nil,
+		phDead:      !alive && h.dir == nil && r.node == nil && cold,
+		phGone:      !alive && r.node != nil && cold,
+	}[h.phase]
+	if !ok {
+		return fmt.Sprintf("phase: %s host %d: alive=%v content peer=%v index=%v ring node=%v replica=%v",
+			h.phase, h.addr, alive, h.cp != nil, h.dir != nil, r.node != nil, r.replica != nil)
+	}
+	return ""
 }

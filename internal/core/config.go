@@ -77,11 +77,10 @@ type Config struct {
 	Adaptive bool
 
 	// Active replication (§8 future work, implemented as an extension):
-	// every ReplicationPeriod, each directory offers its ReplicationTopK
+	// every TGossip, each directory offers its ReplicationTopK
 	// most-requested objects to same-website neighbour directories, which
 	// prefetch the ones their overlay lacks. 0 disables the extension.
-	ReplicationTopK   int
-	ReplicationPeriod simkernel.Time // defaults to TGossip when TopK > 0
+	ReplicationTopK int
 
 	// StandbyFailover arms the warm-standby directory extension: every
 	// directory designates the §5.2-ranked best content peer of its overlay
@@ -176,9 +175,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Gossip.ViewSize <= 0 || c.Gossip.GossipLen <= 0 {
 		return fmt.Errorf("core: gossip view size and length must be positive")
-	}
-	if c.ReplicationTopK > 0 && c.ReplicationPeriod <= 0 {
-		c.ReplicationPeriod = c.TGossip
 	}
 	if len(c.PoolSizes) == 0 {
 		return fmt.Errorf("core: pool sizes not set (use harness.BuildPools)")

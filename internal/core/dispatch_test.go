@@ -108,7 +108,7 @@ func TestRejectSendAllocs(t *testing.T) {
 	s := e.sys
 	var ends []simnet.NodeID
 	for addr, h := range s.hosts {
-		if h != nil && !h.isServer() && h.dir == nil && addr >= 256 && len(ends) < 2 {
+		if h != nil && h.phase != phServer && h.dir == nil && addr >= 256 && len(ends) < 2 {
 			ends = append(ends, simnet.NodeID(addr))
 		}
 	}

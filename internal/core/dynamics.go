@@ -15,46 +15,31 @@ import (
 // failures (§5.1) live in query.go next to Algorithm 3.
 
 // FailPeer crashes a node: it stops participating and all traffic to it is
-// lost. Other peers discover the failure through their own timeouts.
+// lost. Other peers discover the failure through their own timeouts. A
+// crashed directory is gone for good (§5.2 re-fills its position).
 func (s *System) FailPeer(addr simnet.NodeID) {
 	h := s.hosts[addr]
-	if h == nil || h.isServer() {
-		return
+	if h == nil || h.phase >= phServer {
+		return // no such host, the origin server, or already down
 	}
-	s.net.Fail(addr)
-	h.stopTimers()
-	if n := h.dirNode(); n != nil {
-		s.ring.Fail(n)
+	to := phDead
+	if h.phase == phDirectory {
+		to = phGone
 	}
-	if h.has(hfAccounted) {
-		s.mets.PeerLeft(s.k.Now())
-		h.flags &^= hfAccounted
-	}
+	s.transition(h, to)
 }
 
 // RevivePeer brings a crashed client node back online. Its volatile state
 // (cache, view, overlay membership) is gone — it rejoins as a new client
-// on its next query, exactly like a returning user. Directory hosts cannot
-// be revived this way (their position is re-filled by §5.2 replacement),
-// nor can one whose position was taken over and its index released.
+// on its next query, exactly like a returning user. A crashed directory
+// cannot be revived this way (its position is re-filled by §5.2
+// replacement); one that departed (DirectoryLeave) can.
 func (s *System) RevivePeer(addr simnet.NodeID) bool {
 	h := s.hosts[addr]
-	if h == nil || h.isServer() || h.dir != nil || h.dirNode() != nil {
+	if h == nil || h.phase != phDead {
 		return false
 	}
-	if s.net.Alive(addr) {
-		return false
-	}
-	s.net.Recover(addr)
-	// Nothing of the pre-crash life may leak into the new one, estimator
-	// history included, and its summaries go back; FailPeer left no timer armed.
-	if h.cp != nil {
-		h.cp.Leave()
-	}
-	h.reborn()
-	if s.adapt != nil {
-		s.adapt[addr] = adaptiveSlot{}
-	}
+	s.transition(h, phClient)
 	return true
 }
 
@@ -62,11 +47,10 @@ func (s *System) RevivePeer(addr simnet.NodeID) bool {
 // false if the position is already empty.
 func (s *System) FailDirectory(site model.SiteID, loc int) bool {
 	addr, ok := s.DirectoryAddr(site, loc)
-	if !ok {
-		return false
+	if ok {
+		s.FailPeer(addr)
 	}
-	s.FailPeer(addr)
-	return true
+	return ok
 }
 
 // onDirectoryUnreachable runs at a content peer whose keepalive (or push)
@@ -78,17 +62,16 @@ func (s *System) onDirectoryUnreachable(h *host) {
 	s.trace(trace.Record{Kind: trace.DirFailureDetected, Node: h.addr, Peer: -1,
 		Str: string(h.cp.Site()), Loc: int32(h.cp.Locality())})
 	h.cp.ForgetDir()
-	if s.cfg.StandbyFailover {
-		if h.role.warm() != nil && h.role.watched() != noNode {
-			// We ARE the standby: take over directly, don't race ourselves
-			// through the cold join protocol.
-			s.requestPromotion(h)
-			return
-		}
+	switch {
+	case h.phase == phStandby:
+		// We ARE the standby: take over directly, don't race ourselves
+		// through the cold join protocol.
+		s.requestPromotion(h)
+	case s.cfg.StandbyFailover:
 		s.deferDirJoin(h)
-		return
+	default:
+		s.attemptDirJoin(h, h.cp.Site(), h.cp.Locality())
 	}
-	s.attemptDirJoin(h, h.cp.Site(), h.cp.Locality())
 }
 
 // deferDirJoin gives the designated standby a deterministic head start
@@ -175,7 +158,7 @@ func (s *System) handleDirJoinTaken(h *host, m dirJoinTakenMsg) {
 // while answering early queries from our own store and view (§5.2).
 func (s *System) handleDirJoinAccept(h *host, m dirJoinAcceptMsg) {
 	h.dirJoinAnswered()
-	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
+	if !h.plainPeer() {
 		return
 	}
 	boot := s.hosts[m.Bootstrap].dirNode()
@@ -233,13 +216,14 @@ func (s *System) takeOverPosition(key chord.ID, addr simnet.NodeID, boot *chord.
 	return node, nil
 }
 
-// installDirectory wires directory state and tickers onto a host: a founding
-// directory, or one a §5.2 replacement, standby promotion or leave installs.
-// A crashed previous holder of the position gives its index back: nothing
-// reads it once the position is taken over, and it is never revived.
+// installDirectory moves a host into the directory phase and wires its state
+// and tickers: a founding directory, or one a §5.2 replacement, standby
+// promotion or leave installs. A crashed previous holder of the position
+// gives its index back: nothing reads it once the position is taken over.
 func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, loc int) {
+	s.transition(h, phDirectory)
 	key := node.ID()
-	if prev, ok := s.dirByKey[key]; ok && !s.net.Alive(prev) {
+	if prev, ok := s.dirByKey[key]; ok && s.hosts[prev].phase == phGone {
 		s.hosts[prev].dir = nil
 	}
 	if h.role == nil {
@@ -254,14 +238,10 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 	// The optional tickers are never armed twice over.
 	r.dirTicker = s.every(h.addr, s.cfg.TGossip, s.dirTickFn)
 	if s.cfg.ReplicationTopK > 0 && r.replTicker.Stopped() {
-		r.replTicker = s.every(h.addr, s.cfg.ReplicationPeriod, s.replTickFn)
+		r.replTicker = s.every(h.addr, s.cfg.TGossip, s.replTickFn)
 	}
-	if s.cfg.StandbyFailover {
-		// A host promoted into a directory stops being anyone's standby.
-		s.stopStandbyWatch(h)
-		if r.standbyTicker.Stopped() {
-			r.standbyTicker = s.every(h.addr, s.standbySyncEvery, s.standbyTickFn)
-		}
+	if s.cfg.StandbyFailover && r.standbyTicker.Stopped() {
+		r.standbyTicker = s.every(h.addr, s.standbySyncEvery, s.standbyTickFn)
 	}
 	if s.cfg.MaintenancePeriod > 0 && r.stabTicker.Stopped() {
 		r.stabTicker = s.every(h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
@@ -298,19 +278,10 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 		return false
 	}
 	old := s.hosts[addr]
-	if old == nil || old.dir == nil || old.dirNode() == nil {
+	if old.phase != phDirectory {
 		return false
 	}
-	var best *host
-	for _, mAddr := range old.dir.Members() {
-		mh := s.hosts[mAddr]
-		if mh == nil || mh.cp == nil || mh.dir != nil || !s.net.Alive(mAddr) {
-			continue
-		}
-		if best == nil || mh.cp.JoinedAt() < best.cp.JoinedAt() {
-			best = mh
-		}
-	}
+	best := s.mostStable(old, (*host).plainPeer)
 	if best == nil {
 		return false
 	}
@@ -324,15 +295,11 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 	best.cp.SetDir(best.addr)
 	// Stand the old designation down: the successor directory designates
 	// its own standby on its maintenance loop.
-	if sbAddr := old.role.standby; sbAddr != noNode {
-		if sb := s.hosts[sbAddr]; sb != nil && s.net.Alive(sbAddr) && sb.role.watched() == old.addr {
-			s.net.Send(old.addr, sbAddr, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
-		}
-		old.role.standby = noNode
+	if sb := old.role.standby; sb != noNode && s.hosts[sb].watches(old.addr) {
+		s.net.Send(old.addr, sb, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
 	}
-	// The old directory departs: with its roles handed over, like any peer.
-	old.dir, old.role.node = nil, nil
-	s.FailPeer(old.addr)
+	// The old directory departs, its roles handed over.
+	s.transition(old, phDead)
 	s.stats.DirReplacements++
 	s.trace(trace.Record{Kind: trace.DirHandoff, Node: old.addr, Peer: best.addr, Str: string(site), Loc: int32(loc)})
 	return true
@@ -342,26 +309,17 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 // different locality and switches overlays — it leaves its old overlay
 // (contacts discover this via gossip rejections and ages), rejoins the new
 // one as a new client on its next query, and then re-pushes its held
-// content to the new directory.
+// content to the new directory. A directory, the origin server and a
+// crashed host (whose revival wipes the override) cannot move.
 func (s *System) ChangeLocality(addr simnet.NodeID, newLoc int) bool {
 	h := s.hosts[addr]
-	if h == nil || h.isServer() || h.dir != nil {
+	if h == nil || h.phase != phClient && !h.plainPeer() || newLoc < 0 || newLoc >= s.cfg.Localities {
 		return false
 	}
-	if newLoc < 0 || newLoc >= s.cfg.Localities {
-		return false
-	}
-	r := h.rarely()
-	r.assignedLoc = int32(newLoc)
+	h.rarely().assignedLoc = int32(newLoc)
 	h.flags |= hfLocOverride
-	if h.cp != nil {
-		r.stash = h.cp.Objects()
-		h.cp.Leave()
-		h.cp = nil
-		h.round.Stop()
-		h.deadline.Cancel()
-		h.flags &^= hfAwait
-		// Still an accounted participant; it rejoins on its next query.
+	if h.phase != phClient {
+		s.transition(h, phClient)
 	}
 	return true
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // host is one simulated process and the one record of everything the
-// protocol keeps about it. A host can play several roles over its
-// lifetime: origin server, directory peer, content peer — and, after a
-// §5.2 replacement, directory and content peer at once.
+// protocol keeps about it. Its phase says which role it plays: origin
+// server, client, content peer, warm standby or directory peer (after a
+// §5.2 replacement, directory and content peer at once), or none since a
+// crash; only transition changes it (hoststate.go).
 //
 // Ticks arrive in time order, one host at a time, so what a round reads
 // (the round ticker and its one deadline, the gossip partner, flags,
@@ -45,13 +46,15 @@ type host struct {
 	// hint dring.KeepaliveAt verifies, so a keepalive skips the NodeID→slot map.
 	dirSlot int32
 	flags   hostFlag
+	phase   phase
 }
 
-// dirRole is what a host carries as a directory peer or as a directory's
-// warm standby (Config.StandbyFailover), allocated at promotion or
-// designation: the directory's D-ring node, its periodic behaviours and its
-// designated standby; on the standby, the replica index, the primary it
-// watches and the probe watchdog.
+// dirRole is what a host carries in the directory or standby phase
+// (Config.StandbyFailover), allocated at its first promotion or designation.
+// A directory keeps its D-ring node, its periodic behaviours and its
+// designated standby. A standby keeps its replica of the primary's index,
+// whose key, site and locality name the position it would take over, the
+// primary it watches and the probe watchdog; leaving the phase drops them.
 type dirRole struct {
 	node                              *chord.Node // read through host.dirNode
 	dirTicker, stabTicker, replTicker simkernel.Ticker
@@ -61,11 +64,7 @@ type dirRole struct {
 
 	replica      *dring.Directory // warm copy of the primary's index
 	standbyFor   simnet.NodeID    // the watched primary (noNode = not a standby)
-	standbyKey   chord.ID         // the D-ring position to take over
-	standbySite  model.SiteID
-	standbyLoc   int
 	probeTicker  simkernel.Ticker
-	probeToken   uint32
 	probeTimeout simkernel.TimerHandle
 }
 
@@ -168,7 +167,7 @@ func (h *host) HandleMessage(msg simnet.Message) {
 	case standbyProbeAckMsg:
 		s.handleStandbyProbeAck(h, msg.From)
 	case standbyPromoteMsg:
-		s.handleStandbyPromote(h, m)
+		s.handleStandbyPromote(h)
 	default:
 		// Unknown payloads are dropped (future-proofing).
 	}

@@ -1,28 +1,118 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"flowercdn/internal/chord"
-	"flowercdn/internal/dring"
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 )
 
 // This file holds the behaviour of the per-participant record (host.go):
-// role and latch bits, the rarely-needed state behind its two pointers, the
-// one list of its timers, and its bound failure-detection callbacks.
+// its lifecycle phase and the one transition that changes it, latch bits,
+// the rarely-needed state behind its two pointers, the one list of its
+// timers, and its bound failure-detection callbacks.
 
-// hostFlag packs the per-host role and latch bits.
+// phase is where a host stands in the participant lifecycle: the paper's
+// three roles (client, content peer of c(ws,loc), directory d(ws,loc)) and
+// the warm standby, then the origin server, then the two ends of a crash, in
+// that order. Each phase fixes which role pointers are set, which timers run
+// and whether the network has the host up (the auditor's invariant).
+type phase uint8
+
+const (
+	phClient    phase = iota // no role: never joined, or since a §5.4 leave or a revival
+	phMember                 // content peer of c(ws,loc)
+	phStandby                // content peer keeping a warm replica of its directory
+	phDirectory              // d(ws,loc); a content peer too after a §5.2 replacement
+	phServer                 // origin server: never fails, never joins
+	phDead                   // crashed client or member, or departed directory: revivable
+	phGone                   // crashed directory: keeps its D-ring node, never revived
+)
+
+func (p phase) String() string {
+	return [...]string{"client", "member", "standby", "directory", "server", "dead", "gone"}[p]
+}
+
+// legalNext is the transition table: §3.2 join (→ member), designation and
+// revocation of a standby, §5.2 replacement, promotion and hand-over
+// (→ directory), §5.4 leave and revival (→ client), crash and departure.
+var legalNext = [...][]phase{
+	phClient:    {phMember, phDirectory, phDead},
+	phMember:    {phStandby, phDirectory, phClient, phDead},
+	phStandby:   {phMember, phDirectory, phClient, phDead},
+	phDirectory: {phDead, phGone},
+	phDead:      {phClient},
+}
+
+// transition moves h to phase to, panicking on a move legalNext does not
+// list, and tears down what h leaves: a standby's watchdog and replica, its
+// membership on a §5.4 leave (objects kept for the next overlay), everything
+// on a crash or departure, and on a revival the record but its identity.
+// Set-up is the caller's.
+func (s *System) transition(h *host, to phase) {
+	from := h.phase
+	if !slices.Contains(legalNext[from], to) {
+		panic(fmt.Sprintf("core: host %d cannot move from %s to %s", h.addr, from, to))
+	}
+	if r := h.role; from == phStandby {
+		r.probeTicker.Stop()
+		r.probeTimeout.Cancel()
+		r.replica, r.standbyFor = nil, noNode
+	}
+	switch {
+	case to == phDead || to == phGone:
+		if to == phGone {
+			s.ring.Fail(h.role.node)
+		} else if from == phDirectory { // a departure: its roles were handed over
+			h.dir, h.role.node = nil, nil
+		}
+		s.net.Fail(h.addr)
+		h.stopTimers()
+		if h.has(hfAccounted) { // until a revival clears the record
+			s.mets.PeerLeft(s.k.Now())
+		}
+	case from == phDead:
+		// Nothing of the last life survives, estimator history included, and
+		// its summaries go back; the crash left no timer armed.
+		s.net.Recover(h.addr)
+		if h.cp != nil {
+			h.cp.Leave()
+		}
+		*h = host{sys: h.sys, addr: h.addr, loc: h.loc}
+		if s.adapt != nil {
+			s.adapt[h.addr] = adaptiveSlot{}
+		}
+	case to == phClient:
+		// Still an accounted participant; it rejoins on its next query.
+		h.rarely().stash = h.cp.Objects()
+		h.cp.Leave()
+		h.cp = nil
+		h.round.Stop()
+		h.deadline.Cancel()
+		h.flags &^= hfAwait
+	}
+	h.phase = to
+}
+
+// plainPeer reports a live content peer that is no directory: a member or
+// a standby.
+func (h *host) plainPeer() bool { return h.phase == phMember || h.phase == phStandby }
+
+// watches reports whether h is the warm standby of primary.
+func (h *host) watches(primary simnet.NodeID) bool {
+	return h.phase == phStandby && h.role.standbyFor == primary
+}
+
+// hostFlag packs the per-host latch bits.
 type hostFlag uint8
 
 const (
-	// hfServer marks an origin-server host (never fails, never joins).
-	hfServer hostFlag = 1 << iota
 	// hfLocOverride marks a §5.4 locality change: rare.assignedLoc replaces
 	// the measured locality.
-	hfLocOverride
+	hfLocOverride hostFlag = 1 << iota
 	// hfAccounted marks a participant of the per-peer traffic average.
 	hfAccounted
 	// hfJoinInFlight latches an outstanding §5.2 directory-join request.
@@ -36,8 +126,6 @@ const (
 )
 
 func (h *host) has(f hostFlag) bool { return h.flags&f != 0 }
-
-func (h *host) isServer() bool { return h.has(hfServer) }
 
 // overlayLocality resolves the effective locality of a host: the measured
 // one, unless a §5.4 change overrode it.
@@ -57,29 +145,13 @@ func (h *host) rarely() *rareState {
 	return h.rare
 }
 
-// dirNode, watched and warm read role state of a host that may hold none at
-// all (dirNode even of a nil host): its D-ring node (nil = not on the ring),
-// the primary it is warm standby for (noNode = none) and its replica of that
-// primary's index.
+// dirNode reads the D-ring node of a host that may hold no role state at
+// all, or be nil: nil = not on the ring.
 func (h *host) dirNode() *chord.Node {
 	if h == nil || h.role == nil {
 		return nil
 	}
 	return h.role.node
-}
-
-func (r *dirRole) watched() simnet.NodeID {
-	if r == nil {
-		return noNode
-	}
-	return r.standbyFor
-}
-
-func (r *dirRole) warm() *dring.Directory {
-	if r == nil {
-		return nil
-	}
-	return r.replica
 }
 
 // maxAdmitPending bounds the per-host pending-admission record: a client
@@ -144,14 +216,6 @@ func (h *host) stopTimers() {
 	h.flags &^= hfAwait
 }
 
-// reborn makes a revived client a blank slate, not a watchdog for a
-// directory it no longer belongs to: everything the record held goes —
-// roles, role and rare state, latches, the locality override, the gossip
-// partner and directory slot — except its identity.
-func (h *host) reborn() {
-	*h = host{sys: h.sys, addr: h.addr, loc: h.loc, flags: h.flags & hfServer}
-}
-
 // Hardened dir-join retry: how many unanswered requests before giving up,
 // and the backoff shape. The latch expiry already means ~15 s of silence,
 // so retries start around the partition-scale timescale.
@@ -168,11 +232,8 @@ func (s *System) onJoinLatchExpired(arg uint64) {
 	if !s.Hardened() {
 		return
 	}
-	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
-		return
-	}
-	if h.cp.Dir().Known {
-		return // a directory answered through another channel meanwhile
+	if !h.plainPeer() || h.cp.Dir().Known {
+		return // no plain peer any more, or a directory answered meanwhile
 	}
 	r := h.rare // armed this timer, so allocated
 	a := r.joinAttempts
@@ -193,10 +254,7 @@ func (s *System) onJoinLatchExpired(arg uint64) {
 // may have died or joined a directory itself in the meantime.
 func (s *System) onJoinRetry(arg uint64) {
 	h := s.hosts[uint32(arg)]
-	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
-		return
-	}
-	if h.cp.Dir().Known || h.has(hfJoinInFlight) {
+	if !h.plainPeer() || h.cp.Dir().Known || h.has(hfJoinInFlight) {
 		return
 	}
 	s.attemptDirJoin(h, h.cp.Site(), h.cp.Locality())

@@ -387,7 +387,7 @@ func TestShedSlotReleasedAtOriginRetryCap(t *testing.T) {
 	q.ID, q.Origin, q.Site, q.Ref, q.NewClient = 1, h.addr, e.cfg.Sites[0], s.in.RefFor(0, 3), true
 	s.shedInFlight[0]++
 	q.shedCounted = true
-	s.net.Fail(h.addr) // every fetch of the chain is lost at the sender
+	s.FailPeer(h.addr) // every fetch of the chain is lost at the sender
 	s.fallbackToOrigin(h, q)
 	e.k.Run(15 * simkernel.Minute) // 10+20+40+80+80+80 s of backoff, plus jitter
 	if q.finished || q.refs != 1 {

@@ -353,9 +353,5 @@ type standbyProbeAckMsg struct{}
 // standbyPromoteMsg: standby → itself: a probe went unanswered, decide the
 // takeover one self-addressed hop later. The handler re-checks ring
 // liveness — a false alarm (probe lost to the network, primary actually up)
-// is a harmless no-op.
-type standbyPromoteMsg struct {
-	Key  chord.ID
-	Site model.SiteID
-	Loc  int
-}
+// is a harmless no-op. The standby's replica names the position.
+type standbyPromoteMsg struct{}

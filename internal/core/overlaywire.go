@@ -189,7 +189,7 @@ func (s *System) handleKeepaliveAck(h *host) {
 // the 100k preset this tick fires on every directory every T_gossip, so
 // it is the steady-state floor of the control plane.
 func (s *System) dirTick(h *host) {
-	if h.dir == nil || !s.net.Alive(h.addr) {
+	if h.phase != phDirectory {
 		return
 	}
 	h.dir.TickAges()
@@ -199,17 +199,15 @@ func (s *System) dirTick(h *host) {
 	}
 	f := h.dir.BuildSummary()
 	sent := false
-	if node := h.dirNode(); node != nil && node.Up() {
-		// KnownPeers, not VisitKnown: the sends below consume kernel sequence
-		// numbers and fault-plane draws, so peer order is part of the run.
-		for _, p := range node.KnownPeers() {
-			if !s.ks.SameWebsite(p.ID(), h.dir.Key()) || p.ID() == h.dir.Key() {
-				continue
-			}
-			s.net.Send(h.addr, p.Addr(), simnet.CatDirSummary, 20+f.SizeBytes(),
-				dirSummaryMsg{FromKey: h.dir.Key(), Loc: h.dir.Locality(), Filter: f})
-			sent = true
+	// KnownPeers, not VisitKnown: the sends below consume kernel sequence
+	// numbers and fault-plane draws, so peer order is part of the run.
+	for _, p := range h.role.node.KnownPeers() {
+		if !s.ks.SameWebsite(p.ID(), h.dir.Key()) || p.ID() == h.dir.Key() {
+			continue
 		}
+		s.net.Send(h.addr, p.Addr(), simnet.CatDirSummary, 20+f.SizeBytes(),
+			dirSummaryMsg{FromKey: h.dir.Key(), Loc: h.dir.Locality(), Filter: f})
+		sent = true
 	}
 	if sent {
 		h.dir.MarkSummaryPublished()

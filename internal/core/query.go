@@ -288,12 +288,11 @@ func (s *System) resendEscalation(h *host, q *Query, dir simnet.NodeID, remainin
 // --- D-ring routing -------------------------------------------------------
 
 func (s *System) handleRouted(h *host, m *routedMsg) {
-	node := h.dirNode()
-	if node == nil || !node.Up() {
+	if h.phase != phDirectory {
 		s.putRoutedMsg(m)
-		return // stale route to a demoted node; sender-side timeouts recover
+		return // stale route to a departed directory; sender-side timeouts recover
 	}
-	next, deliver := dring.NextHop(node, m.Key, s.ks)
+	next, deliver := dring.NextHop(h.role.node, m.Key, s.ks)
 	if !deliver {
 		if m.TTL <= 0 {
 			s.mets.RecordRouteTTLExpiry()
@@ -483,7 +482,7 @@ func (s *System) onRedirectTimeout(h *host, q *Query, holder simnet.NodeID, forw
 // handleRedirect runs at the believed holder (content peer or server);
 // dir is the redirecting directory, taken from the network envelope.
 func (s *System) handleRedirect(h *host, q *Query, dir simnet.NodeID) {
-	if h.isServer() {
+	if h.phase == phServer {
 		s.serveQuery(h, q, q.atRemote, false)
 		return
 	}
@@ -644,7 +643,7 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	}
 	if q.needDirBootstrap {
 		s.stats.DirBootstraps++
-		if s.cfg.StandbyFailover && h.role.warm() == nil {
+		if s.cfg.StandbyFailover && h.phase != phStandby {
 			// Same head start the keepalive path gives the designated standby.
 			s.deferDirJoin(h)
 			return
@@ -685,11 +684,12 @@ func (s *System) joinOverlay(h *host, q *Query, viewSeed []gossip.Entry) {
 	s.finishJoin(h, q, q.handlerDir, 0)
 }
 
-// finishJoin is the shared tail of both joins: remember the directory
-// instance, replay objects stashed across a locality change (§5.4), account
-// the participant once per life, and start the peer's periodic behaviours.
-// how is trace.Founding for an overlay's first member, else 0.
+// finishJoin is the shared tail of both joins: make the client a member,
+// remember the directory instance, replay objects stashed across a locality
+// change (§5.4), account the participant once per life, and start the peer's
+// periodic behaviours. how is trace.Founding for an overlay's first member.
 func (s *System) finishJoin(h *host, q *Query, dir simnet.NodeID, how trace.Variant) {
+	s.transition(h, phMember)
 	h.dirInstance = int32(q.targetInstance)
 	if r := h.rare; r != nil {
 		for _, obj := range r.stash {

@@ -70,7 +70,7 @@ func TestCrashStopsEveryTimer(t *testing.T) {
 	dirAddr, _ := s.DirectoryAddr(site, 0)
 	dir := s.host(dirAddr)
 	standby := s.host(dir.role.standby)
-	if standby == nil || standby.role.watched() != dirAddr || standby.role.probeTicker.Stopped() {
+	if standby == nil || !standby.watches(dirAddr) || standby.role.probeTicker.Stopped() {
 		t.Fatal("premise: the directory designated no probing standby")
 	}
 	for _, name := range []string{"dirRole.dirTicker", "dirRole.stabTicker", "dirRole.replTicker", "dirRole.standbyTicker"} {
@@ -163,7 +163,7 @@ func TestReviveIsBlankSlate(t *testing.T) {
 			step()
 			e.k.Run(e.k.Now() + simkernel.Time(rng.Intn(5000))*simkernel.Millisecond)
 		}
-		if h.role.watched() != noNode {
+		if h.phase == phStandby {
 			seen["standby"]++
 		}
 		if rng.Intn(2) == 0 {

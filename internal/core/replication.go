@@ -21,7 +21,7 @@ import (
 // to every same-website neighbour whose summary does not already report
 // them.
 func (s *System) replicationTick(h *host) {
-	if n := h.dirNode(); h.dir == nil || n == nil || !n.Up() || !s.net.Alive(h.addr) {
+	if h.phase != phDirectory {
 		return
 	}
 	top := h.dir.TopObjects(s.cfg.ReplicationTopK)

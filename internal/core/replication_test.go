@@ -9,7 +9,7 @@ import (
 func TestReplicaOfferToEmptyOverlayIsDropped(t *testing.T) {
 	e := newTestEnv(t, 40, func(c *Config) {
 		c.ReplicationTopK = 3
-		c.ReplicationPeriod = simkernel.Minute
+		c.TGossip = simkernel.Minute // one offer round a minute
 	})
 	// Only locality 0 has content; locality 1's overlay stays empty, so
 	// offers to its directory must be dropped without effect.
@@ -26,7 +26,7 @@ func TestReplicaOfferToEmptyOverlayIsDropped(t *testing.T) {
 func TestPrefetchFromHolderThatLostObject(t *testing.T) {
 	e := newTestEnv(t, 41, func(c *Config) {
 		c.ReplicationTopK = 3
-		c.ReplicationPeriod = simkernel.Minute
+		c.TGossip = simkernel.Minute // one offer round a minute
 	})
 	// Build both overlays, make object 1 popular in locality 0.
 	e.submitAt(simkernel.Second, 0, 0, 0, 1)

@@ -3,7 +3,6 @@ package core
 import (
 	"flowercdn/internal/chord"
 	"flowercdn/internal/dring"
-	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/trace"
 )
@@ -20,6 +19,10 @@ import (
 // staleness; stale holders wash out through the §5.1 redirection-failure
 // path), instead of the cold §5.2 rebuild from an empty index.
 //
+// The standby is a phase of the host (hoststate.go): a member enters it on
+// designation and leaves it on revocation, promotion, a §5.4 locality
+// change or a crash, which stop its probe watchdog and drop its replica.
+//
 // installDirectory arms the maintenance ticker on every directory, founding
 // or installed later; the same switch arms takeover shedding (query.go).
 // Everything here is gated off by default: with StandbyFailover false no
@@ -29,14 +32,12 @@ import (
 // standbyMaintTick is the directory-side loop: validate or (re)designate
 // the standby, then ship up to standbySyncShards dirty shards.
 func (s *System) standbyMaintTick(h *host) {
-	if h.dir == nil || !s.net.Alive(h.addr) {
+	if h.phase != phDirectory {
 		return
 	}
 	r := h.role
-	if r.standby != noNode && !s.standbyStillFit(h) {
-		if sb := s.hosts[r.standby]; sb != nil && s.net.Alive(r.standby) && sb.role.watched() == h.addr {
-			s.net.Send(h.addr, r.standby, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
-		}
+	if r.standby != noNode && !s.hosts[r.standby].watches(h.addr) {
+		// The standby died, left the overlay or took another role.
 		r.standby = noNode
 		h.dir.DisableDeltaTracking()
 	}
@@ -57,31 +58,25 @@ func (s *System) standbyMaintTick(h *host) {
 	}
 }
 
-// standbyStillFit re-validates the current designation: the standby must
-// be alive, still a plain content peer, and still watching us.
-func (s *System) standbyStillFit(h *host) bool {
-	sb := s.hosts[h.role.standby]
-	return sb != nil && s.net.Alive(h.role.standby) && sb.cp != nil && sb.dir == nil && sb.role.watched() == h.addr
-}
-
-// designateStandby picks the directory's most stable member (§5.2
-// ordering: earliest join, address as the deterministic tie-break) and
-// seeds it with a full index snapshot.
-func (s *System) designateStandby(h *host) {
+// mostStable returns the most stable member of directory h's overlay that
+// ok admits, in the §5.2 candidate order (earliest join, address as the
+// deterministic tie-break), or nil.
+func (s *System) mostStable(h *host, ok func(*host) bool) *host {
 	var best *host
 	for _, mAddr := range h.dir.Members() {
 		mh := s.hosts[mAddr]
-		if mh == nil || mh.cp == nil || mh.dir != nil || !s.net.Alive(mAddr) {
-			continue
-		}
-		if w := mh.role.watched(); w != noNode && w != h.addr {
-			continue // already carries a replica for another directory
-		}
-		if best == nil || mh.cp.JoinedAt() < best.cp.JoinedAt() ||
-			(mh.cp.JoinedAt() == best.cp.JoinedAt() && mAddr < best.addr) {
+		if ok(mh) && (best == nil || mh.cp.JoinedAt() < best.cp.JoinedAt() ||
+			mh.cp.JoinedAt() == best.cp.JoinedAt() && mAddr < best.addr) {
 			best = mh
 		}
 	}
+	return best
+}
+
+// designateStandby picks the directory's most stable member that is no
+// other directory's standby, and seeds it with a full index snapshot.
+func (s *System) designateStandby(h *host) {
+	best := s.mostStable(h, func(mh *host) bool { return mh.phase == phMember || mh.watches(h.addr) })
 	if best == nil {
 		return // empty or dead overlay: no standby, no probe traffic
 	}
@@ -98,62 +93,44 @@ func (s *System) designateStandby(h *host) {
 	s.stats.StandbyAssigns++
 }
 
-// handleStandbyAssign runs at the designated standby: build (or rebuild)
-// the replica from the snapshot and start probing the primary.
+// handleStandbyAssign runs at the designated standby: a member enters the
+// standby phase and starts probing the primary; the replica is built (or
+// rebuilt, for another primary or position) from the snapshot.
 func (s *System) handleStandbyAssign(h *host, m standbyAssignMsg) {
-	if h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
+	if !h.plainPeer() {
 		return
 	}
-	if h.role == nil {
-		h.role = newDirRole()
+	designated := h.phase == phMember
+	if designated {
+		s.transition(h, phStandby)
+		if h.role == nil {
+			h.role = newDirRole()
+		}
 	}
 	r := h.role
-	if r.replica == nil || r.standbyFor != m.FromDir || r.standbyKey != m.Key {
+	if designated || r.standbyFor != m.FromDir || r.replica.Key() != m.Key {
 		r.replica = dring.NewDirectory(m.Site, s.widBySite[m.Site], m.Loc, m.Key,
 			s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 	}
-	r.standbyFor, r.standbyKey, r.standbySite, r.standbyLoc = m.FromDir, m.Key, m.Site, m.Loc
+	r.standbyFor = m.FromDir
 	r.replica.ImportEntries(m.Entries)
-	s.startStandbyProbes(h)
+	if designated {
+		r.probeTicker = s.every(h.addr, s.standbyProbe, s.probeTickFn)
+	}
 }
 
 // handleStandbyDelta applies one dirty shard to the replica.
 func (s *System) handleStandbyDelta(h *host, m standbyDeltaMsg) {
-	if h.role.warm() == nil || h.role.standbyFor != m.FromDir {
-		return
+	if h.watches(m.FromDir) {
+		h.role.replica.ApplyShardDelta(int(m.Shard), m.Entries)
 	}
-	h.role.replica.ApplyShardDelta(int(m.Shard), m.Entries)
 }
 
 // handleStandbyRevoke stands a former standby down.
 func (s *System) handleStandbyRevoke(h *host, from simnet.NodeID) {
-	if h.role.watched() != from {
-		return
+	if h.watches(from) {
+		s.transition(h, phMember)
 	}
-	s.stopStandbyWatch(h)
-}
-
-// stopStandbyWatch clears all standby-side state: watchdog, replica and
-// designation memory; the probe token moves on past any orphaned timeout.
-func (s *System) stopStandbyWatch(h *host) {
-	r := h.role
-	if r == nil {
-		return
-	}
-	r.probeTicker.Stop()
-	r.probeTimeout.Cancel()
-	r.probeTimeout = simkernel.TimerHandle{}
-	r.probeToken++
-	r.replica = nil
-	r.standbyFor, r.standbyKey, r.standbySite, r.standbyLoc = noNode, 0, "", 0
-}
-
-// startStandbyProbes arms the standby→primary liveness watchdog.
-func (s *System) startStandbyProbes(h *host) {
-	if !h.role.probeTicker.Stopped() {
-		return
-	}
-	h.role.probeTicker = s.every(h.addr, s.standbyProbe, s.probeTickFn)
 }
 
 // standbyProbeTick sends one liveness probe and arms its deadline. A
@@ -162,76 +139,61 @@ func (s *System) startStandbyProbes(h *host) {
 // real crash is detected within ~one probe period — which is what lets
 // warm detection beat the cold keepalive-offset race.
 func (s *System) standbyProbeTick(h *host) {
-	r := h.role // armed this ticker, so allocated
-	if r.standbyFor == noNode || h.cp == nil || h.dir != nil || !s.net.Alive(h.addr) {
-		return
-	}
+	r := h.role // the ticker runs in the standby phase only
 	s.net.Send(h.addr, r.standbyFor, simnet.CatKeepalive, bytesKeepalive, standbyProbeMsg{})
-	r.probeToken++
-	tok := r.probeToken
 	r.probeTimeout.Cancel()
-	r.probeTimeout = s.k.After(s.exchangeTimeout(h.addr, r.standbyFor), func() {
-		if r.probeToken == tok {
-			s.requestPromotion(h)
-		}
-	})
+	r.probeTimeout = s.k.AfterArg(s.exchangeTimeout(h.addr, r.standbyFor), s.probeTimeoutFn, uint64(h.addr))
 }
 
 // handleStandbyProbe runs at the primary: ack if the designation still
 // stands, revoke a stray prober otherwise.
 func (s *System) handleStandbyProbe(h *host, from simnet.NodeID) {
-	if h.dir == nil {
-		return // demoted or departed: silence is the correct answer
+	if h.phase != phDirectory {
+		return // departed: silence is the correct answer
 	}
+	var answer any = standbyProbeAckMsg{}
 	if h.role.standby != from {
-		s.net.Send(h.addr, from, simnet.CatKeepalive, bytesKeepalive, standbyRevokeMsg{})
-		return
+		answer = standbyRevokeMsg{}
 	}
-	s.net.Send(h.addr, from, simnet.CatKeepalive, bytesKeepalive, standbyProbeAckMsg{})
+	s.net.Send(h.addr, from, simnet.CatKeepalive, bytesKeepalive, answer)
 }
 
 func (s *System) handleStandbyProbeAck(h *host, from simnet.NodeID) {
-	r := h.role
-	if r == nil || r.standbyFor != from {
-		return
+	if h.watches(from) {
+		h.role.probeTimeout.Cancel()
 	}
-	r.probeToken++
-	r.probeTimeout.Cancel()
 }
 
 // requestPromotion sends the standby's self-addressed takeover decision:
 // handleStandbyPromote judges liveness against the ring one hop later.
 func (s *System) requestPromotion(h *host) {
-	r := h.role
-	if r.watched() == noNode || r.replica == nil || h.dir != nil || !s.net.Alive(h.addr) {
+	if h.phase != phStandby {
 		return
 	}
-	s.net.Send(h.addr, h.addr, simnet.CatMaintenance, bytesJoinCtl,
-		standbyPromoteMsg{Key: r.standbyKey, Site: r.standbySite, Loc: r.standbyLoc})
+	s.net.Send(h.addr, h.addr, simnet.CatMaintenance, bytesJoinCtl, standbyPromoteMsg{})
 }
 
 // handleStandbyPromote is the promotion arbiter: if the watched position
 // is actually held by a live node the alarm was false and nothing happens;
 // otherwise the standby joins D-ring under the common key and becomes the
-// directory with its replica as the index.
-func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
-	if h.cp == nil || h.dir != nil || h.role.warm() == nil || !s.net.Alive(h.addr) {
+// directory with its replica as the index, whose key, site and locality name
+// the position.
+func (s *System) handleStandbyPromote(h *host) {
+	if h.phase != phStandby {
 		return
 	}
-	node, _ := s.takeOverPosition(m.Key, h.addr, s.liveBootstrapNode(h.addr), true)
+	replica := h.role.replica
+	node, _ := s.takeOverPosition(replica.Key(), h.addr, s.liveBootstrapNode(), true)
 	if node == nil {
 		return // false alarm (or a raced replacement): keep watching
 	}
 	// Staleness at takeover: shards the dead primary dirtied but never
 	// shipped (readable in simulation; a real standby would bound this by
 	// its sync cadence).
-	if prim := s.hosts[h.role.standbyFor]; prim != nil && prim.dir != nil {
+	if prim := s.hosts[h.role.standbyFor]; prim.dir != nil {
 		s.stats.StandbyStaleShards += prim.dir.DirtyShardCount()
 	}
-	replica := h.role.replica
-	site, loc := m.Site, m.Loc
-	s.stopStandbyWatch(h)
-	s.installDirectory(h, node, site, loc)
+	s.installDirectory(h, node, replica.Site(), replica.Locality())
 	// Promote with the replica, then index our own holdings; the overlay
 	// re-registers via keepalives and pushes, and stale holders wash out
 	// through redirection failures (§5.1).
@@ -248,7 +210,7 @@ func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
 			continue
 		}
 		s.net.Send(h.addr, mAddr, simnet.CatMaintenance, bytesJoinCtl,
-			dirJoinTakenMsg{Key: m.Key, NewDir: h.addr})
+			dirJoinTakenMsg{Key: node.ID(), NewDir: h.addr})
 	}
 	s.stats.StandbyPromotions++
 	s.trace(trace.Record{Kind: trace.DirReplaced, Variant: trace.StandbyPromoted, Node: h.addr, Peer: -1,
@@ -256,13 +218,10 @@ func (s *System) handleStandbyPromote(h *host, m standbyPromoteMsg) {
 }
 
 // liveBootstrapNode finds a live D-ring member to join through.
-func (s *System) liveBootstrapNode(exclude simnet.NodeID) *chord.Node {
+func (s *System) liveBootstrapNode() *chord.Node {
 	for _, da := range s.dirAddrs {
-		if da == exclude {
-			continue
-		}
-		if n := s.hosts[da].dirNode(); n != nil && n.Up() && s.net.Alive(da) {
-			return n
+		if h := s.hosts[da]; h.phase == phDirectory {
+			return h.role.node
 		}
 	}
 	return nil

@@ -71,9 +71,7 @@ type System struct {
 	// Long-lived bound callbacks for the AfterArg-scheduled
 	// failure-detection timeouts (overlaywire.go, hoststate.go): bound once
 	// here so arming a timeout never builds a closure.
-	deadlineFn  func(uint64)
-	joinLatchFn func(uint64)
-	joinRetryFn func(uint64)
+	deadlineFn, joinLatchFn, joinRetryFn, probeTimeoutFn func(uint64)
 
 	// Tick callbacks of the periodic behaviours, bound once the same way:
 	// the kernel's periodic timer passes the host address as the argument.
@@ -402,6 +400,7 @@ func New(cfg Config, deps Deps) (*System, error) {
 	s.deadlineFn = func(a uint64) { s.timedOut(s.hosts[a], s.hosts[a].flags&hfAwait) }
 	s.joinLatchFn = s.onJoinLatchExpired
 	s.joinRetryFn = s.onJoinRetry
+	s.probeTimeoutFn = func(a uint64) { s.requestPromotion(s.hosts[a]) }
 	s.roundFn = func(a uint64) { s.round(s.hosts[a]) }
 	s.dirTickFn = func(a uint64) { s.dirTick(s.hosts[a]) }
 	s.stabTickFn = func(a uint64) { s.maintainNode(s.hosts[a]) }
@@ -451,7 +450,7 @@ func (s *System) placeServers() error {
 	for i, site := range s.cfg.Sites {
 		addr := uniform[i]
 		s.servers[site] = addr
-		h := &host{sys: s, addr: addr, loc: int32(s.topo.LocalityOf(addr)), flags: hfServer}
+		h := &host{sys: s, addr: addr, loc: int32(s.topo.LocalityOf(addr)), phase: phServer}
 		s.hosts[addr] = h
 		s.net.Register(addr, h)
 	}
@@ -535,10 +534,10 @@ func (s *System) placeDirectoriesAndPools() error {
 }
 
 func (s *System) maintainNode(h *host) {
-	node := h.dirNode()
-	if node == nil || !node.Up() || !s.net.Alive(h.addr) {
+	if h.phase != phDirectory {
 		return
 	}
+	node := h.role.node
 	node.CheckPredecessor()
 	node.Stabilize()
 	for i := 0; i < 3; i++ {
@@ -614,13 +613,10 @@ func (s *System) InstallFaults(fc *simnet.FaultConfig) {
 // crash-recovery probe for the locality. Returns false when the position is
 // already empty.
 func (s *System) CrashDirectory(site model.SiteID, loc int) bool {
-	addr, ok := s.DirectoryAddr(site, loc)
-	if !ok {
-		return false
+	if _, ok := s.DirectoryAddr(site, loc); ok {
+		s.crashProbe.arm(s.cfg.Localities, loc, s.k.Now())
 	}
-	s.crashProbe.arm(s.cfg.Localities, loc, s.k.Now())
-	s.FailPeer(addr)
-	return true
+	return s.FailDirectory(site, loc)
 }
 
 // --- Accessors ------------------------------------------------------------

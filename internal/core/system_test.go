@@ -464,8 +464,7 @@ func TestActiveReplication(t *testing.T) {
 	// §8 extension: locality 0 fetches an object repeatedly; replication
 	// should push it into locality 1's overlay before anyone there asks.
 	e := newTestEnv(t, 16, func(c *Config) {
-		c.ReplicationTopK = 3
-		c.ReplicationPeriod = 2 * simkernel.Minute
+		c.ReplicationTopK = 3 // offers every TGossip (2 min)
 	})
 	// Build both overlays (members join with unrelated objects).
 	e.submitAt(simkernel.Second, 0, 0, 0, 7)

@@ -67,7 +67,7 @@ func TestPromotedStandbyReleasesPrimaryIndex(t *testing.T) {
 	e.k.Run(5 * simkernel.Minute)
 	addr, _ := s.DirectoryAddr(site, 1)
 	prim := s.host(addr)
-	if sb := s.host(prim.role.standby); sb == nil || sb.role.watched() != addr {
+	if sb := s.host(prim.role.standby); sb == nil || !sb.watches(addr) {
 		t.Fatal("premise: the directory designated no standby")
 	}
 	// A push the standby never sees: its shards are still dirty at the crash.

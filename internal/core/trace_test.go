@@ -53,7 +53,6 @@ func TestEveryTraceShapeEmitted(t *testing.T) {
 	}, func(e *testEnv) { crashAll(e, 40*simkernel.Minute) })
 	tracedScenario(t, shapes, 42, func(c *Config) {
 		c.ReplicationTopK = 3
-		c.ReplicationPeriod = 5 * simkernel.Minute
 	}, func(*testEnv) {})
 	tracedScenario(t, shapes, 43, nil, func(e *testEnv) {
 		e.k.At(30*simkernel.Minute, func() {

@@ -623,7 +623,7 @@ func TestSettableValues(t *testing.T) {
 		fields int
 	}{
 		{"harness.Params", Params{}, 36},
-		{"core.Config", core.Config{}, 19},
+		{"core.Config", core.Config{}, 18},
 		{"squirrel.Config", squirrel.Config{}, 7},
 		{"overlay.Config", overlay.Config{}, 4},
 		{"metrics.Config", metrics.Config{}, 6},

@@ -120,7 +120,7 @@ func (h *host) addPointer(ref model.ObjectRef, from simnet.NodeID) {
 
 func (s *System) handleRedirect(h *host, m redirectMsg) {
 	q := m.Q
-	if h.isServer {
+	if h.server {
 		s.serve(h, q, false)
 		return
 	}

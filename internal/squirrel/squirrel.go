@@ -110,8 +110,7 @@ type host struct {
 	// home directory: object ref → recent downloaders, most recent last.
 	dir map[model.ObjectRef][]simnet.NodeID
 
-	isServer   bool
-	serverSite model.SiteID
+	server bool // an origin server: never fails
 }
 
 // query mirrors core.Query for the baseline.
@@ -221,7 +220,7 @@ func New(cfg Config, kernel *simkernel.Kernel, topo *topology.Topology, mets *me
 	}
 	for i, site := range cfg.Sites {
 		addr := uniform[i]
-		h := &host{sys: s, addr: addr, isServer: true, serverSite: site}
+		h := &host{sys: s, addr: addr, server: true}
 		s.hosts[addr] = h
 		s.servers[site] = addr
 		s.net.Register(addr, h)
@@ -315,7 +314,7 @@ func (s *System) HomeOf(ref model.ObjectRef) simnet.NodeID {
 // FailPeer crashes a participant.
 func (s *System) FailPeer(addr simnet.NodeID) {
 	h := s.hosts[addr]
-	if h == nil || h.isServer {
+	if h == nil || h.server {
 		return
 	}
 	s.net.Fail(addr)
