@@ -54,10 +54,10 @@ func (s *System) Audit() AuditReport {
 
 	// --- D-ring live-ghost walk -----------------------------------------
 	for addr, h := range s.hosts {
-		node := h.dirNode()
-		if node == nil || !node.Up() {
+		if h == nil || h.role == nil || h.role.node == nil || !h.role.node.Up() {
 			continue
 		}
+		node := h.role.node
 		r.Checks++
 		if !s.net.Alive(simnet.NodeID(addr)) {
 			fail("ring: node %d is up on the ring but dead on the network", addr)
@@ -184,7 +184,7 @@ func (s *System) lifecycleViolation(h *host, alive bool) string {
 	case (h.cp != nil) == h.round.Stopped():
 		return fmt.Sprintf("timers: content peer=%v at host %d, its round running=%v", h.cp != nil, h.addr, !h.round.Stopped())
 	}
-	r := cmp.Or(h.role, newDirRole())
+	r := cmp.Or(h.role, idleRole)
 	warm := r.replica != nil && r.standbyFor != noNode && !r.probeTicker.Stopped()
 	cold := r.replica == nil && r.standbyFor == noNode && r.probeTicker.Stopped()
 	noDir := h.dir == nil && r.node == nil && r.dirTicker.Stopped() && r.stabTicker.Stopped() &&

@@ -161,9 +161,9 @@ func (s *System) handleDirJoinAccept(h *host, m dirJoinAcceptMsg) {
 	if !h.plainPeer() {
 		return
 	}
-	boot := s.hosts[m.Bootstrap].dirNode()
-	if boot != nil && !boot.Up() {
-		boot = nil
+	var boot *chord.Node
+	if b := s.hosts[m.Bootstrap]; b.phase == phDirectory {
+		boot = b.role.node
 	}
 	node, incumbent := s.takeOverPosition(m.Key, h.addr, boot, false)
 	if incumbent != nil {

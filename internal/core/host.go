@@ -56,7 +56,7 @@ type host struct {
 // whose key, site and locality name the position it would take over, the
 // primary it watches and the probe watchdog; leaving the phase drops them.
 type dirRole struct {
-	node                              *chord.Node // read through host.dirNode
+	node                              *chord.Node // the D-ring node (nil: not on the ring)
 	dirTicker, stabTicker, replTicker simkernel.Ticker
 	standbyTicker                     simkernel.Ticker // designation + anti-entropy loop
 	standby                           simnet.NodeID    // designated standby (noNode = none)
@@ -73,8 +73,10 @@ type dirRole struct {
 const noNode simnet.NodeID = -1
 
 // newDirRole allocates role state that names no standby and watches no
-// primary.
+// primary; the auditor reads idleRole for a host that holds none.
 func newDirRole() *dirRole { return &dirRole{standby: noNode, standbyFor: noNode} }
+
+var idleRole = newDirRole()
 
 // rareState is the client state most hosts never need, allocated on first
 // use: the §5.4 locality override and stash, the §5.2 dir-join timer and

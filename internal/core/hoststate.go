@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"flowercdn/internal/chord"
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
@@ -143,15 +142,6 @@ func (h *host) rarely() *rareState {
 		h.rare.admitPending = h.rare.admitRoom[:0]
 	}
 	return h.rare
-}
-
-// dirNode reads the D-ring node of a host that may hold no role state at
-// all, or be nil: nil = not on the ring.
-func (h *host) dirNode() *chord.Node {
-	if h == nil || h.role == nil {
-		return nil
-	}
-	return h.role.node
 }
 
 // maxAdmitPending bounds the per-host pending-admission record: a client

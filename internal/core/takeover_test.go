@@ -38,7 +38,7 @@ func TestTakenOverDirectoryGivesIndexBack(t *testing.T) {
 	if old.dir != nil {
 		t.Fatal("the crashed directory kept its index after the position was taken over")
 	}
-	if old.dirNode() == nil || s.RevivePeer(addr) {
+	if old.role.node == nil || s.RevivePeer(addr) {
 		t.Fatal("the crashed directory became revivable when it gave its index back")
 	}
 	if r := s.Audit(); len(r.Violations) > 0 {
