@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"flowercdn/internal/harness"
-	"flowercdn/internal/simkernel"
 )
 
 // benchParams is the shared bench-scale configuration: ~30 simulated
@@ -481,5 +480,3 @@ func BenchmarkHarnessPoolBuild(b *testing.B) {
 		}
 	}
 }
-
-var _ = simkernel.Second // keep the substrate import for bench docs

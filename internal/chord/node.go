@@ -7,7 +7,9 @@ import (
 )
 
 // Node is one Chord participant. Nodes are created through Ring.AddNode so
-// that identifiers stay unique within a ring.
+// that identifiers stay unique within a ring. ID, Up, RouteStep, Known and
+// Predecessor make it a dring.Router, the node type D-ring's Algorithm 2
+// routes over.
 type Node struct {
 	ring *Ring
 	id   ID
@@ -54,24 +56,19 @@ func (n *Node) SuccessorList() []*Node {
 // String implements fmt.Stringer for diagnostics.
 func (n *Node) String() string { return fmt.Sprintf("chord(%d@%d)", n.id, n.addr) }
 
-// VisitKnown calls fn for every live peer in the node's routing state —
-// successor list, finger table, predecessor, in that order — without
-// allocating. A peer named by several tables is visited once per mention:
-// this is for callers whose result depends on neither order nor
-// multiplicity (a min-search, say); the others want KnownPeers.
-func (n *Node) VisitKnown(fn func(*Node)) {
-	visit := func(p *Node) {
-		if p != nil && p != n && p.up {
-			fn(p)
-		}
+// Known returns routing table t — the successor list (t = 0) or the
+// finger table (t = 1) — and false past the last one, so callers whose
+// result depends on neither order nor multiplicity (a min-search, say)
+// walk the tables in place. Entries may be nil, dead or the node itself;
+// the predecessor is not in them. The others want KnownPeers.
+func (n *Node) Known(t int) ([]*Node, bool) {
+	switch t {
+	case 0:
+		return n.succs, true
+	case 1:
+		return n.fingers, true
 	}
-	for _, p := range n.succs {
-		visit(p)
-	}
-	for _, p := range n.fingers {
-		visit(p)
-	}
-	visit(n.pred)
+	return nil, false
 }
 
 // KnownPeers returns every live distinct peer this node can currently name:
@@ -81,7 +78,10 @@ func (n *Node) KnownPeers() []*Node {
 	// Routing state is a few dozen pointers: one sorted insertion per
 	// mention gives distinctness and order without a map or sort.Slice.
 	out := make([]*Node, 0, len(n.succs)+len(n.fingers)+1)
-	n.VisitKnown(func(p *Node) {
+	insert := func(p *Node) {
+		if p == nil || p == n || !p.up {
+			return
+		}
 		i := len(out)
 		for i > 0 && out[i-1].id > p.id {
 			i--
@@ -93,7 +93,17 @@ func (n *Node) KnownPeers() []*Node {
 		out = append(out, nil)
 		copy(out[i+1:], out[i:])
 		out[i] = p
-	})
+	}
+	for t := 0; ; t++ {
+		tab, ok := n.Known(t)
+		if !ok {
+			break
+		}
+		for _, p := range tab {
+			insert(p)
+		}
+	}
+	insert(n.pred)
 	return out
 }
 

@@ -199,8 +199,9 @@ func (s *System) dirTick(h *host) {
 	}
 	f := h.dir.BuildSummary()
 	sent := false
-	// KnownPeers, not VisitKnown: the sends below consume kernel sequence
-	// numbers and fault-plane draws, so peer order is part of the run.
+	// KnownPeers, not the in-place Known walk: the sends below consume
+	// kernel sequence numbers and fault-plane draws, so peer order is part
+	// of the run.
 	for _, p := range h.role.node.KnownPeers() {
 		if !s.ks.SameWebsite(p.ID(), h.dir.Key()) || p.ID() == h.dir.Key() {
 			continue

@@ -6,6 +6,7 @@ import (
 
 	"flowercdn/internal/chord"
 	"flowercdn/internal/model"
+	"flowercdn/internal/pastry"
 	"flowercdn/internal/simnet"
 )
 
@@ -42,25 +43,15 @@ func buildDRing(t *testing.T, sites []model.SiteID, k int) (*chord.Ring, KeySpec
 	return ring, ks, nodes
 }
 
-// routeDRing walks NextHop until delivery, returning the destination and
-// hop count.
-func routeDRing(t *testing.T, start *chord.Node, key chord.ID, ks KeySpec) (*chord.Node, int) {
+// routeDRing routes key from start, failing the test on a walk cut at
+// RouteTTL.
+func routeDRing[N Router[N]](t *testing.T, start N, key chord.ID, ks KeySpec) (N, int) {
 	t.Helper()
-	cur, hops := start, 0
-	for {
-		next, deliver := NextHop(cur, key, ks)
-		if deliver {
-			return cur, hops
-		}
-		if next == nil {
-			t.Fatal("NextHop returned nil without deliver")
-		}
-		cur = next
-		hops++
-		if hops > RouteTTL(ks.Space) {
-			t.Fatalf("routing exceeded TTL for key %d", key)
-		}
+	dst, hops := Route(start, key, ks)
+	if hops >= RouteTTL(ks.Space) {
+		t.Fatalf("routing exceeded TTL for key %d", key)
 	}
+	return dst, hops
 }
 
 func TestExactDelivery(t *testing.T) {
@@ -270,11 +261,16 @@ func TestRouteTTLGenerous(t *testing.T) {
 }
 
 // A routed lookup, conditional local lookup included, walks the routing
-// tables in place: no per-hop peer list.
+// tables in place on either substrate: no per-hop peer list.
 func TestNextHopAllocFree(t *testing.T) {
 	sites := model.MakeSites(40)
-	ring, ks, _ := buildDRing(t, sites, 6)
-	all := ring.Nodes()
+	cRing, ks, _ := buildDRing(t, sites, 6)
+	pRing, _, _ := buildPastryDRing(t, sites, 6)
+	t.Run("chord", func(t *testing.T) { assertRoutingAllocFree(t, cRing.Nodes(), sites, ks) })
+	t.Run("pastry", func(t *testing.T) { assertRoutingAllocFree(t, pRing.Nodes(), sites, ks) })
+}
+
+func assertRoutingAllocFree[N Router[N]](t *testing.T, all []N, sites []model.SiteID, ks KeySpec) {
 	hops := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		for i, site := range sites {
@@ -288,5 +284,97 @@ func TestNextHopAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("routing allocates %.1f allocs/run, want 0", allocs)
+	}
+}
+
+// buildPastryDRing mirrors buildDRing but over the Pastry substrate.
+func buildPastryDRing(t *testing.T, sites []model.SiteID, k int) (*pastry.Ring, KeySpec, map[chord.ID]*pastry.Node) {
+	t.Helper()
+	ks, err := NewKeySpec(30, k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := pastry.NewRing(pastry.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[chord.ID]*pastry.Node{}
+	addr := simnet.NodeID(0)
+	for _, s := range sites {
+		for loc := 0; loc < k; loc++ {
+			key := ks.Key(s, loc)
+			n, err := ring.AddNode(key, addr)
+			if err != nil {
+				t.Fatalf("collision for %s/%d: %v", s, loc, err)
+			}
+			nodes[key] = n
+			addr++
+		}
+	}
+	ring.BuildConverged()
+	return ring, ks, nodes
+}
+
+func TestDRingOverPastryExactDelivery(t *testing.T) {
+	sites := model.MakeSites(40)
+	ring, ks, nodes := buildPastryDRing(t, sites, 6)
+	all := ring.Nodes()
+	for _, site := range sites[:10] {
+		for loc := 0; loc < 6; loc++ {
+			key := ks.Key(site, loc)
+			for _, start := range []*pastry.Node{all[0], all[len(all)/2], all[len(all)-1]} {
+				dst, _ := routeDRing(t, start, key, ks)
+				if dst != nodes[key] {
+					t.Fatalf("query for (%s,%d) delivered to %d, want %d", site, loc, dst.ID(), key)
+				}
+			}
+		}
+	}
+}
+
+func TestDRingOverPastrySameWebsiteFallback(t *testing.T) {
+	sites := model.MakeSites(40)
+	ring, ks, nodes := buildPastryDRing(t, sites, 6)
+	site := sites[9]
+	key := ks.Key(site, 2)
+	ring.Fail(nodes[key])
+	// Per-node repair rounds (the protocol, not a global rebuild).
+	for round := 0; round < 3; round++ {
+		for _, n := range ring.AliveNodes() {
+			n.Repair()
+		}
+	}
+	for i, start := range ring.AliveNodes() {
+		if i%17 != 0 {
+			continue
+		}
+		dst, _ := routeDRing(t, start, key, ks)
+		if !ks.SameWebsite(dst.ID(), key) {
+			t.Fatalf("fallback delivered to wrong website: %d", dst.ID())
+		}
+		if dst.ID() == key {
+			t.Fatal("delivered to failed directory")
+		}
+	}
+}
+
+func TestPastryDRingHopCount(t *testing.T) {
+	sites := model.MakeSites(100)
+	ring, ks, _ := buildPastryDRing(t, sites, 6)
+	all := ring.Nodes()
+	total, n := 0, 0
+	for i, start := range all {
+		if i%7 != 0 {
+			continue
+		}
+		key := ks.Key(sites[(i*13)%len(sites)], i%6)
+		_, hops := routeDRing(t, start, key, ks)
+		total += hops
+		n++
+	}
+	avg := float64(total) / float64(n)
+	// 600 nodes, 3-bit digits ⇒ ~log8(600) ≈ 3.1 hops expected.
+	if avg > 6 {
+		t.Fatalf("average Pastry D-ring hops %.1f too high", avg)
 	}
 }

@@ -237,8 +237,9 @@ type SubstrateResult struct {
 }
 
 // CompareSubstrates builds the same D-ring population over Chord and over
-// Pastry and routes identical lookups through both, demonstrating the
-// paper's claim that D-ring integrates with any standard DHT.
+// Pastry and routes identical lookups through both with the protocol's own
+// dring.Route, demonstrating the paper's claim that D-ring integrates with
+// any standard DHT.
 func CompareSubstrates(seed int64, websites, localities, lookups int) (SubstrateResult, error) {
 	ks, err := dring.NewKeySpec(core.DRingBits, localities, 0)
 	if err != nil {
@@ -278,14 +279,14 @@ func CompareSubstrates(seed int64, websites, localities, lookups int) (Substrate
 	for i := 0; i < lookups; i++ {
 		key := keys[rng.Intn(len(keys))]
 		start := rng.Intn(len(cNodes))
-		cDst, ch := dring.RouteAny(dring.ChordNode{N: cNodes[start]}, key, ks)
-		pDst, ph := dring.RouteAny(dring.PastryNode{N: pNodes[start]}, key, ks)
+		cDst, ch := dring.Route(cNodes[start], key, ks)
+		pDst, ph := dring.Route(pNodes[start], key, ks)
 		cHops += ch
 		pHops += ph
-		if cDst.OverlayID() == key {
+		if cDst.ID() == key {
 			cExact++
 		}
-		if pDst.OverlayID() == key {
+		if pDst.ID() == key {
 			pExact++
 		}
 	}
@@ -373,16 +374,10 @@ func AblationConditionalRouting(seed int64, websites, localities int, failFracti
 
 	res := ConditionalRoutingResult{FailedDirectories: len(dead)}
 	alive := ring.AliveNodes()
-	route := func(start *chord.Node, key chord.ID, useAlg2 bool) *chord.Node {
-		cur := start
+	// Algorithm 1 alone: Chord's standard step, to the same TTL.
+	routeStd := func(cur *chord.Node, key chord.ID) *chord.Node {
 		for hop := 0; hop < dring.RouteTTL(ks.Space); hop++ {
-			var next *chord.Node
-			var deliver bool
-			if useAlg2 {
-				next, deliver = dring.NextHop(cur, key, ks)
-			} else {
-				next, deliver = cur.RouteStep(key)
-			}
+			next, deliver := cur.RouteStep(key)
 			if deliver {
 				return cur
 			}
@@ -394,10 +389,10 @@ func AblationConditionalRouting(seed int64, websites, localities int, failFracti
 	for i := 0; i < lookups; i++ {
 		key := dead[rng.Intn(len(dead))]
 		start := alive[rng.Intn(len(alive))]
-		if ks.SameWebsite(route(start, key, false).ID(), key) {
+		if ks.SameWebsite(routeStd(start, key).ID(), key) {
 			same1++
 		}
-		if ks.SameWebsite(route(start, key, true).ID(), key) {
+		if dst, _ := dring.Route(start, key, ks); ks.SameWebsite(dst.ID(), key) {
 			same2++
 		}
 		res.Lookups++

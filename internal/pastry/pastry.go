@@ -134,13 +134,13 @@ func (r *Ring) Fail(n *Node) { n.up = false }
 
 // AliveNodes returns the live nodes sorted by ID.
 func (r *Ring) AliveNodes() []*Node {
-	out := make([]*Node, 0, len(r.byID))
-	for _, n := range r.byID {
+	all := r.Nodes()
+	out := all[:0]
+	for _, n := range all {
 		if n.up {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -248,23 +248,12 @@ func (n *Node) Repair() {
 	sort.Slice(sorted, func(i, j int) bool {
 		return sp.Distance(n.id, sorted[i].id) < sp.Distance(n.id, sorted[j].id)
 	})
-	n.rightLeaves = n.rightLeaves[:0]
-	for _, p := range sorted {
-		if len(n.rightLeaves) >= half {
-			break
-		}
-		n.rightLeaves = append(n.rightLeaves, p)
-	}
+	half = min(half, len(sorted))
+	n.rightLeaves = append(n.rightLeaves[:0], sorted[:half]...)
 	sort.Slice(sorted, func(i, j int) bool {
 		return sp.Distance(sorted[i].id, n.id) < sp.Distance(sorted[j].id, n.id)
 	})
-	n.leftLeaves = n.leftLeaves[:0]
-	for _, p := range sorted {
-		if len(n.leftLeaves) >= half {
-			break
-		}
-		n.leftLeaves = append(n.leftLeaves, p)
-	}
+	n.leftLeaves = append(n.leftLeaves[:0], sorted[:half]...)
 	// Refill dead or empty routing-table slots from the candidate pool.
 	for _, p := range cands {
 		row := n.ring.sharedPrefix(n.id, p.id)
@@ -286,20 +275,17 @@ func (n *Node) Repair() {
 func (n *Node) leafRangeContains(key chord.ID) bool {
 	// If the two leaf-set halves overlap, the leaf set wraps the whole
 	// ring (small networks): every key is in range.
-	right := map[chord.ID]bool{}
-	for _, l := range n.rightLeaves {
-		if l.up {
-			right[l.id] = true
-		}
-	}
 	lo, hi := n.id, n.id
 	for _, l := range n.leftLeaves {
-		if l.up {
-			if right[l.id] {
+		if !l.up {
+			continue
+		}
+		for _, r := range n.rightLeaves {
+			if r.up && r.id == l.id {
 				return true
 			}
-			lo = l.id
 		}
+		lo = l.id
 	}
 	for _, l := range n.rightLeaves {
 		if l.up {
@@ -319,49 +305,41 @@ func (n *Node) closestLeaf(key chord.ID) *Node {
 	sp := n.ring.space
 	best := n
 	bestD := sp.CircularDistance(n.id, key)
-	consider := func(p *Node) {
-		if p == nil || !p.up {
-			return
+	for _, leaves := range [2][]*Node{n.leftLeaves, n.rightLeaves} {
+		for _, p := range leaves {
+			if p == nil || !p.up {
+				continue
+			}
+			if d := sp.CircularDistance(p.id, key); d < bestD || (d == bestD && p.id < best.id) {
+				best, bestD = p, d
+			}
 		}
-		if d := sp.CircularDistance(p.id, key); d < bestD || (d == bestD && p.id < best.id) {
-			best, bestD = p, d
-		}
-	}
-	for _, p := range n.leftLeaves {
-		consider(p)
-	}
-	for _, p := range n.rightLeaves {
-		consider(p)
 	}
 	return best
 }
 
-// KnownPeers returns the live distinct peers in the node's routing state
-// (leaf sets + routing table), sorted by ID.
-func (n *Node) KnownPeers() []*Node {
-	seen := map[chord.ID]*Node{}
-	add := func(p *Node) {
-		if p != nil && p != n && p.up {
-			seen[p.id] = p
-		}
+// Known returns routing table t — the left leaves (t = 0), the right
+// leaves (t = 1), then routing-table row t-2 — and false past the last
+// one. Entries may be nil or dead. With Predecessor, ID, Up and RouteStep
+// it makes Node a dring.Router.
+func (n *Node) Known(t int) ([]*Node, bool) {
+	switch {
+	case t == 0:
+		return n.leftLeaves, true
+	case t == 1:
+		return n.rightLeaves, true
+	case t-2 < len(n.table):
+		return n.table[t-2], true
 	}
-	for _, p := range n.leftLeaves {
-		add(p)
+	return nil, false
+}
+
+// Predecessor returns the closest left leaf (the ring predecessor), or nil.
+func (n *Node) Predecessor() *Node {
+	if len(n.leftLeaves) == 0 {
+		return nil
 	}
-	for _, p := range n.rightLeaves {
-		add(p)
-	}
-	for _, row := range n.table {
-		for _, p := range row {
-			add(p)
-		}
-	}
-	out := make([]*Node, 0, len(seen))
-	for _, p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return n.leftLeaves[0]
 }
 
 // RouteStep is the standard Pastry routing decision: deliver if this node
@@ -386,16 +364,22 @@ func (n *Node) RouteStep(key chord.ID) (next *Node, deliver bool) {
 		}
 	}
 	// Rare case: any known node with at least as long a shared prefix that
-	// is strictly closer to the key.
+	// is strictly closer to the key. The result is a minimum under
+	// (distance, ID), so the tables are walked in place, repeats and all.
 	var best *Node
-	myD := sp.CircularDistance(n.id, key)
-	bestD := myD
-	for _, p := range n.KnownPeers() {
-		if n.ring.sharedPrefix(p.id, key) < row {
-			continue
+	bestD := sp.CircularDistance(n.id, key)
+	for t := 0; ; t++ {
+		tab, ok := n.Known(t)
+		if !ok {
+			break
 		}
-		if d := sp.CircularDistance(p.id, key); d < bestD || (d == bestD && best != nil && p.id < best.id) {
-			best, bestD = p, d
+		for _, p := range tab {
+			if p == nil || !p.up || n.ring.sharedPrefix(p.id, key) < row {
+				continue
+			}
+			if d := sp.CircularDistance(p.id, key); d < bestD || (d == bestD && best != nil && p.id < best.id) {
+				best, bestD = p, d
+			}
 		}
 	}
 	if best == nil {

@@ -237,24 +237,48 @@ func TestSingleNode(t *testing.T) {
 	}
 }
 
-func TestKnownPeersLiveAndSorted(t *testing.T) {
+// Known's tables cover the routing state: every leaf and routing-table
+// slot exactly once, and nothing else.
+func TestKnownVisitsEverySlotOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	r := buildRing(t, randomIDs(rng, 64))
 	nodes := r.AliveNodes()
 	r.Fail(nodes[10])
-	peers := nodes[0].KnownPeers()
-	var prev chord.ID
-	for i, p := range peers {
-		if !p.Up() {
-			t.Fatal("dead peer in KnownPeers")
+	for _, n := range nodes[:5] {
+		visits := map[**Node]int{}
+		for tab := 0; ; tab++ {
+			entries, ok := n.Known(tab)
+			if !ok {
+				break
+			}
+			for i := range entries {
+				visits[&entries[i]]++
+			}
 		}
-		if p == nodes[0] {
-			t.Fatal("self in KnownPeers")
+		want := 0
+		check := func(slot **Node) {
+			want++
+			if visits[slot] != 1 {
+				t.Fatalf("node %d: slot holding %v visited %d times", n.ID(), *slot, visits[slot])
+			}
 		}
-		if i > 0 && p.ID() <= prev {
-			t.Fatal("KnownPeers not sorted")
+		for i := range n.leftLeaves {
+			check(&n.leftLeaves[i])
 		}
-		prev = p.ID()
+		for i := range n.rightLeaves {
+			check(&n.rightLeaves[i])
+		}
+		for _, row := range n.table {
+			for c := range row {
+				check(&row[c])
+			}
+		}
+		if n.Predecessor() != n.leftLeaves[0] {
+			t.Fatalf("node %d: predecessor is not the closest left leaf", n.ID())
+		}
+		if len(visits) != want {
+			t.Fatalf("node %d: walk visits %d slots, routing state has %d", n.ID(), len(visits), want)
+		}
 	}
 }
 
