@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§6) at a reduced, laptop-friendly scale, plus the ablations
-// from DESIGN.md and micro-benchmarks of the substrates.
+// evaluation (§6) at a reduced, laptop-friendly scale, plus DESIGN.md
+// "Ablations A1–A5" and micro-benchmarks of the substrates.
 //
 // Conventions:
 //   - Each simulation benchmark runs a complete event-driven simulation
@@ -239,7 +239,7 @@ func BenchmarkHeadlineComparison(b *testing.B) {
 	b.ReportMetric(transferF/float64(b.N), "transfer-improvement/x")
 }
 
-// --- Ablations (DESIGN.md A1–A5) -------------------------------------------
+// --- Ablations (DESIGN.md "Ablations A1–A5") -------------------------------
 
 // §6.2: push thresholds 0.1 / 0.5 / 0.7 show "almost same gains".
 func BenchmarkAblationPushThreshold01(b *testing.B) {

@@ -24,6 +24,7 @@ type Ring struct {
 	cfg   Config
 	byID  map[ID]*Node
 
+	succScratch    []*Node // Stabilize's successor list under construction
 	diagRouteLoops uint64
 }
 
@@ -329,9 +330,9 @@ func (n *Node) Stabilize() {
 		n.pushFrontSuccessor(x)
 		succ = x
 	}
-	// Refresh the successor list from the successor's list.
-	list := make([]*Node, 0, n.ring.cfg.SuccessorList)
-	list = append(list, succ)
+	// Refresh the successor list from the successor's list, built in the
+	// ring's scratch (succ.succs may be n's own list).
+	list := append(n.ring.succScratch[:0], succ)
 	for _, s := range succ.succs {
 		if len(list) >= n.ring.cfg.SuccessorList {
 			break
@@ -349,7 +350,8 @@ func (n *Node) Stabilize() {
 			}
 		}
 	}
-	n.succs = list
+	n.ring.succScratch = list
+	n.succs = append(n.succs[:0], list...)
 	succ.Notify(n)
 }
 

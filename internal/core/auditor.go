@@ -187,13 +187,12 @@ func (s *System) lifecycleViolation(h *host, alive bool) string {
 	r := cmp.Or(h.role, idleRole)
 	warm := r.replica != nil && r.standbyFor != noNode && !r.probeTicker.Stopped()
 	cold := r.replica == nil && r.standbyFor == noNode && r.probeTicker.Stopped()
-	noDir := h.dir == nil && r.node == nil && r.dirTicker.Stopped() && r.stabTicker.Stopped() &&
-		r.replTicker.Stopped() && r.standbyTicker.Stopped()
+	noDir := h.dir == nil && r.node == nil && r.round.Stopped()
 	ok := [...]bool{
 		phClient:    alive && h.cp == nil && noDir && cold,
 		phMember:    alive && h.cp != nil && noDir && cold,
 		phStandby:   alive && h.cp != nil && noDir && warm,
-		phDirectory: alive && h.dir != nil && r.node != nil && !r.dirTicker.Stopped() && cold,
+		phDirectory: alive && h.dir != nil && r.node != nil && !r.round.Stopped() && cold,
 		phServer:    alive && h.cp == nil && h.role == nil,
 		phDead:      !alive && h.dir == nil && r.node == nil && cold,
 		phGone:      !alive && r.node != nil && cold,

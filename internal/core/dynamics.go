@@ -217,7 +217,7 @@ func (s *System) takeOverPosition(key chord.ID, addr simnet.NodeID, boot *chord.
 }
 
 // installDirectory moves a host into the directory phase and wires its state
-// and tickers: a founding directory, or one a §5.2 replacement, standby
+// and round: a founding directory, or one a §5.2 replacement, standby
 // promotion or leave installs. A crashed previous holder of the position
 // gives its index back: nothing reads it once the position is taken over.
 func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, loc int) {
@@ -235,17 +235,7 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 		s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
 	s.dirByKey[key] = h.addr
 	s.dirAddrs = append(s.dirAddrs, h.addr)
-	// The optional tickers are never armed twice over.
-	r.dirTicker = s.every(h.addr, s.cfg.TGossip, s.dirTickFn)
-	if s.cfg.ReplicationTopK > 0 && r.replTicker.Stopped() {
-		r.replTicker = s.every(h.addr, s.cfg.TGossip, s.replTickFn)
-	}
-	if s.cfg.StandbyFailover && r.standbyTicker.Stopped() {
-		r.standbyTicker = s.every(h.addr, s.standbySyncEvery, s.standbyTickFn)
-	}
-	if s.cfg.MaintenancePeriod > 0 && r.stabTicker.Stopped() {
-		r.stabTicker = s.every(h.addr, s.cfg.MaintenancePeriod, s.stabTickFn)
-	}
+	r.round, r.residue = s.arm(h, s.dirPeriod, s.dirCycle, s.dirRoundFn)
 }
 
 // pushFullContent re-registers every held object with the (new) directory.

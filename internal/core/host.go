@@ -51,16 +51,17 @@ type host struct {
 
 // dirRole is what a host carries in the directory or standby phase
 // (Config.StandbyFailover), allocated at its first promotion or designation.
-// A directory keeps its D-ring node, its periodic behaviours and its
-// designated standby. A standby keeps its replica of the primary's index,
-// whose key, site and locality name the position it would take over, the
-// primary it watches and the probe watchdog; leaving the phase drops them.
+// A directory keeps its D-ring node, its round (dirRound) and the residue
+// that places its parts, and its designated standby. A standby keeps its
+// replica of the primary's index, whose key, site and locality name the
+// position it would take over, the primary it watches and the probe
+// watchdog; leaving the phase drops them.
 type dirRole struct {
-	node                              *chord.Node // the D-ring node (nil: not on the ring)
-	dirTicker, stabTicker, replTicker simkernel.Ticker
-	standbyTicker                     simkernel.Ticker // designation + anti-entropy loop
-	standby                           simnet.NodeID    // designated standby (noNode = none)
-	deltaShards                       []int32          // TakeDirtyShards scratch
+	node        *chord.Node // the D-ring node (nil: not on the ring)
+	round       simkernel.Ticker
+	residue     uint32        // round count mod System.dirCycle of the parts' first round
+	standby     simnet.NodeID // designated standby (noNode = none)
+	deltaShards []int32       // TakeDirtyShards scratch
 
 	replica      *dring.Directory // warm copy of the primary's index
 	standbyFor   simnet.NodeID    // the watched primary (noNode = not a standby)

@@ -179,15 +179,13 @@ func (h *host) admitPendingFor(ref model.ObjectRef) bool {
 // the auditor's dead-host check both walk this one list, so a timer added
 // to the record and listed here is stopped on a crash and audited; zero
 // handles (role or rare state never allocated) are inert.
-func (h *host) timers() (oneShot [3]simkernel.TimerHandle, periodic [6]simkernel.Ticker) {
+func (h *host) timers() (oneShot [3]simkernel.TimerHandle, periodic [3]simkernel.Ticker) {
 	oneShot[0], periodic[0] = h.deadline, h.round
 	if r := h.rare; r != nil {
 		oneShot[1] = r.joinTimer
 	}
 	if r := h.role; r != nil {
-		oneShot[2] = r.probeTimeout
-		periodic[1], periodic[2], periodic[3] = r.dirTicker, r.stabTicker, r.replTicker
-		periodic[4], periodic[5] = r.standbyTicker, r.probeTicker
+		oneShot[2], periodic[1], periodic[2] = r.probeTimeout, r.round, r.probeTicker
 	}
 	return oneShot, periodic
 }

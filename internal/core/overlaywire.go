@@ -7,13 +7,10 @@ import (
 
 // startRound launches a content peer's one periodic behaviour, its round
 // (Algorithm 4's gossip and the §5.1 keepalive), at the shorter period. The
-// longer is a whole multiple of it (Config.Validate); its half runs from a
-// random instant in [0, longer period), whose remainder is the round's phase.
+// longer is a whole multiple of it (Config.Validate); its half runs on the
+// rounds arm places at the host's residue.
 func (s *System) startRound(h *host) {
-	p := s.roundPeriod
-	at := simkernel.Time(s.rng.Int63n(int64(p * s.roundsPerLong)))
-	h.longPhase = uint32((s.k.Now() + at) / p % s.roundsPerLong)
-	h.round = s.k.EveryArg(at%p, p, s.roundFn, uint64(h.addr))
+	h.round, h.longPhase = s.arm(h, s.roundPeriod, s.roundsPerLong, s.roundFn)
 }
 
 // round sends the gossip half, then the keepalive half (the §5.1 probe to
@@ -181,17 +178,34 @@ func (s *System) handleKeepaliveAck(h *host) {
 	}
 }
 
-// dirTick is the directory's periodic behaviour: age the index (Algorithm
-// 6), evict the dead (§5.1), and propagate a refreshed directory summary
-// when enough new content accumulated (§4.2.1). The age+evict half is a
-// linear sweep over the directory's entry slab and allocates nothing
-// (EvictOlderThan returns directory-owned scratch, discarded here) — at
-// the 100k preset this tick fires on every directory every T_gossip, so
-// it is the steady-state floor of the control plane.
-func (s *System) dirTick(h *host) {
+// dirParts are a directory's periodic behaviours, in the order its round
+// runs them: index ageing with the summary refresh (Algorithm 6, §4.2.1),
+// replication (§8), the standby's designation and sync, and D-ring
+// stabilisation (§3.1, §5.2).
+var dirParts = [4]func(*System, *host){
+	(*System).dirTick, (*System).replicationTick, (*System).standbyMaintTick, (*System).maintainNode,
+}
+
+// dirRound is a directory's one periodic behaviour (DESIGN.md "Periodic
+// behaviours"): part i runs on every dirEvery[i]-th round at the host's
+// residue, or never when dirEvery[i] is 0.
+func (s *System) dirRound(h *host) {
 	if h.phase != phDirectory {
 		return
 	}
+	n := s.k.Now() / s.dirPeriod
+	for i, part := range dirParts {
+		if k := s.dirEvery[i]; k > 0 && n%k == simkernel.Time(h.role.residue)%k {
+			part(s, h)
+		}
+	}
+}
+
+// dirTick ages the index (Algorithm 6), evicts the dead (§5.1), and
+// propagates a refreshed directory summary when enough new content
+// accumulated (§4.2.1). The age+evict sweep over the entry slab allocates
+// nothing: it is the control plane's steady-state floor.
+func (s *System) dirTick(h *host) {
 	h.dir.TickAges()
 	h.dir.EvictOlderThan(s.cfg.TDead)
 	if !h.dir.ShouldPublishSummary() {

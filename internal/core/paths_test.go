@@ -270,20 +270,18 @@ func TestReviveDirectoryRefused(t *testing.T) {
 	}
 }
 
-// A directory that leaves keeps stopped stabilisation and replication
-// handles (FailPeer'd directories cannot be revived at all). Revived,
-// rejoined and promoted again, it must get fresh tickers: the arm-once
-// guards used to compare against the zero Ticker, so a re-promoted
-// directory never stabilised or replicated again.
+// A directory that leaves keeps a stopped round (FailPeer'd directories
+// cannot be revived at all). Revived, rejoined and promoted again, it must
+// get a fresh round that runs every part: arm-once guards used to compare
+// against the zero Ticker, so a re-promoted directory never stabilised or
+// replicated again.
 func TestRepromotedDirectoryRearmsTickers(t *testing.T) {
 	e := newTestEnv(t, 33, func(c *Config) {
 		c.MaintenancePeriod = 10 * simkernel.Second
 		c.ReplicationTopK = 2
 	})
 	site := e.cfg.Sites[0]
-	stabilised := map[simnet.NodeID]int{}
-	tick := e.sys.stabTickFn
-	e.sys.stabTickFn = func(a uint64) { stabilised[simnet.NodeID(a)]++; tick(a) }
+	stabilised, replicated := countParts(t, 3), countParts(t, 1)
 	leave := func() simnet.NodeID {
 		t.Helper()
 		if !e.sys.DirectoryLeave(site, 0) {
@@ -312,14 +310,25 @@ func TestRepromotedDirectoryRearmsTickers(t *testing.T) {
 	if got := leave(); got != first { // ... and is the only successor left.
 		t.Fatalf("re-promotion went to %d, want %d", got, first)
 	}
-	if role := e.sys.host(first).role; role.stabTicker.Stopped() || role.replTicker.Stopped() {
-		t.Fatal("re-promoted directory holds stopped stabilisation/replication handles")
+	if e.sys.host(first).role.round.Stopped() {
+		t.Fatal("re-promoted directory holds a stopped round")
 	}
-	before := stabilised[first]
-	e.k.Run(6 * simkernel.Minute)
-	if got := stabilised[first] - before; got < 5 {
-		t.Fatalf("re-promoted directory stabilised %d times in a minute of 10 s periods", got)
+	// Four minutes: 24 stabilisations at 10 s, two replication offers at
+	// TGossip = 2 min, on the round's 10 s ticks.
+	stab, repl := stabilised[first], replicated[first]
+	e.k.Run(e.k.Now() + 4*simkernel.Minute)
+	if stab, repl = stabilised[first]-stab, replicated[first]-repl; stab != 24 || repl != 2 {
+		t.Fatalf("re-promoted directory stabilised %d times and replicated %d in 4 minutes, want 24 and 2", stab, repl)
 	}
+}
+
+// countParts counts, per host, the runs of directory round part i
+// (dirParts) until the test ends.
+func countParts(t *testing.T, i int) map[simnet.NodeID]int {
+	runs, part := map[simnet.NodeID]int{}, dirParts[i]
+	dirParts[i] = func(s *System, h *host) { runs[h.addr]++; part(s, h) }
+	t.Cleanup(func() { dirParts[i] = part })
+	return runs
 }
 
 func TestMetricsSourcesConsistent(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -65,18 +66,17 @@ func TestCrashStopsEveryTimer(t *testing.T) {
 	}
 	e.k.Run(5 * simkernel.Minute)
 
-	// The regression: a directory with its maintenance, replication and
-	// standby loops armed crashes, then its standby with a live probe loop.
+	// The regression: a directory whose round runs its maintenance,
+	// replication and standby parts crashes, then its standby with a live
+	// probe loop.
 	dirAddr, _ := s.DirectoryAddr(site, 0)
 	dir := s.host(dirAddr)
 	standby := s.host(dir.role.standby)
 	if standby == nil || !standby.watches(dirAddr) || standby.role.probeTicker.Stopped() {
 		t.Fatal("premise: the directory designated no probing standby")
 	}
-	for _, name := range []string{"dirRole.dirTicker", "dirRole.stabTicker", "dirRole.replTicker", "dirRole.standbyTicker"} {
-		if !timerFields(dir)[name].Active() {
-			t.Fatalf("premise: the directory's %s is not armed", name)
-		}
+	if slices.Contains(s.dirEvery[:], 0) || !timerFields(dir)["dirRole.round"].Active() {
+		t.Fatalf("premise: the directory's round is not armed with every part (every %v)", s.dirEvery)
 	}
 	standby.rarely()
 	s.FailPeer(dirAddr)

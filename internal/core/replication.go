@@ -21,9 +21,6 @@ import (
 // to every same-website neighbour whose summary does not already report
 // them.
 func (s *System) replicationTick(h *host) {
-	if h.phase != phDirectory {
-		return
-	}
 	top := h.dir.TopObjects(s.cfg.ReplicationTopK)
 	if len(top) == 0 {
 		return

@@ -22,19 +22,12 @@ import (
 // The standby is a phase of the host (hoststate.go): a member enters it on
 // designation and leaves it on revocation, promotion, a §5.4 locality
 // change or a crash, which stop its probe watchdog and drop its replica.
-//
-// installDirectory arms the maintenance ticker on every directory, founding
-// or installed later; the same switch arms takeover shedding (query.go).
-// Everything here is gated off by default: with StandbyFailover false no
-// ticker is armed, no RNG is drawn, no message is sent, and the pinned
-// clean-network goldens stay byte-identical.
+// StandbyFailover arms this part of every directory's round and takeover
+// shedding (query.go); off, no RNG is drawn and no message is sent.
 
 // standbyMaintTick is the directory-side loop: validate or (re)designate
 // the standby, then ship up to standbySyncShards dirty shards.
 func (s *System) standbyMaintTick(h *host) {
-	if h.phase != phDirectory {
-		return
-	}
 	r := h.role
 	if r.standby != noNode && !s.hosts[r.standby].watches(h.addr) {
 		// The standby died, left the overlay or took another role.
@@ -115,7 +108,7 @@ func (s *System) handleStandbyAssign(h *host, m standbyAssignMsg) {
 	r.standbyFor = m.FromDir
 	r.replica.ImportEntries(m.Entries)
 	if designated {
-		r.probeTicker = s.every(h.addr, s.standbyProbe, s.probeTickFn)
+		r.probeTicker, _ = s.arm(h, s.standbyProbe, 1, s.probeTickFn)
 	}
 }
 

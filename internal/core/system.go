@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -68,18 +69,18 @@ type System struct {
 	// await registry. A lost message hands its envelope back too (reclaim).
 	pool msgPool
 
-	// Long-lived bound callbacks for the AfterArg-scheduled
-	// failure-detection timeouts (overlaywire.go, hoststate.go): bound once
-	// here so arming a timeout never builds a closure.
+	// The failure-detection timeouts' and the periodic behaviours' callbacks,
+	// bound once here so arming a timer never builds a closure; the kernel
+	// passes the host address as the argument.
 	deadlineFn, joinLatchFn, joinRetryFn, probeTimeoutFn func(uint64)
+	roundFn, dirRoundFn, probeTickFn                     func(uint64)
 
-	// Tick callbacks of the periodic behaviours, bound once the same way:
-	// the kernel's periodic timer passes the host address as the argument.
-	roundFn, dirTickFn, stabTickFn, replTickFn, standbyTickFn, probeTickFn func(uint64)
-
-	// A content peer's round ticks at the shorter of TGossip and TKeepalive;
-	// the other period is roundsPerLong rounds (overlaywire.go).
-	roundPeriod, roundsPerLong simkernel.Time
+	// A content peer's round ticks at the shorter of TGossip and TKeepalive,
+	// the other every roundsPerLong rounds (overlaywire.go). A directory's
+	// round ticks at dirPeriod, part i of it every dirEvery[i] rounds (0: not
+	// armed), the longest every dirCycle.
+	roundPeriod, roundsPerLong, dirPeriod, dirCycle simkernel.Time
+	dirEvery                                        [4]simkernel.Time
 
 	// Recovery probes (empty until armed). healProbe measures, per locality,
 	// from the end of its last partition window (InstallFaults) to the first
@@ -89,11 +90,9 @@ type System struct {
 	// query proves nothing about the crashed locality's directory plane.
 	healProbe, crashProbe recoveryProbe
 
-	// Warm-standby cadences, pure functions of TKeepalive (computed in New):
-	// the standby→primary liveness probe period — detection must beat the
-	// cold path's keepalive-offset race or warm failover buys nothing — and
-	// the directory's designation/anti-entropy maintenance period.
-	standbyProbe, standbySyncEvery simkernel.Time
+	// The standby→primary liveness probe period: detection must beat the cold
+	// path's keepalive-offset race or warm failover buys nothing.
+	standbyProbe simkernel.Time
 
 	// shedInFlight gauges per-locality in-flight new-client queries that
 	// entered the lookup path while the locality's own directory position
@@ -300,11 +299,13 @@ func (s *System) takeSubsetBuf() []gossip.Entry {
 	return nil
 }
 
-// every arms one periodic behaviour of host addr at a random phase, so
-// hosts do not synchronise; tick is one of the bound callbacks.
-func (s *System) every(addr simnet.NodeID, period simkernel.Time, tick func(uint64)) simkernel.Ticker {
-	offset := simkernel.Time(s.rng.Int63n(int64(period)))
-	return s.k.EveryArg(offset, period, tick, uint64(addr))
+// arm starts h's periodic behaviour tick at a random phase, so hosts do not
+// synchronise. One draw in [0, cycle·period) places it: its remainder is the
+// first tick, and the round at the drawn instant, whose count mod cycle is the
+// residue, is the first to run the part due once in cycle rounds.
+func (s *System) arm(h *host, period, cycle simkernel.Time, tick func(uint64)) (t simkernel.Ticker, residue uint32) {
+	at := simkernel.Time(s.rng.Int63n(int64(period * cycle)))
+	return s.k.EveryArg(at%period, period, tick, uint64(h.addr)), uint32((s.k.Now() + at) / period % cycle)
 }
 
 // settle revokes a query's armed timeout, if any, frees its registry slot
@@ -389,11 +390,27 @@ func New(cfg Config, deps Deps) (*System, error) {
 		rng:       deps.Kernel.DeriveRNG("flower-core"),
 		tracer:    deps.Tracer,
 
-		standbyProbe:     max(cfg.TKeepalive/64, simkernel.Second),
-		standbySyncEvery: max(cfg.TKeepalive/8, simkernel.Second),
+		standbyProbe: max(cfg.TKeepalive/64, simkernel.Second),
 	}
 	s.roundPeriod = min(cfg.TGossip, cfg.TKeepalive)
 	s.roundsPerLong = max(cfg.TGossip, cfg.TKeepalive) / s.roundPeriod
+	// The directory round ticks at its shortest part's period; each longer one
+	// is rounded down to whole rounds (DESIGN.md "Periodic behaviours").
+	s.dirEvery = [...]simkernel.Time{cfg.TGossip, 0, 0, max(cfg.MaintenancePeriod, 0)}
+	if cfg.ReplicationTopK > 0 {
+		s.dirEvery[1] = cfg.TGossip
+	}
+	if cfg.StandbyFailover {
+		s.dirEvery[2] = max(cfg.TKeepalive/8, simkernel.Second)
+	}
+	s.dirPeriod = cfg.TGossip
+	for _, p := range s.dirEvery {
+		s.dirPeriod = min(s.dirPeriod, cmp.Or(p, s.dirPeriod))
+	}
+	for i := range s.dirEvery {
+		s.dirEvery[i] /= s.dirPeriod
+		s.dirCycle = max(s.dirCycle, s.dirEvery[i])
+	}
 	s.net.SetSink(deps.Metrics)
 	s.net.OnDrop(s.reclaim)
 	s.pool.awaitFn = s.resumeAwait
@@ -402,10 +419,7 @@ func New(cfg Config, deps Deps) (*System, error) {
 	s.joinRetryFn = s.onJoinRetry
 	s.probeTimeoutFn = func(a uint64) { s.requestPromotion(s.hosts[a]) }
 	s.roundFn = func(a uint64) { s.round(s.hosts[a]) }
-	s.dirTickFn = func(a uint64) { s.dirTick(s.hosts[a]) }
-	s.stabTickFn = func(a uint64) { s.maintainNode(s.hosts[a]) }
-	s.replTickFn = func(a uint64) { s.replicationTick(s.hosts[a]) }
-	s.standbyTickFn = func(a uint64) { s.standbyMaintTick(s.hosts[a]) }
+	s.dirRoundFn = func(a uint64) { s.dirRound(s.hosts[a]) }
 	s.probeTickFn = func(a uint64) { s.standbyProbeTick(s.hosts[a]) }
 	if cfg.StandbyFailover {
 		s.shedInFlight = make([]int32, cfg.Localities)
@@ -534,9 +548,6 @@ func (s *System) placeDirectoriesAndPools() error {
 }
 
 func (s *System) maintainNode(h *host) {
-	if h.phase != phDirectory {
-		return
-	}
 	node := h.role.node
 	node.CheckPredecessor()
 	node.Stabilize()
@@ -669,12 +680,8 @@ func (s *System) DirectoryAddr(site model.SiteID, loc int) (simnet.NodeID, bool)
 // DirectoryIndexSize returns the number of content peers indexed by
 // d(site,loc); 0 if the directory is missing.
 func (s *System) DirectoryIndexSize(site model.SiteID, loc int) int {
-	addr, ok := s.DirectoryAddr(site, loc)
-	if !ok {
-		return 0
-	}
-	if h := s.hosts[addr]; h != nil && h.dir != nil {
-		return h.dir.Size()
+	if addr, ok := s.DirectoryAddr(site, loc); ok && s.hosts[addr].dir != nil {
+		return s.hosts[addr].dir.Size()
 	}
 	return 0
 }

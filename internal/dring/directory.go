@@ -87,10 +87,12 @@ type Directory struct {
 	popularity []int64
 
 	// neighborScratch backs NeighborsWithObject's result between calls;
-	// evictScratch backs EvictOlderThan's, holderScratch Holders'.
+	// evictScratch backs EvictOlderThan's, holderScratch Holders',
+	// topScratch TopObjects'.
 	neighborScratch []chord.ID
 	evictScratch    []simnet.NodeID
 	holderScratch   []simnet.NodeID
+	topScratch      []model.ObjectRef
 
 	// Standby-replication seam (delta.go): when dirtyTrack is armed, every
 	// index mutation marks the 64-ref shard it touches, and the periodic
@@ -439,30 +441,19 @@ func (d *Directory) Popularity(ref model.ObjectRef) int64 {
 // TopObjects returns up to k locally-held objects by descending request
 // count (ties broken by ascending canonical key, i.e. ascending ref).
 // Objects with no live holder are skipped — replication offers must name
-// a source.
+// a source. The returned slice is reusable scratch, valid until the next call.
 func (d *Directory) TopObjects(k int) []model.ObjectRef {
-	type po struct {
-		ref   model.ObjectRef
-		count int64
-	}
-	var list []po
+	refs := d.topScratch[:0]
 	for i, count := range d.popularity {
-		if count == 0 || d.holders.holderCount(i) == 0 {
-			continue
+		if count > 0 && d.holders.holderCount(i) > 0 {
+			refs = append(refs, d.base+model.ObjectRef(i))
 		}
-		list = append(list, po{d.base + model.ObjectRef(i), count})
 	}
-	slices.SortFunc(list, func(a, b po) int {
-		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.ref, b.ref))
+	slices.SortFunc(refs, func(a, b model.ObjectRef) int {
+		return cmp.Or(cmp.Compare(d.popularity[d.local(b)], d.popularity[d.local(a)]), cmp.Compare(a, b))
 	})
-	if len(list) > k {
-		list = list[:k]
-	}
-	out := make([]model.ObjectRef, len(list))
-	for i, e := range list {
-		out[i] = e.ref
-	}
-	return out
+	d.topScratch = refs
+	return refs[:min(k, len(refs))]
 }
 
 // --- Directory summaries (§3.3, §4.2.1) ---------------------------------
@@ -492,12 +483,9 @@ func (d *Directory) RemoveNeighborSummary(dirID chord.ID) {
 	d.neighbors = out
 }
 
-// NeighborSummaries returns the stored summaries (sorted by directory ID).
-func (d *Directory) NeighborSummaries() []NeighborSummary {
-	out := make([]NeighborSummary, len(d.neighbors))
-	copy(out, d.neighbors)
-	return out
-}
+// NeighborSummaries returns the stored summaries (sorted by directory ID),
+// in place: read them before the next summary update or removal.
+func (d *Directory) NeighborSummaries() []NeighborSummary { return d.neighbors }
 
 // NeighborsWithObject returns the directory IDs whose summary tests
 // positive for ref (Algorithm 3's directory-summaries lookup), in

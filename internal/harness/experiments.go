@@ -14,8 +14,8 @@ import (
 	"flowercdn/internal/simnet"
 )
 
-// This file derives the points of the paper's evaluation (§6) and of the
-// ablations listed in DESIGN.md, and keeps one exported entry point per
+// This file derives the points of the paper's evaluation (§6) and of
+// DESIGN.md "Ablations A1–A5", and keeps one exported entry point per
 // table and figure for callers that want the rows rather than the printed
 // view (registry.go says how each is presented). Every preset runs full
 // simulations with the supplied Params, so callers choose the scale
@@ -168,7 +168,7 @@ func ComputeHeadline(flower, baseline Result) Headline {
 	return h
 }
 
-// --- Ablations (DESIGN.md A1–A5) ------------------------------------------
+// --- Ablations (DESIGN.md "Ablations A1–A5") ------------------------------
 
 // AblationPushThreshold sweeps the push threshold (§6.2 reports 0.1, 0.5,
 // 0.7 behave almost identically).
