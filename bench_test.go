@@ -9,7 +9,7 @@
 //     output directly shows the reproduced quantities.
 //   - Bench-scale sweep values keep the paper's ratios; the full-scale
 //     rows (paper parameters, 24 simulated hours) are produced by
-//     `flowersim -exp <table|figure>` and recorded in EXPERIMENTS.md.
+//     `flowersim -exp <table|figure> -scale paper`.
 //
 // Paper reference values are quoted in comments on each benchmark.
 package flowercdn
@@ -17,8 +17,6 @@ package flowercdn
 import (
 	"fmt"
 	"testing"
-
-	"flowercdn/internal/harness"
 )
 
 // benchParams is the shared bench-scale configuration: ~30 simulated
@@ -325,14 +323,14 @@ func BenchmarkAblationConditionalRouting(b *testing.B) {
 // Eight independent bench-scale points, run sequentially vs on 4 workers.
 // The parallel run must be markedly faster in wall-clock (the acceptance
 // bar is >1.5× at 4 workers) while producing identical reports; the
-// determinism half is asserted by harness.TestCampaignParallelMatchesSequential.
+// determinism half is asserted by TestCampaignParallelMatchesSequential.
 
-func campaignBenchPoints(n int) []harness.Point {
-	points := make([]harness.Point, n)
+func campaignBenchPoints(n int) []Point {
+	points := make([]Point, n)
 	for i := range points {
-		points[i] = harness.Point{
+		points[i] = Point{
 			Label:  "pt" + string(rune('a'+i)),
-			Params: benchParams(harness.PointSeed(1, i)),
+			Params: benchParams(PointSeed(1, i)),
 		}
 	}
 	return points
@@ -472,7 +470,7 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 }
 
 func BenchmarkHarnessPoolBuild(b *testing.B) {
-	p := harness.DefaultParams(1)
+	p := DefaultParams(1)
 	for i := 0; i < b.N; i++ {
 		pools := p.BuildPools()
 		if len(pools) == 0 {

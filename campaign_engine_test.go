@@ -1,4 +1,4 @@
-package harness
+package flowercdn
 
 import (
 	"reflect"
@@ -13,7 +13,7 @@ func campaignPoints(t *testing.T, n int) []Point {
 	t.Helper()
 	points := make([]Point, n)
 	for i := range points {
-		p := fastParams(PointSeed(9, i))
+		p := tinyParams(PointSeed(9, i))
 		p.Duration = 15 * simkernel.Minute
 		kind := KindFlower
 		if i%3 == 2 {
@@ -56,7 +56,7 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 
 // Sweeps driven through Params.Parallel must also be order-stable.
 func TestSweepParallelMatchesSequential(t *testing.T) {
-	p := fastParams(4)
+	p := tinyParams(4)
 	p.Duration = 15 * simkernel.Minute
 	seqRows, err := Table2a(p, []int{2, 4, 6})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 }
 
 func TestCampaignErrorPropagates(t *testing.T) {
-	good := fastParams(1)
+	good := tinyParams(1)
 	good.Duration = 10 * simkernel.Minute
 	bad := good
 	bad.Duration = 0 // fails validation
@@ -136,7 +136,7 @@ func TestPointSeedPure(t *testing.T) {
 }
 
 func TestSweepGrid(t *testing.T) {
-	p := fastParams(5)
+	p := tinyParams(5)
 	p.Duration = 10 * simkernel.Minute
 	p.Parallel = 4
 	rows, err := SweepGrid(p,

@@ -15,7 +15,9 @@ import (
 // TestDesignReferences: a Go comment cites the design notes by their file
 // name and a quoted heading, which must be one of theirs, so a renamed or
 // deleted section cannot leave a citation pointing nowhere; a citation that
-// names no heading fails too. A citation may wrap across comment lines.
+// names no heading fails too. A citation may wrap across comment lines. Any
+// other Markdown file a comment names must exist, at that path from the
+// repository root or from the commenting file's directory.
 func TestDesignReferences(t *testing.T) {
 	f, err := os.Open("DESIGN.md")
 	if err != nil {
@@ -29,6 +31,7 @@ func TestDesignReferences(t *testing.T) {
 		}
 	}
 	cite := regexp.MustCompile(`DESIGN\.md( "([^"]*)")?`)
+	markdown := regexp.MustCompile(`[\w./-]*\w\.md\b`)
 	refs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -52,6 +55,11 @@ func TestDesignReferences(t *testing.T) {
 					t.Errorf("%s: %q names no heading of DESIGN.md", path, m[0])
 				}
 			}
+			for _, name := range markdown.FindAllString(text, -1) {
+				if !exists(name) && !exists(filepath.Join(filepath.Dir(path), name)) {
+					t.Errorf("%s: a comment names %s, which the repository lacks", path, name)
+				}
+			}
 		}
 		return nil
 	})
@@ -61,4 +69,9 @@ func TestDesignReferences(t *testing.T) {
 	if refs < 5 {
 		t.Fatalf("found %d DESIGN.md citations in Go comments; the walk missed some", refs)
 	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

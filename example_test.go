@@ -12,7 +12,7 @@ func readerOf(s string) io.Reader { return strings.NewReader(s) }
 
 // The Example functions double as documentation and as compile-checked,
 // output-verified usage samples (run by `go test`). They assert stable,
-// qualitative facts — exact figures live in EXPERIMENTS.md.
+// qualitative facts — exact figures come from `flowersim -exp … -scale paper`.
 
 // ExampleRunFlower shows the one-call simulation entry point.
 func ExampleRunFlower() {

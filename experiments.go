@@ -1,4 +1,4 @@
-package harness
+package flowercdn
 
 import (
 	"math/rand"

@@ -11,9 +11,9 @@ type bytesBuffer = bytes.Buffer
 
 func stringsReader(s string) *strings.Reader { return strings.NewReader(s) }
 
-// The facade tests exercise the public API end to end at small scale and
-// assert the paper's qualitative claims hold; the full-scale numbers live
-// in EXPERIMENTS.md.
+// The public-API tests exercise the package end to end at small scale and
+// assert the paper's qualitative claims hold; the full-scale numbers come
+// from `flowersim -exp <table|figure> -scale paper`.
 
 func fastParams(seed int64) Params {
 	p := ScaledParams(seed)

@@ -1,4 +1,4 @@
-package harness
+package flowercdn
 
 import (
 	"fmt"
@@ -19,8 +19,9 @@ import (
 	"flowercdn/internal/workload"
 )
 
-// fastParams is even smaller than ScaledParams, for unit-test speed.
-func fastParams(seed int64) Params {
+// tinyParams is even smaller than ScaledParams (and than fastParams), for
+// unit-test speed.
+func tinyParams(seed int64) Params {
 	p := ScaledParams(seed)
 	p.Duration = 30 * simkernel.Minute
 	p.QueryRate = 2
@@ -36,7 +37,7 @@ func fastParams(seed int64) Params {
 }
 
 func TestBuildPools(t *testing.T) {
-	p := fastParams(1)
+	p := tinyParams(1)
 	pools := p.BuildPools()
 	if len(pools) != p.ActiveSites {
 		t.Fatalf("pool rows = %d", len(pools))
@@ -63,7 +64,7 @@ func TestBuildPools(t *testing.T) {
 }
 
 func TestRunFlowerSmoke(t *testing.T) {
-	res, err := RunFlower(fastParams(2))
+	res, err := RunFlower(tinyParams(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestScaledRunRecyclesQueryRecords(t *testing.T) {
 }
 
 func TestRunSquirrelSmoke(t *testing.T) {
-	res, err := RunSquirrel(fastParams(3))
+	res, err := RunSquirrel(tinyParams(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestRunSquirrelRefusesFlowerInputs(t *testing.T) {
 		{"AuditEvery", func(p *Params) { p.AuditEvery = simkernel.Minute }},
 	} {
 		t.Run(c.field, func(t *testing.T) {
-			p := fastParams(3)
+			p := tinyParams(3)
 			c.set(&p)
 			if _, err := RunSquirrel(p); err == nil || !strings.Contains(err.Error(), "Params."+c.field) {
 				t.Fatalf("RunSquirrel with %s set: error %v, want one naming the field", c.field, err)
@@ -158,7 +159,7 @@ func TestRunSquirrelRefusesFlowerInputs(t *testing.T) {
 // TestRunSquirrelMeasuresMemory: MeasureMemory fills BytesPerClient for the
 // baseline as it does for Flower-CDN, and changes nothing else.
 func TestRunSquirrelMeasuresMemory(t *testing.T) {
-	p := fastParams(3)
+	p := tinyParams(3)
 	p.Duration = 5 * simkernel.Minute
 	plain, err := RunSquirrel(p)
 	if err != nil {
@@ -181,7 +182,7 @@ func TestComparisonShape(t *testing.T) {
 	// The paper's headline shape at reduced scale: Flower-CDN must beat
 	// Squirrel clearly on lookup latency and transfer distance, while
 	// Squirrel's hit ratio is at least Flower's.
-	p := fastParams(4)
+	p := tinyParams(4)
 	p.Duration = simkernel.Hour
 	flower, sq, err := Comparison(p)
 	if err != nil {
@@ -201,7 +202,7 @@ func TestComparisonShape(t *testing.T) {
 }
 
 func TestChurnRun(t *testing.T) {
-	p := fastParams(5)
+	p := tinyParams(5)
 	p.ChurnPerHour = 60
 	p.ChurnIncludesDirs = true
 	res, err := RunFlower(p)
@@ -219,7 +220,7 @@ func TestChurnRun(t *testing.T) {
 }
 
 func TestChurnWithRejoin(t *testing.T) {
-	p := fastParams(13)
+	p := tinyParams(13)
 	p.Duration = simkernel.Hour
 	p.ChurnPerHour = 120
 	p.ChurnMeanDowntime = 5 * simkernel.Minute
@@ -251,7 +252,7 @@ func TestChurnWithRejoin(t *testing.T) {
 }
 
 func TestTable2Sweeps(t *testing.T) {
-	p := fastParams(6)
+	p := tinyParams(6)
 	p.Duration = 20 * simkernel.Minute
 	rows, err := Table2a(p, []int{2, 6})
 	if err != nil {
@@ -304,21 +305,26 @@ func TestConditionalRoutingAblation(t *testing.T) {
 }
 
 func TestTrafficBytesHelper(t *testing.T) {
-	res, err := RunFlower(fastParams(8))
+	res, err := RunFlower(tinyParams(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if TrafficBytes(res.Report, 0) <= 0 { // CatGossip
+	var gossipBytes int64
+	for _, ts := range res.Report.Traffic {
+		if ts.Category == simnet.CatGossip {
+			gossipBytes = ts.Bytes
+		}
+	}
+	if gossipBytes <= 0 {
 		t.Fatal("gossip bytes missing")
 	}
 	if res.Describe() == "" {
 		t.Fatal("empty description")
 	}
-	_ = metrics.Report{}
 }
 
 func TestRunFlowerReplay(t *testing.T) {
-	p := fastParams(10)
+	p := tinyParams(10)
 	p.Duration = 10 * simkernel.Minute
 	sites := model.MakeSites(p.Websites)[:p.ActiveSites]
 	qs := []workload.Query{
@@ -372,7 +378,7 @@ func recordedStream(t *testing.T, p Params) []workload.Query {
 // Replay and generated runs share one scaffold: replaying the generator's
 // own stream is the generated run, and a replay honours the fault plane.
 func TestReplayMatchesGeneratedRun(t *testing.T) {
-	p := fastParams(12)
+	p := tinyParams(12)
 	want, err := RunFlower(p)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +394,7 @@ func TestReplayMatchesGeneratedRun(t *testing.T) {
 }
 
 func TestReplayAppliesFaults(t *testing.T) {
-	p := fastParams(13)
+	p := tinyParams(13)
 	p.Faults = &simnet.FaultConfig{LossProb: 0.1}
 	res, err := RunFlowerReplay(p, recordedStream(t, p))
 	if err != nil {
@@ -417,7 +423,7 @@ func TestCompareSubstrates(t *testing.T) {
 }
 
 func TestAblationScaleUpAdmitsOverflow(t *testing.T) {
-	p := fastParams(11)
+	p := tinyParams(11)
 	p.Duration = 20 * simkernel.Minute
 	p.MaxOverlaySize = 4
 	p.ClientsPerSite = 24
@@ -432,7 +438,7 @@ func TestAblationScaleUpAdmitsOverflow(t *testing.T) {
 }
 
 func TestActiveReplicationHarness(t *testing.T) {
-	p := fastParams(12)
+	p := tinyParams(12)
 	p.Duration = 20 * simkernel.Minute
 	rows, err := AblationActiveReplication(p, []int{0, 8})
 	if err != nil {
@@ -458,12 +464,12 @@ func TestTimeoutAtReleasedIndex(t *testing.T) {
 }
 
 func TestParamsValidation(t *testing.T) {
-	p := fastParams(9)
+	p := tinyParams(9)
 	p.Duration = 0
 	if _, err := RunFlower(p); err == nil {
 		t.Fatal("zero duration accepted")
 	}
-	p = fastParams(9)
+	p = tinyParams(9)
 	p.QueryRate = 0
 	if _, err := RunSquirrel(p); err == nil {
 		t.Fatal("zero rate accepted")
@@ -577,7 +583,7 @@ func TestParamsValidate(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p := fastParams(9)
+			p := tinyParams(9)
 			p.Duration = 2 * simkernel.Minute
 			c.edit(&p)
 			// Under a deadline, so a value that hangs or panics the run fails
@@ -622,12 +628,12 @@ func TestSettableValues(t *testing.T) {
 		config any
 		fields int
 	}{
-		{"harness.Params", Params{}, 36},
+		{"flowercdn.Params", Params{}, 36},
 		{"core.Config", core.Config{}, 18},
 		{"squirrel.Config", squirrel.Config{}, 7},
 		{"overlay.Config", overlay.Config{}, 4},
 		{"metrics.Config", metrics.Config{}, 6},
-		{"harness.Result", Result{}, 18},
+		{"flowercdn.Result", Result{}, 18},
 	} {
 		if got := reflect.TypeOf(c.config).NumField(); got != c.fields {
 			t.Errorf("%s has %d fields, pinned at %d", c.name, got, c.fields)

@@ -177,7 +177,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: gossip view size and length must be positive")
 	}
 	if len(c.PoolSizes) == 0 {
-		return fmt.Errorf("core: pool sizes not set (use harness.BuildPools)")
+		return fmt.Errorf("core: pool sizes not set (use flowercdn.Params.BuildPools)")
 	}
 	if len(c.PoolSizes) != c.ActiveSites {
 		return fmt.Errorf("core: %d pool rows for %d active sites", len(c.PoolSizes), c.ActiveSites)

@@ -1,9 +1,4 @@
-// Package harness assembles full experiments: it builds the topology and
-// client pools, wires a Flower-CDN or Squirrel system to the workload
-// generator, injects churn when asked, runs the event kernel for the
-// configured duration, and packages the metrics into the rows the paper's
-// tables and figures report.
-package harness
+package flowercdn
 
 import (
 	"fmt"

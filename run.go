@@ -1,4 +1,4 @@
-package harness
+package flowercdn
 
 import (
 	"fmt"
@@ -523,16 +523,6 @@ func failRandomSquirrelPeer(sys *squirrel.System, p Params, pools [][]int, rng *
 		sys.FailPeer(addr)
 		return
 	}
-}
-
-// TrafficBytes extracts one category's byte count from a report.
-func TrafficBytes(r metrics.Report, cat simnet.Category) int64 {
-	for _, ts := range r.Traffic {
-		if ts.Category == cat {
-			return ts.Bytes
-		}
-	}
-	return 0
 }
 
 // Describe renders a one-line result summary.

@@ -1,4 +1,4 @@
-package harness
+package flowercdn
 
 // This file holds the population-scale experiments: the
 // events/sec-vs-population chart behind the 100k-client preset. Unlike

@@ -1,4 +1,4 @@
-package harness
+package flowercdn
 
 import (
 	"os"
@@ -69,7 +69,7 @@ func TestPopulationSweepShape(t *testing.T) {
 
 // TestPopulationProbe is a manual scale probe, not run in CI:
 //
-//	POPULATION=100000 go test -run TestPopulationProbe -v ./internal/harness -timeout 30m
+//	POPULATION=100000 go test -run TestPopulationProbe -v . -timeout 30m
 //
 // (add -cpuprofile cpu.pprof to go test to find super-linear hotspots).
 func TestPopulationProbe(t *testing.T) {
