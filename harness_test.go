@@ -1,20 +1,15 @@
 package flowercdn
 
 import (
-	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"flowercdn/internal/core"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/model"
-	"flowercdn/internal/overlay"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
-	"flowercdn/internal/squirrel"
 	"flowercdn/internal/topology"
 	"flowercdn/internal/workload"
 )
@@ -460,184 +455,6 @@ func TestActiveReplicationHarness(t *testing.T) {
 func TestTimeoutAtReleasedIndex(t *testing.T) {
 	if _, err := RunFlower(DirCrashStormParams(14)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParamsValidation(t *testing.T) {
-	p := tinyParams(9)
-	p.Duration = 0
-	if _, err := RunFlower(p); err == nil {
-		t.Fatal("zero duration accepted")
-	}
-	p = tinyParams(9)
-	p.QueryRate = 0
-	if _, err := RunSquirrel(p); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-}
-
-// TestParamsValidate: every input BuildPools would mishandle is rejected up
-// front, through the same door a run takes. At the parent commit the
-// wrong-length weights panicked in BuildPools (index out of range) and the
-// zero-sum weights divided by zero and ran one-client pools with a nil error.
-// A directory crash or degrade that cannot act (no such position, a crash
-// outside the run, an empty window, a factor ≤ 1) used to be skipped without
-// a word, measuring a run without it. A NaN or infinite push threshold ran
-// with no member ever pushing, and a negative mean downtime ran its churn as
-// permanent failures. A content peer's round runs both periodic halves on
-// one ticker, so the longer period must be a whole multiple of the shorter.
-func TestParamsValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		edit func(*Params)
-		ok   bool
-	}{
-		{"scaled preset", func(*Params) {}, true},
-		{"explicit weights", func(p *Params) { p.LocalityWeights = []float64{3, 2, 1} }, true},
-		{"a locality weighted zero", func(p *Params) { p.LocalityWeights = []float64{1, 0, 1} }, true},
-		{"zero duration", func(p *Params) { p.Duration = 0 }, false},
-		{"zero query rate", func(p *Params) { p.QueryRate = 0 }, false},
-		{"more active sites than websites", func(p *Params) { p.ActiveSites = p.Websites + 1 }, false},
-		{"no clients", func(p *Params) { p.ClientsPerSite = 0 }, false},
-		{"no localities", func(p *Params) { p.Localities = 0 }, false},
-		{"fewer weights than localities", func(p *Params) { p.LocalityWeights = []float64{1, 0} }, false},
-		{"more weights than localities", func(p *Params) { p.LocalityWeights = []float64{1, 1, 1, 1} }, false},
-		{"all-zero weights", func(p *Params) { p.LocalityWeights = []float64{0, 0, 0} }, false},
-		{"a negative weight", func(p *Params) { p.LocalityWeights = []float64{2, -1, 1} }, false},
-		{"a NaN weight", func(p *Params) { p.LocalityWeights = []float64{1, math.NaN(), 1} }, false},
-		{"a directory crash", func(p *Params) { p.DirCrashes = []DirCrash{{SiteIdx: 1, Locality: 2, At: simkernel.Minute}} }, true},
-		{"a crash of site ActiveSites", func(p *Params) { p.DirCrashes = []DirCrash{{SiteIdx: p.ActiveSites}} }, false},
-		{"a crash of a negative site", func(p *Params) { p.DirCrashes = []DirCrash{{SiteIdx: -1}} }, false},
-		{"a crash in locality Localities", func(p *Params) { p.DirCrashes = []DirCrash{{Locality: p.Localities}} }, false},
-		{"a crash in a negative locality", func(p *Params) { p.DirCrashes = []DirCrash{{Locality: -1}} }, false},
-		{"a crash at the end of the run", func(p *Params) { p.DirCrashes = []DirCrash{{At: p.Duration}} }, false},
-		{"a crash before the run", func(p *Params) { p.DirCrashes = []DirCrash{{At: -1}} }, false},
-		{"a directory degrade", func(p *Params) {
-			p.DirDegrades = []DirDegrade{{SiteIdx: 1, Locality: 2, Start: simkernel.Minute, End: 5 * simkernel.Minute, Factor: 1.5}}
-		}, true},
-		{"a degrade of site ActiveSites", func(p *Params) { p.DirDegrades = []DirDegrade{{SiteIdx: p.ActiveSites, End: 1, Factor: 2}} }, false},
-		{"a degrade in a negative locality", func(p *Params) { p.DirDegrades = []DirDegrade{{Locality: -1, End: 1, Factor: 2}} }, false},
-		{"a degrade in locality Localities", func(p *Params) { p.DirDegrades = []DirDegrade{{Locality: p.Localities, End: 1, Factor: 2}} }, false},
-		{"a degrade ending at its start", func(p *Params) { p.DirDegrades = []DirDegrade{{Start: 5, End: 5, Factor: 2}} }, false},
-		{"a degrade ending before its start", func(p *Params) { p.DirDegrades = []DirDegrade{{Start: 5, End: 4, Factor: 2}} }, false},
-		{"a degrade by factor 1", func(p *Params) { p.DirDegrades = []DirDegrade{{End: 1, Factor: 1}} }, false},
-		{"a degrade by a NaN factor", func(p *Params) { p.DirDegrades = []DirDegrade{{End: 1, Factor: math.NaN()}} }, false},
-		{"a NaN query rate", func(p *Params) { p.QueryRate = math.NaN() }, false},
-		{"an infinite query rate", func(p *Params) { p.QueryRate = math.Inf(1) }, false},
-		{"no objects per site", func(p *Params) { p.ObjectsPerSite = 0 }, false},
-		{"churn", func(p *Params) { p.ChurnPerHour = 30 }, true},
-		{"a negative churn rate", func(p *Params) { p.ChurnPerHour = -1 }, false},
-		{"a NaN churn rate", func(p *Params) { p.ChurnPerHour = math.NaN() }, false},
-		{"an infinite churn rate", func(p *Params) { p.ChurnPerHour = math.Inf(1) }, false},
-		{"churn with rejoins", func(p *Params) { p.ChurnPerHour, p.ChurnMeanDowntime = 30, simkernel.Minute }, true},
-		{"a negative mean downtime", func(p *Params) { p.ChurnPerHour, p.ChurnMeanDowntime = 30, -simkernel.Minute }, false},
-		{"a push threshold of 0.9", func(p *Params) { p.PushThreshold = 0.9 }, true},
-		{"a NaN push threshold", func(p *Params) { p.PushThreshold = math.NaN() }, false},
-		{"an infinite push threshold", func(p *Params) { p.PushThreshold = math.Inf(1) }, false},
-		{"a negative infinite push threshold", func(p *Params) { p.PushThreshold = math.Inf(-1) }, false},
-		{"periods 5m/5m", func(p *Params) { p.TGossip, p.TKeepalive = 5*simkernel.Minute, 5*simkernel.Minute }, true},
-		{"periods 5m/1m", func(p *Params) { p.TGossip, p.TKeepalive = 5*simkernel.Minute, simkernel.Minute }, true},
-		{"periods 30s/1h", func(p *Params) { p.TGossip, p.TKeepalive = 30*simkernel.Second, simkernel.Hour }, true},
-		{"periods 3m/2m, which do not nest", func(p *Params) { p.TGossip, p.TKeepalive = 3*simkernel.Minute, 2*simkernel.Minute }, false},
-		{"periods 5s/1m, shorter than the failure-detection timeout", func(p *Params) { p.TGossip, p.TKeepalive = 5*simkernel.Second, simkernel.Minute }, false},
-		{"periods 10s/1m", func(p *Params) { p.TGossip, p.TKeepalive = 10*simkernel.Second, simkernel.Minute }, true},
-		{"zero keepalive period", func(p *Params) { p.TKeepalive = 0 }, true},
-		{"a negative keepalive period", func(p *Params) { p.TKeepalive = -500 * simkernel.Millisecond }, false},
-		{"zero dead age", func(p *Params) { p.TDead = 0 }, true},
-		{"a negative dead age", func(p *Params) { p.TDead = -1 }, false},
-		{"replication top-5", func(p *Params) { p.ReplicationTopK = 5 }, true},
-		{"a negative replication top-K", func(p *Params) { p.ReplicationTopK = -1 }, false},
-		{"instance bits 1", func(p *Params) { p.InstanceBits = 1 }, true},
-		{"instance bits 40, beyond the key", func(p *Params) { p.InstanceBits = 40 }, false},
-		{"instance bits 28, no room for a website id", func(p *Params) { p.InstanceBits = 28 }, false},
-		{"instance bits 26, 12 websites in 2 id bits", func(p *Params) { p.Websites, p.InstanceBits = 12, 26 }, false},
-		{"the fault storm", func(p *Params) { p.Faults = FaultStormParams(9).Faults }, true},
-		{"the gray storm", func(p *Params) { p.Faults = GrayStormParams(9).Faults }, true},
-		{"a NaN loss probability", func(p *Params) { p.Faults = &simnet.FaultConfig{LossProb: math.NaN()} }, false},
-		{"a negative loss probability", func(p *Params) { p.Faults = &simnet.FaultConfig{LossProb: -0.5} }, false},
-		{"a loss probability of 2", func(p *Params) { p.Faults = &simnet.FaultConfig{LossProb: 2} }, false},
-		{"a negative jitter", func(p *Params) { p.Faults = &simnet.FaultConfig{JitterProb: 0.1, JitterMaxMs: -500} }, false},
-		{"a negative spike", func(p *Params) { p.Faults = &simnet.FaultConfig{SpikeProb: 0.1, SpikeMs: -500} }, false},
-		{"an infinite spike", func(p *Params) { p.Faults = &simnet.FaultConfig{SpikeProb: 0.1, SpikeMs: math.Inf(1)} }, false},
-		{"an inverted partition window", func(p *Params) {
-			p.Faults = &simnet.FaultConfig{Partitions: []simnet.PartitionWindow{{Start: simkernel.Minute, End: simkernel.Second}}}
-		}, false},
-		{"a partition of locality 9", func(p *Params) {
-			p.Faults = &simnet.FaultConfig{Partitions: []simnet.PartitionWindow{{Locality: 9, End: simkernel.Minute}}}
-		}, false},
-		{"one-way loss to locality 9", func(p *Params) {
-			p.Faults = &simnet.FaultConfig{AsymLoss: []simnet.AsymLossRule{{ToLoc: 9, Prob: 0.2}}}
-		}, false},
-		{"5 locality loss entries for 3 localities", func(p *Params) {
-			p.Faults = &simnet.FaultConfig{LocalityLoss: []float64{0.1, 0.1, 0.1, 0.1, 0.1}}
-		}, false},
-		{"a flap of period 0", func(p *Params) {
-			p.Faults = &simnet.FaultConfig{Flap: []simnet.FlapWindow{{End: simkernel.Minute, DownFor: simkernel.Second}}}
-		}, false},
-		{"a flap down for its whole period", func(p *Params) {
-			p.Faults = &simnet.FaultConfig{Flap: []simnet.FlapWindow{{End: simkernel.Minute, Period: 10 * simkernel.Second, DownFor: 10 * simkernel.Second}}}
-		}, false},
-		{"a node degrade by factor 1", func(p *Params) {
-			p.Faults = &simnet.FaultConfig{NodeDegrade: []simnet.DegradeWindow{{End: simkernel.Minute, Factor: 1}}}
-		}, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			p := tinyParams(9)
-			p.Duration = 2 * simkernel.Minute
-			c.edit(&p)
-			// Under a deadline, so a value that hangs or panics the run fails
-			// its row rather than the whole test binary.
-			done := make(chan error, 1)
-			go func() {
-				defer func() {
-					if r := recover(); r != nil {
-						done <- fmt.Errorf("panic: %v", r)
-					}
-				}()
-				if err := p.Validate(); (err == nil) != c.ok {
-					done <- fmt.Errorf("Validate() = %v, want ok=%v", err, c.ok)
-					return
-				}
-				// RunFlower must agree with Validate: no panic, no silent success.
-				if _, err := RunFlower(p); (err == nil) != c.ok {
-					done <- fmt.Errorf("RunFlower() error = %v, want ok=%v", err, c.ok)
-					return
-				}
-				done <- nil
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("Validate and RunFlower did not return within 30 s")
-			}
-		})
-	}
-}
-
-// TestSettableValues pins how many independently settable values the
-// configuration surface has. Every field is a value tests and benchmarks
-// must cover: a new knob has to raise a number here on purpose (and a value
-// that only ever holds one setting belongs in a constant, which lowers it).
-func TestSettableValues(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		config any
-		fields int
-	}{
-		{"flowercdn.Params", Params{}, 36},
-		{"core.Config", core.Config{}, 18},
-		{"squirrel.Config", squirrel.Config{}, 7},
-		{"overlay.Config", overlay.Config{}, 4},
-		{"metrics.Config", metrics.Config{}, 6},
-		{"flowercdn.Result", Result{}, 18},
-	} {
-		if got := reflect.TypeOf(c.config).NumField(); got != c.fields {
-			t.Errorf("%s has %d fields, pinned at %d", c.name, got, c.fields)
-		}
 	}
 }
 
