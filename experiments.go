@@ -246,10 +246,7 @@ func CompareSubstrates(seed int64, websites, localities, lookups int) (Substrate
 		return SubstrateResult{}, err
 	}
 	cRing := chord.NewRing(chord.Config{Bits: core.DRingBits, SuccessorList: 8})
-	pRing, err := pastry.NewRing(pastry.DefaultConfig())
-	if err != nil {
-		return SubstrateResult{}, err
-	}
+	pRing := pastry.NewRing()
 	sites := model.MakeSites(websites)
 	var keys []chord.ID
 	addr := simnet.NodeID(0)

@@ -128,9 +128,11 @@ func TestRunSquirrelSmoke(t *testing.T) {
 }
 
 // TestRunSquirrelRefusesFlowerInputs: the fault plane, scheduled directory
-// crashes and degradations and the auditor act on Flower-CDN's directories
-// and overlays; a Squirrel run given one fails naming the field instead of
-// running without it.
+// crashes and degradations, the auditor, the adaptive plane, standbys,
+// active replication and the directory query policy act on Flower-CDN's
+// directories and overlays, and Squirrel never revives a failed peer; a
+// Squirrel run given one fails naming the field instead of running without
+// it.
 func TestRunSquirrelRefusesFlowerInputs(t *testing.T) {
 	for _, c := range []struct {
 		field string
@@ -140,6 +142,11 @@ func TestRunSquirrelRefusesFlowerInputs(t *testing.T) {
 		{"DirDegrades", func(p *Params) { p.DirDegrades = []DirDegrade{{End: simkernel.Minute, Factor: 4}} }},
 		{"DirCrashes", func(p *Params) { p.DirCrashes = []DirCrash{{At: simkernel.Minute}} }},
 		{"AuditEvery", func(p *Params) { p.AuditEvery = simkernel.Minute }},
+		{"Adaptive", func(p *Params) { p.Adaptive = true }},
+		{"StandbyFailover", func(p *Params) { p.StandbyFailover = true }},
+		{"ReplicationTopK", func(p *Params) { p.ReplicationTopK = 5 }},
+		{"QueryPolicy", func(p *Params) { p.QueryPolicy = core.PolicyViewThenDirectory }},
+		{"ChurnMeanDowntime", func(p *Params) { p.ChurnPerHour, p.ChurnMeanDowntime = 30, simkernel.Minute }},
 	} {
 		t.Run(c.field, func(t *testing.T) {
 			p := tinyParams(3)

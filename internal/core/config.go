@@ -47,8 +47,6 @@ func (p QueryPolicy) String() string {
 // Config collects every Flower-CDN parameter (Table 1 plus protocol
 // details the paper fixes in prose).
 type Config struct {
-	Seed int64
-
 	Localities     int            // k
 	Websites       int            // |W|
 	ActiveSites    int            // websites receiving queries (6 in §6.1)
@@ -62,7 +60,6 @@ type Config struct {
 	Gossip     overlay.Config // V_gossip, L_gossip, push threshold, summary sizing
 	TGossip    simkernel.Time // gossip period
 	TKeepalive simkernel.Time // keepalive period (defaults to TGossip; see Validate)
-	TDead      int            // age limit in periods before an entry is dead
 
 	QueryPolicy       QueryPolicy
 	MaintenancePeriod simkernel.Time // chord stabilization period (0 = off; enabled under churn)
@@ -97,6 +94,7 @@ type Config struct {
 // Protocol constants: values the paper fixes in prose and no scenario varies.
 const (
 	DRingBits           = 30  // m, the D-ring identifier width
+	deadAge             = 4   // T_dead: age in periods past which a view or index entry is dead
 	dirSummaryThreshold = 0.1 // §4.2.1 delayed summary propagation
 	retryLimit          = 3   // candidate peers tried per query before fallback
 	standbySyncShards   = 16  // dirty shards shipped per standby anti-entropy round
@@ -105,10 +103,9 @@ const (
 
 // DefaultConfig returns the paper's simulation parameters (Table 1 with
 // the §6.2 chosen gossip operating point).
-func DefaultConfig(seed int64) Config {
+func DefaultConfig() Config {
 	g := overlay.DefaultConfig()
 	return Config{
-		Seed:           seed,
 		Localities:     6,
 		Websites:       100,
 		ActiveSites:    6,
@@ -118,7 +115,6 @@ func DefaultConfig(seed int64) Config {
 		Gossip:         g,
 		TGossip:        30 * simkernel.Minute,
 		TKeepalive:     0, // = TGossip
-		TDead:          4,
 		QueryPolicy:    PolicyViewOnly,
 	}
 }
@@ -148,8 +144,8 @@ func (c *Config) Validate() error {
 	if c.TGossip <= 0 {
 		return fmt.Errorf("core: gossip period must be positive")
 	}
-	if c.TKeepalive < 0 || c.TDead < 0 || c.ReplicationTopK < 0 {
-		return fmt.Errorf("core: negative keepalive period, dead age or replication top-K (0 = default)")
+	if c.TKeepalive < 0 || c.ReplicationTopK < 0 {
+		return fmt.Errorf("core: negative keepalive period or replication top-K (0 = default)")
 	}
 	if c.TKeepalive == 0 {
 		c.TKeepalive = c.TGossip
@@ -163,9 +159,6 @@ func (c *Config) Validate() error {
 	}
 	if short < maxExchangeTimeout {
 		return fmt.Errorf("core: period %s is shorter than the %s failure-detection timeout", short, maxExchangeTimeout)
-	}
-	if c.TDead == 0 {
-		c.TDead = 4
 	}
 	if len(c.Sites) != 0 && len(c.Sites) != c.Websites { // none: New names them
 		return fmt.Errorf("core: %d site names for %d websites", len(c.Sites), c.Websites)

@@ -516,7 +516,7 @@ func TestQueryRecordsConserved(t *testing.T) {
 			tc.arm(e)
 			gen, err := workload.New(workload.Config{
 				Seed: 99, Sites: e.cfg.ActiveSiteIDs(), ObjectsPerSite: e.cfg.ObjectsPerSite,
-				ZipfAlpha: 0.8, QueryRate: 1, Poisson: true, PoolSizes: e.cfg.PoolSizes,
+				ZipfAlpha: 0.8, QueryRate: 1, PoolSizes: e.cfg.PoolSizes,
 			})
 			if err != nil {
 				t.Fatal(err)

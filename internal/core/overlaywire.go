@@ -78,7 +78,7 @@ func (s *System) timedOut(h *host, halves hostFlag) {
 // failure-detection timeout (0: nothing sent).
 func (s *System) gossipHalf(h *host) simkernel.Time {
 	h.cp.TickAges()
-	h.cp.DropOldContacts(s.cfg.TDead)
+	h.cp.DropOldContacts(deadAge)
 	if h.cp.View().Len() == 0 {
 		return 0 // nobody to gossip with (and no subset buffer to waste)
 	}
@@ -207,7 +207,7 @@ func (s *System) dirRound(h *host) {
 // nothing: it is the control plane's steady-state floor.
 func (s *System) dirTick(h *host) {
 	h.dir.TickAges()
-	h.dir.EvictOlderThan(s.cfg.TDead)
+	h.dir.EvictOlderThan(deadAge)
 	if !h.dir.ShouldPublishSummary() {
 		return
 	}

@@ -358,14 +358,13 @@ func TestKeepaliveKeepsIndexFresh(t *testing.T) {
 	e := newTestEnv(t, 26, func(c *Config) {
 		c.TGossip = simkernel.Minute
 		c.TKeepalive = simkernel.Minute
-		c.TDead = 3
 	})
 	e.submitAt(simkernel.Second, 0, 0, 0, 1)
 	e.k.Run(30 * simkernel.Minute) // 30 keepalive periods, no new content
 	if got := e.sys.DirectoryIndexSize(e.cfg.Sites[0], 0); got != 1 {
 		t.Fatalf("member evicted despite keepalives: index=%d", got)
 	}
-	// Kill the member: after T_dead periods it must be evicted.
+	// Kill the member: after deadAge periods it must be evicted.
 	e.sys.FailPeer(e.sys.PoolNode(0, 0, 0))
 	e.k.Run(40 * simkernel.Minute)
 	if got := e.sys.DirectoryIndexSize(e.cfg.Sites[0], 0); got != 0 {

@@ -291,7 +291,7 @@ func TestConfigRoundPeriods(t *testing.T) {
 
 // validatable is the default config with empty pools, which Validate accepts.
 func validatable() Config {
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.PoolSizes = make([][]int, cfg.ActiveSites)
 	for i := range cfg.PoolSizes {
 		cfg.PoolSizes[i] = make([]int, cfg.Localities)
@@ -299,9 +299,9 @@ func validatable() Config {
 	return cfg
 }
 
-// TestConfigRefusesNegatives: a negative keepalive period, dead age or
-// replication top-K is refused rather than run as the default (or as off);
-// 0 keeps its default meaning.
+// TestConfigRefusesNegatives: a negative keepalive period or replication
+// top-K is refused rather than run as the default (or as off); 0 keeps its
+// default meaning.
 func TestConfigRefusesNegatives(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -310,8 +310,6 @@ func TestConfigRefusesNegatives(t *testing.T) {
 	}{
 		{"zero keepalive period", func(c *Config) { c.TKeepalive = 0 }, true},
 		{"negative keepalive period", func(c *Config) { c.TKeepalive = -simkernel.Minute }, false},
-		{"zero dead age", func(c *Config) { c.TDead = 0 }, true},
-		{"negative dead age", func(c *Config) { c.TDead = -1 }, false},
 		{"zero replication top-K", func(c *Config) { c.ReplicationTopK = 0 }, true},
 		{"negative replication top-K", func(c *Config) { c.ReplicationTopK = -1 }, false},
 	} {

@@ -28,17 +28,13 @@ func newTestEnv(t testing.TB, seed int64, mod func(*Config)) *testEnv {
 		Localities:   3,
 		TotalNodes:   400,
 		UniformNodes: 30,
-		MinLatencyMs: 10,
-		MaxLatencyMs: 500,
-		ClusterStd:   40,
-		PlaneSize:    1000,
 		MinCount:     []int{60, 60, 60},
 	}
 	topo, err := topology.Generate(tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(seed)
+	cfg := DefaultConfig()
 	cfg.Localities = 3
 	cfg.Websites = 10
 	cfg.ActiveSites = 2

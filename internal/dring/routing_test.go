@@ -294,10 +294,7 @@ func buildPastryDRing(t *testing.T, sites []model.SiteID, k int) (*pastry.Ring, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := pastry.NewRing(pastry.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ring := pastry.NewRing()
 	nodes := map[chord.ID]*pastry.Node{}
 	addr := simnet.NodeID(0)
 	for _, s := range sites {

@@ -61,43 +61,18 @@ type Config struct {
 	// state. Events beyond the horizon still work — the bucket slice grows
 	// on demand as before. 0 means "unknown" (grow on demand only).
 	Horizon simkernel.Time
-
-	LatencyBinMs  float64 // histogram bin width for lookup latency (default 150, per Fig 7b)
-	LatencyBins   int     // number of finite bins; one overflow bin is added (default 7 → ">1050ms")
-	DistanceBinMs float64 // histogram bin width for transfer distance (default 100, per Fig 8b)
-	DistanceBins  int     // finite bins before overflow (default 5 → ">500ms")
 }
 
-// DefaultConfig matches the paper's figures.
-func DefaultConfig() Config {
-	return Config{
-		BucketWidth:   30 * simkernel.Minute,
-		LatencyBinMs:  150,
-		LatencyBins:   7,
-		DistanceBinMs: 100,
-		DistanceBins:  5,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.BucketWidth <= 0 {
-		c.BucketWidth = d.BucketWidth
-	}
-	if c.LatencyBinMs <= 0 {
-		c.LatencyBinMs = d.LatencyBinMs
-	}
-	if c.LatencyBins <= 0 {
-		c.LatencyBins = d.LatencyBins
-	}
-	if c.DistanceBinMs <= 0 {
-		c.DistanceBinMs = d.DistanceBinMs
-	}
-	if c.DistanceBins <= 0 {
-		c.DistanceBins = d.DistanceBins
-	}
-	return c
-}
+// Histogram bins, as in the paper's figures: lookup latency in 150 ms bins
+// (Fig 7b, seven finite bins, so the last reads ">1050ms") and transfer
+// distance in 100 ms bins (Fig 8b, five finite bins, ">500ms"); one overflow
+// bin follows the finite ones.
+const (
+	latencyBinMs  = 150
+	latencyBins   = 7
+	distanceBinMs = 100
+	distanceBins  = 5
+)
 
 type bucket struct {
 	queries    int64
@@ -125,8 +100,8 @@ type Collector struct {
 	p2pDistSum     float64
 	p2pDistCount   int64
 
-	latencyHist  []int64 // LatencyBins + 1 (overflow)
-	distanceHist []int64 // DistanceBins + 1
+	latencyHist  [latencyBins + 1]int64 // the last bin is the overflow
+	distanceHist [distanceBins + 1]int64
 
 	// The order statistics are read off counts per simulated millisecond,
 	// not stored samples: lookups (whole milliseconds already; a few KB of
@@ -168,12 +143,10 @@ type Collector struct {
 
 // New creates a collector.
 func New(cfg Config) *Collector {
-	cfg = cfg.withDefaults()
-	c := &Collector{
-		cfg:          cfg,
-		latencyHist:  make([]int64, cfg.LatencyBins+1),
-		distanceHist: make([]int64, cfg.DistanceBins+1),
+	if cfg.BucketWidth <= 0 {
+		cfg.BucketWidth = 30 * simkernel.Minute
 	}
+	c := &Collector{cfg: cfg}
 	if cfg.Horizon > 0 {
 		// One bucket per width across the horizon, plus one for events
 		// landing exactly at the horizon boundary.
@@ -253,7 +226,7 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 	c.lookupSum += lookupMs
 	c.lookupBySource[src] += lookupMs
 	c.lookups.add(lookupMs)
-	bin := int(lookupMs / c.cfg.LatencyBinMs)
+	bin := int(lookupMs / latencyBinMs)
 	if bin >= len(c.latencyHist) {
 		bin = len(c.latencyHist) - 1
 	}
@@ -270,7 +243,7 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 		c.distSum += distMs
 		c.distCount++
 		c.distances.add(distMs)
-		dbin := int(distMs / c.cfg.DistanceBinMs)
+		dbin := int(distMs / distanceBinMs)
 		if dbin >= len(c.distanceHist) {
 			dbin = len(c.distanceHist) - 1
 		}

@@ -159,8 +159,8 @@ func (c *Collector) Snapshot(end simkernel.Time) Report {
 	if c.p2pDistCount > 0 {
 		r.P2PAvgTransferMs = c.p2pDistSum / float64(c.p2pDistCount)
 	}
-	r.LatencyHist = buildHist(c.latencyHist, c.cfg.LatencyBinMs, c.totalQueries)
-	r.DistanceHist = buildHist(c.distanceHist, c.cfg.DistanceBinMs, c.distCount)
+	r.LatencyHist = buildHist(c.latencyHist[:], latencyBinMs, c.totalQueries)
+	r.DistanceHist = buildHist(c.distanceHist[:], distanceBinMs, c.distCount)
 	r.LookupPercentiles = c.lookups.percentiles()
 	r.TransferPercentiles = c.distances.percentiles()
 

@@ -26,46 +26,29 @@ import (
 	"flowercdn/internal/simnet"
 )
 
-// Config parameterises a Pastry ring.
-type Config struct {
-	Bits      uint // identifier width; must be a multiple of DigitBits
-	DigitBits uint // b: bits per digit (2^b columns per routing row)
-	LeafSet   int  // total leaf-set size L (half on each side)
-}
-
-// DefaultConfig uses a 30-bit space with 3-bit digits and L=8, matching
-// the D-ring identifier width used across this repository.
-func DefaultConfig() Config { return Config{Bits: 30, DigitBits: 3, LeafSet: 8} }
+// The ring's shape: a 30-bit space (the D-ring identifier width used across
+// this repository) of 3-bit digits, and a leaf set of L = 8 (half on each
+// side).
+const (
+	bits      = 30
+	digitBits = 3 // b: 2^b columns per routing row
+	digits    = bits / digitBits
+	leafSet   = 8
+)
 
 // Ring is one Pastry overlay.
 type Ring struct {
-	space  chord.Space
-	cfg    Config
-	digits int
-	byID   map[chord.ID]*Node
+	space chord.Space
+	byID  map[chord.ID]*Node
 }
 
-// NewRing validates the configuration and creates an empty ring.
-func NewRing(cfg Config) (*Ring, error) {
-	if cfg.DigitBits == 0 || cfg.Bits%cfg.DigitBits != 0 {
-		return nil, fmt.Errorf("pastry: %d bits not divisible into %d-bit digits", cfg.Bits, cfg.DigitBits)
-	}
-	if cfg.LeafSet < 2 || cfg.LeafSet%2 != 0 {
-		return nil, fmt.Errorf("pastry: leaf set must be even and >= 2, got %d", cfg.LeafSet)
-	}
-	return &Ring{
-		space:  chord.NewSpace(cfg.Bits),
-		cfg:    cfg,
-		digits: int(cfg.Bits / cfg.DigitBits),
-		byID:   make(map[chord.ID]*Node),
-	}, nil
+// NewRing creates an empty ring.
+func NewRing() *Ring {
+	return &Ring{space: chord.NewSpace(bits), byID: make(map[chord.ID]*Node)}
 }
 
 // Space exposes the identifier arithmetic.
 func (r *Ring) Space() chord.Space { return r.space }
-
-// Digits returns the number of digits per identifier.
-func (r *Ring) Digits() int { return r.digits }
 
 // Len reports the number of registered nodes.
 func (r *Ring) Len() int { return len(r.byID) }
@@ -75,18 +58,18 @@ func (r *Ring) Lookup(id chord.ID) *Node { return r.byID[id] }
 
 // digit extracts digit position i (most significant first) of id.
 func (r *Ring) digit(id chord.ID, i int) int {
-	shift := r.cfg.Bits - r.cfg.DigitBits*uint(i+1)
-	return int((uint64(id) >> shift) & ((1 << r.cfg.DigitBits) - 1))
+	shift := bits - digitBits*(i+1)
+	return int((uint64(id) >> shift) & (1<<digitBits - 1))
 }
 
 // sharedPrefix counts the leading digits a and b share.
 func (r *Ring) sharedPrefix(a, b chord.ID) int {
-	for i := 0; i < r.digits; i++ {
+	for i := 0; i < digits; i++ {
 		if r.digit(a, i) != r.digit(b, i) {
 			return i
 		}
 	}
-	return r.digits
+	return digits
 }
 
 // Node is one Pastry participant.
@@ -121,9 +104,9 @@ func (r *Ring) AddNode(id chord.ID, addr simnet.NodeID) (*Node, error) {
 		return nil, fmt.Errorf("pastry: id %d already registered", id)
 	}
 	n := &Node{ring: r, id: id, addr: addr, up: true}
-	n.table = make([][]*Node, r.digits)
+	n.table = make([][]*Node, digits)
 	for i := range n.table {
-		n.table[i] = make([]*Node, 1<<r.cfg.DigitBits)
+		n.table[i] = make([]*Node, 1<<digitBits)
 	}
 	r.byID[id] = n
 	return n, nil
@@ -163,7 +146,7 @@ func (r *Ring) BuildConverged() {
 	if n == 0 {
 		return
 	}
-	half := r.cfg.LeafSet / 2
+	half := leafSet / 2
 	for i, node := range nodes {
 		node.leftLeaves = node.leftLeaves[:0]
 		node.rightLeaves = node.rightLeaves[:0]
@@ -185,7 +168,7 @@ func (r *Ring) BuildConverged() {
 				continue
 			}
 			row := r.sharedPrefix(node.id, other.id)
-			if row >= r.digits {
+			if row >= digits {
 				continue
 			}
 			col := r.digit(other.id, row)
@@ -244,7 +227,7 @@ func (n *Node) Repair() {
 		sorted = append(sorted, p)
 	}
 	sp := n.ring.space
-	half := n.ring.cfg.LeafSet / 2
+	half := leafSet / 2
 	sort.Slice(sorted, func(i, j int) bool {
 		return sp.Distance(n.id, sorted[i].id) < sp.Distance(n.id, sorted[j].id)
 	})
@@ -257,7 +240,7 @@ func (n *Node) Repair() {
 	// Refill dead or empty routing-table slots from the candidate pool.
 	for _, p := range cands {
 		row := n.ring.sharedPrefix(n.id, p.id)
-		if row >= n.ring.digits {
+		if row >= digits {
 			continue
 		}
 		col := n.ring.digit(p.id, row)
@@ -358,7 +341,7 @@ func (n *Node) RouteStep(key chord.ID) (next *Node, deliver bool) {
 		return best, false
 	}
 	row := n.ring.sharedPrefix(n.id, key)
-	if row < n.ring.digits {
+	if row < digits {
 		if e := n.table[row][n.ring.digit(key, row)]; e != nil && e.up {
 			return e, false
 		}
@@ -392,7 +375,7 @@ func (n *Node) RouteStep(key chord.ID) (next *Node, deliver bool) {
 // destination and hop count (synchronous control-plane form).
 func (r *Ring) Route(start *Node, key chord.ID) (*Node, int) {
 	cur, hops := start, 0
-	limit := 4*r.digits + int(4*r.cfg.Bits)
+	limit := 4*digits + 4*bits
 	for hops < limit {
 		next, deliver := cur.RouteStep(key)
 		if deliver {

@@ -11,10 +11,7 @@ import (
 
 func buildRing(t *testing.T, ids []uint64) *Ring {
 	t.Helper()
-	r, err := NewRing(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRing()
 	for i, id := range ids {
 		if _, err := r.AddNode(chord.ID(id), simnet.NodeID(i)); err != nil {
 			t.Fatal(err)
@@ -49,35 +46,23 @@ func groundTruth(r *Ring, key chord.ID) *Node {
 	return best
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := NewRing(Config{Bits: 30, DigitBits: 4, LeafSet: 8}); err == nil {
-		t.Fatal("30 bits with 4-bit digits should fail")
-	}
-	if _, err := NewRing(Config{Bits: 30, DigitBits: 3, LeafSet: 3}); err == nil {
-		t.Fatal("odd leaf set should fail")
-	}
-	if _, err := NewRing(Config{Bits: 30, DigitBits: 0, LeafSet: 8}); err == nil {
-		t.Fatal("zero digit bits should fail")
-	}
-}
-
 func TestDigitExtraction(t *testing.T) {
-	r, _ := NewRing(Config{Bits: 12, DigitBits: 4, LeafSet: 4})
-	// 0xABC: digits A, B, C most significant first.
-	id := chord.ID(0xABC)
-	want := []int{0xA, 0xB, 0xC}
+	r := NewRing()
+	// Ten octal digits fill the 30-bit space, most significant first.
+	id := chord.ID(0o1234567012)
+	want := []int{1, 2, 3, 4, 5, 6, 7, 0, 1, 2}
 	for i, w := range want {
 		if got := r.digit(id, i); got != w {
-			t.Fatalf("digit %d = %x, want %x", i, got, w)
+			t.Fatalf("digit %d = %o, want %o", i, got, w)
 		}
 	}
-	if got := r.sharedPrefix(0xABC, 0xAB0); got != 2 {
-		t.Fatalf("sharedPrefix = %d, want 2", got)
+	if got := r.sharedPrefix(0o1234567012, 0o1234567000); got != 8 {
+		t.Fatalf("sharedPrefix = %d, want 8", got)
 	}
-	if got := r.sharedPrefix(0xABC, 0xABC); got != 3 {
-		t.Fatalf("identical prefix = %d, want 3", got)
+	if got := r.sharedPrefix(0o1234567012, 0o1234567012); got != 10 {
+		t.Fatalf("identical prefix = %d, want 10", got)
 	}
-	if got := r.sharedPrefix(0xABC, 0x1BC); got != 0 {
+	if got := r.sharedPrefix(0o1234567012, 0o7234567012); got != 0 {
 		t.Fatalf("disjoint prefix = %d, want 0", got)
 	}
 }
@@ -128,10 +113,7 @@ func TestQuickRoutingCorrect(t *testing.T) {
 		if len(rawIDs) == 0 {
 			return true
 		}
-		r, err := NewRing(DefaultConfig())
-		if err != nil {
-			return false
-		}
+		r := NewRing()
 		for i, raw := range rawIDs {
 			_, _ = r.AddNode(chord.ID(raw)&((1<<30)-1), simnet.NodeID(i))
 		}
@@ -181,7 +163,7 @@ func TestRepairProtocolConvergence(t *testing.T) {
 	}
 	// Leaf sets must be full again (population ≫ leaf set).
 	for _, n := range alive {
-		if len(n.leftLeaves) < r.cfg.LeafSet/2 || len(n.rightLeaves) < r.cfg.LeafSet/2 {
+		if len(n.leftLeaves) < leafSet/2 || len(n.rightLeaves) < leafSet/2 {
 			t.Fatalf("node %d leaf sets not refilled: %d/%d",
 				n.ID(), len(n.leftLeaves), len(n.rightLeaves))
 		}
@@ -283,7 +265,7 @@ func TestKnownVisitsEverySlotOnce(t *testing.T) {
 }
 
 func TestDuplicateID(t *testing.T) {
-	r, _ := NewRing(DefaultConfig())
+	r := NewRing()
 	if _, err := r.AddNode(5, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +276,8 @@ func TestDuplicateID(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	r := buildRing(t, []uint64{1, 2, 3})
-	if r.Len() != 3 || r.Digits() != 10 {
-		t.Fatalf("accessors wrong: len=%d digits=%d", r.Len(), r.Digits())
+	if r.Len() != 3 {
+		t.Fatalf("accessors wrong: len=%d", r.Len())
 	}
 	if r.Lookup(2) == nil || r.Lookup(9) != nil {
 		t.Fatal("Lookup wrong")

@@ -74,10 +74,6 @@ type FlapWindow struct {
 type FaultConfig struct {
 	// LossProb is the base per-message drop probability on every link.
 	LossProb float64
-	// LocalityLoss adds extra drop probability per endpoint locality:
-	// a message accrues the sender's entry plus (when different) the
-	// receiver's. Missing entries read as 0.
-	LocalityLoss []float64
 	// JitterProb is the probability that a message's latency is inflated
 	// by a uniform draw from [0, JitterMaxMs].
 	JitterProb  float64
@@ -101,30 +97,21 @@ func (f *FaultConfig) Enabled() bool {
 	if f == nil {
 		return false
 	}
-	if f.LossProb > 0 || f.JitterProb > 0 || f.SpikeProb > 0 || len(f.Partitions) > 0 ||
-		len(f.NodeDegrade) > 0 || len(f.AsymLoss) > 0 || len(f.Flap) > 0 {
-		return true
-	}
-	for _, l := range f.LocalityLoss {
-		if l > 0 {
-			return true
-		}
-	}
-	return false
+	return f.LossProb > 0 || f.JitterProb > 0 || f.SpikeProb > 0 || len(f.Partitions) > 0 ||
+		len(f.NodeDegrade) > 0 || len(f.AsymLoss) > 0 || len(f.Flap) > 0
 }
 
 // Validate refuses a config that would run as something other than it says
 // (a knob the plane would ignore, clamp or saturate): a probability that is
 // NaN or outside [0, 1], a negative or non-finite ms value, a window with
 // End ≤ Start, a degrade factor not above 1, a locality outside [0,
-// localities) or more LocalityLoss entries than localities, and a flap
-// without 0 < DownFor < Period. Nil-safe.
+// localities), and a flap without 0 < DownFor < Period. Nil-safe.
 func (f *FaultConfig) Validate(localities int) error {
 	if f == nil {
 		return nil
 	}
 	badLoc := func(loc int) bool { return loc < 0 || loc >= localities }
-	probs := append([]float64{f.LossProb, f.JitterProb, f.SpikeProb}, f.LocalityLoss...)
+	probs := []float64{f.LossProb, f.JitterProb, f.SpikeProb}
 	for _, r := range f.AsymLoss {
 		if badLoc(r.FromLoc) || badLoc(r.ToLoc) {
 			return fmt.Errorf("simnet: asymmetric loss %+v names no locality", r)
@@ -140,9 +127,6 @@ func (f *FaultConfig) Validate(localities int) error {
 		if !(ms >= 0 && ms <= math.MaxFloat64) {
 			return fmt.Errorf("simnet: fault latency %v ms is not a non-negative finite number", ms)
 		}
-	}
-	if len(f.LocalityLoss) > localities {
-		return fmt.Errorf("simnet: %d locality loss entries for %d localities", len(f.LocalityLoss), localities)
 	}
 	for _, w := range f.Partitions {
 		if badLoc(w.Locality) || w.End <= w.Start {
@@ -192,18 +176,6 @@ func (f *FaultConfig) HealTime(loc int) simkernel.Time {
 	return heal
 }
 
-// lossProb is the total drop probability for a (srcLoc, dstLoc) link.
-func (f *FaultConfig) lossProb(srcLoc, dstLoc int) float64 {
-	p := f.LossProb
-	if srcLoc < len(f.LocalityLoss) {
-		p += f.LocalityLoss[srcLoc]
-	}
-	if dstLoc != srcLoc && dstLoc < len(f.LocalityLoss) {
-		p += f.LocalityLoss[dstLoc]
-	}
-	return p
-}
-
 // faultPlan is the compiled, immutable form of a FaultConfig built once at
 // InstallFaults time: one per-locality list of cut windows (the hot-path
 // check scans only the windows of the endpoint's locality, and stops at the
@@ -236,7 +208,7 @@ type faultPlan struct {
 // node indexes.
 func compileFaults(cfg *FaultConfig, nLoc, nNodes int) *faultPlan {
 	p := &faultPlan{cfg: cfg, nLoc: nLoc}
-	p.anyLoss = cfg.LossProb > 0 || len(cfg.LocalityLoss) > 0 || len(cfg.AsymLoss) > 0
+	p.anyLoss = cfg.LossProb > 0 || len(cfg.AsymLoss) > 0
 
 	if len(cfg.Partitions)+len(cfg.Flap) > 0 {
 		p.cuts = make([][]FlapWindow, nLoc)
@@ -331,7 +303,7 @@ func (p *faultPlan) decide(rng *rand.Rand, from NodeID, srcLoc, dstLoc int, lat,
 		return true, 0
 	}
 	if p.anyLoss {
-		prob := f.lossProb(srcLoc, dstLoc)
+		prob := f.LossProb
 		if p.asym != nil {
 			prob += p.asym[srcLoc*p.nLoc+dstLoc]
 		}

@@ -110,20 +110,20 @@ func TestFaultDeterminism(t *testing.T) {
 // degrade factor.
 func TestDecideDrawOrderStable(t *testing.T) {
 	base := &FaultConfig{
-		LossProb: 0.1, LocalityLoss: []float64{0, 0.05},
+		LossProb:   0.1,
 		JitterProb: 0.3, JitterMaxMs: 50,
 		SpikeProb: 0.05, SpikeMs: 200,
 		Partitions: []PartitionWindow{{Locality: 2, Start: simkernel.Minute, End: 2 * simkernel.Minute}},
 	}
 	zeroGray := &FaultConfig{
-		LossProb: base.LossProb, LocalityLoss: base.LocalityLoss,
+		LossProb:   base.LossProb,
 		JitterProb: base.JitterProb, JitterMaxMs: base.JitterMaxMs,
 		SpikeProb: base.SpikeProb, SpikeMs: base.SpikeMs,
 		Partitions:  base.Partitions,
 		NodeDegrade: []DegradeWindow{}, AsymLoss: []AsymLossRule{}, Flap: []FlapWindow{},
 	}
 	degraded := &FaultConfig{
-		LossProb: base.LossProb, LocalityLoss: base.LocalityLoss,
+		LossProb:   base.LossProb,
 		JitterProb: base.JitterProb, JitterMaxMs: base.JitterMaxMs,
 		SpikeProb: base.SpikeProb, SpikeMs: base.SpikeMs,
 		Partitions: base.Partitions,

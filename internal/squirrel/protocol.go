@@ -101,7 +101,7 @@ func (h *host) removePointer(ref model.ObjectRef, cand simnet.NodeID) {
 	}
 }
 
-// addPointer records a fresh downloader, keeping at most MaxDirEntries
+// addPointer records a fresh downloader, keeping at most maxDirEntries
 // (most recent last).
 func (h *host) addPointer(ref model.ObjectRef, from simnet.NodeID) {
 	list := h.dir[ref]
@@ -112,8 +112,8 @@ func (h *host) addPointer(ref model.ObjectRef, from simnet.NodeID) {
 		}
 	}
 	list = append(list, from)
-	if len(list) > h.sys.cfg.MaxDirEntries {
-		list = list[len(list)-h.sys.cfg.MaxDirEntries:]
+	if len(list) > maxDirEntries {
+		list = list[len(list)-maxDirEntries:]
 	}
 	h.dir[ref] = list
 }

@@ -51,28 +51,26 @@ func (st Strategy) String() string {
 
 // Config parameterises a Squirrel run.
 type Config struct {
-	Seed             int64
 	Sites            []model.SiteID // queried websites
 	ObjectsPerSite   int            // nb-ob: sizes the interned object space
 	PoolSizes        [][]int        // [siteIdx][locality] client pools (mirrors Flower-CDN's)
 	ExtraPerLocality int            // passive DHT members (Flower's directory-peer budget)
-	MaxDirEntries    int            // home-directory size (recent downloaders)
 	Strategy         Strategy
 }
 
 // Fixed by the comparison setup: the DHT identifier width and the number of
-// delegates tried per query, both as in Flower-CDN. Like there, the
+// delegates tried per query, both as in Flower-CDN, and the size of a home
+// directory (recent downloaders kept per object). Like there, the
 // transferred object's size is not modelled.
 const (
-	ringBits   = 30
-	retryLimit = 3
+	ringBits      = 30
+	retryLimit    = 3
+	maxDirEntries = 4
 )
 
 // DefaultConfig mirrors the Flower-CDN comparison setup.
-func DefaultConfig(seed int64) Config {
+func DefaultConfig() Config {
 	return Config{
-		Seed:             seed,
-		MaxDirEntries:    4,
 		Strategy:         StrategyDirectory,
 		ExtraPerLocality: 100,
 	}
@@ -85,9 +83,6 @@ func (c *Config) Validate() error {
 	}
 	if len(c.PoolSizes) != len(c.Sites) {
 		return fmt.Errorf("squirrel: %d pool rows for %d sites", len(c.PoolSizes), len(c.Sites))
-	}
-	if c.MaxDirEntries <= 0 {
-		c.MaxDirEntries = 4
 	}
 	if c.ObjectsPerSite <= 0 {
 		return fmt.Errorf("squirrel: objects per site must be positive")

@@ -22,14 +22,13 @@ func newEnv(t *testing.T, seed int64, mod func(*Config)) *env {
 	k := simkernel.New(seed)
 	tcfg := topology.Config{
 		Seed: seed, Localities: 3, TotalNodes: 400, UniformNodes: 30,
-		MinLatencyMs: 10, MaxLatencyMs: 500, ClusterStd: 40, PlaneSize: 1000,
 		MinCount: []int{60, 60, 60},
 	}
 	topo, err := topology.Generate(tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(seed)
+	cfg := DefaultConfig()
 	cfg.Sites = model.MakeSites(2)
 	cfg.ObjectsPerSite = 20
 	cfg.PoolSizes = [][]int{{5, 5, 5}, {5, 5, 5}}
@@ -113,17 +112,17 @@ func TestEveryQueryRoutesThroughDHT(t *testing.T) {
 }
 
 func TestDirectoryLRUCap(t *testing.T) {
-	e := newEnv(t, 5, func(c *Config) { c.MaxDirEntries = 2 })
-	// Five distinct clients fetch the same object.
-	for m := 0; m < 5; m++ {
-		e.submitAt(simkernel.Time(m+1)*simkernel.Minute, 0, m%3, m, 9)
+	e := newEnv(t, 5, nil)
+	// Twelve distinct clients, three times the cap, fetch the same object.
+	for m := 0; m < 12; m++ {
+		e.submitAt(simkernel.Time(m+1)*simkernel.Minute, 0, m%3, m/3, 9)
 	}
-	e.k.Run(10 * simkernel.Minute)
+	e.k.Run(20 * simkernel.Minute)
 	obj := e.sys.Interner().RefFor(0, 9)
 	home := e.sys.HomeOf(obj)
 	hh := e.sys.hosts[home]
-	if len(hh.dir[obj]) > 2 {
-		t.Fatalf("home directory grew to %d entries, cap 2", len(hh.dir[obj]))
+	if n := len(hh.dir[obj]); n != maxDirEntries {
+		t.Fatalf("home directory holds %d entries, want the cap %d", n, maxDirEntries)
 	}
 }
 
@@ -243,7 +242,7 @@ func TestServerFallbackWhenRingEmptyOfPointers(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	bad := DefaultConfig(1)
+	bad := DefaultConfig()
 	if err := bad.Validate(); err == nil {
 		t.Fatal("no sites accepted")
 	}

@@ -1,8 +1,8 @@
 // Package topology generates the underlying Internet model used by the
 // simulation: a BRITE-inspired plane of nodes connected by links whose
-// latencies lie between a configurable minimum and maximum (10–500 ms in
-// the paper, §6.1), partitioned into k network localities detected with a
-// landmark-based technique (Ratnasamy et al., reference [12] in the paper).
+// latencies lie between 10 and 500 ms (the paper's §6.1), partitioned into
+// k network localities detected with a landmark-based technique (Ratnasamy
+// et al., reference [12] in the paper).
 //
 // Nodes are placed as Gaussian clusters around k locality seeds, so that
 // intra-locality latencies are small relative to inter-locality latencies —
@@ -39,12 +39,15 @@ type Config struct {
 	// Internet" rather than inside a peer cluster.
 	UniformNodes int
 	TotalNodes   int // total node budget including UniformNodes (paper: 5000)
-
-	MinLatencyMs float64 // latency floor (paper: 10)
-	MaxLatencyMs float64 // latency ceiling (paper: 500)
-	ClusterStd   float64 // std-dev of Gaussian clusters, plane units
-	PlaneSize    float64 // side of the square plane, plane units
 }
+
+// The plane and its latency model, fixed by the paper's set-up (§6.1).
+const (
+	minLatencyMs = 10   // latency floor
+	maxLatencyMs = 500  // latency ceiling
+	clusterStd   = 45   // std-dev of the Gaussian clusters, plane units
+	planeSize    = 1000 // side of the square plane, plane units
+)
 
 // DefaultConfig returns the paper's simulation setup: 5000 nodes, 6
 // non-uniformly populated localities, latencies 10..500 ms.
@@ -55,10 +58,6 @@ func DefaultConfig(seed int64) Config {
 		Weights:      nil, // filled by Generate with the default skew
 		UniformNodes: 200,
 		TotalNodes:   5000,
-		MinLatencyMs: 10,
-		MaxLatencyMs: 500,
-		ClusterStd:   45,
-		PlaneSize:    1000,
 	}
 }
 
@@ -109,12 +108,6 @@ func Generate(cfg Config) (*Topology, error) {
 	if cfg.TotalNodes <= 0 {
 		return nil, fmt.Errorf("topology: total nodes must be positive, got %d", cfg.TotalNodes)
 	}
-	if cfg.MaxLatencyMs <= cfg.MinLatencyMs {
-		return nil, fmt.Errorf("topology: max latency %.1f must exceed min %.1f", cfg.MaxLatencyMs, cfg.MinLatencyMs)
-	}
-	if cfg.PlaneSize <= 0 || cfg.ClusterStd <= 0 {
-		return nil, fmt.Errorf("topology: plane size and cluster std must be positive")
-	}
 	k := cfg.Localities
 	weights := cfg.Weights
 	if weights == nil {
@@ -128,8 +121,8 @@ func Generate(cfg Config) (*Topology, error) {
 
 	// Landmark seeds on a circle centred in the plane. For k=6 this is a
 	// hexagon; opposite clusters are ~2r apart.
-	centre := Point{cfg.PlaneSize / 2, cfg.PlaneSize / 2}
-	radius := cfg.PlaneSize * 0.40
+	centre := Point{planeSize / 2, planeSize / 2}
+	radius := planeSize * 0.40
 	landmarks := make([]Point, k)
 	for i := range landmarks {
 		theta := 2 * math.Pi * float64(i) / float64(k)
@@ -169,8 +162,8 @@ func Generate(cfg Config) (*Topology, error) {
 	}
 	// Latency normalisation: the farthest plausible pair is roughly the
 	// two most distant landmark clusters plus spread.
-	t.normDist = 2*radius + 4*cfg.ClusterStd
-	t.latScale = (cfg.MaxLatencyMs - cfg.MinLatencyMs) / t.normDist
+	t.normDist = 2*radius + 4*clusterStd
+	t.latScale = (maxLatencyMs - minLatencyMs) / t.normDist
 
 	place := func(p Point) NodeID {
 		id := NodeID(len(t.coords))
@@ -184,14 +177,14 @@ func Generate(cfg Config) (*Topology, error) {
 	for li := 0; li < k; li++ {
 		for n := 0; n < counts[li]; n++ {
 			p := Point{
-				X: landmarks[li].X + rng.NormFloat64()*cfg.ClusterStd,
-				Y: landmarks[li].Y + rng.NormFloat64()*cfg.ClusterStd,
+				X: landmarks[li].X + rng.NormFloat64()*clusterStd,
+				Y: landmarks[li].Y + rng.NormFloat64()*clusterStd,
 			}
-			place(clampPoint(p, cfg.PlaneSize))
+			place(clampPoint(p, planeSize))
 		}
 	}
 	for n := 0; n < cfg.UniformNodes; n++ {
-		p := Point{X: rng.Float64() * cfg.PlaneSize, Y: rng.Float64() * cfg.PlaneSize}
+		p := Point{X: rng.Float64() * planeSize, Y: rng.Float64() * planeSize}
 		id := place(p)
 		t.uniform = append(t.uniform, id)
 	}
@@ -291,15 +284,15 @@ func (t *Topology) LatencyMs(a, b NodeID) float64 {
 		return 0
 	}
 	d := t.coords[a].dist(t.coords[b])
-	ms := t.cfg.MinLatencyMs + d*t.latScale
+	ms := minLatencyMs + d*t.latScale
 	// Deterministic per-pair jitter (±10%) so links with identical
 	// geometry do not have identical latencies, as in BRITE-style models.
 	ms *= 0.90 + 0.20*pairHash01(a, b)
-	if ms < t.cfg.MinLatencyMs {
-		ms = t.cfg.MinLatencyMs
+	if ms < minLatencyMs {
+		ms = minLatencyMs
 	}
-	if ms > t.cfg.MaxLatencyMs {
-		ms = t.cfg.MaxLatencyMs
+	if ms > maxLatencyMs {
+		ms = maxLatencyMs
 	}
 	return ms
 }
@@ -322,7 +315,7 @@ func (t *Topology) LandmarkLatencies(n NodeID) []float64 {
 	out := make([]float64, len(t.landmarks))
 	for i, lm := range t.landmarks {
 		d := t.coords[n].dist(lm)
-		out[i] = t.cfg.MinLatencyMs + d*t.latScale
+		out[i] = minLatencyMs + d*t.latScale
 	}
 	return out
 }

@@ -15,8 +15,7 @@ type Config struct {
 	Sites          []model.SiteID // the active websites queries are restricted to (§6.1: 6 of 100)
 	ObjectsPerSite int            // nb-ob
 	ZipfAlpha      float64        // object-popularity skew (Breslau et al. report 0.64–0.83)
-	QueryRate      float64        // aggregate queries per second (paper: 6)
-	Poisson        bool           // exponential inter-arrivals instead of a fixed cadence
+	QueryRate      float64        // aggregate queries per second (paper: 6), at a fixed cadence
 	// PoolSizes[siteIdx][loc] is the number of potential clients of that
 	// website in that locality. Originator localities are implicitly
 	// weighted by pool size, reproducing the non-uniform locality
@@ -126,12 +125,7 @@ func (g *Generator) Count() uint64 { return g.count }
 // Next returns the next query in the stream. The stream is unbounded; the
 // caller stops pulling when the simulation horizon is reached.
 func (g *Generator) Next() Query {
-	// Arrival time.
-	if g.cfg.Poisson {
-		g.nextAt += g.rng.ExpFloat64() * 1000 / g.cfg.QueryRate
-	} else {
-		g.nextAt += 1000 / g.cfg.QueryRate
-	}
+	g.nextAt += 1000 / g.cfg.QueryRate
 	// Site: uniform among actives (§6.1: rate "distributed between the 6
 	// active websites").
 	si := g.rng.Intn(len(g.cfg.Sites))

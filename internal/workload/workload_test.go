@@ -166,24 +166,6 @@ func TestGeneratorRate(t *testing.T) {
 	}
 }
 
-func TestGeneratorPoissonRate(t *testing.T) {
-	cfg := genCfg(3)
-	cfg.Poisson = true
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last Query
-	const n = 6000
-	for i := 0; i < n; i++ {
-		last = g.Next()
-	}
-	secs := last.At.Seconds()
-	if secs < 900 || secs > 1100 {
-		t.Fatalf("%d Poisson queries span %.1f s, want ~1000", n, secs)
-	}
-}
-
 func TestGeneratorBoundsAndDeterminism(t *testing.T) {
 	g1, _ := New(genCfg(4))
 	g2, _ := New(genCfg(4))

@@ -21,7 +21,6 @@ type Params struct {
 	// Workload (§6.1).
 	QueryRate float64 // aggregate queries/second
 	ZipfAlpha float64
-	Poisson   bool
 
 	// Population.
 	Localities      int
@@ -42,7 +41,6 @@ type Params struct {
 	ViewSize      int
 	GossipLen     int
 	PushThreshold float64
-	TDead         int
 
 	// Protocol variants.
 	QueryPolicy  core.QueryPolicy
@@ -153,7 +151,6 @@ func DefaultParams(seed int64) Params {
 		ViewSize:       50,
 		GossipLen:      10,
 		PushThreshold:  0.1,
-		TDead:          4,
 		QueryPolicy:    core.PolicyViewOnly,
 		BucketWidth:    30 * simkernel.Minute,
 	}
@@ -293,7 +290,7 @@ func (p Params) TopologyConfig(pools [][]int) topology.Config {
 
 // CoreConfig derives the Flower-CDN configuration.
 func (p Params) CoreConfig(pools [][]int) core.Config {
-	cfg := core.DefaultConfig(p.Seed)
+	cfg := core.DefaultConfig()
 	cfg.Localities = p.Localities
 	cfg.Websites = p.Websites
 	cfg.ActiveSites = p.ActiveSites
@@ -307,7 +304,6 @@ func (p Params) CoreConfig(pools [][]int) core.Config {
 	cfg.Gossip.SummaryCapacity = p.ObjectsPerSite
 	cfg.TGossip = p.TGossip
 	cfg.TKeepalive = p.TKeepalive
-	cfg.TDead = p.TDead
 	cfg.QueryPolicy = p.QueryPolicy
 	cfg.ReplicationTopK = p.ReplicationTopK
 	cfg.StandbyFailover = p.StandbyFailover
@@ -325,7 +321,7 @@ func (p Params) CoreConfig(pools [][]int) core.Config {
 // Flower-CDN spends on directory peers, so both systems have comparable
 // populations.
 func (p Params) SquirrelConfig(pools [][]int) squirrel.Config {
-	cfg := squirrel.DefaultConfig(p.Seed)
+	cfg := squirrel.DefaultConfig()
 	cfg.Sites = model.MakeSites(p.Websites)[:p.ActiveSites]
 	cfg.ObjectsPerSite = p.ObjectsPerSite
 	cfg.PoolSizes = pools
@@ -340,58 +336,58 @@ func (p Params) SquirrelConfig(pools [][]int) squirrel.Config {
 // derive.
 func (p Params) Validate() error {
 	if p.Duration <= 0 {
-		return fmt.Errorf("harness: duration must be positive")
+		return fmt.Errorf("flowercdn: duration must be positive")
 	}
 	// The rate tests are negated so that NaN fails them too.
 	if !(p.QueryRate > 0) || math.IsInf(p.QueryRate, 1) {
-		return fmt.Errorf("harness: query rate %v is not a positive finite number", p.QueryRate)
+		return fmt.Errorf("flowercdn: query rate %v is not a positive finite number", p.QueryRate)
 	}
 	if !(p.ChurnPerHour >= 0) || math.IsInf(p.ChurnPerHour, 1) {
-		return fmt.Errorf("harness: churn rate %v is not a non-negative finite number", p.ChurnPerHour)
+		return fmt.Errorf("flowercdn: churn rate %v is not a non-negative finite number", p.ChurnPerHour)
 	}
 	// Rejoins are scheduled only for a positive downtime: a negative one
 	// would run as permanent failures.
 	if p.ChurnMeanDowntime < 0 {
-		return fmt.Errorf("harness: churn mean downtime %s is negative", p.ChurnMeanDowntime)
+		return fmt.Errorf("flowercdn: churn mean downtime %s is negative", p.ChurnMeanDowntime)
 	}
 	// NeedPush compares with >=, which no change ratio passes against a NaN
 	// or infinite threshold: no member would ever push.
 	if !(math.Abs(p.PushThreshold) <= math.MaxFloat64) {
-		return fmt.Errorf("harness: push threshold %v is not a finite number", p.PushThreshold)
+		return fmt.Errorf("flowercdn: push threshold %v is not a finite number", p.PushThreshold)
 	}
 	if p.ClientsPerSite <= 0 {
-		return fmt.Errorf("harness: clients per site must be positive")
+		return fmt.Errorf("flowercdn: clients per site must be positive")
 	}
 	if p.Localities <= 0 {
-		return fmt.Errorf("harness: localities must be positive")
+		return fmt.Errorf("flowercdn: localities must be positive")
 	}
 	if err := p.Faults.Validate(p.Localities); err != nil {
 		return err
 	}
 	// BuildPools indexes the weights by locality and divides by their sum.
 	if n := len(p.LocalityWeights); n != 0 && n != p.Localities {
-		return fmt.Errorf("harness: %d locality weights for %d localities", n, p.Localities)
+		return fmt.Errorf("flowercdn: %d locality weights for %d localities", n, p.Localities)
 	}
 	sum := 0.0
 	for _, w := range p.LocalityWeights {
 		if !(w >= 0) {
-			return fmt.Errorf("harness: locality weight %v is not a non-negative number", w)
+			return fmt.Errorf("flowercdn: locality weight %v is not a non-negative number", w)
 		}
 		sum += w
 	}
 	if len(p.LocalityWeights) > 0 && !(sum > 0) {
-		return fmt.Errorf("harness: locality weights sum to zero")
+		return fmt.Errorf("flowercdn: locality weights sum to zero")
 	}
 	// A schedule entry that cannot act is refused, not skipped: a run that
 	// silently lost its crash or its slowdown would measure the wrong thing.
 	for _, dc := range p.DirCrashes {
 		if !p.isDirPosition(dc.SiteIdx, dc.Locality) || dc.At < 0 || dc.At >= p.Duration {
-			return fmt.Errorf("harness: directory crash %+v names no directory or falls outside the run [0, %s)", dc, p.Duration)
+			return fmt.Errorf("flowercdn: directory crash %+v names no directory or falls outside the run [0, %s)", dc, p.Duration)
 		}
 	}
 	for _, dd := range p.DirDegrades {
 		if !p.isDirPosition(dd.SiteIdx, dd.Locality) || dd.End <= dd.Start || !(dd.Factor > 1) {
-			return fmt.Errorf("harness: directory degrade %+v names no directory, an empty window or a factor ≤ 1", dd)
+			return fmt.Errorf("flowercdn: directory degrade %+v names no directory, an empty window or a factor ≤ 1", dd)
 		}
 	}
 	// The protocol's own checks (key space, periods, negative values), before

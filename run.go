@@ -311,14 +311,24 @@ func bytesPerClientOf(p Params, pools [][]int, sys any) float64 {
 }
 
 // RunSquirrel executes the baseline with the identical topology seed,
-// pools and workload stream, refusing the inputs it does not model.
+// pools and workload stream, refusing the inputs it does not model (Squirrel
+// never revives a failed peer, so a churn downtime is one of them).
 func RunSquirrel(p Params) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	for i, set := range [...]bool{p.Faults.Enabled(), len(p.DirDegrades) > 0, len(p.DirCrashes) > 0, p.AuditEvery > 0} {
-		if set {
-			return Result{}, fmt.Errorf("harness: Squirrel does not model Params.%s", [...]string{"Faults", "DirDegrades", "DirCrashes", "AuditEvery"}[i])
+	for _, in := range [...]struct {
+		field string
+		set   bool
+	}{
+		{"Faults", p.Faults.Enabled()}, {"DirDegrades", len(p.DirDegrades) > 0},
+		{"DirCrashes", len(p.DirCrashes) > 0}, {"AuditEvery", p.AuditEvery > 0},
+		{"Adaptive", p.Adaptive}, {"StandbyFailover", p.StandbyFailover},
+		{"ReplicationTopK", p.ReplicationTopK > 0}, {"QueryPolicy", p.QueryPolicy != core.PolicyViewOnly},
+		{"ChurnMeanDowntime", p.ChurnMeanDowntime > 0},
+	} {
+		if in.set {
+			return Result{}, fmt.Errorf("flowercdn: Squirrel does not model Params.%s", in.field)
 		}
 	}
 	pools := p.BuildPools()
@@ -379,7 +389,6 @@ func newGenerator(p Params, pools [][]int, in *model.Interner) (*workload.Genera
 		ObjectsPerSite: p.ObjectsPerSite,
 		ZipfAlpha:      p.ZipfAlpha,
 		QueryRate:      p.QueryRate,
-		Poisson:        p.Poisson,
 		PoolSizes:      pools,
 		Interner:       in,
 	})
@@ -431,20 +440,20 @@ func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
 	pools := p.BuildPools()
 	for i, q := range queries {
 		if q.SiteIdx < 0 || q.SiteIdx >= len(pools) {
-			return Result{}, fmt.Errorf("harness: replay record %d: site %d out of range", i, q.SiteIdx)
+			return Result{}, fmt.Errorf("flowercdn: replay record %d: site %d out of range", i, q.SiteIdx)
 		}
 		if q.Locality < 0 || q.Locality >= p.Localities {
-			return Result{}, fmt.Errorf("harness: replay record %d: locality %d out of range", i, q.Locality)
+			return Result{}, fmt.Errorf("flowercdn: replay record %d: locality %d out of range", i, q.Locality)
 		}
 		if q.Member < 0 || q.Member >= pools[q.SiteIdx][q.Locality] {
-			return Result{}, fmt.Errorf("harness: replay record %d: member %d outside pool %d",
+			return Result{}, fmt.Errorf("flowercdn: replay record %d: member %d outside pool %d",
 				i, q.Member, pools[q.SiteIdx][q.Locality])
 		}
 		// The interned object space is fixed at ObjectsPerSite; an
 		// out-of-universe object number would alias into another site's
 		// dense refs.
 		if q.Object.Num < 0 || q.Object.Num >= p.ObjectsPerSite {
-			return Result{}, fmt.Errorf("harness: replay record %d: object %d outside universe of %d",
+			return Result{}, fmt.Errorf("flowercdn: replay record %d: object %d outside universe of %d",
 				i, q.Object.Num, p.ObjectsPerSite)
 		}
 	}
