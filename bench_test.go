@@ -275,16 +275,6 @@ func BenchmarkAblationHomeStore(b *testing.B) {
 	benchSquirrel(b, func(p *Params) { p.SquirrelHomeStore = true })
 }
 
-// §8 extension: active replication of popular objects between sibling
-// overlays of the same website.
-func BenchmarkAblationActiveReplicationOff(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ReplicationTopK = 0 })
-}
-
-func BenchmarkAblationActiveReplicationTop10(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ReplicationTopK = 10 })
-}
-
 // A5: §5.3 scale-up — extra instance bits double the directory peers per
 // (website, locality), letting overflowing client populations join.
 func BenchmarkAblationScaleUpBasic(b *testing.B) {
@@ -303,8 +293,10 @@ func BenchmarkAblationScaleUpB1(b *testing.B) {
 	})
 }
 
-// A4: D-ring conditional routing (Algorithm 2) vs standard DHT routing
-// (Algorithm 1) with 20% of directory positions dead.
+// D-ring conditional routing (Algorithm 2) vs standard DHT routing
+// (Algorithm 1) with 20% of directory positions dead. Not a numbered
+// ablation: it measures the paper's own routing rule (DESIGN.md "Ablations
+// A1–A5").
 func BenchmarkAblationConditionalRouting(b *testing.B) {
 	var alg1, alg2 float64
 	for i := 0; i < b.N; i++ {

@@ -22,7 +22,7 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 	points := []Point{
 		{Label: "flower seed=1", Params: fixtureParams(1)},
 		{Label: "flower seed=2", Params: fixtureParams(2)},
-		{Label: "flower churn+replication seed=3", Params: churnFixtureParams(3)},
+		{Label: "flower churn seed=3", Params: churnFixtureParams(3)},
 		{Label: "flower scale-up seed=4", Params: scaleUpFixtureParams(4)},
 		{Label: "flower seed=5", Params: fixtureParams(5)}, // the traced fixture's scenario
 		{Label: "flower shrunk-massive seed=6", Params: ShrunkMassiveParams(6)},

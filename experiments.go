@@ -93,9 +93,6 @@ var (
 	churnSweep = sweep[float64]{[]float64{0, 30, 120},
 		func(v float64) string { return ftoa(v) + "/h" },
 		func(p *Params, v float64) { p.ChurnPerHour, p.ChurnIncludesDirs = v, true }}
-	replicationSweep = sweep[int]{[]int{0, 5, 20},
-		func(k int) string { return "top-" + strconv.Itoa(k) },
-		func(p *Params, k int) { p.ReplicationTopK = k }}
 	scaleUpSweep = sweep[uint]{[]uint{0, 1},
 		func(b uint) string { return "b=" + strconv.Itoa(int(b)) },
 		func(p *Params, b uint) { p.InstanceBits = b }}
@@ -209,13 +206,6 @@ func homeStorePoints(p Params, _ Options) []Point {
 // AblationHomeStore compares Squirrel's two strategies (§7).
 func AblationHomeStore(p Params) (directory, homeStore Result, err error) {
 	return runPair(homeStorePoints(p, Options{}), p.Parallel)
-}
-
-// AblationActiveReplication compares the base system with the §8
-// extension: directories proactively push their most-requested objects to
-// sibling overlays, trading replication traffic for earlier hits.
-func AblationActiveReplication(p Params, topK []int) ([]Row, error) {
-	return replicationSweep.run(p, topK)
 }
 
 // AblationScaleUp compares the basic scheme (one directory peer per

@@ -241,21 +241,6 @@ func TestPublicSubstrates(t *testing.T) {
 	}
 }
 
-func TestPublicActiveReplication(t *testing.T) {
-	p := fastParams(12)
-	p.Duration = 20 * Minute
-	rows, err := AblationActiveReplication(p, []int{0, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Result.Stats.Prefetches != 0 {
-		t.Fatal("replication off should not prefetch")
-	}
-	if rows[1].Result.Stats.Prefetches == 0 {
-		t.Fatal("replication on should prefetch")
-	}
-}
-
 func TestPublicDeterminism(t *testing.T) {
 	a, err := RunFlower(fastParams(9))
 	if err != nil {

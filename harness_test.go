@@ -128,11 +128,10 @@ func TestRunSquirrelSmoke(t *testing.T) {
 }
 
 // TestRunSquirrelRefusesFlowerInputs: the fault plane, scheduled directory
-// crashes and degradations, the auditor, the adaptive plane, standbys,
-// active replication and the directory query policy act on Flower-CDN's
-// directories and overlays, and Squirrel never revives a failed peer; a
-// Squirrel run given one fails naming the field instead of running without
-// it.
+// crashes and degradations, the auditor, the adaptive plane, standbys and
+// the directory query policy act on Flower-CDN's directories and overlays,
+// and Squirrel never revives a failed peer; a Squirrel run given one fails
+// naming the field instead of running without it.
 func TestRunSquirrelRefusesFlowerInputs(t *testing.T) {
 	for _, c := range []struct {
 		field string
@@ -144,7 +143,6 @@ func TestRunSquirrelRefusesFlowerInputs(t *testing.T) {
 		{"AuditEvery", func(p *Params) { p.AuditEvery = simkernel.Minute }},
 		{"Adaptive", func(p *Params) { p.Adaptive = true }},
 		{"StandbyFailover", func(p *Params) { p.StandbyFailover = true }},
-		{"ReplicationTopK", func(p *Params) { p.ReplicationTopK = 5 }},
 		{"QueryPolicy", func(p *Params) { p.QueryPolicy = core.PolicyViewThenDirectory }},
 		{"ChurnMeanDowntime", func(p *Params) { p.ChurnPerHour, p.ChurnMeanDowntime = 30, simkernel.Minute }},
 	} {
@@ -436,21 +434,6 @@ func TestAblationScaleUpAdmitsOverflow(t *testing.T) {
 	if rows[1].Result.Stats.Joins <= rows[0].Result.Stats.Joins {
 		t.Fatalf("scale-up should admit more clients: %d vs %d",
 			rows[1].Result.Stats.Joins, rows[0].Result.Stats.Joins)
-	}
-}
-
-func TestActiveReplicationHarness(t *testing.T) {
-	p := tinyParams(12)
-	p.Duration = 20 * simkernel.Minute
-	rows, err := AblationActiveReplication(p, []int{0, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Result.Stats.Prefetches != 0 {
-		t.Fatal("off-row prefetched")
-	}
-	if rows[1].Result.Stats.Prefetches == 0 {
-		t.Fatal("on-row did not prefetch")
 	}
 }
 

@@ -73,12 +73,6 @@ type Config struct {
 	// TestAdaptiveDisabledIdentical and the golden fault sections.
 	Adaptive bool
 
-	// Active replication (§8 future work, implemented as an extension):
-	// every TGossip, each directory offers its ReplicationTopK
-	// most-requested objects to same-website neighbour directories, which
-	// prefetch the ones their overlay lacks. 0 disables the extension.
-	ReplicationTopK int
-
 	// StandbyFailover arms the warm-standby directory extension: every
 	// directory designates the §5.2-ranked best content peer of its overlay
 	// as a standby, keeps the standby's replica index fresh with
@@ -144,8 +138,8 @@ func (c *Config) Validate() error {
 	if c.TGossip <= 0 {
 		return fmt.Errorf("core: gossip period must be positive")
 	}
-	if c.TKeepalive < 0 || c.ReplicationTopK < 0 {
-		return fmt.Errorf("core: negative keepalive period or replication top-K (0 = default)")
+	if c.TKeepalive < 0 {
+		return fmt.Errorf("core: negative keepalive period (0 = default)")
 	}
 	if c.TKeepalive == 0 {
 		c.TKeepalive = c.TGossip

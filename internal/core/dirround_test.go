@@ -18,20 +18,20 @@ func TestPlanDirRound(t *testing.T) {
 		name               string
 		edit               func(*Config)
 		period, cycle      simkernel.Time
-		every              [4]simkernel.Time
+		every              [3]simkernel.Time
 		standbyNotStalerBy simkernel.Time // configured sync period minus the round's (≥ 0)
 	}{
-		{"clean: age/evict alone", nil, 2 * m, 1, [...]simkernel.Time{1, 0, 0, 0}, 0},
-		{"replication shares the gossip period", func(c *Config) { c.ReplicationTopK = 5 },
-			2 * m, 1, [...]simkernel.Time{1, 1, 0, 0}, 0},
+		{"clean: age/evict alone", nil, 2 * m, 1, [...]simkernel.Time{1, 0, 0}, 0},
+		{"maintenance shares the gossip period", func(c *Config) { c.MaintenancePeriod = 2 * m },
+			2 * m, 1, [...]simkernel.Time{1, 0, 1}, 0},
 		{"dircrash storm: 37.5 s sync under 30 s maintenance", func(c *Config) {
 			c.TGossip, c.TKeepalive, c.MaintenancePeriod, c.StandbyFailover = 5*m, 5*m, 30*s, true
-		}, 30 * s, 10, [...]simkernel.Time{10, 0, 1, 1}, 7500 * simkernel.Millisecond},
+		}, 30 * s, 10, [...]simkernel.Time{10, 1, 1}, 7500 * simkernel.Millisecond},
 		{"paper periods: 225 s sync under 30 s maintenance", func(c *Config) {
-			c.TGossip, c.TKeepalive, c.MaintenancePeriod, c.StandbyFailover, c.ReplicationTopK = 30*m, 30*m, 30*s, true, 5
-		}, 30 * s, 60, [...]simkernel.Time{60, 60, 7, 1}, 15 * s},
+			c.TGossip, c.TKeepalive, c.MaintenancePeriod, c.StandbyFailover = 30*m, 30*m, 30*s, true
+		}, 30 * s, 60, [...]simkernel.Time{60, 7, 1}, 15 * s},
 		{"sync alone shorter than gossip", func(c *Config) { c.TGossip, c.TKeepalive, c.StandbyFailover = m, 4*m, true },
-			30 * s, 2, [...]simkernel.Time{2, 0, 1, 0}, 0},
+			30 * s, 2, [...]simkernel.Time{2, 1, 0}, 0},
 	} {
 		e := newTestEnv(t, 5, c.edit)
 		sys := e.sys
@@ -42,15 +42,15 @@ func TestPlanDirRound(t *testing.T) {
 		if !slices.Contains(sys.dirEvery[:], 1) {
 			t.Errorf("%s: no part runs every round, so some rounds fire with nothing due", c.name)
 		}
-		if c.every[2] > 0 {
-			if lag := max(e.cfg.TKeepalive/8, simkernel.Second) - c.every[2]*sys.dirPeriod; lag != c.standbyNotStalerBy {
+		if c.every[1] > 0 {
+			if lag := max(e.cfg.TKeepalive/8, simkernel.Second) - c.every[1]*sys.dirPeriod; lag != c.standbyNotStalerBy {
 				t.Errorf("%s: standby sync %s shorter than configured, want %s", c.name, lag, c.standbyNotStalerBy)
 			}
 		}
 	}
 }
 
-// TestDirRoundParts arms all four parts on periods that do not nest (a
+// TestDirRoundParts arms all three parts on periods that do not nest (a
 // 37.5 s standby sync under 10 s maintenance and a 1-minute gossip period)
 // and counts each part's runs on every directory over ten gossip periods,
 // one installed mid-run included: part i runs exactly on every
@@ -60,13 +60,12 @@ func TestDirRoundParts(t *testing.T) {
 		c.TGossip, c.TKeepalive = simkernel.Minute, 5*simkernel.Minute
 		c.MaintenancePeriod = 10 * simkernel.Second
 		c.StandbyFailover = true
-		c.ReplicationTopK = 2
 	})
 	s := e.sys
-	if want := [...]simkernel.Time{6, 6, 3, 1}; s.dirPeriod != 10*simkernel.Second || s.dirEvery != want || s.dirCycle != 6 {
+	if want := [...]simkernel.Time{6, 3, 1}; s.dirPeriod != 10*simkernel.Second || s.dirEvery != want || s.dirCycle != 6 {
 		t.Fatalf("premise: round %s every %v cycle %d", s.dirPeriod, s.dirEvery, s.dirCycle)
 	}
-	var runs [4]map[simnet.NodeID][]simkernel.Time
+	var runs [3]map[simnet.NodeID][]simkernel.Time
 	for i := range runs {
 		runs[i] = map[simnet.NodeID][]simkernel.Time{}
 		part := dirParts[i]
@@ -91,7 +90,7 @@ func TestDirRoundParts(t *testing.T) {
 		if h.phase != phDirectory {
 			continue // departed: its round stopped
 		}
-		first := runs[3][addr][0] // maintenance runs every round, the first included
+		first := runs[2][addr][0] // maintenance runs every round, the first included
 		for i, k := range s.dirEvery {
 			got := runs[i][addr]
 			// The ticker fired at first + j·period for every j until the
@@ -117,22 +116,20 @@ func TestDirRoundParts(t *testing.T) {
 		}
 		dirs++
 	}
-	if dirs == 0 || len(runs[2][successor]) == 0 {
+	if dirs == 0 || len(runs[1][successor]) == 0 {
 		t.Fatal("premise: the directory installed mid-run ran no standby part")
 	}
 }
 
 // dirRoundEnv is dispatchEnv's directory with every part of its round
-// armed — replication, a designated standby with delta sync, stabilisation
-// every 10 s — over three settled overlays of one website, one per
-// locality, each holding the objects the others are asked for: the
-// directory has top objects to offer and neighbour summaries to test them
-// against, and its standby's replica is in sync.
+// armed — a designated standby with delta sync, stabilisation every 10 s —
+// over three settled overlays of one website, one per locality: the
+// directory holds its neighbours' summaries, and its standby's replica is
+// in sync.
 func dirRoundEnv(t testing.TB) (e *testEnv, dir *host) {
 	e = newTestEnv(t, 88, func(c *Config) {
 		c.MaintenancePeriod = 10 * simkernel.Second
 		c.StandbyFailover = true
-		c.ReplicationTopK = 2
 	})
 	for loc := 0; loc < 3; loc++ {
 		for m := 0; m < 3; m++ {
@@ -143,17 +140,16 @@ func dirRoundEnv(t testing.TB) (e *testEnv, dir *host) {
 	addr, _ := e.sys.DirectoryAddr(e.cfg.Sites[0], 0)
 	dir = e.sys.host(addr)
 	if slices.Contains(e.sys.dirEvery[:], 0) || dir.role.standby == noNode || dir.dir.MemberCount() < 3 ||
-		len(dir.dir.TopObjects(2)) == 0 || len(dir.dir.NeighborSummaries()) == 0 {
-		t.Fatalf("premise: every %v, standby %d, %d members, top %v, %d neighbour summaries", e.sys.dirEvery,
-			dir.role.standby, dir.dir.MemberCount(), dir.dir.TopObjects(2), len(dir.dir.NeighborSummaries()))
+		len(dir.dir.NeighborSummaries()) == 0 {
+		t.Fatalf("premise: every %v, standby %d, %d members, %d neighbour summaries", e.sys.dirEvery,
+			dir.role.standby, dir.dir.MemberCount(), len(dir.dir.NeighborSummaries()))
 	}
 	return e, dir
 }
 
 // TestDirRoundAllocs is the alloc gate for the directory round, as
 // TestDispatchLoopAllocs is for a member's: at steady state a round that
-// runs every part — the index's age/evict sweep, the replication scan of the
-// top objects against the neighbours' summaries, the standby check and the
+// runs every part — the index's age/evict sweep, the standby check and the
 // D-ring stabilisation with its nominal traffic — allocates nothing, and
 // neither does the rest of the system between two such rounds.
 func TestDirRoundAllocs(t *testing.T) {
@@ -161,17 +157,17 @@ func TestDirRoundAllocs(t *testing.T) {
 	s := e.sys
 	var full simkernel.Time // the last instant dir ran every part
 	runs := 0
-	part := dirParts[1] // the replication part, armed on the longest period
-	dirParts[1] = func(s *System, h *host) {
+	part := dirParts[0] // the age/evict part, armed on the longest period
+	dirParts[0] = func(s *System, h *host) {
 		if h == dir {
 			full = s.k.Now()
 			runs++
 		}
 		part(s, h)
 	}
-	t.Cleanup(func() { dirParts[1] = part })
+	t.Cleanup(func() { dirParts[0] = part })
 	cycle := s.dirCycle * s.dirPeriod
-	e.k.Run(e.k.Now() + 4*cycle) // and the replication it started settles
+	e.k.Run(e.k.Now() + 4*cycle)
 	runs = 0
 	allocs := testing.AllocsPerRun(20, func() { e.k.Run(full + cycle) })
 	if runs != 21 {

@@ -151,14 +151,6 @@ func (h *host) HandleMessage(msg simnet.Message) {
 		s.handleDirJoinTaken(h, m)
 	case dirJoinAcceptMsg:
 		s.handleDirJoinAccept(h, m)
-	case replicaOfferMsg:
-		s.handleReplicaOffer(h, m)
-	case prefetchMsg:
-		s.handlePrefetch(h, m)
-	case prefetchFetchMsg:
-		s.handlePrefetchFetch(h, m)
-	case prefetchServeMsg:
-		s.handlePrefetchServe(h, m)
 	case standbyAssignMsg:
 		s.handleStandbyAssign(h, m)
 	case standbyDeltaMsg:

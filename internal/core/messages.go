@@ -262,39 +262,6 @@ type dirSummaryMsg struct {
 	Filter  *bloom.Filter
 }
 
-// --- Active replication (§8 extension) ------------------------------------
-
-// ReplicaOffer names one popular object and a content peer that holds it.
-type ReplicaOffer struct {
-	Ref    model.ObjectRef
-	Holder simnet.NodeID
-}
-
-// replicaOfferMsg: directory → same-website directory: my overlay's most
-// requested objects, with sources.
-type replicaOfferMsg struct {
-	FromKey chord.ID
-	Offers  []ReplicaOffer
-}
-
-// prefetchMsg: directory → one of its members: fetch Ref from Holder so
-// our overlay has it before anyone asks.
-type prefetchMsg struct {
-	Ref    model.ObjectRef
-	Holder simnet.NodeID
-}
-
-// prefetchFetchMsg: member → remote holder.
-type prefetchFetchMsg struct {
-	Ref  model.ObjectRef
-	From simnet.NodeID
-}
-
-// prefetchServeMsg: holder → member: the object.
-type prefetchServeMsg struct {
-	Ref model.ObjectRef
-}
-
 // dirJoinTakenMsg: the directory position was already filled; NewDir is
 // the peer that holds it now.
 type dirJoinTakenMsg struct {

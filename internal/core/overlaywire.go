@@ -180,11 +180,8 @@ func (s *System) handleKeepaliveAck(h *host) {
 
 // dirParts are a directory's periodic behaviours, in the order its round
 // runs them: index ageing with the summary refresh (Algorithm 6, §4.2.1),
-// replication (§8), the standby's designation and sync, and D-ring
-// stabilisation (§3.1, §5.2).
-var dirParts = [4]func(*System, *host){
-	(*System).dirTick, (*System).replicationTick, (*System).standbyMaintTick, (*System).maintainNode,
-}
+// the standby's designation and sync, and D-ring stabilisation (§3.1, §5.2).
+var dirParts = [3]func(*System, *host){(*System).dirTick, (*System).standbyMaintTick, (*System).maintainNode}
 
 // dirRound is a directory's one periodic behaviour (DESIGN.md "Periodic
 // behaviours"): part i runs on every dirEvery[i]-th round at the host's

@@ -273,15 +273,15 @@ func TestReviveDirectoryRefused(t *testing.T) {
 // A directory that leaves keeps a stopped round (FailPeer'd directories
 // cannot be revived at all). Revived, rejoined and promoted again, it must
 // get a fresh round that runs every part: arm-once guards used to compare
-// against the zero Ticker, so a re-promoted directory never stabilised or
-// replicated again.
+// against the zero Ticker, so a re-promoted directory never stabilised
+// again.
 func TestRepromotedDirectoryRearmsTickers(t *testing.T) {
 	e := newTestEnv(t, 33, func(c *Config) {
 		c.MaintenancePeriod = 10 * simkernel.Second
-		c.ReplicationTopK = 2
+		c.StandbyFailover = true
 	})
 	site := e.cfg.Sites[0]
-	stabilised, replicated := countParts(t, 3), countParts(t, 1)
+	aged, synced, stabilised := countParts(t, 0), countParts(t, 1), countParts(t, 2)
 	leave := func() simnet.NodeID {
 		t.Helper()
 		if !e.sys.DirectoryLeave(site, 0) {
@@ -313,12 +313,15 @@ func TestRepromotedDirectoryRearmsTickers(t *testing.T) {
 	if e.sys.host(first).role.round.Stopped() {
 		t.Fatal("re-promoted directory holds a stopped round")
 	}
-	// Four minutes: 24 stabilisations at 10 s, two replication offers at
-	// TGossip = 2 min, on the round's 10 s ticks.
-	stab, repl := stabilised[first], replicated[first]
+	// Four minutes on the round's 10 s ticks: 24 stabilisations, 24 standby
+	// syncs (15 s, rounded down to one round) and two index sweeps at
+	// TGossip = 2 min.
+	age, sync, stab := aged[first], synced[first], stabilised[first]
 	e.k.Run(e.k.Now() + 4*simkernel.Minute)
-	if stab, repl = stabilised[first]-stab, replicated[first]-repl; stab != 24 || repl != 2 {
-		t.Fatalf("re-promoted directory stabilised %d times and replicated %d in 4 minutes, want 24 and 2", stab, repl)
+	age, sync, stab = aged[first]-age, synced[first]-sync, stabilised[first]-stab
+	if age != 2 || sync != 24 || stab != 24 {
+		t.Fatalf("re-promoted directory aged its index %d times, synced its standby %d and stabilised %d in 4 minutes, want 2, 24 and 24",
+			age, sync, stab)
 	}
 }
 

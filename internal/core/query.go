@@ -361,10 +361,6 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 			}
 		}
 	}
-	if h.dir.Site() == q.Site {
-		// Popularity bookkeeping for the §8 active-replication extension.
-		h.dir.NoteRequest(q.Ref)
-	}
 	if !forwarded {
 		s.trace(trace.Record{Kind: trace.DirProcess, Query: q.ID, Node: h.addr, Peer: -1,
 			Str: string(h.dir.Site()), Loc: int32(h.dir.Locality())})

@@ -88,7 +88,7 @@ func TestTraceDisabledAllocs(t *testing.T) {
 		t.Fatal("env unexpectedly traced")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		for k := trace.Kind(0); k <= trace.Prefetch; k++ {
+		for k := trace.Kind(0); k <= trace.DirHandoff; k++ {
 			for v := trace.Variant(0); v <= trace.StandbyPromoted; v++ {
 				e.sys.trace(trace.Record{Kind: k, Variant: v, Query: 1, Node: member.addr, Peer: dir.addr,
 					Str: e.sys.in.Key(ref), Loc: int32(dir.dir.Locality()), Args: [2]int32{trace.Ms(12.5), trace.Ms(34)}})

@@ -57,7 +57,6 @@ func TestCrashStopsEveryTimer(t *testing.T) {
 	e := newTestEnv(t, 97, func(c *Config) {
 		c.StandbyFailover = true
 		c.MaintenancePeriod = 10 * simkernel.Second
-		c.ReplicationTopK = 2
 	})
 	s := e.sys
 	site := e.cfg.Sites[0]
@@ -66,9 +65,8 @@ func TestCrashStopsEveryTimer(t *testing.T) {
 	}
 	e.k.Run(5 * simkernel.Minute)
 
-	// The regression: a directory whose round runs its maintenance,
-	// replication and standby parts crashes, then its standby with a live
-	// probe loop.
+	// The regression: a directory whose round runs its maintenance and
+	// standby parts crashes, then its standby with a live probe loop.
 	dirAddr, _ := s.DirectoryAddr(site, 0)
 	dir := s.host(dirAddr)
 	standby := s.host(dir.role.standby)

@@ -299,9 +299,8 @@ func validatable() Config {
 	return cfg
 }
 
-// TestConfigRefusesNegatives: a negative keepalive period or replication
-// top-K is refused rather than run as the default (or as off); 0 keeps its
-// default meaning.
+// TestConfigRefusesNegatives: a negative keepalive period is refused rather
+// than run as the default; 0 keeps its default meaning.
 func TestConfigRefusesNegatives(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -310,8 +309,6 @@ func TestConfigRefusesNegatives(t *testing.T) {
 	}{
 		{"zero keepalive period", func(c *Config) { c.TKeepalive = 0 }, true},
 		{"negative keepalive period", func(c *Config) { c.TKeepalive = -simkernel.Minute }, false},
-		{"zero replication top-K", func(c *Config) { c.ReplicationTopK = 0 }, true},
-		{"negative replication top-K", func(c *Config) { c.ReplicationTopK = -1 }, false},
 	} {
 		cfg := validatable()
 		c.edit(&cfg)

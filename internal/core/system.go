@@ -26,7 +26,6 @@ type Stats struct {
 	DirBootstraps   int // directories re-created for orphaned localities
 	GossipRejects   int // gossip to peers that left the overlay (§5.4)
 	QueriesRetried  int // new-client queries re-submitted after entry loss
-	Prefetches      int // objects replicated proactively (§8 extension)
 	QueryRecords    int // Query records allocated: the peak of queries alive at once
 
 	// Warm-standby failover counters (zero unless Config.StandbyFailover).
@@ -80,7 +79,7 @@ type System struct {
 	// round ticks at dirPeriod, part i of it every dirEvery[i] rounds (0: not
 	// armed), the longest every dirCycle.
 	roundPeriod, roundsPerLong, dirPeriod, dirCycle simkernel.Time
-	dirEvery                                        [4]simkernel.Time
+	dirEvery                                        [3]simkernel.Time
 
 	// Recovery probes (empty until armed). healProbe measures, per locality,
 	// from the end of its last partition window (InstallFaults) to the first
@@ -396,12 +395,9 @@ func New(cfg Config, deps Deps) (*System, error) {
 	s.roundsPerLong = max(cfg.TGossip, cfg.TKeepalive) / s.roundPeriod
 	// The directory round ticks at its shortest part's period; each longer one
 	// is rounded down to whole rounds (DESIGN.md "Periodic behaviours").
-	s.dirEvery = [...]simkernel.Time{cfg.TGossip, 0, 0, max(cfg.MaintenancePeriod, 0)}
-	if cfg.ReplicationTopK > 0 {
-		s.dirEvery[1] = cfg.TGossip
-	}
+	s.dirEvery = [...]simkernel.Time{cfg.TGossip, 0, max(cfg.MaintenancePeriod, 0)}
 	if cfg.StandbyFailover {
-		s.dirEvery[2] = max(cfg.TKeepalive/8, simkernel.Second)
+		s.dirEvery[1] = max(cfg.TKeepalive/8, simkernel.Second)
 	}
 	s.dirPeriod = cfg.TGossip
 	for _, p := range s.dirEvery {

@@ -456,47 +456,6 @@ func TestScaleUpInstances(t *testing.T) {
 	}
 }
 
-func TestActiveReplication(t *testing.T) {
-	// §8 extension: locality 0 fetches an object repeatedly; replication
-	// should push it into locality 1's overlay before anyone there asks.
-	e := newTestEnv(t, 16, func(c *Config) {
-		c.ReplicationTopK = 3 // offers every TGossip (2 min)
-	})
-	// Build both overlays (members join with unrelated objects).
-	e.submitAt(simkernel.Second, 0, 0, 0, 7)
-	e.submitAt(2*simkernel.Second, 0, 1, 0, 9)
-	e.submitAt(3*simkernel.Second, 0, 1, 1, 9)
-	// Make object 7 hot in locality 0.
-	for i := 0; i < 4; i++ {
-		e.submitAt(simkernel.Time(10+i)*simkernel.Second, 0, 0, i%2, 7)
-	}
-	// Give summaries and replication a few periods to act.
-	e.k.Run(30 * simkernel.Minute)
-	obj := e.obj(0, 7)
-	dirAddr, ok := e.sys.DirectoryAddr(e.cfg.Sites[0], 1)
-	if !ok {
-		t.Fatal("directory missing")
-	}
-	dh := e.sys.host(dirAddr)
-	if len(dh.dir.Holders(obj)) == 0 {
-		t.Fatalf("object %s not replicated into locality 1 (prefetches=%d)",
-			e.sys.in.Key(obj), e.sys.Stats().Prefetches)
-	}
-	if e.sys.Stats().Prefetches == 0 {
-		t.Fatal("no prefetches counted")
-	}
-}
-
-func TestReplicationDisabledByDefault(t *testing.T) {
-	e := newTestEnv(t, 17, nil)
-	e.submitAt(simkernel.Second, 0, 0, 0, 7)
-	e.submitAt(2*simkernel.Second, 0, 1, 0, 9)
-	e.k.Run(30 * simkernel.Minute)
-	if e.sys.Stats().Prefetches != 0 {
-		t.Fatal("replication ran despite TopK=0")
-	}
-}
-
 func TestStatsAndAccessors(t *testing.T) {
 	e := newTestEnv(t, 14, nil)
 	e.submitAt(simkernel.Second, 1, 2, 0, 0)

@@ -92,3 +92,40 @@ func TestPromotedStandbyReleasesPrimaryIndex(t *testing.T) {
 		t.Fatalf("audit after the promotion: %v", r.Violations)
 	}
 }
+
+func TestReplacementDirectorySelfPush(t *testing.T) {
+	// A §5.2 replacement directory is also a content peer; its own content
+	// changes must flow into its index directly (no network self-push).
+	e := newTestEnv(t, 42, func(c *Config) {
+		c.MaintenancePeriod = 10 * simkernel.Second
+	})
+	site := e.cfg.Sites[0]
+	for m := 0; m < 2; m++ {
+		e.submitAt(simkernel.Time(m+1)*simkernel.Second, 0, 0, m, m)
+	}
+	e.k.At(simkernel.Minute, func() { e.sys.FailDirectory(site, 0) })
+	e.k.Run(15 * simkernel.Minute)
+	newAddr, ok := e.sys.DirectoryAddr(site, 0)
+	if !ok {
+		t.Fatal("no replacement directory")
+	}
+	nh := e.sys.host(newAddr)
+	if nh.cp == nil || nh.dir == nil {
+		t.Fatal("replacement not dual-role")
+	}
+	// The replacement now fetches a new object; its own index must list it.
+	member := -1
+	for m := 0; m < 2; m++ {
+		if e.sys.PoolNode(0, 0, m) == newAddr {
+			member = m
+		}
+	}
+	if member == -1 {
+		t.Fatal("replacement not in pool (unexpected)")
+	}
+	e.submitAt(16*simkernel.Minute, 0, 0, member, 7)
+	e.k.Run(20 * simkernel.Minute)
+	if len(nh.dir.Holders(e.obj(0, 7))) == 0 {
+		t.Fatal("replacement directory did not self-index its new object")
+	}
+}

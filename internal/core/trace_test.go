@@ -31,8 +31,8 @@ func tracedScenario(t *testing.T, shapes shapeCounter, seed int64, mod func(*Con
 }
 
 // TestEveryTraceShapeEmitted: one traced run per scenario — a directory
-// crash storm with standbys, active replication, a voluntary directory
-// leave and churn — together emit every trace kind and every text variant,
+// crash storm with standbys, standbys with maintenance alone, a voluntary
+// directory leave and churn — together emit every trace kind and every text variant,
 // so no emission site goes unexercised. Served's variants are the sources
 // a traced serve can have (a local hit is answered without one).
 func TestEveryTraceShapeEmitted(t *testing.T) {
@@ -52,7 +52,8 @@ func TestEveryTraceShapeEmitted(t *testing.T) {
 		c.QueryPolicy = PolicyViewThenDirectory
 	}, func(e *testEnv) { crashAll(e, 40*simkernel.Minute) })
 	tracedScenario(t, shapes, 42, func(c *Config) {
-		c.ReplicationTopK = 3
+		c.StandbyFailover = true
+		c.MaintenancePeriod = 30 * simkernel.Second
 	}, func(*testEnv) {})
 	tracedScenario(t, shapes, 43, nil, func(e *testEnv) {
 		e.k.At(30*simkernel.Minute, func() {
@@ -91,7 +92,7 @@ func TestEveryTraceShapeEmitted(t *testing.T) {
 		trace.Served: {trace.Variant(metrics.SourcePeer), trace.Variant(metrics.SourceRemoteOverlay),
 			trace.Variant(metrics.SourceServer)},
 	}
-	for k := trace.Kind(0); k <= trace.Prefetch; k++ {
+	for k := trace.Kind(0); k <= trace.DirHandoff; k++ {
 		vs, ok := variants[k]
 		if !ok {
 			vs = []trace.Variant{0}

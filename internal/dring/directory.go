@@ -30,8 +30,8 @@ type IndexEntry struct {
 //
 // All object state is ref-indexed: the directory serves one website whose
 // ObjectsPerSite objects map to dense local indices, so the inverse index
-// (object → holders), the known-object set and the popularity counters are
-// flat structures instead of string-keyed maps.
+// (object → holders) and the known-object set are flat structures instead
+// of string-keyed maps.
 //
 // The member index is a struct-of-arrays slab — here a loop does scan the
 // arrays: nodes/ages/objects are parallel arrays in admission order
@@ -81,18 +81,11 @@ type Directory struct {
 
 	summaryCapacity int // Bloom sizing: nb-ob
 
-	// Popularity counters for the active-replication extension (§8
-	// future work: "pushing popular contents from some content overlay
-	// towards other overlays of the same website"); nil until first noted.
-	popularity []int64
-
 	// neighborScratch backs NeighborsWithObject's result between calls;
-	// evictScratch backs EvictOlderThan's, holderScratch Holders',
-	// topScratch TopObjects'.
+	// evictScratch backs EvictOlderThan's, holderScratch Holders'.
 	neighborScratch []chord.ID
 	evictScratch    []simnet.NodeID
 	holderScratch   []simnet.NodeID
-	topScratch      []model.ObjectRef
 
 	// Standby-replication seam (delta.go): when dirtyTrack is armed, every
 	// index mutation marks the 64-ref shard it touches, and the periodic
@@ -413,48 +406,6 @@ func (d *Directory) ShardCount() int { return len(d.holders.held) }
 // future split of a hot website's index across directory instances would
 // partition on.
 func (d *Directory) ShardHeld(s int) int { return int(d.holders.held[s]) }
-
-// --- Popularity tracking (active replication, §8) ------------------------
-
-// NoteRequest counts one query for ref processed by this directory; the
-// counters rank objects for active replication toward sibling overlays.
-// Foreign-site refs are ignored.
-func (d *Directory) NoteRequest(ref model.ObjectRef) {
-	if !d.inRange(ref) {
-		return
-	}
-	if d.popularity == nil {
-		d.popularity = make([]int64, d.nObj)
-	}
-	d.popularity[d.local(ref)]++
-}
-
-// Popularity returns the request count recorded for ref (0 for
-// foreign-site refs).
-func (d *Directory) Popularity(ref model.ObjectRef) int64 {
-	if !d.inRange(ref) || d.popularity == nil {
-		return 0
-	}
-	return d.popularity[d.local(ref)]
-}
-
-// TopObjects returns up to k locally-held objects by descending request
-// count (ties broken by ascending canonical key, i.e. ascending ref).
-// Objects with no live holder are skipped — replication offers must name
-// a source. The returned slice is reusable scratch, valid until the next call.
-func (d *Directory) TopObjects(k int) []model.ObjectRef {
-	refs := d.topScratch[:0]
-	for i, count := range d.popularity {
-		if count > 0 && d.holders.holderCount(i) > 0 {
-			refs = append(refs, d.base+model.ObjectRef(i))
-		}
-	}
-	slices.SortFunc(refs, func(a, b model.ObjectRef) int {
-		return cmp.Or(cmp.Compare(d.popularity[d.local(b)], d.popularity[d.local(a)]), cmp.Compare(a, b))
-	})
-	d.topScratch = refs
-	return refs[:min(k, len(refs))]
-}
 
 // --- Directory summaries (§3.3, §4.2.1) ---------------------------------
 

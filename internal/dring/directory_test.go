@@ -303,49 +303,6 @@ func TestMembersSorted(t *testing.T) {
 	}
 }
 
-func TestPopularityTracking(t *testing.T) {
-	d := newDir()
-	d.AddOptimistic(1, dref(0))
-	d.AddOptimistic(2, dref(1))
-	for i := 0; i < 5; i++ {
-		d.NoteRequest(dref(0))
-	}
-	d.NoteRequest(dref(1))
-	d.NoteRequest(dref(2)) // requested but never held
-	if d.Popularity(dref(0)) != 5 || d.Popularity(dref(1)) != 1 {
-		t.Fatalf("popularity wrong: a=%d b=%d", d.Popularity(dref(0)), d.Popularity(dref(1)))
-	}
-	top := d.TopObjects(10)
-	if len(top) != 2 || top[0] != dref(0) || top[1] != dref(1) {
-		t.Fatalf("TopObjects = %v (holder-less objects must be skipped)", top)
-	}
-	if got := d.TopObjects(1); len(got) != 1 || got[0] != dref(0) {
-		t.Fatalf("TopObjects(1) = %v", got)
-	}
-}
-
-func TestTopObjectsTieBreak(t *testing.T) {
-	d := newDir()
-	d.AddOptimistic(1, dref(9))
-	d.AddOptimistic(1, dref(8))
-	d.NoteRequest(dref(9))
-	d.NoteRequest(dref(8)) // equal counts → ascending canonical (ref) order
-	top := d.TopObjects(2)
-	if len(top) != 2 || top[0] != dref(8) || top[1] != dref(9) {
-		t.Fatalf("tie break wrong: %v", top)
-	}
-}
-
-func TestTopObjectsDropsEvictedHolders(t *testing.T) {
-	d := newDir()
-	d.AddOptimistic(1, dref(0))
-	d.NoteRequest(dref(0))
-	d.RemovePeer(1)
-	if got := d.TopObjects(5); len(got) != 0 {
-		t.Fatalf("object without holders offered for replication: %v", got)
-	}
-}
-
 // TestForeignSiteRefsGraceful pins the severe-churn contract: D-ring
 // routing can deliver a query for website A to a directory of website B
 // (TTL expiry, successor of a missing key). Every ref accessor must treat
@@ -357,10 +314,6 @@ func TestForeignSiteRefsGraceful(t *testing.T) {
 	if got := d.Holders(foreign); got != nil {
 		t.Fatalf("foreign Holders = %v, want nil", got)
 	}
-	d.NoteRequest(foreign)
-	if d.Popularity(foreign) != 0 {
-		t.Fatal("foreign popularity recorded")
-	}
 	if !d.AddOptimistic(7, foreign) {
 		t.Fatal("peer admission must still succeed for a foreign ref")
 	}
@@ -370,7 +323,7 @@ func TestForeignSiteRefsGraceful(t *testing.T) {
 	if !d.ApplyPush(7, []model.ObjectRef{foreign}, []model.ObjectRef{foreign}) {
 		t.Fatal("push with foreign refs must still be accepted")
 	}
-	if d.ObjectCount() != 0 || len(d.TopObjects(5)) != 0 {
+	if d.ObjectCount() != 0 {
 		t.Fatal("foreign refs leaked into the index")
 	}
 	// Off-the-end of the whole interner space must be equally safe.

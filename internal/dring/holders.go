@@ -13,7 +13,7 @@ import (
 // and the matrix is the forward bitsets (member → refs) transposed.
 //
 // Per-ref holder counts and per-shard held counts keep ObjectCount,
-// ShardHeld and whole-index sweeps (summary rebuilds, TopObjects) O(1) per
+// ShardHeld and whole-index sweeps (summary rebuilds) O(1) per
 // ref and skip-empty per 64-ref shard. A shard is exactly one forward
 // bitset word, which is also the grain of the standby's delta sync
 // (delta.go).

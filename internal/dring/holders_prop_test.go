@@ -462,16 +462,13 @@ func TestExportImportRoundTripRandom(t *testing.T) {
 
 // TestIdleDirectoryHoldsNothing: a directory nobody joined is queried,
 // ticked, exported, imported into, reset and audited like any other, with
-// no holder matrix and no popularity counters to show for it; its first
-// add makes the matrix one word wide, its first request the counters.
+// no holder matrix to show for it; its first add makes the matrix one word
+// wide.
 func TestIdleDirectoryHoldsNothing(t *testing.T) {
 	idle := func(d *Directory) {
 		t.Helper()
 		if d.holders.rows != nil || d.holders.count != nil {
 			t.Fatalf("a directory that indexes nothing has a %d-word matrix", len(d.holders.rows))
-		}
-		if d.popularity != nil {
-			t.Fatal("a directory that noted no request has popularity counters")
 		}
 	}
 	d := propDirectory(8)
@@ -488,8 +485,7 @@ func TestIdleDirectoryHoldsNothing(t *testing.T) {
 	d.TickAges()
 	d.EvictOlderThan(1)
 	d.ForEachHeld(func(model.ObjectRef, []simnet.NodeID) { t.Fatal("empty directory holds a ref") })
-	if d.ObjectCount() != 0 || d.Popularity(pref(3)) != 0 || len(d.TopObjects(5)) != 0 ||
-		d.BuildSummary().Test(propIn.Key(pref(3))) || len(d.ExportEntries()) != 0 {
+	if d.ObjectCount() != 0 || d.BuildSummary().Test(propIn.Key(pref(3))) || len(d.ExportEntries()) != 0 {
 		t.Fatal("empty directory reports content")
 	}
 	d.ImportEntries(nil) // resets the index
@@ -506,13 +502,6 @@ func TestIdleDirectoryHoldsNothing(t *testing.T) {
 		if held := d.ShardHeld(s); held != btoi(s == 2) {
 			t.Fatalf("after one add to shard 2, shard %d holds %d refs", s, held)
 		}
-	}
-	if d.popularity != nil {
-		t.Fatal("indexing an object made the popularity counters")
-	}
-	d.NoteRequest(pref(130))
-	if d.Popularity(pref(130)) != 1 || len(d.TopObjects(5)) != 1 {
-		t.Fatal("first noted request not counted")
 	}
 	if lines, _ := d.AuditConsistency(nil, 0); len(lines) != 0 {
 		t.Fatalf("audit after first adds: %v", lines)

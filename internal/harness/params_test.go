@@ -126,8 +126,6 @@ func TestParamsValidate(t *testing.T) {
 		{"periods 10s/1m", func(p *flowercdn.Params) { p.TGossip, p.TKeepalive = 10*simkernel.Second, simkernel.Minute }, true},
 		{"zero keepalive period", func(p *flowercdn.Params) { p.TKeepalive = 0 }, true},
 		{"a negative keepalive period", func(p *flowercdn.Params) { p.TKeepalive = -500 * simkernel.Millisecond }, false},
-		{"replication top-5", func(p *flowercdn.Params) { p.ReplicationTopK = 5 }, true},
-		{"a negative replication top-K", func(p *flowercdn.Params) { p.ReplicationTopK = -1 }, false},
 		{"instance bits 1", func(p *flowercdn.Params) { p.InstanceBits = 1 }, true},
 		{"instance bits 40, beyond the key", func(p *flowercdn.Params) { p.InstanceBits = 40 }, false},
 		{"instance bits 28, no room for a website id", func(p *flowercdn.Params) { p.InstanceBits = 28 }, false},
@@ -209,8 +207,8 @@ func TestSettableValues(t *testing.T) {
 		config any
 		fields int
 	}{
-		{"flowercdn.Params", flowercdn.Params{}, 34},
-		{"core.Config", core.Config{}, 16},
+		{"flowercdn.Params", flowercdn.Params{}, 33},
+		{"core.Config", core.Config{}, 15},
 		{"squirrel.Config", squirrel.Config{}, 5},
 		{"overlay.Config", overlay.Config{}, 4},
 		{"metrics.Config", metrics.Config{}, 2},

@@ -37,7 +37,7 @@ const (
 	CatQuery                       // query routing, redirects, acks
 	CatMaintenance                 // DHT maintenance (join/stabilize/fix-fingers)
 	CatTransfer                    // object payload transfers (not modelled in size, per §6.1)
-	CatReplication                 // active-replication offers/prefetches (§8 extension)
+	CatReplication                 // sent by nothing; kept because bench/ reports every category
 	numCategories
 )
 

@@ -38,7 +38,6 @@ const (
 	DirFailureDetected
 	DirReplaced
 	DirHandoff
-	Prefetch
 	numKinds
 )
 
@@ -48,7 +47,7 @@ func (k Kind) String() string {
 		"query-submitted", "route-hop", "dir-process", "redirect",
 		"redirect-failed", "forwarded-to-sibling", "peer-query", "peer-nack",
 		"server-fetch", "served", "joined", "dir-failure-detected",
-		"dir-replaced", "dir-handoff", "prefetch",
+		"dir-replaced", "dir-handoff",
 	}
 	if int(k) < len(names) {
 		return names[k]
@@ -74,7 +73,7 @@ type Record struct {
 	Query   uint64        // 0 when not query-scoped
 	Node    simnet.NodeID // where the step happened
 	Peer    simnet.NodeID // counterpart (target of a hop/redirect), or -1
-	Str     string        // object key (QuerySubmitted, Prefetch), else the site of the position named
+	Str     string        // object key (QuerySubmitted), else the site of the position named
 	Loc     int32         // the position's locality
 	Args    [2]int32      // Served: lookup latency and transfer distance in whole ms (see Ms)
 	Kind    Kind
@@ -103,8 +102,6 @@ func (r *Record) Detail() string {
 		return pick(r.Variant == StandbyPromoted, "standby promoted to ", "took over ") + r.pos("d")
 	case DirHandoff:
 		return r.pos("d") + " voluntary leave"
-	case Prefetch:
-		return r.Str
 	case ServerFetch:
 		return pick(r.Variant == ViewExhausted, "view exhausted", "directory fallback")
 	case RedirectFailed:

@@ -160,8 +160,6 @@ func refDetail(k Kind, v Variant, key, site string, loc int, lookup, dist float6
 		return fmt.Sprintf("took over d(%s,%d)", site, loc)
 	case DirHandoff:
 		return fmt.Sprintf("d(%s,%d) voluntary leave", site, loc)
-	case Prefetch:
-		return key
 	case ServerFetch:
 		if v == ViewExhausted {
 			return "view exhausted"
@@ -218,7 +216,7 @@ func TestRenderMatchesFormattedDetail(t *testing.T) {
 							r := Record{At: simkernel.Time(1500 * i), Kind: k, Variant: v, Node: 3,
 								Peer: simnet.NodeID(i*8 - 1), Query: uint64(i * 9),
 								Str: site, Loc: int32(loc), Args: [2]int32{Ms(lookup), Ms(dist)}}
-							if k == QuerySubmitted || k == Prefetch {
+							if k == QuerySubmitted {
 								r.Str = key
 							}
 							want := refDetail(k, v, key, site, loc, lookup, dist)

@@ -45,9 +45,6 @@ type Params struct {
 	// Protocol variants.
 	QueryPolicy  core.QueryPolicy
 	InstanceBits uint // §5.3 scale-up
-	// Active replication (§8 extension): top-K popular objects offered to
-	// sibling overlays each gossip period. 0 = off (the paper's tables).
-	ReplicationTopK int
 
 	// Squirrel baseline.
 	SquirrelHomeStore bool
@@ -305,7 +302,6 @@ func (p Params) CoreConfig(pools [][]int) core.Config {
 	cfg.TGossip = p.TGossip
 	cfg.TKeepalive = p.TKeepalive
 	cfg.QueryPolicy = p.QueryPolicy
-	cfg.ReplicationTopK = p.ReplicationTopK
 	cfg.StandbyFailover = p.StandbyFailover
 	if p.ChurnPerHour > 0 || p.Faults.Enabled() {
 		// Churn breaks the ring, and a lossy/partitioned transport needs ring

@@ -115,7 +115,6 @@ var (
 	cJoins       = col("clients joined", "%d", func(r Row) any { return r.Stats.Joins })
 	cReplaced    = col("dir replacements", "%d", func(r Row) any { return r.Stats.DirReplacements })
 	cRedirFails  = col("redirect failures", "%d", func(r Row) any { return r.Report.RedirectFailures })
-	cPrefetches  = col("prefetches", "%d", func(r Row) any { return r.Stats.Prefetches })
 	cRetries     = col("retries", "%d", func(r Row) any { return r.Report.Retries })
 	cDirFalls    = col("dir fallbacks", "%d", func(r Row) any { return r.Report.DirFallbacks })
 	cOriginFalls = col("origin fallbacks", "%d", func(r Row) any { return r.Report.OriginFallbacks })
@@ -290,9 +289,6 @@ func Experiments() []Experiment {
 			Doc: "ablation: D-ring's conditional routing (Algorithm 2) against plain DHT routing past dead directories"}}},
 		{All: true, Custom: substrateTables, Views: []View{{Name: "substrates",
 			Doc: "D-ring routed over Chord and over Pastry (§3.1: any standard DHT)"}}},
-		{All: true, Points: replicationSweep.grid, Views: []View{byPointView(
-			"active-replication", "extension: active replication of the top-K objects (§8 future work)",
-			"Extension — active replication (§8 future work)", "top-K", cHit, cBps, cPrefetches)}},
 		{All: true, Points: func(p Params, o Options) []Point {
 			p.ClientsPerSite *= 2 // overflow the basic scheme's capacity so the extension matters
 			return scaleUpSweep.grid(p, o)

@@ -324,8 +324,7 @@ func RunSquirrel(p Params) (Result, error) {
 		{"Faults", p.Faults.Enabled()}, {"DirDegrades", len(p.DirDegrades) > 0},
 		{"DirCrashes", len(p.DirCrashes) > 0}, {"AuditEvery", p.AuditEvery > 0},
 		{"Adaptive", p.Adaptive}, {"StandbyFailover", p.StandbyFailover},
-		{"ReplicationTopK", p.ReplicationTopK > 0}, {"QueryPolicy", p.QueryPolicy != core.PolicyViewOnly},
-		{"ChurnMeanDowntime", p.ChurnMeanDowntime > 0},
+		{"QueryPolicy", p.QueryPolicy != core.PolicyViewOnly}, {"ChurnMeanDowntime", p.ChurnMeanDowntime > 0},
 	} {
 		if in.set {
 			return Result{}, fmt.Errorf("flowercdn: Squirrel does not model Params.%s", in.field)
