@@ -7,14 +7,13 @@ import (
 )
 
 // formatStandbySummary renders the warm-failover observables of a run —
-// designation/anti-entropy/promotion counters, replica staleness at
-// takeover and the shedding tally — for golden and invariance
-// comparisons. Additive, like formatFaultSummary: all-zero for runs that
-// never arm StandbyFailover.
+// designation/anti-entropy/promotion counters and replica staleness at
+// takeover — for golden and invariance comparisons. Additive, like
+// formatFaultSummary: all-zero for runs that never arm StandbyFailover.
 func formatStandbySummary(sb *strings.Builder, res Result) {
-	fmt.Fprintf(sb, "standby assigns=%d deltas=%d promotions=%d stale_shards=%d shed=%d\n",
+	fmt.Fprintf(sb, "standby assigns=%d deltas=%d promotions=%d stale_shards=%d\n",
 		res.Stats.StandbyAssigns, res.Stats.StandbyDeltas, res.Stats.StandbyPromotions,
-		res.Stats.StandbyStaleShards, res.Report.ShedQueries)
+		res.Stats.StandbyStaleShards)
 }
 
 // renderDirCrash is the full transcript of a crash-storm run: base report,
@@ -136,8 +135,5 @@ func TestDirCrashWarmRecovery(t *testing.T) {
 	if ratio := coldSum / warmSum; ratio < 5 {
 		t.Fatalf("warm promotion only %.1fx faster than cold rebuild (want >=5x): cold=%v warm=%v",
 			ratio, coldMs, warmMs)
-	}
-	if wres.Report.ShedQueries == 0 {
-		t.Fatal("takeover shedding never engaged in the warm run")
 	}
 }

@@ -228,8 +228,8 @@ func buildFixture(t *testing.T) string {
 
 	// Eleventh scenario: the directory crash storm with warm standbys armed.
 	// Pins the whole failover surface — replica designation and delta
-	// cadence, deterministic promotion, takeover announcements, shedding
-	// and the crash→first-local-directory-hit recovery rows.
+	// cadence, deterministic promotion, takeover announcements and the
+	// crash→first-local-directory-hit recovery rows.
 	dres, err := RunFlower(DirCrashStormParams(10))
 	if err != nil {
 		t.Fatal(err)

@@ -48,9 +48,8 @@ func FaultStormParams(seed int64) Params {
 // with every active site's directory in two localities crashed during the
 // bootstrap phase (when new-client queries still route through the
 // directory plane, so the crash→first-local-directory-hit probe has
-// observations on both sides). Warm standbys and takeover shedding are
-// armed; the cold §5.2 rebuild baseline is the same preset with
-// StandbyFailover off.
+// observations on both sides). Warm standbys are armed; the cold §5.2
+// rebuild baseline is the same preset with StandbyFailover off.
 func DirCrashStormParams(seed int64) Params {
 	p := ScaledParams(seed)
 	p.Duration = 30 * simkernel.Minute

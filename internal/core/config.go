@@ -78,10 +78,8 @@ type Config struct {
 	// as a standby, keeps the standby's replica index fresh with
 	// dirty-shard deltas (dring delta seam), and on directory silence the
 	// standby promotes with its replica instead of a fresh peer rebuilding
-	// an empty index; and it sheds to the origin the queries beyond
-	// takeoverShedSlots queued behind a down position. Off by default: the
-	// disabled path costs one flag check and the clean-network goldens stay
-	// byte-identical.
+	// an empty index. Off by default: the disabled path costs one flag
+	// check and the clean-network goldens stay byte-identical.
 	StandbyFailover bool
 }
 
@@ -92,7 +90,6 @@ const (
 	dirSummaryThreshold = 0.1 // §4.2.1 delayed summary propagation
 	retryLimit          = 3   // candidate peers tried per query before fallback
 	standbySyncShards   = 16  // dirty shards shipped per standby anti-entropy round
-	takeoverShedSlots   = 2   // queries per locality queued behind a down directory (StandbyFailover)
 )
 
 // DefaultConfig returns the paper's simulation parameters (Table 1 with

@@ -373,28 +373,22 @@ func TestEnvelopesReturnOnLoss(t *testing.T) {
 	s.putGossipMsg(g)
 }
 
-// TestShedSlotReleasedAtOriginRetryCap: a query that took a takeover-
-// shedding slot and then runs out the hardened origin-retry chain (its
-// origin is cut off, so no serve ever lands to release the slot) must hand
-// the slot back when the chain gives up — or takeoverShedSlots such queries
-// later the locality sheds every new client forever.
-func TestShedSlotReleasedAtOriginRetryCap(t *testing.T) {
-	e := newTestEnv(t, 93, func(c *Config) { c.StandbyFailover = true })
+// TestOriginRetryChainGivesUpAtCap: a query whose origin is cut off (no
+// serve ever lands) runs out the hardened origin-retry chain and stops at
+// maxOriginRetries, unfinished, with only the caller's reference left —
+// the chain is bounded, not a loop that keeps the record alive forever.
+func TestOriginRetryChainGivesUpAtCap(t *testing.T) {
+	e := newTestEnv(t, 93, nil)
 	s := e.sys
 	s.InstallFaults(scheduleOnlyPlane())
 	h := s.host(s.PoolNode(0, 0, 0))
 	q := s.newQuery() // its reference keeps the record out of the pool until the checks
 	q.ID, q.Origin, q.Site, q.Ref, q.NewClient = 1, h.addr, e.cfg.Sites[0], s.in.RefFor(0, 3), true
-	s.shedInFlight[0]++
-	q.shedCounted = true
 	s.FailPeer(h.addr) // every fetch of the chain is lost at the sender
 	s.fallbackToOrigin(h, q)
 	e.k.Run(15 * simkernel.Minute) // 10+20+40+80+80+80 s of backoff, plus jitter
 	if q.finished || q.refs != 1 {
 		t.Fatalf("the cut-off query was served, or is still referenced (%d references); the cap was never reached", q.refs)
-	}
-	if q.shedCounted || s.shedInFlight[0] != 0 {
-		t.Fatalf("shed slot leaked at the origin-retry cap: counted=%v inFlight=%d", q.shedCounted, s.shedInFlight[0])
 	}
 	if r := s.Audit(); len(r.Violations) > 0 {
 		t.Fatalf("audit: %v", r.Violations)
@@ -402,28 +396,55 @@ func TestShedSlotReleasedAtOriginRetryCap(t *testing.T) {
 	s.unref(q)
 }
 
-// TestShedSlotReturnsWhenQueryAbandoned: a query that took a
-// takeover-shedding slot and lost its client before the serve landed has,
-// without the hardened retry chain, nothing left to resolve it. Its record
-// goes back to the pool and hands the slot back — or takeoverShedSlots such
-// queries later the locality sheds every new client for the rest of the run.
-func TestShedSlotReturnsWhenQueryAbandoned(t *testing.T) {
+// TestNewClientRecordAbandonedBehindDeadDirectory: every new client behind a
+// dead directory takes the D-ring lookup path — however many queue behind
+// the position, none is sent to the origin tier in place of its lookup, and
+// each reaches a directory (the live one routing delivers it to) before its
+// first lookup deadline. A record whose client dies before any serve lands
+// has, without the hardened retry chain, nothing left to resolve it: it is
+// abandoned and goes back to the pool, while the live clients' queries finish.
+func TestNewClientRecordAbandonedBehindDeadDirectory(t *testing.T) {
 	e := newTestEnv(t, 98, func(c *Config) { c.StandbyFailover = true })
 	s := e.sys
+	buf := trace.NewBuffer(1000)
+	s.tracer = buf
 	site := e.cfg.Sites[0]
 	if !s.FailDirectory(site, 0) {
 		t.Fatal("no directory to fail")
 	}
-	client := s.PoolNode(0, 0, 0)
-	s.Submit(workload.Query{Site: site, Object: model.ObjectID{Site: site, Num: 3}})
-	if s.shedInFlight[0] != 1 {
-		t.Fatal("the new client's query took no shed slot behind the dead directory")
+	const clients = 3
+	for m := 0; m < clients; m++ {
+		s.Submit(workload.Query{Site: site, Member: m, Object: model.ObjectID{Site: site, Num: 3}})
 	}
-	s.FailPeer(client)
+	var ids []uint64
+	var deadline simkernel.Time
+	for _, q := range s.pool.awaiting {
+		if q != nil && q.NewClient && q.awaitKind == awaitLookupRetry {
+			ids = append(ids, q.ID)
+			deadline = s.lookupRetryDelay(q, 0)
+		}
+	}
+	if len(ids) != clients {
+		t.Fatalf("%d of %d new clients' queries armed a lookup await behind the dead directory", len(ids), clients)
+	}
+	if n := e.mets.Snapshot(e.k.Now()).OriginFallbacks; n != 0 {
+		t.Fatalf("%d queries sent to the origin tier in place of their lookup", n)
+	}
+	s.FailPeer(s.PoolNode(0, 0, 0))
+	e.k.Run(e.k.Now() + deadline - 1)
+	for _, id := range ids {
+		reached := false
+		for _, ev := range buf.QueryTrace(id) {
+			reached = reached || ev.Kind == trace.DirProcess
+		}
+		if !reached {
+			t.Fatalf("query %d reached no directory before its first lookup deadline:\n%s", id, trace.Format(buf.QueryTrace(id)))
+		}
+	}
 	e.k.Run(10 * simkernel.Minute)
-	if s.shedInFlight[0] != 0 || s.pool.abandoned != 1 || len(s.pool.queries) != 1 {
-		t.Fatalf("after the client died: %d shed slots held, %d queries abandoned, %d records pooled; want 0, 1, 1",
-			s.shedInFlight[0], s.pool.abandoned, len(s.pool.queries))
+	if p := &s.pool; p.abandoned != 1 || p.finished != clients-1 || len(p.queries) != clients {
+		t.Fatalf("after client 0 died: %d queries abandoned, %d finished, %d records pooled; want 1, %d, %d",
+			p.abandoned, p.finished, len(p.queries), clients-1, clients)
 	}
 }
 
@@ -431,9 +452,9 @@ func TestShedSlotReturnsWhenQueryAbandoned(t *testing.T) {
 // exactly once and leaves nothing behind, whatever the network and churn do
 // to it. Each config pumps a generated workload for half an hour, then
 // drains for two hours with no new submissions. Afterwards every record ever
-// made is back in the pool, the await registry is empty, no shed slot is
-// held, and the records that came back finished plus those abandoned are
-// the queries that left Submit — none abandoned on a clean network.
+// made is back in the pool, the await registry is empty, and the records
+// that came back finished plus those abandoned are the queries that left
+// Submit — none abandoned on a clean network.
 func TestQueryRecordsConserved(t *testing.T) {
 	const load, drain = 30 * simkernel.Minute, 2 * simkernel.Hour
 	// churn fails a random joined client (every fourth time a random
@@ -535,11 +556,6 @@ func TestQueryRecordsConserved(t *testing.T) {
 			for slot, q := range p.awaiting {
 				if q != nil {
 					t.Errorf("await slot %d still holds query %d", slot, q.ID)
-				}
-			}
-			for loc, n := range s.shedInFlight {
-				if n != 0 {
-					t.Errorf("locality %d still counts %d shed slots", loc, n)
 				}
 			}
 			if got := uint64(p.finished + p.abandoned); got != s.qid {

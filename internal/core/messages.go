@@ -63,7 +63,6 @@ type Query struct {
 	admitted         bool // optimistic index entry created; client joins on serve
 	atRemote         bool
 	needDirBootstrap bool // client should try to become d(ws,loc) after service (§5.2 edge)
-	shedCounted      bool // holds one slot of the locality's shed in-flight budget
 
 	refScratch [1]model.ObjectRef // backs oneRef
 

@@ -32,9 +32,6 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 	}
 	q.targetInstance = inst
 	key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, inst)
-	if !s.takeShedSlot(h, q, key) {
-		return
-	}
 	s.stamp(q)
 	s.sendQuery(q.Origin, entry, simnet.CatQuery, bytesQueryCtl, s.newRoutedMsg(key, q.Origin, q, false))
 	// If the entry node (or the path) is dead the query would hang; retry
@@ -124,14 +121,7 @@ const maxOriginRetries = 6
 // heal the first retry lands. No-op on clean-network configs, where origin
 // sends cannot be lost.
 func (s *System) awaitOriginRetry(h *host, q *Query, attempt int, viaDir bool) {
-	if !s.Hardened() {
-		return
-	}
-	if attempt >= maxOriginRetries {
-		// The chain gives up: hand back a takeover-shedding slot q holds now,
-		// not when its record is recycled, which the last fetch still in
-		// flight delays.
-		s.releaseShedSlot(q)
+	if !s.Hardened() || attempt >= maxOriginRetries {
 		return
 	}
 	d := backoffDelay(10*simkernel.Second, attempt, 80*simkernel.Second)
@@ -141,36 +131,6 @@ func (s *System) awaitOriginRetry(h *host, q *Query, attempt int, viaDir bool) {
 		via = 1
 	}
 	s.await(q, d, awaitOriginResend, h.addr, via, int32(attempt+1))
-}
-
-// takeShedSlot is overload shedding during directory takeover: while the
-// locality's own directory position (key) is down, only takeoverShedSlots
-// queries — new clients' lookups and members' escalations alike — may sit in
-// the retry/timeout chains behind it at once. The excess short-circuits to the
-// origin tier instead of queueing into a timeout storm: false means q was
-// shed and is on its way there.
-func (s *System) takeShedSlot(h *host, q *Query, key chord.ID) bool {
-	if s.shedInFlight == nil {
-		return true
-	}
-	if n := s.ring.Lookup(key); n == nil || !n.Up() {
-		if int(s.shedInFlight[q.OriginLoc]) >= takeoverShedSlots {
-			s.mets.RecordShed()
-			s.fallbackToOrigin(h, q)
-			return false
-		}
-		s.shedInFlight[q.OriginLoc]++
-		q.shedCounted = true
-	}
-	return true
-}
-
-// releaseShedSlot returns the locality's shed-budget slot q holds, if any.
-func (s *System) releaseShedSlot(q *Query) {
-	if q.shedCounted {
-		q.shedCounted = false
-		s.shedInFlight[q.OriginLoc]--
-	}
 }
 
 func (s *System) retryOrigin(h *host, q *Query, attempt int, viaDir bool) {
@@ -243,9 +203,6 @@ func (s *System) tryNextCandidate(h *host, q *Query) {
 	// View exhausted.
 	if s.cfg.QueryPolicy == PolicyViewThenDirectory && h.cp != nil && h.cp.Dir().Known {
 		dir := h.cp.Dir().Addr
-		if !s.takeShedSlot(h, q, s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, 0)) {
-			return
-		}
 		s.mets.RecordDirFallback()
 		s.stamp(q)
 		s.sendQuery(q.Origin, dir, simnet.CatQuery, bytesQueryCtl, dirQueryMsg{Q: q})
@@ -618,7 +575,6 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	// One completed attempt→delivery round trip feeds the origin's
 	// estimator; this is the timescale adaptive lookup deadlines target.
 	s.sample(q)
-	s.releaseShedSlot(q)
 	if s.Hardened() && q.admitted {
 		h.clearAdmit(q.Ref)
 	}

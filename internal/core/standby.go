@@ -22,8 +22,8 @@ import (
 // The standby is a phase of the host (hoststate.go): a member enters it on
 // designation and leaves it on revocation, promotion, a §5.4 locality
 // change or a crash, which stop its probe watchdog and drop its replica.
-// StandbyFailover arms this part of every directory's round and takeover
-// shedding (query.go); off, no RNG is drawn and no message is sent.
+// StandbyFailover arms this part of every directory's round; off, no RNG is
+// drawn and no message is sent.
 
 // standbyMaintTick is the directory-side loop: validate or (re)designate
 // the standby, then ship up to standbySyncShards dirty shards.

@@ -93,11 +93,6 @@ type System struct {
 	// path's keepalive-offset race or warm failover buys nothing.
 	standbyProbe simkernel.Time
 
-	// shedInFlight gauges per-locality in-flight new-client queries that
-	// entered the lookup path while the locality's own directory position
-	// was down (nil unless Config.StandbyFailover).
-	shedInFlight []int32
-
 	// adapt is the gray-failure estimator and holder-health state, one slot
 	// per underlay node (nil unless Config.Adaptive; see adaptive.go).
 	adapt []adaptiveSlot
@@ -201,8 +196,7 @@ func (s *System) sendQuery(from, to simnet.NodeID, cat simnet.Category, bytes in
 
 // unref drops one reference to q. The last returns the record to the pool,
 // zeroed but for its registry slot and the arrays of its view seed and
-// failed holders; a query released unfinished was abandoned, and hands back
-// a shed slot it holds.
+// failed holders; a query released unfinished was abandoned.
 func (s *System) unref(q *Query) {
 	if q.refs > 1 {
 		q.refs--
@@ -210,7 +204,6 @@ func (s *System) unref(q *Query) {
 	}
 	p, finished := &s.pool, q.finished
 	seed, holders, slot := q.dirSeed[:0], q.fails.holders[:0], q.awaitSlot
-	s.releaseShedSlot(q)
 	put(&p.queries, q, &q.live)
 	q.dirSeed, q.fails.holders, q.awaitSlot = seed, holders, slot
 	if finished {
@@ -417,9 +410,6 @@ func New(cfg Config, deps Deps) (*System, error) {
 	s.roundFn = func(a uint64) { s.round(s.hosts[a]) }
 	s.dirRoundFn = func(a uint64) { s.dirRound(s.hosts[a]) }
 	s.probeTickFn = func(a uint64) { s.standbyProbeTick(s.hosts[a]) }
-	if cfg.StandbyFailover {
-		s.shedInFlight = make([]int32, cfg.Localities)
-	}
 	if cfg.Adaptive {
 		s.adapt = make([]adaptiveSlot, deps.Topo.NumNodes())
 	}

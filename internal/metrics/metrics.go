@@ -130,9 +130,6 @@ type Collector struct {
 	retries         int64
 	dirFallbacks    int64
 	originFallbacks int64
-	// shedQueries counts new-client queries short-circuited to the origin
-	// tier by the takeover shed budget (core.Config.StandbyFailover).
-	shedQueries int64
 	// Adaptive gray-failure accounting (Config.Adaptive): hedged lookups
 	// sent, hedges that reached a directory before the primary, and holder
 	// circuit breakers tripped open.
@@ -317,7 +314,3 @@ func (c *Collector) RecordHedgeWin() { c.hedgeWins++ }
 // RecordBreakerTrip counts a holder circuit breaker opening after
 // repeated redirect/peer-query timeouts.
 func (c *Collector) RecordBreakerTrip() { c.breakerTrips++ }
-
-// RecordShed counts a query shed to the origin tier by the directory-
-// takeover in-flight budget instead of entering the lookup-retry chain.
-func (c *Collector) RecordShed() { c.shedQueries++ }

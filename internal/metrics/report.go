@@ -110,9 +110,6 @@ type Report struct {
 	Retries         int64
 	DirFallbacks    int64
 	OriginFallbacks int64
-	// ShedQueries counts takeover-window queries short-circuited straight
-	// to the origin tier by the shed budget (a subset of OriginFallbacks).
-	ShedQueries int64
 
 	// Adaptive gray-failure accounting (Config.Adaptive): hedged lookups
 	// sent, hedges that beat the primary lookup, breakers tripped.
@@ -134,7 +131,6 @@ func (c *Collector) Snapshot(end simkernel.Time) Report {
 		Retries:          c.retries,
 		DirFallbacks:     c.dirFallbacks,
 		OriginFallbacks:  c.originFallbacks,
-		ShedQueries:      c.shedQueries,
 		Hedges:           c.hedges,
 		HedgeWins:        c.hedgeWins,
 		BreakerTrips:     c.breakerTrips,

@@ -88,8 +88,7 @@ type Params struct {
 
 	// StandbyFailover arms the warm-standby directory extension
 	// (core.Config.StandbyFailover): designated standbys with delta-synced
-	// replica indexes that promote on directory silence, and takeover
-	// shedding while a directory position is down.
+	// replica indexes that promote on directory silence.
 	StandbyFailover bool
 	// DirCrashes schedules deterministic directory crashes: at each entry's
 	// time the current holder of d(active-site SiteIdx, Locality) is

@@ -118,7 +118,6 @@ var (
 	cRetries     = col("retries", "%d", func(r Row) any { return r.Report.Retries })
 	cDirFalls    = col("dir fallbacks", "%d", func(r Row) any { return r.Report.DirFallbacks })
 	cOriginFalls = col("origin fallbacks", "%d", func(r Row) any { return r.Report.OriginFallbacks })
-	cShed        = col("shed queries", "%d", func(r Row) any { return r.Report.ShedQueries })
 	cHedges      = col("hedged lookups", "%d", func(r Row) any { return r.Report.Hedges })
 	cHedgeWins   = col("hedge wins", "%d", func(r Row) any { return r.Report.HedgeWins })
 	cTrips       = col("breaker trips", "%d", func(r Row) any { return r.Report.BreakerTrips })
@@ -526,7 +525,7 @@ func faultTables(_ Params, rows []Row) []Table {
 func dirCrashTables(_ Params, rows []Row) []Table {
 	cold, warm := rows[0], rows[1]
 	t := bySide(fmt.Sprintf("Directory crash storm — %s simulated, seed %d", warm.Params.Duration, warm.Params.Seed),
-		rows, cols(cHit, cReplaced, cPromotions, cAssigns, cDeltas, cStaleShards, cShed, cOriginFalls, cAudit),
+		rows, cols(cHit, cReplaced, cPromotions, cAssigns, cDeltas, cStaleShards, cOriginFalls, cAudit),
 		"crash schedule:")
 	for _, dc := range warm.Params.DirCrashes {
 		t.Notes = append(t.Notes, fmt.Sprintf("  site %d locality %d at %s", dc.SiteIdx, dc.Locality, dc.At))
