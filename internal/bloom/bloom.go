@@ -280,30 +280,3 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// UnmarshalBinary restores a filter serialised by MarshalBinary.
-func (f *Filter) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 {
-		return errors.New("bloom: truncated header")
-	}
-	mBits := binary.LittleEndian.Uint64(data[0:8])
-	hashes := binary.LittleEndian.Uint32(data[8:12])
-	count := binary.LittleEndian.Uint32(data[12:16])
-	// A size the data cannot hold is rejected before it is rounded to words,
-	// where it could wrap.
-	if mBits == 0 || mBits > 8*uint64(len(data)) || hashes == 0 || hashes > math.MaxUint8 {
-		return errors.New("bloom: invalid parameters")
-	}
-	words := int((mBits + 63) / 64)
-	if len(data) != 16+8*words {
-		return fmt.Errorf("bloom: body is %d bytes, want %d", len(data)-16, 8*words)
-	}
-	f.hashes = uint8(hashes)
-	f.tail = uint8(uint64(words)*64 - mBits)
-	f.count = count
-	f.bits = make([]uint64, words)
-	for i := range f.bits {
-		f.bits[i] = binary.LittleEndian.Uint64(data[16+8*i:])
-	}
-	return nil
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -158,45 +157,6 @@ func TestOptimalHashes(t *testing.T) {
 	}
 	if k := OptimalHashes(0.1); k != 1 {
 		t.Fatalf("OptimalHashes floor = %d, want 1", k)
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	f := NewForCapacity(100)
-	rng := rand.New(rand.NewSource(9))
-	var keys []string
-	for i := 0; i < 80; i++ {
-		k := fmt.Sprintf("k%d", rng.Int63())
-		keys = append(keys, k)
-		f.Add(k)
-	}
-	data, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g Filter
-	if err := g.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if g.Bits() != f.Bits() || g.Hashes() != f.Hashes() || g.Count() != f.Count() {
-		t.Fatal("header mismatch after round trip")
-	}
-	for _, k := range keys {
-		if !g.Test(k) {
-			t.Fatalf("round trip lost %q", k)
-		}
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var f Filter
-	if err := f.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected error for truncated header")
-	}
-	g := New(128, 3)
-	data, _ := g.MarshalBinary()
-	if err := f.UnmarshalBinary(data[:len(data)-1]); err == nil {
-		t.Fatal("expected error for truncated body")
 	}
 }
 

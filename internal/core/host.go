@@ -125,12 +125,10 @@ func (h *host) HandleMessage(msg simnet.Message) {
 		s.handlePeerQuery(h, m)
 	case nackMsg:
 		s.handleNack(h, m, msg.From)
-	case fetchMsg:
-		s.handleFetch(h, m)
 	case dirQueryMsg:
-		s.handleDirQuery(h, m)
+		s.dirProcess(h, m.Q, false) // a member escalates a view miss (PolicyViewThenDirectory)
 	case forwardedQueryMsg:
-		s.dirProcess(h, m.Q, true) // Algorithm 3's restricted form at the neighbour
+		s.dirProcess(h, m.Q, true) // restricted Algorithm 3, whatever the record says now (DESIGN.md "Query lifecycle")
 	case forwardFailMsg:
 		s.handleForwardFail(h, m.Q)
 	case *serveMsg:
@@ -224,7 +222,7 @@ func (s *System) resumeAwait(arg uint64) {
 	kind, h, a, b := q.awaitKind, s.hosts[q.awaitHost], q.awaitA, int(q.awaitB)
 	s.releaseAwait(q)
 	defer s.unref(q)
-	if q.finished {
+	if q.stage == qDone {
 		return
 	}
 	switch kind {

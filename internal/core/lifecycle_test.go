@@ -261,7 +261,7 @@ func TestEnvelopePoolHygiene(t *testing.T) {
 	}
 	mustPanic("double query release", func() { s.unref(q) })
 	mustPanic("sending a released query", func() {
-		s.sendQuery(h.addr, h.addr, simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+		s.sendQuery(h.addr, h.addr, simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	})
 	mustPanic("dispatching a message that carries a released query", func() {
 		h.HandleMessage(simnet.Message{From: h.addr, To: h.addr, Payload: nackMsg{Q: q}})
@@ -317,7 +317,7 @@ func TestEnvelopesReturnOnLoss(t *testing.T) {
 			serve.ViewSeed = append(serve.ViewSeed, gossip.Entry{Node: up, Summary: sum})
 			s.sendQuery(from, to, simnet.CatTransfer, 100, serve)
 			s.sendQuery(from, to, simnet.CatQuery, 100, s.newRoutedMsg(7, up, q, false))
-			s.sendQuery(from, to, simnet.CatQuery, 100, fetchMsg{Q: q})
+			s.sendQuery(from, to, simnet.CatQuery, 100, redirectMsg{Q: q})
 			s.unref(q) // the messages' references are what is left
 		}
 		e.k.Run(e.k.Now() + simkernel.Minute)
@@ -387,7 +387,7 @@ func TestOriginRetryChainGivesUpAtCap(t *testing.T) {
 	s.FailPeer(h.addr) // every fetch of the chain is lost at the sender
 	s.fallbackToOrigin(h, q)
 	e.k.Run(15 * simkernel.Minute) // 10+20+40+80+80+80 s of backoff, plus jitter
-	if q.finished || q.refs != 1 {
+	if q.stage == qDone || q.refs != 1 {
 		t.Fatalf("the cut-off query was served, or is still referenced (%d references); the cap was never reached", q.refs)
 	}
 	if r := s.Audit(); len(r.Violations) > 0 {

@@ -55,13 +55,11 @@ type Query struct {
 	OriginLoc      int
 	targetInstance int // §5.3: which directory instance the query targeted
 	awaitKind      awaitKind
+	stage          queryStage // how far the query has got; only advance writes it
 
 	NewClient        bool
-	recorded         bool // metrics emitted
-	finished         bool
 	handlerIsLocal   bool // handler covers the client's locality
 	admitted         bool // optimistic index entry created; client joins on serve
-	atRemote         bool
 	needDirBootstrap bool // client should try to become d(ws,loc) after service (§5.2 edge)
 
 	refScratch [1]model.ObjectRef // backs oneRef
@@ -70,9 +68,30 @@ type Query struct {
 	nextCand, nCands uint8
 
 	handlerDir simnet.NodeID // the directory that ran Algorithm 3 for us (noNode: none yet)
-	remoteDir  simnet.NodeID // set while a neighbour directory handles the query
+	remoteDir  simnet.NodeID // the neighbour directory holding the query (noNode: none)
 	dirSeed    []gossip.Entry
 	fails      queryFails // failed-destination memory
+}
+
+// queryStage is how far a query has got, not where its copies are: hedges,
+// retries and re-fetches put them in several places at once, but progress
+// only moves forward (DESIGN.md "Query lifecycle").
+type queryStage uint8
+
+const (
+	qOpen   queryStage = iota // no provider has served it yet
+	qServed                   // a provider recorded the lookup and shipped the object
+	qDone                     // resolved: the object landed, or was a local hit
+)
+
+// advance moves q on to stage to: open → served at the first serve, served
+// → done on delivery, open → done on a local hit. A backward move, a second
+// serve or a second resolution panics before touching the record.
+func (q *Query) advance(to queryStage) {
+	if to <= q.stage {
+		panic("core: a query stage moves only forward, and once")
+	}
+	q.stage = to
 }
 
 // queryFails is a query's failed-destination dedup. Queries touch a handful
@@ -150,7 +169,8 @@ type routedMsg struct {
 // travels in the network envelope (Message.From), never in the payload.
 // Each is a queryMsg: send it with sendQuery.
 
-// redirectMsg: directory → holder (content peer or origin server): serve Q.
+// redirectMsg: serve Q. A directory sends it to a believed holder (content
+// peer or origin server), a requester straight to the origin server.
 type redirectMsg struct{ Q *Query }
 
 // redirectAckMsg: holder → directory: redirect received (liveness).
@@ -164,9 +184,6 @@ type peerQueryMsg struct{ Q *Query }
 
 // nackMsg: contact → content peer: I do not have it.
 type nackMsg struct{ Q *Query }
-
-// fetchMsg: requester → origin server.
-type fetchMsg struct{ Q *Query }
 
 // dirQueryMsg: content peer → its directory (PolicyViewThenDirectory).
 type dirQueryMsg struct{ Q *Query }
@@ -202,7 +219,6 @@ func (m redirectAckMsg) query() *Query    { return m.Q }
 func (m redirectFailMsg) query() *Query   { return m.Q }
 func (m peerQueryMsg) query() *Query      { return m.Q }
 func (m nackMsg) query() *Query           { return m.Q }
-func (m fetchMsg) query() *Query          { return m.Q }
 func (m dirQueryMsg) query() *Query       { return m.Q }
 func (m forwardedQueryMsg) query() *Query { return m.Q }
 func (m forwardFailMsg) query() *Query    { return m.Q }

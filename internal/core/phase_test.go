@@ -257,7 +257,7 @@ func TestNodeZeroAdmitsOnce(t *testing.T) {
 			q = a
 		}
 	}
-	for q != nil && !q.finished && (q.awaitKind != awaitRedirect || simnet.NodeID(q.awaitA) != first) {
+	for q != nil && q.stage != qDone && (q.awaitKind != awaitRedirect || simnet.NodeID(q.awaitA) != first) {
 		next, _ := e.k.NextEvent()
 		e.k.Run(next) // until the redirect to the dead holder waits
 	}

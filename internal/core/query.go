@@ -45,7 +45,7 @@ func (s *System) startNewClientQuery(h *host, q *Query) {
 // origin server, guarded (hardened runs) by the capped-backoff retry.
 func (s *System) fallbackToOrigin(h *host, q *Query) {
 	s.mets.RecordOriginFallback()
-	s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+	s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, false)
 }
 
@@ -63,11 +63,11 @@ func (s *System) awaitLookup(h *host, q *Query, attempt int) {
 
 // hedgeLookup fires when the adaptive tail deadline passed with no
 // directory claiming the query: race a second lookup through a different
-// D-ring entry point (first answer wins; the loser's effects are deduped
-// by the handler-claim and recorded guards), then fall through to the
-// normal retry chain after the remainder of the full deadline.
+// D-ring entry point (first answer wins; the handler claim and the stage
+// dedupe the loser's effects), then fall through to the normal retry chain
+// after the remainder of the full deadline.
 func (s *System) hedgeLookup(h *host, q *Query, attempt int, remaining simkernel.Time) {
-	if q.handlerDir == noNode && !q.finished {
+	if q.handlerDir == noNode {
 		if entry, ok := s.randomAliveDir(); ok {
 			s.mets.RecordHedge()
 			key := s.ks.KeyForWebsiteID(s.widBySite[q.Site], q.OriginLoc, q.targetInstance)
@@ -78,8 +78,8 @@ func (s *System) hedgeLookup(h *host, q *Query, attempt int, remaining simkernel
 }
 
 func (s *System) retryNewClientQuery(h *host, q *Query, attempt int) {
-	if q.recorded {
-		return
+	if q.stage != qOpen {
+		return // served: only the delivery is outstanding
 	}
 	s.stats.QueriesRetried++
 	s.mets.RecordRetry()
@@ -133,20 +133,15 @@ func (s *System) awaitOriginRetry(h *host, q *Query, attempt int, viaDir bool) {
 	s.await(q, d, awaitOriginResend, h.addr, via, int32(attempt+1))
 }
 
+// retryOrigin re-sends an undelivered origin fetch, a served one too: its
+// transfer may have fallen to loss (resumeAwait returned on a done query).
 func (s *System) retryOrigin(h *host, q *Query, attempt int, viaDir bool) {
-	// Gate on delivery (finished), not on the provider-side metric
-	// (recorded): a serve whose transfer fell to loss left the query
-	// recorded but the client empty-handed — and, for an admitted new
-	// client, a directory index entry with no object behind it.
-	if q.finished {
-		return
-	}
 	s.mets.RecordRetry()
+	from := q.Origin
 	if viaDir && s.net.Alive(h.addr) {
-		s.sendQuery(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
-	} else {
-		s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+		from = h.addr
 	}
+	s.sendQuery(from, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	s.awaitOriginRetry(h, q, attempt, viaDir)
 }
 
@@ -172,7 +167,7 @@ func (s *System) randomAliveDir() (simnet.NodeID, bool) {
 func (s *System) startContentPeerQuery(h *host, q *Query) {
 	if h.cp.Has(q.Ref) {
 		s.mets.RecordQuery(s.k.Now(), metrics.SourceLocal, 0, 0)
-		q.finished = true
+		q.advance(qDone)
 		return
 	}
 	// The query keeps the retryLimit candidates it may try.
@@ -268,7 +263,7 @@ func (s *System) handleRouted(h *host, m *routedMsg) {
 		s.handleDirJoinRequest(h, key, candidate)
 		return
 	}
-	if hedged && q.handlerDir == noNode && !q.finished {
+	if hedged && q.handlerDir == noNode && q.stage != qDone {
 		// The hedge reached a directory before the primary lookup did.
 		s.mets.RecordHedgeWin()
 	}
@@ -361,7 +356,6 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 			h.dir.RemoveNeighborSummary(dirID)
 			continue
 		}
-		q.atRemote = true
 		q.remoteDir = target.Addr()
 		s.trace(trace.Record{Kind: trace.ForwardedToSibling, Query: q.ID, Node: h.addr, Peer: target.Addr()})
 		s.sendQuery(h.addr, target.Addr(), simnet.CatQuery, bytesQueryCtl, forwardedQueryMsg{Q: q})
@@ -369,7 +363,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 		return
 	}
 	// Stage D: the origin web server.
-	q.atRemote = false
+	q.remoteDir = noNode
 	s.trace(trace.Record{Kind: trace.ServerFetch, Query: q.ID, Node: h.addr, Peer: s.servers[q.Site]})
 	s.mets.RecordOriginFallback()
 	s.sendQuery(h.addr, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
@@ -379,7 +373,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 // onSiblingTimeout: the summary-suggested neighbour directory stayed
 // silent; drop its summary and resume Algorithm 3 here.
 func (s *System) onSiblingTimeout(h *host, q *Query, dirID chord.ID) {
-	q.atRemote = false
+	q.remoteDir = noNode
 	if h.dir != nil { // nil once a crashed directory's position is taken over
 		h.dir.RemoveNeighborSummary(dirID)
 	}
@@ -432,18 +426,18 @@ func (s *System) onRedirectTimeout(h *host, q *Query, holder simnet.NodeID, forw
 	s.dirProcess(h, q, forwarded)
 }
 
-// handleRedirect runs at the believed holder (content peer or server);
-// dir is the redirecting directory, taken from the network envelope.
+// handleRedirect runs at the believed holder: a content peer, where dir
+// (from the network envelope) is the redirecting directory, or the origin.
 func (s *System) handleRedirect(h *host, q *Query, dir simnet.NodeID) {
 	if h.phase == phServer {
-		s.serveQuery(h, q, q.atRemote, false)
+		s.serveQuery(h, q, false, false)
 		return
 	}
 	// Acknowledge liveness to the redirecting directory.
 	s.noteHolderAlive(h.addr)
 	s.sendQuery(h.addr, dir, simnet.CatQuery, bytesQueryCtl, redirectAckMsg{Q: q})
 	if h.cp != nil && h.cp.Has(q.Ref) {
-		s.serveQuery(h, q, q.atRemote, true)
+		s.serveQuery(h, q, q.remoteDir != noNode, true)
 		return
 	}
 	s.sendQuery(h.addr, dir, simnet.CatQuery, bytesQueryCtl, redirectFailMsg{Q: q})
@@ -457,25 +451,14 @@ func (s *System) handleRedirectFail(h *host, q *Query, holder simnet.NodeID) {
 		h.dir.ApplyPush(holder, nil, q.oneRef(q.Ref))
 	}
 	q.markFailedHolder(holder)
-	s.dirProcess(h, q, q.atRemote && h.addr == q.remoteDir)
+	s.dirProcess(h, q, h.addr == q.remoteDir)
 }
 
 // handleForwardFail resumes processing at the handler directory after a
 // neighbour overlay missed.
 func (s *System) handleForwardFail(h *host, q *Query) {
 	s.settle(q)
-	q.atRemote = false
-	s.dirProcess(h, q, false)
-}
-
-// handleDirQuery serves the PolicyViewThenDirectory ablation: a member
-// escalates a view miss to its directory.
-func (s *System) handleDirQuery(h *host, m dirQueryMsg) {
-	q := m.Q
-	if q.handlerDir == noNode {
-		q.handlerDir = h.addr
-		q.handlerIsLocal = h.dir != nil && h.dir.Site() == q.Site
-	}
+	q.remoteDir = noNode
 	s.dirProcess(h, q, false)
 }
 
@@ -500,17 +483,12 @@ func (s *System) handleNack(h *host, m nackMsg, from simnet.NodeID) {
 	s.tryNextCandidate(h, q)
 }
 
-// handleFetch runs at an origin server for direct fetches.
-func (s *System) handleFetch(h *host, m fetchMsg) {
-	s.serveQuery(h, m.Q, false, false)
-}
-
 // serveQuery records the lookup metrics at the providing node and ships
 // the object to the requester.
 func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool) {
 	s.settle(q)
 	now := s.k.Now()
-	if !q.recorded {
+	if q.stage == qOpen {
 		src := metrics.SourceServer
 		if fromContentPeer {
 			if remote {
@@ -522,7 +500,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		lookup := float64(now - q.Start)
 		dist := s.topo.LatencyMs(h.addr, q.Origin)
 		s.mets.RecordQuery(now, src, lookup, dist)
-		q.recorded = true
+		q.advance(qServed)
 		s.trace(trace.Record{Kind: trace.Served, Variant: trace.Variant(src), Query: q.ID, Node: h.addr, Peer: q.Origin,
 			Args: [2]int32{trace.Ms(lookup), trace.Ms(dist)}})
 		if fromContentPeer && q.handlerDir != noNode {
@@ -558,7 +536,7 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 // origin server.
 func (s *System) onDeliveryTimeout(h *host, q *Query) {
 	s.mets.RecordRetry()
-	s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, fetchMsg{Q: q})
+	s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
 	s.awaitOriginRetry(h, q, 0, false)
 }
 
@@ -567,11 +545,11 @@ func (s *System) onDeliveryTimeout(h *host, q *Query) {
 func (s *System) handleServe(h *host, m *serveMsg) {
 	q := m.Q
 	s.settle(q)
-	if q.finished {
+	if q.stage == qDone {
 		s.putServeMsg(m)
 		return // duplicate delivery after a retry race
 	}
-	q.finished = true
+	q.advance(qDone)
 	// One completed attempt→delivery round trip feeds the origin's
 	// estimator; this is the timescale adaptive lookup deadlines target.
 	s.sample(q)

@@ -181,7 +181,7 @@ func (s *System) newQuery() *Query {
 		s.stats.QueryRecords++
 	}
 	q := take(&p.queries)
-	q.live, q.refs, q.handlerDir = true, 1, noNode
+	q.live, q.refs, q.handlerDir, q.remoteDir = true, 1, noNode, noNode
 	return q
 }
 
@@ -202,7 +202,7 @@ func (s *System) unref(q *Query) {
 		q.refs--
 		return
 	}
-	p, finished := &s.pool, q.finished
+	p, finished := &s.pool, q.stage == qDone
 	seed, holders, slot := q.dirSeed[:0], q.fails.holders[:0], q.awaitSlot
 	put(&p.queries, q, &q.live)
 	q.dirSeed, q.fails.holders, q.awaitSlot = seed, holders, slot

@@ -57,7 +57,7 @@ func TestDeltaSyncMatchesFullExport(t *testing.T) {
 			case 8:
 				primary.TickAges()
 			case 9:
-				primary.Keepalive(node)
+				primary.KeepaliveAt(node, -1)
 			case 10:
 				if rng.Intn(20) == 0 {
 					primary.EvictOlderThan(3)

@@ -277,13 +277,10 @@ func (d *Directory) ApplyPush(node simnet.NodeID, added, removed []model.ObjectR
 	return true
 }
 
-// Keepalive resets a member's age (§5.1); unknown nodes are ignored.
-func (d *Directory) Keepalive(node simnet.NodeID) { d.KeepaliveAt(node, -1) }
-
-// KeepaliveAt is Keepalive for a caller that remembers where the member was
-// last found: while hint is node's slot the age is reset without touching
-// the NodeID→slot map; a stale, out-of-range or foreign hint (swap-removes
-// move slots) falls back to it. Returns the slot to remember, -1 if unknown.
+// KeepaliveAt resets a member's age (§5.1); unknown nodes are ignored. While
+// hint (-1: none) is node's slot the NodeID→slot map is skipped; a stale,
+// out-of-range or foreign hint (swap-removes move slots) falls back to it.
+// Returns the slot to remember, -1 if unknown.
 func (d *Directory) KeepaliveAt(node simnet.NodeID, hint int32) int32 {
 	if uint32(hint) >= uint32(len(d.nodes)) || d.nodes[hint] != node {
 		var ok bool

@@ -96,7 +96,7 @@ func TestAgingAndEviction(t *testing.T) {
 	d.AddOptimistic(2, dref(9))
 	d.TickAges()
 	d.TickAges()
-	d.Keepalive(2) // age back to 0
+	d.KeepaliveAt(2, -1) // age back to 0
 	d.TickAges()
 	evicted := d.EvictOlderThan(3)
 	if len(evicted) != 1 || evicted[0] != 1 {
@@ -112,7 +112,7 @@ func TestAgingAndEviction(t *testing.T) {
 
 func TestKeepaliveUnknownIgnored(t *testing.T) {
 	d := newDir()
-	d.Keepalive(42) // must not create an entry
+	d.KeepaliveAt(42, -1) // must not create an entry
 	if d.Size() != 0 {
 		t.Fatal("keepalive created a member")
 	}

@@ -60,7 +60,7 @@ func BenchmarkDirectoryTickEvict(b *testing.B) {
 			for m := 1; m <= benchMembers; m++ {
 				node := simnet.NodeID(m)
 				if node < lo || node >= lo+stale {
-					d.Keepalive(node)
+					d.KeepaliveAt(node, -1)
 				}
 			}
 			d.TickAges()
@@ -122,7 +122,7 @@ func TestDirTickAllocs(t *testing.T) {
 			for m := 1; m <= benchMembers; m++ {
 				node := simnet.NodeID(m)
 				if node < lo || node >= lo+stale {
-					d.Keepalive(node)
+					d.KeepaliveAt(node, -1)
 				}
 			}
 			d.TickAges()

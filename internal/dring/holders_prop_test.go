@@ -294,7 +294,7 @@ func TestDirectorySlabMatchesReference(t *testing.T) {
 					ref.clear(node, obj)
 				}
 			case op < 24: // keepalive
-				d.Keepalive(node)
+				d.KeepaliveAt(node, -1)
 				if _, ok := ref.ages[node]; ok {
 					ref.ages[node] = 0
 				}
@@ -398,7 +398,7 @@ func TestExportImportRoundTripRandom(t *testing.T) {
 		case 3:
 			src.TickAges()
 		case 4:
-			src.Keepalive(node)
+			src.KeepaliveAt(node, -1)
 		default:
 			if rng.Intn(4) == 0 {
 				src.RemovePeer(node)

@@ -286,9 +286,6 @@ func TestFormatAndString(t *testing.T) {
 	c.PeerJoined(0)
 	c.RecordQuery(0, SourcePeer, 100, 80)
 	r := c.Snapshot(simkernel.Hour)
-	if s := FormatHist(r.LatencyHist); len(s) == 0 {
-		t.Fatal("empty histogram rendering")
-	}
 	if s := r.String(); len(s) == 0 {
 		t.Fatal("empty report string")
 	}

@@ -251,19 +251,6 @@ func FracBeyond(hist []HistBin, ms float64) float64 {
 	return frac
 }
 
-// FormatHist renders a histogram as an aligned text table.
-func FormatHist(hist []HistBin) string {
-	var sb strings.Builder
-	for _, b := range hist {
-		label := fmt.Sprintf("%4.0f-%4.0f ms", b.LoMs, b.HiMs)
-		if b.Overflow {
-			label = fmt.Sprintf(">%4.0f ms    ", b.LoMs)
-		}
-		fmt.Fprintf(&sb, "%s %8d  %6.2f%%\n", label, b.Count, 100*b.Frac)
-	}
-	return sb.String()
-}
-
 // String renders a one-line summary.
 func (r Report) String() string {
 	return fmt.Sprintf("queries=%d hit=%.3f lookup=%.0fms transfer=%.0fms background=%.1fbps",
