@@ -18,8 +18,8 @@ import (
 //   - D-ring successorship (the live-ghost invariant: every live pointer
 //     must resolve to the node the ring registers for that ID — a stale
 //     pointer to a transplanted or removed node is a routing hole);
-//   - every directory's index (forward member bitsets ↔ the holder bit
-//     matrix and its counts, see dring.AuditConsistency) and its holder
+//   - every directory's index (the member slab ↔ the holder bit matrix
+//     and its counts, see dring.AuditConsistency) and its holder
 //     claims against the actual stashes of live same-overlay content peers;
 //     a dead directory keeps its index only until its position is taken over;
 //   - every host's lifecycle: its phase fixes its role pointers, which

@@ -9,13 +9,12 @@ import (
 
 // This file holds the directory's self-consistency audit, used by the
 // core invariant auditor under fault injection. The directory index is
-// intentionally redundant — a forward table (member slot → held-object
-// bitset) and the holder matrix (object → one bit per member slot) that
-// must mirror each other exactly, plus per-ref, per-shard and total
+// one holder matrix (object → one bit per member slot) over a member slab
+// whose NodeID→slot map must match it, plus per-ref, per-shard and total
 // counters that summarise the matrix. Message loss, partitions and churn
 // exercise every mutation path (pushes, optimistic admissions, evictions,
-// imports), so the audit re-derives one side from the other and
-// cross-checks the counters.
+// imports), so the audit checks the slab's bijection, that every matrix
+// bit names a member, and re-derives the counters from the matrix.
 
 // ForEachHeld calls fn for every object ref with at least one recorded
 // holder, in ascending ref order, with its holders in ascending node order
@@ -27,12 +26,12 @@ func (d *Directory) ForEachHeld(fn func(ref model.ObjectRef, holders []simnet.No
 	})
 }
 
-// AuditConsistency cross-checks the forward member slab against the
-// holder matrix and its counters, appending one human-readable line per
-// violation to out (capped at max new entries; max <= 0 means unlimited).
-// It returns out plus the number of checks performed: one per slot-map
-// entry, one for the slab arity, one per forward bit, one per matrix bit,
-// one per shard and one for the total.
+// AuditConsistency checks the member slab against its slot map and the
+// holder matrix against the slab and its counters, appending one
+// human-readable line per violation to out (capped at max new entries;
+// max <= 0 means unlimited). It returns out plus the number of checks
+// performed: one per slot-map entry, one for the slab arity, one per
+// matrix bit, one per shard and one for the total.
 func (d *Directory) AuditConsistency(out []string, max int) ([]string, int) {
 	checks := 0
 	report := func(format string, args ...any) {
@@ -49,23 +48,13 @@ func (d *Directory) AuditConsistency(out []string, max int) ([]string, int) {
 		}
 	}
 	checks++
-	if len(d.slot) != len(d.nodes) || len(d.nodes) != len(d.ages) || len(d.nodes) != len(d.objects) {
-		report("dring %s/%d: slab arity mismatch slot=%d nodes=%d ages=%d objects=%d",
-			d.site, d.loc, len(d.slot), len(d.nodes), len(d.ages), len(d.objects))
+	if len(d.slot) != len(d.nodes) || len(d.nodes) != len(d.ages) {
+		report("dring %s/%d: slab arity mismatch slot=%d nodes=%d ages=%d",
+			d.site, d.loc, len(d.slot), len(d.nodes), len(d.ages))
 	}
 
-	// Forward → matrix: every held bit must be set in the ref's row.
-	for s, node := range d.nodes {
-		d.objects[s].ForEach(func(j int) {
-			checks++
-			if !d.holders.has(j, s) {
-				report("dring %s/%d: member %d holds ref %d but the holder matrix misses it", d.site, d.loc, node, j)
-			}
-		})
-	}
-
-	// Matrix → forward, plus the per-ref, per-shard and total counters (a
-	// shard's ref counts ride its one check).
+	// Every matrix bit names a member, plus the per-ref, per-shard and
+	// total counters (a shard's ref counts ride its one check).
 	total := 0
 	for si, shardHeld := range d.holders.held {
 		held := 0
@@ -76,8 +65,6 @@ func (d *Directory) AuditConsistency(out []string, max int) ([]string, int) {
 				n++
 				if s >= len(d.nodes) {
 					report("dring %s/%d: ref %d row sets empty slot %d", d.site, d.loc, j, s)
-				} else if !d.objects[s].Has(j) {
-					report("dring %s/%d: ref %d lists holder %d whose forward bitset lacks it", d.site, d.loc, j, d.nodes[s])
 				}
 			})
 			if c := d.holders.holderCount(j); c != n {

@@ -102,14 +102,6 @@ func (d *Directory) markDirtyAll() {
 	}
 }
 
-// markDirtyWords marks the shards where set has holdings (member removal:
-// the member's whole forward bitset leaves the index).
-func (d *Directory) markDirtyWords(set *bitset.Set) {
-	if d.dirtyTrack {
-		set.ForEachWord(func(w int, _ uint64) { d.dirty.Set(w) })
-	}
-}
-
 // ExportShard appends shard s's rows — every member with holdings in the
 // shard, in slab (admission) order — to buf and returns the extended
 // slice. Admission order is deterministic simulation state, so the wire
@@ -119,7 +111,7 @@ func (d *Directory) ExportShard(s int, buf []ShardEntry) []ShardEntry {
 		return buf
 	}
 	for slot, node := range d.nodes {
-		if w := d.objects[slot].Word(s); w != 0 {
+		if w := d.holders.word(s, slot); w != 0 {
 			buf = append(buf, ShardEntry{Node: node, Age: d.ages[slot], Word: w})
 		}
 	}
@@ -129,9 +121,9 @@ func (d *Directory) ExportShard(s int, buf []ShardEntry) []ShardEntry {
 // ApplyShardDelta replaces the replica's shard s with the exported rows:
 // named members diff toward their word (admitting unknown members — the
 // replica mirrors a primary that already enforced S_co), unnamed members
-// lose their shard-s holdings. Forward bitsets, the holder matrix and the
-// known-object bookkeeping stay mutually consistent, so a
-// promoted replica passes AuditConsistency as-is.
+// lose their shard-s holdings. The holder matrix, its counters and the
+// known-object bookkeeping move together, so a promoted replica passes
+// AuditConsistency as-is.
 func (d *Directory) ApplyShardDelta(s int, entries []ShardEntry) {
 	if s < 0 || s >= d.ShardCount() {
 		return
@@ -140,10 +132,10 @@ func (d *Directory) ApplyShardDelta(s int, entries []ShardEntry) {
 	touched := d.applyScratch[:0]
 	for _, e := range entries {
 		slot := d.slotFor(e.Node)
-		cur := d.objects[slot].Word(s)
+		cur := d.holders.word(s, int(slot))
 		for add := e.Word &^ cur; add != 0; add &= add - 1 {
 			i := base + bits.TrailingZeros64(add)
-			if i < d.nObj && d.objects[slot].Set(i) {
+			if i < d.nObj {
 				d.holders.add(i, slot)
 				if d.knownObjects.Set(i) {
 					d.newSincePublish++
@@ -153,10 +145,8 @@ func (d *Directory) ApplyShardDelta(s int, entries []ShardEntry) {
 		}
 		for del := cur &^ e.Word; del != 0; del &= del - 1 {
 			i := base + bits.TrailingZeros64(del)
-			if d.objects[slot].Clear(i) {
-				d.holders.remove(i, slot)
-				d.markDirtyLocal(i)
-			}
+			d.holders.remove(i, slot)
+			d.markDirtyLocal(i)
 		}
 		d.ages[slot] = e.Age
 		touched = append(touched, slot)
@@ -165,12 +155,10 @@ func (d *Directory) ApplyShardDelta(s int, entries []ShardEntry) {
 		if slotTouched(touched, int32(slot)) {
 			continue
 		}
-		for w := d.objects[slot].Word(s); w != 0; w &= w - 1 {
+		for w := d.holders.word(s, slot); w != 0; w &= w - 1 {
 			i := base + bits.TrailingZeros64(w)
-			if d.objects[slot].Clear(i) {
-				d.holders.remove(i, int32(slot))
-				d.markDirtyLocal(i)
-			}
+			d.holders.remove(i, int32(slot))
+			d.markDirtyLocal(i)
 		}
 	}
 	d.applyScratch = touched

@@ -120,7 +120,7 @@ func TestDeltaSyncMatchesFullExport(t *testing.T) {
 				t.Fatalf("seed %d member %d: replica age %d, primary %d", seed, row.Node, replica.ages[rs], row.Age)
 			}
 			for i := 0; i < propObjects; i++ {
-				if replica.objects[rs].Has(i) != row.Objects.Has(i) {
+				if replica.holders.has(i, int(rs)) != row.Objects.Has(i) {
 					t.Fatalf("seed %d member %d object %d mismatch", seed, row.Node, i)
 				}
 			}

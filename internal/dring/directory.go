@@ -15,8 +15,9 @@ import (
 // IndexEntry is one row of the directory index (§3.3): a content peer, the
 // age of the information, and the objects it holds as a bitset over the
 // site's dense object space (local indices; see model.Interner). Inside a
-// Directory the index lives as parallel slabs (see below); IndexEntry is
-// the boxed row used by snapshots (ExportEntries/ImportEntries).
+// Directory the members live in a slab and their holdings in the holder
+// matrix (see below); IndexEntry is the boxed row used by snapshots
+// (ExportEntries/ImportEntries), its bitset built from the member's column.
 type IndexEntry struct {
 	Node    simnet.NodeID
 	Age     int
@@ -29,18 +30,18 @@ type IndexEntry struct {
 // messages.
 //
 // All object state is ref-indexed: the directory serves one website whose
-// ObjectsPerSite objects map to dense local indices, so the inverse index
-// (object → holders) and the known-object set are flat structures instead
-// of string-keyed maps.
+// ObjectsPerSite objects map to dense local indices, so the index and the
+// known-object set are flat structures instead of string-keyed maps.
 //
-// The member index is a struct-of-arrays slab — here a loop does scan the
-// arrays: nodes/ages/objects are parallel arrays in admission order
-// (swap-removed on eviction) and the only map left is the NodeID→slot
-// lookup, which a keepalive skips when its caller remembers the slot
-// (KeepaliveAt). The periodic dirTick (age every entry, scan for evictions)
-// is therefore a linear, pointer-free array sweep instead of a walk over
-// map-boxed entries, and it allocates nothing — evicted slots and their
-// bitsets are recycled, and their matrix columns are reused in place.
+// The members are a struct-of-arrays slab — here a loop does scan the
+// arrays: nodes/ages are parallel arrays in admission order (swap-removed
+// on eviction) and the only map left is the NodeID→slot lookup, which a
+// keepalive skips when its caller remembers the slot (KeepaliveAt). What
+// each member holds lives in one place, the holder matrix (holders.go):
+// one row per object, one bit per slot. The periodic dirTick (age every
+// entry, scan for evictions) is therefore a linear, pointer-free array
+// sweep instead of a walk over map-boxed entries, and it allocates nothing
+// — evicted slots and their matrix columns are reused in place.
 type Directory struct {
 	site      model.SiteID
 	websiteID uint64
@@ -55,17 +56,12 @@ type Directory struct {
 
 	// Member slab: slot is the only pointer-bearing structure; nodes holds
 	// the members in admission order (so it doubles as the member list the
-	// view-seed sampler draws from), ages and objects are parallel.
-	slot    map[simnet.NodeID]int32
-	nodes   []simnet.NodeID
-	ages    []int32
-	objects []bitset.Set
+	// view-seed sampler draws from), ages is parallel.
+	slot  map[simnet.NodeID]int32
+	nodes []simnet.NodeID
+	ages  []int32
 
-	// freeSets recycles the bitsets of evicted slots so churn (evict +
-	// readmit) does not allocate per rejoin.
-	freeSets []bitset.Set
-
-	// holders is the inverse index (local object → holder slots), a bit
+	// holders is the index itself (local object → holder slots), a bit
 	// matrix over the slab; see holders.go.
 	holders holdersIndex
 
@@ -192,8 +188,9 @@ func (d *Directory) inRange(ref model.ObjectRef) bool {
 }
 
 // slotFor returns node's slab slot, admitting it at age 0 when absent.
-// Freed slots' bitsets are recycled, so readmission after eviction does
-// not allocate once the slab has reached its high-water capacity.
+// Admission allocates only amortised slab and matrix growth, so readmission
+// after eviction allocates nothing once the slab has reached its high-water
+// capacity.
 func (d *Directory) slotFor(node simnet.NodeID) int32 {
 	if s, ok := d.slot[node]; ok {
 		return s
@@ -202,14 +199,6 @@ func (d *Directory) slotFor(node simnet.NodeID) int32 {
 	d.slot[node] = s
 	d.nodes = append(d.nodes, node)
 	d.ages = append(d.ages, 0)
-	var set bitset.Set
-	if n := len(d.freeSets); n > 0 {
-		set = d.freeSets[n-1]
-		d.freeSets = d.freeSets[:n-1]
-	} else {
-		set = bitset.New(d.nObj)
-	}
-	d.objects = append(d.objects, set)
 	return s
 }
 
@@ -219,7 +208,7 @@ func (d *Directory) addObject(node simnet.NodeID, ref model.ObjectRef) {
 	}
 	i := d.local(ref)
 	s := d.slotFor(node)
-	if !d.objects[s].Set(i) {
+	if d.holders.has(i, int(s)) {
 		return // duplicate
 	}
 	d.holders.add(i, s)
@@ -235,7 +224,7 @@ func (d *Directory) dropObject(node simnet.NodeID, ref model.ObjectRef) {
 		return
 	}
 	i := d.local(ref)
-	if !d.objects[s].Clear(i) {
+	if !d.holders.has(i, int(s)) {
 		return
 	}
 	d.holders.remove(i, s)
@@ -293,29 +282,27 @@ func (d *Directory) KeepaliveAt(node simnet.NodeID, hint int32) int32 {
 }
 
 // RemovePeer drops a member and its holdings (dead peer or redirection
-// failure, §5.1): the slab slot is swap-removed with its bitset recycled,
-// and the matrix clears exactly the refs the member held and moves the last
-// slot's bits into its column.
+// failure, §5.1): the slab slot is swap-removed, and one pass over the
+// matrix rows clears the member's column, moves the last slot's column
+// into it and marks the shards the member held dirty.
 func (d *Directory) RemovePeer(node simnet.NodeID) {
 	s, ok := d.slot[node]
 	if !ok {
 		return
 	}
 	last := int32(len(d.nodes) - 1)
-	set := d.objects[s]
-	d.markDirtyWords(&set)
-	d.holders.removeSlot(s, &set, last, &d.objects[last])
-	set.Reset()
-	d.freeSets = append(d.freeSets, set)
+	var dirty *bitset.Set
+	if d.dirtyTrack {
+		dirty = &d.dirty
+	}
+	d.holders.removeSlot(s, last, dirty)
 
 	moved := d.nodes[last]
 	d.nodes[s] = moved
 	d.ages[s] = d.ages[last]
-	d.objects[s] = d.objects[last]
 	d.slot[moved] = s
 	d.nodes = d.nodes[:last]
 	d.ages = d.ages[:last]
-	d.objects = d.objects[:last]
 	delete(d.slot, node)
 }
 
@@ -491,14 +478,20 @@ func (d *Directory) MarkSummaryPublished() {
 // --- Directory transfer (§5.2 voluntary leave) --------------------------
 
 // ExportEntries snapshots the index for transfer to a replacement
-// directory peer, in ascending node order. The rows own deep copies of
-// the holdings bitsets, so the snapshot stays valid across later slab
-// mutations.
+// directory peer, in ascending node order. Each row owns a bitset built
+// from the member's matrix column, so the snapshot stays valid across
+// later mutations.
 func (d *Directory) ExportEntries() []IndexEntry {
 	out := make([]IndexEntry, 0, len(d.nodes))
 	for _, node := range d.Members() {
-		s := d.slot[node]
-		out = append(out, IndexEntry{Node: node, Age: int(d.ages[s]), Objects: d.objects[s].Clone()})
+		s := int(d.slot[node])
+		objects := bitset.New(d.nObj)
+		for i := range d.nObj {
+			if d.holders.has(i, s) {
+				objects.Set(i)
+			}
+		}
+		out = append(out, IndexEntry{Node: node, Age: int(d.ages[s]), Objects: objects})
 	}
 	return out
 }
@@ -506,14 +499,9 @@ func (d *Directory) ExportEntries() []IndexEntry {
 // ImportEntries loads a transferred index (replacing any current content).
 func (d *Directory) ImportEntries(entries []IndexEntry) {
 	d.markDirtyAll()
-	for s := range d.objects {
-		d.objects[s].Reset()
-		d.freeSets = append(d.freeSets, d.objects[s])
-	}
 	d.slot = make(map[simnet.NodeID]int32, len(entries))
 	d.nodes = d.nodes[:0]
 	d.ages = d.ages[:0]
-	d.objects = d.objects[:0]
 	d.holders.reset()
 	for _, e := range entries {
 		node := e.Node

@@ -6,25 +6,24 @@ import (
 	"flowercdn/internal/bitset"
 )
 
-// The inverse index (local object → holders) is a ref-major bit matrix over
+// The directory index (member ↔ object) is one ref-major bit matrix over
 // the member slab's slots: row i holds one bit per slot, set while the
 // member in that slot holds local ref i. Every row is stride words and all
-// rows live in one []uint64, so an add or a drop is one bit set or clear,
-// and the matrix is the forward bitsets (member → refs) transposed.
+// rows live in one []uint64, so an add or a drop is one bit set or clear.
+// Nothing else stores the relation: a member's holdings are its column, read
+// by word (one 64-ref shard of it) or bit by bit.
 //
 // Per-ref holder counts and per-shard held counts keep ObjectCount,
 // ShardHeld and whole-index sweeps (summary rebuilds) O(1) per
-// ref and skip-empty per 64-ref shard. A shard is exactly one forward
-// bitset word, which is also the grain of the standby's delta sync
-// (delta.go).
+// ref and skip-empty per 64-ref shard. A shard is also the grain of the
+// standby's delta sync (delta.go).
 //
 // The matrix and the per-ref counts are made at the first add — a run has
 // a directory per website and locality and a handful of active websites,
 // and a directory that indexes nothing should hold nothing.
 
-// shardBits sizes a shard at 64 refs: exactly one bitset word, so a
-// member's holdings map 1:1 onto shards and the word walk *is* the shard
-// walk.
+// shardBits sizes a shard at 64 refs: a member's holdings in one shard are
+// one 64-bit word (holdersIndex.word).
 const shardBits = 6
 
 // shardSize is the number of local refs per shard.
@@ -81,19 +80,46 @@ func (h *holdersIndex) grow(words int) {
 	h.rows, h.stride = rows, stride
 }
 
-// removeSlot is the matrix half of the slab's swap-remove: slot s's bits
-// (the refs in gone, its forward bitset) are cleared and the last slot's
-// bits (the refs in moved) move into s.
-func (h *holdersIndex) removeSlot(s int32, gone *bitset.Set, last int32, moved *bitset.Set) {
-	gone.ForEach(func(i int) { h.remove(i, s) })
-	if s == last {
-		return
+// removeSlot is the matrix half of the slab's swap-remove, one pass over
+// the rows: slot s's bits are cleared, the last slot's bits move into s, and
+// when dirty is non-nil the shard of every ref s held is marked in it.
+func (h *holdersIndex) removeSlot(s, last int32, dirty *bitset.Set) {
+	ws, wl := int(s>>6), int(last>>6)
+	if ws >= h.stride {
+		return // no add ever reached s's word, nor last's beyond it
 	}
-	moved.ForEach(func(i int) {
-		row := h.rows[i*h.stride:]
-		row[last>>6] &^= 1 << (last & 63)
-		row[s>>6] |= 1 << (s & 63)
-	})
+	ms, ml := uint64(1)<<(s&63), uint64(1)<<(last&63)
+	move := s != last && wl < h.stride
+	for i := range h.nObj {
+		row := h.rows[i*h.stride : (i+1)*h.stride]
+		if row[ws]&ms != 0 {
+			h.remove(i, s)
+			if dirty != nil {
+				dirty.Set(i >> shardBits)
+			}
+		}
+		if move && row[wl]&ml != 0 {
+			row[wl] &^= ml
+			row[ws] |= ms
+		}
+	}
+}
+
+// word returns slot's holdings in shard sh as one word: bit k is set while
+// the slot holds local ref sh·64+k.
+func (h *holdersIndex) word(sh, slot int) uint64 {
+	w := slot >> 6
+	if w >= h.stride || h.held[sh] == 0 {
+		return 0
+	}
+	m := uint64(1) << (slot & 63)
+	var out uint64
+	for i := sh << shardBits; i < min((sh+1)<<shardBits, h.nObj); i++ {
+		if h.rows[i*h.stride+w]&m != 0 {
+			out |= 1 << (i & (shardSize - 1))
+		}
+	}
+	return out
 }
 
 // has reports whether slot's bit is set in ref i's row.

@@ -34,9 +34,10 @@ func propObject(rng *rand.Rand) int {
 }
 
 // TestHoldersIndexMatchesFlatMap drives the matrix directly: random add and
-// remove plus removeSlot (the slab's swap-remove, reading the forward
-// bitsets) while the slot count grows past 64 and 128 and shrinks back,
-// checked against a ref → slot-set map after every step.
+// remove plus removeSlot (the slab's swap-remove, one pass over the rows
+// that clears a column and moves the last one into it) while the slot
+// count grows past 64 and 128 and shrinks back, checked against a ref →
+// slot-set map after every step. fwd is the test's own per-slot model.
 func TestHoldersIndexMatchesFlatMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	idx := newHoldersIndex(propObjects)
@@ -103,7 +104,7 @@ func TestHoldersIndexMatchesFlatMap(t *testing.T) {
 			}
 		case len(fwd) > 0 && (op == 9 || !grow): // swap-remove a slot
 			s, last := int32(rng.Intn(len(fwd))), int32(len(fwd)-1)
-			idx.removeSlot(s, &fwd[s], last, &fwd[last])
+			idx.removeSlot(s, last, nil)
 			fwd[s].ForEach(func(j int) { delete(model[j], s) })
 			if s != last {
 				fwd[last].ForEach(func(j int) { delete(model[j], last); model[j][s] = true })
