@@ -130,7 +130,7 @@ func (h *host) HandleMessage(msg simnet.Message) {
 	case forwardedQueryMsg:
 		s.dirProcess(h, m.Q, true) // restricted Algorithm 3, whatever the record says now (DESIGN.md "Query lifecycle")
 	case forwardFailMsg:
-		s.handleForwardFail(h, m.Q)
+		s.handleForwardFail(h, m.Q, msg.From)
 	case *serveMsg:
 		s.handleServe(h, m)
 	case *gossipMsg:

@@ -455,8 +455,13 @@ func (s *System) handleRedirectFail(h *host, q *Query, holder simnet.NodeID) {
 }
 
 // handleForwardFail resumes processing at the handler directory after a
-// neighbour overlay missed.
-func (s *System) handleForwardFail(h *host, q *Query) {
+// neighbour overlay missed. A failure from a neighbour the handler no
+// longer waits for (its sibling deadline fired first) is stale: the handler
+// has already resumed without it.
+func (s *System) handleForwardFail(h *host, q *Query, from simnet.NodeID) {
+	if from != q.remoteDir {
+		return
+	}
 	s.settle(q)
 	q.remoteDir = noNode
 	s.dirProcess(h, q, false)

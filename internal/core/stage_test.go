@@ -116,12 +116,13 @@ func TestQueryStageTransitions(t *testing.T) {
 }
 
 // tap stands in front of a host: it notes the forwarded queries and forward
-// failures the host is handed and, with hold set, keeps the forwarded
-// queries back instead of passing them on.
+// failures the host is handed and, with hold (holdFail) set, keeps the
+// forwarded queries (forward failures) back instead of passing them on.
 type tap struct {
-	h    *host
-	hold bool
-	got  *[]simnet.Message
+	h        *host
+	hold     bool
+	holdFail bool
+	got      *[]simnet.Message
 }
 
 func (w tap) HandleMessage(msg simnet.Message) {
@@ -133,6 +134,9 @@ func (w tap) HandleMessage(msg simnet.Message) {
 		}
 	case forwardFailMsg:
 		*w.got = append(*w.got, msg)
+		if w.holdFail {
+			return
+		}
 	}
 	w.h.HandleMessage(msg)
 }
@@ -238,5 +242,78 @@ func TestStaleForwardStaysRestricted(t *testing.T) {
 	}
 	if q.stage != qDone {
 		t.Errorf("the query ended at stage %d, not done", q.stage)
+	}
+}
+
+// TestLateForwardFailIgnored: a forward failure that reaches the handler
+// directory after its sibling deadline fired is stale — the handler has
+// resumed without that neighbour and forwarded to the next one. It must
+// neither settle the await armed since nor run Algorithm 3 a second time.
+func TestLateForwardFailIgnored(t *testing.T) {
+	e := newTestEnv(t, 21, nil)
+	s, site := e.sys, e.cfg.Sites[0]
+	e.submitAt(simkernel.Second, 0, 0, 0, 3)
+	e.k.Run(5 * simkernel.Second)
+	e.stopAllTimers()
+	e.k.Run(e.k.Now() + simkernel.Minute)
+	dir := func(loc int) *host {
+		addr, _ := s.DirectoryAddr(site, loc)
+		return s.host(addr)
+	}
+	d0, d1, d2 := dir(0), dir(1), dir(2)
+	// Stale summaries: d(ws,1) believes both neighbours hold object 9.
+	// Nobody does, so each forward comes back as a failure.
+	for _, of := range []*host{d0, d2} {
+		fake := of.dir.BuildSummary().Clone()
+		fake.Add(e.objKey(0, 9))
+		d1.dir.UpdateNeighborSummary(of.dir.Key(), of.dir.Locality(), fake)
+	}
+	var atD1 []simnet.Message
+	s.net.Register(d1.addr, tap{h: d1, holdFail: true, got: &atD1})
+	step := func(until simkernel.Time, more func() bool) {
+		for more() && e.k.Now() < until {
+			next, _ := e.k.NextEvent()
+			e.k.Run(next)
+		}
+	}
+
+	// A new client of locality 1 asks for object 9: d(ws,1) forwards it to
+	// the first neighbour, whose failure the tap holds back.
+	q := startHeld(e, 1, 0, 9)
+	defer s.unref(q)
+	step(e.k.Now()+10*simkernel.Second, func() bool { return len(atD1) == 0 })
+	first := q.remoteDir
+	if len(atD1) != 1 || q.handlerDir != d1.addr || (first != d0.addr && first != d2.addr) {
+		t.Fatalf("premise: d(ws,1) was handed %d forward failures, the record names neighbour %d and handler %d",
+			len(atD1), first, q.handlerDir)
+	}
+	late := atD1[0]
+	if f, ok := late.Payload.(forwardFailMsg); !ok || f.Q != q || late.From != first {
+		t.Fatalf("premise: d(ws,1) was handed %T from %d", late.Payload, late.From)
+	}
+	// The sibling deadline fires; d(ws,1) resumes and forwards to the other.
+	step(e.k.Now()+10*simkernel.Second, func() bool { return q.remoteDir == first })
+	if q.remoteDir == first || q.remoteDir == noNode || q.awaitKind != awaitSibling || q.stage != qOpen {
+		t.Fatalf("premise: after the sibling deadline the record names neighbour %d, await %d, stage %d",
+			q.remoteDir, q.awaitKind, q.stage)
+	}
+	second, tok := q.remoteDir, q.awaitTok
+
+	// The first neighbour's failure arrives late.
+	var recs []trace.Record
+	s.tracer = nodeLog{node: d1.addr, recs: &recs}
+	d1.HandleMessage(late)
+
+	if q.awaitKind != awaitSibling || q.awaitTok != tok || s.pool.awaiting[q.awaitSlot] != q {
+		t.Errorf("the late failure settled the await on neighbour %d: now kind %d token %d (was %d)",
+			second, q.awaitKind, q.awaitTok, tok)
+	}
+	if q.remoteDir != second {
+		t.Errorf("the late failure moved the record's neighbour from %d to %d", second, q.remoteDir)
+	}
+	for _, r := range recs {
+		if r.Kind == trace.DirProcess && r.Query == q.ID {
+			t.Error("the late failure ran Algorithm 3 again at d(ws,1)")
+		}
 	}
 }
