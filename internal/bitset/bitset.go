@@ -1,8 +1,8 @@
 // Package bitset provides a dense fixed-capacity bit set keyed by small
 // integer indices. It backs the content plane's interned-object state: a
-// content peer's stored-object set, a directory entry's holdings and the
-// directory's known-object set are all bitsets over the per-site dense
-// object space, replacing string-keyed maps on the query hot path.
+// content peer's stored-object set and the directory's known-object set
+// are bitsets over the per-site dense object space, replacing string-keyed
+// maps on the query hot path.
 package bitset
 
 import (
@@ -12,7 +12,7 @@ import (
 
 // Set is a fixed-capacity bit set. Construct with New or Over; the zero
 // value is an empty set of capacity 0. Capacity and count are 32-bit, the
-// set 32 bytes: every content peer and directory member slot holds some.
+// set 32 bytes: every content peer holds some.
 type Set struct {
 	words []uint64
 	n     int32 // capacity in bits
@@ -103,36 +103,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1 // clear lowest set bit
 		}
 	}
-}
-
-// Word returns the w'th 64-bit word (indices [64w, 64w+64)); out-of-range
-// word indices are zero. It is the read half of the word-granular seam
-// ForEachWord iterates: range-sharded consumers (the directory's inverse
-// index, its standby delta sync) address exactly one word per shard.
-func (s *Set) Word(w int) uint64 {
-	if w < 0 || w >= len(s.words) {
-		return 0
-	}
-	return s.words[w]
-}
-
-// ForEachWord calls fn for every nonzero 64-bit word in ascending word
-// order; word w covers indices [64w, 64w+64). Callers that batch work by
-// index range (e.g. range-sharded inverse indexes) visit exactly the
-// ranges holding set bits.
-func (s *Set) ForEachWord(fn func(w int, word uint64)) {
-	for wi, w := range s.words {
-		if w != 0 {
-			fn(wi, w)
-		}
-	}
-}
-
-// AppendIndices appends the set bit indices to dst in ascending order and
-// returns the extended slice (allocation-free once dst has capacity).
-func (s *Set) AppendIndices(dst []int) []int {
-	s.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
 }
 
 // Clone returns a deep copy.

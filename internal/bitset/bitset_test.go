@@ -49,7 +49,7 @@ func TestBoundary(t *testing.T) {
 			t.Fatalf("n=%d: out-of-range Clear must be a no-op", n)
 		}
 		var got []int
-		got = s.AppendIndices(got)
+		s.ForEach(func(i int) { got = append(got, i) })
 		want := map[int]bool{}
 		for _, i := range probes {
 			want[i] = true
@@ -123,32 +123,6 @@ func TestAgainstMap(t *testing.T) {
 	for _, i := range fromIter {
 		if !ref[i] {
 			t.Fatalf("iterated unset bit %d", i)
-		}
-	}
-	// ForEachWord must visit exactly the nonzero words, in order, and
-	// expanding its words must reproduce the per-bit iteration.
-	var fromWords []int
-	lastW := -1
-	s.ForEachWord(func(w int, word uint64) {
-		if word == 0 {
-			t.Fatalf("ForEachWord visited zero word %d", w)
-		}
-		if w <= lastW {
-			t.Fatalf("ForEachWord out of order: %d after %d", w, lastW)
-		}
-		lastW = w
-		for b := 0; b < 64; b++ {
-			if word&(1<<uint(b)) != 0 {
-				fromWords = append(fromWords, w<<6+b)
-			}
-		}
-	})
-	if len(fromWords) != len(fromIter) {
-		t.Fatalf("ForEachWord expanded to %d bits, want %d", len(fromWords), len(fromIter))
-	}
-	for k := range fromWords {
-		if fromWords[k] != fromIter[k] {
-			t.Fatalf("word expansion diverges at %d: %d vs %d", k, fromWords[k], fromIter[k])
 		}
 	}
 	// Clone must not share storage.

@@ -59,7 +59,7 @@ func TestSetPropertyVsMap(t *testing.T) {
 			}
 		}
 		// Full-state equivalence: iteration yields exactly the reference
-		// keys, ascending, through both traversal APIs.
+		// keys, ascending.
 		want := make([]int, 0, len(ref))
 		for i := range ref {
 			want = append(want, i)
@@ -69,9 +69,6 @@ func TestSetPropertyVsMap(t *testing.T) {
 		s.ForEach(func(i int) { got = append(got, i) })
 		if !equalInts(got, want) {
 			t.Fatalf("cap=%d ForEach = %v, want %v", capn, got, want)
-		}
-		if ai := s.AppendIndices(nil); !equalInts(ai, want) {
-			t.Fatalf("cap=%d AppendIndices = %v, want %v", capn, ai, want)
 		}
 		// Clone independence: mutating the clone leaves the original alone.
 		cp := s.Clone()

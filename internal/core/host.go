@@ -187,7 +187,6 @@ const (
 	awaitEscalateExpire           // the escalation's deadline passed: origin tier
 	awaitSibling                  // neighbour directory with ring ID a stayed silent
 	awaitRedirect                 // holder a stayed silent (b: the query was forwarded here)
-	awaitDelivery                 // the served object never landed
 )
 
 // await arms a cancellable timeout for q: after d, unless a settle (on
@@ -242,7 +241,5 @@ func (s *System) resumeAwait(arg uint64) {
 		s.onSiblingTimeout(h, q, chord.ID(a))
 	case awaitRedirect:
 		s.onRedirectTimeout(h, q, simnet.NodeID(a), b != 0)
-	case awaitDelivery:
-		s.onDeliveryTimeout(h, q)
 	}
 }

@@ -531,18 +531,11 @@ func (s *System) serveQuery(h *host, q *Query, remote bool, fromContentPeer bool
 		bytesServeHdr+gossip.WireBytes(msg.ViewSeed, s.cfg.Gossip.SummaryBytes()), msg)
 	if s.Hardened() {
 		// Delivery guard: the transfer itself can fall to loss or a
-		// partition. If the object never lands, re-fetch from the origin
-		// (bounded by the capped-backoff chain).
-		s.await(q, s.timeout(h.addr, q.Origin)+2*simkernel.Second, awaitDelivery, h.addr, 0, 0)
+		// partition. If the object never lands, the client re-fetches from
+		// the origin (retryOrigin's first attempt, bounded by the
+		// capped-backoff chain).
+		s.await(q, s.timeout(h.addr, q.Origin)+2*simkernel.Second, awaitOriginResend, h.addr, 0, 0)
 	}
-}
-
-// onDeliveryTimeout: the served object never landed; re-fetch it from the
-// origin server.
-func (s *System) onDeliveryTimeout(h *host, q *Query) {
-	s.mets.RecordRetry()
-	s.sendQuery(q.Origin, s.servers[q.Site], simnet.CatQuery, bytesQueryCtl, redirectMsg{Q: q})
-	s.awaitOriginRetry(h, q, 0, false)
 }
 
 // handleServe completes the query at the requester: store the object, join

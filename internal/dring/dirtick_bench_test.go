@@ -111,8 +111,8 @@ func TestDirTickAllocs(t *testing.T) {
 	}
 
 	// Churn: a rotating eighth of the members ages out, is evicted and
-	// rejoins — the whole cycle must recycle slab slots, holder entries
-	// and bitsets instead of allocating.
+	// rejoins — the whole cycle must reuse slab slots and matrix columns
+	// instead of allocating.
 	const stale = benchMembers / 8
 	round := 0
 	churn := testing.AllocsPerRun(20, func() {

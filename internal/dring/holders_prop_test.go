@@ -547,3 +547,33 @@ func TestDirectoryIndexBytes(t *testing.T) {
 		t.Fatalf("audit: %v", lines)
 	}
 }
+
+// TestAdmissionAllocs holds admission to amortised growth: pushes admit
+// 2,100 members over 100 objects (the dirstress shape), and the only
+// allocations are the slab arrays' and the slot map's growth and the
+// matrix's stride doublings — O(log members), none per member (69 with
+// Go 1.24; one allocation per member would be over 2,100).
+func TestAdmissionAllocs(t *testing.T) {
+	const members = 2100
+	in := model.NewInterner([]model.SiteID{"ws-001"}, 100)
+	ks, _ := NewKeySpec(30, 6, 0)
+	rng := rand.New(rand.NewSource(7))
+	pushes := make([][]model.ObjectRef, members)
+	for m := range pushes {
+		for _, o := range rng.Perm(100)[:55+rng.Intn(11)] {
+			pushes[m] = append(pushes[m], in.RefFor(0, o))
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		d := NewDirectory("ws-001", ks.WebsiteID("ws-001"), 1, ks.Key("ws-001", 1), members+100, 500, 0.1, in)
+		for m, refs := range pushes {
+			if !d.ApplyPush(simnet.NodeID(m+1), refs, nil) {
+				t.Fatal("push refused below S_co")
+			}
+		}
+	})
+	t.Logf("%d members admitted in %.0f allocations", members, allocs)
+	if allocs > 150 {
+		t.Fatalf("admitting %d members allocates %.0f times, want amortised growth (<= 150)", members, allocs)
+	}
+}
