@@ -502,8 +502,12 @@ func (c *ContentPeer) CandidatesFor(ref model.ObjectRef, rng *rand.Rand) []simne
 // once dst has room for a view's worth of contacts): the core system keeps
 // candidate lists in storage that lives as long as their query. The probes
 // use the ref's precomputed hashes; the shuffle draws from rng exactly as
-// CandidatesFor does.
+// CandidatesFor does. A ref of another site has none: no member stores it
+// (see AddObject), so any positive summary would be a false one.
 func (c *ContentPeer) AppendCandidates(dst []simnet.NodeID, ref model.ObjectRef, rng *rand.Rand) []simnet.NodeID {
+	if !c.inRange(ref) {
+		return dst
+	}
 	h1, h2 := c.sh.in.Hashes(ref)
 	base := len(dst)
 	dst = c.view.AppendMatching(dst, h1, h2)

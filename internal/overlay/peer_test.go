@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"flowercdn/internal/bloom"
 	"flowercdn/internal/gossip"
 	"flowercdn/internal/model"
 	"flowercdn/internal/simnet"
@@ -218,6 +219,39 @@ func TestCandidatesForUsesSummaries(t *testing.T) {
 	cands := p.CandidatesFor(ref(30), rng)
 	if len(cands) != 1 || cands[0] != 2 {
 		t.Fatalf("candidates = %v, want [2]", cands)
+	}
+}
+
+// TestCandidatesForForeignRef: no member of an overlay stores another
+// website's objects (AddObject refuses them), so a lookup for one — a
+// directory handed another site's key under churn — finds no candidate,
+// even in a view whose every summary tests positive for everything.
+func TestCandidatesForForeignRef(t *testing.T) {
+	in := model.NewInterner([]model.SiteID{"ws-000", "ws-001"}, 16)
+	cfg := Config{ViewSize: 8, GossipLen: 2, PushThreshold: 0.1, SummaryCapacity: 16}
+	sh := NewShared("ws-000", 0, cfg, in)
+	p := sh.NewPeer(1, 0)
+	saturated := bloom.NewForCapacity(cfg.SummaryCapacity)
+	for k := 0; saturated.FillRatio() < 1; k++ {
+		saturated.Add(fmt.Sprint(k))
+	}
+	entries := []gossip.Entry{{Node: 2, Summary: saturated}}
+	for i := 3; i < 6; i++ {
+		h := sh.NewPeer(simnet.NodeID(i), 0)
+		for j := 0; j < in.ObjectsPerSite(); j++ {
+			h.AddObject(in.RefFor(0, j))
+		}
+		entries = append(entries, gossip.Entry{Node: h.Addr(), Summary: h.Summary()})
+	}
+	p.SeedView(entries)
+	rng := rand.New(rand.NewSource(6))
+	if cands := p.CandidatesFor(in.RefFor(0, 3), rng); len(cands) != 4 {
+		t.Fatalf("own-site object: %d candidates, want all 4", len(cands))
+	}
+	for j := 0; j < in.ObjectsPerSite(); j++ {
+		if cands := p.CandidatesFor(in.RefFor(1, j), rng); len(cands) != 0 {
+			t.Fatalf("object %d of another site: candidates %v, want none", j, cands)
+		}
 	}
 }
 
