@@ -8,6 +8,10 @@
 // Filters use double hashing over two independent 64-bit FNV-1a streams,
 // which is indistinguishable from k independent hash functions for Bloom
 // filter purposes (Kirsch & Mitzenmacher).
+//
+// A Filter with no hash functions is an answer set (NewAnswers): bit i holds
+// the answer a Bloom filter gave for the i-th key of a list both sides fix,
+// so a member of that list is tested with one bit instead of k probes.
 package bloom
 
 import (
@@ -33,9 +37,10 @@ type Filter struct {
 }
 
 // block is a Filter next to a fixed word array, one heap object. Its five
-// classes (8 … 128 words, see newBlock) put the sizes the presets use — 60,
-// 100 and 500 objects = 8, 13 and 63 words — in 96-, 160- and 576-byte
-// objects. A one-word header in front of a variable-length array would save
+// classes (8 … 128 words, see newBlock) put the directory summaries of the
+// presets — 60, 100 and 500 objects at 8 bits each = 8, 13 and 63 words — in
+// 96-, 160- and 576-byte objects, and the content summaries, answer sets of
+// 1, 2 and 8 words, all in the 96-byte class. A one-word header in front of a variable-length array would save
 // the slice's 16 bytes, but needs unsafe to reach the words; fixed arrays
 // do not.
 type block[A any] struct {
@@ -89,6 +94,55 @@ func New(mBits int, k int) *Filter {
 	return f
 }
 
+// NewAnswers creates an empty answer set of n bits, one heap object up to
+// 8192 bits. It has the Filter API's recycling, copying (Union, Clone) and
+// sizing; Answer and SetAnswer read and write it, and the key-hashing
+// methods (Add, Test and their hash-pair forms) panic on it.
+func NewAnswers(n int) *Filter {
+	if n <= 0 {
+		panic(fmt.Sprintf("bloom: non-positive size %d", n))
+	}
+	words := (n + 63) / 64
+	f := newBlock(words)
+	f.tail = uint8(64*words - n)
+	return f
+}
+
+// Answer reports bit i of an answer set; an i outside it answers false.
+func (f *Filter) Answer(i int) bool {
+	return uint(i) < uint(f.mBits()) && f.bits[i>>6]&(1<<(i&63)) != 0
+}
+
+// SetAnswer sets bit i of an answer set.
+func (f *Filter) SetAnswer(i int) { f.bits[i>>6] |= 1 << (i & 63) }
+
+// TestAt reports whether the i-th key of the answer set's list, or for a
+// Bloom filter the key hashing to (h1, h2), may be in f: one bit read for an
+// answer set, the k probes of TestHash otherwise.
+func (f *Filter) TestAt(i int, h1, h2 uint64) bool {
+	if f.hashes == 0 {
+		return f.Answer(i)
+	}
+	return f.TestHash(h1, h2)
+}
+
+// AppendProbes appends to dst the k bit positions AddHash sets, and TestHash
+// reads, in a filter of mBits bits for the key hashing to (h1, h2).
+func AppendProbes(dst []uint32, mBits, k int, h1, h2 uint64) []uint32 {
+	h2 |= 1
+	for i := uint64(0); i < uint64(k); i++ {
+		dst = append(dst, uint32((h1+i*h2)%uint64(mBits)))
+	}
+	return dst
+}
+
+// keyed panics on an answer set, which no hashed key can be tested against.
+func (f *Filter) keyed() {
+	if f.hashes == 0 {
+		panic("bloom: hashed key used on an answer set")
+	}
+}
+
 // mBits is the filter size in bits, the modulus of every probe.
 func (f *Filter) mBits() uint64 { return uint64(len(f.bits))<<6 - uint64(f.tail) }
 
@@ -139,6 +193,7 @@ func HashKey(key string) (h1, h2 uint64) {
 // AddHash inserts the key whose HashKey pair is (h1, h2). Zero hashing,
 // zero allocation: the per-probe work is one multiply-add and a modulo.
 func (f *Filter) AddHash(h1, h2 uint64) {
+	f.keyed()
 	h2 |= 1 // odd => full period
 	m := f.mBits()
 	for i := uint64(0); i < uint64(f.hashes); i++ {
@@ -151,6 +206,7 @@ func (f *Filter) AddHash(h1, h2 uint64) {
 // TestHash reports whether the key whose HashKey pair is (h1, h2) may be
 // in the filter. False positives are possible; false negatives are not.
 func (f *Filter) TestHash(h1, h2 uint64) bool {
+	f.keyed()
 	h2 |= 1
 	m := f.mBits()
 	for i := uint64(0); i < uint64(f.hashes); i++ {
@@ -234,14 +290,14 @@ func (f *Filter) Union(other *Filter) error {
 // Bits returns the filter size in bits.
 func (f *Filter) Bits() int { return int(f.mBits()) }
 
-// Hashes returns the number of hash functions.
+// Hashes returns the number of hash functions (0: an answer set).
 func (f *Filter) Hashes() int { return int(f.hashes) }
 
 // Count returns the number of insertions since the last reset.
 func (f *Filter) Count() int { return int(f.count) }
 
-// SizeBytes is the wire size of the filter used for traffic accounting:
-// the bit array only, as in Summary Cache.
+// SizeBytes is the size of the bit array: for a Bloom filter its wire size
+// in traffic accounting, as in Summary Cache.
 func (f *Filter) SizeBytes() int { return (f.Bits() + 7) / 8 }
 
 // FillRatio returns the fraction of set bits.

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"flowercdn/internal/bloom"
 	"flowercdn/internal/gossip"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/simkernel"
@@ -158,11 +159,21 @@ func sentIn(r metrics.Report, cat simnet.Category) int64 {
 }
 
 // wireTap sits in front of a host and checks every gossip and serve message
-// it is handed against the entry-by-entry size model.
+// it is handed against the entry-by-entry size model, in which each summary
+// costs the bytes of the Bloom filter its owner keeps.
 type wireTap struct {
 	t       *testing.T
 	h       *host
+	bloom   int // bytes of a member's Bloom filter
 	checked *int
+}
+
+// entryBytes is an entry's address and age, plus its summary's Bloom filter.
+func (w wireTap) entryBytes(e gossip.Entry) int {
+	if e.Summary == nil {
+		return 8
+	}
+	return 8 + w.bloom
 }
 
 func (w wireTap) HandleMessage(msg simnet.Message) {
@@ -170,10 +181,10 @@ func (w wireTap) HandleMessage(msg simnet.Message) {
 	case *gossipMsg:
 		want := bytesGossipHdr + 20 + m.M.Dir.WireBytes()
 		if m.M.Summary != nil {
-			want += m.M.Summary.SizeBytes()
+			want += w.bloom
 		}
 		for _, e := range m.M.ViewSubset {
-			want += e.WireBytes()
+			want += w.entryBytes(e)
 		}
 		if msg.Bytes != want {
 			w.t.Errorf("gossip message %d→%d accounted %d bytes, entry-by-entry sum is %d", msg.From, msg.To, msg.Bytes, want)
@@ -182,7 +193,7 @@ func (w wireTap) HandleMessage(msg simnet.Message) {
 	case *serveMsg:
 		want := bytesServeHdr
 		for _, e := range m.ViewSeed {
-			want += e.WireBytes()
+			want += w.entryBytes(e)
 		}
 		if msg.Bytes != want {
 			w.t.Errorf("serve message %d→%d accounted %d bytes, entry-by-entry sum is %d", msg.From, msg.To, msg.Bytes, want)
@@ -195,7 +206,9 @@ func (w wireTap) HandleMessage(msg simnet.Message) {
 // from the count of summaries present times the system's one summary shape,
 // without dereferencing any; on every such message of a short churned run
 // (joins, failures, a revival, views with and without summaries) that must
-// equal the sum of Entry.WireBytes, or sim_background_bps would drift.
+// equal the entry-by-entry sum in which every summary costs a Bloom filter of
+// 8·nb-ob bits (Table 1) — not the answer set a message carries for it — or
+// sim_background_bps would drift.
 func TestGossipWireBytesMatchEntrySum(t *testing.T) {
 	e := newTestEnv(t, 96, func(c *Config) {
 		c.TGossip = 30 * simkernel.Second
@@ -203,9 +216,10 @@ func TestGossipWireBytesMatchEntrySum(t *testing.T) {
 	})
 	s := e.sys
 	checked := 0
+	bloomBytes := bloom.NewForCapacity(e.cfg.ObjectsPerSite).SizeBytes()
 	for addr, h := range s.hosts {
 		if h != nil {
-			s.net.Register(simnet.NodeID(addr), wireTap{t: t, h: h, checked: &checked})
+			s.net.Register(simnet.NodeID(addr), wireTap{t: t, h: h, bloom: bloomBytes, checked: &checked})
 		}
 	}
 	at := simkernel.Second

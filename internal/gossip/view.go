@@ -26,9 +26,10 @@ import (
 )
 
 // Entry is one view contact: its address, the age of the information and
-// its last known content summary (§4.2: address, age, summary).
-// Summaries are treated as immutable snapshots; owners publish a fresh
-// filter rather than mutating a shared one.
+// its last known content summary (§4.2: address, age, summary): a Bloom
+// filter, or the answer set an overlay publishes for one (see
+// bloom.NewAnswers). Summaries are treated as immutable snapshots; owners
+// publish a fresh one rather than mutating a shared one.
 type Entry struct {
 	Node    simnet.NodeID
 	Age     int
@@ -38,19 +39,9 @@ type Entry struct {
 // entryHdrBytes is an entry's serialized address (6 B) and age (2 B).
 const entryHdrBytes = 6 + 2
 
-// WireBytes models the serialized entry size for traffic accounting:
-// address and age + the summary bit-array.
-func (e Entry) WireBytes() int {
-	n := entryHdrBytes
-	if e.Summary != nil {
-		n += e.Summary.SizeBytes()
-	}
-	return n
-}
-
-// WireBytes is the sum of Entry.WireBytes over entries when every summary
-// is summaryBytes long — an overlay's summaries share one shape — so sizing
-// a message does not load one cold filter header per entry.
+// WireBytes models the serialized size of entries for traffic accounting:
+// address and age, plus summaryBytes — the overlay's one summary size — per
+// entry with a summary. The size is counted without loading any filter.
 func WireBytes(entries []Entry, summaryBytes int) int {
 	n := entryHdrBytes * len(entries)
 	for i := range entries {
@@ -367,20 +358,24 @@ func (v *View) Refresh(node simnet.NodeID, summary *bloom.Filter) {
 }
 
 // AppendMatching appends to dst the nodes whose summary tests positive for
-// the key with precomputed hash pair (h1, h2) — see bloom.HashKey —
-// freshest entries first: the candidate set for a content-overlay lookup
-// (§4.1). No hashing, and no allocation once dst has room for Len() nodes.
-func (v *View) AppendMatching(dst []simnet.NodeID, h1, h2 uint64) []simnet.NodeID {
+// the key at position i of the answer sets' list with precomputed hash pair
+// (h1, h2) — see bloom.HashKey and Filter.TestAt — freshest entries first:
+// the candidate set for a content-overlay lookup (§4.1). No hashing, and no
+// allocation once dst has room for Len() nodes.
+func (v *View) AppendMatching(dst []simnet.NodeID, i int, h1, h2 uint64) []simnet.NodeID {
 	for _, s := range v.slots {
-		if s.sum != nil && s.sum.TestHash(h1, h2) {
+		if s.sum != nil && s.sum.TestAt(i, h1, h2) {
 			dst = append(dst, s.node())
 		}
 	}
 	return dst
 }
 
-// MatchingSummaries is AppendMatching into a fresh slice.
-func (v *View) MatchingSummaries(h1, h2 uint64) []simnet.NodeID { return v.AppendMatching(nil, h1, h2) }
+// MatchingSummaries is AppendMatching into a fresh slice for a key on no
+// answer set's list: only Bloom filters can test positive for it.
+func (v *View) MatchingSummaries(h1, h2 uint64) []simnet.NodeID {
+	return v.AppendMatching(nil, -1, h1, h2)
+}
 
 // Check returns the first structural invariant the view breaks, nil when all
 // hold: no more entries than the capacity, the owner absent, nodes distinct,

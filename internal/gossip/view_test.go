@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,24 +254,47 @@ func TestMatchingSummaries(t *testing.T) {
 		t.Log("false positive (acceptable for a bloom filter)")
 	}
 	// The append form extends the caller's storage and leaves its prefix.
-	again := v.AppendMatching([]simnet.NodeID{9}, h1, h2)
+	again := v.AppendMatching([]simnet.NodeID{9}, -1, h1, h2)
 	if len(again) != 3 || again[0] != 9 || again[1] != got[0] || again[2] != got[1] {
 		t.Fatalf("AppendMatching = %v, want [9 %d %d]", again, got[0], got[1])
 	}
 }
 
+// TestMatchingAnswerSets: in a view holding both forms, an answer set is read
+// at the key's position and a Bloom filter probed with its hashes; a key on no
+// list (position -1, as MatchingSummaries asks) matches no answer set.
+func TestMatchingAnswerSets(t *testing.T) {
+	v := NewView(0, 8)
+	answers := bloom.NewAnswers(10)
+	answers.SetAnswer(4)
+	full := bloom.NewForCapacity(20)
+	full.Add("b")
+	v.Insert(Entry{Node: 1, Age: 0, Summary: answers})
+	v.Insert(Entry{Node: 2, Age: 1, Summary: full})
+	h1, h2 := bloom.HashKey("b")
+	if got := v.AppendMatching(nil, 4, h1, h2); !slices.Equal(got, []simnet.NodeID{1, 2}) {
+		t.Fatalf("position 4 of b: matches %v, want [1 2]", got)
+	}
+	for _, i := range []int{3, -1, 10, 64} {
+		if got := v.AppendMatching(nil, i, h1, h2); !slices.Equal(got, []simnet.NodeID{2}) {
+			t.Fatalf("position %d of b: matches %v, want the Bloom filter's [2] alone", i, got)
+		}
+	}
+	if got := v.MatchingSummaries(h1, h2); !slices.Equal(got, []simnet.NodeID{2}) {
+		t.Fatalf("MatchingSummaries = %v, want [2]", got)
+	}
+}
+
 func TestWireBytes(t *testing.T) {
+	if got := WireBytes([]Entry{entry(1, 0)}, 500); got != 8 {
+		t.Fatalf("bare entry = %d bytes, want 8", got)
+	}
 	e := entry(1, 0)
-	if e.WireBytes() != 8 {
-		t.Fatalf("bare entry = %d bytes, want 8", e.WireBytes())
+	e.Summary = bloom.NewAnswers(500) // charged summaryBytes, whatever it holds
+	if got := WireBytes([]Entry{e}, 500); got != 8+500 {
+		t.Fatalf("with summary = %d, want 508", got)
 	}
-	e.Summary = bloom.NewForCapacity(500)
-	if e.WireBytes() != 8+500 {
-		t.Fatalf("with summary = %d, want 508", e.WireBytes())
-	}
-	// The counted form equals the entry-by-entry sum.
-	es := []Entry{e, entry(2, 1), e}
-	if got := WireBytes(es, e.Summary.SizeBytes()); got != 2*508+8 {
+	if got := WireBytes([]Entry{e, entry(2, 1), e}, 500); got != 2*508+8 {
 		t.Fatalf("WireBytes(entries) = %d, want %d", got, 2*508+8)
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 
 	"flowercdn/internal/bloom"
 )
@@ -22,7 +23,8 @@ const NoRef ObjectRef = ^ObjectRef(0)
 // string and the two 64-bit FNV-1a streams Bloom probes derive their
 // indices from. It is built once at system construction and read-only
 // afterwards, so sharing one instance across layers (and goroutine-free
-// simulation runs) is safe.
+// simulation runs) is safe. What layers derive from it once per interner
+// lives in a synchronised cache (see Derived).
 type Interner struct {
 	sites   []SiteID
 	siteIdx map[SiteID]int
@@ -30,6 +32,8 @@ type Interner struct {
 
 	keys   []string // ref → ObjectID.Key()
 	h1, h2 []uint64 // ref → bloom.HashKey(keys[ref])
+
+	derived sync.Map // Derived's cache
 }
 
 // NewInterner builds the interner for the given sites, each serving
@@ -117,3 +121,16 @@ func (in *Interner) Key(r ObjectRef) string { return in.keys[r] }
 // Hashes returns the precomputed bloom.HashKey pair of the ref's key, the
 // inputs to Filter.AddHash/TestHash.
 func (in *Interner) Hashes(r ObjectRef) (h1, h2 uint64) { return in.h1[r], in.h2[r] }
+
+// Derived returns the value in's cache holds under key, calling build to
+// make it on the first request: tables a layer derives from the interned
+// objects are built once for every run that shares the interner. Concurrent
+// first requests may each build; all of them get the one value stored first.
+// A hit allocates nothing (key is boxed only to be stored).
+func Derived[K comparable, V any](in *Interner, key K, build func() V) V {
+	if v, ok := in.derived.Load(key); ok {
+		return v.(V)
+	}
+	v, _ := in.derived.LoadOrStore(key, build())
+	return v.(V)
+}

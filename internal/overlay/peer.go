@@ -1,7 +1,7 @@
 // Package overlay implements the content-overlay side of the paper's
 // contribution (§4): the state machine of a content peer c(ws,loc) — its
-// stored content, the Bloom content summary, the bounded gossip view with
-// the special directory entry, the active/passive gossip behaviours of
+// stored content, the content summary, the bounded gossip view with the
+// special directory entry, the active/passive gossip behaviours of
 // Algorithm 4 and the push behaviour of Algorithm 5.
 //
 // Like internal/dring, this package contains no networking: it builds and
@@ -12,8 +12,12 @@
 // Content identity is interned (model.ObjectRef): a peer serves one
 // website, whose ObjectsPerSite objects map to a dense local index, so
 // stored content and the un-pushed additions and removals are three
-// bitsets, and summaries are built from precomputed hashes instead of
-// hashing URL strings.
+// bitsets. The Bloom content summary (8·nb-ob bits, Summary Cache) stays
+// with its owner; what messages and views carry is its answer set, one bit
+// per object of the website saying whether the filter tests positive for it
+// (DESIGN.md "Content summaries: the Bloom filter stays with its owner").
+// Both are built from precomputed probe positions instead of hashing URL
+// strings.
 package overlay
 
 import (
@@ -33,7 +37,7 @@ type Config struct {
 	ViewSize        int     // V_gossip: max contacts in the view
 	GossipLen       int     // L_gossip: view subset exchanged per round
 	PushThreshold   float64 // fraction of changed content triggering a push
-	SummaryCapacity int     // nb-ob: sizing of Bloom summaries (8·nb-ob bits)
+	SummaryCapacity int     // nb-ob: sizing of the Bloom summaries (8·nb-ob bits)
 }
 
 // DefaultConfig returns the paper's chosen operating point (§6.2):
@@ -42,8 +46,9 @@ func DefaultConfig() Config {
 	return Config{ViewSize: 50, GossipLen: 10, PushThreshold: 0.1, SummaryCapacity: 500}
 }
 
-// SummaryBytes is the wire size of every content summary built under this
-// configuration: they all share one shape.
+// SummaryBytes is the wire size charged for every content summary under
+// this configuration: the owner's Bloom filter, whose answers a message
+// carries.
 func (c Config) SummaryBytes() int { return bloom.BytesForCapacity(c.SummaryCapacity) }
 
 // DirInfo is the special view entry for the directory peer (§4.2.1): only
@@ -104,15 +109,17 @@ const rebuildSummary = -1
 
 // Shared is what the members of one content overlay c(ws,loc) have in
 // common: website, locality, gossip parameters, the site's place in the
-// interned object space and the summary blocks they recycle. Whoever owns the
-// peers builds it once per overlay (the core system keeps a table per System).
+// interned object space, the site's probe table and the answer sets they
+// recycle. Whoever owns the peers builds it once per overlay (the core system
+// keeps a table per System).
 type Shared struct {
-	site  model.SiteID
-	loc   int
-	cfg   Config
-	in    *model.Interner
-	base  model.ObjectRef // first ref of the site
-	spare []*bloom.Filter
+	site   model.SiteID
+	loc    int
+	cfg    Config
+	in     *model.Interner
+	base   model.ObjectRef // first ref of the site
+	probes *probeTable
+	spare  []*bloom.Filter
 	limbo [2][]*bloom.Filter // by epoch
 	open  [2]int32           // leases by epoch
 	epoch uint8
@@ -125,18 +132,19 @@ func NewShared(site model.SiteID, loc int, cfg Config, in *model.Interner) *Shar
 	if si < 0 {
 		panic("overlay: site not covered by interner")
 	}
-	return &Shared{site: site, loc: loc, cfg: cfg, in: in, base: in.SiteBase(si)}
+	return &Shared{site: site, loc: loc, cfg: cfg, in: in, base: in.SiteBase(si),
+		probes: probeTableFor(in, si, 8*cfg.SummaryBytes(), bloom.OptimalHashes(8))}
 }
 
 const maxSpares = 8 // bounds the spare and limbo lists (docs/perf-log.md, PR 25)
 
-// release gives back a reference to f. A block of the overlay's shape whose
-// last holder — owner or view slot — let go waits in the current epoch's
+// release gives back a reference to f. An answer set of the overlay's size
+// whose last holder — owner or view slot — let go waits in the current epoch's
 // limbo, as open messages may carry it; if it waited in the older one, a
 // receiver took it up again since, and newer messages may carry it too. Peers
 // that exchange summaries share one Shared.
 func (sh *Shared) release(f *bloom.Filter) {
-	if !f.Release() || f.Bits() != 8*sh.cfg.SummaryBytes() || f.Hashes() != bloom.OptimalHashes(8) {
+	if !f.Release() || f.Bits() != sh.in.ObjectsPerSite() || f.Hashes() != 0 {
 		return
 	}
 	sh.limbo[sh.epoch^1] = slices.DeleteFunc(sh.limbo[sh.epoch^1], func(g *bloom.Filter) bool { return g == f })
@@ -179,8 +187,8 @@ func (l Lease) End() {
 }
 
 // ContentPeer is the protocol state of one c(ws,loc): this struct, one word
-// array behind its three bitsets and the view's slot array. What it shares
-// with the rest of its overlay sits behind one pointer.
+// array behind its three bitsets and its Bloom filter, and the view's slot
+// array. What it shares with the rest of its overlay sits behind one pointer.
 type ContentPeer struct {
 	sh *Shared
 
@@ -190,11 +198,14 @@ type ContentPeer struct {
 	// ∆lists replayable in any order.
 	content, added, removed bitset.Set
 
-	// summary is the immutable snapshot last published (the peer holds a
-	// reference); fresh[:nFresh] are the objects stored since, which the next
-	// publication adds to a copy of it. nFresh == rebuildSummary when that is
-	// not enough: nothing was published yet, an object was removed (a Bloom
-	// filter cannot delete) or fresh overflowed.
+	// filter is the peer's Bloom filter (8·nb-ob bits), private and as of
+	// the last publication; summary is the answer set published from it, an
+	// immutable snapshot the peer holds a reference to. fresh[:nFresh] are
+	// the objects stored since, which the next publication adds to both.
+	// nFresh == rebuildSummary when that is not enough: nothing was published
+	// yet, an object was removed (a Bloom filter cannot delete) or fresh
+	// overflowed.
+	filter  []uint64
 	summary *bloom.Filter
 	fresh   [maxFresh]int32
 	nFresh  int8
@@ -215,12 +226,13 @@ func New(addr simnet.NodeID, site model.SiteID, loc int, cfg Config, joinedAt si
 func (sh *Shared) NewPeer(addr simnet.NodeID, joinedAt simkernel.Time) *ContentPeer {
 	n := sh.in.ObjectsPerSite()
 	nw := bitset.Words(n)
-	words := make([]uint64, 3*nw)
+	words := make([]uint64, 3*nw+sh.probes.words())
 	return &ContentPeer{
 		sh:       sh,
 		content:  bitset.Over(words[:nw:nw], n),
 		added:    bitset.Over(words[nw:2*nw:2*nw], n),
-		removed:  bitset.Over(words[2*nw:], n),
+		removed:  bitset.Over(words[2*nw:3*nw:3*nw], n),
+		filter:   words[3*nw:],
 		nFresh:   rebuildSummary,
 		view:     gossip.MakeView(addr, sh.cfg.ViewSize),
 		joinedAt: joinedAt,
@@ -317,12 +329,11 @@ func (c *ContentPeer) RemoveObject(ref model.ObjectRef) {
 	c.nFresh = rebuildSummary
 }
 
-// Summary returns the current content summary (Bloom over the content
-// list), an immutable snapshot while held (Retain): after a content change a
-// new instance is published, into a spare block when the overlay has one —
-// the last one plus the objects stored since, or a rebuild from the content
-// list when that cannot be had (see nFresh). Either way the probes use
-// precomputed hashes, and the bits and the insertion count are the rebuild's.
+// Summary returns the current content summary: the answer set of the peer's
+// Bloom filter over its content list, whose bit i says whether the filter
+// tests positive for the site's i-th object. It is an immutable snapshot
+// while held (Retain): after a content change a new instance is published,
+// into a spare block when the overlay has one (see publish).
 func (c *ContentPeer) Summary() *bloom.Filter {
 	if c.nFresh == 0 {
 		return c.summary
@@ -332,20 +343,9 @@ func (c *ContentPeer) Summary() *bloom.Filter {
 		f, c.sh.spare = c.sh.spare[n-1], c.sh.spare[:n-1]
 		f.Reset()
 	} else {
-		f = bloom.NewForCapacity(c.sh.cfg.SummaryCapacity)
+		f = bloom.NewAnswers(c.sh.in.ObjectsPerSite())
 	}
-	add := func(i int) {
-		h1, h2 := c.sh.in.Hashes(c.sh.base + model.ObjectRef(i))
-		f.AddHash(h1, h2)
-	}
-	if c.nFresh > 0 {
-		_ = f.Union(c.summary) // a copy: both have the overlay's shape
-		for _, i := range c.fresh[:c.nFresh] {
-			add(int(i))
-		}
-	} else {
-		c.content.ForEach(add)
-	}
+	c.publish(f)
 	f.Retain()
 	c.sh.release(c.summary)
 	c.summary, c.nFresh = f, 0
@@ -500,17 +500,19 @@ func (c *ContentPeer) CandidatesFor(ref model.ObjectRef, rng *rand.Rand) []simne
 
 // AppendCandidates is CandidatesFor appending to dst (allocation-free
 // once dst has room for a view's worth of contacts): the core system keeps
-// candidate lists in storage that lives as long as their query. The probes
-// use the ref's precomputed hashes; the shuffle draws from rng exactly as
-// CandidatesFor does. A ref of another site has none: no member stores it
-// (see AddObject), so any positive summary would be a false one.
+// candidate lists in storage that lives as long as their query. An answer
+// set is read at the ref's local index, a Bloom filter a view was seeded
+// with is probed with the ref's precomputed hashes; the shuffle draws from
+// rng exactly as CandidatesFor does. A ref of another site has none: no
+// member stores it (see AddObject), so any positive summary would be a
+// false one.
 func (c *ContentPeer) AppendCandidates(dst []simnet.NodeID, ref model.ObjectRef, rng *rand.Rand) []simnet.NodeID {
 	if !c.inRange(ref) {
 		return dst
 	}
 	h1, h2 := c.sh.in.Hashes(ref)
 	base := len(dst)
-	dst = c.view.AppendMatching(dst, h1, h2)
+	dst = c.view.AppendMatching(dst, c.local(ref), h1, h2)
 	cands := dst[base:]
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	return dst

@@ -3,6 +3,7 @@ package overlay
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,23 +48,27 @@ func TestContentManagement(t *testing.T) {
 	}
 }
 
+// TestSummarySnapshotImmutable: each publication is the answer set of a
+// Bloom filter rebuilt from the content list, and one held across the next
+// publication keeps its bits.
 func TestSummarySnapshotImmutable(t *testing.T) {
 	p := newPeer(1)
 	p.AddObject(ref(10))
 	s1 := p.Summary()
 	s1.Retain() // held past the next publication
-	if !s1.Test(testIn.Key(ref(10))) {
-		t.Fatal("summary missing content")
+	want1 := rebuiltAnswers(p)
+	if s1.Hashes() != 0 || !s1.Answer(10) || !sameBits(s1, want1) {
+		t.Fatal("summary is not the answer set of the content's Bloom filter")
 	}
 	p.AddObject(ref(11))
 	s2 := p.Summary()
 	if s1 == s2 {
 		t.Fatal("summary not rebuilt after change")
 	}
-	if s1.Test(testIn.Key(ref(11))) {
+	if s1.Answer(11) || !sameBits(s1, want1) {
 		t.Fatal("old snapshot mutated")
 	}
-	if !s2.Test(testIn.Key(ref(11))) || !s2.Test(testIn.Key(ref(10))) {
+	if !s2.Answer(11) || !s2.Answer(10) || !sameBits(s2, rebuiltAnswers(p)) {
 		t.Fatal("new summary incomplete")
 	}
 	if p.Summary() != s2 {
@@ -175,7 +180,7 @@ func TestGossipRoundTrip(t *testing.T) {
 	if !ok || target != 2 {
 		t.Fatalf("MakeGossip target = %d ok=%v", target, ok)
 	}
-	if msg.Summary == nil || !msg.Summary.Test(testIn.Key(ref(1))) {
+	if msg.Summary == nil || !msg.Summary.Answer(1) {
 		t.Fatal("gossip message missing sender summary")
 	}
 	reply := b.AcceptGossip(msg, rng, nil)
@@ -184,7 +189,7 @@ func TestGossipRoundTrip(t *testing.T) {
 	}
 	// b must now know a, fresh, with a's summary; and a's directory.
 	e, found := b.View().Get(1)
-	if !found || e.Age != 0 || e.Summary == nil || !e.Summary.Test(testIn.Key(ref(1))) {
+	if !found || e.Age != 0 || e.Summary == nil || !e.Summary.Answer(1) {
 		t.Fatalf("b's entry for a: %+v found=%v", e, found)
 	}
 	if d := b.Dir(); !d.Known || d.Addr != 99 {
@@ -192,7 +197,7 @@ func TestGossipRoundTrip(t *testing.T) {
 	}
 	a.ApplyGossipReply(reply)
 	e, found = a.View().Get(2)
-	if !found || e.Age != 0 || e.Summary == nil || !e.Summary.Test(testIn.Key(ref(2))) {
+	if !found || e.Age != 0 || e.Summary == nil || !e.Summary.Answer(2) {
 		t.Fatalf("a's entry for b: %+v found=%v", e, found)
 	}
 }
@@ -205,6 +210,9 @@ func TestMakeGossipEmptyView(t *testing.T) {
 	}
 }
 
+// TestCandidatesForUsesSummaries: a contact is a candidate for an object
+// exactly when its published answer set — the answers of a Bloom filter
+// rebuilt from its content list — says yes.
 func TestCandidatesForUsesSummaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := newPeer(1)
@@ -219,6 +227,60 @@ func TestCandidatesForUsesSummaries(t *testing.T) {
 	cands := p.CandidatesFor(ref(30), rng)
 	if len(cands) != 1 || cands[0] != 2 {
 		t.Fatalf("candidates = %v, want [2]", cands)
+	}
+	for i := 0; i < testIn.ObjectsPerSite(); i++ {
+		var want []simnet.NodeID
+		for _, q := range []*ContentPeer{holder, other} {
+			if rebuiltAnswers(q).Answer(i) {
+				want = append(want, q.Addr())
+			}
+		}
+		got := p.CandidatesFor(ref(i), rng)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("object %d: candidates %v, the rebuilt filters' %v", i, got, want)
+		}
+	}
+}
+
+// TestCandidatesForBloomSeededView: a view seeded with Bloom filters, not
+// answer sets, is still asked as such: a contact is a candidate exactly when
+// its filter tests positive for the object's hashes, beside contacts whose
+// answer sets are read.
+func TestCandidatesForBloomSeededView(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p := newPeer(1)
+	var entries []gossip.Entry
+	filters := map[simnet.NodeID]*bloom.Filter{}
+	for i := 0; i < 6; i++ {
+		f := bloom.NewForCapacity(500)
+		for j := 0; j < 12; j++ {
+			f.AddHash(testIn.Hashes(ref((i*9 + j) % testIn.ObjectsPerSite())))
+		}
+		node := simnet.NodeID(10 + i)
+		filters[node] = f
+		entries = append(entries, gossip.Entry{Node: node, Age: i % 3, Summary: f})
+	}
+	member := newPeer(2)
+	member.AddObject(ref(7))
+	entries = append(entries, gossip.Entry{Node: 2, Summary: member.Summary()})
+	p.SeedView(entries)
+	for i := 0; i < testIn.ObjectsPerSite(); i++ {
+		var want []simnet.NodeID
+		if i == 7 {
+			want = append(want, 2)
+		}
+		for node, f := range filters {
+			if f.TestHash(testIn.Hashes(ref(i))) {
+				want = append(want, node)
+			}
+		}
+		slices.Sort(want)
+		got := p.CandidatesFor(ref(i), rng)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("object %d: candidates %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -293,7 +355,7 @@ func TestViewSeedForIncludesSelf(t *testing.T) {
 	for _, e := range seed {
 		if e.Node == 7 {
 			foundSelf = true
-			if e.Age != 0 || e.Summary == nil || !e.Summary.Test(testIn.Key(ref(5))) {
+			if e.Age != 0 || e.Summary == nil || !e.Summary.Answer(5) {
 				t.Fatalf("self entry malformed: %+v", e)
 			}
 		}
@@ -380,7 +442,7 @@ func TestQuickContentPushConsistency(t *testing.T) {
 			if _, ok := replay[o]; !ok {
 				return false
 			}
-			if !sum.Test(testIn.Key(o)) {
+			if !sum.Answer(int(o)) {
 				return false
 			}
 		}

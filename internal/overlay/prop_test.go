@@ -78,20 +78,42 @@ func TestDeltaListAgainstReference(t *testing.T) {
 	}
 }
 
-// TestSummaryDeltaAgainstRebuild: a summary published by extending the last
-// snapshot carries exactly the bits and the insertion count of one rebuilt
-// from the content list, over random add/remove/publish sequences — bursts
-// longer than the fresh list, removals, re-adds of removed objects — and no
-// snapshot changes once published while someone holds it (the test, here:
-// one nobody holds is a spare block the next publication overwrites).
-func TestSummaryDeltaAgainstRebuild(t *testing.T) {
-	wire := func(f *bloom.Filter) []byte {
-		b, err := f.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+// rebuiltAnswers is the answer set p's content list must publish: for each of
+// the site's objects, TestHash of a Bloom filter of the overlay's shape
+// rebuilt from the list.
+func rebuiltAnswers(p *ContentPeer) *bloom.Filter {
+	f := bloom.NewForCapacity(p.sh.cfg.SummaryCapacity)
+	for _, o := range p.Objects() {
+		f.AddHash(testIn.Hashes(o))
 	}
+	a := bloom.NewAnswers(testIn.ObjectsPerSite())
+	for i := 0; i < testIn.ObjectsPerSite(); i++ {
+		if f.TestHash(testIn.Hashes(ref(i))) {
+			a.SetAnswer(i)
+		}
+	}
+	return a
+}
+
+// wire is f's serialised form (nil for nil), to compare bit for bit.
+func wire(f *bloom.Filter) []byte {
+	if f == nil {
+		return nil
+	}
+	b, _ := f.MarshalBinary()
+	return b
+}
+
+func sameBits(a, b *bloom.Filter) bool { return bytes.Equal(wire(a), wire(b)) }
+
+// TestSummaryDeltaAgainstRebuild: every published answer set equals, for
+// each of the site's objects, TestHash of a Bloom filter rebuilt from the
+// content list, whether it extended the last snapshot or was rebuilt, over
+// random add/remove/publish sequences — bursts longer than the fresh list,
+// removals, re-adds of removed objects — and no snapshot changes once
+// published while someone holds it (the test, here: one nobody holds is a
+// spare block the next publication overwrites).
+func TestSummaryDeltaAgainstRebuild(t *testing.T) {
 	n := testIn.ObjectsPerSite()
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -106,12 +128,8 @@ func TestSummaryDeltaAgainstRebuild(t *testing.T) {
 				p.RemoveObject(ref(rng.Intn(n)))
 			default:
 				got := p.Summary()
-				want := bloom.NewForCapacity(p.sh.cfg.SummaryCapacity)
-				for _, o := range p.Objects() {
-					want.AddHash(testIn.Hashes(o))
-				}
-				if got.Count() != want.Count() || !bytes.Equal(wire(got), wire(want)) {
-					t.Fatalf("seed %d step %d: published summary (count %d) differs from the rebuild (count %d)", seed, step, got.Count(), want.Count())
+				if !sameBits(got, rebuiltAnswers(p)) {
+					t.Fatalf("seed %d step %d: published answers differ from the rebuilt filter's", seed, step)
 				}
 				if p.Summary() != got {
 					t.Fatalf("seed %d step %d: unchanged content published a second snapshot", seed, step)

@@ -123,21 +123,16 @@ func (w *world) reachable() map[*bloom.Filter]bool {
 // the same random operations — stores and removals, gossip made, answered,
 // applied and lost, old contacts dropped, contacts removed, views seeded by a
 // peer and by a directory, peers leaving — where the reference keeps a
-// reference to every summary it ever sees, so that none is recycled and
+// reference to every answer set it ever sees, so that none is recycled and
 // every publication is a fresh copy. After every operation each view, owner
-// and pending message carries bit for bit the summaries of the reference;
+// and pending message carries bit for bit the answer sets of the reference;
+// each owner's last one, unless its content changed since, equals the
+// answers of a Bloom filter rebuilt from its content list;
 // every summary it ever reached counts exactly the holders a walk finds —
 // none when only pending messages carry it, or nothing does; one lease is
 // open per pending message; and no spare block is reachable, held, in limbo
 // or listed twice.
 func TestSnapshotRecyclingAgainstClones(t *testing.T) {
-	wire := func(f *bloom.Filter) []byte {
-		if f == nil {
-			return nil
-		}
-		b, _ := f.MarshalBinary()
-		return b
-	}
 	same := func(a, b []gossip.Entry) bool {
 		if len(a) != len(b) {
 			return false
@@ -175,6 +170,9 @@ func TestSnapshotRecyclingAgainstClones(t *testing.T) {
 				}
 				if err := p.View().Check(); err != nil || (p.Published() != nil && p.Published().Refs() == 0) {
 					t.Fatalf("seed %d step %d (op %d): peer %d: %v, or its own summary is unheld", seed, step, op, i, err)
+				}
+				if p.summary != nil && p.nFresh == 0 && !sameBits(p.summary, rebuiltAnswers(p)) {
+					t.Fatalf("seed %d step %d (op %d): peer %d's answers differ from its rebuilt filter's", seed, step, op, i)
 				}
 			}
 			for i, m := range got.pending {
