@@ -116,16 +116,6 @@ func (f *Filter) Answer(i int) bool {
 // SetAnswer sets bit i of an answer set.
 func (f *Filter) SetAnswer(i int) { f.bits[i>>6] |= 1 << (i & 63) }
 
-// TestAt reports whether the i-th key of the answer set's list, or for a
-// Bloom filter the key hashing to (h1, h2), may be in f: one bit read for an
-// answer set, the k probes of TestHash otherwise.
-func (f *Filter) TestAt(i int, h1, h2 uint64) bool {
-	if f.hashes == 0 {
-		return f.Answer(i)
-	}
-	return f.TestHash(h1, h2)
-}
-
 // AppendProbes appends to dst the k bit positions AddHash sets, and TestHash
 // reads, in a filter of mBits bits for the key hashing to (h1, h2).
 func AppendProbes(dst []uint32, mBits, k int, h1, h2 uint64) []uint32 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -316,5 +317,52 @@ func TestRefCount(t *testing.T) {
 	}
 	if f.Refs() != math.MaxUint16 {
 		t.Fatalf("saturated count moved to %d", f.Refs())
+	}
+}
+
+// TestAnswerSet: an answer set is one heap object up to 128 words, its bits
+// are exactly those set, out-of-range positions answer false, probe
+// positions are the ones AddHash sets, and hashed keys on an answer set panic.
+func TestAnswerSet(t *testing.T) {
+	for _, n := range []int{1, 60, 100, 500, 8192} {
+		if got := testing.AllocsPerRun(50, func() { sinkFilter = NewAnswers(n) }); got != 1 {
+			t.Errorf("NewAnswers(%d): %.0f allocations, want 1", n, got)
+		}
+		a := NewAnswers(n)
+		if a.Bits() != n || a.Hashes() != 0 {
+			t.Fatalf("NewAnswers(%d) has %d bits, %d hashes", n, a.Bits(), a.Hashes())
+		}
+		for i := 0; i < n; i += 3 {
+			a.SetAnswer(i)
+		}
+		for i := -1; i <= n+64; i++ {
+			if want := i >= 0 && i < n && i%3 == 0; a.Answer(i) != want {
+				t.Fatalf("n %d: bit %d answers %v, want %v", n, i, a.Answer(i), want)
+			}
+		}
+	}
+	f := NewForCapacity(50)
+	f.Add("x")
+	h1, h2 := HashKey("x")
+	g := New(f.Bits(), f.Hashes())
+	for _, b := range AppendProbes(nil, f.Bits(), f.Hashes(), h1, h2) {
+		g.bits[b/64] |= 1 << (b % 64)
+	}
+	if !slices.Equal(g.bits, f.bits) {
+		t.Fatal("AppendProbes differs from the bits AddHash sets")
+	}
+	for _, fn := range []func(){
+		func() { NewAnswers(0) },
+		func() { NewAnswers(8).Test("x") },
+		func() { NewAnswers(8).Add("x") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			fn()
+		}()
 	}
 }

@@ -359,14 +359,24 @@ func (v *View) Refresh(node simnet.NodeID, summary *bloom.Filter) {
 
 // AppendMatching appends to dst the nodes whose summary tests positive for
 // the key at position i of the answer sets' list with precomputed hash pair
-// (h1, h2) — see bloom.HashKey and Filter.TestAt — freshest entries first:
-// the candidate set for a content-overlay lookup (§4.1). No hashing, and no
+// (h1, h2) — see bloom.HashKey — freshest entries first: the candidate set
+// for a content-overlay lookup (§4.1). An answer set (no hash functions) is
+// read at i, a Bloom filter probed with (h1, h2). No hashing, and no
 // allocation once dst has room for Len() nodes.
 func (v *View) AppendMatching(dst []simnet.NodeID, i int, h1, h2 uint64) []simnet.NodeID {
 	for _, s := range v.slots {
-		if s.sum != nil && s.sum.TestAt(i, h1, h2) {
-			dst = append(dst, s.node())
+		f := s.sum
+		if f == nil {
+			continue
 		}
+		if f.Hashes() == 0 {
+			if !f.Answer(i) {
+				continue
+			}
+		} else if !f.TestHash(h1, h2) {
+			continue
+		}
+		dst = append(dst, s.node())
 	}
 	return dst
 }
