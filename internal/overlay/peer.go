@@ -15,9 +15,8 @@
 // bitsets. The Bloom content summary (8·nb-ob bits, Summary Cache) stays
 // with its owner; what messages and views carry is its answer set, one bit
 // per object of the website saying whether the filter tests positive for it
-// (DESIGN.md "Content summaries: the Bloom filter stays with its owner").
-// Both are built from precomputed probe positions instead of hashing URL
-// strings.
+// (DESIGN.md "Content summaries: the Bloom filter stays with its owner"),
+// computed from precomputed probe positions instead of hashing URL strings.
 package overlay
 
 import (
@@ -37,7 +36,7 @@ type Config struct {
 	ViewSize        int     // V_gossip: max contacts in the view
 	GossipLen       int     // L_gossip: view subset exchanged per round
 	PushThreshold   float64 // fraction of changed content triggering a push
-	SummaryCapacity int     // nb-ob: sizing of the Bloom summaries (8·nb-ob bits)
+	SummaryCapacity int     // nb-ob: sizing of Bloom summaries (8·nb-ob bits)
 }
 
 // DefaultConfig returns the paper's chosen operating point (§6.2):
@@ -120,9 +119,9 @@ type Shared struct {
 	base   model.ObjectRef // first ref of the site
 	probes *probeTable
 	spare  []*bloom.Filter
-	limbo [2][]*bloom.Filter // by epoch
-	open  [2]int32           // leases by epoch
-	epoch uint8
+	limbo  [2][]*bloom.Filter // by epoch
+	open   [2]int32           // leases by epoch
+	epoch  uint8
 }
 
 // NewShared describes the overlay of (site, loc). The interner must cover
@@ -187,8 +186,8 @@ func (l Lease) End() {
 }
 
 // ContentPeer is the protocol state of one c(ws,loc): this struct, one word
-// array behind its three bitsets and its Bloom filter, and the view's slot
-// array. What it shares with the rest of its overlay sits behind one pointer.
+// array behind its three bitsets and the view's slot array. What it shares
+// with the rest of its overlay sits behind one pointer.
 type ContentPeer struct {
 	sh *Shared
 
@@ -198,14 +197,12 @@ type ContentPeer struct {
 	// ∆lists replayable in any order.
 	content, added, removed bitset.Set
 
-	// filter is the peer's Bloom filter (8·nb-ob bits), private and as of
-	// the last publication; summary is the answer set published from it, an
-	// immutable snapshot the peer holds a reference to. fresh[:nFresh] are
-	// the objects stored since, which the next publication adds to both.
+	// summary is the answer set last published, an immutable snapshot the
+	// peer holds a reference to; fresh[:nFresh] are the objects stored
+	// since, whose probe bits the next publication adds to a copy of it.
 	// nFresh == rebuildSummary when that is not enough: nothing was published
 	// yet, an object was removed (a Bloom filter cannot delete) or fresh
 	// overflowed.
-	filter  []uint64
 	summary *bloom.Filter
 	fresh   [maxFresh]int32
 	nFresh  int8
@@ -226,13 +223,12 @@ func New(addr simnet.NodeID, site model.SiteID, loc int, cfg Config, joinedAt si
 func (sh *Shared) NewPeer(addr simnet.NodeID, joinedAt simkernel.Time) *ContentPeer {
 	n := sh.in.ObjectsPerSite()
 	nw := bitset.Words(n)
-	words := make([]uint64, 3*nw+sh.probes.words())
+	words := make([]uint64, 3*nw)
 	return &ContentPeer{
 		sh:       sh,
 		content:  bitset.Over(words[:nw:nw], n),
 		added:    bitset.Over(words[nw:2*nw:2*nw], n),
-		removed:  bitset.Over(words[2*nw:3*nw:3*nw], n),
-		filter:   words[3*nw:],
+		removed:  bitset.Over(words[2*nw:], n),
 		nFresh:   rebuildSummary,
 		view:     gossip.MakeView(addr, sh.cfg.ViewSize),
 		joinedAt: joinedAt,
@@ -329,8 +325,8 @@ func (c *ContentPeer) RemoveObject(ref model.ObjectRef) {
 	c.nFresh = rebuildSummary
 }
 
-// Summary returns the current content summary: the answer set of the peer's
-// Bloom filter over its content list, whose bit i says whether the filter
+// Summary returns the current content summary: the answer set of the Bloom
+// filter over the peer's content list, whose bit i says whether the filter
 // tests positive for the site's i-th object. It is an immutable snapshot
 // while held (Retain): after a content change a new instance is published,
 // into a spare block when the overlay has one (see publish).

@@ -108,7 +108,8 @@ func sameBits(a, b *bloom.Filter) bool { return bytes.Equal(wire(a), wire(b)) }
 
 // TestSummaryDeltaAgainstRebuild: every published answer set equals, for
 // each of the site's objects, TestHash of a Bloom filter rebuilt from the
-// content list, whether it extended the last snapshot or was rebuilt, over
+// content list, whether it extended the last snapshot or was rebuilt, at two
+// filter sizes, over
 // random add/remove/publish sequences — bursts longer than the fresh list,
 // removals, re-adds of removed objects — and no snapshot changes once
 // published while someone holds it (the test, here: one nobody holds is a
@@ -117,7 +118,11 @@ func TestSummaryDeltaAgainstRebuild(t *testing.T) {
 	n := testIn.ObjectsPerSite()
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := newPeer(1)
+		// An 800-bit filter, and a 64-bit one whose false positives are
+		// common, so that an extension must find the answers it turns on.
+		cfg := DefaultConfig()
+		cfg.SummaryCapacity = []int{100, 8}[seed%2]
+		p := New(1, "ws-000", 2, cfg, 0, testIn)
 		var published []*bloom.Filter
 		var frozen [][]byte
 		for step := 0; step < 300; step++ {

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"slices"
+
 	"flowercdn/internal/bloom"
 	"flowercdn/internal/model"
 )
@@ -12,7 +14,7 @@ import (
 type probeTable struct {
 	k     int
 	pos   []uint32 // object i probes pos[k·i : k·i+k]
-	first []uint32 // bit b is probed by the objects by[first[b]:first[b+1]], ascending, each once
+	first []uint32 // bit b is probed by the objects by[first[b]:first[b+1]]
 	by    []uint32
 }
 
@@ -34,89 +36,100 @@ func newProbeTable(in *model.Interner, base model.ObjectRef, mBits, k int) *prob
 		h1, h2 := in.Hashes(base + model.ObjectRef(i))
 		t.pos = bloom.AppendProbes(t.pos, mBits, k, h1, h2)
 	}
-	// A counting sort by bit; an object listing one bit twice is listed once.
-	distinct := func(i int, visit func(b uint32)) {
-		p := t.probes(i)
-		for j, b := range p {
-			dup := false
-			for _, a := range p[:j] {
-				dup = dup || a == b
-			}
-			if !dup {
-				visit(b)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		distinct(i, func(b uint32) { t.first[b+1]++ })
+	// The inverse by counting sort: ascending objects per bit, an object
+	// listed twice where two of its probes coincide.
+	for _, b := range t.pos {
+		t.first[b+1]++
 	}
 	for b := 1; b <= mBits; b++ {
 		t.first[b] += t.first[b-1]
 	}
-	t.by = make([]uint32, t.first[mBits])
-	next := append([]uint32(nil), t.first[:mBits]...)
-	for i := 0; i < n; i++ {
-		distinct(i, func(b uint32) {
-			t.by[next[b]] = uint32(i)
-			next[b]++
-		})
+	t.by = make([]uint32, len(t.pos))
+	next := slices.Clone(t.first[:mBits])
+	for x, b := range t.pos {
+		t.by[next[b]] = uint32(x / k)
+		next[b]++
 	}
 	return t
 }
 
-// words is the length of a filter's word array.
-func (t *probeTable) words() int { return (len(t.first) - 1 + 63) / 64 }
-
 // probes returns the bit positions of object i.
 func (t *probeTable) probes(i int) []uint32 { return t.pos[t.k*i : t.k*i+t.k] }
 
-// test reports whether the filter w tests positive for object i.
-func (t *probeTable) test(w []uint64, i int) bool {
-	for _, b := range t.probes(i) {
-		if w[b>>6]&(1<<(b&63)) == 0 {
-			return false
+// objects returns the objects that probe bit b.
+func (t *probeTable) objects(b uint32) []uint32 { return t.by[t.first[b]:t.first[b+1]] }
+
+// set reports whether a stored object probes bit b, that is, whether the
+// Bloom filter over the peer's content list has b set.
+func (c *ContentPeer) set(b uint32) bool {
+	for _, o := range c.sh.probes.objects(b) {
+		if c.content.Has(int(o)) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
-// publish writes into the empty answer set f the answers of the peer's
-// filter after the changes since the last publication, bringing the filter
-// up to date as well. The objects stored since (fresh) set their probe bits
-// in a copy of the last answer set; a bit that goes from 0 to 1 is the only
-// way an answer can change from false — none changes back without a removal
-// — so only the objects probing it are tested again. A rebuild (nFresh ==
-// rebuildSummary) refills the filter from the content list and tests every
-// object. Either way f equals, bit for bit, the answers of a filter rebuilt
-// from the content list (TestSummaryDeltaAgainstRebuild).
+// publish writes into the empty answer set f the answers of the Bloom filter
+// over the peer's content list. The peer keeps no filter: a bit is set when
+// a stored object probes it (set). After additions alone publish copies the
+// last answer set and re-tests only the objects that probe a bit newly set
+// by an object stored since (fresh): an answer turns from false to true only
+// when one of its object's bits does, and none turns back without a
+// removal. A rebuild (nFresh == rebuildSummary) sets the content's bits in a
+// filter on the stack (on the heap past 8192 bits) and tests every object.
+// Either way f equals, bit for bit, the answers of a filter rebuilt from the
+// content list (TestSummaryDeltaAgainstRebuild).
 func (c *ContentPeer) publish(f *bloom.Filter) {
-	t, w := c.sh.probes, c.filter
+	t := c.sh.probes
 	if c.nFresh > 0 {
 		_ = f.Union(c.summary) // a copy: both are answer sets of the site
-		for _, i := range c.fresh[:c.nFresh] {
+		fresh := c.fresh[:c.nFresh]
+		for _, i := range fresh {
+			f.SetAnswer(int(i))
+		bit:
 			for _, b := range t.probes(int(i)) {
-				if w[b>>6]&(1<<(b&63)) != 0 {
-					continue
-				}
-				w[b>>6] |= 1 << (b & 63)
-				for _, j := range t.by[t.first[b]:t.first[b+1]] {
-					if !f.Answer(int(j)) && t.test(w, int(j)) {
-						f.SetAnswer(int(j))
+				objs := t.objects(b)
+				for _, o := range objs {
+					if c.content.Has(int(o)) && !slices.Contains(fresh, int32(o)) {
+						continue bit // set before: no answer on it changed
 					}
+				}
+			candidate:
+				for _, j := range objs {
+					if f.Answer(int(j)) {
+						continue
+					}
+					for _, p := range t.probes(int(j)) {
+						if !c.set(p) {
+							continue candidate
+						}
+					}
+					f.SetAnswer(int(j))
 				}
 			}
 		}
 		return
 	}
-	clear(w)
+	var stack [128]uint64
+	w := stack[:0]
+	if words := (len(t.first) - 1 + 63) / 64; words <= len(stack) {
+		w = stack[:words]
+	} else {
+		w = make([]uint64, words)
+	}
 	c.content.ForEach(func(i int) {
 		for _, b := range t.probes(i) {
 			w[b>>6] |= 1 << (b & 63)
 		}
 	})
-	for j := range len(t.pos) / t.k {
-		if t.test(w, j) {
-			f.SetAnswer(j)
+object:
+	for j := range c.content.Cap() {
+		for _, b := range t.probes(j) {
+			if w[b>>6]&(1<<(b&63)) == 0 {
+				continue object
+			}
 		}
+		f.SetAnswer(j)
 	}
 }
