@@ -32,7 +32,7 @@ func TestStaleSummaryNackPath(t *testing.T) {
 	// Hand b a summary for a that FALSELY claims object 5 (models a stale
 	// summary: a could have evicted the object).
 	fake := a.cp.Summary().Clone()
-	fake.SetAnswer(e.sys.in.Local(e.obj(0, 5)))
+	fake.Add(e.objKey(0, 5))
 	b.cp.View().Refresh(a.addr, fake)
 	// b now asks for object 5: peer-query a → NACK → server.
 	e.submitAt(20*simkernel.Second, 0, 0, 1, 5)

@@ -13,10 +13,11 @@
 // website, whose ObjectsPerSite objects map to a dense local index, so
 // stored content and the un-pushed additions and removals are three
 // bitsets. The Bloom content summary (8·nb-ob bits, Summary Cache) stays
-// with its owner; what messages and views carry is its answer set, one bit
-// per object of the website saying whether the filter tests positive for it
-// (DESIGN.md "Content summaries: the Bloom filter stays with its owner"),
-// computed from precomputed probe positions instead of hashing URL strings.
+// with its owner; what messages and views carry, once the filter is longer
+// than a cache line, is its answer set, one bit per object of the website
+// saying whether the filter tests positive for it (DESIGN.md "Content
+// summaries: the Bloom filter stays with its owner"). Both are built from
+// precomputed hashes instead of hashing URL strings.
 package overlay
 
 import (
@@ -108,9 +109,9 @@ const rebuildSummary = -1
 
 // Shared is what the members of one content overlay c(ws,loc) have in
 // common: website, locality, gossip parameters, the site's place in the
-// interned object space, the site's probe table and the answer sets they
-// recycle. Whoever owns the peers builds it once per overlay (the core system
-// keeps a table per System).
+// interned object space, the site's probe table when its summaries are answer
+// sets, and the summary blocks they recycle. Whoever owns the peers builds it
+// once per overlay (the core system keeps a table per System).
 type Shared struct {
 	site   model.SiteID
 	loc    int
@@ -131,19 +132,46 @@ func NewShared(site model.SiteID, loc int, cfg Config, in *model.Interner) *Shar
 	if si < 0 {
 		panic("overlay: site not covered by interner")
 	}
-	return &Shared{site: site, loc: loc, cfg: cfg, in: in, base: in.SiteBase(si),
-		probes: probeTableFor(in, si, 8*cfg.SummaryBytes(), bloom.OptimalHashes(8))}
+	sh := &Shared{site: site, loc: loc, cfg: cfg, in: in, base: in.SiteBase(si)}
+	if mBits := 8 * cfg.SummaryBytes(); mBits > maxFilterBits {
+		sh.probes = probeTableFor(in, si, mBits, bloom.OptimalHashes(8))
+	}
+	return sh
+}
+
+// maxFilterBits is the longest Bloom filter an overlay publishes as it is.
+// A lookup's probes into one 64-byte cache line cost no more than reading an
+// answer bit, and the filter is cheaper to publish, so only overlays with
+// longer filters publish answer sets (DESIGN.md "Content summaries: the Bloom
+// filter stays with its owner").
+const maxFilterBits = 512
+
+// snapshot returns an empty summary in the overlay's form: an answer set, or
+// the Bloom filter itself when the overlay has no probe table.
+func (sh *Shared) snapshot() *bloom.Filter {
+	if sh.probes == nil {
+		return bloom.NewForCapacity(sh.cfg.SummaryCapacity)
+	}
+	return bloom.NewAnswers(sh.in.ObjectsPerSite())
+}
+
+// ownForm reports whether f has the form of the overlay's summaries.
+func (sh *Shared) ownForm(f *bloom.Filter) bool {
+	if sh.probes == nil {
+		return f.Bits() == 8*sh.cfg.SummaryBytes() && f.Hashes() == bloom.OptimalHashes(8)
+	}
+	return f.Bits() == sh.in.ObjectsPerSite() && f.Hashes() == 0
 }
 
 const maxSpares = 8 // bounds the spare and limbo lists (docs/perf-log.md, PR 25)
 
-// release gives back a reference to f. An answer set of the overlay's size
-// whose last holder — owner or view slot — let go waits in the current epoch's
+// release gives back a reference to f. A summary of the overlay's form whose
+// last holder — owner or view slot — let go waits in the current epoch's
 // limbo, as open messages may carry it; if it waited in the older one, a
 // receiver took it up again since, and newer messages may carry it too. Peers
 // that exchange summaries share one Shared.
 func (sh *Shared) release(f *bloom.Filter) {
-	if !f.Release() || f.Bits() != sh.in.ObjectsPerSite() || f.Hashes() != 0 {
+	if !f.Release() || !sh.ownForm(f) {
 		return
 	}
 	sh.limbo[sh.epoch^1] = slices.DeleteFunc(sh.limbo[sh.epoch^1], func(g *bloom.Filter) bool { return g == f })
@@ -325,11 +353,12 @@ func (c *ContentPeer) RemoveObject(ref model.ObjectRef) {
 	c.nFresh = rebuildSummary
 }
 
-// Summary returns the current content summary: the answer set of the Bloom
-// filter over the peer's content list, whose bit i says whether the filter
-// tests positive for the site's i-th object. It is an immutable snapshot
-// while held (Retain): after a content change a new instance is published,
-// into a spare block when the overlay has one (see publish).
+// Summary returns the current content summary, the Bloom filter over the
+// peer's content list or, past maxFilterBits, its answer set: bit i says
+// whether the filter tests positive for the site's i-th object. It is an
+// immutable snapshot while held (Retain): after a content change a new
+// instance is published, into a spare block when the overlay has one (see
+// publish).
 func (c *ContentPeer) Summary() *bloom.Filter {
 	if c.nFresh == 0 {
 		return c.summary
@@ -339,7 +368,7 @@ func (c *ContentPeer) Summary() *bloom.Filter {
 		f, c.sh.spare = c.sh.spare[n-1], c.sh.spare[:n-1]
 		f.Reset()
 	} else {
-		f = bloom.NewAnswers(c.sh.in.ObjectsPerSite())
+		f = c.sh.snapshot()
 	}
 	c.publish(f)
 	f.Retain()

@@ -56,7 +56,7 @@ func TestSummarySnapshotImmutable(t *testing.T) {
 	p.AddObject(ref(10))
 	s1 := p.Summary()
 	s1.Retain() // held past the next publication
-	want1 := rebuiltAnswers(p)
+	want1 := rebuilt(p)
 	if s1.Hashes() != 0 || !s1.Answer(10) || !sameBits(s1, want1) {
 		t.Fatal("summary is not the answer set of the content's Bloom filter")
 	}
@@ -68,7 +68,7 @@ func TestSummarySnapshotImmutable(t *testing.T) {
 	if s1.Answer(11) || !sameBits(s1, want1) {
 		t.Fatal("old snapshot mutated")
 	}
-	if !s2.Answer(11) || !s2.Answer(10) || !sameBits(s2, rebuiltAnswers(p)) {
+	if !s2.Answer(11) || !s2.Answer(10) || !sameBits(s2, rebuilt(p)) {
 		t.Fatal("new summary incomplete")
 	}
 	if p.Summary() != s2 {
@@ -231,7 +231,7 @@ func TestCandidatesForUsesSummaries(t *testing.T) {
 	for i := 0; i < testIn.ObjectsPerSite(); i++ {
 		var want []simnet.NodeID
 		for _, q := range []*ContentPeer{holder, other} {
-			if rebuiltAnswers(q).Answer(i) {
+			if rebuilt(q).Answer(i) {
 				want = append(want, q.Addr())
 			}
 		}

@@ -78,17 +78,21 @@ func TestDeltaListAgainstReference(t *testing.T) {
 	}
 }
 
-// rebuiltAnswers is the answer set p's content list must publish: for each of
-// the site's objects, TestHash of a Bloom filter of the overlay's shape
-// rebuilt from the list.
-func rebuiltAnswers(p *ContentPeer) *bloom.Filter {
+// rebuilt is the summary p's content list must publish: a Bloom filter of
+// the overlay's shape rebuilt from the list or, when the overlay publishes
+// answer sets, for each of the site's objects TestHash of that filter.
+func rebuilt(p *ContentPeer) *bloom.Filter {
+	in := p.sh.in
 	f := bloom.NewForCapacity(p.sh.cfg.SummaryCapacity)
 	for _, o := range p.Objects() {
-		f.AddHash(testIn.Hashes(o))
+		f.AddHash(in.Hashes(o))
 	}
-	a := bloom.NewAnswers(testIn.ObjectsPerSite())
-	for i := 0; i < testIn.ObjectsPerSite(); i++ {
-		if f.TestHash(testIn.Hashes(ref(i))) {
+	if p.sh.probes == nil {
+		return f
+	}
+	a := bloom.NewAnswers(in.ObjectsPerSite())
+	for i := 0; i < in.ObjectsPerSite(); i++ {
+		if f.TestHash(in.Hashes(p.sh.base + model.ObjectRef(i))) {
 			a.SetAnswer(i)
 		}
 	}
@@ -106,46 +110,53 @@ func wire(f *bloom.Filter) []byte {
 
 func sameBits(a, b *bloom.Filter) bool { return bytes.Equal(wire(a), wire(b)) }
 
-// TestSummaryDeltaAgainstRebuild: every published answer set equals, for
-// each of the site's objects, TestHash of a Bloom filter rebuilt from the
-// content list, whether it extended the last snapshot or was rebuilt, at two
-// filter sizes, over
-// random add/remove/publish sequences — bursts longer than the fresh list,
+// TestSummaryDeltaAgainstRebuild: every published summary equals the one
+// rebuilt from the content list — for an overlay of answer sets, for each of
+// the site's objects, TestHash of a Bloom filter rebuilt from the list; for
+// one of short filters, that filter's bits and insertion count — whether it
+// extended the last snapshot or was rebuilt, over random
+// add/remove/publish sequences — bursts longer than the fresh list,
 // removals, re-adds of removed objects — and no snapshot changes once
 // published while someone holds it (the test, here: one nobody holds is a
-// spare block the next publication overwrites).
+// spare block the next publication overwrites). The third shape's filter is
+// small for its site, so false positives are common and an extension must
+// find the answers it turns on.
 func TestSummaryDeltaAgainstRebuild(t *testing.T) {
-	n := testIn.ObjectsPerSite()
-	for seed := int64(1); seed <= 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		// An 800-bit filter, and a 64-bit one whose false positives are
-		// common, so that an extension must find the answers it turns on.
+	dense := model.NewInterner([]model.SiteID{"ws-000"}, 400)
+	for _, shape := range []struct {
+		in       *model.Interner
+		capacity int
+	}{{testIn, 100}, {testIn, 8}, {dense, 66}} {
+		n := shape.in.ObjectsPerSite()
 		cfg := DefaultConfig()
-		cfg.SummaryCapacity = []int{100, 8}[seed%2]
-		p := New(1, "ws-000", 2, cfg, 0, testIn)
-		var published []*bloom.Filter
-		var frozen [][]byte
-		for step := 0; step < 300; step++ {
-			switch op := rng.Intn(10); {
-			case op < 6:
-				p.AddObject(ref(rng.Intn(n)))
-			case op == 6:
-				p.RemoveObject(ref(rng.Intn(n)))
-			default:
-				got := p.Summary()
-				if !sameBits(got, rebuiltAnswers(p)) {
-					t.Fatalf("seed %d step %d: published answers differ from the rebuilt filter's", seed, step)
+		cfg.SummaryCapacity = shape.capacity
+		for seed := int64(1); seed <= 30; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p := New(1, "ws-000", 2, cfg, 0, shape.in)
+			var published []*bloom.Filter
+			var frozen [][]byte
+			for step := 0; step < 300; step++ {
+				switch op := rng.Intn(10); {
+				case op < 6:
+					p.AddObject(shape.in.RefFor(0, rng.Intn(n)))
+				case op == 6:
+					p.RemoveObject(shape.in.RefFor(0, rng.Intn(n)))
+				default:
+					got := p.Summary()
+					if !sameBits(got, rebuilt(p)) {
+						t.Fatalf("capacity %d seed %d step %d: published summary differs from the rebuild", shape.capacity, seed, step)
+					}
+					if p.Summary() != got {
+						t.Fatalf("capacity %d seed %d step %d: unchanged content published a second snapshot", shape.capacity, seed, step)
+					}
+					got.Retain()
+					published, frozen = append(published, got), append(frozen, wire(got))
 				}
-				if p.Summary() != got {
-					t.Fatalf("seed %d step %d: unchanged content published a second snapshot", seed, step)
-				}
-				got.Retain()
-				published, frozen = append(published, got), append(frozen, wire(got))
 			}
-		}
-		for i, f := range published {
-			if !bytes.Equal(wire(f), frozen[i]) {
-				t.Fatalf("seed %d: snapshot %d changed after publication", seed, i)
+			for i, f := range published {
+				if !bytes.Equal(wire(f), frozen[i]) {
+					t.Fatalf("capacity %d seed %d: snapshot %d changed after publication", shape.capacity, seed, i)
+				}
 			}
 		}
 	}

@@ -24,8 +24,8 @@ type world struct {
 	rng     *rand.Rand
 }
 
-func newWorld(seed int64, peers int) *world {
-	cfg := Config{ViewSize: 4, GossipLen: 2, PushThreshold: 0.1, SummaryCapacity: 20}
+func newWorld(seed int64, peers, capacity int) *world {
+	cfg := Config{ViewSize: 4, GossipLen: 2, PushThreshold: 0.1, SummaryCapacity: capacity}
 	w := &world{sh: NewShared("ws-000", 2, cfg, testIn), rng: rand.New(rand.NewSource(seed))}
 	for i := 0; i < peers; i++ {
 		w.peers = append(w.peers, w.sh.NewPeer(simnet.NodeID(i+1), 0))
@@ -123,12 +123,13 @@ func (w *world) reachable() map[*bloom.Filter]bool {
 // the same random operations — stores and removals, gossip made, answered,
 // applied and lost, old contacts dropped, contacts removed, views seeded by a
 // peer and by a directory, peers leaving — where the reference keeps a
-// reference to every answer set it ever sees, so that none is recycled and
-// every publication is a fresh copy. After every operation each view, owner
-// and pending message carries bit for bit the answer sets of the reference;
-// each owner's last one, unless its content changed since, equals the
-// answers of a Bloom filter rebuilt from its content list;
-// every summary it ever reached counts exactly the holders a walk finds —
+// reference to every summary it ever sees, so that none is recycled and
+// every publication is a fresh copy; once with short Bloom filters, once
+// with answer sets. After every operation each view, owner and pending
+// message carries bit for bit the summaries of the reference; each owner's
+// last one, unless its content changed since, equals the one rebuilt from
+// its content list; every summary it ever reached counts exactly the
+// holders a walk finds —
 // none when only pending messages carry it, or nothing does; one lease is
 // open per pending message; and no spare block is reachable, held, in limbo
 // or listed twice.
@@ -145,8 +146,10 @@ func TestSnapshotRecyclingAgainstClones(t *testing.T) {
 		return true
 	}
 	const peers = 6
-	for seed := int64(1); seed <= 30; seed++ {
-		got, ref := newWorld(seed, peers), newWorld(seed, peers)
+	for i := 0; i < 60; i++ {
+		// Short Bloom filters, then answer sets, over the same 30 seeds.
+		seed, capacity := int64(i%30+1), []int{20, 100}[i/30]
+		got, ref := newWorld(seed, peers, capacity), newWorld(seed, peers, capacity)
 		pinned, seen := map[*bloom.Filter]bool{}, map[*bloom.Filter]bool{}
 		ops := rand.New(rand.NewSource(-seed))
 		for step := 0; step < 500; step++ {
@@ -171,7 +174,7 @@ func TestSnapshotRecyclingAgainstClones(t *testing.T) {
 				if err := p.View().Check(); err != nil || (p.Published() != nil && p.Published().Refs() == 0) {
 					t.Fatalf("seed %d step %d (op %d): peer %d: %v, or its own summary is unheld", seed, step, op, i, err)
 				}
-				if p.summary != nil && p.nFresh == 0 && !sameBits(p.summary, rebuiltAnswers(p)) {
+				if p.summary != nil && p.nFresh == 0 && !sameBits(p.summary, rebuilt(p)) {
 					t.Fatalf("seed %d step %d (op %d): peer %d's answers differ from its rebuilt filter's", seed, step, op, i)
 				}
 			}
@@ -204,7 +207,7 @@ func TestSnapshotRecyclingAgainstClones(t *testing.T) {
 			}
 		}
 		if len(seen) >= len(pinned) {
-			t.Fatalf("seed %d: %d blocks for %d publications: nothing was recycled", seed, len(seen), len(pinned))
+			t.Fatalf("capacity %d seed %d: %d blocks for %d publications: nothing was recycled", capacity, seed, len(seen), len(pinned))
 		}
 	}
 }

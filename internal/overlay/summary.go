@@ -70,9 +70,10 @@ func (c *ContentPeer) set(b uint32) bool {
 	return false
 }
 
-// publish writes into the empty answer set f the answers of the Bloom filter
-// over the peer's content list. The peer keeps no filter: a bit is set when
-// a stored object probes it (set). After additions alone publish copies the
+// publish writes the peer's summary into the empty f: the Bloom filter over
+// its content list (publishFilter) or, where the overlay has a probe table,
+// the filter's answers. The peer keeps no filter: a bit is set when a stored
+// object probes it (set). After additions alone publish copies the
 // last answer set and re-tests only the objects that probe a bit newly set
 // by an object stored since (fresh): an answer turns from false to true only
 // when one of its object's bits does, and none turns back without a
@@ -82,6 +83,10 @@ func (c *ContentPeer) set(b uint32) bool {
 // content list (TestSummaryDeltaAgainstRebuild).
 func (c *ContentPeer) publish(f *bloom.Filter) {
 	t := c.sh.probes
+	if t == nil {
+		c.publishFilter(f)
+		return
+	}
 	if c.nFresh > 0 {
 		_ = f.Union(c.summary) // a copy: both are answer sets of the site
 		fresh := c.fresh[:c.nFresh]
@@ -132,4 +137,20 @@ object:
 		}
 		f.SetAnswer(j)
 	}
+}
+
+// publishFilter writes the Bloom filter over the peer's content list into
+// the empty filter f: the last snapshot plus the objects stored since, or a
+// rebuild from the content list. Its bits and insertion count are the
+// rebuild's either way.
+func (c *ContentPeer) publishFilter(f *bloom.Filter) {
+	add := func(i int) { f.AddHash(c.sh.in.Hashes(c.sh.base + model.ObjectRef(i))) }
+	if c.nFresh > 0 {
+		_ = f.Union(c.summary) // a copy: both have the overlay's shape
+		for _, i := range c.fresh[:c.nFresh] {
+			add(int(i))
+		}
+		return
+	}
+	c.content.ForEach(add)
 }
