@@ -7,15 +7,16 @@ import (
 	"flowercdn/internal/model"
 )
 
-// probeTable is one website's objects against one Bloom filter shape: the k
-// bit positions each object's probes read (bloom.AppendProbes, the positions
-// AddHash sets), and, inverted, the objects that probe each bit. Every
-// overlay of the site with that shape shares it, through the interner.
+// probeTable is one website's objects against one Bloom filter shape, laid
+// out for testing an object: for each of its k probe bits (bloom.AppendProbes,
+// the bits AddHash sets) the objects that probe that bit, itself included. A
+// filter over some of the objects tests positive for object i exactly when
+// each of i's k lists holds one of them. Every overlay of the site with that
+// shape shares the table, through the interner.
 type probeTable struct {
-	k     int
-	pos   []uint32 // object i probes pos[k·i : k·i+k]
-	first []uint32 // bit b is probed by the objects by[first[b]:first[b+1]]
-	by    []uint32
+	k    int
+	off  []uint32 // object i's x-th list is objs[off[k·i+x]:off[k·i+x+1]]
+	objs []uint32
 }
 
 // probeKey names a probe table in the interner's cache.
@@ -31,38 +32,41 @@ func probeTableFor(in *model.Interner, si, mBits, k int) *probeTable {
 
 func newProbeTable(in *model.Interner, base model.ObjectRef, mBits, k int) *probeTable {
 	n := in.ObjectsPerSite()
-	t := &probeTable{k: k, pos: make([]uint32, 0, n*k), first: make([]uint32, mBits+1)}
+	pos := make([]uint32, 0, n*k) // object i probes pos[k·i : k·i+k]
 	for i := 0; i < n; i++ {
 		h1, h2 := in.Hashes(base + model.ObjectRef(i))
-		t.pos = bloom.AppendProbes(t.pos, mBits, k, h1, h2)
+		pos = bloom.AppendProbes(pos, mBits, k, h1, h2)
 	}
-	// The inverse by counting sort: ascending objects per bit, an object
-	// listed twice where two of its probes coincide.
-	for _, b := range t.pos {
-		t.first[b+1]++
+	// The objects probing each bit, by counting sort: bit b's are
+	// by[first[b]:first[b+1]], ascending, an object listed twice where two of
+	// its probes coincide.
+	first := make([]uint32, mBits+1)
+	for _, b := range pos {
+		first[b+1]++
 	}
 	for b := 1; b <= mBits; b++ {
-		t.first[b] += t.first[b-1]
+		first[b] += first[b-1]
 	}
-	t.by = make([]uint32, len(t.pos))
-	next := slices.Clone(t.first[:mBits])
-	for x, b := range t.pos {
-		t.by[next[b]] = uint32(x / k)
+	by := make([]uint32, len(pos))
+	next := slices.Clone(first[:mBits])
+	for x, b := range pos {
+		by[next[b]] = uint32(x / k)
 		next[b]++
+	}
+	t := &probeTable{k: k, off: make([]uint32, 1, len(pos)+1)}
+	for _, b := range pos {
+		t.objs = append(t.objs, by[first[b]:first[b+1]]...)
+		t.off = append(t.off, uint32(len(t.objs)))
 	}
 	return t
 }
 
-// probes returns the bit positions of object i.
-func (t *probeTable) probes(i int) []uint32 { return t.pos[t.k*i : t.k*i+t.k] }
+// list returns the objects that probe object i's x-th bit.
+func (t *probeTable) list(i, x int) []uint32 { return t.objs[t.off[t.k*i+x]:t.off[t.k*i+x+1]] }
 
-// objects returns the objects that probe bit b.
-func (t *probeTable) objects(b uint32) []uint32 { return t.by[t.first[b]:t.first[b+1]] }
-
-// set reports whether a stored object probes bit b, that is, whether the
-// Bloom filter over the peer's content list has b set.
-func (c *ContentPeer) set(b uint32) bool {
-	for _, o := range c.sh.probes.objects(b) {
+// storesAny reports whether the peer stores one of objs.
+func (c *ContentPeer) storesAny(objs []uint32) bool {
+	for _, o := range objs {
 		if c.content.Has(int(o)) {
 			return true
 		}
@@ -70,72 +74,61 @@ func (c *ContentPeer) set(b uint32) bool {
 	return false
 }
 
+// tests reports whether the Bloom filter over the peer's content list tests
+// positive for object j: whether a stored object probes each of j's bits.
+// The peer keeps no filter; its content bitset and the site's table are all
+// the filter is.
+func (c *ContentPeer) tests(j int) bool {
+	t := c.sh.probes
+	for x := 0; x < t.k; x++ {
+		if !c.storesAny(t.list(j, x)) {
+			return false
+		}
+	}
+	return true
+}
+
 // publish writes the peer's summary into the empty f: the Bloom filter over
 // its content list (publishFilter) or, where the overlay has a probe table,
-// the filter's answers. The peer keeps no filter: a bit is set when a stored
-// object probes it (set). After additions alone publish copies the
-// last answer set and re-tests only the objects that probe a bit newly set
-// by an object stored since (fresh): an answer turns from false to true only
-// when one of its object's bits does, and none turns back without a
-// removal. A rebuild (nFresh == rebuildSummary) sets the content's bits in a
-// filter on the stack (on the heap past 8192 bits) and tests every object.
-// Either way f equals, bit for bit, the answers of a filter rebuilt from the
-// content list (TestSummaryDeltaAgainstRebuild).
+// the filter's answers. After additions alone it copies the last answer set
+// and re-tests only the objects that probe a bit newly set by an object
+// stored since (fresh): an answer turns from false to true only when one of
+// its object's bits does, and none turns back without a removal. A rebuild
+// (nFresh == rebuildSummary) tests every object. Either way f equals, bit for
+// bit, the answers of a filter rebuilt from the content list
+// (TestSummaryDeltaAgainstRebuild).
 func (c *ContentPeer) publish(f *bloom.Filter) {
 	t := c.sh.probes
 	if t == nil {
 		c.publishFilter(f)
 		return
 	}
-	if c.nFresh > 0 {
-		_ = f.Union(c.summary) // a copy: both are answer sets of the site
-		fresh := c.fresh[:c.nFresh]
-		for _, i := range fresh {
-			f.SetAnswer(int(i))
-		bit:
-			for _, b := range t.probes(int(i)) {
-				objs := t.objects(b)
-				for _, o := range objs {
-					if c.content.Has(int(o)) && !slices.Contains(fresh, int32(o)) {
-						continue bit // set before: no answer on it changed
-					}
-				}
-			candidate:
-				for _, j := range objs {
-					if f.Answer(int(j)) {
-						continue
-					}
-					for _, p := range t.probes(int(j)) {
-						if !c.set(p) {
-							continue candidate
-						}
-					}
-					f.SetAnswer(int(j))
-				}
+	if c.nFresh < 0 {
+		for j := range c.content.Cap() {
+			if c.content.Has(j) || c.tests(j) {
+				f.SetAnswer(j)
 			}
 		}
 		return
 	}
-	var stack [128]uint64
-	w := stack[:0]
-	if words := (len(t.first) - 1 + 63) / 64; words <= len(stack) {
-		w = stack[:words]
-	} else {
-		w = make([]uint64, words)
-	}
-	c.content.ForEach(func(i int) {
-		for _, b := range t.probes(i) {
-			w[b>>6] |= 1 << (b & 63)
-		}
-	})
-object:
-	for j := range c.content.Cap() {
-		for _, b := range t.probes(j) {
-			if w[b>>6]&(1<<(b&63)) == 0 {
-				continue object
+	_ = f.Union(c.summary) // a copy: both are answer sets of the site
+	fresh := c.fresh[:c.nFresh]
+	for _, i := range fresh {
+		f.SetAnswer(int(i))
+	bit:
+		for x := 0; x < t.k; x++ {
+			objs := t.list(int(i), x)
+			for _, o := range objs {
+				if c.content.Has(int(o)) && !slices.Contains(fresh, int32(o)) {
+					continue bit // set before: no answer on it changed
+				}
+			}
+			for _, j := range objs {
+				if !f.Answer(int(j)) && c.tests(int(j)) {
+					f.SetAnswer(int(j))
+				}
 			}
 		}
-		f.SetAnswer(j)
 	}
 }
 
