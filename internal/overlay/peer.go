@@ -117,11 +117,11 @@ type Shared struct {
 	loc    int
 	cfg    Config
 	in     *model.Interner
-	base   model.ObjectRef // first ref of the site
 	probes *probeTable
 	spare  []*bloom.Filter
 	limbo  [2][]*bloom.Filter // by epoch
 	open   [2]int32           // leases by epoch
+	base   model.ObjectRef    // first ref of the site
 	epoch  uint8
 }
 
