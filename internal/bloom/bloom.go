@@ -40,9 +40,9 @@ type Filter struct {
 // classes (8 … 128 words, see newBlock) put the Bloom filters of the presets
 // — 60, 100 and 500 objects at 8 bits each = 8, 13 and 63 words — in 96-,
 // 160- and 576-byte objects, and the answer sets of 100 and 500 objects (2
-// and 8 words) in 96-byte ones. A one-word header in front of a variable-length array would save
-// the slice's 16 bytes, but needs unsafe to reach the words; fixed arrays
-// do not.
+// and 8 words) in 96-byte ones. A one-word header in front of a
+// variable-length array would save the slice's 16 bytes, but needs unsafe to
+// reach the words; fixed arrays do not.
 type block[A any] struct {
 	f Filter
 	w A

@@ -225,12 +225,11 @@ type ContentPeer struct {
 	// ∆lists replayable in any order.
 	content, added, removed bitset.Set
 
-	// summary is the answer set last published, an immutable snapshot the
-	// peer holds a reference to; fresh[:nFresh] are the objects stored
-	// since, whose probe bits the next publication adds to a copy of it.
-	// nFresh == rebuildSummary when that is not enough: nothing was published
-	// yet, an object was removed (a Bloom filter cannot delete) or fresh
-	// overflowed.
+	// summary is the immutable snapshot last published (the peer holds a
+	// reference); fresh[:nFresh] are the objects stored since, which the next
+	// publication adds to a copy of it. nFresh == rebuildSummary when that is
+	// not enough: nothing was published yet, an object was removed (a Bloom
+	// filter cannot delete) or fresh overflowed.
 	summary *bloom.Filter
 	fresh   [maxFresh]int32
 	nFresh  int8
