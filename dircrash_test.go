@@ -7,13 +7,12 @@ import (
 )
 
 // formatStandbySummary renders the warm-failover observables of a run —
-// designation/anti-entropy/promotion counters and replica staleness at
-// takeover — for golden and invariance comparisons. Additive, like
+// designation, snapshot-sync and promotion counters — for golden and
+// invariance comparisons. Additive, like
 // formatFaultSummary: all-zero for runs that never arm StandbyFailover.
 func formatStandbySummary(sb *strings.Builder, res Result) {
-	fmt.Fprintf(sb, "standby assigns=%d deltas=%d promotions=%d stale_shards=%d\n",
-		res.Stats.StandbyAssigns, res.Stats.StandbyDeltas, res.Stats.StandbyPromotions,
-		res.Stats.StandbyStaleShards)
+	fmt.Fprintf(sb, "standby assigns=%d syncs=%d promotions=%d\n",
+		res.Stats.StandbyAssigns, res.Stats.StandbySyncs, res.Stats.StandbyPromotions)
 }
 
 // renderDirCrash is the full transcript of a crash-storm run: base report,
@@ -88,9 +87,9 @@ func TestDirCrashWarmRecovery(t *testing.T) {
 	if wres.Stats.StandbyPromotions == 0 {
 		t.Fatal("warm run promoted no standby")
 	}
-	if wres.Stats.StandbyAssigns == 0 || wres.Stats.StandbyDeltas == 0 {
-		t.Fatalf("replica maintenance never ran: assigns=%d deltas=%d",
-			wres.Stats.StandbyAssigns, wres.Stats.StandbyDeltas)
+	if wres.Stats.StandbyAssigns == 0 || wres.Stats.StandbySyncs == 0 {
+		t.Fatalf("replica maintenance never ran: assigns=%d syncs=%d",
+			wres.Stats.StandbyAssigns, wres.Stats.StandbySyncs)
 	}
 	for _, res := range []Result{cres, wres} {
 		if len(res.AuditViolations) != 0 {

@@ -227,7 +227,7 @@ func buildFixture(t *testing.T) string {
 	formatFaultSummary(&sb, fres)
 
 	// Eleventh scenario: the directory crash storm with warm standbys armed.
-	// Pins the whole failover surface — replica designation and delta
+	// Pins the whole failover surface — replica designation and snapshot
 	// cadence, deterministic promotion, takeover announcements and the
 	// crash→first-local-directory-hit recovery rows.
 	dres, err := RunFlower(DirCrashStormParams(10))

@@ -75,11 +75,11 @@ type Config struct {
 
 	// StandbyFailover arms the warm-standby directory extension: every
 	// directory designates the §5.2-ranked best content peer of its overlay
-	// as a standby, keeps the standby's replica index fresh with
-	// dirty-shard deltas (dring delta seam), and on directory silence the
-	// standby promotes with its replica instead of a fresh peer rebuilding
-	// an empty index. Off by default: the disabled path costs one flag
-	// check and the clean-network goldens stay byte-identical.
+	// as a standby and sends it a full snapshot of its index every standby
+	// round, and on directory silence the standby promotes with its replica
+	// instead of a fresh peer rebuilding an empty index. Off by default: the
+	// disabled path costs one flag check and the clean-network goldens stay
+	// byte-identical.
 	StandbyFailover bool
 }
 
@@ -89,7 +89,6 @@ const (
 	deadAge             = 4   // T_dead: age in periods past which a view or index entry is dead
 	dirSummaryThreshold = 0.1 // §4.2.1 delayed summary propagation
 	retryLimit          = 3   // candidate peers tried per query before fallback
-	standbySyncShards   = 16  // dirty shards shipped per standby anti-entropy round
 )
 
 // DefaultConfig returns the paper's simulation parameters (Table 1 with

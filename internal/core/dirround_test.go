@@ -122,7 +122,7 @@ func TestDirRoundParts(t *testing.T) {
 }
 
 // dirRoundEnv is dispatchEnv's directory with every part of its round
-// armed — a designated standby with delta sync, stabilisation every 10 s —
+// armed — a designated standby with its snapshot sync, stabilisation every 10 s —
 // over three settled overlays of one website, one per locality: the
 // directory holds its neighbours' summaries, and its standby's replica is
 // in sync.

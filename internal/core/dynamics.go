@@ -278,7 +278,7 @@ func (s *System) DirectoryLeave(site model.SiteID, loc int) bool {
 	// Hand over the D-ring position and the directory state.
 	node := s.ring.Transplant(old.role.node, best.addr)
 	s.installDirectory(best, node, site, loc)
-	best.dir.ImportEntries(old.dir.ExportEntries())
+	best.dir.ImportEntries(old.dir.ExportEntries(nil))
 	for _, ns := range old.dir.NeighborSummaries() {
 		best.dir.UpdateNeighborSummary(ns.DirID, ns.Locality, ns.Filter)
 	}

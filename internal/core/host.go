@@ -53,15 +53,15 @@ type host struct {
 // (Config.StandbyFailover), allocated at its first promotion or designation.
 // A directory keeps its D-ring node, its round (dirRound) and the residue
 // that places its parts, and its designated standby. A standby keeps its
-// replica of the primary's index, whose key, site and locality name the
-// position it would take over, the primary it watches and the probe
-// watchdog; leaving the phase drops them.
+// replica of the primary's index, replaced whole by each snapshot the
+// primary sends, whose key, site and locality name the position it would
+// take over, the primary it watches and the probe watchdog; leaving the
+// phase drops them.
 type dirRole struct {
-	node        *chord.Node // the D-ring node (nil: not on the ring)
-	round       simkernel.Ticker
-	residue     uint32        // round count mod System.dirCycle of the parts' first round
-	standby     simnet.NodeID // designated standby (noNode = none)
-	deltaShards []int32       // TakeDirtyShards scratch
+	node    *chord.Node // the D-ring node (nil: not on the ring)
+	round   simkernel.Ticker
+	residue uint32        // round count mod System.dirCycle of the parts' first round
+	standby simnet.NodeID // designated standby (noNode = none)
 
 	replica      *dring.Directory // warm copy of the primary's index
 	standbyFor   simnet.NodeID    // the watched primary (noNode = not a standby)
@@ -149,10 +149,8 @@ func (h *host) HandleMessage(msg simnet.Message) {
 		s.handleDirJoinTaken(h, m)
 	case dirJoinAcceptMsg:
 		s.handleDirJoinAccept(h, m)
-	case standbyAssignMsg:
+	case *standbyAssignMsg:
 		s.handleStandbyAssign(h, m)
-	case standbyDeltaMsg:
-		s.handleStandbyDelta(h, m)
 	case standbyRevokeMsg:
 		s.handleStandbyRevoke(h, msg.From)
 	case standbyProbeMsg:

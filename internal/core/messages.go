@@ -293,11 +293,14 @@ type dirJoinAcceptMsg struct {
 
 // --- Warm-standby directory failover ---------------------------------------
 
-// standbyAssignMsg: directory → designated standby: you are my warm
-// standby; here is a full snapshot of my index to seed your replica.
+// standbyAssignMsg: directory → its standby, every standby round: a full
+// snapshot of the index. The first designates the standby and seeds its
+// replica; each later one replaces the replica whole. Pooled like pushMsg: a
+// recycled message keeps its rows, bitsets included, for the next export.
 // Wire cost is the join-control header plus the interned 4 B/ref rate for
 // every ref the snapshot carries (8 B/member row overhead).
 type standbyAssignMsg struct {
+	live    bool
 	FromDir simnet.NodeID
 	Key     chord.ID
 	Site    model.SiteID
@@ -305,20 +308,8 @@ type standbyAssignMsg struct {
 	Entries []dring.IndexEntry
 }
 
-func (m standbyAssignMsg) wireBytes() int {
+func (m *standbyAssignMsg) wireBytes() int {
 	return bytesJoinCtl + 8*len(m.Entries) + 4*dring.EntriesRefCount(m.Entries)
-}
-
-// standbyDeltaMsg: directory → standby: one dirty shard's replacement
-// rows (anti-entropy round). 8 B per member row plus 4 B per ref carried.
-type standbyDeltaMsg struct {
-	FromDir simnet.NodeID
-	Shard   int32
-	Entries []dring.ShardEntry
-}
-
-func (m standbyDeltaMsg) wireBytes() int {
-	return bytesKeepalive + 8*len(m.Entries) + 4*dring.ShardRefCount(m.Entries)
 }
 
 // standbyRevokeMsg: directory → former standby: designation withdrawn

@@ -265,7 +265,7 @@ func TestNodeZeroAdmitsOnce(t *testing.T) {
 		t.Fatalf("premise: the query does not wait on node 0's redirect to holder %d: %+v", first, q)
 	}
 	age := func() int {
-		for _, en := range dir.dir.ExportEntries() {
+		for _, en := range dir.dir.ExportEntries(nil) {
 			if en.Node == client {
 				return en.Age
 			}

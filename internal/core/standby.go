@@ -10,13 +10,14 @@ import (
 // This file implements the warm-standby directory failover extension
 // (Config.StandbyFailover). Every directory designates the most stable
 // member of its overlay (the §5.2 candidate-scoring order: earliest
-// JoinedAt, then address) as a warm standby, seeds it with a full index
-// snapshot and keeps the standby's replica fresh with dirty-shard deltas
-// from the dring delta seam. The standby probes its primary far tighter
+// JoinedAt, then address) as a warm standby and sends it a full snapshot of
+// its index on every standby round: the first seeds the standby's replica,
+// each later one replaces it, so a snapshot the network loses is repaired
+// by the next. The standby probes its primary far tighter
 // than the overlay keepalive; on silence it re-checks the D-ring and, if
 // the position is really vacant, promotes itself. A promoted
-// standby takes over the D-ring position *with* its replica (bounded
-// staleness; stale holders wash out through the §5.1 redirection-failure
+// standby takes over the D-ring position *with* its replica (at most one
+// round stale; stale holders wash out through the §5.1 redirection-failure
 // path), instead of the cold §5.2 rebuild from an empty index.
 //
 // The standby is a phase of the host (hoststate.go): a member enters it on
@@ -25,30 +26,26 @@ import (
 // StandbyFailover arms this part of every directory's round; off, no RNG is
 // drawn and no message is sent.
 
-// standbyMaintTick is the directory-side loop: validate or (re)designate
-// the standby, then ship up to standbySyncShards dirty shards.
+// standbyMaintTick is the directory's standby part: validate the standby or
+// designate the most stable member that is no other directory's standby,
+// then send the standby a snapshot of the index.
 func (s *System) standbyMaintTick(h *host) {
 	r := h.role
 	if r.standby != noNode && !s.hosts[r.standby].watches(h.addr) {
-		// The standby died, left the overlay or took another role.
-		r.standby = noNode
-		h.dir.DisableDeltaTracking()
+		r.standby = noNode // the standby died, left the overlay or took another role
 	}
-	if r.standby == noNode {
-		s.designateStandby(h)
-		return // the full snapshot covers everything; deltas start next tick
+	if r.standby != noNode {
+		s.stats.StandbySyncs++
+	} else if best := s.mostStable(h, func(mh *host) bool { return mh.phase == phMember || mh.watches(h.addr) }); best != nil {
+		r.standby = best.addr
+		s.stats.StandbyAssigns++
+	} else {
+		return // empty or dead overlay: no standby, no probe traffic
 	}
-	if h.dir.DirtyShardCount() == 0 {
-		return
-	}
-	r.deltaShards = h.dir.TakeDirtyShards(r.deltaShards[:0], standbySyncShards)
-	for _, sh := range r.deltaShards {
-		// The wire rows are owned by the message (applied after latency),
-		// so each delta exports into a fresh slice.
-		m := standbyDeltaMsg{FromDir: h.addr, Shard: sh, Entries: h.dir.ExportShard(int(sh), nil)}
-		s.net.Send(h.addr, r.standby, simnet.CatMaintenance, m.wireBytes(), m)
-		s.stats.StandbyDeltas++
-	}
+	m := take(&s.pool.sync)
+	m.live, m.FromDir, m.Key, m.Site, m.Loc = true, h.addr, h.dir.Key(), h.dir.Site(), h.dir.Locality()
+	m.Entries = h.dir.ExportEntries(m.Entries)
+	s.net.Send(h.addr, r.standby, simnet.CatMaintenance, m.wireBytes(), m)
 }
 
 // mostStable returns the most stable member of directory h's overlay that
@@ -66,30 +63,12 @@ func (s *System) mostStable(h *host, ok func(*host) bool) *host {
 	return best
 }
 
-// designateStandby picks the directory's most stable member that is no
-// other directory's standby, and seeds it with a full index snapshot.
-func (s *System) designateStandby(h *host) {
-	best := s.mostStable(h, func(mh *host) bool { return mh.phase == phMember || mh.watches(h.addr) })
-	if best == nil {
-		return // empty or dead overlay: no standby, no probe traffic
-	}
-	h.role.standby = best.addr
-	h.dir.EnableDeltaTracking()
-	m := standbyAssignMsg{
-		FromDir: h.addr,
-		Key:     h.dir.Key(),
-		Site:    h.dir.Site(),
-		Loc:     h.dir.Locality(),
-		Entries: h.dir.ExportEntries(),
-	}
-	s.net.Send(h.addr, best.addr, simnet.CatMaintenance, m.wireBytes(), m)
-	s.stats.StandbyAssigns++
-}
-
 // handleStandbyAssign runs at the designated standby: a member enters the
 // standby phase and starts probing the primary; the replica is built (or
-// rebuilt, for another primary or position) from the snapshot.
-func (s *System) handleStandbyAssign(h *host, m standbyAssignMsg) {
+// rebuilt, for another primary or position) from the snapshot, or replaced
+// by it.
+func (s *System) handleStandbyAssign(h *host, m *standbyAssignMsg) {
+	defer s.putSyncMsg(m)
 	if !h.plainPeer() {
 		return
 	}
@@ -109,13 +88,6 @@ func (s *System) handleStandbyAssign(h *host, m standbyAssignMsg) {
 	r.replica.ImportEntries(m.Entries)
 	if designated {
 		r.probeTicker, _ = s.arm(h, s.standbyProbe, 1, s.probeTickFn)
-	}
-}
-
-// handleStandbyDelta applies one dirty shard to the replica.
-func (s *System) handleStandbyDelta(h *host, m standbyDeltaMsg) {
-	if h.watches(m.FromDir) {
-		h.role.replica.ApplyShardDelta(int(m.Shard), m.Entries)
 	}
 }
 
@@ -180,17 +152,11 @@ func (s *System) handleStandbyPromote(h *host) {
 	if node == nil {
 		return // false alarm (or a raced replacement): keep watching
 	}
-	// Staleness at takeover: shards the dead primary dirtied but never
-	// shipped (readable in simulation; a real standby would bound this by
-	// its sync cadence).
-	if prim := s.hosts[h.role.standbyFor]; prim.dir != nil {
-		s.stats.StandbyStaleShards += prim.dir.DirtyShardCount()
-	}
 	s.installDirectory(h, node, replica.Site(), replica.Locality())
 	// Promote with the replica, then index our own holdings; the overlay
 	// re-registers via keepalives and pushes, and stale holders wash out
 	// through redirection failures (§5.1).
-	h.dir.ImportEntries(replica.ExportEntries())
+	h.dir.ImportEntries(replica.ExportEntries(nil))
 	h.dir.ApplyPush(h.addr, h.cp.Objects(), nil)
 	h.cp.SetDir(h.addr)
 	// Announce the takeover to the overlay using the replica's member

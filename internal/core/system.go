@@ -29,10 +29,9 @@ type Stats struct {
 	QueryRecords    int // Query records allocated: the peak of queries alive at once
 
 	// Warm-standby failover counters (zero unless Config.StandbyFailover).
-	StandbyAssigns     int // full-snapshot standby designations
-	StandbyDeltas      int // dirty-shard delta messages shipped
-	StandbyPromotions  int // standbys that took over a dead position
-	StandbyStaleShards int // dirty shards unsynced at promotion (staleness)
+	StandbyAssigns    int // standby designations, each with a full index snapshot
+	StandbySyncs      int // snapshots sent to a standby after the designating one
+	StandbyPromotions int // standbys that took over a dead position
 }
 
 // System is one running Flower-CDN instance over a simulated network.
@@ -101,13 +100,14 @@ type System struct {
 	stats  Stats
 }
 
-// msgPool is the system's recycled query- and gossip-path machinery.
+// msgPool is the system's recycled query-, gossip- and standby-path machinery.
 type msgPool struct {
 	gossip []*gossipMsg
 	subset [][]gossip.Entry
 	serve  []*serveMsg
 	routed []*routedMsg
 	push   []*pushMsg
+	sync   []*standbyAssignMsg
 
 	// Query records nothing reaches any more, and how many came back finished
 	// and unfinished (abandoned: nothing was left to resolve them).
@@ -168,6 +168,8 @@ func (s *System) reclaim(payload any) {
 		s.putServeMsg(m)
 	case *routedMsg:
 		s.putRoutedMsg(m)
+	case *standbyAssignMsg:
+		s.putSyncMsg(m)
 	}
 }
 
@@ -255,6 +257,14 @@ func (s *System) putPushMsg(m *pushMsg) {
 	added, removed := m.M.Added[:0], m.M.Removed[:0]
 	put(&s.pool.push, m, &m.live)
 	m.M.Added, m.M.Removed = added, removed
+}
+
+// putSyncMsg keeps a standby snapshot's rows, and their bitsets, for the
+// next export (dring.Directory.ExportEntries).
+func (s *System) putSyncMsg(m *standbyAssignMsg) {
+	entries := m.Entries[:0]
+	put(&s.pool.sync, m, &m.live)
+	m.Entries = entries
 }
 
 // newGossipMsg takes an envelope from the pool (or allocates one) and

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
+	"flowercdn/internal/simnet"
 )
 
 // TestTakenOverDirectoryGivesIndexBack: a crashed directory keeps its index
@@ -52,8 +54,7 @@ func TestTakenOverDirectoryGivesIndexBack(t *testing.T) {
 }
 
 // TestPromotedStandbyReleasesPrimaryIndex: a warm standby's promotion takes
-// the position over too, so the crashed primary gives its index back — after
-// the promotion has counted the shards the primary dirtied and never shipped.
+// the position over too, so the crashed primary gives its index back.
 func TestPromotedStandbyReleasesPrimaryIndex(t *testing.T) {
 	e := newTestEnv(t, 97, func(c *Config) {
 		c.StandbyFailover = true
@@ -70,20 +71,11 @@ func TestPromotedStandbyReleasesPrimaryIndex(t *testing.T) {
 	if sb := s.host(prim.role.standby); sb == nil || !sb.watches(addr) {
 		t.Fatal("premise: the directory designated no standby")
 	}
-	// A push the standby never sees: its shards are still dirty at the crash.
-	prim.dir.ApplyPush(s.PoolNode(0, 1, 0), []model.ObjectRef{e.obj(0, 9), e.obj(0, 29)}, nil)
-	dirty := prim.dir.DirtyShardCount()
-	if dirty == 0 {
-		t.Fatal("premise: no dirty shard at the crash")
-	}
 	s.FailPeer(addr)
 	e.k.Run(e.k.Now() + 2*simkernel.Minute)
 	st := s.Stats()
 	if now, ok := s.DirectoryAddr(site, 1); !ok || now != prim.role.standby || st.StandbyPromotions != 1 {
 		t.Fatalf("premise: the standby did not take over (at %d, %d promotions)", now, st.StandbyPromotions)
-	}
-	if st.StandbyStaleShards != dirty {
-		t.Fatalf("promotion counted %d stale shards, the primary had %d dirty", st.StandbyStaleShards, dirty)
 	}
 	if prim.dir != nil {
 		t.Fatal("the crashed primary kept its index after the standby took over")
@@ -127,5 +119,59 @@ func TestReplacementDirectorySelfPush(t *testing.T) {
 	e.k.Run(20 * simkernel.Minute)
 	if len(nh.dir.Holders(e.obj(0, 7))) == 0 {
 		t.Fatal("replacement directory did not self-index its new object")
+	}
+}
+
+// syncLoss stands in front of a standby: the network loses the first
+// maintenance message the primary sends it, and counts the ones after.
+type syncLoss struct {
+	h            *host
+	primary      simnet.NodeID
+	lost, passed *int
+}
+
+func (w syncLoss) HandleMessage(msg simnet.Message) {
+	if msg.From == w.primary && msg.Category == simnet.CatMaintenance {
+		if *w.lost == 0 {
+			*w.lost = 1
+			return
+		}
+		*w.passed++
+	}
+	w.h.HandleMessage(msg)
+}
+
+// TestLostStandbySyncRepaired: the primary's index changes once after the
+// designation and the network loses the sync that carries the change; the
+// next standby round repairs the replica, which then equals the primary's
+// index row for row.
+func TestLostStandbySyncRepaired(t *testing.T) {
+	e := newTestEnv(t, 97, func(c *Config) { c.StandbyFailover = true })
+	s := e.sys
+	for m := 0; m < 3; m++ {
+		e.submitAt(simkernel.Time(m+1)*simkernel.Second, 0, 1, m, m)
+	}
+	e.k.Run(5 * simkernel.Minute)
+	addr, _ := s.DirectoryAddr(e.cfg.Sites[0], 1)
+	prim := s.host(addr)
+	sb := s.host(prim.role.standby)
+	if sb == nil || !sb.watches(addr) || !reflect.DeepEqual(sb.role.replica.ExportEntries(nil), prim.dir.ExportEntries(nil)) {
+		t.Fatal("premise: no standby whose replica equals the primary's index")
+	}
+	var lost, passed int
+	s.net.Register(sb.addr, syncLoss{h: sb, primary: addr, lost: &lost, passed: &passed})
+	prim.dir.ApplyPush(s.PoolNode(0, 1, 0), []model.ObjectRef{e.obj(0, 9), e.obj(0, 29)}, nil)
+	for until := e.k.Now() + 5*simkernel.Minute; passed == 0; {
+		next, ok := e.k.NextEvent()
+		if !ok || next > until {
+			t.Fatalf("no sync reached the standby after the lost one (%d lost)", lost)
+		}
+		e.k.Run(next)
+		if lost == 1 && passed == 0 && len(sb.role.replica.Holders(e.obj(0, 29))) != 0 {
+			t.Fatal("premise: the change reached the replica without the lost sync")
+		}
+	}
+	if got, want := sb.role.replica.ExportEntries(nil), prim.dir.ExportEntries(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the next standby round the replica holds\n%v\nthe primary\n%v", got, want)
 	}
 }

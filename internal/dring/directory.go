@@ -82,14 +82,6 @@ type Directory struct {
 	neighborScratch []chord.ID
 	evictScratch    []simnet.NodeID
 	holderScratch   []simnet.NodeID
-
-	// Standby-replication seam (delta.go): when dirtyTrack is armed, every
-	// index mutation marks the 64-ref shard it touches, and the periodic
-	// anti-entropy round ships exactly the dirty shards to the standby.
-	// Disabled tracking is one branch per mutation.
-	dirtyTrack   bool
-	dirty        bitset.Set
-	applyScratch []int32
 }
 
 // NeighborSummary is a directory summary received from another directory
@@ -215,7 +207,6 @@ func (d *Directory) addObject(node simnet.NodeID, ref model.ObjectRef) {
 	if d.knownObjects.Set(i) {
 		d.newSincePublish++
 	}
-	d.markDirtyLocal(i)
 }
 
 func (d *Directory) dropObject(node simnet.NodeID, ref model.ObjectRef) {
@@ -228,7 +219,6 @@ func (d *Directory) dropObject(node simnet.NodeID, ref model.ObjectRef) {
 		return
 	}
 	d.holders.remove(i, s)
-	d.markDirtyLocal(i)
 }
 
 // AddOptimistic records a freshly served client with its requested object
@@ -283,19 +273,15 @@ func (d *Directory) KeepaliveAt(node simnet.NodeID, hint int32) int32 {
 
 // RemovePeer drops a member and its holdings (dead peer or redirection
 // failure, §5.1): the slab slot is swap-removed, and one pass over the
-// matrix rows clears the member's column, moves the last slot's column
-// into it and marks the shards the member held dirty.
+// matrix rows clears the member's column and moves the last slot's column
+// into it.
 func (d *Directory) RemovePeer(node simnet.NodeID) {
 	s, ok := d.slot[node]
 	if !ok {
 		return
 	}
 	last := int32(len(d.nodes) - 1)
-	var dirty *bitset.Set
-	if d.dirtyTrack {
-		dirty = &d.dirty
-	}
-	d.holders.removeSlot(s, last, dirty)
+	d.holders.removeSlot(s, last)
 
 	moved := d.nodes[last]
 	d.nodes[s] = moved
@@ -475,17 +461,24 @@ func (d *Directory) MarkSummaryPublished() {
 	d.newSincePublish = 0
 }
 
-// --- Directory transfer (§5.2 voluntary leave) --------------------------
+// --- Directory transfer (§5.2 voluntary leave, warm standby) -------------
 
-// ExportEntries snapshots the index for transfer to a replacement
-// directory peer, in ascending node order. Each row owns a bitset built
-// from the member's matrix column, so the snapshot stays valid across
-// later mutations.
-func (d *Directory) ExportEntries() []IndexEntry {
-	out := make([]IndexEntry, 0, len(d.nodes))
-	for _, node := range d.Members() {
-		s := int(d.slot[node])
-		objects := bitset.New(d.nObj)
+// ExportEntries snapshots the index, in ascending node order, for a
+// replacement directory peer or a warm standby. Each row's bitset is a copy
+// of the member's matrix column, so the snapshot stays valid across later
+// mutations. The rows are written over buf's storage, bitsets included (nil:
+// fresh), so a caller that keeps its buffer re-exports without allocating.
+func (d *Directory) ExportEntries(buf []IndexEntry) []IndexEntry {
+	out := buf[:0]
+	for s, node := range d.nodes {
+		var objects bitset.Set
+		if len(out) < cap(out) {
+			objects = out[:len(out)+1][len(out)].Objects
+			objects.Reset()
+		}
+		if objects.Cap() != d.nObj {
+			objects = bitset.New(d.nObj)
+		}
 		for i := range d.nObj {
 			if d.holders.has(i, s) {
 				objects.Set(i)
@@ -493,13 +486,23 @@ func (d *Directory) ExportEntries() []IndexEntry {
 		}
 		out = append(out, IndexEntry{Node: node, Age: int(d.ages[s]), Objects: objects})
 	}
+	slices.SortFunc(out, func(a, b IndexEntry) int { return cmp.Compare(a.Node, b.Node) })
 	return out
+}
+
+// EntriesRefCount returns the refs a snapshot's rows carry: the 4 B/ref
+// payload the wire model charges for it.
+func EntriesRefCount(entries []IndexEntry) int {
+	n := 0
+	for i := range entries {
+		n += entries[i].Objects.Count()
+	}
+	return n
 }
 
 // ImportEntries loads a transferred index (replacing any current content).
 func (d *Directory) ImportEntries(entries []IndexEntry) {
-	d.markDirtyAll()
-	d.slot = make(map[simnet.NodeID]int32, len(entries))
+	clear(d.slot)
 	d.nodes = d.nodes[:0]
 	d.ages = d.ages[:0]
 	d.holders.reset()

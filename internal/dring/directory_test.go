@@ -217,7 +217,7 @@ func TestExportImportEntries(t *testing.T) {
 	d.AddOptimistic(2, dref(1))
 	d.TickAges()
 	d.AddOptimistic(3, dref(0))
-	entries := d.ExportEntries()
+	entries := d.ExportEntries(nil)
 	if len(entries) != 3 {
 		t.Fatalf("exported %d entries", len(entries))
 	}
@@ -231,7 +231,7 @@ func TestExportImportEntries(t *testing.T) {
 	}
 	// Ages preserved.
 	found := false
-	for _, e := range d2.ExportEntries() {
+	for _, e := range d2.ExportEntries(nil) {
 		if e.Node == 1 && e.Age == 1 {
 			found = true
 		}
@@ -258,7 +258,7 @@ func TestQuickHoldersConsistency(t *testing.T) {
 			}
 		}
 		// Verify: every entry object appears in holders and vice versa.
-		for _, e := range d.ExportEntries() {
+		for _, e := range d.ExportEntries(nil) {
 			ok := true
 			node := e.Node
 			e.Objects.ForEach(func(i int) {

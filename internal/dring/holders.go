@@ -1,29 +1,23 @@
 package dring
 
-import (
-	"math/bits"
-
-	"flowercdn/internal/bitset"
-)
+import "math/bits"
 
 // The directory index (member ↔ object) is one ref-major bit matrix over
 // the member slab's slots: row i holds one bit per slot, set while the
 // member in that slot holds local ref i. Every row is stride words and all
 // rows live in one []uint64, so an add or a drop is one bit set or clear.
 // Nothing else stores the relation: a member's holdings are its column, read
-// by word (one 64-ref shard of it) or bit by bit.
+// bit by bit.
 //
 // Per-ref holder counts and per-shard held counts keep ObjectCount,
 // ShardHeld and whole-index sweeps (summary rebuilds) O(1) per
-// ref and skip-empty per 64-ref shard. A shard is also the grain of the
-// standby's delta sync (delta.go).
+// ref and skip-empty per 64-ref shard.
 //
 // The matrix and the per-ref counts are made at the first add — a run has
 // a directory per website and locality and a handful of active websites,
 // and a directory that indexes nothing should hold nothing.
 
-// shardBits sizes a shard at 64 refs: a member's holdings in one shard are
-// one 64-bit word (holdersIndex.word).
+// shardBits sizes a shard at 64 refs.
 const shardBits = 6
 
 // shardSize is the number of local refs per shard.
@@ -81,9 +75,8 @@ func (h *holdersIndex) grow(words int) {
 }
 
 // removeSlot is the matrix half of the slab's swap-remove, one pass over
-// the rows: slot s's bits are cleared, the last slot's bits move into s, and
-// when dirty is non-nil the shard of every ref s held is marked in it.
-func (h *holdersIndex) removeSlot(s, last int32, dirty *bitset.Set) {
+// the rows: slot s's bits are cleared and the last slot's bits move into s.
+func (h *holdersIndex) removeSlot(s, last int32) {
 	ws, wl := int(s>>6), int(last>>6)
 	if ws >= h.stride {
 		return // no add ever reached s's word, nor last's beyond it
@@ -94,32 +87,12 @@ func (h *holdersIndex) removeSlot(s, last int32, dirty *bitset.Set) {
 		row := h.rows[i*h.stride : (i+1)*h.stride]
 		if row[ws]&ms != 0 {
 			h.remove(i, s)
-			if dirty != nil {
-				dirty.Set(i >> shardBits)
-			}
 		}
 		if move && row[wl]&ml != 0 {
 			row[wl] &^= ml
 			row[ws] |= ms
 		}
 	}
-}
-
-// word returns slot's holdings in shard sh as one word: bit k is set while
-// the slot holds local ref sh·64+k.
-func (h *holdersIndex) word(sh, slot int) uint64 {
-	w := slot >> 6
-	if w >= h.stride || h.held[sh] == 0 {
-		return 0
-	}
-	m := uint64(1) << (slot & 63)
-	var out uint64
-	for i := sh << shardBits; i < min((sh+1)<<shardBits, h.nObj); i++ {
-		if h.rows[i*h.stride+w]&m != 0 {
-			out |= 1 << (i & (shardSize - 1))
-		}
-	}
-	return out
 }
 
 // has reports whether slot's bit is set in ref i's row.

@@ -104,7 +104,7 @@ func TestHoldersIndexMatchesFlatMap(t *testing.T) {
 			}
 		case len(fwd) > 0 && (op == 9 || !grow): // swap-remove a slot
 			s, last := int32(rng.Intn(len(fwd))), int32(len(fwd)-1)
-			idx.removeSlot(s, last, nil)
+			idx.removeSlot(s, last)
 			fwd[s].ForEach(func(j int) { delete(model[j], s) })
 			if s != last {
 				fwd[last].ForEach(func(j int) { delete(model[j], last); model[j][s] = true })
@@ -176,8 +176,8 @@ func (r *refDirectory) holdersOf(i int) []simnet.NodeID {
 }
 
 // TestDirectorySlabMatchesReference runs seeded random admissions, pushes,
-// drops, keepalives, removals, age/evict rounds, imports and shard deltas
-// against the reference model, with the membership hovering around 63/64/65
+// drops, keepalives, removals, age/evict rounds and imports of snapshots
+// exported over the last one's storage against the reference model, with the membership hovering around 63/64/65
 // and 127/128/129 slots. After every step it compares holders (ascending),
 // ages, the object and shard counts, the lowest-eligible scan under a random
 // skip set against the first eligible entry of Holders, and requires a clean
@@ -262,10 +262,11 @@ func TestDirectorySlabMatchesReference(t *testing.T) {
 			}
 		}
 		check(-1)
+		var snap []IndexEntry // the last import's rows, re-exported over
 		for step := 0; step < 400; step++ {
 			node := universe[rng.Intn(len(universe))]
 			obj := propObject(rng)
-			switch op := rng.Intn(40); {
+			switch op := rng.Intn(38); {
 			case op < 8: // optimistic admission with one object
 				if d.AddOptimistic(node, pref(obj)) {
 					ref.admit(node)
@@ -322,41 +323,8 @@ func TestDirectorySlabMatchesReference(t *testing.T) {
 				for _, n := range want {
 					ref.remove(n)
 				}
-			case op < 38: // shard delta: replace one shard's content
-				s := rng.Intn(d.ShardCount())
-				valid := ^uint64(0)
-				if n := propObjects - s*shardSize; n < shardSize {
-					valid = 1<<n - 1
-				}
-				var entries []ShardEntry
-				for _, n := range universe {
-					if rng.Intn(3) == 0 {
-						if w := rng.Uint64() & rng.Uint64() & valid; w != 0 {
-							entries = append(entries, ShardEntry{Node: n, Age: int32(rng.Intn(3)), Word: w})
-						}
-					}
-				}
-				d.ApplyShardDelta(s, entries)
-				named := make(map[simnet.NodeID]bool)
-				for _, e := range entries {
-					named[e.Node] = true
-					ref.admit(e.Node)
-					ref.ages[e.Node] = int(e.Age)
-					for b := 0; b < shardSize; b++ {
-						if i := s*shardSize + b; e.Word>>b&1 != 0 {
-							ref.set(e.Node, i)
-						} else if i < propObjects {
-							ref.clear(e.Node, i)
-						}
-					}
-				}
-				for n := range ref.ages {
-					for b := 0; b < shardSize && !named[n]; b++ {
-						ref.clear(n, s*shardSize+b)
-					}
-				}
 			default: // import a perturbed, reordered snapshot
-				snap := d.ExportEntries()
+				snap = d.ExportEntries(snap)
 				rng.Shuffle(len(snap), func(a, b int) { snap[a], snap[b] = snap[b], snap[a] })
 				if len(snap) > 2 {
 					snap = snap[:len(snap)-rng.Intn(3)]
@@ -407,7 +375,7 @@ func TestExportImportRoundTripRandom(t *testing.T) {
 		}
 	}
 
-	snap := src.ExportEntries()
+	snap := src.ExportEntries(nil)
 	if len(snap) == 0 {
 		t.Fatal("random walk produced an empty directory; test is vacuous")
 	}
@@ -428,7 +396,7 @@ func TestExportImportRoundTripRandom(t *testing.T) {
 		if dst.ObjectCount() != src.ObjectCount() {
 			t.Fatalf("import objects=%d, want %d", dst.ObjectCount(), src.ObjectCount())
 		}
-		back := dst.ExportEntries()
+		back := dst.ExportEntries(nil)
 		if len(back) != len(snap) {
 			t.Fatalf("round trip rows=%d, want %d", len(back), len(snap))
 		}
@@ -486,7 +454,7 @@ func TestIdleDirectoryHoldsNothing(t *testing.T) {
 	d.TickAges()
 	d.EvictOlderThan(1)
 	d.ForEachHeld(func(model.ObjectRef, []simnet.NodeID) { t.Fatal("empty directory holds a ref") })
-	if d.ObjectCount() != 0 || d.BuildSummary().Test(propIn.Key(pref(3))) || len(d.ExportEntries()) != 0 {
+	if d.ObjectCount() != 0 || d.BuildSummary().Test(propIn.Key(pref(3))) || len(d.ExportEntries(nil)) != 0 {
 		t.Fatal("empty directory reports content")
 	}
 	d.ImportEntries(nil) // resets the index

@@ -87,8 +87,9 @@ type Params struct {
 	AuditEvery simkernel.Time
 
 	// StandbyFailover arms the warm-standby directory extension
-	// (core.Config.StandbyFailover): designated standbys with delta-synced
-	// replica indexes that promote on directory silence.
+	// (core.Config.StandbyFailover): designated standbys, sent their
+	// directory's whole index every standby round, that promote on
+	// directory silence.
 	StandbyFailover bool
 	// DirCrashes schedules deterministic directory crashes: at each entry's
 	// time the current holder of d(active-site SiteIdx, Locality) is

@@ -123,8 +123,7 @@ var (
 	cTrips       = col("breaker trips", "%d", func(r Row) any { return r.Report.BreakerTrips })
 	cPromotions  = col("standby promotions", "%d", func(r Row) any { return r.Stats.StandbyPromotions })
 	cAssigns     = col("standby assigns", "%d", func(r Row) any { return r.Stats.StandbyAssigns })
-	cDeltas      = col("standby deltas", "%d", func(r Row) any { return r.Stats.StandbyDeltas })
-	cStaleShards = col("stale shards at promo", "%d", func(r Row) any { return r.Stats.StandbyStaleShards })
+	cSyncs       = col("standby syncs", "%d", func(r Row) any { return r.Stats.StandbySyncs })
 	cFaultDrops  = col("fault drops", "%d", func(r Row) any { return r.FaultDrops })
 	cHeapBytes   = col("heap bytes/client", "%.0f", func(r Row) any { return r.BytesPerClient })
 
@@ -525,7 +524,7 @@ func faultTables(_ Params, rows []Row) []Table {
 func dirCrashTables(_ Params, rows []Row) []Table {
 	cold, warm := rows[0], rows[1]
 	t := bySide(fmt.Sprintf("Directory crash storm — %s simulated, seed %d", warm.Params.Duration, warm.Params.Seed),
-		rows, cols(cHit, cReplaced, cPromotions, cAssigns, cDeltas, cStaleShards, cOriginFalls, cAudit),
+		rows, cols(cHit, cReplaced, cPromotions, cAssigns, cSyncs, cOriginFalls, cAudit),
 		"crash schedule:")
 	for _, dc := range warm.Params.DirCrashes {
 		t.Notes = append(t.Notes, fmt.Sprintf("  site %d locality %d at %s", dc.SiteIdx, dc.Locality, dc.At))
