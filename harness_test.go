@@ -437,9 +437,9 @@ func TestAblationScaleUpAdmitsOverflow(t *testing.T) {
 	}
 }
 
-// TestTimeoutAtReleasedIndex: a crashed directory whose position is taken
-// over gives its index back, yet a redirect or sibling timeout it armed
-// before the crash still fires at it. The storm at seed 14 (the only one of
+// TestTimeoutAtReleasedIndex: a crashed directory gives its index back at
+// the crash, yet a redirect or sibling timeout it armed before the crash
+// still fires at it. The storm at seed 14 (the only one of
 // seeds 1–40) reaches such a timeout, whose handler dereferenced the
 // released index and panicked.
 func TestTimeoutAtReleasedIndex(t *testing.T) {

@@ -161,9 +161,9 @@ func (s *System) Audit() AuditReport {
 }
 
 // lifecycleViolation holds h to the one lifecycle invariant, phase ⇔
-// pointers ⇔ timers ⇔ net.Alive: a dead host's timers and the index it may
-// keep, a live host's round and failure-detection timers, then the phase its
-// record shows against the one it is in. It names the first disagreement,
+// pointers ⇔ timers ⇔ net.Alive: a dead host's timers, a live host's round
+// and failure-detection timers, then the phase its record shows against the
+// one it is in. It names the first disagreement,
 // or returns "".
 func (s *System) lifecycleViolation(h *host, alive bool) string {
 	oneShot, periodic := h.timers()
@@ -172,9 +172,6 @@ func (s *System) lifecycleViolation(h *host, alive bool) string {
 	case !alive && (slices.ContainsFunc(oneShot[:], simkernel.TimerHandle.Active) || h.has(hfAwait) ||
 		slices.ContainsFunc(periodic[:], func(t simkernel.Ticker) bool { return !t.Stopped() })):
 		return fmt.Sprintf("timers: dead host %d has an armed timer, a running ticker or a round await", h.addr)
-	case !alive && h.dir != nil && s.dirByKey[h.dir.Key()] != h.addr:
-		return fmt.Sprintf("index: dead host %d keeps the index of d(%s,%d), a position since taken over",
-			h.addr, h.dir.Site(), h.dir.Locality())
 	case !alive:
 	case h.has(hfJoinInFlight) && (h.rare == nil || !h.rare.joinTimer.Active()):
 		return fmt.Sprintf("timers: host %d latched a dir-join with no armed latch timer", h.addr)
@@ -195,7 +192,7 @@ func (s *System) lifecycleViolation(h *host, alive bool) string {
 		phDirectory: alive && h.dir != nil && r.node != nil && !r.round.Stopped() && cold,
 		phServer:    alive && h.cp == nil && h.role == nil,
 		phDead:      !alive && h.dir == nil && r.node == nil && cold,
-		phGone:      !alive && r.node != nil && cold,
+		phGone:      !alive && h.dir == nil && r.node != nil && cold,
 	}[h.phase]
 	if !ok {
 		return fmt.Sprintf("phase: %s host %d: alive=%v content peer=%v index=%v ring node=%v replica=%v",

@@ -218,14 +218,10 @@ func (s *System) takeOverPosition(key chord.ID, addr simnet.NodeID, boot *chord.
 
 // installDirectory moves a host into the directory phase and wires its state
 // and round: a founding directory, or one a §5.2 replacement, standby
-// promotion or leave installs. A crashed previous holder of the position
-// gives its index back: nothing reads it once the position is taken over.
+// promotion or leave installs.
 func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, loc int) {
 	s.transition(h, phDirectory)
 	key := node.ID()
-	if prev, ok := s.dirByKey[key]; ok && s.hosts[prev].phase == phGone {
-		s.hosts[prev].dir = nil
-	}
 	if h.role == nil {
 		h.role = newDirRole()
 	}
@@ -233,7 +229,6 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 	r.node = node
 	h.dir = dring.NewDirectory(site, s.widBySite[site], loc, key,
 		s.cfg.MaxOverlaySize, s.cfg.ObjectsPerSite, dirSummaryThreshold, s.in)
-	s.dirByKey[key] = h.addr
 	s.dirAddrs = append(s.dirAddrs, h.addr)
 	r.round, r.residue = s.arm(h, s.dirPeriod, s.dirCycle, s.dirRoundFn)
 }

@@ -28,7 +28,7 @@ const (
 	phDirectory              // d(ws,loc); a content peer too after a §5.2 replacement
 	phServer                 // origin server: never fails, never joins
 	phDead                   // crashed client or member, or departed directory: revivable
-	phGone                   // crashed directory: keeps its D-ring node, never revived
+	phGone                   // crashed directory: keeps its D-ring node, not its index; never revived
 )
 
 func (p phase) String() string {
@@ -63,10 +63,11 @@ func (s *System) transition(h *host, to phase) {
 	}
 	switch {
 	case to == phDead || to == phGone:
+		h.dir = nil // nothing reads a dead directory's index
 		if to == phGone {
 			s.ring.Fail(h.role.node)
 		} else if from == phDirectory { // a departure: its roles were handed over
-			h.dir, h.role.node = nil, nil
+			h.role.node = nil
 		}
 		s.net.Fail(h.addr)
 		h.stopTimers()

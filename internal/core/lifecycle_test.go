@@ -564,26 +564,26 @@ func TestQueryRecordsConserved(t *testing.T) {
 			if tc.mod == nil && p.abandoned != 0 {
 				t.Errorf("%d queries abandoned on a clean network", p.abandoned)
 			}
-			// Only the query sections and the crashed directories' indexes: the
+			// Only the query sections and the lifecycle rows: the
 			// holder-vs-stash walk flags clients revived into their old overlay
 			// in runs that are not hardened.
 			for _, v := range s.Audit().Violations {
-				if strings.HasPrefix(v, "await:") || strings.HasPrefix(v, "query pool:") || strings.HasPrefix(v, "index:") {
+				if strings.HasPrefix(v, "await:") || strings.HasPrefix(v, "query pool:") || strings.HasPrefix(v, "phase:") {
 					t.Errorf("audit: %s", v)
 				}
 			}
 			// At quiescence every live directory's index is self-consistent, and
-			// no position has two: a crashed directory's went when its position
-			// was taken over.
+			// only live directories hold one: a crashed directory's went at the
+			// crash.
 			dirs, indexes := 0, 0
 			for addr, h := range s.hosts {
+				if h != nil && h.phase == phDirectory {
+					dirs++
+				}
 				if h == nil || h.dir == nil {
 					continue
 				}
-				if indexes++; !s.net.Alive(simnet.NodeID(addr)) {
-					continue
-				}
-				dirs++
+				indexes++
 				if lines, _ := h.dir.AuditConsistency(nil, 0); len(lines) != 0 {
 					t.Errorf("directory at %d: %v", addr, lines)
 				}
@@ -591,11 +591,11 @@ func TestQueryRecordsConserved(t *testing.T) {
 			if dirs == 0 {
 				t.Error("no live directory to audit")
 			}
-			if indexes > len(s.dirByKey) {
-				t.Errorf("%d directory indexes held for %d positions", indexes, len(s.dirByKey))
+			if indexes != dirs {
+				t.Errorf("%d directory indexes held for %d live directories", indexes, dirs)
 			}
-			t.Logf("%d queries: %d finished, %d abandoned, %d records; %d indexes for %d positions, %d replacements",
-				s.qid, p.finished, p.abandoned, s.stats.QueryRecords, indexes, len(s.dirByKey), s.stats.DirReplacements+s.stats.StandbyPromotions)
+			t.Logf("%d queries: %d finished, %d abandoned, %d records; %d indexes for %d live directories, %d replacements",
+				s.qid, p.finished, p.abandoned, s.stats.QueryRecords, indexes, dirs, s.stats.DirReplacements+s.stats.StandbyPromotions)
 		})
 	}
 }

@@ -374,7 +374,7 @@ func (s *System) dirProcess(h *host, q *Query, forwarded bool) {
 // silent; drop its summary and resume Algorithm 3 here.
 func (s *System) onSiblingTimeout(h *host, q *Query, dirID chord.ID) {
 	q.remoteDir = noNode
-	if h.dir != nil { // nil once a crashed directory's position is taken over
+	if h.dir != nil { // nil once the directory crashed
 		h.dir.RemoveNeighborSummary(dirID)
 	}
 	s.dirProcess(h, q, false)
@@ -415,7 +415,7 @@ func (s *System) dirRedirect(h *host, q *Query, holder simnet.NodeID, forwarded 
 func (s *System) onRedirectTimeout(h *host, q *Query, holder simnet.NodeID, forwarded bool) {
 	s.trace(trace.Record{Kind: trace.RedirectFailed, Query: q.ID, Node: h.addr, Peer: holder})
 	s.mets.RecordRedirectFailure()
-	if h.dir != nil { // nil once a crashed directory's position is taken over
+	if h.dir != nil { // nil once the directory crashed
 		h.dir.RemovePeer(holder)
 	}
 	if h.cp != nil {

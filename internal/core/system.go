@@ -51,7 +51,6 @@ type System struct {
 
 	hosts     []*host // indexed by simnet.NodeID; nil = not part of the system
 	dirAddrs  []simnet.NodeID
-	dirByKey  map[chord.ID]simnet.NodeID // the last host installed at each position
 	widBySite map[model.SiteID]uint64
 
 	servers map[model.SiteID]simnet.NodeID
@@ -385,7 +384,6 @@ func New(cfg Config, deps Deps) (*System, error) {
 		ks:        ks,
 		ring:      chord.NewRing(chord.Config{Bits: DRingBits, SuccessorList: 8}),
 		hosts:     make([]*host, deps.Topo.NumNodes()),
-		dirByKey:  make(map[chord.ID]simnet.NodeID),
 		widBySite: make(map[model.SiteID]uint64),
 		servers:   make(map[model.SiteID]simnet.NodeID),
 		overlays:  make([]*overlay.Shared, len(cfg.Sites)*cfg.Localities),

@@ -10,10 +10,10 @@ import (
 	"flowercdn/internal/simnet"
 )
 
-// TestTakenOverDirectoryGivesIndexBack: a crashed directory keeps its index
-// while its position is vacant, and gives it back when a §5.2 replacement
-// takes the position over; it still cannot be revived, and the auditor
-// reports a dead host that keeps the index of a position taken over.
+// TestTakenOverDirectoryGivesIndexBack: a crashed directory gives its index
+// back at the crash, before a §5.2 replacement takes the position over; it
+// still cannot be revived, and the auditor reports a crashed directory that
+// keeps an index.
 func TestTakenOverDirectoryGivesIndexBack(t *testing.T) {
 	e := newTestEnv(t, 9, func(c *Config) { c.MaintenancePeriod = 30 * simkernel.Second })
 	s := e.sys
@@ -29,16 +29,12 @@ func TestTakenOverDirectoryGivesIndexBack(t *testing.T) {
 		t.Fatalf("premise: the directory indexes %d members, want 3", index.Size())
 	}
 	s.FailDirectory(site, 0)
-	e.k.Run(e.k.Now() + simkernel.Second)
-	if old.dir != index {
-		t.Fatal("a crashed directory whose position is vacant dropped its index")
+	if old.dir != nil {
+		t.Fatal("a crashed directory kept its index")
 	}
 	e.k.Run(20 * simkernel.Minute)
 	if now, ok := s.DirectoryAddr(site, 0); !ok || now == addr || s.Stats().DirReplacements != 1 {
 		t.Fatalf("premise: the position was not taken over (at %d, %d replacements)", now, s.Stats().DirReplacements)
-	}
-	if old.dir != nil {
-		t.Fatal("the crashed directory kept its index after the position was taken over")
 	}
 	if old.role.node == nil || s.RevivePeer(addr) {
 		t.Fatal("the crashed directory became revivable when it gave its index back")
@@ -48,13 +44,13 @@ func TestTakenOverDirectoryGivesIndexBack(t *testing.T) {
 	}
 	old.dir = index
 	r := s.Audit()
-	if len(r.Violations) != 1 || !strings.HasPrefix(r.Violations[0], "index: dead host") {
-		t.Fatalf("audit of a dead host keeping a taken-over index: %v", r.Violations)
+	if len(r.Violations) != 1 || !strings.HasPrefix(r.Violations[0], "phase: gone host") {
+		t.Fatalf("audit of a crashed directory keeping an index: %v", r.Violations)
 	}
 }
 
-// TestPromotedStandbyReleasesPrimaryIndex: a warm standby's promotion takes
-// the position over too, so the crashed primary gives its index back.
+// TestPromotedStandbyReleasesPrimaryIndex: a warm standby's primary gives its
+// index back at the crash too; the standby promotes with its replica.
 func TestPromotedStandbyReleasesPrimaryIndex(t *testing.T) {
 	e := newTestEnv(t, 97, func(c *Config) {
 		c.StandbyFailover = true
@@ -72,13 +68,13 @@ func TestPromotedStandbyReleasesPrimaryIndex(t *testing.T) {
 		t.Fatal("premise: the directory designated no standby")
 	}
 	s.FailPeer(addr)
+	if prim.dir != nil {
+		t.Fatal("the crashed primary kept its index")
+	}
 	e.k.Run(e.k.Now() + 2*simkernel.Minute)
 	st := s.Stats()
 	if now, ok := s.DirectoryAddr(site, 1); !ok || now != prim.role.standby || st.StandbyPromotions != 1 {
 		t.Fatalf("premise: the standby did not take over (at %d, %d promotions)", now, st.StandbyPromotions)
-	}
-	if prim.dir != nil {
-		t.Fatal("the crashed primary kept its index after the standby took over")
 	}
 	if r := s.Audit(); len(r.Violations) > 0 {
 		t.Fatalf("audit after the promotion: %v", r.Violations)
