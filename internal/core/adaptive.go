@@ -6,7 +6,9 @@ import (
 )
 
 // This file implements the adaptive response to gray failures (slow-but-
-// alive nodes, asymmetric loss, flapping links), gated on Config.Adaptive:
+// alive nodes, asymmetric loss, flapping links), gated on Config.Adaptive.
+// The per-host slot array s.adapt exists exactly when the switch is set
+// (New), so every gate reads s.adapt != nil:
 //
 //   - per-host EWMA RTT + variance tracking (Jacobson/Karels integer form)
 //     over each host's own observed exchange round trips, feeding adaptive
@@ -111,7 +113,7 @@ func (s *System) sampleKeepalive(a simnet.NodeID) {
 // and need them, or the faster ladder would reach the origin fallback
 // before a gray-degraded directory plane gets a fair chance.
 func (s *System) lookupAttemptLimit() int {
-	if s.cfg.Adaptive {
+	if s.adapt != nil {
 		return 5
 	}
 	return 3
@@ -125,7 +127,7 @@ func (s *System) lookupRetryDelay(q *Query, attempt int) simkernel.Time {
 	if !s.Hardened() {
 		return 10 * simkernel.Second
 	}
-	if s.cfg.Adaptive {
+	if s.adapt != nil {
 		// Adaptive ladder: deadlines scale with the origin's measured round
 		// trips (a few × the RTO) instead of the fixed 10s rungs, so a lost
 		// lookup is retried on the network's own timescale. A cold estimator
@@ -182,7 +184,7 @@ const maxExchangeTimeout = 10 * simkernel.Second
 // magnitude above any clean lookup completion, an order below the fixed
 // ladder's first rung. ok=false means no hedge (adaptive off).
 func (s *System) hedgeDelay(q *Query, full simkernel.Time) (simkernel.Time, bool) {
-	if !s.cfg.Adaptive || s.adapt == nil {
+	if s.adapt == nil {
 		return 0, false
 	}
 	hd := simkernel.Second
@@ -209,7 +211,7 @@ func (s *System) hedgeDelay(q *Query, full simkernel.Time) (simkernel.Time, bool
 // everyone else stops paying 8s for a lost escalation message.
 func (s *System) escalationTimeout(q *Query) simkernel.Time {
 	const fixed = 8 * simkernel.Second
-	if !s.cfg.Adaptive || s.adapt == nil || s.adapt[q.Origin].rttSamples < adaptiveWarmup {
+	if s.adapt == nil || s.adapt[q.Origin].rttSamples < adaptiveWarmup {
 		return fixed
 	}
 	d := 3*(s.adapt[q.Origin].rttEwma+4*s.adapt[q.Origin].rttVar) + simkernel.Second
@@ -232,7 +234,7 @@ func (s *System) escalationTimeout(q *Query) simkernel.Time {
 // circuit breaker's job, not the deadline's.
 func (s *System) redirectTimeout(a, b simnet.NodeID) simkernel.Time {
 	d := s.timeout(a, b)
-	if s.cfg.Adaptive {
+	if s.adapt != nil {
 		d *= 4
 	}
 	return d
