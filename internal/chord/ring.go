@@ -188,17 +188,6 @@ func (r *Ring) Join(n *Node, bootstrap *Node) error {
 // but no other node will route to or through it once they notice.
 func (r *Ring) Fail(n *Node) { n.up = false }
 
-// Revive brings a previously failed node back with cleared links; it must
-// Join again.
-func (r *Ring) Revive(n *Node) {
-	n.up = true
-	n.pred = nil
-	n.succs = n.succs[:0]
-	for i := range n.fingers {
-		n.fingers[i] = nil
-	}
-}
-
 // Leave performs a graceful departure: the node hands its position to its
 // neighbours before going down.
 func (r *Ring) Leave(n *Node) {

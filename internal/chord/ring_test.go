@@ -254,34 +254,6 @@ func TestGracefulLeave(t *testing.T) {
 	}
 }
 
-func TestReviveAndRejoin(t *testing.T) {
-	r := buildRing(t, 16, []uint64{100, 200, 300, 400})
-	nodes := r.Nodes()
-	r.Fail(nodes[1])
-	for round := 0; round < 4; round++ {
-		for _, m := range r.AliveNodes() {
-			m.CheckPredecessor()
-			m.Stabilize()
-		}
-	}
-	r.Revive(nodes[1])
-	if err := r.Join(nodes[1], nodes[0]); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 6; round++ {
-		for _, m := range r.AliveNodes() {
-			m.CheckPredecessor()
-			m.Stabilize()
-		}
-	}
-	alive := r.AliveNodes()
-	for i, n := range alive {
-		if n.Successor() != alive[(i+1)%len(alive)] {
-			t.Fatalf("rejoin did not converge")
-		}
-	}
-}
-
 func TestDuplicateID(t *testing.T) {
 	r := NewRing(DefaultConfig())
 	if _, err := r.AddNode(42, 0); err != nil {

@@ -335,12 +335,8 @@ func TestDRingOverPastrySameWebsiteFallback(t *testing.T) {
 	site := sites[9]
 	key := ks.Key(site, 2)
 	ring.Fail(nodes[key])
-	// Per-node repair rounds (the protocol, not a global rebuild).
-	for round := 0; round < 3; round++ {
-		for _, n := range ring.AliveNodes() {
-			n.Repair()
-		}
-	}
+	// The overlay re-converges over the live nodes, as after leaf-set repair.
+	ring.BuildConverged()
 	for i, start := range ring.AliveNodes() {
 		if i%17 != 0 {
 			continue

@@ -181,77 +181,6 @@ func (r *Ring) BuildConverged() {
 	}
 }
 
-// Repair runs one round of Pastry's failure handling at this node: dead
-// leaf-set entries are dropped and the sets are refilled from the leaf
-// sets of the surviving leaves (plus live routing-table entries), and
-// dead routing-table slots are refilled from the same candidate pool.
-// A few rounds across all live nodes re-converge the overlay after
-// moderate failures, without global knowledge.
-func (n *Node) Repair() {
-	if !n.up {
-		return
-	}
-	// Candidate pool: live leaves, their live leaves, live table entries.
-	cands := map[chord.ID]*Node{}
-	add := func(p *Node) {
-		if p != nil && p.up && p != n {
-			cands[p.id] = p
-		}
-	}
-	harvest := func(p *Node) {
-		if p == nil || !p.up {
-			return
-		}
-		add(p)
-		for _, q := range p.leftLeaves {
-			add(q)
-		}
-		for _, q := range p.rightLeaves {
-			add(q)
-		}
-	}
-	for _, p := range n.leftLeaves {
-		harvest(p)
-	}
-	for _, p := range n.rightLeaves {
-		harvest(p)
-	}
-	for _, row := range n.table {
-		for _, p := range row {
-			add(p)
-		}
-	}
-	// Rebuild leaf halves: nearest by clockwise distance on each side.
-	sorted := make([]*Node, 0, len(cands))
-	for _, p := range cands {
-		sorted = append(sorted, p)
-	}
-	sp := n.ring.space
-	half := leafSet / 2
-	sort.Slice(sorted, func(i, j int) bool {
-		return sp.Distance(n.id, sorted[i].id) < sp.Distance(n.id, sorted[j].id)
-	})
-	half = min(half, len(sorted))
-	n.rightLeaves = append(n.rightLeaves[:0], sorted[:half]...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sp.Distance(sorted[i].id, n.id) < sp.Distance(sorted[j].id, n.id)
-	})
-	n.leftLeaves = append(n.leftLeaves[:0], sorted[:half]...)
-	// Refill dead or empty routing-table slots from the candidate pool.
-	for _, p := range cands {
-		row := n.ring.sharedPrefix(n.id, p.id)
-		if row >= digits {
-			continue
-		}
-		col := n.ring.digit(p.id, row)
-		cur := n.table[row][col]
-		if cur == nil || !cur.up ||
-			sp.CircularDistance(n.id, p.id) < sp.CircularDistance(n.id, cur.id) {
-			n.table[row][col] = p
-		}
-	}
-}
-
 // leafRangeContains reports whether key falls inside the node's leaf-set
 // coverage (the circular interval from the farthest left leaf to the
 // farthest right leaf).

@@ -132,60 +132,6 @@ func TestQuickRoutingCorrect(t *testing.T) {
 	}
 }
 
-func TestRepairProtocolConvergence(t *testing.T) {
-	// Per-node repair (no global rebuild): after failing 15% of nodes and
-	// running a few repair rounds, routing must again deliver to the
-	// numerically closest LIVE node from every start.
-	rng := rand.New(rand.NewSource(7))
-	r := buildRing(t, randomIDs(rng, 120))
-	nodes := r.AliveNodes()
-	rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
-	for _, n := range nodes[:18] {
-		r.Fail(n)
-	}
-	for round := 0; round < 4; round++ {
-		for _, n := range r.AliveNodes() {
-			n.Repair()
-		}
-	}
-	alive := r.AliveNodes()
-	for i := 0; i < 600; i++ {
-		key := chord.ID(rng.Uint64() & ((1 << 30) - 1))
-		got, hops := r.Route(alive[rng.Intn(len(alive))], key)
-		want := groundTruth(r, key)
-		if got != want {
-			t.Fatalf("post-repair routing: key %d delivered to %d, want %d (hops %d)",
-				key, got.ID(), want.ID(), hops)
-		}
-		if !got.Up() {
-			t.Fatal("delivered to dead node")
-		}
-	}
-	// Leaf sets must be full again (population ≫ leaf set).
-	for _, n := range alive {
-		if len(n.leftLeaves) < leafSet/2 || len(n.rightLeaves) < leafSet/2 {
-			t.Fatalf("node %d leaf sets not refilled: %d/%d",
-				n.ID(), len(n.leftLeaves), len(n.rightLeaves))
-		}
-	}
-}
-
-func TestRepairNoOpOnHealthyRing(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	r := buildRing(t, randomIDs(rng, 64))
-	for _, n := range r.AliveNodes() {
-		n.Repair()
-	}
-	// Routing must remain exact.
-	alive := r.AliveNodes()
-	for i := 0; i < 300; i++ {
-		key := chord.ID(rng.Uint64() & ((1 << 30) - 1))
-		if got, _ := r.Route(alive[rng.Intn(len(alive))], key); got != groundTruth(r, key) {
-			t.Fatal("repair perturbed a healthy ring")
-		}
-	}
-}
-
 func TestRoutingAroundFailures(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := buildRing(t, randomIDs(rng, 100))
