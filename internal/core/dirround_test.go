@@ -149,9 +149,10 @@ func dirRoundEnv(t testing.TB) (e *testEnv, dir *host) {
 
 // TestDirRoundAllocs is the alloc gate for the directory round, as
 // TestDispatchLoopAllocs is for a member's: at steady state a round that
-// runs every part — the index's age/evict sweep, the standby check and the
-// D-ring stabilisation with its nominal traffic — allocates nothing, and
-// neither does the rest of the system between two such rounds.
+// runs every part — the index's age/evict sweep, the standby check and its
+// snapshot, and the D-ring stabilisation with its nominal traffic —
+// allocates nothing, and neither does the rest of the system between two
+// such rounds, the standby replacing its replica included.
 func TestDirRoundAllocs(t *testing.T) {
 	e, dir := dirRoundEnv(t)
 	s := e.sys

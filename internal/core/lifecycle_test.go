@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"flowercdn/internal/bitset"
 	"flowercdn/internal/bloom"
+	"flowercdn/internal/dring"
 	"flowercdn/internal/gossip"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/model"
@@ -286,7 +288,8 @@ func TestEnvelopePoolHygiene(t *testing.T) {
 
 // TestEnvelopesReturnOnLoss: a pooled envelope whose message the network
 // loses — at a failed sender, in the fault plane, at a failed receiver —
-// comes back to the pool, its subset buffer with it, and so does a Query
+// comes back to the pool, its subset buffer or snapshot rows with it, and so
+// does a Query
 // record once every message carrying it is lost, so a burst of lost
 // messages and queries takes nothing from the heap once the pool has seen
 // one like it; and gossipMsg, the envelope the network hands back most
@@ -319,12 +322,15 @@ func TestEnvelopesReturnOnLoss(t *testing.T) {
 			s.sendQuery(from, to, simnet.CatQuery, 100, s.newRoutedMsg(7, up, q, false))
 			s.sendQuery(from, to, simnet.CatQuery, 100, redirectMsg{Q: q})
 			s.unref(q) // the messages' references are what is left
+			snap := take(&s.pool.sync)
+			snap.live, snap.Entries = true, append(snap.Entries, dring.IndexEntry{Node: up, Objects: bitset.New(8)})
+			s.net.Send(from, to, simnet.CatMaintenance, 100, snap)
 		}
 		e.k.Run(e.k.Now() + simkernel.Minute)
 	}
-	pooled := func() [6]int {
+	pooled := func() [7]int {
 		p := &s.pool
-		return [6]int{len(p.gossip), len(p.subset), len(p.push), len(p.serve), len(p.routed), len(p.queries)}
+		return [7]int{len(p.gossip), len(p.subset), len(p.push), len(p.serve), len(p.routed), len(p.queries), len(p.sync)}
 	}
 
 	// Without loss every message to the failed receiver is in flight at
@@ -333,7 +339,7 @@ func TestEnvelopesReturnOnLoss(t *testing.T) {
 	burst()
 	warm := pooled()
 	inFlight := rounds - rounds/4
-	if warm != [6]int{inFlight, inFlight, inFlight, inFlight, inFlight, inFlight} {
+	if warm != [7]int{inFlight, inFlight, inFlight, inFlight, inFlight, inFlight, inFlight} {
 		t.Fatalf("after a burst with %d messages of each kind and queries in flight the pools hold %v", inFlight, warm)
 	}
 	if s.stats.QueryRecords != inFlight || s.pool.abandoned != rounds {
@@ -341,14 +347,14 @@ func TestEnvelopesReturnOnLoss(t *testing.T) {
 			s.stats.QueryRecords, s.pool.abandoned, rounds, inFlight)
 	}
 	sent, dropped := s.net.Sent(), s.net.Dropped()
-	if dropped != 5*rounds {
-		t.Fatalf("%d of the burst's %d messages were dropped", dropped, 5*rounds)
+	if dropped != 6*rounds {
+		t.Fatalf("%d of the burst's %d messages were dropped", dropped, 6*rounds)
 	}
 
 	s.InstallFaults(&simnet.FaultConfig{LossProb: 0.5})
 	burst()
 	burst()
-	if s.net.FaultDropped() == 0 || s.net.Sent() == sent || s.net.Dropped()-dropped <= 2*5*rounds/4 {
+	if s.net.FaultDropped() == 0 || s.net.Sent() == sent || s.net.Dropped()-dropped <= 2*6*rounds/4 {
 		t.Fatalf("the lossy bursts missed a loss site: %d fault drops, %d sent, %d dropped at an endpoint",
 			s.net.FaultDropped(), s.net.Sent()-sent, s.net.Dropped()-dropped)
 	}
@@ -358,6 +364,9 @@ func TestEnvelopesReturnOnLoss(t *testing.T) {
 	}
 	if sub := s.takeSubsetBuf(); cap(sub) < 2 || sub[:2][0] != (gossip.Entry{}) {
 		t.Fatal("a handed-back subset buffer lost its backing, or still pins a summary through it")
+	}
+	if snap := take(&s.pool.sync); len(snap.Entries) != 0 || cap(snap.Entries) == 0 || snap.live {
+		t.Fatal("a handed-back standby snapshot was not emptied, or lost its rows")
 	}
 
 	g := s.newGossipMsg(site, 0, overlay.GossipMsg{From: up})
