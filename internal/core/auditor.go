@@ -163,8 +163,7 @@ func (s *System) Audit() AuditReport {
 // lifecycleViolation holds h to the one lifecycle invariant, phase ⇔
 // pointers ⇔ timers ⇔ net.Alive: a dead host's timers, a live host's round
 // and failure-detection timers, then the phase its record shows against the
-// one it is in. It names the first disagreement,
-// or returns "".
+// one it is in. It names the first disagreement, or returns "".
 func (s *System) lifecycleViolation(h *host, alive bool) string {
 	oneShot, periodic := h.timers()
 	armed := h.deadline.Active()
