@@ -34,13 +34,15 @@ func (s *System) standbyMaintTick(h *host) {
 	if r.standby != noNode && !s.hosts[r.standby].watches(h.addr) {
 		r.standby = noNode // the standby died, left the overlay or took another role
 	}
-	if r.standby != noNode {
-		s.stats.StandbySyncs++
-	} else if best := s.mostStable(h, func(mh *host) bool { return mh.phase == phMember || mh.watches(h.addr) }); best != nil {
+	if r.standby == noNode {
+		best := s.mostStable(h, func(mh *host) bool { return mh.phase == phMember || mh.watches(h.addr) })
+		if best == nil {
+			return // empty or dead overlay: no standby, no probe traffic
+		}
 		r.standby = best.addr
 		s.stats.StandbyAssigns++
 	} else {
-		return // empty or dead overlay: no standby, no probe traffic
+		s.stats.StandbySyncs++
 	}
 	m := take(&s.pool.sync)
 	m.live, m.FromDir, m.Key, m.Site, m.Loc = true, h.addr, h.dir.Key(), h.dir.Site(), h.dir.Locality()
