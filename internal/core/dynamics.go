@@ -62,6 +62,11 @@ func (s *System) onDirectoryUnreachable(h *host) {
 	s.trace(trace.Record{Kind: trace.DirFailureDetected, Node: h.addr, Peer: -1,
 		Str: string(h.cp.Site()), Loc: int32(h.cp.Locality())})
 	h.cp.ForgetDir()
+	s.volunteer(h, h.cp.Site(), h.cp.Locality())
+}
+
+// volunteer stands h for the vacant directory position of (site, loc).
+func (s *System) volunteer(h *host, site model.SiteID, loc int) {
 	switch {
 	case h.phase == phStandby:
 		// We ARE the standby: take over directly, don't race ourselves
@@ -70,7 +75,7 @@ func (s *System) onDirectoryUnreachable(h *host) {
 	case s.cfg.StandbyFailover:
 		s.deferDirJoin(h)
 	default:
-		s.attemptDirJoin(h, h.cp.Site(), h.cp.Locality())
+		s.attemptDirJoin(h, site, loc)
 	}
 }
 

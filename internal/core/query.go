@@ -571,12 +571,7 @@ func (s *System) handleServe(h *host, m *serveMsg) {
 	}
 	if q.needDirBootstrap {
 		s.stats.DirBootstraps++
-		if s.cfg.StandbyFailover && h.phase != phStandby {
-			// Same head start the keepalive path gives the designated standby.
-			s.deferDirJoin(h)
-			return
-		}
-		s.attemptDirJoin(h, q.Site, q.OriginLoc)
+		s.volunteer(h, q.Site, q.OriginLoc)
 	}
 }
 
