@@ -3,10 +3,12 @@
 // "Ablations A1–A5" and micro-benchmarks of the substrates.
 //
 // Conventions:
-//   - Each simulation benchmark runs a complete event-driven simulation
-//     per iteration and reports the paper's metrics via b.ReportMetric
-//     (hit ratio, background bps, latencies in ms), so `go test -bench`
-//     output directly shows the reproduced quantities.
+//   - Each simulation benchmark runs complete event-driven simulations
+//     per iteration through RunCampaign and reports the paper's metrics via
+//     b.ReportMetric (hit ratio, background bps, latencies in ms), so `go
+//     test -bench` output directly shows the reproduced quantities. A
+//     sweep is one benchmark with a sub-benchmark per point; a point that
+//     equals benchParams is timed once, by BenchmarkComparison.
 //   - Bench-scale sweep values keep the paper's ratios; the full-scale
 //     rows (paper parameters, 24 simulated hours) are produced by
 //     `flowersim -exp <table|figure> -scale paper`.
@@ -44,253 +46,143 @@ func (t *benchTotals) add(r Report) {
 	t.n++
 }
 
-func (t *benchTotals) report(b *testing.B) {
+// report averages the totals; prefix names the system when one benchmark
+// reports two.
+func (t *benchTotals) report(b *testing.B, prefix string) {
 	if t.n == 0 {
 		return
 	}
 	n := float64(t.n)
-	b.ReportMetric(t.hit/n, "hit/ratio")
-	b.ReportMetric(t.bps/n, "background/bps")
-	b.ReportMetric(t.lookup/n, "lookup/ms")
-	b.ReportMetric(t.transfer/n, "transfer/ms")
+	b.ReportMetric(t.hit/n, prefix+"hit/ratio")
+	b.ReportMetric(t.bps/n, prefix+"background/bps")
+	b.ReportMetric(t.lookup/n, prefix+"lookup/ms")
+	b.ReportMetric(t.transfer/n, prefix+"transfer/ms")
 }
 
-func benchFlower(b *testing.B, mod func(*Params)) {
-	b.Helper()
-	var tot benchTotals
+// benchPoint is one bench-scale simulation: benchParams changed by set, run
+// on the system of kind.
+type benchPoint struct {
+	name string
+	kind SystemKind
+	set  func(*Params)
+}
+
+// benchPoints runs each point as a sub-benchmark, one simulation per
+// iteration (seed i+1), and reports the paper's metrics averaged over them.
+func benchPoints(b *testing.B, points ...benchPoint) {
+	for _, pt := range points {
+		b.Run(pt.name, func(b *testing.B) {
+			var tot benchTotals
+			for i := 0; i < b.N; i++ {
+				p := benchParams(int64(i) + 1)
+				pt.set(&p)
+				res, err := RunCampaign([]Point{{Label: pt.name, Params: p, Kind: pt.kind}}, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tot.add(res[0].Report)
+			}
+			tot.report(b, "")
+		})
+	}
+}
+
+// --- Figures 5–8 and the headline: Flower-CDN vs Squirrel at benchParams ----
+// One comparison pair per iteration; every figure reads the same two runs.
+//   - Figure 5: traffic stabilises at 74 bps after ~5 h while hit ratio keeps
+//     rising (the series itself comes from `flowersim -exp fig5`).
+//   - Figure 6: both hit ratios converge toward 1; Flower-CDN ≈13% lower at 24 h.
+//   - Figure 7: Flower-CDN lookups stabilise ≈120 ms; 87% of them ≤150 ms
+//     while 61% of Squirrel's exceed 1050 ms.
+//   - Figure 8: Flower-CDN transfers drop to ≈80 ms; 59% of them ≤100 ms vs
+//     17% for Squirrel.
+//   - Headline: lookup ×9, transfer ×2.
+// benchParams is also the chosen point of Table 2(c) (V = 12) and of the
+// push-threshold (0.1) and query-policy (view-only) ablations.
+
+func BenchmarkComparison(b *testing.B) {
+	var flower, squirrel benchTotals
+	var within150, beyond1050, flowerWithin100, squirrelWithin100, lookupX, transferX float64
 	for i := 0; i < b.N; i++ {
-		p := benchParams(int64(i) + 1)
-		if mod != nil {
-			mod(&p)
-		}
-		res, err := RunFlower(p)
+		res, err := RunCampaign(comparisonPoints(benchParams(int64(i)+1), Options{}), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tot.add(res.Report)
+		flower.add(res[0].Report)
+		squirrel.add(res[1].Report)
+		h := ComputeHeadline(res[0], res[1])
+		within150 += h.FlowerWithin150ms
+		beyond1050 += h.SquirrelBeyond1050ms
+		flowerWithin100 += h.FlowerDistWithin100ms
+		squirrelWithin100 += h.SquirrelDistWithin100ms
+		lookupX += h.LookupFactor
+		transferX += h.TransferFactor
 	}
-	tot.report(b)
-}
-
-func benchSquirrel(b *testing.B, mod func(*Params)) {
-	b.Helper()
-	var tot benchTotals
-	for i := 0; i < b.N; i++ {
-		p := benchParams(int64(i) + 1)
-		if mod != nil {
-			mod(&p)
-		}
-		res, err := RunSquirrel(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tot.add(res.Report)
-	}
-	tot.report(b)
+	flower.report(b, "flower-")
+	squirrel.report(b, "squirrel-")
+	n := float64(b.N)
+	b.ReportMetric(within150/n, "flower-within150ms/frac")
+	b.ReportMetric(beyond1050/n, "squirrel-beyond1050ms/frac")
+	b.ReportMetric(flowerWithin100/n, "flower-within100ms/frac")
+	b.ReportMetric(squirrelWithin100/n, "squirrel-within100ms/frac")
+	b.ReportMetric(lookupX/n, "lookup-improvement/x")
+	b.ReportMetric(transferX/n, "transfer-improvement/x")
 }
 
 // --- Table 2(a): background bandwidth vs L_gossip --------------------------
 // Paper: L=5 → hit 0.823 / 37 bps; L=10 → 0.86 / 74 bps; L=20 → 0.89 / 147
 // bps (bandwidth ∝ L).
 
-func BenchmarkTable2a_L5(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ViewSize = 24; p.GossipLen = 5 })
-}
-
-func BenchmarkTable2a_L10(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ViewSize = 24; p.GossipLen = 10 })
-}
-
-func BenchmarkTable2a_L20(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ViewSize = 24; p.GossipLen = 20 })
+func BenchmarkTable2a(b *testing.B) {
+	benchPoints(b,
+		benchPoint{"L5", KindFlower, func(p *Params) { p.ViewSize = 24; p.GossipLen = 5 }},
+		benchPoint{"L10", KindFlower, func(p *Params) { p.ViewSize = 24; p.GossipLen = 10 }},
+		benchPoint{"L20", KindFlower, func(p *Params) { p.ViewSize = 24; p.GossipLen = 20 }})
 }
 
 // --- Table 2(b): background bandwidth vs T_gossip --------------------------
 // Paper: 1 min → hit 0.94 / 2239 bps; 30 min → 0.86 / 74 bps; 1 h → 0.81 /
 // 37 bps (bandwidth ∝ 1/T). Bench scale uses 1/5/15 minutes.
 
-func BenchmarkTable2b_TFast(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.TGossip = Minute; p.TKeepalive = Minute })
-}
-
-func BenchmarkTable2b_TChosen(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.TGossip = 5 * Minute; p.TKeepalive = 5 * Minute })
-}
-
-func BenchmarkTable2b_TSlow(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.TGossip = 15 * Minute; p.TKeepalive = 15 * Minute })
+func BenchmarkTable2b(b *testing.B) {
+	benchPoints(b,
+		benchPoint{"TFast", KindFlower, func(p *Params) { p.TGossip = Minute; p.TKeepalive = Minute }},
+		benchPoint{"TChosen", KindFlower, func(p *Params) { p.TGossip = 5 * Minute; p.TKeepalive = 5 * Minute }},
+		benchPoint{"TSlow", KindFlower, func(p *Params) { p.TGossip = 15 * Minute; p.TKeepalive = 15 * Minute }})
 }
 
 // --- Table 2(c): hit ratio vs V_gossip -------------------------------------
 // Paper: V=20 → 0.78; V=50 → 0.86; V=70 → 0.863 — bandwidth unchanged.
-// Bench scale uses 6/12/24 against overlays of up to 20 peers.
+// Bench scale uses 6/12/24 against overlays of up to 20 peers; V=12 is
+// BenchmarkComparison's flower side.
 
-func BenchmarkTable2c_VSmall(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ViewSize = 6 })
-}
-
-func BenchmarkTable2c_VChosen(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ViewSize = 12 })
-}
-
-func BenchmarkTable2c_VLarge(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ViewSize = 24 })
-}
-
-// --- Figure 5: hit ratio & background traffic over time --------------------
-// Paper: traffic stabilises at 74 bps after ~5 h while hit ratio keeps
-// rising. The bench reports the end-of-run values; the series itself comes
-// from `flowersim -exp fig5`.
-
-func BenchmarkFig5(b *testing.B) {
-	benchFlower(b, nil)
-}
-
-// --- Figure 6: hit ratio, Flower-CDN vs Squirrel ---------------------------
-// Paper: both converge toward 1; Flower-CDN ≈13% lower at 24 h.
-
-func BenchmarkFig6_Flower(b *testing.B)   { benchFlower(b, nil) }
-func BenchmarkFig6_Squirrel(b *testing.B) { benchSquirrel(b, nil) }
-
-// --- Figure 7: lookup latency ----------------------------------------------
-// Paper: Flower-CDN stabilises ≈120 ms; 87% of its lookups ≤150 ms while
-// 61% of Squirrel's exceed 1050 ms.
-
-func BenchmarkFig7a_FlowerLookup(b *testing.B) {
-	var within float64
-	var tot benchTotals
-	for i := 0; i < b.N; i++ {
-		res, err := RunFlower(benchParams(int64(i) + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tot.add(res.Report)
-		within += FracWithin(res.Report.LatencyHist, 150)
-	}
-	tot.report(b)
-	b.ReportMetric(within/float64(b.N), "within150ms/frac")
-}
-
-func BenchmarkFig7b_SquirrelLookup(b *testing.B) {
-	var beyond float64
-	var tot benchTotals
-	for i := 0; i < b.N; i++ {
-		res, err := RunSquirrel(benchParams(int64(i) + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tot.add(res.Report)
-		beyond += FracBeyond(res.Report.LatencyHist, 1050)
-	}
-	tot.report(b)
-	b.ReportMetric(beyond/float64(b.N), "beyond1050ms/frac")
-}
-
-// --- Figure 8: transfer distance -------------------------------------------
-// Paper: Flower-CDN drops to ≈80 ms; 59% of its transfers ≤100 ms vs 17%
-// for Squirrel.
-
-func BenchmarkFig8a_FlowerTransfer(b *testing.B) {
-	var within float64
-	var tot benchTotals
-	for i := 0; i < b.N; i++ {
-		res, err := RunFlower(benchParams(int64(i) + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tot.add(res.Report)
-		within += FracWithin(res.Report.DistanceHist, 100)
-	}
-	tot.report(b)
-	b.ReportMetric(within/float64(b.N), "within100ms/frac")
-}
-
-func BenchmarkFig8b_SquirrelTransfer(b *testing.B) {
-	var within float64
-	var tot benchTotals
-	for i := 0; i < b.N; i++ {
-		res, err := RunSquirrel(benchParams(int64(i) + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tot.add(res.Report)
-		within += FracWithin(res.Report.DistanceHist, 100)
-	}
-	tot.report(b)
-	b.ReportMetric(within/float64(b.N), "within100ms/frac")
-}
-
-// --- Headline: lookup ×9, transfer ×2 --------------------------------------
-
-func BenchmarkHeadlineComparison(b *testing.B) {
-	var lookupF, transferF float64
-	for i := 0; i < b.N; i++ {
-		f, s, err := Comparison(benchParams(int64(i) + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := ComputeHeadline(f, s)
-		lookupF += h.LookupFactor
-		transferF += h.TransferFactor
-	}
-	b.ReportMetric(lookupF/float64(b.N), "lookup-improvement/x")
-	b.ReportMetric(transferF/float64(b.N), "transfer-improvement/x")
+func BenchmarkTable2c(b *testing.B) {
+	benchPoints(b,
+		benchPoint{"VSmall", KindFlower, func(p *Params) { p.ViewSize = 6 }},
+		benchPoint{"VLarge", KindFlower, func(p *Params) { p.ViewSize = 24 }})
 }
 
 // --- Ablations (DESIGN.md "Ablations A1–A5") -------------------------------
+// §6.2: push thresholds 0.1 / 0.5 / 0.7 show "almost same gains" (0.1 and
+// the paper's view-only query policy are BenchmarkComparison's flower side).
+// A1: view-then-directory member lookups. A2: churn resilience (§5
+// mechanisms under failure injection). A3: Squirrel's home-store strategy
+// (§7). A5: §5.3 scale-up — extra instance bits double the directory peers
+// per (website, locality), letting overflowing client populations join.
 
-// §6.2: push thresholds 0.1 / 0.5 / 0.7 show "almost same gains".
-func BenchmarkAblationPushThreshold01(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.PushThreshold = 0.1 })
-}
-
-func BenchmarkAblationPushThreshold05(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.PushThreshold = 0.5 })
-}
-
-func BenchmarkAblationPushThreshold07(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.PushThreshold = 0.7 })
-}
-
-// A1: view-only member lookups (the paper) vs view-then-directory.
-func BenchmarkAblationQueryPolicyViewOnly(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.QueryPolicy = PolicyViewOnly })
-}
-
-func BenchmarkAblationQueryPolicyViaDirectory(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.QueryPolicy = PolicyViewThenDirectory })
-}
-
-// A2: churn resilience (§5 mechanisms under failure injection).
-func BenchmarkAblationChurnModerate(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ChurnPerHour = 60; p.ChurnIncludesDirs = true })
-}
-
-func BenchmarkAblationChurnHeavy(b *testing.B) {
-	benchFlower(b, func(p *Params) { p.ChurnPerHour = 240; p.ChurnIncludesDirs = true })
-}
-
-// A3: Squirrel home-store strategy (§7).
-func BenchmarkAblationHomeStore(b *testing.B) {
-	benchSquirrel(b, func(p *Params) { p.SquirrelHomeStore = true })
-}
-
-// A5: §5.3 scale-up — extra instance bits double the directory peers per
-// (website, locality), letting overflowing client populations join.
-func BenchmarkAblationScaleUpBasic(b *testing.B) {
-	benchFlower(b, func(p *Params) {
-		p.MaxOverlaySize = 8
-		p.ClientsPerSite = 60
-		p.InstanceBits = 0
-	})
-}
-
-func BenchmarkAblationScaleUpB1(b *testing.B) {
-	benchFlower(b, func(p *Params) {
-		p.MaxOverlaySize = 8
-		p.ClientsPerSite = 60
-		p.InstanceBits = 1
-	})
+func BenchmarkAblation(b *testing.B) {
+	scaleUp := func(bits uint) func(*Params) {
+		return func(p *Params) { p.MaxOverlaySize, p.ClientsPerSite, p.InstanceBits = 8, 60, bits }
+	}
+	benchPoints(b,
+		benchPoint{"PushThreshold05", KindFlower, func(p *Params) { p.PushThreshold = 0.5 }},
+		benchPoint{"PushThreshold07", KindFlower, func(p *Params) { p.PushThreshold = 0.7 }},
+		benchPoint{"QueryPolicyViaDirectory", KindFlower, func(p *Params) { p.QueryPolicy = PolicyViewThenDirectory }},
+		benchPoint{"ChurnModerate", KindFlower, func(p *Params) { p.ChurnPerHour = 60; p.ChurnIncludesDirs = true }},
+		benchPoint{"ChurnHeavy", KindFlower, func(p *Params) { p.ChurnPerHour = 240; p.ChurnIncludesDirs = true }},
+		benchPoint{"HomeStore", KindSquirrel, func(p *Params) { p.SquirrelHomeStore = true }},
+		benchPoint{"ScaleUpBasic", KindFlower, scaleUp(0)},
+		benchPoint{"ScaleUpB1", KindFlower, scaleUp(1)})
 }
 
 // D-ring conditional routing (Algorithm 2) vs standard DHT routing
@@ -342,7 +234,7 @@ func benchCampaign(b *testing.B, parallel int) {
 			tot.add(res.Report)
 		}
 	}
-	tot.report(b)
+	tot.report(b, "")
 }
 
 func BenchmarkCampaignSequential(b *testing.B) { benchCampaign(b, 1) }

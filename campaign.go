@@ -12,7 +12,7 @@ import (
 // This file implements the parallel experiment engine. The paper's
 // evaluation (§6) is a grid of independent parameter sweeps; every point
 // builds its own kernel, topology and metrics stack, so points can run on
-// separate cores with no shared state. A Campaign fans points out over a
+// separate cores with no shared state. RunCampaign fans points out over a
 // worker pool and collects results in point order, which makes a parallel
 // run's output byte-identical to the sequential one.
 
@@ -24,21 +24,12 @@ type Point struct {
 	Kind   SystemKind // zero value runs Flower-CDN
 }
 
-// Campaign executes a set of independent points.
-type Campaign struct {
-	// Parallel is the worker count: 0 or 1 runs one worker, which takes
-	// the points in order, n>1 uses n workers, and a negative value uses
-	// one worker per CPU.
-	Parallel int
-}
-
 // workers resolves the effective worker count for n points.
-func (c Campaign) workers(n int) int {
-	w := c.Parallel
-	if w < 0 {
-		w = runtime.NumCPU()
+func workers(parallel, n int) int {
+	if parallel < 0 {
+		parallel = runtime.NumCPU()
 	}
-	return max(min(w, n), 1)
+	return max(min(parallel, n), 1)
 }
 
 // runPoint dispatches one point to the matching runner.
@@ -49,20 +40,22 @@ func runPoint(pt Point) (Result, error) {
 	return RunFlower(pt.Params)
 }
 
-// Run executes every point and returns results indexed like points.
-// Results depend only on each point's Params (each run owns its kernel,
-// topology, metrics and RNGs), so the output is identical no matter how
-// many workers execute it or in which order points finish. On failure,
+// RunCampaign executes every point and returns results indexed like points.
+// parallel is the worker count: 0 or 1 runs one worker, which takes the
+// points in order, n>1 uses n workers, and a negative value uses one worker
+// per CPU. Results depend only on each point's Params (each run owns its
+// kernel, topology, metrics and RNGs), so the output is identical no matter
+// how many workers execute it or in which order points finish. On failure,
 // in-flight points drain, not-yet-started points are skipped, and the
 // lowest-index error is returned; one worker runs the points in order and
 // stops at the first failure.
-func (c Campaign) Run(points []Point) ([]Result, error) {
+func RunCampaign(points []Point, parallel int) ([]Result, error) {
 	results := make([]Result, len(points))
 	idx := make(chan int)
 	errs := make([]error, len(points))
 	var wg sync.WaitGroup
 	var failed atomic.Bool
-	for w := 0; w < c.workers(len(points)); w++ {
+	for w := 0; w < workers(parallel, len(points)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -92,12 +85,6 @@ func (c Campaign) Run(points []Point) ([]Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// RunCampaign is the convenience form: fan points out over parallel
-// workers (see Campaign.Parallel for the encoding).
-func RunCampaign(points []Point, parallel int) ([]Result, error) {
-	return Campaign{Parallel: parallel}.Run(points)
 }
 
 // PointSeed derives the seed of grid point idx from the campaign seed.
@@ -135,11 +122,4 @@ func gridPoints(p Params, localities []int, periods []simkernel.Time, views []in
 		}
 	}
 	return points
-}
-
-// SweepGrid runs every cell of the gridPoints cross product as one
-// campaign, honouring p.Parallel; a cell's coordinates are in its label
-// and its Params.
-func SweepGrid(p Params, localities []int, periods []simkernel.Time, views []int) ([]Row, error) {
-	return runRows(gridPoints(p, localities, periods, views), p.Parallel)
 }

@@ -29,11 +29,11 @@ func campaignPoints(t *testing.T, n int) []Point {
 // to the sequential run, point for point.
 func TestCampaignParallelMatchesSequential(t *testing.T) {
 	points := campaignPoints(t, 6)
-	seq, err := Campaign{Parallel: 1}.Run(points)
+	seq, err := RunCampaign(points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Campaign{Parallel: 4}.Run(points)
+	par, err := RunCampaign(points, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,26 +54,25 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// Sweeps driven through Params.Parallel must also be order-stable.
+// An experiment run through Options.Parallel prints the tables of its
+// sequential run.
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	p := tinyParams(4)
 	p.Duration = 15 * simkernel.Minute
-	seqRows, err := Table2a(p, []int{2, 4, 6})
+	table2a := Experiments()[0]
+	seq, err := table2a.Run(p, Options{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Parallel = 3
-	parRows, err := Table2a(p, []int{2, 4, 6})
+	par, err := table2a.Run(p, Options{Parallel: 3}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range seqRows {
-		if seqRows[i].Label != parRows[i].Label {
-			t.Fatalf("row %d label: %s vs %s", i, seqRows[i].Label, parRows[i].Label)
-		}
-		if !reflect.DeepEqual(seqRows[i].Result.Report, parRows[i].Result.Report) {
-			t.Errorf("row %d: parallel sweep report differs from sequential", i)
-		}
+	if len(seq) != 1 || len(seq[0].Lines) != 3 {
+		t.Fatalf("premise: table2a printed %d tables, not one of three lines", len(seq))
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("parallel tables differ from sequential:\nseq: %v\npar: %v", seq, par)
 	}
 }
 
@@ -87,12 +86,12 @@ func TestCampaignErrorPropagates(t *testing.T) {
 		{Label: "bad", Params: bad},
 		{Label: "good2", Params: good},
 	}
-	if _, err := (Campaign{Parallel: 1}).Run(points); err == nil {
+	if _, err := RunCampaign(points, 1); err == nil {
 		t.Fatal("sequential campaign swallowed the error")
 	} else if !strings.Contains(err.Error(), "point 1 (bad)") {
 		t.Fatalf("sequential error does not name the failing point: %v", err)
 	}
-	if _, err := (Campaign{Parallel: 3}).Run(points); err == nil {
+	if _, err := RunCampaign(points, 3); err == nil {
 		t.Fatal("parallel campaign swallowed the error")
 	} else if !strings.Contains(err.Error(), "point 1 (bad)") {
 		t.Fatalf("parallel error does not name the failing point: %v", err)
@@ -109,11 +108,11 @@ func TestCampaignWorkerResolution(t *testing.T) {
 		{8, 3, 3}, // never more workers than points
 	}
 	for _, c := range cases {
-		if got := (Campaign{Parallel: c.parallel}).workers(c.points); got != c.want {
+		if got := workers(c.parallel, c.points); got != c.want {
 			t.Errorf("workers(parallel=%d, points=%d) = %d, want %d", c.parallel, c.points, got, c.want)
 		}
 	}
-	if got := (Campaign{Parallel: -1}).workers(1000); got < 1 {
+	if got := workers(-1, 1000); got < 1 {
 		t.Errorf("negative parallel resolved to %d workers", got)
 	}
 }
@@ -138,11 +137,10 @@ func TestPointSeedPure(t *testing.T) {
 func TestSweepGrid(t *testing.T) {
 	p := tinyParams(5)
 	p.Duration = 10 * simkernel.Minute
-	p.Parallel = 4
-	rows, err := SweepGrid(p,
+	rows, err := runRows(gridPoints(p,
 		[]int{3},
 		[]simkernel.Time{3 * simkernel.Minute, 6 * simkernel.Minute},
-		[]int{6, 12})
+		[]int{6, 12}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-hours: %d is not a duration (0 keeps the experiment's own)\n", *hours)
 		return 2
 	}
-	opts := flowercdn.Options{Hours: flowercdn.Time(*hours) * flowercdn.Hour, Churn: *churn}
+	opts := flowercdn.Options{Hours: flowercdn.Time(*hours) * flowercdn.Hour, Churn: *churn, Parallel: *parallel}
 	if *loss != "" {
 		for _, tok := range strings.Split(*loss, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
@@ -158,7 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown scale %q\n", *scale)
 		return 2
 	}
-	p.Parallel = *parallel
 
 	notef := func(format string, args ...any) {
 		if !*quiet {

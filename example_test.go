@@ -33,16 +33,20 @@ func ExampleRunFlower() {
 	// gossip costs bandwidth: true
 }
 
-// ExampleComparison reproduces the paper's headline shape: Flower-CDN wins
-// lookup latency and transfer distance against Squirrel.
-func ExampleComparison() {
+// ExampleRunCampaign reproduces the paper's headline shape: Flower-CDN wins
+// lookup latency and transfer distance against Squirrel on the same seed,
+// topology and workload. The two points run on two workers.
+func ExampleRunCampaign() {
 	p := flowercdn.ScaledParams(2)
 	p.Duration = 30 * flowercdn.Minute
-	f, s, err := flowercdn.Comparison(p)
+	res, err := flowercdn.RunCampaign([]flowercdn.Point{
+		{Label: "flower", Params: p, Kind: flowercdn.KindFlower},
+		{Label: "squirrel", Params: p, Kind: flowercdn.KindSquirrel},
+	}, 2)
 	if err != nil {
 		panic(err)
 	}
-	h := flowercdn.ComputeHeadline(f, s)
+	h := flowercdn.ComputeHeadline(res[0], res[1])
 	fmt.Println("flower faster lookups:", h.LookupFactor > 1)
 	fmt.Println("flower closer transfers:", h.TransferFactor > 1)
 	fmt.Println("squirrel hit ratio at least flower's:", h.SquirrelHit >= h.FlowerHit-0.05)

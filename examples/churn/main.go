@@ -29,14 +29,19 @@ func main() {
 	fmt.Printf("%-12s %-10s %-10s %-14s %-14s %-12s\n",
 		"churn/hour", "hit", "lookup", "redirect-fail", "replacements", "retries")
 
-	rows, err := flowercdn.AblationChurn(p, rates)
+	points := make([]flowercdn.Point, len(rates))
+	for i, rate := range rates {
+		pr := p
+		pr.ChurnPerHour, pr.ChurnIncludesDirs = rate, true
+		points[i] = flowercdn.Point{Label: fmt.Sprintf("%g/h", rate), Params: pr}
+	}
+	results, err := flowercdn.RunCampaign(points, -1) // independent runs, one per CPU
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, row := range rows {
-		r := row.Result
+	for i, r := range results {
 		fmt.Printf("%-12s %-10.3f %-7.0fms %-14d %-14d %-12d\n",
-			row.Label, r.Report.HitRatio, r.Report.AvgLookupMs,
+			points[i].Label, r.Report.HitRatio, r.Report.AvgLookupMs,
 			r.Report.RedirectFailures, r.Stats.DirReplacements, r.Stats.QueriesRetried)
 	}
 

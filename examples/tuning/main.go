@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
 
 	"flowercdn"
 )
@@ -23,37 +24,42 @@ func main() {
 
 	fmt.Println("Gossip tuning trade-off (1 simulated hour per cell)")
 
-	rowsA, err := flowercdn.Table2a(p, []int{2, 4, 8})
+	// One point per cell, each varying one knob of p.
+	var points []flowercdn.Point
+	add := func(label string, set func(*flowercdn.Params)) {
+		pv := p
+		set(&pv)
+		points = append(points, flowercdn.Point{Label: label, Params: pv})
+	}
+	for _, l := range []int{2, 4, 8} {
+		add(strconv.Itoa(l), func(q *flowercdn.Params) { q.GossipLen = l })
+	}
+	for _, t := range []flowercdn.Time{flowercdn.Minute, 5 * flowercdn.Minute, 15 * flowercdn.Minute} {
+		add(t.String(), func(q *flowercdn.Params) { q.TGossip, q.TKeepalive = t, t })
+	}
+	for _, v := range []int{4, 12, 24} {
+		add(strconv.Itoa(v), func(q *flowercdn.Params) { q.ViewSize = v })
+	}
+	// The cells are independent simulations: one campaign runs them on
+	// every CPU, with the results of a sequential run.
+	results, err := flowercdn.RunCampaign(points, -1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nL_gossip (entries exchanged per round) — bandwidth scales with it:")
-	printRows(rowsA)
-
-	rowsB, err := flowercdn.Table2b(p, []flowercdn.Time{
-		1 * flowercdn.Minute, 5 * flowercdn.Minute, 15 * flowercdn.Minute,
-	})
-	if err != nil {
-		log.Fatal(err)
+	for i, title := range []string{
+		"L_gossip (entries exchanged per round) — bandwidth scales with it:",
+		"T_gossip (round period) — bandwidth scales inversely:",
+		"V_gossip (view size) — costs memory, not bandwidth; widens reach:",
+	} {
+		fmt.Println("\n" + title)
+		fmt.Printf("  %-10s %-10s %-14s\n", "value", "hit ratio", "background")
+		for j := 3 * i; j < 3*i+3; j++ {
+			r := results[j].Report
+			fmt.Printf("  %-10s %-10.3f %8.1f bps\n", points[j].Label, r.HitRatio, r.BackgroundBps)
+		}
 	}
-	fmt.Println("\nT_gossip (round period) — bandwidth scales inversely:")
-	printRows(rowsB)
-
-	rowsC, err := flowercdn.Table2c(p, []int{4, 12, 24})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nV_gossip (view size) — costs memory, not bandwidth; widens reach:")
-	printRows(rowsC)
 
 	fmt.Println("\nReading the table (paper §6.2): pick T_gossip and L_gossip for the")
 	fmt.Println("bandwidth you can afford; raise V_gossip while memory allows — it is")
 	fmt.Println("the only knob that improves hit ratio for free on the wire.")
-}
-
-func printRows(rows []flowercdn.Row) {
-	fmt.Printf("  %-10s %-10s %-14s\n", "value", "hit ratio", "background")
-	for _, r := range rows {
-		fmt.Printf("  %-10s %-10.3f %8.1f bps\n", r.Label, r.Report.HitRatio, r.Report.BackgroundBps)
-	}
 }

@@ -15,11 +15,10 @@ import (
 )
 
 // This file derives the points of the paper's evaluation (§6) and of
-// DESIGN.md "Ablations A1–A5", and keeps one exported entry point per
-// table and figure for callers that want the rows rather than the printed
-// view (registry.go says how each is presented). Every preset runs full
-// simulations with the supplied Params, so callers choose the scale
-// (DefaultParams reproduces the paper; ScaledParams is laptop-quick).
+// DESIGN.md "Ablations A1–A5"; registry.go runs them through RunCampaign
+// and says how each is presented. Every point is a full simulation with the
+// supplied Params, so callers choose the scale (DefaultParams reproduces the
+// paper; ScaledParams is laptop-quick).
 
 // Row is one finished point of an experiment: the point's label and its
 // run. It is the only row type; views project the columns they print.
@@ -30,7 +29,7 @@ type Row struct {
 
 // runRows runs the points as one campaign and labels the results.
 func runRows(points []Point, parallel int) ([]Row, error) {
-	results, err := Campaign{Parallel: parallel}.Run(points)
+	results, err := RunCampaign(points, parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -39,15 +38,6 @@ func runRows(points []Point, parallel int) ([]Row, error) {
 		rows[i] = Row{Label: points[i].Label, Result: res}
 	}
 	return rows, nil
-}
-
-// runPair runs a two-point experiment and returns both results.
-func runPair(points []Point, parallel int) (a, b Result, err error) {
-	results, err := Campaign{Parallel: parallel}.Run(points)
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	return results[0], results[1], nil
 }
 
 // sweep is the one loop behind every named single-parameter sweep: one
@@ -75,11 +65,6 @@ func (s sweep[T]) points(p Params, values []T) []Point {
 // grid is the sweep over its default values, as Experiment.Points wants it.
 func (s sweep[T]) grid(p Params, _ Options) []Point { return s.points(p, nil) }
 
-// run executes the sweep, honouring the parallelism of the base parameters.
-func (s sweep[T]) run(p Params, values []T) ([]Row, error) {
-	return runRows(s.points(p, values), p.Parallel)
-}
-
 var (
 	gossipLenSweep = sweep[int]{[]int{5, 10, 20}, strconv.Itoa,
 		func(p *Params, v int) { p.GossipLen = v }}
@@ -98,35 +83,13 @@ var (
 		func(p *Params, b uint) { p.InstanceBits = b }}
 )
 
-// Table2a varies the gossip length L_gossip (paper values 5, 10, 20) with
-// T_gossip and V_gossip fixed.
-func Table2a(p Params, values []int) ([]Row, error) { return gossipLenSweep.run(p, values) }
-
-// Table2b varies the gossip period T_gossip (paper values 1 min, 30 min,
-// 1 hour).
-func Table2b(p Params, values []simkernel.Time) ([]Row, error) {
-	return gossipPeriodSweep.run(p, values)
-}
-
-// Table2c varies the view size V_gossip (paper values 20, 50, 70).
-func Table2c(p Params, values []int) ([]Row, error) { return viewSizeSweep.run(p, values) }
-
-// Fig5 runs Flower-CDN at the chosen operating point and returns the run;
-// the report's Series carries hit ratio and background bps over time.
-func Fig5(p Params) (Result, error) { return RunFlower(p) }
-
+// comparisonPoints runs both systems on the same seed, topology and
+// workload: the shared basis of Figures 6, 7 and 8.
 func comparisonPoints(p Params, _ Options) []Point {
 	return []Point{
 		{Label: "flower", Params: p, Kind: KindFlower},
 		{Label: "squirrel", Params: p, Kind: KindSquirrel},
 	}
-}
-
-// Comparison runs both systems on the same seed, topology and workload —
-// the shared basis of Figures 6, 7 and 8. With p.Parallel > 1 the two
-// runs execute concurrently.
-func Comparison(p Params) (flower, baseline Result, err error) {
-	return runPair(comparisonPoints(p, Options{}), p.Parallel)
 }
 
 // Headline condenses the paper's §1/§6 claims from a comparison pair.
@@ -167,12 +130,8 @@ func ComputeHeadline(flower, baseline Result) Headline {
 
 // --- Ablations (DESIGN.md "Ablations A1–A5") ------------------------------
 
-// AblationPushThreshold sweeps the push threshold (§6.2 reports 0.1, 0.5,
-// 0.7 behave almost identically).
-func AblationPushThreshold(p Params, values []float64) ([]Row, error) {
-	return pushThresholdSweep.run(p, values)
-}
-
+// queryPolicyPoints sets the paper's view-only member lookup against the
+// view-then-directory variant (A1).
 func queryPolicyPoints(p Params, _ Options) []Point {
 	pView, pDir := p, p
 	pView.QueryPolicy = core.PolicyViewOnly
@@ -183,16 +142,7 @@ func queryPolicyPoints(p Params, _ Options) []Point {
 	}
 }
 
-// AblationQueryPolicy compares the paper's view-only member lookup with
-// the view-then-directory variant.
-func AblationQueryPolicy(p Params) (viewOnly, viaDir Result, err error) {
-	return runPair(queryPolicyPoints(p, Options{}), p.Parallel)
-}
-
-// AblationChurn sweeps failure rates (the paper lists churn analysis as
-// ongoing work; §5 defines the mechanisms we exercise here).
-func AblationChurn(p Params, perHour []float64) ([]Row, error) { return churnSweep.run(p, perHour) }
-
+// homeStorePoints sets Squirrel's two strategies side by side (A3, §7).
 func homeStorePoints(p Params, _ Options) []Point {
 	pDir, pHome := p, p
 	pDir.SquirrelHomeStore = false
@@ -201,18 +151,6 @@ func homeStorePoints(p Params, _ Options) []Point {
 		{Label: "directory", Params: pDir, Kind: KindSquirrel},
 		{Label: "home-store", Params: pHome, Kind: KindSquirrel},
 	}
-}
-
-// AblationHomeStore compares Squirrel's two strategies (§7).
-func AblationHomeStore(p Params) (directory, homeStore Result, err error) {
-	return runPair(homeStorePoints(p, Options{}), p.Parallel)
-}
-
-// AblationScaleUp compares the basic scheme (one directory peer per
-// (website, locality)) with the §5.3 extension (2^b instances), using a
-// client population that overflows the basic scheme's S_co capacity.
-func AblationScaleUp(p Params, instanceBits []uint) ([]Row, error) {
-	return scaleUpSweep.run(p, instanceBits)
 }
 
 // SubstrateResult compares D-ring routing cost over the two DHT

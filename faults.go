@@ -132,9 +132,6 @@ func grayPoints(base Params) []Point {
 	return []Point{{Label: "fixed", Params: fixed}, {Label: "adaptive", Params: adaptive}}
 }
 
-// GrayComparison runs grayPoints and reports both sides, fixed first.
-func GrayComparison(base Params) ([]Row, error) { return runRows(grayPoints(base), base.Parallel) }
-
 // DefaultLossRates is the sweep grid for `-exp faults`.
 var DefaultLossRates = []float64{0, 0.01, 0.02, 0.05, 0.10, 0.20}
 
@@ -160,10 +157,4 @@ func lossPoints(base Params, rates []float64) []Point {
 		points[i] = Point{Label: fmt.Sprintf("%.0f%%", 100*rate), Params: p}
 	}
 	return points
-}
-
-// LossRateSweep runs lossPoints and reports how hit ratio and lookup
-// latency degrade as the transport loses more of every flow.
-func LossRateSweep(base Params, rates []float64) ([]Row, error) {
-	return runRows(lossPoints(base, rates), base.Parallel)
 }

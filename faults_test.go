@@ -75,7 +75,7 @@ func TestGrayStormAdaptiveWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full gray-storm simulations")
 	}
-	rows, err := GrayComparison(GrayStormParams(1))
+	rows, err := runRows(grayPoints(GrayStormParams(1)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package flowercdn
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -41,63 +42,8 @@ func TestPublicQuickstart(t *testing.T) {
 	}
 }
 
-func TestPublicComparisonShape(t *testing.T) {
-	f, s, err := Comparison(fastParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := ComputeHeadline(f, s)
-	// The paper's qualitative claims, scale-independent:
-	if h.LookupFactor <= 1.5 {
-		t.Fatalf("flower should win lookups clearly, factor %.2f", h.LookupFactor)
-	}
-	if h.TransferFactor <= 1.0 {
-		t.Fatalf("flower should win transfer distance, factor %.2f", h.TransferFactor)
-	}
-	if h.SquirrelHit < h.FlowerHit-0.05 {
-		t.Fatalf("squirrel hit %.3f should be >= flower %.3f", h.SquirrelHit, h.FlowerHit)
-	}
-	if h.FlowerWithin150ms <= h.SquirrelBeyond1050ms*0 {
-		// trivially true; the meaningful distribution assertions follow
-		t.Fatal("unreachable")
-	}
-	if h.FlowerDistWithin100ms <= h.SquirrelDistWithin100ms {
-		t.Fatalf("flower transfers should be closer: %.2f vs %.2f",
-			h.FlowerDistWithin100ms, h.SquirrelDistWithin100ms)
-	}
-}
-
-func TestPublicTableSweeps(t *testing.T) {
-	p := fastParams(3)
-	p.Duration = 20 * Minute
-	rows, err := Table2a(p, []int{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[1].Report.BackgroundBps <= rows[0].Report.BackgroundBps {
-		t.Fatalf("L_gossip bandwidth not increasing: %v, %v",
-			rows[0].Report.BackgroundBps, rows[1].Report.BackgroundBps)
-	}
-	rowsB, err := Table2b(p, []Time{2 * Minute, 10 * Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowsB[0].Report.BackgroundBps <= rowsB[1].Report.BackgroundBps {
-		t.Fatalf("T_gossip bandwidth not decreasing: %v, %v",
-			rowsB[0].Report.BackgroundBps, rowsB[1].Report.BackgroundBps)
-	}
-	rowsC, err := Table2c(p, []int{4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowsC[0].Report.HitRatio > rowsC[1].Report.HitRatio+0.05 {
-		t.Fatalf("larger views should not hurt hit ratio: %v vs %v",
-			rowsC[0].Report.HitRatio, rowsC[1].Report.HitRatio)
-	}
-}
-
 func TestPublicFig5Series(t *testing.T) {
-	res, err := Fig5(fastParams(4))
+	res, err := RunFlower(fastParams(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,28 +61,21 @@ func TestPublicFig5Series(t *testing.T) {
 func TestPublicAblations(t *testing.T) {
 	p := fastParams(5)
 	p.Duration = 15 * Minute
-	viewOnly, viaDir, err := AblationQueryPolicy(p)
+	res, err := RunCampaign(slices.Concat(queryPolicyPoints(p, Options{}),
+		pushThresholdSweep.points(p, []float64{0.1, 0.7}), homeStorePoints(p, Options{})), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Directory fallback can only help the hit ratio.
-	if viaDir.Report.HitRatio+0.02 < viewOnly.Report.HitRatio {
+	if viewOnly, viaDir := res[0], res[1]; viaDir.Report.HitRatio+0.02 < viewOnly.Report.HitRatio {
 		t.Fatalf("directory fallback hurt hit ratio: %v vs %v",
 			viaDir.Report.HitRatio, viewOnly.Report.HitRatio)
 	}
-	rows, err := AblationPushThreshold(p, []float64{0.1, 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// §6.2: thresholds barely matter.
-	if d := rows[0].Report.HitRatio - rows[1].Report.HitRatio; d > 0.15 || d < -0.15 {
+	if d := res[2].Report.HitRatio - res[3].Report.HitRatio; d > 0.15 || d < -0.15 {
 		t.Fatalf("push threshold changed hit ratio too much: %v", d)
 	}
-	dir, hs, err := AblationHomeStore(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dir.Report.TotalQueries == 0 || hs.Report.TotalQueries == 0 {
+	if dir, hs := res[4], res[5]; dir.Report.TotalQueries == 0 || hs.Report.TotalQueries == 0 {
 		t.Fatal("home-store ablation produced empty runs")
 	}
 	cr, err := AblationConditionalRouting(5, 30, 6, 0.15, 300)
@@ -145,49 +84,6 @@ func TestPublicAblations(t *testing.T) {
 	}
 	if cr.SameWebsiteAlg2 < cr.SameWebsiteAlg1 {
 		t.Fatalf("Algorithm 2 should dominate: %+v", cr)
-	}
-}
-
-func TestPublicChurn(t *testing.T) {
-	p := fastParams(6)
-	p.Duration = 20 * Minute
-	rows, err := AblationChurn(p, []float64{0, 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Result.Report.TotalQueries == 0 || rows[1].Result.Report.TotalQueries == 0 {
-		t.Fatal("churn runs empty")
-	}
-	// Churn should not raise the hit ratio.
-	if rows[1].Report.HitRatio > rows[0].Report.HitRatio+0.03 {
-		t.Fatalf("churn improved hit ratio? %v vs %v", rows[1].Report.HitRatio, rows[0].Report.HitRatio)
-	}
-}
-
-func TestPublicReplay(t *testing.T) {
-	p := fastParams(10)
-	p.Duration = 10 * Minute
-	// Hand-craft a replayable trace: two clients of site 0, same object.
-	src := "1000,0,0,0,3\n120000,0,0,1,3\n"
-	qs, err := ParseWorkloadTrace(stringsReader(src), MakeSites(p.ActiveSites))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunFlowerReplay(p, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.TotalQueries != 2 {
-		t.Fatalf("replayed %d queries, want 2", res.Report.TotalQueries)
-	}
-	// Second request for the same object in the same locality: peer hit.
-	if res.Report.BySource["peer"] != 1 {
-		t.Fatalf("sources: %v", res.Report.BySource)
-	}
-	// Out-of-range member must be rejected.
-	bad := []WorkloadQuery{{Member: 9999}}
-	if _, err := RunFlowerReplay(p, bad); err == nil {
-		t.Fatal("invalid replay accepted")
 	}
 }
 
@@ -225,19 +121,6 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 	}
 	if len(back) != 1 || back[0] != qs[0] {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, qs)
-	}
-}
-
-func TestPublicSubstrates(t *testing.T) {
-	res, err := CompareSubstrates(1, 20, 6, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ChordExact < 0.999 || res.PastryExact < 0.999 {
-		t.Fatalf("both substrates must deliver exactly: %+v", res)
-	}
-	if res.ChordAvgHops <= 0 || res.PastryAvgHops <= 0 {
-		t.Fatalf("hop counts missing: %+v", res)
 	}
 }
 

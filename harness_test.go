@@ -2,12 +2,12 @@ package flowercdn
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"flowercdn/internal/core"
 	"flowercdn/internal/metrics"
-	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/topology"
@@ -184,11 +184,11 @@ func TestComparisonShape(t *testing.T) {
 	// Squirrel's hit ratio is at least Flower's.
 	p := tinyParams(4)
 	p.Duration = simkernel.Hour
-	flower, sq, err := Comparison(p)
+	res, err := RunCampaign(comparisonPoints(p, Options{}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := ComputeHeadline(flower, sq)
+	h := ComputeHeadline(res[0], res[1])
 	if h.LookupFactor < 2 {
 		t.Fatalf("lookup improvement only %.2fx (flower %.0fms, squirrel %.0fms)",
 			h.LookupFactor, h.FlowerLookupMs, h.SquirrelLookupMs)
@@ -199,23 +199,25 @@ func TestComparisonShape(t *testing.T) {
 	if h.SquirrelHit+1e-9 < h.FlowerHit-0.05 {
 		t.Fatalf("hit ratios off: flower %.3f squirrel %.3f", h.FlowerHit, h.SquirrelHit)
 	}
+	if h.FlowerDistWithin100ms <= h.SquirrelDistWithin100ms {
+		t.Fatalf("flower transfers should be closer: %.2f vs %.2f within 100 ms",
+			h.FlowerDistWithin100ms, h.SquirrelDistWithin100ms)
+	}
 }
 
 func TestChurnRun(t *testing.T) {
-	p := tinyParams(5)
-	p.ChurnPerHour = 60
-	p.ChurnIncludesDirs = true
-	res, err := RunFlower(p)
+	res, err := RunCampaign(churnSweep.points(tinyParams(5), []float64{0, 60}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.TotalQueries == 0 {
-		t.Fatal("no queries under churn")
-	}
+	calm, churned := res[0].Report, res[1].Report
 	// Churn must not destroy the system: most queries still resolve.
-	resolved := res.Report.TotalQueries
-	if resolved < 1000 {
-		t.Fatalf("resolved only %d queries under churn", resolved)
+	if calm.TotalQueries == 0 || churned.TotalQueries < 1000 {
+		t.Fatalf("resolved %d queries without churn and %d under churn", calm.TotalQueries, churned.TotalQueries)
+	}
+	// Churn should not raise the hit ratio.
+	if churned.HitRatio > calm.HitRatio+0.03 {
+		t.Fatalf("churn improved hit ratio? %v vs %v", churned.HitRatio, calm.HitRatio)
 	}
 }
 
@@ -254,35 +256,28 @@ func TestChurnWithRejoin(t *testing.T) {
 func TestTable2Sweeps(t *testing.T) {
 	p := tinyParams(6)
 	p.Duration = 20 * simkernel.Minute
-	rows, err := Table2a(p, []int{2, 6})
+	res, err := RunCampaign(slices.Concat(gossipLenSweep.points(p, []int{2, 6}),
+		gossipPeriodSweep.points(p, []simkernel.Time{2 * simkernel.Minute, 10 * simkernel.Minute}),
+		viewSizeSweep.points(p, []int{4, 16})), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
+	bps := func(i int) float64 { return res[i].Report.BackgroundBps }
 	// More gossip per round ⇒ more background bandwidth.
-	if rows[1].Report.BackgroundBps <= rows[0].Report.BackgroundBps {
-		t.Fatalf("L_gossip sweep: bps %v then %v, want increasing",
-			rows[0].Report.BackgroundBps, rows[1].Report.BackgroundBps)
-	}
-	rowsB, err := Table2b(p, []simkernel.Time{2 * simkernel.Minute, 10 * simkernel.Minute})
-	if err != nil {
-		t.Fatal(err)
+	if bps(1) <= bps(0) {
+		t.Fatalf("L_gossip sweep: bps %v then %v, want increasing", bps(0), bps(1))
 	}
 	// Longer period ⇒ less background bandwidth.
-	if rowsB[1].Report.BackgroundBps >= rowsB[0].Report.BackgroundBps {
-		t.Fatalf("T_gossip sweep: bps %v then %v, want decreasing",
-			rowsB[0].Report.BackgroundBps, rowsB[1].Report.BackgroundBps)
+	if bps(3) >= bps(2) {
+		t.Fatalf("T_gossip sweep: bps %v then %v, want decreasing", bps(2), bps(3))
 	}
-	rowsC, err := Table2c(p, []int{4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// View size barely affects bandwidth (paper: unchanged).
-	lo, hi := rowsC[0].Report.BackgroundBps, rowsC[1].Report.BackgroundBps
-	if lo == 0 || hi/lo > 1.5 || lo/hi > 1.5 {
+	// View size barely affects bandwidth (paper: unchanged), and larger
+	// views do not hurt the hit ratio.
+	if lo, hi := bps(4), bps(5); lo == 0 || hi/lo > 1.5 || lo/hi > 1.5 {
 		t.Fatalf("V_gossip should not change bandwidth much: %v vs %v", lo, hi)
+	}
+	if small, large := res[4].Report.HitRatio, res[5].Report.HitRatio; small > large+0.05 {
+		t.Fatalf("larger views should not hurt hit ratio: %v vs %v", small, large)
 	}
 }
 
@@ -326,12 +321,10 @@ func TestTrafficBytesHelper(t *testing.T) {
 func TestRunFlowerReplay(t *testing.T) {
 	p := tinyParams(10)
 	p.Duration = 10 * simkernel.Minute
-	sites := model.MakeSites(p.Websites)[:p.ActiveSites]
-	qs := []workload.Query{
-		{At: simkernel.Second, SiteIdx: 0, Site: sites[0], Locality: 0, Member: 0,
-			Object: model.ObjectID{Site: sites[0], Num: 1}},
-		{At: 2 * simkernel.Minute, SiteIdx: 0, Site: sites[0], Locality: 0, Member: 1,
-			Object: model.ObjectID{Site: sites[0], Num: 1}},
+	// A replayable trace: two clients of site 0, same object.
+	qs, err := ParseWorkloadTrace(stringsReader("1000,0,0,0,1\n120000,0,0,1,1\n"), MakeSites(p.ActiveSites))
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := RunFlowerReplay(p, qs)
 	if err != nil {
@@ -340,6 +333,7 @@ func TestRunFlowerReplay(t *testing.T) {
 	if res.Report.TotalQueries != 2 {
 		t.Fatalf("replayed %d queries", res.Report.TotalQueries)
 	}
+	// Second request for the same object in the same locality: peer hit.
 	if res.Report.BySource["peer"] != 1 {
 		t.Fatalf("second request should hit the first downloader: %v", res.Report.BySource)
 	}
@@ -417,7 +411,7 @@ func TestCompareSubstrates(t *testing.T) {
 		t.Fatalf("delivery must be exact on stable rings: %+v", res)
 	}
 	// Both must route in logarithmic hops.
-	if res.ChordAvgHops > 8 || res.PastryAvgHops > 8 {
+	if res.ChordAvgHops <= 0 || res.PastryAvgHops <= 0 || res.ChordAvgHops > 8 || res.PastryAvgHops > 8 {
 		t.Fatalf("hop counts too high: %+v", res)
 	}
 }
@@ -427,13 +421,12 @@ func TestAblationScaleUpAdmitsOverflow(t *testing.T) {
 	p.Duration = 20 * simkernel.Minute
 	p.MaxOverlaySize = 4
 	p.ClientsPerSite = 24
-	rows, err := AblationScaleUp(p, []uint{0, 1})
+	res, err := RunCampaign(scaleUpSweep.points(p, []uint{0, 1}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[1].Result.Stats.Joins <= rows[0].Result.Stats.Joins {
-		t.Fatalf("scale-up should admit more clients: %d vs %d",
-			rows[1].Result.Stats.Joins, rows[0].Result.Stats.Joins)
+	if res[1].Stats.Joins <= res[0].Stats.Joins {
+		t.Fatalf("scale-up should admit more clients: %d vs %d", res[1].Stats.Joins, res[0].Stats.Joins)
 	}
 }
 

@@ -207,7 +207,7 @@ func TestSettableValues(t *testing.T) {
 		config any
 		fields int
 	}{
-		{"flowercdn.Params", flowercdn.Params{}, 33},
+		{"flowercdn.Params", flowercdn.Params{}, 32},
 		{"core.Config", core.Config{}, 15},
 		{"squirrel.Config", squirrel.Config{}, 5},
 		{"overlay.Config", overlay.Config{}, 4},

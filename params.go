@@ -61,13 +61,6 @@ type Params struct {
 	// Metrics resolution.
 	BucketWidth simkernel.Time
 
-	// Parallel sets the worker count used when this Params drives a
-	// multi-point sweep (Table 2, ablations, scenario grids): 0 or 1 runs
-	// points sequentially, n>1 uses n workers, negative uses one worker
-	// per CPU. It is an execution knob only — every point owns its kernel,
-	// topology and metrics stack, so results are independent of it.
-	Parallel int
-
 	// MeasureMemory computes Result.BytesPerClient after the run (a forced
 	// GC plus ReadMemStats). Off by default so timing benchmarks never pay
 	// for the collection.

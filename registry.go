@@ -16,11 +16,12 @@ import (
 // into tables. The CLI looks names up here and renders the tables; it
 // knows no experiment itself, so adding one is one entry below.
 
-// Options carries the three CLI overrides that reach into experiments.
+// Options carries the CLI overrides that reach into experiments.
 type Options struct {
-	Hours simkernel.Time // -hours: the simulated duration, of the base parameters and of presets alike (0 = theirs)
-	Loss  []float64      // -loss: the fault sweep's loss-rate grid (nil = DefaultLossRates)
-	Churn bool           // -churn: also run the massive preset under population-scaled failures
+	Hours    simkernel.Time // -hours: the simulated duration, of the base parameters and of presets alike (0 = theirs)
+	Loss     []float64      // -loss: the fault sweep's loss-rate grid (nil = DefaultLossRates)
+	Churn    bool           // -churn: also run the massive preset under population-scaled failures
+	Parallel int            // -parallel: RunCampaign's worker count for the points (results do not depend on it)
 }
 
 // preset applies the duration override to a set of parameters.
@@ -66,7 +67,7 @@ func (e Experiment) Run(p Params, o Options, name string) ([]Table, error) {
 	if e.Custom != nil {
 		return e.Custom(p, o)
 	}
-	parallel := p.Parallel
+	parallel := o.Parallel
 	if e.Sequential {
 		parallel = 1
 	}

@@ -88,10 +88,3 @@ func populationPoints(seed int64, populations []int) []Point {
 	}
 	return points
 }
-
-// PopulationSweep runs populationPoints and reports simulator throughput
-// per cell. Cells run strictly sequentially — wall-clock throughput is the
-// measurement, so cells must not contend for cores.
-func PopulationSweep(seed int64, populations []int) ([]Row, error) {
-	return runRows(populationPoints(seed, populations), 1)
-}

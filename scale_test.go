@@ -47,12 +47,12 @@ func TestShrunkMassivePreset(t *testing.T) {
 	}
 }
 
-// TestPopulationSweepShape checks the sweep helper on tiny populations.
+// TestPopulationSweepShape checks the population sweep on tiny populations.
 func TestPopulationSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several simulations")
 	}
-	points, err := PopulationSweep(7, []int{500, 1000})
+	points, err := runRows(populationPoints(7, []int{500, 1000}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
