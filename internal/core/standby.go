@@ -140,19 +140,27 @@ func (s *System) requestPromotion(h *host) {
 	s.net.Send(h.addr, h.addr, simnet.CatMaintenance, bytesJoinCtl, standbyPromoteMsg{})
 }
 
-// handleStandbyPromote is the promotion arbiter: if the watched position
-// is actually held by a live node the alarm was false and nothing happens;
-// otherwise the standby joins D-ring under the common key and becomes the
-// directory with its replica as the index, whose key, site and locality name
-// the position.
+// handleStandbyPromote is the promotion arbiter: if the watched primary
+// still holds its position the alarm was false and nothing happens; if
+// another live node holds it (a cold §5.2 replacement won the race, or a
+// leave handed it over), the standby stands down and adopts that directory,
+// which never designated it; otherwise the standby joins D-ring under the
+// common key and becomes the directory with its replica as the index, whose
+// key, site and locality name the position.
 func (s *System) handleStandbyPromote(h *host) {
 	if h.phase != phStandby {
 		return
 	}
 	replica := h.role.replica
-	node, _ := s.takeOverPosition(replica.Key(), h.addr, s.liveBootstrapNode(), true)
+	node, incumbent := s.takeOverPosition(replica.Key(), h.addr, s.liveBootstrapNode(), true)
+	if incumbent != nil && incumbent.Addr() != h.role.standbyFor {
+		s.transition(h, phMember)
+		h.cp.SetDir(incumbent.Addr())
+		s.pushFullContent(h)
+		return
+	}
 	if node == nil {
-		return // false alarm (or a raced replacement): keep watching
+		return // false alarm: keep watching
 	}
 	s.installDirectory(h, node, replica.Site(), replica.Locality())
 	// Promote with the replica, then index our own holdings; the overlay

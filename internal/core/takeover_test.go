@@ -81,6 +81,56 @@ func TestPromotedStandbyReleasesPrimaryIndex(t *testing.T) {
 	}
 }
 
+// TestStandbyStandsDownForColdReplacement: the primary crashes and a cold
+// §5.2 replacement takes the position before the standby's promotion runs.
+// The promotion finds another directory in place: the standby stops probing
+// the dead primary, becomes a plain member and adopts the new directory.
+func TestStandbyStandsDownForColdReplacement(t *testing.T) {
+	e := newTestEnv(t, 97, func(c *Config) {
+		c.StandbyFailover = true
+		c.MaintenancePeriod = 10 * simkernel.Second
+	})
+	s := e.sys
+	site := e.cfg.Sites[0]
+	for m := 0; m < 3; m++ {
+		e.submitAt(simkernel.Time(m+1)*simkernel.Second, 0, 1, m, m)
+	}
+	e.k.Run(5 * simkernel.Minute)
+	addr, _ := s.DirectoryAddr(site, 1)
+	sb := s.host(s.host(addr).role.standby)
+	if sb == nil || !sb.watches(addr) {
+		t.Fatal("premise: the directory designated no standby")
+	}
+	var cold *host
+	for m := 0; m < 3; m++ {
+		if h := s.host(s.PoolNode(0, 1, m)); h.phase == phMember {
+			cold = h
+		}
+	}
+	boot, ok := s.DirectoryAddr(site, 0)
+	if cold == nil || !ok {
+		t.Fatal("premise: no plain member to volunteer, or no live directory to join through")
+	}
+
+	s.FailPeer(addr)
+	s.handleDirJoinAccept(cold, dirJoinAcceptMsg{Key: sb.role.replica.Key(), Bootstrap: boot})
+	if now, _ := s.DirectoryAddr(site, 1); now != cold.addr {
+		t.Fatalf("premise: the cold replacement %d did not take the position (held by %d)", cold.addr, now)
+	}
+	s.handleStandbyPromote(sb)
+	if sb.phase != phMember || !sb.role.probeTicker.Stopped() || sb.cp.Dir().Addr != cold.addr {
+		t.Fatalf("the standby is %s, probing=%v, its directory %d; want a member, not probing, of directory %d",
+			sb.phase, !sb.role.probeTicker.Stopped(), sb.cp.Dir().Addr, cold.addr)
+	}
+	if st := s.Stats(); st.StandbyPromotions != 0 || st.DirReplacements != 1 {
+		t.Fatalf("%d promotions and %d replacements, want 0 and 1", st.StandbyPromotions, st.DirReplacements)
+	}
+	e.k.Run(e.k.Now() + 2*simkernel.Minute)
+	if r := s.Audit(); len(r.Violations) > 0 {
+		t.Fatalf("audit after the stand-down: %v", r.Violations)
+	}
+}
+
 func TestReplacementDirectorySelfPush(t *testing.T) {
 	// A §5.2 replacement directory is also a content peer; its own content
 	// changes must flow into its index directly (no network self-push).
