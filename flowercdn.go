@@ -34,9 +34,9 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Report.HitRatio, res.Report.AvgLookupMs)
 //
-// To regenerate the paper's evaluation at full scale, use
-// flowercdn.DefaultParams and the Table2a/Table2b/Table2c/Fig5/Comparison
-// presets, or run cmd/flowersim.
+// To regenerate the paper's evaluation at full scale, run cmd/flowersim
+// (its -list names every table and figure), or start from
+// flowercdn.DefaultParams, build one Point per run and call RunCampaign.
 package flowercdn
 
 import (
