@@ -65,7 +65,8 @@ func (s *System) onDirectoryUnreachable(h *host) {
 	s.volunteer(h, h.cp.Site(), h.cp.Locality())
 }
 
-// volunteer stands h for the vacant directory position of (site, loc).
+// volunteer stands h for the vacant directory position of (site, loc); a
+// standby claims the position it watches.
 func (s *System) volunteer(h *host, site model.SiteID, loc int) {
 	switch {
 	case h.phase == phStandby:
