@@ -42,6 +42,54 @@ func TestPublicQuickstart(t *testing.T) {
 	}
 }
 
+func TestPublicComparisonShape(t *testing.T) {
+	res, err := RunCampaign(comparisonPoints(fastParams(2), Options{}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ComputeHeadline(res[0], res[1])
+	// The paper's qualitative claims, scale-independent:
+	if h.LookupFactor <= 1.5 {
+		t.Fatalf("flower should win lookups clearly, factor %.2f", h.LookupFactor)
+	}
+	if h.TransferFactor <= 1.0 {
+		t.Fatalf("flower should win transfer distance, factor %.2f", h.TransferFactor)
+	}
+	if h.SquirrelHit < h.FlowerHit-0.05 {
+		t.Fatalf("squirrel hit %.3f should be >= flower %.3f", h.SquirrelHit, h.FlowerHit)
+	}
+	if h.FlowerWithin150ms <= 0 {
+		t.Fatal("no flower lookup within 150 ms")
+	}
+	if h.FlowerDistWithin100ms <= h.SquirrelDistWithin100ms {
+		t.Fatalf("flower transfers should be closer: %.2f vs %.2f",
+			h.FlowerDistWithin100ms, h.SquirrelDistWithin100ms)
+	}
+}
+
+func TestPublicTableSweeps(t *testing.T) {
+	p := fastParams(3)
+	p.Duration = 20 * Minute
+	res, err := RunCampaign(slices.Concat(gossipLenSweep.points(p, []int{2, 8}),
+		gossipPeriodSweep.points(p, []Time{2 * Minute, 10 * Minute}),
+		viewSizeSweep.points(p, []int{4, 16})), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[1].Report.BackgroundBps <= res[0].Report.BackgroundBps {
+		t.Fatalf("L_gossip bandwidth not increasing: %v, %v",
+			res[0].Report.BackgroundBps, res[1].Report.BackgroundBps)
+	}
+	if res[2].Report.BackgroundBps <= res[3].Report.BackgroundBps {
+		t.Fatalf("T_gossip bandwidth not decreasing: %v, %v",
+			res[2].Report.BackgroundBps, res[3].Report.BackgroundBps)
+	}
+	if res[4].Report.HitRatio > res[5].Report.HitRatio+0.05 {
+		t.Fatalf("larger views should not hurt hit ratio: %v vs %v",
+			res[4].Report.HitRatio, res[5].Report.HitRatio)
+	}
+}
+
 func TestPublicFig5Series(t *testing.T) {
 	res, err := RunFlower(fastParams(4))
 	if err != nil {
@@ -87,6 +135,49 @@ func TestPublicAblations(t *testing.T) {
 	}
 }
 
+func TestPublicChurn(t *testing.T) {
+	p := fastParams(6)
+	p.Duration = 20 * Minute
+	res, err := RunCampaign(churnSweep.points(p, []float64{0, 120}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Report.TotalQueries == 0 || res[1].Report.TotalQueries == 0 {
+		t.Fatal("churn runs empty")
+	}
+	// Churn should not raise the hit ratio.
+	if res[1].Report.HitRatio > res[0].Report.HitRatio+0.03 {
+		t.Fatalf("churn improved hit ratio? %v vs %v", res[1].Report.HitRatio, res[0].Report.HitRatio)
+	}
+}
+
+func TestPublicReplay(t *testing.T) {
+	p := fastParams(10)
+	p.Duration = 10 * Minute
+	// Hand-craft a replayable trace: two clients of site 0, same object.
+	src := "1000,0,0,0,3\n120000,0,0,1,3\n"
+	qs, err := ParseWorkloadTrace(stringsReader(src), MakeSites(p.ActiveSites))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunFlowerReplay(p, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.TotalQueries != 2 {
+		t.Fatalf("replayed %d queries, want 2", res.Report.TotalQueries)
+	}
+	// Second request for the same object in the same locality: peer hit.
+	if res.Report.BySource["peer"] != 1 {
+		t.Fatalf("sources: %v", res.Report.BySource)
+	}
+	// Out-of-range member must be rejected.
+	bad := []WorkloadQuery{{Member: 9999}}
+	if _, err := RunFlowerReplay(p, bad); err == nil {
+		t.Fatal("invalid replay accepted")
+	}
+}
+
 func TestPublicTracedRun(t *testing.T) {
 	p := fastParams(11)
 	p.Duration = 10 * Minute
@@ -121,6 +212,19 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 	}
 	if len(back) != 1 || back[0] != qs[0] {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, qs)
+	}
+}
+
+func TestPublicSubstrates(t *testing.T) {
+	res, err := CompareSubstrates(1, 20, 6, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ChordExact < 0.999 || res.PastryExact < 0.999 {
+		t.Fatalf("both substrates must deliver exactly: %+v", res)
+	}
+	if res.ChordAvgHops <= 0 || res.PastryAvgHops <= 0 {
+		t.Fatalf("hop counts missing: %+v", res)
 	}
 }
 
